@@ -6,7 +6,8 @@ plain filtration, the restricted semitone filtration (one extra step at the
 h-part), and the partial complex structure J.  Because every filtration
 space is spanned by basis vectors, the filtered/graded conditions on an
 endomorphism are entry patterns plus small linear relations for the
-J-condition; each space comes out as an exact kernel.
+J-condition; each space is a coordinate subspace cut down by an exact
+kernel of the J rows alone.
 
 Endomorphisms are n x n matrices over the carrier's slice of the basis,
 vectorized row-major for subspace bookkeeping.
@@ -44,9 +45,6 @@ class Carrier:
         self.grades = tuple(GRADES[i] for i in self.indices)
 
     # -- index sets ------------------------------------------------------
-    def grade_slots(self, g: int):
-        return tuple(p for p, gr in enumerate(self.grades) if gr == g)
-
     def h_part(self):
         """Local slots of the h-part (the semitone space V_(0|0))."""
         return tuple(
@@ -132,18 +130,6 @@ def _flatten(m: Matrix):
     return tuple(x for row in m.rows for x in row)
 
 
-def _entry_constraints(n, allowed):
-    """Constraint rows forcing entries outside ``allowed`` to vanish."""
-    rows = []
-    for r in range(n):
-        for c in range(n):
-            if (r, c) not in allowed:
-                row = [GQ(0)] * (n * n)
-                row[r * n + c] = GQ(1)
-                rows.append(row)
-    return rows
-
-
 def _j_constraint_rows(carrier: Carrier, domain_slots):
     """Rows expressing (J A - A J)(v) = 0 mod h-part for v in domain slots."""
     n = carrier.dim
@@ -166,11 +152,24 @@ def _j_constraint_rows(carrier: Carrier, domain_slots):
     return rows
 
 
-def _kernel_endos(carrier, rows) -> Subspace:
+def _endo_space(carrier: Carrier, allowed, j_domain) -> Subspace:
+    """Endomorphisms supported on the ``allowed`` (row, col) entries and
+    J-compatible on the ``j_domain`` slots.  The entry pattern is a
+    coordinate subspace; only the J rows, restricted to the allowed
+    coordinates, need a kernel."""
     n2 = carrier.dim * carrier.dim
-    if not rows:
-        return Subspace.full(n2)
-    return kernel(Matrix(rows, ncols=n2))
+    coords = sorted(r * carrier.dim + c for r, c in allowed)
+    if not j_domain:
+        return Subspace.coordinate(n2, coords)
+    rows = [[row[p] for p in coords]
+            for row in _j_constraint_rows(carrier, j_domain)]
+    vectors = []
+    for v in kernel(Matrix(rows, ncols=len(coords))).basis_vectors():
+        w = [GQ(0)] * n2
+        for p, x in zip(coords, v):
+            w[p] = x
+        vectors.append(w)
+    return Subspace(n2, vectors)
 
 
 def gl_filtered(carrier: Carrier, k: int, star: bool = False,
@@ -214,12 +213,9 @@ def _gl_filtered(name: str, k: int, star: bool, j_compatible: bool) -> EndoSubsp
         for t in range(4):  # V_(0|-1+t) -> V_(0|-1+t+k)
             restrict(ladder[2 + t], ladder[min(2 + t + k, 6)])
 
-    rows = _entry_constraints(n, allowed)
-    if j_compatible:
-        v_minus1 = carrier.fstar_ladder()[1]
-        rows += _j_constraint_rows(carrier, v_minus1)
+    j_domain = carrier.fstar_ladder()[1] if j_compatible else ()
     return EndoSubspace(carrier, k, star, j_compatible, False,
-                        _kernel_endos(carrier, rows))
+                        _endo_space(carrier, allowed, j_domain))
 
 
 def gl_graded(carrier: Carrier, k: int, j_compatible: bool = False) -> EndoSubspace:
@@ -243,12 +239,12 @@ def _gl_graded(name: str, k: int, j_compatible: bool) -> EndoSubspace:
         for r in range(n):
             if carrier.grades[r] == carrier.grades[c] + k:
                 allowed.add((r, c))
-    rows = _entry_constraints(n, allowed)
-    if j_compatible:
-        domain = [p for p, i in enumerate(carrier.indices) if i in (1, 2, 3, 4)]
-        rows += _j_constraint_rows(carrier, domain)
+    j_domain = (
+        [p for p, i in enumerate(carrier.indices) if i in (1, 2, 3, 4)]
+        if j_compatible else ()
+    )
     return EndoSubspace(carrier, k, False, j_compatible, True,
-                        _kernel_endos(carrier, rows))
+                        _endo_space(carrier, allowed, j_domain))
 
 
 def frame_freedom(carrier: Carrier) -> EndoSubspace:

@@ -459,9 +459,8 @@ def run_constraints() -> Report:
         coframe.catalog_contains_vanishing("T^-1(01)_-1(01)|0(01)"),
         "conjugate of the degree-0 frame condition",
     )
-    flat_ok = all(
-        r.evaluate(prolong.FullTorsion.flat()).is_zero() for r in cat
-    )
+    flat = prolong.FullTorsion.flat()
+    flat_ok = all(r.evaluate(flat).is_zero() for r in cat)
     rep.add("flat model satisfies every relation", True, flat_ok,
             "exact evaluation on the bracket torsion")
     for r in cat:

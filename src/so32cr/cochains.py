@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .scalars import GQ
 from .linalg import (
@@ -37,6 +37,7 @@ from .linalg import (
     zero_vec,
 )
 from . import so32
+from .forms import perm_sign
 from .so32 import Alg, GRADES, bracket_coords, killing_gram
 
 MAX_ELL = 3  # top wedge degree of a 3-dimensional argument algebra
@@ -108,7 +109,7 @@ class _Side:
         if len(set(arg_tuple)) < len(arg_tuple):
             return zero_vec(so32.DIM)
         order = tuple(sorted(arg_tuple))
-        sign = _perm_sign(arg_tuple)
+        sign = perm_sign(arg_tuple)
         out = [GQ(0)] * so32.DIM
         for beta in range(so32.DIM):
             c = coeff_map.get((order, beta))
@@ -151,16 +152,6 @@ class _Side:
         return out
 
 
-def _perm_sign(seq) -> int:
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=1)
 def _side_m() -> _Side:
     return _Side(_arg_vectors_m(), _N_GRADES)
@@ -185,12 +176,6 @@ def cochain_monomials(ell: int, k: int):
 
 def cochain_dim(ell: int, k: int) -> int:
     return len(cochain_monomials(ell, k))
-
-
-def cochain_space(ell: int, k: int):
-    """(monomial basis, dimension) of the (ell, k) slice."""
-    monos = cochain_monomials(ell, k)
-    return monos, len(monos)
 
 
 @dataclass(frozen=True)
@@ -240,7 +225,7 @@ class Cochain:
         side = _side_m()
         cm = self.coeff_map()
         out = [GQ(0)] * so32.DIM
-        for idx_tuple in _tuples(len(args), side.n):
+        for idx_tuple in product(range(side.n), repeat=len(args)):
             f = GQ(1)
             for pos, i in enumerate(idx_tuple):
                 f = f * args[pos][i]
@@ -275,34 +260,29 @@ class Cochain:
             raise ValueError("cochain bidegree mismatch")
 
 
-def _tuples(length, n):
-    if length == 0:
-        yield ()
-        return
-    for rest in _tuples(length - 1, n):
-        for i in range(n):
-            yield (i,) + rest
-
-
 # -- coboundary -------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def coboundary_matrix(ell: int, k: int) -> Matrix:
-    """Matrix of d : C^ell_k -> C^(ell+1)_k over the monomial bases."""
-    if ell >= MAX_ELL:
-        raise ValueError("coboundary undefined at top wedge degree")
-    side = _side_m()
-    src = cochain_monomials(ell, k)
-    dst = cochain_monomials(ell + 1, k)
+def _coboundary_on(side: _Side, ell: int, k: int) -> Matrix:
+    """Matrix of d : C^ell_k -> C^(ell+1)_k of one side's complex over its
+    graded monomial bases."""
+    src = side.graded_monomials(ell, k)
+    dst = side.graded_monomials(ell + 1, k)
     dst_index = {m: p for p, m in enumerate(dst)}
     cols = []
     for mono in src:
-        img = side.coboundary_of_monomial(ell, mono)
         col = [GQ(0)] * len(dst)
-        for key, c in img.items():
+        for key, c in side.coboundary_of_monomial(ell, mono).items():
             col[dst_index[key]] = c
         cols.append(col)
     return Matrix.from_columns(cols, nrows=len(dst))
+
+
+def coboundary_matrix(ell: int, k: int) -> Matrix:
+    """Matrix of d : C^ell_k -> C^(ell+1)_k over the monomial bases."""
+    if not 0 <= ell < MAX_ELL:
+        raise ValueError("coboundary needs a cochain degree ell in 0..2")
+    return _coboundary_on(_side_m(), ell, k)
 
 
 def coboundary(c: Cochain) -> Cochain:
@@ -312,22 +292,6 @@ def coboundary(c: Cochain) -> Cochain:
 
 
 # -- codifferential ----------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def _h_coboundary_matrix(ell: int, kh: int) -> Matrix:
-    side = _side_h()
-    src = tuple(side.graded_monomials(ell, kh))
-    dst = tuple(side.graded_monomials(ell + 1, kh))
-    dst_index = {m: p for p, m in enumerate(dst)}
-    cols = []
-    for mono in src:
-        img = side.coboundary_of_monomial(ell, mono)
-        col = [GQ(0)] * len(dst)
-        for key, c in img.items():
-            col[dst_index[key]] = c
-        cols.append(col)
-    return Matrix.from_columns(cols, nrows=len(dst))
-
 
 @lru_cache(maxsize=None)
 def _pairing_matrix(ell: int, k: int) -> Matrix:
@@ -354,7 +318,7 @@ def codifferential_matrix(ell: int, k: int) -> Matrix:
         raise ValueError("codifferential undefined for 0-cochains")
     p_src = _pairing_matrix(ell, k)          # C^ell_k x C^ell_-k(h)
     p_dst = _pairing_matrix(ell - 1, k)      # C^(ell-1)_k x C^(ell-1)_-k(h)
-    dh = _h_coboundary_matrix(ell - 1, -k)   # C^(ell-1)_-k(h) -> C^ell_-k(h)
+    dh = _coboundary_on(_side_h(), ell - 1, -k)  # C^(ell-1)_-k(h) -> C^ell_-k(h)
     if p_dst.nrows == 0 or p_dst.ncols == 0:
         return Matrix.zero(0, cochain_dim(ell, k))
     # <d* c, d> = -<c, dh d>  for all d
@@ -421,9 +385,9 @@ def hodge_decompose(c: Cochain) -> HodgeTriple:
         raise ArithmeticError("Kostant pieces do not decompose the slice")
     span = Matrix.from_columns(basis, nrows=n)
     res = solve(span, c.coords)
-    x, ker = res
-    if ker.dim != 0:
+    if res is NO_SOLUTION or res[1].dim != 0:
         raise ArithmeticError("Kostant pieces overlap")
+    x, _ = res
     parts = []
     offset = 0
     for piece in (exact, harmonic, coexact):
@@ -462,7 +426,6 @@ def act_on_cochain(x: Alg, c: Cochain) -> Cochain:
         raise ValueError("actor must be grade homogeneous")
     k_out = c.k + (xgrades.pop() if xgrades else 0)
     side = _side_m()
-    src = cochain_monomials(c.ell, k_out)
     cm = c.coeff_map()
     # argument action matrix: proj_{m_-} [x, n_a]
     arg_act = []
@@ -486,17 +449,9 @@ def act_on_cochain(x: Alg, c: Cochain) -> Cochain:
                 new = wedge[:pos] + (a2,) + wedge[pos + 1:]
                 if len(set(new)) < len(new):
                     continue
-                sgn = _perm_sign(new)
+                sgn = perm_sign(new)
                 key = (tuple(sorted(new)), beta)
                 out[key] = out.get(key, GQ(0)) - coef * f * GQ(sgn)
-    grades_changed = any(
-        _side_m().monomial_degree(m) != k_out for m in out if out[m]
-    )
-    if grades_changed:
+    if any(side.monomial_degree(m) != k_out for m, v in out.items() if v):
         raise ArithmeticError("action did not shift homogeneity uniformly")
-    monos = {m: p for p, m in enumerate(src)}
-    coords = [GQ(0)] * len(src)
-    for m, v in out.items():
-        if v:
-            coords[monos[m]] = v
-    return Cochain(c.ell, k_out, coords)
+    return Cochain.from_full_table(c.ell, k_out, out)

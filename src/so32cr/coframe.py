@@ -23,6 +23,7 @@ from .scalars import GQ
 from . import so32
 from .so32 import CONJ_PERM, bracket_complex
 from .cochains import cochain_dim
+from .forms import Form
 from .linalg import Matrix, kernel
 
 COFRAME_LABELS = (
@@ -37,141 +38,27 @@ def _idx(label: str) -> int:
     return COFRAME_LABELS.index(label)
 
 
-class TwoForm:
-    """2-form over the coframe: coefficients on ordered wedge pairs i < j."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        for (i, j), c in (coeffs or {}).items():
-            c = GQ.of(c)
-            if not c:
-                continue
-            if i == j:
-                raise ValueError("diagonal wedge pair")
-            if i > j:
-                i, j, c = j, i, -c
-            clean[(i, j)] = clean.get((i, j), GQ(0)) + c
-        self.coeffs = {k: v for k, v in clean.items() if v}
-
-    @staticmethod
-    def wedge(i: int, j: int, c=1) -> "TwoForm":
-        return TwoForm({(i, j): GQ.of(c)})
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, GQ(0)) + c
-        return TwoForm(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "TwoForm":
-        c = GQ.of(c)
-        return TwoForm({k: c * v for k, v in self.coeffs.items()})
-
-    def conj(self) -> "TwoForm":
-        return TwoForm(
-            {
-                (CONJ_PERM[i], CONJ_PERM[j]): c.conj()
-                for (i, j), c in self.coeffs.items()
-            }
-        )
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __eq__(self, other):
-        if not isinstance(other, TwoForm):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coeffs):
-            c = self.coeffs[(i, j)]
-            parts.append(
-                f"({c.to_str()})*{COFRAME_LABELS[i]}^{COFRAME_LABELS[j]}"
-            )
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"TwoForm({self.render()})"
-
-
-class ThreeForm:
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        for key, c in (coeffs or {}).items():
-            c = GQ.of(c)
-            if not c:
-                continue
-            i, j, k = key
-            if len({i, j, k}) < 3:
-                continue
-            order = tuple(sorted((i, j, k)))
-            sign = _sign3(key)
-            clean[order] = clean.get(order, GQ(0)) + c * GQ(sign)
-        self.coeffs = {k: v for k, v in clean.items() if v}
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, c in other.coeffs.items():
-            out[k] = out.get(k, GQ(0)) + c
-        return ThreeForm(out)
-
-    def scale(self, c):
-        c = GQ.of(c)
-        return ThreeForm({k: c * v for k, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-
-def _sign3(key):
-    i, j, k = key
-    sign = 1
-    seq = [i, j, k]
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if seq[a] > seq[b]:
-                sign = -sign
-    return sign
-
-
 @lru_cache(maxsize=None)
-def maurer_cartan(label: str) -> TwoForm:
+def maurer_cartan(label: str) -> Form:
     """d of a coframe 1-form under the flat rule, from the structure
     constants of the complexified commutator table."""
     a = _idx(label)
-    coeffs = {}
-    for b in range(N):
-        for c in range(b + 1, N):
-            cab = bracket_complex(b, c)[a]
-            if cab:
-                coeffs[(b, c)] = coeffs.get((b, c), GQ(0)) - cab
-    return TwoForm(coeffs)
+    return Form(
+        {(b, c): -bracket_complex(b, c)[a] for b, c in combinations(range(N), 2)}
+    )
 
 
-def exterior_derivative(form: TwoForm) -> ThreeForm:
-    """d on 2-forms, via the Maurer-Cartan rule on each 1-form factor."""
-    out = ThreeForm()
-    for (i, j), c in form.coeffs.items():
-        di = maurer_cartan(COFRAME_LABELS[i])
-        dj = maurer_cartan(COFRAME_LABELS[j])
-        terms = {}
-        for (a, b), f in di.coeffs.items():
-            terms[(a, b, j)] = terms.get((a, b, j), GQ(0)) + c * f
-        for (a, b), f in dj.coeffs.items():
-            terms[(i, a, b)] = terms.get((i, a, b), GQ(0)) - c * f
-        out = out + ThreeForm(terms)
-    return out
+def exterior_derivative(form: Form) -> Form:
+    """d by the Leibniz rule, with the Maurer-Cartan rule on each 1-form
+    factor: d(w^i1 ^ ... ^ w^il) = sum_s (-1)^s w^i1 ^ .. d w^is .. ^ w^il."""
+    terms = {}
+    for key, c in form.coeffs.items():
+        for s, i in enumerate(key):
+            f = c if s % 2 == 0 else -c
+            for pair, m in maurer_cartan(COFRAME_LABELS[i]).coeffs.items():
+                new = key[:s] + pair + key[s + 1:]
+                terms[new] = terms.get(new, GQ(0)) + f * m
+    return Form(terms)
 
 
 I = GQ(0, 1)
@@ -179,8 +66,8 @@ HALF = GQ(Fraction(1, 2))
 HALF_I = GQ(0, Fraction(1, 2))
 
 
-def _w(l1: str, l2: str, c=1) -> TwoForm:
-    return TwoForm.wedge(_idx(l1), _idx(l2), c)
+def _w(l1: str, l2: str, c=1) -> Form:
+    return Form({(_idx(l1), _idx(l2)): c})
 
 
 @lru_cache(maxsize=1)
@@ -244,7 +131,7 @@ def verify_structure_equations():
             {
                 "equation": f"d {label}",
                 "vanishes": lhs.is_zero(),
-                "residue": lhs.render(),
+                "residue": lhs.render(COFRAME_LABELS),
             }
         )
     return out
@@ -319,9 +206,7 @@ class Relation:
         """Value on a full torsion (coefficients over complexified bases)."""
         total = GQ(0)
         for c, s in self.terms:
-            total = total + c * torsion.coefficients.get(
-                (s.lower[0], s.lower[1], s.upper), GQ(0)
-            )
+            total = total + c * torsion.value(*s.lower)[s.upper]
         return total
 
 
@@ -380,7 +265,7 @@ def _normalization_relations(k: int):
     # torsion with that single complex coefficient
     cols = []
     for s in syms:
-        t = FullTorsion({(s.lower[0], s.lower[1], s.upper): GQ(1)})
+        t = FullTorsion({s.upper: Form({s.lower: 1})})
         cols.append(t.restrict_ctorsion(k).coords)
     phi = Matrix.from_columns(cols, nrows=n)
     ns = normalization_space(k)

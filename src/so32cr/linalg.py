@@ -238,7 +238,18 @@ class Subspace:
 
     @staticmethod
     def full(n: int) -> "Subspace":
-        return Subspace(n, [unit_vec(n, i) for i in range(n)])
+        return Subspace.coordinate(n, range(n))
+
+    @staticmethod
+    def coordinate(n: int, positions) -> "Subspace":
+        """The span of the unit vectors at the given positions; sorted unit
+        rows are already in canonical form, so no elimination runs."""
+        positions = sorted(set(positions))
+        if positions and not 0 <= positions[0] <= positions[-1] < n:
+            raise ValueError("coordinate position outside the ambient space")
+        s = Subspace(n)
+        object.__setattr__(s, "rows", tuple(unit_vec(n, p) for p in positions))
+        return s
 
     @property
     def dim(self) -> int:
@@ -286,16 +297,6 @@ class Subspace:
                 w = vec_add(w, vec_scale(c, v))
             vectors.append(w)
         return Subspace(self.ambient_dim, vectors)
-
-    def complement_in(self, other: "Subspace") -> "Subspace":
-        """A coordinate complement of self inside other (self <= other)."""
-        rows = list(self.rows)
-        extra = []
-        for v in other.rows:
-            cand = Subspace(self.ambient_dim, rows + extra + [v])
-            if cand.dim > len(rows) + len(extra):
-                extra.append(v)
-        return Subspace(self.ambient_dim, extra)
 
     def _check(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:
@@ -367,17 +368,6 @@ def solve(a: Matrix, b):
     for i, p in enumerate(pivots):
         x[p] = r.rows[i][a.ncols]
     return tuple(x), kernel(a)
-
-
-def solve_unique(a: Matrix, b) -> Vector:
-    """Solve a x = b when the solution is known to be unique."""
-    res = solve(a, b)
-    if res is NO_SOLUTION:
-        raise ValueError("inconsistent system")
-    x, ker = res
-    if ker.dim != 0:
-        raise ValueError("solution not unique")
-    return x
 
 
 def inverse(m: Matrix) -> Matrix:

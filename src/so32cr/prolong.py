@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .scalars import GQ
 from .linalg import (
@@ -38,6 +39,7 @@ from .linalg import (
 )
 from . import so32
 from .so32 import Alg, GRADES, bracket_complex, to_complex_basis, from_complex_basis
+from .forms import Form
 from .carriers import Carrier, endo_from_complex_images, gl_graded
 from .cochains import (
     Cochain,
@@ -99,6 +101,25 @@ def _span_endos(endos, carrier) -> Subspace:
     return Subspace(n2, [tuple(x for row in e.rows for x in row) for e in endos])
 
 
+def _combination(coefs, endos, n: int) -> Matrix:
+    """sum_i coefs[i] * endos[i] as an n x n matrix."""
+    m = Matrix.zero(n, n)
+    for c, b in zip(coefs, endos):
+        if c:
+            m = m + b.scale(c)
+    return m
+
+
+def _solve_in_gauge(carrier, basis, cols) -> Subspace:
+    """Span of the real combinations sum_i t_i basis[i] whose conditions
+    vanish, sum_i t_i cols[i] = 0 (cols[i]: the condition column of basis[i])."""
+    cond = Matrix(_real_rows(Matrix.from_columns(cols).rows), ncols=len(basis))
+    return _span_endos(
+        [_combination(t, basis, carrier.dim) for t in kernel(cond).basis_vectors()],
+        carrier,
+    )
+
+
 # ---------------------------------------------------------------------------
 # step 0
 # ---------------------------------------------------------------------------
@@ -115,12 +136,6 @@ class ProlongationStep:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-
-def _complex_apply(carrier, b: Matrix, zlabel: str):
-    """b applied to a complexified basis vector, as a g-vector (complex coords)."""
-    local = carrier.project_coords(so32.complex_unit(so32.COMPLEX_LABELS.index(zlabel)))
-    return to_complex_basis(carrier.embed_coords(b.apply(local)))
 
 
 def prolong_step0() -> ProlongationStep:
@@ -156,19 +171,7 @@ def prolong_step0() -> ProlongationStep:
         c2 = vec_add(c2, vec_scale(HALF_I, bx(em2)))
         return list(c1) + list(c2)
 
-    cond_matrix = Matrix(
-        _real_rows(Matrix.from_columns([conditions(b) for b in basis]).rows),
-        ncols=len(basis),
-    )
-    coeff_kernel = kernel(cond_matrix)
-    endos = []
-    for t in coeff_kernel.basis_vectors():
-        m = Matrix.zero(carrier.dim, carrier.dim)
-        for c, b in zip(t, basis):
-            if c:
-                m = m + b.scale(c)
-        endos.append(m)
-    space = _span_endos(endos, carrier)
+    space = _solve_in_gauge(carrier, basis, [conditions(b) for b in basis])
     witnesses = (Alg.from_label("E_1^0"), Alg.from_label("E_2^0"))
     generators = tuple(carrier.ad_action(w) for w in witnesses)
     notes = (
@@ -234,35 +237,38 @@ def l1_subspace() -> L1Space:
     return L1Space(carrier, space, gens, note)
 
 
-def _kernel_step(carrier, gauge_endos, k, witnesses, notes) -> ProlongationStep:
-    """Common dB = 0 solver over a list of gauge-space basis endomorphisms."""
+@lru_cache(maxsize=None)
+def _gauge(k: int):
+    """(step carrier, gauge basis endomorphisms, their coboundaries in C^2_k):
+    the gauge space is l1 at degree 1 and gl_k^gr of the step carrier at
+    degrees 2 and 3."""
+    carrier = Carrier(STEP_CARRIERS[k])
+    if k == 1:
+        gauge = list(l1_subspace().generators)
+    else:
+        gauge = gl_graded(carrier, k).basis_endos()
     dmat = coboundary_matrix(1, k)
-    cols = [
-        dmat.apply(cochain_of_endo(carrier, b, k).coords) for b in gauge_endos
-    ]
-    cond = Matrix(_real_rows(Matrix.from_columns(
-        cols, nrows=cochain_dim(2, k)).rows), ncols=len(gauge_endos))
-    endos = []
-    for t in kernel(cond).basis_vectors():
-        m = Matrix.zero(carrier.dim, carrier.dim)
-        for c, b in zip(t, gauge_endos):
-            if c:
-                m = m + b.scale(c)
-        endos.append(m)
-    space = _span_endos(endos, carrier)
+    return carrier, tuple(gauge), tuple(
+        dmat.apply(cochain_of_endo(carrier, b, k).coords) for b in gauge
+    )
+
+
+def _kernel_step(k, witnesses, notes) -> ProlongationStep:
+    """dB = 0 over the step-k gauge space."""
+    carrier, gauge, cols = _gauge(k)
+    space = _solve_in_gauge(carrier, gauge, cols)
     generators = tuple(carrier.ad_action(w) for w in witnesses)
     return ProlongationStep(k, carrier, space, generators, witnesses, notes)
 
 
 def prolong_step1() -> ProlongationStep:
     """{B in l1 : dB = 0}; spanned by the projected ad of -E_2^1 and E_1^1."""
-    l1 = l1_subspace()
     witnesses = (-Alg.from_label("E_2^1"), Alg.from_label("E_1^1"))
     notes = (
         "solved relations: nu = (i/2) conj(lambda), mu = -(i/2) lambda, "
         "antiholomorphic h^0 coefficient 0",
     )
-    return _kernel_step(l1.carrier, list(l1.generators), 1, witnesses, notes)
+    return _kernel_step(1, witnesses, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -301,21 +307,15 @@ def gl3_endo(lam, mu) -> Matrix:
 
 def prolong_step2() -> ProlongationStep:
     """{B in gl_2^gr(m+h0+h1) : dB = 0}; one generator, the projected ad(E^2)."""
-    carrier = Carrier("m+h0+h1")
-    gauge = gl_graded(carrier, 2).basis_endos()
     witnesses = (Alg.from_label("E^2"),)
     notes = ("solved parameter family (lambda, mu, nu, nu') = (0, t, it, 0), t real",)
-    return _kernel_step(carrier, gauge, 2, witnesses, notes)
+    return _kernel_step(2, witnesses, notes)
 
 
 def prolong_step3() -> ProlongationStep:
     """{B in gl_3^gr(m+h) : dB = 0} is trivial; the solver forces both
     complex parameters to vanish."""
-    carrier = Carrier("m+h")
-    gauge = gl_graded(carrier, 3).basis_endos()
-    return _kernel_step(
-        carrier, gauge, 3, (), ("forced vanishing: lambda = 0 = mu",)
-    )
+    return _kernel_step(3, (), ("forced vanishing: lambda = 0 = mu",))
 
 
 def prolong_all():
@@ -391,16 +391,7 @@ def rotation_action_matrix(ell: int, k: int, x: Alg) -> Matrix:
 @lru_cache(maxsize=None)
 def gauge_image(k: int) -> Subspace:
     """The coboundary image of the step-k gauge space inside C^2_k."""
-    carrier = Carrier(STEP_CARRIERS[k])
-    if k == 1:
-        gauge = list(l1_subspace().generators)
-    else:
-        gauge = gl_graded(carrier, k).basis_endos()
-    dmat = coboundary_matrix(1, k)
-    return Subspace(
-        cochain_dim(2, k),
-        [dmat.apply(cochain_of_endo(carrier, b, k).coords) for b in gauge],
-    )
+    return Subspace(cochain_dim(2, k), _gauge(k)[2])
 
 
 @lru_cache(maxsize=None)
@@ -428,19 +419,11 @@ def normalization_space(k: int) -> Subspace:
 @lru_cache(maxsize=None)
 def _normalize_solver(k: int):
     """Precomputed column span [d(gauge basis) | normalization basis]."""
-    carrier = Carrier(STEP_CARRIERS[k])
-    if k == 1:
-        gauge = list(l1_subspace().generators)
-    else:
-        gauge = gl_graded(carrier, k).basis_endos()
-    dmat = coboundary_matrix(1, k)
-    gauge_cols = [
-        dmat.apply(cochain_of_endo(carrier, b, k).coords) for b in gauge
-    ]
+    carrier, gauge, gauge_cols = _gauge(k)
     norm_basis = normalization_space(k).basis_vectors()
-    span = Matrix.from_columns(gauge_cols + norm_basis,
+    span = Matrix.from_columns(list(gauge_cols) + norm_basis,
                                nrows=cochain_dim(2, k))
-    return carrier, gauge, norm_basis, span
+    return carrier, gauge, span
 
 
 def normalize_ctorsion(c: Cochain, k: int | None = None):
@@ -453,12 +436,9 @@ def normalize_ctorsion(c: Cochain, k: int | None = None):
         k = c.k
     if (c.ell, c.k) != (2, k):
         raise ValueError("expected a degree-k 2-cochain")
-    carrier, gauge, norm_basis, span = _normalize_solver(k)
+    carrier, gauge, span = _normalize_solver(k)
     x, _ = solve(span, c.coords)
-    b = Matrix.zero(carrier.dim, carrier.dim)
-    for coef, g in zip(x[: len(gauge)], gauge):
-        if coef:
-            b = b + g.scale(coef)
+    b = _combination(x[: len(gauge)], gauge, carrier.dim)
     residual = c - coboundary(cochain_of_endo(carrier, b, k))
     if not normalization_space(k).contains(residual.coords):
         raise ArithmeticError("residual escaped the normalization space")
@@ -475,67 +455,41 @@ M_COMPLEX_GRADES = (-2, -1, -1, 0, 0)
 
 
 class FullTorsion:
-    """Alternating bilinear map on m with values in g, stored over the
-    complexified bases: coefficients[(i, j, beta)] with i < j running over
-    the five complexified m-labels and beta over the ten complexified
-    g-labels."""
+    """Alternating bilinear map on m with values in g, over the complexified
+    bases: forms[beta] is the 2-form on the five complexified m-labels giving
+    the value component along the complexified g-label beta."""
 
-    def __init__(self, coefficients=None):
-        self.coefficients = {}
-        for (i, j, beta), c in (coefficients or {}).items():
-            c = GQ.of(c)
-            if not c:
-                continue
-            if i == j:
-                raise ValueError("diagonal wedge pair")
-            if i > j:
-                i, j, c = j, i, -c
-            key = (i, j, beta)
-            prev = self.coefficients.get(key, GQ(0))
-            s = prev + c
-            if s:
-                self.coefficients[key] = s
-            elif key in self.coefficients:
-                del self.coefficients[key]
+    def __init__(self, forms=None):
+        self.forms = {b: f for b, f in (forms or {}).items() if not f.is_zero()}
 
     @staticmethod
     def flat() -> "FullTorsion":
         """The torsion of the model: every value is the Lie bracket."""
-        coeffs = {}
-        for i in range(5):
-            for j in range(i + 1, 5):
-                for beta, c in enumerate(bracket_complex(i, j)):
-                    if c:
-                        coeffs[(i, j, beta)] = c
-        return FullTorsion(coeffs)
+        values = {(i, j): bracket_complex(i, j) for i, j in combinations(range(5), 2)}
+        return FullTorsion({
+            beta: Form({pair: v[beta] for pair, v in values.items()})
+            for beta in range(so32.DIM)
+        })
 
     def add_term(self, arg1: str, arg2: str, value_label: str, coef) -> "FullTorsion":
-        i = so32.COMPLEX_LABELS.index(arg1)
-        j = so32.COMPLEX_LABELS.index(arg2)
-        beta = so32.COMPLEX_LABELS.index(value_label)
-        new = dict(self.coefficients)
-        out = FullTorsion(new)
-        extra = FullTorsion({(i, j, beta): GQ.of(coef)})
-        merged = dict(out.coefficients)
-        for key, c in extra.coefficients.items():
-            merged[key] = merged.get(key, GQ(0)) + c
-        return FullTorsion(merged)
+        i, j, beta = (so32.COMPLEX_LABELS.index(x) for x in (arg1, arg2, value_label))
+        forms = dict(self.forms)
+        forms[beta] = forms.get(beta, Form()) + Form({(i, j): coef})
+        return FullTorsion(forms)
+
+    def value(self, i: int, j: int):
+        """tau(e_i, e_j) for complexified m-labels, as complex g-coordinates."""
+        zero = Form()
+        return tuple(self.forms.get(b, zero).at((i, j)) for b in range(so32.DIM))
 
     def graded_component(self, i: int, j: int, k: int):
         """tau^k on the (i, j) complexified argument pair: the value
         components of grade g_i + g_j + k, as complex g-coordinates."""
         target = M_COMPLEX_GRADES[i] + M_COMPLEX_GRADES[j] + k
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -1
-        out = [GQ(0)] * so32.DIM
-        for beta in range(so32.DIM):
-            if GRADES[beta] != target:
-                continue
-            c = self.coefficients.get((i, j, beta))
-            if c:
-                out[beta] = c * GQ(sign)
-        return tuple(out)
+        return tuple(
+            c if GRADES[beta] == target else GQ(0)
+            for beta, c in enumerate(self.value(i, j))
+        )
 
     def restrict_ctorsion(self, k: int) -> Cochain:
         """The degree-k part of the restriction to wedge pairs inside m_-,

@@ -87,8 +87,26 @@ def ctorsion_to_json(c: Cochain) -> dict:
     return {"k": c.k, "terms": terms}
 
 
-def ctorsion_from_json(data: dict) -> Cochain:
-    k = int(data["k"])
+def ctorsion_from_json(data) -> Cochain:
+    """Inverse of ctorsion_to_json; input of any other shape raises
+    ValueError."""
+    if not (
+        isinstance(data, dict)
+        and isinstance(data.get("k"), int)
+        and isinstance(data.get("terms"), list)
+        and all(
+            isinstance(t, dict)
+            and isinstance(t.get("args"), list)
+            and isinstance(t.get("value"), str)
+            and isinstance(t.get("coef"), str)
+            for t in data["terms"]
+        )
+    ):
+        raise ValueError(
+            'c-torsion input must be {"k": int, "terms": [{"args": [...], '
+            '"value": str, "coef": str}, ...]}'
+        )
+    k = data["k"]
     table = {}
     for t in data["terms"]:
         wedge = tuple(_ARG_LABELS.index(a) for a in t["args"])

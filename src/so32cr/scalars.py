@@ -31,7 +31,12 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    return Fraction(s.strip())
+    """Parse "a/b" or "a"; a malformed string or a zero denominator raises
+    ValueError."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
 
 
 class GQ:
@@ -140,7 +145,7 @@ class GQ:
         if not m:
             raise ValueError(f"not a Gaussian rational: {s!r}")
         im = m.group("im")
-        return GQ(Fraction(m.group("re")), Fraction(im) if im else 0)
+        return GQ(rat_from_str(m.group("re")), rat_from_str(im) if im else 0)
 
     def __repr__(self):
         return f"GQ({self.to_str()})"

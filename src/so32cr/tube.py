@@ -185,9 +185,6 @@ class Field:
     def is_type10(self) -> bool:
         return all(c.is_zero() for c in self.comps[3:])
 
-    def is_type01(self) -> bool:
-        return all(c.is_zero() for c in self.comps[:3])
-
     def apply(self, f: Poly) -> Poly:
         out = Poly()
         for i, c in enumerate(self.comps):
@@ -354,50 +351,53 @@ def levi_hermitian_rank(p: ConePoint) -> int:
     return rank(gram)
 
 
-def levi_real_gram(p: ConePoint) -> Matrix:
-    """The 4x4 Gram of the Levi form on a real frame of the distribution."""
+def _real_parts(f: Field):
+    """The real fields f + conj f and i(f - conj f)."""
+    return [f + f.conj(), (f - f.conj()).scale(I)]
+
+
+def _real_frame_at(p: ConePoint):
+    """Four real fields framing the distribution at p: the real parts of R
+    and of the first frame field, or of the second when those four are
+    dependent at p."""
     f1, f2 = _d10_frame_at(p)
     _, _, _, R = cone_fields()
-    reals = []
-    for f in (R, f1):
-        reals.append(f + f.conj())
-        reals.append((f - f.conj()).scale(I))
-    # make sure the four real fields actually frame the distribution at p
+    reals = _real_parts(R) + _real_parts(f1)
     if rank(Matrix([f.eval(p.z) for f in reals])) != 4:
-        reals = []
-        for f in (R, f2):
-            reals.append(f + f.conj())
-            reals.append((f - f.conj()).scale(I))
-    return Matrix(
-        [[levi_form_at(p, a, b) for b in reals] for a in reals]
-    )
+        reals = _real_parts(R) + _real_parts(f2)
+    return reals
+
+
+def _levi_gram(p: ConePoint, reals) -> Matrix:
+    return Matrix([[levi_form_at(p, a, b) for b in reals] for a in reals])
+
+
+def levi_real_gram(p: ConePoint) -> Matrix:
+    """The 4x4 Gram of the Levi form on a real frame of the distribution."""
+    return _levi_gram(p, _real_frame_at(p))
 
 
 def rib_span_at(p: ConePoint) -> Subspace:
     _, _, _, R = cone_fields()
-    u1 = (R + R.conj()).eval(p.z)
-    u2 = ((R - R.conj()).scale(I)).eval(p.z)
-    return Subspace(6, [u1, u2])
+    return Subspace(6, [u.eval(p.z) for u in _real_parts(R)])
+
+
+def _combination_at(p: ConePoint, coef, fields):
+    """The vector sum_i coef[i] * fields[i](p)."""
+    v = [GQ(0)] * 6
+    for c, f in zip(coef, fields):
+        if c:
+            v = [a + c * b for a, b in zip(v, f.eval(p.z))]
+    return v
 
 
 def levi_kernel_at(p: ConePoint) -> Subspace:
     """Kernel of the Levi form inside the distribution at p, as vectors."""
-    f1, f2 = _d10_frame_at(p)
-    _, _, _, R = cone_fields()
-    reals = [R + R.conj(), (R - R.conj()).scale(I),
-             f1 + f1.conj(), (f1 - f1.conj()).scale(I)]
-    if rank(Matrix([f.eval(p.z) for f in reals])) != 4:
-        reals = [R + R.conj(), (R - R.conj()).scale(I),
-                 f2 + f2.conj(), (f2 - f2.conj()).scale(I)]
-    gram = Matrix([[levi_form_at(p, a, b) for b in reals] for a in reals])
-    vectors = []
-    for coef in kernel(gram).basis_vectors():
-        v = [GQ(0)] * 6
-        for c, f in zip(coef, reals):
-            if c:
-                v = [a + c * b for a, b in zip(v, f.eval(p.z))]
-        vectors.append(v)
-    return Subspace(6, vectors)
+    reals = _real_frame_at(p)
+    return Subspace(6, [
+        _combination_at(p, coef, reals)
+        for coef in kernel(_levi_gram(p, reals)).basis_vectors()
+    ])
 
 
 def freeman_ranks_at(p: ConePoint):
@@ -411,14 +411,9 @@ def freeman_ranks_at(p: ConePoint):
         for cb in conj_frame
     ]
     sol = kernel(Matrix(rows, ncols=2))
-    f0_vectors = []
-    for coef in sol.basis_vectors():
-        v = [GQ(0)] * 6
-        for c, f in zip(coef, (f1, f2)):
-            if c:
-                v = [a + c * b for a, b in zip(v, f.eval(p.z))]
-        f0_vectors.append(v)
-    f0 = Subspace(6, f0_vectors)
+    f0 = Subspace(6, [
+        _combination_at(p, coef, (f1, f2)) for coef in sol.basis_vectors()
+    ])
     dim_f0 = f0.dim
     # the solver must recover the ruling direction; otherwise the ambient
     # frame fields would be unusable for the next step

@@ -1,7 +1,7 @@
 import random
 
 from so32cr.scalars import GQ
-from so32cr.linalg import Matrix
+from so32cr.linalg import Matrix, Subspace, kernel
 from so32cr.so32 import Alg
 from so32cr.carriers import (
     CARRIER_NAMES,
@@ -12,6 +12,7 @@ from so32cr.carriers import (
     gl_filtered,
     gl_graded,
     gl_star_equals_gl_on_m,
+    _j_constraint_rows,
 )
 
 
@@ -145,3 +146,76 @@ def test_endo_from_complex_images_reality():
     assert z[1, 0] == GQ(0, 1) and z[2, 0] == GQ(0, -1)
     # round trip through complex coordinates is consistent
     assert all(b[r, col].is_real() for r in range(7) for col in range(7))
+
+
+# -- reference formulation: unit rows for every entry outside the pattern
+# plus the J rows, then one kernel of the full n^2-column matrix ------------
+
+def _reference_space(c, allowed, j_domain):
+    n = c.dim
+    rows = []
+    for r in range(n):
+        for col in range(n):
+            if (r, col) not in allowed:
+                row = [GQ(0)] * (n * n)
+                row[r * n + col] = GQ(1)
+                rows.append(row)
+    rows += _j_constraint_rows(c, j_domain) if j_domain else []
+    if not rows:
+        return Subspace.full(n * n)
+    return kernel(Matrix(rows, ncols=n * n))
+
+
+def _reference_filtered(c, k, star, j):
+    n = c.dim
+    allowed = {(r, col) for r in range(n) for col in range(n)}
+
+    def restrict(domain, target):
+        allowed.difference_update(
+            (r, col) for col in domain for r in range(n) if r not in target
+        )
+
+    if not star:
+        chain = c.f_chain()
+        for t in range(5):
+            restrict(chain[t], chain[min(t + k, 5)])
+    else:
+        ladder = c.fstar_ladder()
+        pos = {-2: 0, -1: 1, 0: 2, 1: 4, 2: 5}
+
+        def ladder_pos(m):
+            return pos.get(m, 6 if m > 2 else 0)
+
+        restrict(ladder[0], ladder[ladder_pos(-2 + k)])
+        restrict(ladder[1], ladder[ladder_pos(-1 + k)])
+        for t in range(4):
+            restrict(ladder[2 + t], ladder[min(2 + t + k, 6)])
+    return _reference_space(c, allowed, c.fstar_ladder()[1] if j else ())
+
+
+def _reference_graded(c, k, j):
+    n = c.dim
+    allowed = {(r, col) for r in range(n) for col in range(n)
+               if c.grades[r] == c.grades[col] + k}
+    domain = [p for p, i in enumerate(c.indices) if i in (1, 2, 3, 4)]
+    return _reference_space(c, allowed, domain if j else ())
+
+
+def test_filtered_spaces_match_kernel_reference():
+    for name in CARRIER_NAMES:
+        c = Carrier(name)
+        for k in range(6):
+            for star in (False, True):
+                for j in (False, True):
+                    assert gl_filtered(c, k, star, j).space == (
+                        _reference_filtered(c, k, star, j)
+                    ), (name, k, star, j)
+
+
+def test_graded_spaces_match_kernel_reference():
+    for name in CARRIER_NAMES:
+        c = Carrier(name)
+        for k in range(4):
+            for j in (False, True):
+                assert gl_graded(c, k, j).space == _reference_graded(c, k, j), (
+                    name, k, j)

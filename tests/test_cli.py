@@ -16,6 +16,18 @@ def test_exit_codes(tmp_path):
     assert code == 2 and rep is None
     code, rep = run(["model", "levi", "--z", "1,2"])
     assert code == 2
+    # input errors at the parsing boundary: zero denominators, torsion JSON
+    # without "terms", torsion JSON that is not an object
+    code, rep = run(["model", "levi", "--z", "1/0,0,1,0,0,0"])
+    assert code == 2 and rep is None
+    zero_coef = {"k": 2, "terms": [
+        {"args": ["e^-2", "e_1^-1"], "value": "e_2^-1", "coef": "1/0"}]}
+    for name, body in (("no_terms.json", {"k": 2}), ("list.json", [1, 2]),
+                       ("zero_coef.json", zero_coef)):
+        path = tmp_path / name
+        path.write_text(json.dumps(body))
+        code, rep = run(["normalize", "--k", "2", "--input", str(path)])
+        assert code == 2 and rep is None
     # failed check: a non-member quadric point
     code, rep = run(["model", "quadric", "--point", "1,0,0,0,0,0,0,0,0,0"])
     assert code == 1 and rep.status == "fail"

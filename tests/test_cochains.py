@@ -123,6 +123,21 @@ def test_hodge_resum_and_projector_idempotence():
             assert hodge_decompose(t.coexact).coexact.coords == t.coexact.coords
 
 
+def test_hodge_overlapping_pieces_raise(monkeypatch):
+    from so32cr import cochains
+    from so32cr.linalg import Subspace, unit_vec
+
+    n = cochain_dim(2, 2)
+    e = [unit_vec(n, i) for i in range(n)]
+    # dimensions add up to n, but the first two pieces coincide
+    pieces = (Subspace(n, e[:1]), Subspace(n, e[:1]), Subspace(n, e[1:-1]))
+    monkeypatch.setattr(cochains, "kostant_pieces", lambda ell, k: pieces)
+    with pytest.raises(ArithmeticError):
+        hodge_decompose(basis_cochain(2, 2, n - 1))  # outside their span
+    with pytest.raises(ArithmeticError):
+        hodge_decompose(basis_cochain(2, 2, 0))  # inside, not unique
+
+
 def test_cohomology_dims():
     for ell in (1, 2):
         for k in range(0, 5):

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 from so32cr.scalars import GQ
 from so32cr.coframe import (
-    TwoForm,
     catalog_contains_vanishing,
     constraint_catalog,
     d_squared_report,
@@ -12,6 +11,7 @@ from so32cr.coframe import (
     verify_structure_equations,
     _idx,
 )
+from so32cr.forms import Form
 from so32cr.prolong import FullTorsion
 
 I = GQ(0, 1)
@@ -21,18 +21,18 @@ HALF_I = GQ(0, Fraction(1, 2))
 def test_maurer_cartan_omega2():
     # d omega^2 = (i/2) omega^1(10)^omega^1(01) - (omega^0(10)+omega^0(01))^omega^2
     expect = (
-        TwoForm.wedge(_idx("omega^1(10)"), _idx("omega^1(01)"), HALF_I)
-        - TwoForm.wedge(_idx("omega^0(10)"), _idx("omega^2"))
-        - TwoForm.wedge(_idx("omega^0(01)"), _idx("omega^2"))
+        Form({(_idx("omega^1(10)"), _idx("omega^1(01)")): HALF_I})
+        - Form({(_idx("omega^0(10)"), _idx("omega^2")): 1})
+        - Form({(_idx("omega^0(01)"), _idx("omega^2")): 1})
     )
     assert maurer_cartan("omega^2") == expect
 
 
 def test_maurer_cartan_theta_minus2():
     expect = (
-        TwoForm.wedge(_idx("theta^-1(10)"), _idx("theta^-1(01)"), -HALF_I)
-        + TwoForm.wedge(_idx("omega^0(10)"), _idx("theta^-2"))
-        + TwoForm.wedge(_idx("omega^0(01)"), _idx("theta^-2"))
+        Form({(_idx("theta^-1(10)"), _idx("theta^-1(01)")): -HALF_I})
+        + Form({(_idx("omega^0(10)"), _idx("theta^-2")): 1})
+        + Form({(_idx("omega^0(01)"), _idx("theta^-2")): 1})
     )
     assert maurer_cartan("theta^-2") == expect
 
@@ -52,7 +52,7 @@ def test_all_structure_equations_vanish():
 
 def test_fault_injection_localizes():
     lhs = structure_equation_lhs()["theta^-1(10)"]
-    faked = lhs + TwoForm.wedge(_idx("theta^-2"), _idx("omega^2"))
+    faked = lhs + Form({(_idx("theta^-2"), _idx("omega^2")): 1})
     assert not faked.is_zero()
     assert len(faked.coeffs) == 1
     assert list(faked.coeffs) == [(_idx("theta^-2"), _idx("omega^2"))]
@@ -63,12 +63,12 @@ def test_d_squared_zero():
     assert len(rep) == 10
     assert all(r["vanishes"] for r in rep)
     # and on a nontrivial injected wedge
-    w = TwoForm.wedge(0, 9, GQ(1, 2))
+    w = Form({(0, 9): GQ(1, 2)})
     assert isinstance(exterior_derivative(w).coeffs, dict)
 
 
 def test_two_form_algebra():
-    a = TwoForm.wedge(1, 0, 2)  # reorders with a sign
+    a = Form({(1, 0): 2})  # reorders with a sign
     assert a.coeffs == {(0, 1): GQ(-2)}
     assert (a + a.scale(-1)).is_zero()
     assert a.conj().coeffs == {(0, 2): GQ(-2)}

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from so32cr.scalars import GQ
 from so32cr.linalg import (
     NO_SOLUTION,
@@ -95,6 +97,19 @@ def test_subspace_canonical_equality():
         if s2.dim == s1.dim:
             assert s1 == s2
             assert s1.basis == s2.basis
+
+
+def test_coordinate_subspace_is_canonical():
+    rng = random.Random(17)
+    for _ in range(20):
+        n = rng.randrange(1, 9)
+        positions = [rng.randrange(n) for _ in range(rng.randrange(n + 1))]
+        assert Subspace.coordinate(n, positions) == Subspace(
+            n, [unit_vec(n, p) for p in positions]
+        )
+    assert Subspace.coordinate(3, range(3)) == Subspace.full(3)
+    with pytest.raises(ValueError):
+        Subspace.coordinate(3, [3])
 
 
 def test_lattice_basics():
