@@ -10,7 +10,7 @@ J-condition; each space is a coordinate subspace cut down by an exact
 kernel of the J rows alone.
 
 Endomorphisms are n x n matrices over the carrier's slice of the basis,
-vectorized row-major for subspace bookkeeping.
+vectorized row-major (``Matrix.flatten``) for subspace bookkeeping.
 """
 
 from __future__ import annotations
@@ -87,6 +87,11 @@ class Carrier:
             out[i] = local[p]
         return tuple(out)
 
+    def apply_endo(self, b: Matrix, coords):
+        """An endomorphism of the carrier acting on algebra coordinates:
+        embed(b . project(coords))."""
+        return self.embed_coords(b.apply(self.project_coords(coords)))
+
     def ad_action(self, x: Alg) -> Matrix:
         """pi . ad(x) . incl : the quotient action of x on the carrier."""
         cols = []
@@ -117,17 +122,10 @@ class EndoSubspace:
 
     def basis_endos(self):
         n = self.carrier.dim
-        return [
-            Matrix([v[r * n: (r + 1) * n] for r in range(n)], ncols=n)
-            for v in self.space.basis_vectors()
-        ]
+        return [Matrix.unflatten(v, n) for v in self.space.basis_vectors()]
 
     def contains(self, m: Matrix) -> bool:
-        return self.space.contains(_flatten(m))
-
-
-def _flatten(m: Matrix):
-    return tuple(x for row in m.rows for x in row)
+        return self.space.contains(m.flatten())
 
 
 def _j_constraint_rows(carrier: Carrier, domain_slots):

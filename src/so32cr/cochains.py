@@ -33,11 +33,12 @@ from .linalg import (
     inverse,
     kernel,
     solve,
+    unit_vec,
     vec,
     zero_vec,
 )
 from . import so32
-from .forms import perm_sign
+from .forms import Form, canonical, exterior_derivative
 from .so32 import Alg, GRADES, bracket_coords, killing_gram
 
 MAX_ELL = 3  # top wedge degree of a 3-dimensional argument algebra
@@ -60,14 +61,8 @@ def _arg_vectors_h():
     """Killing-dual basis of h_+: kappa(n_a, eta_b) = delta_ab."""
     g = killing_gram()
     gram = Matrix([[g[i, j] for j in _H_IDX] for i in _N_IDX])
-    gi = inverse(gram)
-    etas = []
-    for b in range(3):
-        w = [GQ(0)] * so32.DIM
-        for c in range(3):
-            w[_H_IDX[c]] = gi[c, b]
-        etas.append(tuple(w))
-    return etas
+    embed = Matrix.from_columns([unit_vec(so32.DIM, i) for i in _H_IDX])
+    return (embed @ inverse(gram)).columns()
 
 
 class _Side:
@@ -88,6 +83,18 @@ class _Side:
                     raise ValueError("argument basis does not close under bracket")
                 x, _ = res
                 self.bracket_coeffs[(a, b)] = x
+        # d theta^c = -sum_{a<b} C^c_ab theta^a ^ theta^b on the dual coframe
+        self.d_theta = tuple(
+            Form({(a, b): -self.bracket_coeffs[(a, b)][c]
+                  for a, b in combinations(range(self.n), 2)})
+            for c in range(self.n)
+        )
+        # ad_values[a][beta]: coordinates of [n_a, g_beta]
+        self.ad_values = tuple(
+            tuple(bracket_coords(v, unit_vec(so32.DIM, beta))
+                  for beta in range(so32.DIM))
+            for v in self.args
+        )
 
     def monomials(self, ell: int):
         """All (sorted wedge tuple, value index) monomials of C^ell."""
@@ -103,53 +110,6 @@ class _Side:
 
     def graded_monomials(self, ell: int, k: int):
         return [m for m in self.monomials(ell) if self.monomial_degree(m) == k]
-
-    def eval_coeffs(self, ell, coeff_map, arg_tuple):
-        """Value (g-vector) of a cochain on a tuple of argument indices."""
-        if len(set(arg_tuple)) < len(arg_tuple):
-            return zero_vec(so32.DIM)
-        order = tuple(sorted(arg_tuple))
-        sign = perm_sign(arg_tuple)
-        out = [GQ(0)] * so32.DIM
-        for beta in range(so32.DIM):
-            c = coeff_map.get((order, beta))
-            if c:
-                out[beta] = out[beta] + c * GQ(sign)
-        return tuple(out)
-
-    def coboundary_of_monomial(self, ell, mono):
-        """Coefficient map of the (ell+1)-cochain d(mono)."""
-        coeff = {mono: GQ(1)}
-        out = {}
-        for target in combinations(range(self.n), ell + 1):
-            val = [GQ(0)] * so32.DIM
-            # sum_s (-1)^(s+1) [X_s, c(... ^X_s ...)]
-            for s in range(ell + 1):
-                rest = target[:s] + target[s + 1:]
-                inner = self.eval_coeffs(ell, coeff, rest)
-                if any(inner):
-                    term = bracket_coords(self.args[target[s]], inner)
-                    sgn = GQ((-1) ** s)  # (-1)^(s+1) with s starting at 1
-                    val = [v + sgn * t for v, t in zip(val, term)]
-            # sum_{s<t} (-1)^(s+t) c([X_s, X_t] ^ ...)
-            for s in range(ell + 1):
-                for t in range(s + 1, ell + 1):
-                    rest = tuple(
-                        x for q, x in enumerate(target) if q not in (s, t)
-                    )
-                    br = self.bracket_coeffs[(target[s], target[t])]
-                    sgn = (-1) ** (s + t)  # 1-based (s+1)+(t+1) parity
-                    for c_idx, bc in enumerate(br):
-                        if not bc:
-                            continue
-                        inner = self.eval_coeffs(ell, coeff, (c_idx,) + rest)
-                        if any(inner):
-                            f = GQ(sgn) * bc
-                            val = [v + f * x for v, x in zip(val, inner)]
-            for beta in range(so32.DIM):
-                if val[beta]:
-                    out[(target, beta)] = val[beta]
-        return out
 
 
 @lru_cache(maxsize=1)
@@ -198,19 +158,22 @@ class Cochain:
 
     @staticmethod
     def from_full_table(ell: int, k: int, table: dict) -> "Cochain":
-        """Build from {(sorted wedge tuple, value index): GQ}; any nonzero
+        """Build from {(wedge tuple, value index): GQ}.  A wedge in any order
+        counts with the sign of its sort and a wedge with a repeated index
+        as zero (the alternating-key rule of ``forms``); any nonzero
         coefficient violating homogeneity of degree k is rejected."""
         monos = cochain_monomials(ell, k)
         index = {m: p for p, m in enumerate(monos)}
         coords = [GQ(0)] * len(monos)
-        for key, c in table.items():
+        for (wedge, beta), c in table.items():
             c = GQ.of(c)
-            if not c:
+            order, sign = canonical(wedge)
+            if not c or not sign:
                 continue
-            key = (tuple(key[0]), key[1])
+            key = (order, beta)
             if key not in index:
                 raise ValueError(f"coefficient at {key} violates homogeneity")
-            coords[index[key]] = coords[index[key]] + c
+            coords[index[key]] += c if sign > 0 else -c
         return Cochain(ell, k, coords)
 
     def coeff_map(self) -> dict:
@@ -222,20 +185,18 @@ class Cochain:
         if len(arg_vectors) != self.ell:
             raise ValueError("wrong number of arguments")
         args = [vec(a) for a in arg_vectors]
-        side = _side_m()
-        cm = self.coeff_map()
+        values = {}
+        for (w, beta), c in self.coeff_map().items():
+            values.setdefault(beta, {})[w] = c
         out = [GQ(0)] * so32.DIM
-        for idx_tuple in product(range(side.n), repeat=len(args)):
-            f = GQ(1)
-            for pos, i in enumerate(idx_tuple):
-                f = f * args[pos][i]
-                if not f:
-                    break
-            if not f:
-                continue
-            v = side.eval_coeffs(self.ell, cm, idx_tuple)
-            if any(v):
-                out = [o + f * x for o, x in zip(out, v)]
+        for beta, coeffs in values.items():
+            form = Form(coeffs)
+            for idx_tuple in product(range(len(_N_IDX)), repeat=self.ell):
+                f = GQ(1)
+                for pos, i in enumerate(idx_tuple):
+                    f = f * args[pos][i]
+                if f:
+                    out[beta] += f * form.at(idx_tuple)
         return tuple(out)
 
     def __add__(self, other):
@@ -265,17 +226,26 @@ class Cochain:
 @lru_cache(maxsize=None)
 def _coboundary_on(side: _Side, ell: int, k: int) -> Matrix:
     """Matrix of d : C^ell_k -> C^(ell+1)_k of one side's complex over its
-    graded monomial bases."""
-    src = side.graded_monomials(ell, k)
-    dst = side.graded_monomials(ell + 1, k)
-    dst_index = {m: p for p, m in enumerate(dst)}
+    graded monomial bases, column by column from the exterior derivative
+
+        d(theta^w (x) v) = sum_a theta^a ^ theta^w (x) [n_a, v] + d theta^w (x) v.
+    """
+    dst_index = {
+        m: p for p, m in enumerate(side.graded_monomials(ell + 1, k))
+    }
     cols = []
-    for mono in src:
-        col = [GQ(0)] * len(dst)
-        for key, c in side.coboundary_of_monomial(ell, mono).items():
-            col[dst_index[key]] = c
+    for w, beta in side.graded_monomials(ell, k):
+        col = [GQ(0)] * len(dst_index)
+        d_w = exterior_derivative(Form({w: 1}), side.d_theta.__getitem__)
+        for key, c in d_w.coeffs.items():
+            col[dst_index[key, beta]] += c
+        for a in range(side.n):
+            for key, c in Form({(a,) + w: 1}).coeffs.items():
+                for gamma, v in enumerate(side.ad_values[a][beta]):
+                    if v:
+                        col[dst_index[key, gamma]] += c * v
         cols.append(col)
-    return Matrix.from_columns(cols, nrows=len(dst))
+    return Matrix.from_columns(cols, nrows=len(dst_index))
 
 
 def coboundary_matrix(ell: int, k: int) -> Matrix:
@@ -391,11 +361,8 @@ def hodge_decompose(c: Cochain) -> HodgeTriple:
     parts = []
     offset = 0
     for piece in (exact, harmonic, coexact):
-        w = zero_vec(n)
-        for c_i, v in zip(x[offset: offset + piece.dim], piece.basis_vectors()):
-            if c_i:
-                w = tuple(a + c_i * b for a, b in zip(w, v))
-        parts.append(Cochain(ell, k, w))
+        coefs = x[offset: offset + piece.dim]
+        parts.append(Cochain(ell, k, piece.basis.apply(coefs)))
         offset += piece.dim
     return HodgeTriple(*parts)
 
@@ -440,18 +407,14 @@ def act_on_cochain(x: Alg, c: Cochain) -> Cochain:
             if valbr[b2]:
                 key = (wedge, b2)
                 out[key] = out.get(key, GQ(0)) + coef * valbr[b2]
-        # minus argument substitutions (covector slots transform dually)
+        # minus argument substitutions (covector slots transform dually);
+        # from_full_table sorts each new wedge with its sign
         for pos, a in enumerate(wedge):
             for a2 in range(side.n):
                 f = arg_act[a2][a]
-                if not f:
-                    continue
-                new = wedge[:pos] + (a2,) + wedge[pos + 1:]
-                if len(set(new)) < len(new):
-                    continue
-                sgn = perm_sign(new)
-                key = (tuple(sorted(new)), beta)
-                out[key] = out.get(key, GQ(0)) - coef * f * GQ(sgn)
+                if f:
+                    key = (wedge[:pos] + (a2,) + wedge[pos + 1:], beta)
+                    out[key] = out.get(key, GQ(0)) - coef * f
     if any(side.monomial_degree(m) != k_out for m, v in out.items() if v):
         raise ArithmeticError("action did not shift homogeneity uniformly")
     return Cochain.from_full_table(c.ell, k_out, out)

@@ -15,15 +15,14 @@ with its wedge pair rather than silenced, so printed-sign deltas localize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .scalars import GQ
-from . import so32
+from .scalars import GQ, HALF, HALF_I, I
+from . import forms, so32
 from .so32 import CONJ_PERM, bracket_complex
 from .cochains import cochain_dim
-from .forms import Form
+from .forms import Form, canonical
 from .linalg import Matrix, kernel
 
 COFRAME_LABELS = (
@@ -49,21 +48,10 @@ def maurer_cartan(label: str) -> Form:
 
 
 def exterior_derivative(form: Form) -> Form:
-    """d by the Leibniz rule, with the Maurer-Cartan rule on each 1-form
-    factor: d(w^i1 ^ ... ^ w^il) = sum_s (-1)^s w^i1 ^ .. d w^is .. ^ w^il."""
-    terms = {}
-    for key, c in form.coeffs.items():
-        for s, i in enumerate(key):
-            f = c if s % 2 == 0 else -c
-            for pair, m in maurer_cartan(COFRAME_LABELS[i]).coeffs.items():
-                new = key[:s] + pair + key[s + 1:]
-                terms[new] = terms.get(new, GQ(0)) + f * m
-    return Form(terms)
-
-
-I = GQ(0, 1)
-HALF = GQ(Fraction(1, 2))
-HALF_I = GQ(0, Fraction(1, 2))
+    """d of a coframe form: the Leibniz rule with the Maurer-Cartan rule on
+    each 1-form factor."""
+    return forms.exterior_derivative(
+        form, lambda i: maurer_cartan(COFRAME_LABELS[i]))
 
 
 def _w(l1: str, l2: str, c=1) -> Form:
@@ -173,11 +161,8 @@ class Symbol:
         )
 
     def conj(self) -> "Symbol":
-        i, j = (CONJ_PERM[x] for x in self.lower)
-        sign = 1
-        if i > j:
-            i, j, sign = j, i, -sign
-        return Symbol(self.kind, CONJ_PERM[self.upper], (i, j)), sign
+        lower, sign = canonical(CONJ_PERM[x] for x in self.lower)
+        return Symbol(self.kind, CONJ_PERM[self.upper], lower), sign
 
 
 def symbol_for(value_index: int, arg_pair) -> Symbol:
@@ -216,18 +201,18 @@ def _frame_condition_relations():
     out = []
     for step in (1, 2, 3):
         for f in frame_conditions(step):
-            sym = symbol_for(f.component, (min(f.arg1, f.arg2), max(f.arg1, f.arg2)))
-            sign = GQ(1) if f.arg1 < f.arg2 else GQ(-1)
+            pair, sign = canonical((f.arg1, f.arg2))
+            sym = symbol_for(f.component, pair)
             rel = Relation(
                 f"step-{step} frame condition: {f.name}",
-                ((sign, sym),),
+                ((GQ(sign), sym),),
             )
             out.append(rel)
             csym, csign = sym.conj()
             out.append(
                 Relation(
                     f"step-{step} frame condition (conjugate): {f.name}",
-                    ((sign * GQ(csign), csym),),
+                    ((GQ(sign * csign), csym),),
                 )
             )
     # drop duplicates while keeping order
@@ -267,22 +252,12 @@ def _normalization_relations(k: int):
     for s in syms:
         t = FullTorsion({s.upper: Form({s.lower: 1})})
         cols.append(t.restrict_ctorsion(k).coords)
-    phi = Matrix.from_columns(cols, nrows=n)
-    ns = normalization_space(k)
-    if ns.dim == n:
-        return []
-    rows = [list(v) for v in ns.basis_vectors()]
-    ann = kernel(Matrix(rows, ncols=n)) if rows else None
-    covectors = (
-        ann.basis_vectors() if ann is not None
-        else [tuple(GQ(1 if i == q else 0) for i in range(n)) for q in range(n)]
-    )
+    phi_t = Matrix.from_columns(cols, nrows=n).transpose()
+    # the annihilator of the normalization space, one covector at a time
+    rows = normalization_space(k).basis_vectors()
     out = []
-    for cv in covectors:
-        coefs = Matrix([list(cv)], ncols=n) @ phi
-        terms = tuple(
-            (coefs[0, q], s) for q, s in enumerate(syms) if coefs[0, q]
-        )
+    for cv in kernel(Matrix(rows, ncols=n)).basis_vectors():
+        terms = tuple((c, s) for c, s in zip(phi_t.apply(cv), syms) if c)
         if terms:
             out.append(
                 Relation(

@@ -4,8 +4,13 @@ A form of degree l stores its coefficients on strictly increasing index
 l-tuples, with no zero entries.  Construction accepts index tuples in any
 order: each is sorted with the sign of its sorting permutation, a tuple with
 a repeated index contributes nothing, and equal keys are merged.  The
-coframe's differential forms and the value components of a full torsion
-are such forms; the cochain complexes share the permutation sign.
+coframe's differential forms, the value components of a full torsion and
+the cochains on m_- and h_+ are such forms.
+
+The exterior derivative lives here too, as the Leibniz rule over a given
+rule for the derivatives of the degree-1 generators: the coframe supplies
+its Maurer-Cartan differentials, the cochain complexes the dual brackets of
+their argument algebra.
 """
 
 from __future__ import annotations
@@ -25,6 +30,15 @@ def perm_sign(seq) -> int:
     return sign
 
 
+def canonical(key):
+    """(sorted key, sign of its sorting permutation) for an index tuple in
+    any order; the sign is 0 when an index repeats (the wedge vanishes)."""
+    key = tuple(key)
+    if len(set(key)) < len(key):
+        return key, 0
+    return tuple(sorted(key)), perm_sign(key)
+
+
 class Form:
     """Alternating form: coefficients on sorted index tuples."""
 
@@ -34,20 +48,19 @@ class Form:
         merged = {}
         for key, c in (coeffs or {}).items():
             c = GQ.of(c)
-            if not c or len(set(key)) < len(key):
+            order, sign = canonical(key)
+            if not c or not sign:
                 continue
-            order = tuple(sorted(key))
-            if perm_sign(key) < 0:
-                c = -c
-            merged[order] = merged.get(order, GQ(0)) + c
+            merged[order] = merged.get(order, GQ(0)) + (c if sign > 0 else -c)
         self.coeffs = {k: v for k, v in merged.items() if v}
 
     def at(self, key) -> GQ:
         """The coefficient on an index tuple given in any order."""
-        if len(set(key)) < len(key):
+        order, sign = canonical(key)
+        if not sign:
             return GQ(0)
-        c = self.coeffs.get(tuple(sorted(key)), GQ(0))
-        return c if perm_sign(key) > 0 else -c
+        c = self.coeffs.get(order, GQ(0))
+        return c if sign > 0 else -c
 
     def __add__(self, other):
         out = dict(self.coeffs)
@@ -88,3 +101,16 @@ class Form:
 
     def __repr__(self):
         return f"Form({self.coeffs!r})"
+
+
+def exterior_derivative(form: Form, mc) -> Form:
+    """d by the Leibniz rule, where mc(i) is the 2-form d w^i of the i-th
+    generator: d(w^i1 ^ ... ^ w^il) = sum_s (-1)^s w^i1 ^ .. d w^is .. ^ w^il."""
+    terms = {}
+    for key, c in form.coeffs.items():
+        for s, i in enumerate(key):
+            f = c if s % 2 == 0 else -c
+            for pair, m in mc(i).coeffs.items():
+                new = key[:s] + pair + key[s + 1:]
+                terms[new] = terms.get(new, GQ(0)) + f * m
+    return Form(terms)

@@ -83,6 +83,19 @@ class Matrix:
             ncols=len(cols),
         )
 
+    @staticmethod
+    def unflatten(v, n: int) -> "Matrix":
+        """The n x n matrix whose row-major entries are v (inverse of flatten)."""
+        v = vec(v)
+        if len(v) != n * n:
+            raise ValueError("vector length is not n*n")
+        return Matrix([v[r * n: (r + 1) * n] for r in range(n)], ncols=n)
+
+    def flatten(self) -> Vector:
+        """Row-major entries, the vectorization under which spaces of
+        endomorphisms are kept as subspaces."""
+        return tuple(x for r in self.rows for x in r)
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -205,6 +218,16 @@ def rank(m: Matrix) -> int:
     return len(rref(m)[1])
 
 
+def real_rows(m: Matrix) -> Matrix:
+    """The rational matrix with the real and the imaginary part of each row
+    of m: its real kernel vectors are the real solutions of m x = 0."""
+    rows = []
+    for r in m.rows:
+        rows.append([GQ(x.re) for x in r])
+        rows.append([GQ(x.im) for x in r])
+    return Matrix(rows, ncols=m.ncols)
+
+
 class Subspace:
     """A linear subspace of GQ^n in canonical echelon form.
 
@@ -287,16 +310,12 @@ class Subspace:
         self._check(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient_dim)
-        b1 = list(self.rows)
-        b2 = list(other.rows)
-        stacked = Matrix.from_columns(b1 + b2, nrows=self.ambient_dim)
-        vectors = []
-        for k in kernel_basis(stacked):
-            w = zero_vec(self.ambient_dim)
-            for c, v in zip(k[: len(b1)], b1):
-                w = vec_add(w, vec_scale(c, v))
-            vectors.append(w)
-        return Subspace(self.ambient_dim, vectors)
+        stacked = Matrix.from_columns(self.rows + other.rows,
+                                      nrows=self.ambient_dim)
+        b1 = self.basis
+        return Subspace(self.ambient_dim, [
+            b1.apply(k[: self.dim]) for k in kernel_basis(stacked)
+        ])
 
     def _check(self, other: "Subspace"):
         if self.ambient_dim != other.ambient_dim:

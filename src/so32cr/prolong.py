@@ -23,15 +23,15 @@ the step's prolongation algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, partial
+from itertools import combinations, product
 
-from .scalars import GQ
+from .scalars import GQ, HALF_I, I
 from .linalg import (
     Matrix,
     Subspace,
     kernel,
+    real_rows,
     solve,
     vec_add,
     vec_scale,
@@ -51,9 +51,6 @@ from .cochains import (
 )
 
 STEP_CARRIERS = {0: "m", 1: "m+h0", 2: "m+h0+h1", 3: "m+h"}
-
-I = GQ(0, 1)
-HALF_I = GQ(0, Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -87,37 +84,13 @@ def endo_of_cochain(carrier: Carrier, c: Cochain) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def _real_rows(rows):
-    """Split GQ-entry condition rows into real and imaginary rational rows."""
-    out = []
-    for r in rows:
-        out.append([GQ(x.re) for x in r])
-        out.append([GQ(x.im) for x in r])
-    return out
-
-
-def _span_endos(endos, carrier) -> Subspace:
-    n2 = carrier.dim ** 2
-    return Subspace(n2, [tuple(x for row in e.rows for x in row) for e in endos])
-
-
-def _combination(coefs, endos, n: int) -> Matrix:
-    """sum_i coefs[i] * endos[i] as an n x n matrix."""
-    m = Matrix.zero(n, n)
-    for c, b in zip(coefs, endos):
-        if c:
-            m = m + b.scale(c)
-    return m
-
-
 def _solve_in_gauge(carrier, basis, cols) -> Subspace:
     """Span of the real combinations sum_i t_i basis[i] whose conditions
     vanish, sum_i t_i cols[i] = 0 (cols[i]: the condition column of basis[i])."""
-    cond = Matrix(_real_rows(Matrix.from_columns(cols).rows), ncols=len(basis))
-    return _span_endos(
-        [_combination(t, basis, carrier.dim) for t in kernel(cond).basis_vectors()],
-        carrier,
-    )
+    gauge = Matrix.from_columns([b.flatten() for b in basis])
+    solutions = kernel(real_rows(Matrix.from_columns(cols)))
+    return Subspace(carrier.dim ** 2,
+                    [gauge.apply(t) for t in solutions.basis_vectors()])
 
 
 # ---------------------------------------------------------------------------
@@ -152,23 +125,21 @@ def prolong_step0() -> ProlongationStep:
     em2 = Alg.basis(0).coords
 
     def conditions(b: Matrix):
-        def bx(zvec):
-            return carrier.embed_coords(b.apply(carrier.project_coords(zvec)))
-
+        act = partial(carrier.apply_endo, b)
         br = so32.bracket_coords
         # Levi compatibility: [B e^-1(10), e^-1(01)] + [e^-1(10), B e^-1(01)]
         #                     = (i/2) B e^-2
-        c1 = vec_add(br(bx(e10_10), e10_01), br(e10_10, bx(e10_01)))
-        c1 = vec_add(c1, vec_scale(-HALF_I, bx(em2)))
+        c1 = vec_add(br(act(e10_10), e10_01), br(e10_10, act(e10_01)))
+        c1 = vec_add(c1, vec_scale(-HALF_I, act(em2)))
         # cubic compatibility, derivation of [[e^0(10), e^-1(01)], e^-1(01)]
         c2 = vec_add(
-            br(br(bx(e0_10), e10_01), e10_01),
+            br(br(act(e0_10), e10_01), e10_01),
             vec_add(
-                br(br(e0_10, bx(e10_01)), e10_01),
-                br(br(e0_10, e10_01), bx(e10_01)),
+                br(br(e0_10, act(e10_01)), e10_01),
+                br(br(e0_10, e10_01), act(e10_01)),
             ),
         )
-        c2 = vec_add(c2, vec_scale(HALF_I, bx(em2)))
+        c2 = vec_add(c2, vec_scale(HALF_I, act(em2)))
         return list(c1) + list(c2)
 
     space = _solve_in_gauge(carrier, basis, [conditions(b) for b in basis])
@@ -216,7 +187,7 @@ class L1Space:
         return self.space.dim
 
     def contains(self, m: Matrix) -> bool:
-        return self.space.contains(tuple(x for r in m.rows for x in r))
+        return self.space.contains(m.flatten())
 
 
 @lru_cache(maxsize=1)
@@ -228,7 +199,7 @@ def l1_subspace() -> L1Space:
         l1_endo(0, 0, 1), l1_endo(0, 0, I),
     )
     carrier = Carrier("m+h0")
-    space = _span_endos(gens, carrier)
+    space = Subspace(carrier.dim ** 2, [g.flatten() for g in gens])
     note = (
         "the grade -2 action carries a free complex parameter lambda; "
         "only mu, nu (and the tied antiholomorphic coefficient nu - conj mu) "
@@ -336,15 +307,12 @@ def step3_component_equations() -> Subspace:
     br = so32.bracket_coords
     cols = []
     for lam, mu in params:
-        b = gl3_endo(lam, mu)
-        def bx(zvec):
-            return carrier.embed_coords(b.apply(carrier.project_coords(zvec)))
-        lhs = bx(br(em2, e1))
-        rhs = vec_add(br(bx(em2), e1), br(em2, bx(e1)))
+        act = partial(carrier.apply_endo, gl3_endo(lam, mu))
+        lhs = act(br(em2, e1))
+        rhs = vec_add(br(act(em2), e1), br(em2, act(e1)))
         diff = vec_add(lhs, vec_scale(-1, rhs))
         cols.append([diff[i] for i in (3, 4, 5, 6)])  # grade-0 components
-    cond = Matrix(_real_rows(Matrix.from_columns(cols).rows), ncols=4)
-    return kernel(cond)
+    return kernel(real_rows(Matrix.from_columns(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +386,13 @@ def normalization_space(k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def _normalize_solver(k: int):
-    """Precomputed column span [d(gauge basis) | normalization basis]."""
+    """Precomputed column span [d(gauge basis) | normalization basis], and
+    the gauge basis flattened into the columns of one matrix."""
     carrier, gauge, gauge_cols = _gauge(k)
     norm_basis = normalization_space(k).basis_vectors()
     span = Matrix.from_columns(list(gauge_cols) + norm_basis,
                                nrows=cochain_dim(2, k))
-    return carrier, gauge, span
+    return carrier, Matrix.from_columns([b.flatten() for b in gauge]), span
 
 
 def normalize_ctorsion(c: Cochain, k: int | None = None):
@@ -438,7 +407,7 @@ def normalize_ctorsion(c: Cochain, k: int | None = None):
         raise ValueError("expected a degree-k 2-cochain")
     carrier, gauge, span = _normalize_solver(k)
     x, _ = solve(span, c.coords)
-    b = _combination(x[: len(gauge)], gauge, carrier.dim)
+    b = Matrix.unflatten(gauge.apply(x[: gauge.ncols]), carrier.dim)
     residual = c - coboundary(cochain_of_endo(carrier, b, k))
     if not normalization_space(k).contains(residual.coords):
         raise ArithmeticError("residual escaped the normalization space")
@@ -496,24 +465,14 @@ class FullTorsion:
         as a 2-cochain over the real monomial basis."""
         zc = [to_complex_basis(Alg.basis(a).coords) for a in range(3)]
         table = {}
-        for a in range(3):
-            for b in range(a + 1, 3):
-                val = [GQ(0)] * so32.DIM
-                for i in range(3):
-                    for j in range(3):
-                        if i == j:
-                            continue
-                        f = zc[a][i] * zc[b][j]
-                        if not f:
-                            continue
-                        comp = self.graded_component(i, j, k)
-                        for beta, c in enumerate(comp):
-                            if c:
-                                val[beta] = val[beta] + f * c
-                real_val = from_complex_basis(val)
-                for beta, c in enumerate(real_val):
-                    if c:
-                        table[((a, b), beta)] = c
+        for a, b in combinations(range(3), 2):
+            val = zero_vec(so32.DIM)
+            for i, j in product(range(3), repeat=2):
+                f = zc[a][i] * zc[b][j]
+                if f:
+                    val = vec_add(val, vec_scale(f, self.graded_component(i, j, k)))
+            for beta, c in enumerate(from_complex_basis(val)):
+                table[((a, b), beta)] = c
         return Cochain.from_full_table(2, k, table)
 
 

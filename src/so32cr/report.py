@@ -89,10 +89,11 @@ def ctorsion_to_json(c: Cochain) -> dict:
 
 def ctorsion_from_json(data) -> Cochain:
     """Inverse of ctorsion_to_json; input of any other shape raises
-    ValueError."""
+    ValueError.  An argument pair may come in either order: a reversed
+    pair counts with the opposite sign."""
     if not (
         isinstance(data, dict)
-        and isinstance(data.get("k"), int)
+        and type(data.get("k")) is int
         and isinstance(data.get("terms"), list)
         and all(
             isinstance(t, dict)
@@ -109,7 +110,12 @@ def ctorsion_from_json(data) -> Cochain:
     k = data["k"]
     table = {}
     for t in data["terms"]:
-        wedge = tuple(_ARG_LABELS.index(a) for a in t["args"])
+        args = t["args"]
+        if len(args) != 2 or not all(a in _ARG_LABELS for a in args):
+            raise ValueError(f"term args {args!r} must be two of {_ARG_LABELS}")
+        if args[0] == args[1]:
+            raise ValueError(f"term args repeat the argument {args[0]!r}")
+        wedge = tuple(_ARG_LABELS.index(a) for a in args)
         beta = so32.REAL_LABELS.index(t["value"])
         key = (wedge, beta)
         table[key] = table.get(key, GQ(0)) + GQ.from_str(t["coef"])

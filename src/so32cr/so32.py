@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .scalars import GQ
+from .scalars import GQ, HALF, HALF_I
 from .linalg import Matrix, Subspace, inverse, unit_vec, vec, vec_add, vec_scale
 
 DIM = 10
@@ -250,20 +250,17 @@ class Alg:
 @lru_cache(maxsize=1)
 def complex_basis_matrix() -> Matrix:
     """Columns = complexified basis vectors in real coordinates."""
-    half = GQ(Fraction(1, 2))
-    mih = GQ(0, Fraction(-1, 2))  # -i/2
-    pih = GQ(0, Fraction(1, 2))   # +i/2
     cols = [[GQ(0)] * DIM for _ in range(DIM)]
-    cols[0][0] = GQ(1)                      # e^-2
-    cols[1][1], cols[1][2] = half, mih      # e^-1(10)
-    cols[2][1], cols[2][2] = half, pih      # e^-1(01)
-    cols[3][3], cols[3][4] = half, mih      # e^0(10)
-    cols[4][3], cols[4][4] = half, pih      # e^0(01)
-    cols[5][5], cols[5][6] = half, mih      # E^0(10)
-    cols[6][5], cols[6][6] = half, pih      # E^0(01)
-    cols[7][7], cols[7][8] = half, mih      # E^1(10)
-    cols[8][7], cols[8][8] = half, pih      # E^1(01)
-    cols[9][9] = GQ(1)                      # E^2
+    cols[0][0] = GQ(1)                          # e^-2
+    cols[1][1], cols[1][2] = HALF, -HALF_I      # e^-1(10)
+    cols[2][1], cols[2][2] = HALF, HALF_I       # e^-1(01)
+    cols[3][3], cols[3][4] = HALF, -HALF_I      # e^0(10)
+    cols[4][3], cols[4][4] = HALF, HALF_I       # e^0(01)
+    cols[5][5], cols[5][6] = HALF, -HALF_I      # E^0(10)
+    cols[6][5], cols[6][6] = HALF, HALF_I       # E^0(01)
+    cols[7][7], cols[7][8] = HALF, -HALF_I      # E^1(10)
+    cols[8][7], cols[8][8] = HALF, HALF_I       # E^1(01)
+    cols[9][9] = GQ(1)                          # E^2
     return Matrix.from_columns(cols)
 
 
@@ -301,15 +298,6 @@ def ad_matrix(i: int) -> Matrix:
     """ad(b_i) as a 10x10 matrix (columns = brackets with basis vectors)."""
     table = structure_constants()
     return Matrix.from_columns([table[i][j] for j in range(DIM)])
-
-
-def ad(x) -> Matrix:
-    x = vec(x)
-    m = Matrix.zero(DIM, DIM)
-    for i, c in enumerate(x):
-        if c:
-            m = m + ad_matrix(i).scale(c)
-    return m
 
 
 @lru_cache(maxsize=1)

@@ -21,14 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
-from .scalars import GQ
-from .linalg import Matrix, Subspace, kernel, rank, vec
+from .scalars import GQ, HALF, HALF_I, I
+from .linalg import Matrix, Subspace, kernel, rank, real_rows, vec
 from . import so32
 from .so32 import bracket_complex, COMPLEX_LABELS
-
-I = GQ(0, 1)
-HALF = GQ(Fraction(1, 2))
 
 # ---------------------------------------------------------------------------
 # polynomials in z^1..z^3, conj z^1..conj z^3
@@ -239,7 +237,7 @@ def theta_of(field: Field) -> Poly:
     for j in range(3):
         out = out + r.diff(j) * field.comps[j]
         out = out - r.diff(j + 3) * field.comps[j + 3]
-    return out * (I * HALF)
+    return out * HALF_I
 
 
 def drho_of(field: Field) -> Poly:
@@ -328,20 +326,19 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
 
 
 def _d10_frame_at(p: ConePoint):
-    """Two of the three L-fields that are independent at p."""
-    l12, l13, l23, _ = cone_fields()
-    fields = (l12, l13, l23)
-    for a in range(3):
-        for b in range(a + 1, 3):
-            m = Matrix([fields[a].eval(p.z), fields[b].eval(p.z)])
-            if rank(m) == 2:
-                return fields[a], fields[b]
+    """Two of the three L-fields that are independent at p, and their
+    values at p."""
+    fields = cone_fields()[:3]
+    values = [f.eval(p.z) for f in fields]
+    for a, b in combinations(range(3), 2):
+        if rank(Matrix([values[a], values[b]])) == 2:
+            return (fields[a], fields[b]), (values[a], values[b])
     raise ArithmeticError("contact frame degenerates at the point")
 
 
 def levi_hermitian_rank(p: ConePoint) -> int:
     """Rank of the Hermitian Levi matrix on a holomorphic frame."""
-    f1, f2 = _d10_frame_at(p)
+    (f1, f2), _ = _d10_frame_at(p)
     gram = Matrix(
         [
             [levi_form_at(p, a, b.conj()) for b in (f1, f2)]
@@ -357,15 +354,19 @@ def _real_parts(f: Field):
 
 
 def _real_frame_at(p: ConePoint):
-    """Four real fields framing the distribution at p: the real parts of R
-    and of the first frame field, or of the second when those four are
-    dependent at p."""
-    f1, f2 = _d10_frame_at(p)
+    """Four real fields framing the distribution at p, and their values at
+    p: the real parts of R and of the first frame field, or of the second
+    when those four are dependent at p."""
+    (f1, f2), _ = _d10_frame_at(p)
     _, _, _, R = cone_fields()
-    reals = _real_parts(R) + _real_parts(f1)
-    if rank(Matrix([f.eval(p.z) for f in reals])) != 4:
-        reals = _real_parts(R) + _real_parts(f2)
-    return reals
+    rib = _real_parts(R)
+    rib_values = [f.eval(p.z) for f in rib]
+    for f in (f1, f2):
+        extra = _real_parts(f)
+        values = rib_values + [g.eval(p.z) for g in extra]
+        if rank(Matrix(values)) == 4:
+            break
+    return rib + extra, values
 
 
 def _levi_gram(p: ConePoint, reals) -> Matrix:
@@ -374,7 +375,7 @@ def _levi_gram(p: ConePoint, reals) -> Matrix:
 
 def levi_real_gram(p: ConePoint) -> Matrix:
     """The 4x4 Gram of the Levi form on a real frame of the distribution."""
-    return _levi_gram(p, _real_frame_at(p))
+    return _levi_gram(p, _real_frame_at(p)[0])
 
 
 def rib_span_at(p: ConePoint) -> Subspace:
@@ -382,28 +383,21 @@ def rib_span_at(p: ConePoint) -> Subspace:
     return Subspace(6, [u.eval(p.z) for u in _real_parts(R)])
 
 
-def _combination_at(p: ConePoint, coef, fields):
-    """The vector sum_i coef[i] * fields[i](p)."""
-    v = [GQ(0)] * 6
-    for c, f in zip(coef, fields):
-        if c:
-            v = [a + c * b for a, b in zip(v, f.eval(p.z))]
-    return v
-
-
 def levi_kernel_at(p: ConePoint) -> Subspace:
     """Kernel of the Levi form inside the distribution at p, as vectors."""
-    reals = _real_frame_at(p)
+    reals, values = _real_frame_at(p)
+    frame = Matrix.from_columns(values)
     return Subspace(6, [
-        _combination_at(p, coef, reals)
+        frame.apply(coef)
         for coef in kernel(_levi_gram(p, reals)).basis_vectors()
     ])
 
 
 def freeman_ranks_at(p: ConePoint):
     """(dim F^10_-1, dim F^10_0, dim F^10_1) by exact pointwise solves."""
-    f1, f2 = _d10_frame_at(p)
+    (f1, f2), values = _d10_frame_at(p)
     _, _, _, R = cone_fields()
+    r_at = R.eval(p.z)
     conj_frame = [f1.conj(), f2.conj()]
     # step 0: X with theta([X, conj frame]) = 0 at p  (the Levi kernel)
     rows = [
@@ -411,18 +405,15 @@ def freeman_ranks_at(p: ConePoint):
         for cb in conj_frame
     ]
     sol = kernel(Matrix(rows, ncols=2))
-    f0 = Subspace(6, [
-        _combination_at(p, coef, (f1, f2)) for coef in sol.basis_vectors()
-    ])
+    frame = Matrix.from_columns(values)
+    f0 = Subspace(6, [frame.apply(coef) for coef in sol.basis_vectors()])
     dim_f0 = f0.dim
     # the solver must recover the ruling direction; otherwise the ambient
     # frame fields would be unusable for the next step
-    if f0 != Subspace(6, [R.eval(p.z)]):
+    if f0 != Subspace(6, [r_at]):
         raise ArithmeticError("rib direction mismatch at the sample point")
     # step 1: c R with [cR, conj frame] in span{R} + D^01 at p
-    span = Subspace(
-        6, [R.eval(p.z)] + [cb.eval(p.z) for cb in conj_frame]
-    )
+    span = Subspace(6, [r_at] + [cb.eval(p.z) for cb in conj_frame])
     dim_f1 = 1
     for cb in conj_frame:
         if not span.contains(R.bracket(cb).eval(p.z)):
@@ -522,9 +513,8 @@ def embed_f(z) -> ProjectivePoint:
     """[-i/2 - (i/2)q : z1 : z2 : z3 : -i/2 + (i/2)q], q = z1^2+z2^2-z3^2."""
     z = [GQ.of(c) for c in z]
     q = z[0] * z[0] + z[1] * z[1] - z[2] * z[2]
-    mih = I * HALF
     return ProjectivePoint(
-        (-mih - mih * q, z[0], z[1], z[2], -mih + mih * q), "diag"
+        (-HALF_I - HALF_I * q, z[0], z[1], z[2], -HALF_I + HALF_I * q), "diag"
     )
 
 
@@ -536,14 +526,11 @@ def isotropy_algebra(v: ProjectivePoint) -> Subspace:
     h = v.to_chart("antidiag").homogeneous
     pivot = next(i for i, c in enumerate(h) if c)
     images = [b.apply(h) for b in so32.basis_matrices()]
-    rows = []
-    for j in range(5):
-        if j == pivot:
-            continue
-        row = [w[j] * h[pivot] - w[pivot] * h[j] for w in images]
-        rows.append([GQ(x.re) for x in row])
-        rows.append([GQ(x.im) for x in row])
-    return kernel(Matrix(rows, ncols=so32.DIM))
+    rows = [
+        [w[j] * h[pivot] - w[pivot] * h[j] for w in images]
+        for j in range(5) if j != pivot
+    ]
+    return kernel(real_rows(Matrix(rows, ncols=so32.DIM)))
 
 
 def model_levi_cubic(theta_scale=1):
@@ -563,14 +550,9 @@ def model_levi_cubic(theta_scale=1):
         tuple(c * (-I) for c in bracket_complex(e1_10, e1_01))
     )
     # cubic: theta([[e^0(10), e^-1(01)], e^-1(01)])
-    inner = bracket_complex(e0_10, e1_01)
-    total = [GQ(0)] * so32.DIM
-    for idx, c in enumerate(inner):
-        if c:
-            for idx2, c2 in enumerate(bracket_complex(idx, e1_01)):
-                if c2:
-                    total[idx2] = total[idx2] + c * c2
-    cubic = theta(tuple(total))
+    ad_e1_01 = Matrix.from_columns(
+        [bracket_complex(idx, e1_01) for idx in range(so32.DIM)])
+    cubic = theta(ad_e1_01.apply(bracket_complex(e0_10, e1_01)))
     return levi, cubic
 
 
@@ -579,13 +561,12 @@ def embedding_identity_check():
     q = Poly()
     for j, s in enumerate(SIGNS):
         q = q + (Poly.var(j) * Poly.var(j)) * GQ(s)
-    mih = I * HALF
     comps = [
-        Poly.const(-mih) + q * (-mih),
+        Poly.const(-HALF_I) + q * (-HALF_I),
         Poly.var(0),
         Poly.var(1),
         Poly.var(2),
-        Poly.const(-mih) + q * mih,
+        Poly.const(-HALF_I) + q * HALF_I,
     ]
     bil = Poly()
     herm = Poly()

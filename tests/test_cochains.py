@@ -1,12 +1,19 @@
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 from so32cr.scalars import GQ
-from so32cr.linalg import kernel
-from so32cr.so32 import Alg, GRADES, GRADE_DIMS, to_complex_basis
+from so32cr.linalg import Matrix, kernel, rank, zero_vec
+from so32cr.so32 import Alg, DIM, GRADES, GRADE_DIMS, bracket_coords, to_complex_basis
+from so32cr.forms import perm_sign
 from so32cr.cochains import (
     Cochain,
+    _coboundary_on,
+    _side_h,
+    _side_m,
     act_on_cochain,
     coboundary,
     coboundary_matrix,
@@ -200,3 +207,117 @@ def test_evaluation_antisymmetry():
     x, y = [1, 2, GQ(0, 1)], [0, 1, -1]
     assert c.evaluate(x, y) == tuple(-GQ.of(v) for v in c.evaluate(y, x))
     assert all(not v for v in c.evaluate(x, x))
+
+
+# -- reference: the Chevalley-Eilenberg formula evaluated on argument tuples ---
+
+def ref_eval_coeffs(coeff_map, arg_tuple):
+    """Value (g-vector) of a cochain on a tuple of argument indices."""
+    if len(set(arg_tuple)) < len(arg_tuple):
+        return zero_vec(DIM)
+    order = tuple(sorted(arg_tuple))
+    sign = perm_sign(arg_tuple)
+    out = [GQ(0)] * DIM
+    for beta in range(DIM):
+        c = coeff_map.get((order, beta))
+        if c:
+            out[beta] = out[beta] + c * GQ(sign)
+    return tuple(out)
+
+
+def ref_coboundary_of_monomial(side, ell, mono):
+    """Coefficient map of the (ell+1)-cochain d(mono)."""
+    coeff = {mono: GQ(1)}
+    out = {}
+    for target in itertools.combinations(range(side.n), ell + 1):
+        val = [GQ(0)] * DIM
+        # sum_s (-1)^(s+1) [X_s, c(... ^X_s ...)]
+        for s in range(ell + 1):
+            rest = target[:s] + target[s + 1:]
+            inner = ref_eval_coeffs(coeff, rest)
+            if any(inner):
+                term = bracket_coords(side.args[target[s]], inner)
+                sgn = GQ((-1) ** s)  # (-1)^(s+1) with s starting at 1
+                val = [v + sgn * t for v, t in zip(val, term)]
+        # sum_{s<t} (-1)^(s+t) c([X_s, X_t] ^ ...)
+        for s in range(ell + 1):
+            for t in range(s + 1, ell + 1):
+                rest = tuple(x for q, x in enumerate(target) if q not in (s, t))
+                br = side.bracket_coeffs[(target[s], target[t])]
+                sgn = (-1) ** (s + t)  # 1-based (s+1)+(t+1) parity
+                for c_idx, bc in enumerate(br):
+                    if not bc:
+                        continue
+                    inner = ref_eval_coeffs(coeff, (c_idx,) + rest)
+                    if any(inner):
+                        f = GQ(sgn) * bc
+                        val = [v + f * x for v, x in zip(val, inner)]
+        for beta in range(DIM):
+            if val[beta]:
+                out[(target, beta)] = val[beta]
+    return out
+
+
+def ref_coboundary_matrix(side, ell, k):
+    src = side.graded_monomials(ell, k)
+    dst = side.graded_monomials(ell + 1, k)
+    dst_index = {m: p for p, m in enumerate(dst)}
+    cols = []
+    for mono in src:
+        col = [GQ(0)] * len(dst)
+        for key, c in ref_coboundary_of_monomial(side, ell, mono).items():
+            col[dst_index[key]] = c
+        cols.append(col)
+    return Matrix.from_columns(cols, nrows=len(dst))
+
+
+def nonempty_slices():
+    """(side, ell, k) with a nonempty source or target, on both complexes."""
+    return [
+        (side, ell, k)
+        for side in (_side_m(), _side_h())
+        for ell in range(3)
+        for k in range(-8, 9)
+        if side.graded_monomials(ell, k) or side.graded_monomials(ell + 1, k)
+    ]
+
+
+def test_coboundary_matches_reference_evaluator():
+    slices = nonempty_slices()
+    assert len(slices) == 42
+    for side, ell, k in slices:
+        assert _coboundary_on(side, ell, k) == ref_coboundary_matrix(side, ell, k), (
+            side.arg_grades, ell, k)
+
+
+def sympy_rank(m: Matrix) -> int:
+    rows = [[QQ_I(QQ(x.re.numerator, x.re.denominator),
+                  QQ(x.im.numerator, x.im.denominator)) for x in r] for r in m.rows]
+    return DomainMatrix(rows, (m.nrows, m.ncols), QQ_I).rank()
+
+
+def test_ranks_match_sympy_over_gaussian_rationals():
+    mats = [_coboundary_on(side, ell, k) for side, ell, k in nonempty_slices()]
+    mats += [
+        codifferential_matrix(ell, k)
+        for ell in (1, 2, 3)
+        for k in range(-8, 9)
+        if cochain_dim(ell, k) or cochain_dim(ell - 1, k)
+    ]
+    assert sum(1 for m in mats if m.nrows and m.ncols and not m.is_zero()) > 20
+    for m in mats:
+        assert rank(m) == sympy_rank(m), m
+
+
+wedges = st.integers(1, 3).flatmap(
+    lambda ell: st.permutations(range(3)).map(lambda p: tuple(p[:ell])))
+
+
+@given(wedges, st.integers(0, DIM - 1),
+       st.fractions(min_value=-9, max_value=9, max_denominator=9))
+def test_from_full_table_sorts_a_permuted_wedge_with_its_sign(wedge, beta, c):
+    k = GRADES[beta] - sum((-2, -1, -1)[a] for a in wedge)
+    permuted = Cochain.from_full_table(len(wedge), k, {(wedge, beta): c})
+    ordered = Cochain.from_full_table(
+        len(wedge), k, {(tuple(sorted(wedge)), beta): c * perm_sign(wedge)})
+    assert permuted == ordered
