@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .scalars import GQ
-from .linalg import Matrix, Subspace, kernel, vec
+from .linalg import Matrix, Subspace, kernel_basis, vec
 from . import so32
 from .so32 import GRADES, _J_IMAGE, Alg, complex_basis_matrix, complex_basis_matrix_inv
 
@@ -110,10 +110,6 @@ class Carrier:
 @dataclass(frozen=True)
 class EndoSubspace:
     carrier: Carrier
-    degree: int
-    star: bool
-    j_compatible: bool
-    graded: bool
     space: Subspace  # subspace of GQ^(n*n), row-major vectorization
 
     @property
@@ -162,7 +158,7 @@ def _endo_space(carrier: Carrier, allowed, j_domain) -> Subspace:
     rows = [[row[p] for p in coords]
             for row in _j_constraint_rows(carrier, j_domain)]
     vectors = []
-    for v in kernel(Matrix(rows, ncols=len(coords))).basis_vectors():
+    for v in kernel_basis(Matrix(rows, ncols=len(coords))):
         w = [GQ(0)] * n2
         for p, x in zip(coords, v):
             w[p] = x
@@ -212,8 +208,7 @@ def _gl_filtered(name: str, k: int, star: bool, j_compatible: bool) -> EndoSubsp
             restrict(ladder[2 + t], ladder[min(2 + t + k, 6)])
 
     j_domain = carrier.fstar_ladder()[1] if j_compatible else ()
-    return EndoSubspace(carrier, k, star, j_compatible, False,
-                        _endo_space(carrier, allowed, j_domain))
+    return EndoSubspace(carrier, _endo_space(carrier, allowed, j_domain))
 
 
 def gl_graded(carrier: Carrier, k: int, j_compatible: bool = False) -> EndoSubspace:
@@ -241,8 +236,7 @@ def _gl_graded(name: str, k: int, j_compatible: bool) -> EndoSubspace:
         [p for p, i in enumerate(carrier.indices) if i in (1, 2, 3, 4)]
         if j_compatible else ()
     )
-    return EndoSubspace(carrier, k, False, j_compatible, True,
-                        _endo_space(carrier, allowed, j_domain))
+    return EndoSubspace(carrier, _endo_space(carrier, allowed, j_domain))
 
 
 def frame_freedom(carrier: Carrier) -> EndoSubspace:

@@ -477,6 +477,8 @@ def run_constraints() -> Report:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line; each command's ``run`` default maps the parsed
+    arguments to its report."""
     ap = argparse.ArgumentParser(
         prog="so32cr",
         description="exact verification engine for the so(3,2) prolongation "
@@ -487,35 +489,48 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=["table1", "jacobi", "structeq"])
+    v.set_defaults(run=lambda a: {
+        "table1": run_verify_table1,
+        "jacobi": run_verify_jacobi,
+        "structeq": run_verify_structeq,
+    }[a.suite]())
 
     c = sub.add_parser("cohomology", help="cohomology dimension of a slice")
     c.add_argument("--ell", type=int, required=True)
     c.add_argument("--k", type=int, required=True)
+    c.set_defaults(run=lambda a: run_cohomology(a.ell, a.k))
 
     h = sub.add_parser("hodge", help="Hodge decomposition checks of a slice")
     h.add_argument("--ell", type=int, required=True)
     h.add_argument("--k", type=int, required=True)
+    h.set_defaults(run=lambda a: run_hodge(a.ell, a.k))
 
     p = sub.add_parser("prolong", help="prolongation step solver")
     p.add_argument("--step", choices=["0", "1", "2", "3", "all"], required=True)
+    p.set_defaults(run=lambda a: run_prolong(a.step))
 
     n = sub.add_parser("normalize", help="normalize a c-torsion table")
     n.add_argument("--k", type=int, required=True, choices=[1, 2, 3])
     n.add_argument("--input", required=True)
+    n.set_defaults(run=lambda a: run_normalize(a.k, a.input))
 
     m = sub.add_parser("model", help="flat-model computations")
     msub = m.add_subparsers(dest="model_cmd", required=True)
     q = msub.add_parser("quadric")
     q.add_argument("--point", required=True)
     q.add_argument("--chart", choices=["diag", "antidiag"], default="diag")
-    e = msub.add_parser("embed")
-    e.add_argument("--z", required=True)
-    for name in ("levi", "cubic", "freeman"):
+    q.set_defaults(run=lambda a: run_model_quadric(a.point, a.chart))
+    for name, fn in (("embed", run_model_embed), ("levi", run_model_levi),
+                     ("cubic", run_model_cubic), ("freeman", run_model_freeman)):
         mm = msub.add_parser(name)
         mm.add_argument("--z", required=True)
-    msub.add_parser("identities")
+        mm.set_defaults(run=lambda a, fn=fn: fn(a.z))
+    msub.add_parser("identities").set_defaults(
+        run=lambda a: run_model_identities())
 
-    sub.add_parser("constraints", help="structure-function constraint catalog")
+    sub.add_parser(
+        "constraints", help="structure-function constraint catalog"
+    ).set_defaults(run=lambda a: run_constraints())
     return ap
 
 
@@ -526,35 +541,7 @@ def run(argv) -> tuple[int, Report | None]:
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), None
     try:
-        if args.cmd == "verify":
-            rep = {
-                "table1": run_verify_table1,
-                "jacobi": run_verify_jacobi,
-                "structeq": run_verify_structeq,
-            }[args.suite]()
-        elif args.cmd == "cohomology":
-            rep = run_cohomology(args.ell, args.k)
-        elif args.cmd == "hodge":
-            rep = run_hodge(args.ell, args.k)
-        elif args.cmd == "prolong":
-            rep = run_prolong(args.step)
-        elif args.cmd == "normalize":
-            rep = run_normalize(args.k, args.input)
-        elif args.cmd == "model":
-            if args.model_cmd == "quadric":
-                rep = run_model_quadric(args.point, args.chart)
-            elif args.model_cmd == "embed":
-                rep = run_model_embed(args.z)
-            elif args.model_cmd == "levi":
-                rep = run_model_levi(args.z)
-            elif args.model_cmd == "cubic":
-                rep = run_model_cubic(args.z)
-            elif args.model_cmd == "freeman":
-                rep = run_model_freeman(args.z)
-            else:
-                rep = run_model_identities()
-        else:
-            rep = run_constraints()
+        rep = args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None

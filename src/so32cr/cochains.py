@@ -32,6 +32,7 @@ from .linalg import (
     Subspace,
     inverse,
     kernel,
+    rank,
     solve,
     unit_vec,
     vec,
@@ -368,17 +369,10 @@ def hodge_decompose(c: Cochain) -> HodgeTriple:
 
 
 def cohomology_dim(ell: int, k: int) -> int:
-    """dim ker d - dim im d on the (ell, k) slice."""
-    n = cochain_dim(ell, k)
-    dim_ker = (
-        kernel(coboundary_matrix(ell, k)).dim if ell < MAX_ELL else n
-    )
-    dim_im = (
-        cochain_dim(ell - 1, k) - kernel(coboundary_matrix(ell - 1, k)).dim
-        if ell > 0
-        else 0
-    )
-    return dim_ker - dim_im
+    """dim ker d - dim im d = dim C^ell_k - rank d_ell - rank d_(ell-1)."""
+    rank_d = rank(coboundary_matrix(ell, k)) if ell < MAX_ELL else 0
+    rank_prev = rank(coboundary_matrix(ell - 1, k)) if ell > 0 else 0
+    return cochain_dim(ell, k) - rank_d - rank_prev
 
 
 # -- adjoint actions on cochains ----------------------------------------------

@@ -333,19 +333,25 @@ class Subspace:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
-def kernel_basis(m: Matrix):
-    """Basis of the null space {x : m x = 0}, via back substitution on rref."""
-    r, pivots = rref(m)
+def _null_vectors(r: Matrix, pivots, n: int):
+    """Back substitution: the null space basis, one vector per free column
+    among the first n columns of a reduced matrix r with the given pivots."""
     piv_set = set(pivots)
-    free = [j for j in range(m.ncols) if j not in piv_set]
+    free = [j for j in range(n) if j not in piv_set]
     basis = []
     for f in free:
-        x = [GQ(0)] * m.ncols
+        x = [GQ(0)] * n
         x[f] = GQ(1)
         for i, p in enumerate(pivots):
             x[p] = -r.rows[i][f]
         basis.append(tuple(x))
     return basis
+
+
+def kernel_basis(m: Matrix):
+    """Basis of the null space {x : m x = 0}, via back substitution on rref."""
+    r, pivots = rref(m)
+    return _null_vectors(r, pivots, m.ncols)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -374,7 +380,8 @@ def solve(a: Matrix, b):
     """Solve a x = b exactly.
 
     Returns (particular_solution, kernel_subspace) or NO_SOLUTION when b is
-    outside the column space.  Inconsistency is a value, not an error.
+    outside the column space.  Inconsistency is a value, not an error.  One
+    elimination of [a | b] answers both: its left block is rref(a).
     """
     b = vec(b)
     if len(b) != a.nrows:
@@ -386,7 +393,7 @@ def solve(a: Matrix, b):
     x = [GQ(0)] * a.ncols
     for i, p in enumerate(pivots):
         x[p] = r.rows[i][a.ncols]
-    return tuple(x), kernel(a)
+    return tuple(x), Subspace(a.ncols, _null_vectors(r, pivots, a.ncols))
 
 
 def inverse(m: Matrix) -> Matrix:

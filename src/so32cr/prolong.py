@@ -31,6 +31,7 @@ from .linalg import (
     Matrix,
     Subspace,
     kernel,
+    kernel_basis,
     real_rows,
     solve,
     vec_add,
@@ -88,9 +89,8 @@ def _solve_in_gauge(carrier, basis, cols) -> Subspace:
     """Span of the real combinations sum_i t_i basis[i] whose conditions
     vanish, sum_i t_i cols[i] = 0 (cols[i]: the condition column of basis[i])."""
     gauge = Matrix.from_columns([b.flatten() for b in basis])
-    solutions = kernel(real_rows(Matrix.from_columns(cols)))
-    return Subspace(carrier.dim ** 2,
-                    [gauge.apply(t) for t in solutions.basis_vectors()])
+    solutions = kernel_basis(real_rows(Matrix.from_columns(cols)))
+    return Subspace(carrier.dim ** 2, [gauge.apply(t) for t in solutions])
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +418,7 @@ def normalize_ctorsion(c: Cochain, k: int | None = None):
 # full torsion and pointwise frame conditions
 # ---------------------------------------------------------------------------
 
-# complexified basis of m (first five complexified labels)
-M_COMPLEX = tuple(range(5))
+# grades of the complexified basis of m (first five complexified labels)
 M_COMPLEX_GRADES = (-2, -1, -1, 0, 0)
 
 

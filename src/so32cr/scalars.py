@@ -18,10 +18,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-Rational = Fraction
-
-_RAT = r"[+-]?\d+(?:/\d+)?"
-_GQ_RE = re.compile(rf"^(?P<re>{_RAT})(?:(?P<im>[+-]\d+(?:/\d+)?)\*i)?$")
+_RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_GQ_RE = re.compile(rf"(?P<re>{_RAT})(?:(?P<im>[+-][0-9]+(?:/[0-9]+)?)\*i)?")
 
 
 def rat_to_str(x: Fraction) -> str:
@@ -31,8 +29,10 @@ def rat_to_str(x: Fraction) -> str:
 
 
 def rat_from_str(s: str) -> Fraction:
-    """Parse "a/b" or "a"; a malformed string or a zero denominator raises
-    ValueError."""
+    """Parse "a/b" or "a" (ASCII digits, optional sign, surrounding blanks
+    ignored); any other string or a zero denominator raises ValueError."""
+    if not re.fullmatch(_RAT, s.strip()):
+        raise ValueError(f"not a rational: {s!r}")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:
@@ -141,7 +141,7 @@ class GQ:
 
     @staticmethod
     def from_str(s: str) -> "GQ":
-        m = _GQ_RE.match(s.strip().replace(" ", ""))
+        m = _GQ_RE.fullmatch(s.strip().replace(" ", ""))
         if not m:
             raise ValueError(f"not a Gaussian rational: {s!r}")
         im = m.group("im")

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
@@ -49,11 +48,6 @@ GRADES = (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2)
 # indices of each grade in the (shared) basis order
 GRADE_INDICES = {-2: (0,), -1: (1, 2), 0: (3, 4, 5, 6), 1: (7, 8), 2: (9,)}
 GRADE_DIMS = {-2: 1, -1: 2, 0: 4, 1: 2, 2: 1}
-
-M_MINUS = (0, 1, 2)          # m^-2 + m^-1
-M_ZERO = (3, 4)              # m^0
-H_ZERO = (5, 6)              # h^0
-H_PLUS = (7, 8, 9)           # h^1 + h^2
 
 # conjugation on the complexified basis: swap (10) <-> (01)
 CONJ_PERM = (0, 2, 1, 4, 3, 6, 5, 8, 7, 9)
@@ -320,50 +314,28 @@ def killing(x: Alg, y: Alg) -> GQ:
 
 
 def symmetric_signature(gram: Matrix):
-    """(n_pos, n_neg, n_zero) of a rational symmetric matrix by congruence."""
-    n = gram.nrows
-    a = [[Fraction(gram[i, j].re) for j in range(n)] for i in range(n)]
-    if any(gram[i, j].im != 0 for i in range(n) for j in range(n)):
+    """(n_pos, n_neg, n_zero) of a rational symmetric matrix.
+
+    The characteristic polynomial comes from Faddeev-LeVerrier.  A real
+    symmetric matrix has only real eigenvalues, so Descartes' rule of signs
+    counts the positive ones exactly, and zero's multiplicity is the number
+    of vanishing low-order coefficients.
+    """
+    if any(not x.is_real() for r in gram.rows for x in r):
         raise ValueError("signature of a non-real matrix")
-    pos = neg = zero = 0
-    idx = list(range(n))
-    size = n
-    while size > 0:
-        # find a nonzero diagonal pivot, creating one if necessary
-        p = next((k for k in range(size) if a[k][k] != 0), None)
-        if p is None:
-            od = next(
-                ((i, j) for i in range(size) for j in range(i + 1, size) if a[i][j] != 0),
-                None,
-            )
-            if od is None:
-                zero += size
-                break
-            i, j = od
-            for c in range(size):  # row/col replacement keeps congruence
-                a[i][c] += a[j][c]
-            for r in range(size):
-                a[r][i] += a[r][j]
-            p = i
-        if p != 0:
-            a[0], a[p] = a[p], a[0]
-            for r in range(size):
-                a[r][0], a[r][p] = a[r][p], a[r][0]
-        d = a[0][0]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(1, size):
-            f = a[i][0] / d
-            if f:
-                for j in range(size):
-                    a[i][j] -= f * a[0][j]
-                for j in range(size):
-                    a[j][i] -= f * a[j][0]  # a symmetric after both sweeps
-        a = [row[1:] for row in a[1:]]
-        size -= 1
-    return pos, neg, zero
+    if gram != gram.transpose():
+        raise ValueError("signature of a non-symmetric matrix")
+    n = gram.nrows
+    # coeffs[k] multiplies lambda^(n-k) in det(lambda I - gram)
+    coeffs = [GQ(1)]
+    m = Matrix.zero(n, n)
+    for k in range(1, n + 1):
+        m = gram @ m + Matrix.identity(n).scale(coeffs[-1])
+        coeffs.append(-(gram @ m).trace() / k)
+    zero = n - max(k for k, c in enumerate(coeffs) if c)
+    signs = [c.re > 0 for c in coeffs if c]
+    pos = sum(s != t for s, t in zip(signs, signs[1:]))
+    return pos, n - zero - pos, zero
 
 
 # ---------------------------------------------------------------------------

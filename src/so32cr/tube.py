@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .scalars import GQ, HALF, HALF_I, I
-from .linalg import Matrix, Subspace, kernel, rank, real_rows, vec
+from .linalg import (Matrix, Subspace, kernel, kernel_basis, rank, real_rows,
+                     rref, vec)
 from . import so32
 from .so32 import bracket_complex, COMPLEX_LABELS
 
@@ -326,14 +326,15 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
 
 
 def _d10_frame_at(p: ConePoint):
-    """Two of the three L-fields that are independent at p, and their
-    values at p."""
+    """Two of the three L-fields that are independent at p (the first two
+    pivot columns of their values), and their values at p."""
     fields = cone_fields()[:3]
     values = [f.eval(p.z) for f in fields]
-    for a, b in combinations(range(3), 2):
-        if rank(Matrix([values[a], values[b]])) == 2:
-            return (fields[a], fields[b]), (values[a], values[b])
-    raise ArithmeticError("contact frame degenerates at the point")
+    pivots = rref(Matrix.from_columns(values))[1]
+    if len(pivots) < 2:
+        raise ArithmeticError("contact frame degenerates at the point")
+    a, b = pivots[:2]
+    return (fields[a], fields[b]), (values[a], values[b])
 
 
 def levi_hermitian_rank(p: ConePoint) -> int:
@@ -388,8 +389,7 @@ def levi_kernel_at(p: ConePoint) -> Subspace:
     reals, values = _real_frame_at(p)
     frame = Matrix.from_columns(values)
     return Subspace(6, [
-        frame.apply(coef)
-        for coef in kernel(_levi_gram(p, reals)).basis_vectors()
+        frame.apply(coef) for coef in kernel_basis(_levi_gram(p, reals))
     ])
 
 
@@ -404,9 +404,9 @@ def freeman_ranks_at(p: ConePoint):
         [theta_of(f.bracket(cb)).eval(p.z) for f in (f1, f2)]
         for cb in conj_frame
     ]
-    sol = kernel(Matrix(rows, ncols=2))
+    sol = kernel_basis(Matrix(rows, ncols=2))
     frame = Matrix.from_columns(values)
-    f0 = Subspace(6, [frame.apply(coef) for coef in sol.basis_vectors()])
+    f0 = Subspace(6, [frame.apply(coef) for coef in sol])
     dim_f0 = f0.dim
     # the solver must recover the ruling direction; otherwise the ambient
     # frame fields would be unusable for the next step

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 NORMALIZE_K2 = ROOT / "perfbench" / "inputs" / "normalize_k2.json"
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     code, rep = run(["verify", "jacobi"])
     assert code == 0 and rep.status == "pass"
     code, rep = run(["prolong", "--step", "3"])
@@ -41,6 +41,18 @@ def test_exit_codes(tmp_path):
         path.write_text(json.dumps(body))
         code, rep = run(["normalize", "--k", "2", "--input", str(path)])
         assert code == 2 and rep is None
+    # rationals are "a/b" or "a" in ASCII digits: no exponents, decimals or
+    # digit separators, so a huge exponent is refused before any arithmetic
+    for z in ("1e100000", "0.5", "1_000"):
+        code, rep = run(["model", "embed", "--z", f"{z},0,1,0,0,0"])
+        assert code == 2 and rep is None
+    exp_coef = {"k": 2, "terms": [
+        {"args": ["e^-2", "e_1^-1"], "value": "e_2^-1", "coef": "1e3"}]}
+    path = tmp_path / "exp_coef.json"
+    path.write_text(json.dumps(exp_coef))
+    code, rep = run(["normalize", "--k", "2", "--input", str(path)])
+    assert code == 2 and rep is None
+    assert "integer string conversion" not in capsys.readouterr().err
     # failed check: a non-member quadric point
     code, rep = run(["model", "quadric", "--point", "1,0,0,0,0,0,0,0,0,0"])
     assert code == 1 and rep.status == "fail"

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from so32cr import linalg
 from so32cr.scalars import GQ
 from so32cr.linalg import Matrix, kernel, rank, zero_vec
 from so32cr.so32 import Alg, DIM, GRADES, GRADE_DIMS, bracket_coords, to_complex_basis
@@ -151,6 +152,18 @@ def test_cohomology_dims():
             assert cohomology_dim(ell, k) == kostant_pieces(ell, k)[1].dim
     # empty slices have trivial cohomology
     assert cochain_dim(3, 1) == 0 and cohomology_dim(3, 1) == 0
+
+
+def test_cohomology_dim_eliminates_once_per_coboundary(monkeypatch):
+    slices = ((1, 2), (2, 2), (2, 3), (1, 1))
+    expected = [cohomology_dim(ell, k) for ell, k in slices]  # warm caches
+    original = linalg.rref
+    for (ell, k), dim in zip(slices, expected):
+        calls = []
+        monkeypatch.setattr(linalg, "rref",
+                            lambda m: calls.append(m.ncols) or original(m))
+        assert cohomology_dim(ell, k) == dim
+        assert len(calls) <= 2, (ell, k, calls)
 
 
 def test_h0_negative_degrees():

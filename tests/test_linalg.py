@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from sympy import QQ, QQ_I
+from sympy.polys.matrices import DomainMatrix
 
+from so32cr import linalg
 from so32cr.scalars import GQ
 from so32cr.linalg import (
     NO_SOLUTION,
@@ -151,3 +155,81 @@ def test_rref_idempotent_and_inverse():
     assert rref(r)[0] == r
     sq = Matrix([[1, I], [0, 2]])
     assert sq @ inverse(sq) == Matrix.identity(2)
+
+
+# -- differential oracle: sympy's DomainMatrix over QQ_I ---------------------
+
+def _to_sympy(rows, ncols) -> DomainMatrix:
+    return DomainMatrix(
+        [[QQ_I(QQ(x.re.numerator, x.re.denominator),
+               QQ(x.im.numerator, x.im.denominator)) for x in r] for r in rows],
+        (len(rows), ncols), QQ_I)
+
+
+def _from_sympy(x) -> GQ:
+    return GQ(Fraction(int(x.x.numerator), int(x.x.denominator)),
+              Fraction(int(x.y.numerator), int(x.y.denominator)))
+
+
+def _random_matrix(rng) -> Matrix:
+    """A Gaussian-integer matrix up to 6 x 7; a third of them are products
+    through a smaller inner dimension, so deficient ranks are common."""
+    m, n = rng.randrange(1, 7), rng.randrange(1, 8)
+
+    def entries(r, c):
+        return Matrix([[GQ(rng.randrange(-3, 4), rng.randrange(-3, 4))
+                        for _ in range(c)] for _ in range(r)], ncols=c)
+
+    if rng.randrange(3) == 0:
+        inner = rng.randrange(1, min(m, n) + 1)
+        return entries(m, inner) @ entries(inner, n)
+    return entries(m, n)
+
+
+def test_rref_kernel_solve_match_sympy():
+    rng = random.Random(1968)
+    for _ in range(150):
+        a = _random_matrix(rng)
+        sa = _to_sympy(a.rows, a.ncols)
+        r, pivots = rref(a)
+        sr, spivots = sa.rref()
+        assert pivots == tuple(spivots)
+        assert r.rows == tuple(tuple(_from_sympy(x) for x in row)
+                               for row in sr.to_list())
+        ker = kernel(a)
+        assert ker == Subspace(a.ncols, [[_from_sympy(x) for x in row]
+                                         for row in sa.nullspace().to_list()])
+        if rng.randrange(2):  # a right-hand side inside the column space
+            b = a.apply(vec([rng.randrange(-3, 4) for _ in range(a.ncols)]))
+        else:
+            b = vec([GQ(rng.randrange(-3, 4), rng.randrange(-3, 4))
+                     for _ in range(a.nrows)])
+        aug = _to_sympy([row + (bi,) for row, bi in zip(a.rows, b)], a.ncols + 1)
+        res = solve(a, b)
+        assert (res is not NO_SOLUTION) == (aug.rank() == sa.rank())
+        if res is not NO_SOLUTION:
+            x, solved_ker = res
+            assert a.apply(x) == b
+            assert solved_ker == ker
+
+
+def _count_rref(monkeypatch):
+    calls = []
+    original = linalg.rref
+
+    def counted(m):
+        calls.append((m.nrows, m.ncols))
+        return original(m)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
+def test_solve_eliminates_once(monkeypatch):
+    calls = _count_rref(monkeypatch)
+    x, ker = solve(Matrix([[1, 2], [3, I]]), vec([1, 0]))
+    assert ker.dim == 0 and len(calls) == 1
+    calls.clear()
+    # one elimination of [A | b], one canonical form of the kernel
+    x, ker = solve(Matrix([[1, 1]]), vec([2]))
+    assert ker.dim == 1 and len(calls) == 2

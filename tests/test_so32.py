@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -217,6 +218,31 @@ def test_killing_ad_invariance():
 
 def test_killing_signature():
     assert symmetric_signature(killing_gram()) == (6, 4, 0)
+
+
+def test_signature_obeys_sylvester_law():
+    # B^T D B is congruent to D, so it has D's sign count
+    rng = random.Random(1852)
+    for _ in range(100):
+        n = rng.randrange(1, 7)
+        while True:
+            b = Matrix([[rng.randrange(-2, 3) for _ in range(n)]
+                        for _ in range(n)])
+            if rank(b) == n:
+                break
+        diag = [rng.choice((-2, -1, 0, 1, 3)) for _ in range(n)]
+        d = Matrix([[diag[i] if i == j else 0 for j in range(n)]
+                    for i in range(n)])
+        expected = (sum(x > 0 for x in diag), sum(x < 0 for x in diag),
+                    diag.count(0))
+        assert symmetric_signature(b.transpose() @ d @ b) == expected
+
+
+def test_signature_rejects_non_symmetric_and_non_real():
+    with pytest.raises(ValueError, match="non-symmetric"):
+        symmetric_signature(Matrix([[1, 2], [0, 1]]))
+    with pytest.raises(ValueError, match="non-real"):
+        symmetric_signature(Matrix([[1, I], [I, 1]]))
 
 
 def test_killing_nondegenerate():
