@@ -21,49 +21,40 @@ from functools import lru_cache
 from .scalars import GQ
 from .linalg import Matrix, Subspace, kernel_basis, vec
 from . import so32
-from .so32 import GRADES, _J_IMAGE, Alg, complex_basis_matrix, complex_basis_matrix_inv
+from .so32 import _J_IMAGE, Alg, complex_basis_matrix, complex_basis_matrix_inv
 
-CARRIER_NAMES = ("m", "m+h0", "m+h0+h1", "m+h")
-
-_CARRIER_INDICES = {
-    "m": (0, 1, 2, 3, 4),
-    "m+h0": (0, 1, 2, 3, 4, 5, 6),
-    "m+h0+h1": (0, 1, 2, 3, 4, 5, 6, 7, 8),
-    "m+h": (0, 1, 2, 3, 4, 5, 6, 7, 8, 9),
-}
+# each carrier is m plus the part of h up to a grade
+_H_TOP_GRADE = {"m": -1, "m+h0": 0, "m+h0+h1": 1, "m+h": 2}
+CARRIER_NAMES = tuple(_H_TOP_GRADE)
 
 
 class Carrier:
     """A truncation of so(3,2) with its filtrations and J."""
 
     def __init__(self, name: str):
-        if name not in _CARRIER_INDICES:
+        if name not in _H_TOP_GRADE:
             raise ValueError(f"unknown carrier {name!r}")
         self.name = name
-        self.indices = _CARRIER_INDICES[name]
+        self.indices = tuple(
+            i for i in range(so32.DIM)
+            if not so32.IN_H[i] or so32.GRADES[i] <= _H_TOP_GRADE[name]
+        )
         self.dim = len(self.indices)
-        self.grades = tuple(GRADES[i] for i in self.indices)
+        self.grades = tuple(so32.GRADES[i] for i in self.indices)
+        self.levels = tuple(so32.LEVELS[i] for i in self.indices)
 
     # -- index sets ------------------------------------------------------
     def h_part(self):
         """Local slots of the h-part (the semitone space V_(0|0))."""
-        return tuple(
-            p for p, i in enumerate(self.indices) if i >= 5
-        )
+        return tuple(p for p, i in enumerate(self.indices) if so32.IN_H[i])
 
     def f_chain(self):
         """Plain filtration as local slot sets, levels V_-2 .. V_2, 0."""
-        return [
-            tuple(p for p, g in enumerate(self.grades) if g >= k)
-            for k in range(-2, 3)
-        ] + [()]
+        return so32.filtration_steps("F", self.indices)
 
     def fstar_ladder(self):
         """Semitone ladder V_-2, V_-1, V_(0|-1), V_(0|0), V_(0|1), V_(0|2), 0."""
-        ge = lambda k: tuple(p for p, g in enumerate(self.grades) if g >= k)
-        h = set(self.h_part())
-        v00 = tuple(p for p in range(self.dim) if p in h)
-        return [ge(-2), ge(-1), ge(0), v00, ge(1), ge(2), ()]
+        return so32.filtration_steps("F*", self.indices)
 
     def j_matrix(self) -> Matrix:
         """J on the carrier, extended by zero outside m^-1+m^0+h^0+h^1."""
@@ -147,23 +138,23 @@ def _j_constraint_rows(carrier: Carrier, domain_slots):
 
 
 def _endo_space(carrier: Carrier, allowed, j_domain) -> Subspace:
-    """Endomorphisms supported on the ``allowed`` (row, col) entries and
-    J-compatible on the ``j_domain`` slots.  The entry pattern is a
+    """Endomorphisms supported on the entries (r, c) with ``allowed(r, c)``
+    and J-compatible on the ``j_domain`` slots.  The entry pattern is a
     coordinate subspace; only the J rows, restricted to the allowed
     coordinates, need a kernel."""
-    n2 = carrier.dim * carrier.dim
-    coords = sorted(r * carrier.dim + c for r, c in allowed)
+    n = carrier.dim
+    coords = [r * n + c for r in range(n) for c in range(n) if allowed(r, c)]
     if not j_domain:
-        return Subspace.coordinate(n2, coords)
+        return Subspace.coordinate(n * n, coords)
     rows = [[row[p] for p in coords]
             for row in _j_constraint_rows(carrier, j_domain)]
     vectors = []
     for v in kernel_basis(Matrix(rows, ncols=len(coords))):
-        w = [GQ(0)] * n2
+        w = [GQ(0)] * (n * n)
         for p, x in zip(coords, v):
             w[p] = x
         vectors.append(w)
-    return Subspace(n2, vectors)
+    return Subspace(n * n, vectors)
 
 
 def gl_filtered(carrier: Carrier, k: int, star: bool = False,
@@ -182,30 +173,15 @@ def _gl_filtered(name: str, k: int, star: bool, j_compatible: bool) -> EndoSubsp
     carrier = Carrier(name)
     if k < 0:
         raise ValueError("only nonnegative degrees are defined here")
-    n = carrier.dim
-    allowed = set((r, c) for r in range(n) for c in range(n))
+    g, lv = carrier.grades, carrier.levels
 
-    def restrict(domain, target):
-        tset = set(target)
-        for c in domain:
-            for r in range(n):
-                if r not in tset and (r, c) in allowed:
-                    allowed.discard((r, c))
-
-    if not star:
-        chain = carrier.f_chain()  # positions 0..5 = V_-2..V_2, 0
-        for t in range(5):
-            restrict(chain[t], chain[min(t + k, 5)])
-    else:
-        ladder = carrier.fstar_ladder()
-        # integer level m -> ladder position
-        pos = {-2: 0, -1: 1, 0: 2, 1: 4, 2: 5}
-        def ladder_pos(m):
-            return pos.get(m, 6 if m > 2 else 0)
-        restrict(ladder[0], ladder[ladder_pos(-2 + k)])
-        restrict(ladder[1], ladder[ladder_pos(-1 + k)])
-        for t in range(4):  # V_(0|-1+t) -> V_(0|-1+t+k)
-            restrict(ladder[2 + t], ladder[min(2 + t + k, 6)])
+    def allowed(r, c):
+        # A(V_t) in V_(t+k): a column may only reach rows k steps higher.
+        # Star: columns in m^0 + h step along the semitone levels, the
+        # grade -2 and -1 columns along the integer grades.
+        if star and g[c] >= 0:
+            return lv[r] >= lv[c] + k
+        return g[r] >= g[c] + k
 
     j_domain = carrier.fstar_ladder()[1] if j_compatible else ()
     return EndoSubspace(carrier, _endo_space(carrier, allowed, j_domain))
@@ -226,17 +202,14 @@ def _gl_graded(name: str, k: int, j_compatible: bool) -> EndoSubspace:
     carrier = Carrier(name)
     if k < 0:
         raise ValueError("only nonnegative degrees are defined here")
-    n = carrier.dim
-    allowed = set()
-    for c in range(n):
-        for r in range(n):
-            if carrier.grades[r] == carrier.grades[c] + k:
-                allowed.add((r, c))
-    j_domain = (
-        [p for p, i in enumerate(carrier.indices) if i in (1, 2, 3, 4)]
-        if j_compatible else ()
-    )
-    return EndoSubspace(carrier, _endo_space(carrier, allowed, j_domain))
+    g = carrier.grades
+    # the J-condition is imposed on the slots of m where J is defined
+    j_domain = tuple(
+        p for p, i in enumerate(carrier.indices)
+        if i in _J_IMAGE and not so32.IN_H[i]
+    ) if j_compatible else ()
+    return EndoSubspace(carrier, _endo_space(
+        carrier, lambda r, c: g[r] == g[c] + k, j_domain))
 
 
 def frame_freedom(carrier: Carrier) -> EndoSubspace:

@@ -73,20 +73,18 @@ def run_verify_jacobi() -> Report:
     rep.add("Jacobi failures", 0, bad, "commutator arithmetic")
     grading_ok = True
     pairs = 0
-    for gi in range(-2, 3):
-        for gj in range(-2, 3):
-            pairs += 1
-            for i in so32.GRADE_INDICES[gi]:
-                for j in so32.GRADE_INDICES[gj]:
-                    b = Alg.basis(i).bracket(Alg.basis(j))
-                    dec = b.grade_decompose()
-                    if gi + gj < -2 or gi + gj > 2:
-                        grading_ok = grading_ok and b.is_zero()
-                    else:
-                        grading_ok = grading_ok and set(dec) <= {gi + gj}
+    for gi, gj in itertools.product(so32.GRADE_INDICES, repeat=2):
+        pairs += 1
+        for i in so32.GRADE_INDICES[gi]:
+            for j in so32.GRADE_INDICES[gj]:
+                b = Alg.basis(i).bracket(Alg.basis(j))
+                if gi + gj not in so32.GRADE_INDICES:
+                    grading_ok = grading_ok and b.is_zero()
+                else:
+                    grading_ok = grading_ok and set(b.grade_decompose()) <= {gi + gj}
     rep.add("grade pairs checked", 25, pairs, "adjoint grading")
     rep.add("bracket respects grading", True, grading_ok, "adjoint grading")
-    dims = tuple(so32.GRADE_DIMS[g] for g in (-2, -1, 0, 1, 2))
+    dims = tuple(so32.GRADE_DIMS.values())
     rep.add("grading eigenspace dims", (1, 2, 4, 2, 1), dims, "grading element spectrum")
     return rep
 
@@ -213,13 +211,13 @@ def _prolong_report(rep: Report, step: int):
         rep.add(
             "step 1 first generator on grade -2",
             "(1/1)*e^-1(10) + (1/1)*e^-1(01)",
-            so32.format_combination([z1[r, 0] for r in range(7)] + [GQ(0)] * 3),
+            so32.format_combination(s.carrier.embed_coords(z1.col(0))),
             "closed gauge directions at degree 1",
         )
         rep.add(
             "step 1 second generator on grade -2",
             "(0/1+1/1*i)*e^-1(10) + (0/1-1/1*i)*e^-1(01)",
-            so32.format_combination([z2[r, 0] for r in range(7)] + [GQ(0)] * 3),
+            so32.format_combination(s.carrier.embed_coords(z2.col(0))),
             "closed gauge directions at degree 1",
         )
     if step == 2:
@@ -228,13 +226,13 @@ def _prolong_report(rep: Report, step: int):
         rep.add(
             "step 2 generator on grade -2",
             "(1/1)*E^0(10) + (1/1)*E^0(01)",
-            so32.format_combination([z[r, 0] for r in range(9)] + [GQ(0)]),
+            so32.format_combination(s.carrier.embed_coords(z.col(0))),
             "closed gauge directions at degree 2",
         )
         rep.add(
             "step 2 generator on e^-1(10)",
             "(0/1+1/1*i)*E^1(10)",
-            so32.format_combination([z[r, 1] for r in range(9)] + [GQ(0)]),
+            so32.format_combination(s.carrier.embed_coords(z.col(1))),
             "closed gauge directions at degree 2",
         )
     if step == 3:
@@ -542,12 +540,12 @@ def run(argv) -> tuple[int, Report | None]:
         return (2 if exc.code not in (0, None) else 0), None
     try:
         rep = args.run(args)
+        if args.json:
+            with open(args.json, "w") as fh:
+                fh.write(rep.to_json())
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(rep.to_json())
     try:
         print(rep.render_text())
         sys.stdout.flush()

@@ -40,29 +40,23 @@ from .linalg import (
 )
 from . import so32
 from .forms import Form, canonical, exterior_derivative
-from .so32 import Alg, GRADES, bracket_coords, killing_gram
+from .so32 import Alg, GRADES, M_MINUS, bracket_coords, killing_gram
 
 MAX_ELL = 3  # top wedge degree of a 3-dimensional argument algebra
 
-# m_- side: global basis indices and grades
-_N_IDX = (0, 1, 2)
-_N_GRADES = (-2, -1, -1)
-# h_+ side basis order chosen so that the Killing-dual pairing is graded:
-# E^2 pairs with e^-2, E_1^1 with e_1^-1, E_2^1 with e_2^-1
-_H_IDX = (9, 7, 8)
-_H_GRADES = (2, 1, 1)
-
 
 def _arg_vectors_m():
-    return [vec(so32.Alg.basis(i).coords) for i in _N_IDX]
+    return [unit_vec(so32.DIM, i) for i in M_MINUS]
 
 
 @lru_cache(maxsize=1)
 def _arg_vectors_h():
-    """Killing-dual basis of h_+: kappa(n_a, eta_b) = delta_ab."""
+    """Killing-dual basis of h_+ = the positive grades: kappa(n_a, eta_b) =
+    delta_ab, so eta_b has the grade opposite to n_b."""
+    h_plus = [i for i, g in enumerate(GRADES) if g > 0]
     g = killing_gram()
-    gram = Matrix([[g[i, j] for j in _H_IDX] for i in _N_IDX])
-    embed = Matrix.from_columns([unit_vec(so32.DIM, i) for i in _H_IDX])
+    gram = Matrix([[g[i, j] for j in h_plus] for i in M_MINUS])
+    embed = Matrix.from_columns([unit_vec(so32.DIM, i) for i in h_plus])
     return (embed @ inverse(gram)).columns()
 
 
@@ -115,12 +109,12 @@ class _Side:
 
 @lru_cache(maxsize=1)
 def _side_m() -> _Side:
-    return _Side(_arg_vectors_m(), _N_GRADES)
+    return _Side(_arg_vectors_m(), [GRADES[i] for i in M_MINUS])
 
 
 @lru_cache(maxsize=1)
 def _side_h() -> _Side:
-    return _Side(_arg_vectors_h(), _H_GRADES)
+    return _Side(_arg_vectors_h(), [-GRADES[i] for i in M_MINUS])
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +186,7 @@ class Cochain:
         out = [GQ(0)] * so32.DIM
         for beta, coeffs in values.items():
             form = Form(coeffs)
-            for idx_tuple in product(range(len(_N_IDX)), repeat=self.ell):
+            for idx_tuple in product(range(len(M_MINUS)), repeat=self.ell):
                 f = GQ(1)
                 for pos, i in enumerate(idx_tuple):
                     f = f * args[pos][i]
@@ -370,9 +364,10 @@ def hodge_decompose(c: Cochain) -> HodgeTriple:
 
 def cohomology_dim(ell: int, k: int) -> int:
     """dim ker d - dim im d = dim C^ell_k - rank d_ell - rank d_(ell-1)."""
+    n = cochain_dim(ell, k)  # rejects a degree outside 0..3 first
     rank_d = rank(coboundary_matrix(ell, k)) if ell < MAX_ELL else 0
     rank_prev = rank(coboundary_matrix(ell - 1, k)) if ell > 0 else 0
-    return cochain_dim(ell, k) - rank_d - rank_prev
+    return n - rank_d - rank_prev
 
 
 # -- adjoint actions on cochains ----------------------------------------------
@@ -382,7 +377,7 @@ def act_on_cochain(x: Alg, c: Cochain) -> Cochain:
     m_- cochain: ad on values minus the induced action on arguments, the
     argument bracket taken modulo everything outside m_-.  Acting by grade
     j shifts the homogeneity degree from k to k + j."""
-    xgrades = {so32.GRADES[i] for i, ci in enumerate(x.coords) if ci}
+    xgrades = {GRADES[i] for i, ci in enumerate(x.coords) if ci}
     if len(xgrades) > 1:
         raise ValueError("actor must be grade homogeneous")
     k_out = c.k + (xgrades.pop() if xgrades else 0)
@@ -392,7 +387,7 @@ def act_on_cochain(x: Alg, c: Cochain) -> Cochain:
     arg_act = []
     for a in range(side.n):
         w = bracket_coords(x.coords, side.args[a])
-        arg_act.append(tuple(w[i] for i in _N_IDX))
+        arg_act.append(tuple(w[i] for i in M_MINUS))
     out = {}
     for (wedge, beta), coef in cm.items():
         # value part [x, g_beta]

@@ -20,17 +20,19 @@ from itertools import combinations
 
 from .scalars import GQ, HALF, HALF_I, I
 from . import forms, so32
-from .so32 import CONJ_PERM, bracket_complex
+from .so32 import CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex
 from .cochains import cochain_dim
 from .forms import Form, canonical
 from .linalg import Matrix, kernel
 
-COFRAME_LABELS = (
-    "theta^-2", "theta^-1(10)", "theta^-1(01)", "theta^0(10)", "theta^0(01)",
-    "omega^0(10)", "omega^0(01)", "omega^1(10)", "omega^1(01)", "omega^2",
-)
+# short grade labels of the complexified basis ("e^-1(10)" -> "-1(10)"),
+# used in the coframe labels and in the structure-function symbols
+# T^alpha_beta|gamma (m-valued) and R^a_beta|gamma (h-valued)
+_SHORT = tuple(label.split("^", 1)[1] for label in so32.COMPLEX_LABELS)
 
-N = 10
+COFRAME_LABELS = tuple(
+    ("omega^" if h else "theta^") + short for h, short in zip(IN_H, _SHORT)
+)
 
 
 def _idx(label: str) -> int:
@@ -43,7 +45,7 @@ def maurer_cartan(label: str) -> Form:
     constants of the complexified commutator table."""
     a = _idx(label)
     return Form(
-        {(b, c): -bracket_complex(b, c)[a] for b, c in combinations(range(N), 2)}
+        {(b, c): -bracket_complex(b, c)[a] for b, c in combinations(range(DIM), 2)}
     )
 
 
@@ -139,12 +141,6 @@ def d_squared_report():
 # the constraint catalog
 # ---------------------------------------------------------------------------
 
-# short grade labels of the complexified basis, used in structure-function
-# symbols T^alpha_beta|gamma (m-valued) and R^a_beta|gamma (h-valued)
-_SHORT = ("-2", "-1(10)", "-1(01)", "0(10)", "0(01)",
-          "0(10)", "0(01)", "1(10)", "1(01)", "2")
-
-
 @dataclass(frozen=True)
 class Symbol:
     """One structure function: T^upper_b|c or R^upper_b|c."""
@@ -166,7 +162,7 @@ class Symbol:
 
 
 def symbol_for(value_index: int, arg_pair) -> Symbol:
-    kind = "T" if value_index <= 4 else "R"
+    kind = "R" if IN_H[value_index] else "T"
     i, j = arg_pair
     if i > j:
         raise ValueError("arguments must be ordered")
@@ -229,14 +225,12 @@ def _frame_condition_relations():
 @lru_cache(maxsize=None)
 def _symbol_basis(k: int):
     """Complex symbols of c-torsion degree k on wedge pairs inside m_-."""
-    grades = (-2, -1, -1)
-    syms = []
-    for i, j in combinations(range(3), 2):
-        target = grades[i] + grades[j] + k
-        for beta in range(so32.DIM):
-            if so32.GRADES[beta] == target:
-                syms.append(Symbol("T" if beta <= 4 else "R", beta, (i, j)))
-    return tuple(syms)
+    return tuple(
+        symbol_for(beta, (i, j))
+        for i, j in combinations(M_MINUS, 2)
+        for beta in range(DIM)
+        if GRADES[beta] == GRADES[i] + GRADES[j] + k
+    )
 
 
 def _normalization_relations(k: int):

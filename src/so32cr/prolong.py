@@ -39,7 +39,8 @@ from .linalg import (
     zero_vec,
 )
 from . import so32
-from .so32 import Alg, GRADES, bracket_complex, to_complex_basis, from_complex_basis
+from .so32 import (Alg, GRADES, M_MINUS, bracket_complex, from_complex_basis,
+                   to_complex_basis)
 from .forms import Form
 from .carriers import Carrier, endo_from_complex_images, gl_graded
 from .cochains import (
@@ -64,8 +65,8 @@ def cochain_of_endo(carrier: Carrier, b: Matrix, k: int) -> Cochain:
     Graded degree-k endomorphisms of a step carrier vanish on grades >= 0
     and are determined by this restriction."""
     table = {}
-    for a in range(3):  # m_- slots are the first three carrier slots
-        col = carrier.embed_coords(b.col(a))
+    for a, i in enumerate(M_MINUS):
+        col = carrier.embed_coords(b.col(carrier.indices.index(i)))
         for beta, c in enumerate(col):
             if c:
                 table[((a,), beta)] = c
@@ -311,7 +312,7 @@ def step3_component_equations() -> Subspace:
         lhs = act(br(em2, e1))
         rhs = vec_add(br(act(em2), e1), br(em2, act(e1)))
         diff = vec_add(lhs, vec_scale(-1, rhs))
-        cols.append([diff[i] for i in (3, 4, 5, 6)])  # grade-0 components
+        cols.append([diff[i] for i in so32.GRADE_INDICES[0]])
     return kernel(real_rows(Matrix.from_columns(cols)))
 
 
@@ -418,10 +419,6 @@ def normalize_ctorsion(c: Cochain, k: int | None = None):
 # full torsion and pointwise frame conditions
 # ---------------------------------------------------------------------------
 
-# grades of the complexified basis of m (first five complexified labels)
-M_COMPLEX_GRADES = (-2, -1, -1, 0, 0)
-
-
 class FullTorsion:
     """Alternating bilinear map on m with values in g, over the complexified
     bases: forms[beta] is the 2-form on the five complexified m-labels giving
@@ -433,7 +430,8 @@ class FullTorsion:
     @staticmethod
     def flat() -> "FullTorsion":
         """The torsion of the model: every value is the Lie bracket."""
-        values = {(i, j): bracket_complex(i, j) for i, j in combinations(range(5), 2)}
+        m = [i for i in range(so32.DIM) if not so32.IN_H[i]]
+        values = {(i, j): bracket_complex(i, j) for i, j in combinations(m, 2)}
         return FullTorsion({
             beta: Form({pair: v[beta] for pair, v in values.items()})
             for beta in range(so32.DIM)
@@ -453,7 +451,7 @@ class FullTorsion:
     def graded_component(self, i: int, j: int, k: int):
         """tau^k on the (i, j) complexified argument pair: the value
         components of grade g_i + g_j + k, as complex g-coordinates."""
-        target = M_COMPLEX_GRADES[i] + M_COMPLEX_GRADES[j] + k
+        target = GRADES[i] + GRADES[j] + k
         return tuple(
             c if GRADES[beta] == target else GQ(0)
             for beta, c in enumerate(self.value(i, j))
@@ -462,11 +460,11 @@ class FullTorsion:
     def restrict_ctorsion(self, k: int) -> Cochain:
         """The degree-k part of the restriction to wedge pairs inside m_-,
         as a 2-cochain over the real monomial basis."""
-        zc = [to_complex_basis(Alg.basis(a).coords) for a in range(3)]
+        zc = [to_complex_basis(Alg.basis(i).coords) for i in M_MINUS]
         table = {}
-        for a, b in combinations(range(3), 2):
+        for a, b in combinations(range(len(M_MINUS)), 2):
             val = zero_vec(so32.DIM)
-            for i, j in product(range(3), repeat=2):
+            for i, j in product(M_MINUS, repeat=2):
                 f = zc[a][i] * zc[b][j]
                 if f:
                     val = vec_add(val, vec_scale(f, self.graded_component(i, j, k)))

@@ -71,7 +71,7 @@ class Report:
 
 # -- c-torsion JSON round trip -------------------------------------------------
 
-_ARG_LABELS = ("e^-2", "e_1^-1", "e_2^-1")
+_ARG_LABELS = tuple(so32.REAL_LABELS[i] for i in so32.M_MINUS)
 
 
 def ctorsion_to_json(c: Cochain) -> dict:
@@ -115,6 +115,9 @@ def ctorsion_from_json(data) -> Cochain:
             raise ValueError(f"term args {args!r} must be two of {_ARG_LABELS}")
         if args[0] == args[1]:
             raise ValueError(f"term args repeat the argument {args[0]!r}")
+        if t["value"] not in so32.REAL_LABELS:
+            raise ValueError(
+                f"term value {t['value']!r} must be one of {so32.REAL_LABELS}")
         wedge = tuple(_ARG_LABELS.index(a) for a in args)
         beta = so32.REAL_LABELS.index(t["value"])
         key = (wedge, beta)

@@ -43,14 +43,26 @@ COMPLEX_LABELS = (
     "e^-2", "e^-1(10)", "e^-1(01)", "e^0(10)", "e^0(01)",
     "E^0(10)", "E^0(01)", "E^1(10)", "E^1(01)", "E^2",
 )
+
+# The graded layout, one entry per basis index (real and complexified bases
+# share the order).  Every other index set of the package is derived from
+# these tables.
 GRADES = (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2)
-
-# indices of each grade in the (shared) basis order
-GRADE_INDICES = {-2: (0,), -1: (1, 2), 0: (3, 4, 5, 6), 1: (7, 8), 2: (9,)}
-GRADE_DIMS = {-2: 1, -1: 2, 0: 4, 1: 2, 2: 1}
-
+# the m/h split: h = h^0 + h^1 + h^2 is the isotropy part
+IN_H = (False, False, False, False, False, True, True, True, True, True)
 # conjugation on the complexified basis: swap (10) <-> (01)
 CONJ_PERM = (0, 2, 1, 4, 3, 6, 5, 8, 7, 9)
+# semitone level: m^-2, m^-1, m^0 -> 0, 1, 2 and h^0, h^1, h^2 -> 3, 4, 5;
+# the extra step at h^0 is the semitone filtration's
+LEVELS = tuple(g + 2 + h for g, h in zip(GRADES, IN_H))
+
+GRADE_INDICES = {
+    g: tuple(i for i, gi in enumerate(GRADES) if gi == g)
+    for g in range(min(GRADES), max(GRADES) + 1)
+}
+GRADE_DIMS = {g: len(idx) for g, idx in GRADE_INDICES.items()}
+# m_- = m^-2 + m^-1, the argument algebra of the cochain complexes
+M_MINUS = tuple(i for i, g in enumerate(GRADES) if g < 0)
 
 # sparse entries (row, col, value) of the ten basis matrices
 _BASIS_ENTRIES = (
@@ -243,18 +255,18 @@ class Alg:
 
 @lru_cache(maxsize=1)
 def complex_basis_matrix() -> Matrix:
-    """Columns = complexified basis vectors in real coordinates."""
-    cols = [[GQ(0)] * DIM for _ in range(DIM)]
-    cols[0][0] = GQ(1)                          # e^-2
-    cols[1][1], cols[1][2] = HALF, -HALF_I      # e^-1(10)
-    cols[2][1], cols[2][2] = HALF, HALF_I       # e^-1(01)
-    cols[3][3], cols[3][4] = HALF, -HALF_I      # e^0(10)
-    cols[4][3], cols[4][4] = HALF, HALF_I       # e^0(01)
-    cols[5][5], cols[5][6] = HALF, -HALF_I      # E^0(10)
-    cols[6][5], cols[6][6] = HALF, HALF_I       # E^0(01)
-    cols[7][7], cols[7][8] = HALF, -HALF_I      # E^1(10)
-    cols[8][7], cols[8][8] = HALF, HALF_I       # E^1(01)
-    cols[9][9] = GQ(1)                          # E^2
+    """Columns = complexified basis vectors in real coordinates: on each
+    CONJ_PERM pair (X_1, X_2), X^(10) = (X_1 - i X_2)/2 and X^(01) =
+    (X_1 + i X_2)/2; a fixed index keeps its real vector."""
+    cols = []
+    for i, p in enumerate(CONJ_PERM):
+        col = [GQ(0)] * DIM
+        if p == i:
+            col[i] = GQ(1)
+        else:
+            col[min(i, p)] = HALF
+            col[max(i, p)] = -HALF_I if i < p else HALF_I
+        cols.append(col)
     return Matrix.from_columns(cols)
 
 
@@ -342,9 +354,10 @@ def symmetric_signature(gram: Matrix):
 # partial complex structure and filtrations
 # ---------------------------------------------------------------------------
 
-# J on basis indices: i -> (image index, sign)
-_J_IMAGE = {1: (2, 1), 2: (1, -1), 3: (4, 1), 4: (3, -1),
-            5: (6, 1), 6: (5, -1), 7: (8, 1), 8: (7, -1)}
+# J on basis indices: i -> (image index, sign), X_1 -> X_2 -> -X_1 on each
+# CONJ_PERM pair, so that X^(10) is its +i eigenvector
+_J_IMAGE = {i: (p, 1 if i < p else -1)
+            for i, p in enumerate(CONJ_PERM) if p != i}
 
 
 def apply_J(x: Alg) -> Alg:
@@ -352,7 +365,7 @@ def apply_J(x: Alg) -> Alg:
 
     Raises ValueError when x has a grade -2 or grade 2 component.
     """
-    if x.coords[0] or x.coords[9]:
+    if any(c for i, c in enumerate(x.coords) if i not in _J_IMAGE):
         raise ValueError("J is undefined on the m^-2 / h^2 components")
     out = [GQ(0)] * DIM
     for i, c in enumerate(x.coords):
@@ -362,30 +375,27 @@ def apply_J(x: Alg) -> Alg:
     return Alg(out)
 
 
-def _span(indices) -> Subspace:
-    return Subspace(DIM, [unit_vec(DIM, i) for i in indices])
+def filtration_steps(kind: str, indices=tuple(range(DIM))):
+    """The steps of a canonical filtration of m+h, restricted to a slice of
+    the basis: each step is the tuple of positions p with indices[p] of
+    weight >= t, for t rising through the weights, then the zero step.
+
+    kind "F":  weight = grade:  m+h > m^-1+m^0+h > m^0+h > h^1+h^2 > h^2 > 0
+    kind "F*": weight = semitone level: the same with the extra step
+    h = h^0+h^1+h^2 between m^0+h and h^1+h^2.
+    """
+    if kind not in ("F", "F*"):
+        raise ValueError("kind must be 'F' or 'F*'")
+    weights = GRADES if kind == "F" else LEVELS
+    return [
+        tuple(p for p, i in enumerate(indices) if weights[i] >= t)
+        for t in sorted(set(weights))
+    ] + [()]
 
 
 def filtration_chain(kind: str):
-    """The two canonical filtrations of m+h, as subspaces of GQ^10.
-
-    kind "F":  m+h > m^-1+m^0+h > m^0+h > h^1+h^2 > h^2 > 0
-    kind "F*": same with the extra semitone step h = h^0+h^1+h^2 inserted
-    between m^0+h and h^1+h^2.
-    """
-    chain = [
-        _span(range(0, 10)),
-        _span(range(1, 10)),
-        _span(range(3, 10)),
-        _span(range(7, 10)),
-        _span(range(9, 10)),
-        Subspace.zero(DIM),
-    ]
-    if kind == "F":
-        return chain
-    if kind == "F*":
-        return chain[:3] + [_span(range(5, 10))] + chain[3:]
-    raise ValueError("kind must be 'F' or 'F*'")
+    """The two canonical filtrations of m+h, as subspaces of GQ^10."""
+    return [Subspace.coordinate(DIM, step) for step in filtration_steps(kind)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +463,9 @@ def table1_fixture():
 
 def _arg_coords(label: str):
     """Real coordinates of a Table-1 row/column argument."""
-    if label == "E_1^0":
-        return unit_vec(DIM, 5)
-    return complex_unit(COMPLEX_LABELS.index(label))
+    if label in COMPLEX_LABELS:
+        return complex_unit(COMPLEX_LABELS.index(label))
+    return unit_vec(DIM, REAL_LABELS.index(label))  # the grading element
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .scalars import GQ, HALF, HALF_I, I
-from .linalg import (Matrix, Subspace, kernel, kernel_basis, rank, real_rows,
-                     rref, vec)
+from .linalg import (Matrix, Subspace, inverse, kernel, kernel_basis, rank,
+                     real_rows, rref, vec)
 from . import so32
 from .so32 import bracket_complex, COMPLEX_LABELS
 
@@ -463,10 +463,8 @@ class ProjectivePoint:
             return ProjectivePoint(
                 _DIAG_TO_ANTIDIAG.apply(self.homogeneous), "antidiag"
             )
-        from .linalg import inverse
-
         return ProjectivePoint(
-            inverse(_DIAG_TO_ANTIDIAG).apply(self.homogeneous), "diag"
+            _antidiag_to_diag().apply(self.homogeneous), "diag"
         )
 
     def same_point(self, other: "ProjectivePoint") -> bool:
@@ -475,30 +473,31 @@ class ProjectivePoint:
         return rank(m) == 1
 
 
+@lru_cache(maxsize=1)
+def _antidiag_to_diag() -> Matrix:
+    return inverse(_DIAG_TO_ANTIDIAG)
+
+
+@lru_cache(maxsize=None)
+def _chart_gram(chart: str) -> Matrix:
+    """Gram matrix of the ambient symmetric form in a chart."""
+    if chart == "diag":
+        return Matrix([[s if i == j else 0 for j in range(5)]
+                       for i, s in enumerate(_DIAG_SIGNS)])
+    return so32.iform()
+
+
 def quadric_eval(t: ProjectivePoint):
-    """((t,t), <t,t>, Im(t^3 conj t^4)); the third slot is chart-bound and
-    None in the anti-diagonal chart, where the orbit inequality is not
-    evaluated."""
+    """((t,t), <t,t>, Im(t^3 conj t^4)) over the chart's Gram matrix; the
+    third slot is chart-bound and None in the anti-diagonal chart, where
+    the orbit inequality is not evaluated."""
     h = t.homogeneous
-    if t.chart == "diag":
-        bil = sum((GQ(s) * c * c for s, c in zip(_DIAG_SIGNS, h)), GQ(0))
-        herm = sum(
-            (GQ(s) * c.conj() * c for s, c in zip(_DIAG_SIGNS, h)), GQ(0)
-        )
-        third = (h[3] * h[4].conj()).im
-        return bil, herm, GQ(third)
-    form = so32.iform()
-    bil = sum(
-        (form[i, j] * h[i] * h[j]
-         for i in range(5) for j in range(5) if form[i, j]),
-        GQ(0),
-    )
-    herm = sum(
-        (form[i, j] * h[i].conj() * h[j]
-         for i in range(5) for j in range(5) if form[i, j]),
-        GQ(0),
-    )
-    return bil, herm, None
+    gh = _chart_gram(t.chart).apply(h)
+    bil = sum((a * b for a, b in zip(h, gh)), GQ(0))
+    herm = sum((a.conj() * b for a, b in zip(h, gh)), GQ(0))
+    if t.chart != "diag":
+        return bil, herm, None
+    return bil, herm, GQ((h[3] * h[4].conj()).im)
 
 
 def in_model(t: ProjectivePoint) -> bool:
@@ -540,7 +539,7 @@ def model_levi_cubic(theta_scale=1):
     zl = COMPLEX_LABELS.index
 
     def theta(zcoords) -> GQ:
-        return s * zcoords[0]
+        return s * zcoords[zl("e^-2")]
 
     e1_10 = zl("e^-1(10)")
     e1_01 = zl("e^-1(01)")

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -53,6 +54,12 @@ def test_exit_codes(tmp_path, capsys):
     code, rep = run(["normalize", "--k", "2", "--input", str(path)])
     assert code == 2 and rep is None
     assert "integer string conversion" not in capsys.readouterr().err
+    # a --json path that cannot be opened is an input error, not a traceback
+    capsys.readouterr()
+    code, rep = run(["--json", str(tmp_path / "missing" / "x.json"),
+                     "verify", "jacobi"])
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err.startswith("error: ")
     # failed check: a non-member quadric point
     code, rep = run(["model", "quadric", "--point", "1,0,0,0,0,0,0,0,0,0"])
     assert code == 1 and rep.status == "fail"
@@ -146,6 +153,28 @@ def test_normalize_accepts_reversed_argument_pairs(tmp_path, capsys):
     assert "'e^-2'" in capsys.readouterr().err
 
 
+def test_unknown_value_label_is_named(tmp_path, capsys):
+    data = json.loads(NORMALIZE_K2.read_text())
+    data["terms"][0]["value"] = "nope"
+    path = tmp_path / "nope.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    code, rep = run(["normalize", "--k", "2", "--input", str(path)])
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert "'nope'" in err and all(repr(label) in err for label in REAL_LABELS)
+
+
+def test_cochain_degree_out_of_range_is_reported_as_such(capsys):
+    for cmd in ("cohomology", "hodge"):
+        for ell in ("4", "-1"):
+            capsys.readouterr()
+            code, rep = run([cmd, "--ell", ell, "--k", "0"])
+            assert code == 2 and rep is None
+            assert "cochain degree ell must be between 0 and 3" in (
+                capsys.readouterr().err)
+
+
 def test_deeply_nested_input_is_an_input_error(tmp_path):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)
@@ -227,6 +256,14 @@ cli_args = st.one_of(
 def test_fuzzed_points_get_an_exit_code(argv):
     code, _ = run(argv)
     assert code in (0, 1, 2)
+
+
+def test_every_slice_in_a_wide_grid_gets_an_exit_code():
+    # the whole grid costs about a second, so it is swept, not sampled
+    for cmd, ell, k in itertools.product(("cohomology", "hodge"),
+                                         range(-2, 6), range(-8, 9)):
+        code, _ = run([cmd, "--ell", str(ell), "--k", str(k)])
+        assert code in (0, 2), (cmd, ell, k)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -271,3 +272,40 @@ def test_filtration_chains():
             assert big.contains_subspace(small) and big.dim > small.dim
     # V_0 / V_(0|0) has dimension 2 (a copy of m^0)
     assert fs[2].dim - fs[3].dim == 2
+
+
+def test_graded_layout_tables():
+    # every index set is derived from GRADES, IN_H and CONJ_PERM; pin the
+    # derived tables against the layout written out by hand
+    assert so32.GRADE_INDICES == {
+        -2: (0,), -1: (1, 2), 0: (3, 4, 5, 6), 1: (7, 8), 2: (9,)}
+    assert list(so32.GRADE_DIMS.items()) == [
+        (-2, 1), (-1, 2), (0, 4), (1, 2), (2, 1)]
+    assert so32.LEVELS == (0, 1, 1, 2, 2, 3, 3, 4, 4, 5)
+    assert so32.M_MINUS == (0, 1, 2)
+    assert so32._J_IMAGE == {1: (2, 1), 2: (1, -1), 3: (4, 1), 4: (3, -1),
+                             5: (6, 1), 6: (5, -1), 7: (8, 1), 8: (7, -1)}
+    assert so32.filtration_steps("F*", (0, 1, 2, 3, 4, 5, 6)) == [
+        (0, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), (3, 4, 5, 6), (5, 6),
+        (), (), ()]
+    with pytest.raises(ValueError):
+        so32.filtration_steps("G")
+    # X^(10) = (X_1 - i X_2)/2 and X^(01) = (X_1 + i X_2)/2 on each pair
+    half, half_i = GQ(Fraction(1, 2)), GQ(0, Fraction(1, 2))
+    cbm = so32.complex_basis_matrix()
+    for lo, hi in ((1, 2), (3, 4), (5, 6), (7, 8)):
+        col10, col01 = cbm.col(lo), cbm.col(hi)
+        assert (col10[lo], col10[hi], col01[lo], col01[hi]) == (
+            half, -half_i, half, half_i)
+        assert sum(1 for c in col10 + col01 if c) == 4
+    for i in (0, 9):
+        assert cbm.col(i) == tuple(GQ(1 if r == i else 0) for r in range(DIM))
+
+
+def test_j_is_i_on_the_holomorphic_basis():
+    # J acts as multiplication by i on each X^(10) and by -i on each X^(01)
+    for z in (1, 3, 5, 7):
+        x = Alg(complex_unit(z))
+        assert apply_J(x) == x.scale(I)
+        y = Alg(complex_unit(so32.CONJ_PERM[z]))
+        assert apply_J(y) == y.scale(-I)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+import random
 
 import pytest
 
@@ -200,6 +201,22 @@ def test_chart_conversion():
         [GQ(0, 3) * c for c in BASE_POINT.homogeneous], "antidiag"
     )
     assert scaled.same_point(BASE_POINT)
+
+
+def test_quadric_forms_agree_across_charts():
+    # the chart change carries diag(+,+,+,-,-) to the anti-diagonal form, so
+    # both forms take the same value at a point written in either chart
+    rng = random.Random(5)
+    for _ in range(40):
+        h = [GQ(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+             for _ in range(5)]
+        if not any(h):
+            continue
+        diag = ProjectivePoint(h, "diag")
+        anti = diag.to_chart("antidiag")
+        assert quadric_eval(anti)[:2] == quadric_eval(diag)[:2]
+        assert anti.to_chart("diag") == diag
 
 
 def test_embed_examples():
