@@ -534,8 +534,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv) -> tuple[int, Report | None]:
     ap = build_parser()
+    words = []
+    for a in argv:  # "--z -3,4,..." must not read the signed value as a flag
+        if words and words[-1] in ("--z", "--point"):
+            words[-1] += "=" + a
+        else:
+            words.append(a)
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(words)
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), None
     try:

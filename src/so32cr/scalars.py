@@ -30,13 +30,17 @@ def rat_to_str(x: Fraction) -> str:
 
 def rat_from_str(s: str) -> Fraction:
     """Parse "a/b" or "a" (ASCII digits, optional sign, surrounding blanks
-    ignored); any other string or a zero denominator raises ValueError."""
+    ignored); any other string, a zero denominator or an integer too long
+    for int() raises ValueError."""
     if not re.fullmatch(_RAT, s.strip()):
         raise ValueError(f"not a rational: {s!r}")
     try:
         return Fraction(s.strip())
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {s!r}") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ValueError(
+            f"not a rational: too many digits in {s.strip()[:20]}...") from None
 
 
 class GQ:
@@ -151,8 +155,6 @@ class GQ:
         return f"GQ({self.to_str()})"
 
 
-ZERO = GQ(0)
-ONE = GQ(1)
 I = GQ(0, 1)
 HALF = GQ(Fraction(1, 2))
 HALF_I = GQ(0, Fraction(1, 2))

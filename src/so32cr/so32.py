@@ -16,9 +16,10 @@ pair into holomorphic/antiholomorphic halves:
 with X^(10) = (X_1 - i X_2)/2 and X^(01) its conjugate, so that
 X_1 = X^(10) + X^(01) and X_2 = i(X^(10) - X^(01)).
 
-All brackets are grounded in the 5x5 matrix commutator; the shipped
-bracket-table fixture (``table1.txt``) is a transcription that the
-crosscheck compares against the commutator, flagging any cell-local
+All brackets are grounded in the 5x5 matrix commutator, through one sparse
+table of structure constants built once from the sparse basis matrices.
+The shipped bracket-table fixture (``table1.txt``) is a transcription that
+the crosscheck compares against the commutator, flagging any cell-local
 scalar-factor deltas instead of trusting them.
 """
 
@@ -86,58 +87,67 @@ def iform() -> Matrix:
     )
 
 
-@lru_cache(maxsize=1)
-def basis_matrices():
-    """The ten 5x5 basis matrices, in the fixed order of REAL_LABELS."""
-    out = []
-    for entries in _BASIS_ENTRIES:
-        rows = [[GQ(0)] * N for _ in range(N)]
-        for (i, j, v) in entries:
-            rows[i][j] = GQ(v)
-        out.append(Matrix(rows))
-    return tuple(out)
+def _coords_of(entries):
+    """Coordinates of the 5x5 matrix with nonzero entries {(row, col): value};
+    raises ValueError unless a^T I + I a = 0, i.e. a[r, c] = -a[4-c, 4-r],
+    the equation of so(3,2) (or its complexification) the basis spans."""
+    def a(i, j):
+        return GQ.of(entries.get((i, j), 0))
+    if any(a(N - 1 - c, N - 1 - r) != -v for (r, c), v in entries.items()):
+        raise ValueError("matrix is not in so(3,2) (or its complexification)")
+    return (
+        a(3, 0),                      # e^-2
+        a(2, 0),                      # e_1^-1
+        a(2, 1),                      # e_2^-1
+        (a(0, 0) - a(1, 1)) * HALF,   # e_1^0
+        (a(0, 1) + a(1, 0)) * HALF,   # e_2^0
+        (a(0, 0) + a(1, 1)) * HALF,   # E_1^0
+        (a(0, 1) - a(1, 0)) * HALF,   # E_2^0
+        a(0, 2),                      # E_1^1
+        a(1, 2),                      # E_2^1
+        a(0, 3),                      # E^2
+    )
 
 
 def to_matrix(coords) -> Matrix:
-    coords = vec(coords)
-    m = Matrix.zero(N, N)
-    for c, b in zip(coords, basis_matrices()):
-        if c:
-            m = m + b.scale(c)
-    return m
+    rows = [[GQ(0)] * N for _ in range(N)]
+    for c, entries in zip(vec(coords), _BASIS_ENTRIES):
+        for (i, j, v) in entries:
+            rows[i][j] += c * v
+    return Matrix(rows)
+
+
+@lru_cache(maxsize=1)
+def basis_matrices():
+    """The ten 5x5 basis matrices, in the fixed order of REAL_LABELS."""
+    return tuple(to_matrix(unit_vec(DIM, k)) for k in range(DIM))
 
 
 def from_matrix(a: Matrix):
     """Coordinates of a 5x5 matrix in the basis; raises if not in so(3,2)."""
-    coords = (
-        a[3, 0],                      # e^-2
-        a[2, 0],                      # e_1^-1
-        a[2, 1],                      # e_2^-1
-        (a[0, 0] - a[1, 1]) / GQ(2),  # e_1^0
-        (a[0, 1] + a[1, 0]) / GQ(2),  # e_2^0
-        (a[0, 0] + a[1, 1]) / GQ(2),  # E_1^0
-        (a[0, 1] - a[1, 0]) / GQ(2),  # E_2^0
-        a[0, 2],                      # E_1^1
-        a[1, 2],                      # E_2^1
-        a[0, 3],                      # E^2
+    return _coords_of(
+        {(i, j): a[i, j] for i in range(N) for j in range(N) if a[i, j]}
     )
-    if to_matrix(coords) != a:
-        raise ValueError("matrix is not in so(3,2) (or its complexification)")
-    return coords
 
 
 @lru_cache(maxsize=1)
 def structure_constants():
-    """table[i][j] = coordinates of [b_i, b_j], from the matrix commutator."""
-    bm = basis_matrices()
-    table = []
+    """The nonzero structure constants {(i, j): {k: C^k_ij}}, with
+    [b_i, b_j] = sum_k C^k_ij b_k, from sparse commutators of the basis
+    matrices.  Shared and cached: callers must not mutate it."""
+    table = {}
     for i in range(DIM):
-        row = []
         for j in range(DIM):
-            comm = bm[i] @ bm[j] - bm[j] @ bm[i]
-            row.append(from_matrix(comm))
-        table.append(tuple(row))
-    return tuple(table)
+            comm = {}
+            for x, y, sign in ((i, j, 1), (j, i, -1)):
+                for (r, m, v) in _BASIS_ENTRIES[x]:
+                    for (m2, c, w) in _BASIS_ENTRIES[y]:
+                        if m == m2:
+                            comm[(r, c)] = comm.get((r, c), 0) + sign * v * w
+            row = {k: t for k, t in enumerate(_coords_of(comm)) if t}
+            if row:
+                table[(i, j)] = row
+    return table
 
 
 def bracket_coords(x, y):
@@ -152,9 +162,8 @@ def bracket_coords(x, y):
             if not yj:
                 continue
             c = xi * yj
-            for k, t in enumerate(table[i][j]):
-                if t:
-                    out[k] = out[k] + c * t
+            for k, t in table.get((i, j), {}).items():
+                out[k] = out[k] + c * t
     return tuple(out)
 
 
@@ -179,10 +188,6 @@ class Alg:
     @staticmethod
     def from_label(label: str) -> "Alg":
         return Alg.basis(REAL_LABELS.index(label))
-
-    @staticmethod
-    def zero() -> "Alg":
-        return Alg([0] * DIM)
 
     def __add__(self, other):
         return Alg(vec_add(self.coords, other.coords))
@@ -216,9 +221,7 @@ class Alg:
     def is_real(self) -> bool:
         """Membership in the real form: conjugation-symmetric complex coords."""
         z = self.complex_coords()
-        return all(
-            z[CONJ_PERM[i]].conj() == z[i] for i in range(DIM)
-        )
+        return all(z[CONJ_PERM[i]].conj() == z[i] for i in range(DIM))
 
     def complex_coords(self):
         return to_complex_basis(self.coords)
@@ -227,13 +230,9 @@ class Alg:
         """Split into ad(E_1^0)-eigencomponents, keyed by grade -2..2."""
         out = {}
         for g, idxs in GRADE_INDICES.items():
-            comp = [GQ(0)] * DIM
-            nonzero = False
-            for i in idxs:
-                comp[i] = self.coords[i]
-                nonzero = nonzero or bool(self.coords[i])
-            if nonzero:
-                out[g] = Alg(comp)
+            if any(self.coords[i] for i in idxs):
+                out[g] = Alg([c if i in idxs else GQ(0)
+                              for i, c in enumerate(self.coords)])
         return out
 
     def __eq__(self, other):
@@ -245,12 +244,7 @@ class Alg:
         return hash(self.coords)
 
     def __repr__(self):
-        terms = [
-            f"({c.to_str()})*{REAL_LABELS[i]}"
-            for i, c in enumerate(self.coords)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"
+        return format_combination(self.coords, REAL_LABELS)
 
 
 @lru_cache(maxsize=1)
@@ -288,41 +282,43 @@ def complex_unit(i: int):
     return complex_basis_matrix().col(i)
 
 
+@lru_cache(maxsize=1)
+def complex_structure_constants():
+    """{(a, b): complex coordinates of [z_a, z_b]} over all pairs of
+    complexified basis vectors: the real table in the complexified basis."""
+    units = complex_basis_matrix().columns()
+    return {(a, b): to_complex_basis(bracket_coords(units[a], units[b]))
+            for a in range(DIM) for b in range(DIM)}
+
+
 def bracket_complex(zi: int, zj: int):
     """[z_i, z_j] of complexified basis vectors, in complex coordinates."""
-    return to_complex_basis(
-        bracket_coords(complex_unit(zi), complex_unit(zj))
-    )
+    return complex_structure_constants()[(zi, zj)]
 
 
 # ---------------------------------------------------------------------------
-# adjoint representation, Killing form
+# Killing form
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def ad_matrix(i: int) -> Matrix:
-    """ad(b_i) as a 10x10 matrix (columns = brackets with basis vectors)."""
-    table = structure_constants()
-    return Matrix.from_columns([table[i][j] for j in range(DIM)])
-
 
 @lru_cache(maxsize=1)
 def killing_gram() -> Matrix:
-    """Gram matrix of kappa(x,y) = trace(ad x . ad y) on the real basis."""
-    ads = [ad_matrix(i) for i in range(DIM)]
-    return Matrix(
-        [[(ads[i] @ ads[j]).trace() for j in range(DIM)] for i in range(DIM)]
-    )
+    """Gram matrix of kappa(b_i, b_j) = trace(ad b_i . ad b_j)
+    = sum_{a,b} C^b_ia C^a_jb on the real basis."""
+    table = structure_constants()
+
+    def kappa(i, j):
+        return sum(
+            (t * table.get((j, b), {}).get(a, GQ(0))
+             for a in range(DIM) for b, t in table.get((i, a), {}).items()),
+            GQ(0),
+        )
+
+    return Matrix([[kappa(i, j) for j in range(DIM)] for i in range(DIM)])
 
 
 def killing(x: Alg, y: Alg) -> GQ:
-    g = killing_gram()
-    return sum(
-        (xi * g[i, j] * yj
-         for i, xi in enumerate(x.coords) if xi
-         for j, yj in enumerate(y.coords) if yj),
-        GQ(0),
-    )
+    gy = killing_gram().apply(y.coords)
+    return sum((xi * g for xi, g in zip(x.coords, gy) if xi and g), GQ(0))
 
 
 def symmetric_signature(gram: Matrix):
@@ -430,12 +426,11 @@ def parse_combination(cell: str):
     return tuple(out)
 
 
-def format_combination(zcoords) -> str:
-    terms = [
-        f"({c.to_str()})*{COMPLEX_LABELS[i]}"
-        for i, c in enumerate(zcoords)
-        if c
-    ]
+def format_combination(coords, labels=COMPLEX_LABELS) -> str:
+    """Render coordinates as "(c1)*label1 + ..." (the complexified labels
+    unless told otherwise)."""
+    terms = [f"({c.to_str()})*{labels[i]}"
+             for i, c in enumerate(coords) if c]
     return " + ".join(terms) if terms else "0"
 
 

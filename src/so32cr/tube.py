@@ -156,10 +156,6 @@ class Field:
             raise ValueError("need 6 components")
         self.comps = comps
 
-    @staticmethod
-    def zero() -> "Field":
-        return Field([Poly()] * NVARS)
-
     def __add__(self, other):
         return Field([a + b for a, b in zip(self.comps, other.comps)])
 

@@ -54,6 +54,21 @@ def test_exit_codes(tmp_path, capsys):
     code, rep = run(["normalize", "--k", "2", "--input", str(path)])
     assert code == 2 and rep is None
     assert "integer string conversion" not in capsys.readouterr().err
+    # an integer past the interpreter's digit limit is named as an input
+    # error, not answered with advice about sys.set_int_max_str_digits
+    huge = "7" * 5000
+    code, rep = run(["model", "embed", "--z", f"{huge},0,1,0,0,0"])
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert "too many digits" in err and "set_int_max_str_digits" not in err
+    huge_coef = {"k": 2, "terms": [
+        {"args": ["e^-2", "e_1^-1"], "value": "e_2^-1", "coef": huge}]}
+    path = tmp_path / "huge_coef.json"
+    path.write_text(json.dumps(huge_coef))
+    code, rep = run(["normalize", "--k", "2", "--input", str(path)])
+    assert code == 2 and rep is None
+    err = capsys.readouterr().err
+    assert "too many digits" in err and "set_int_max_str_digits" not in err
     # a --json path that cannot be opened is an input error, not a traceback
     capsys.readouterr()
     code, rep = run(["--json", str(tmp_path / "missing" / "x.json"),
@@ -63,6 +78,19 @@ def test_exit_codes(tmp_path, capsys):
     # failed check: a non-member quadric point
     code, rep = run(["model", "quadric", "--point", "1,0,0,0,0,0,0,0,0,0"])
     assert code == 1 and rep.status == "fail"
+
+
+def test_signed_values_parse_in_the_spaced_form():
+    # "--z -3,..." is a value, not a flag: the same report as "--z=-3,..."
+    for option, cmd, value in (
+        ("--z", ["model", "embed"], "-3,4,5,0,0,0"),
+        ("--point", ["model", "quadric"], "-1,0,0,-6,0,-8,0,-10,-1,0"),
+    ):
+        code, spaced = run(cmd + [option, value])
+        assert code == 0
+        code, glued = run(cmd + [f"{option}={value}"])
+        assert code == 0
+        assert spaced.checks == glued.checks
 
 
 def test_every_check_has_source():

@@ -14,9 +14,11 @@ from so32cr.so32 import (
     GRADE_DIMS,
     apply_J,
     basis_matrices,
+    bracket_coords,
     complex_unit,
     filtration_chain,
     from_complex_basis,
+    from_matrix,
     iform,
     killing,
     killing_gram,
@@ -55,6 +57,70 @@ def test_matrix_round_trip():
     for i in range(DIM):
         x = Alg.basis(i)
         assert Alg.from_matrix(x.to_matrix()) == x
+
+
+def _commutator(i, j):
+    """The dense 5x5 commutator of two basis matrices, in coordinates: the
+    reference the sparse table is checked against."""
+    bm = basis_matrices()
+    return from_matrix(bm[i] @ bm[j] - bm[j] @ bm[i])
+
+
+def test_structure_constants_match_the_dense_commutator():
+    table = so32.structure_constants()
+    for i in range(DIM):
+        for j in range(DIM):
+            row = table.get((i, j), {})
+            coords = tuple(row.get(k, GQ(0)) for k in range(DIM))
+            assert coords == _commutator(i, j)
+    consts = [t for row in table.values() for t in row.values()]
+    assert len(consts) == 72
+    allowed = {GQ(Fraction(s * n, 2)) for s in (1, -1) for n in (1, 2, 4)}
+    assert set(consts) <= allowed
+
+
+def test_complex_table_matches_a_per_call_basis_change():
+    for i in range(DIM):
+        for j in range(DIM):
+            assert so32.bracket_complex(i, j) == to_complex_basis(
+                bracket_coords(complex_unit(i), complex_unit(j)))
+
+
+def test_killing_gram_matches_the_trace_of_ad_products():
+    ads = [Matrix.from_columns([_commutator(i, j) for j in range(DIM)])
+           for i in range(DIM)]
+    assert killing_gram() == Matrix(
+        [[(ads[i] @ ads[j]).trace() for j in range(DIM)] for i in range(DIM)])
+
+
+def test_from_matrix_rejects_non_members():
+    with pytest.raises(ValueError, match="not in so"):
+        from_matrix(Matrix.identity(5))
+    # a[4, 0] is no coordinate's entry, so only the membership check sees it
+    corner = Matrix([[1 if (i, j) == (4, 0) else 0 for j in range(5)]
+                     for i in range(5)])
+    with pytest.raises(ValueError, match="not in so"):
+        from_matrix(corner)
+
+
+def test_tables_are_built_without_dense_products(monkeypatch):
+    products = []
+    matmul = Matrix.__matmul__
+
+    def counting(self, other):
+        products.append((self.nrows, other.ncols))
+        return matmul(self, other)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counting)
+    built = (so32.structure_constants, so32.complex_structure_constants,
+             killing_gram, so32.complex_basis_matrix,
+             so32.complex_basis_matrix_inv)
+    for f in built:
+        f.cache_clear()
+    so32.structure_constants()
+    so32.complex_structure_constants()
+    killing_gram()
+    assert products == []
 
 
 def test_bracket_examples():
