@@ -542,6 +542,10 @@ def run(argv) -> tuple[int, Report | None]:
             words.append(a)
     try:
         args = ap.parse_args(words)
+        # argparse drops a bare "--" from "--z=--", leaving [] for the value
+        for name in ("z", "point"):
+            if not isinstance(getattr(args, name, ""), str):
+                ap.error(f"--{name} needs a value")
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), None
     try:

@@ -93,6 +93,15 @@ def test_signed_values_parse_in_the_spaced_form():
         assert spaced.checks == glued.checks
 
 
+def test_a_bare_double_dash_value_is_a_usage_error():
+    # argparse turns "--z=--" into an empty list; that is a usage error
+    for argv in (["model", "embed", "--z", "--"],
+                 ["model", "embed", "--z=--"],
+                 ["model", "quadric", "--point", "--", "--chart", "diag"]):
+        code, rep = run(argv)
+        assert code == 2 and rep is None, argv
+
+
 def test_every_check_has_source():
     for argv in (
         ["verify", "jacobi"],
