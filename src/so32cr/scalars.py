@@ -25,7 +25,10 @@ _GQ_RE = re.compile(rf"(?P<re>{_RAT})(?:(?P<im>[+-][0-9]+(?:/[0-9]+)?)\*i)?")
 def rat_to_str(x: Fraction) -> str:
     """Serialize a rational as "a/b" (denominator always present)."""
     x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ValueError("result has too many digits to print") from None
 
 
 def rat_from_str(s: str) -> Fraction:

@@ -7,10 +7,10 @@ Two sides of the same object:
   anti-diagonal chart of the algebra coordinates), with the isotropy
   algebra of the base point and the bracket-level Levi/cubic values;
 
-* the tube over the future light cone in C^3, handled by exact polynomial
-  calculus in (z, conj z): tangent vector fields with polynomial
-  coefficients, the defining 1-form theta = (i/2)(d'rho - d''rho), Levi and
-  cubic forms, and the Freeman rank sequence at rational cone points.
+* the tube over the future light cone in C^3: tangent vector fields with
+  polynomial coefficients in (z, conj z), and at rational cone points the
+  form theta = (i/2)(d'rho - d''rho), the Levi and cubic forms and the
+  Freeman ranks, read there from values and first partials of the fields.
 
 Everything stays inside Q[i]; sample points come from Pythagorean triples
 so that all evaluations are exact.
@@ -41,12 +41,11 @@ class Poly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
+        self.terms = {}
         for mono, c in (terms or {}).items():
             c = GQ.of(c)
             if c:
-                clean[tuple(mono)] = clean.get(tuple(mono), GQ(0)) + c
-        self.terms = {m: c for m, c in clean.items() if c}
+                self.terms[tuple(mono)] = c
 
     @staticmethod
     def const(c) -> "Poly":
@@ -71,7 +70,6 @@ class Poly:
         return Poly({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = other if isinstance(other, Poly) else Poly.const(other)
         return self + (-other)
 
     def __mul__(self, other):
@@ -163,18 +161,11 @@ class Field:
         return Field([a - b for a, b in zip(self.comps, other.comps)])
 
     def scale(self, c) -> "Field":
-        c = c if isinstance(c, Poly) else Poly.const(c)
-        return Field([c * a for a in self.comps])
+        return Field([a * c for a in self.comps])
 
     def conj(self) -> "Field":
         comps = [c.conj() for c in self.comps]
         return Field(comps[3:] + comps[:3])
-
-    def holomorphic_part(self) -> "Field":
-        return Field(list(self.comps[:3]) + [Poly()] * 3)
-
-    def antiholomorphic_part(self) -> "Field":
-        return Field([Poly()] * 3 + list(self.comps[3:]))
 
     def is_type10(self) -> bool:
         return all(c.is_zero() for c in self.comps[3:])
@@ -199,7 +190,8 @@ class Field:
 
     def apply_J(self) -> "Field":
         """Pointwise complex structure: +i on the (1,0) part, -i on (0,1)."""
-        return self.holomorphic_part().scale(I) + self.antiholomorphic_part().scale(-I)
+        return Field([c * I for c in self.comps[:3]]
+                     + [c * -I for c in self.comps[3:]])
 
     def __repr__(self):
         return f"Field({self.comps!r})"
@@ -209,39 +201,19 @@ class Field:
 # the tube: defining function, defining form, tangent frames
 # ---------------------------------------------------------------------------
 
-SIGNS = (1, 1, -1)
-
-
-@lru_cache(maxsize=1)
-def rho() -> Poly:
-    """(x^1)^2 + (x^2)^2 - (x^3)^2 with x^j = (z^j + conj z^j)/2."""
-    out = Poly()
-    for j in range(3):
-        x = (Poly.var(j) + Poly.var(j + 3)) * HALF
-        out = out + (x * x) * GQ(SIGNS[j])
-    return out
+def cone_quadratic(v):
+    """v1^2 + v2^2 - v3^2, for scalars and polynomials alike."""
+    return v[0] * v[0] + v[1] * v[1] - v[2] * v[2]
 
 
 def x_coord(j: int) -> Poly:
     return (Poly.var(j) + Poly.var(j + 3)) * HALF
 
 
-def theta_of(field: Field) -> Poly:
-    """theta(X) for theta = (i/2)(d'rho - d''rho), as an exact polynomial."""
-    r = rho()
-    out = Poly()
-    for j in range(3):
-        out = out + r.diff(j) * field.comps[j]
-        out = out - r.diff(j + 3) * field.comps[j + 3]
-    return out * HALF_I
-
-
-def drho_of(field: Field) -> Poly:
-    r = rho()
-    out = Poly()
-    for i in range(NVARS):
-        out = out + r.diff(i) * field.comps[i]
-    return out
+@lru_cache(maxsize=1)
+def rho() -> Poly:
+    """The cone quadratic of x^j = (z^j + conj z^j)/2."""
+    return cone_quadratic([x_coord(j) for j in range(3)])
 
 
 @lru_cache(maxsize=1)
@@ -274,10 +246,9 @@ class ConePoint:
         if len(z) != 3:
             raise ValueError("need 3 complex coordinates")
         object.__setattr__(self, "z", z)
-        x = [c.re for c in z]
-        if x[0] * x[0] + x[1] * x[1] - x[2] * x[2] != 0:
+        if cone_quadratic([c.re for c in z]) != 0:
             raise ValueError("real part is not on the cone")
-        if x[2] <= 0:
+        if z[2].re <= 0:
             raise ValueError("not on the future half (x^3 must be positive)")
 
 
@@ -290,35 +261,57 @@ SAMPLE_POINTS = (
 )
 
 
-def _check_d_section(field: Field, p: ConePoint):
-    if drho_of(field).eval(p.z) != GQ(0):
-        raise ValueError("field is not tangent to the tube at the point")
-    if theta_of(field).eval(p.z) != GQ(0):
-        raise ValueError("field is not a section of the contact distribution")
+def covectors_at(p: ConePoint) -> Matrix:
+    """Rows d rho_p and theta_p = (i/2)(d'rho - d''rho)_p on the frame
+    (d/dz, d/dzb), read off the gradient of rho at p."""
+    grad = [rho().diff(i).eval(p.z) for i in range(NVARS)]
+    theta = [g * HALF_I for g in grad[:3]] + [g * -HALF_I for g in grad[3:]]
+    return Matrix([grad, theta])
+
+
+def _derivative_at(a, f: Poly, z) -> GQ:
+    """sum_i a^i d_i f(z): the derivative of f along the vector a at z."""
+    return sum((c * f.diff(i).eval(z) for i, c in enumerate(a) if c), GQ(0))
+
+
+def _bracket_at(vf: Field, wf: Field, z) -> tuple:
+    """[V, W] at z from the values and first partials of V and W there."""
+    v, w = vf.eval(z), wf.eval(z)
+    return tuple(_derivative_at(v, wc, z) - _derivative_at(w, vc, z)
+                 for vc, wc in zip(vf.comps, wf.comps))
+
+
+def _contact_value(cov: Matrix, field: Field, p: ConePoint):
+    """The value at p of a section of the contact distribution."""
+    v = field.eval(p.z)
+    if any(cov.apply(v)):
+        raise ValueError("field is not a section of the contact distribution"
+                         " at the point")
+    return v
 
 
 def levi_form_at(p: ConePoint, vf: Field, wf: Field) -> GQ:
     """-theta_p([V, JW]) for sections of the contact distribution."""
-    _check_d_section(vf, p)
-    _check_d_section(wf, p)
-    return -theta_of(vf.bracket(wf.apply_J())).eval(p.z)
+    cov = covectors_at(p)
+    _contact_value(cov, vf, p)
+    _contact_value(cov, wf, p)
+    return -cov.apply(_bracket_at(vf, wf.apply_J(), p.z))[1]
 
 
 def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     """theta_p([[E, H], H']) for E a holomorphic rib field and H, H'
-    antiholomorphic sections of the contact distribution."""
+    antiholomorphic sections of the contact distribution; the inner bracket
+    stays a field, the outer one is read at p."""
     if not e.is_type10():
         raise ValueError("first argument must be of type (1,0)")
     _, _, _, R = cone_fields()
     if not Subspace(6, [R.eval(p.z)]).contains(e.eval(p.z)):
         raise ValueError("first argument must point along the rib")
+    cov = covectors_at(p)
     for f in (h, hp):
-        # the value matters pointwise: (0,1) and tangent at p
-        if any(c for c in f.eval(p.z)[:3]):
+        if any(_contact_value(cov, f, p)[:3]):
             raise ValueError("argument is not antiholomorphic at the point")
-        if drho_of(f).eval(p.z) != GQ(0):
-            raise ValueError("argument not tangent at the point")
-    return theta_of(e.bracket(h).bracket(hp)).eval(p.z)
+    return cov.apply(_bracket_at(e.bracket(h), hp, p.z))[1]
 
 
 def _d10_frame_at(p: ConePoint):
@@ -336,13 +329,7 @@ def _d10_frame_at(p: ConePoint):
 def levi_hermitian_rank(p: ConePoint) -> int:
     """Rank of the Hermitian Levi matrix on a holomorphic frame."""
     (f1, f2), _ = _d10_frame_at(p)
-    gram = Matrix(
-        [
-            [levi_form_at(p, a, b.conj()) for b in (f1, f2)]
-            for a in (f1, f2)
-        ]
-    )
-    return rank(gram)
+    return rank(_levi_gram(p, (f1, f2), (f1.conj(), f2.conj())))
 
 
 def _real_parts(f: Field):
@@ -366,13 +353,14 @@ def _real_frame_at(p: ConePoint):
     return rib + extra, values
 
 
-def _levi_gram(p: ConePoint, reals) -> Matrix:
-    return Matrix([[levi_form_at(p, a, b) for b in reals] for a in reals])
+def _levi_gram(p: ConePoint, rows, cols) -> Matrix:
+    return Matrix([[levi_form_at(p, a, b) for b in cols] for a in rows])
 
 
 def levi_real_gram(p: ConePoint) -> Matrix:
     """The 4x4 Gram of the Levi form on a real frame of the distribution."""
-    return _levi_gram(p, _real_frame_at(p)[0])
+    reals = _real_frame_at(p)[0]
+    return _levi_gram(p, reals, reals)
 
 
 def rib_span_at(p: ConePoint) -> Subspace:
@@ -384,9 +372,8 @@ def levi_kernel_at(p: ConePoint) -> Subspace:
     """Kernel of the Levi form inside the distribution at p, as vectors."""
     reals, values = _real_frame_at(p)
     frame = Matrix.from_columns(values)
-    return Subspace(6, [
-        frame.apply(coef) for coef in kernel_basis(_levi_gram(p, reals))
-    ])
+    gram = _levi_gram(p, reals, reals)
+    return Subspace(6, [frame.apply(coef) for coef in kernel_basis(gram)])
 
 
 def freeman_ranks_at(p: ConePoint):
@@ -395,27 +382,24 @@ def freeman_ranks_at(p: ConePoint):
     _, _, _, R = cone_fields()
     r_at = R.eval(p.z)
     conj_frame = [f1.conj(), f2.conj()]
+    cov = covectors_at(p)
     # step 0: X with theta([X, conj frame]) = 0 at p  (the Levi kernel)
     rows = [
-        [theta_of(f.bracket(cb)).eval(p.z) for f in (f1, f2)]
+        [cov.apply(_bracket_at(f, cb, p.z))[1] for f in (f1, f2)]
         for cb in conj_frame
     ]
     sol = kernel_basis(Matrix(rows, ncols=2))
     frame = Matrix.from_columns(values)
     f0 = Subspace(6, [frame.apply(coef) for coef in sol])
-    dim_f0 = f0.dim
     # the solver must recover the ruling direction; otherwise the ambient
     # frame fields would be unusable for the next step
     if f0 != Subspace(6, [r_at]):
         raise ArithmeticError("rib direction mismatch at the sample point")
     # step 1: c R with [cR, conj frame] in span{R} + D^01 at p
     span = Subspace(6, [r_at] + [cb.eval(p.z) for cb in conj_frame])
-    dim_f1 = 1
-    for cb in conj_frame:
-        if not span.contains(R.bracket(cb).eval(p.z)):
-            dim_f1 = 0
-            break
-    return (2, dim_f0, dim_f1)
+    dim_f1 = int(all(span.contains(_bracket_at(R, cb, p.z))
+                     for cb in conj_frame))
+    return (2, f0.dim, dim_f1)
 
 
 # ---------------------------------------------------------------------------
@@ -483,14 +467,24 @@ def _chart_gram(chart: str) -> Matrix:
     return so32.iform()
 
 
+def ambient_forms(h, gram: Matrix):
+    """((h, h), <h, h>): the symmetric and the Hermitian form of a chart's
+    Gram matrix, for scalars and polynomials alike."""
+    bil = herm = 0
+    for i, row in enumerate(gram.rows):
+        for j, g in enumerate(row):
+            if g:
+                bil = bil + h[i] * h[j] * g
+                herm = herm + h[i].conj() * h[j] * g
+    return bil, herm
+
+
 def quadric_eval(t: ProjectivePoint):
     """((t,t), <t,t>, Im(t^3 conj t^4)) over the chart's Gram matrix; the
     third slot is chart-bound and None in the anti-diagonal chart, where
     the orbit inequality is not evaluated."""
     h = t.homogeneous
-    gh = _chart_gram(t.chart).apply(h)
-    bil = sum((a * b for a, b in zip(h, gh)), GQ(0))
-    herm = sum((a.conj() * b for a, b in zip(h, gh)), GQ(0))
+    bil, herm = ambient_forms(h, _chart_gram(t.chart))
     if t.chart != "diag":
         return bil, herm, None
     return bil, herm, GQ((h[3] * h[4].conj()).im)
@@ -504,13 +498,16 @@ def in_model(t: ProjectivePoint) -> bool:
 BASE_POINT = ProjectivePoint((GQ(1), I, GQ(0), GQ(0), GQ(0)), "antidiag")
 
 
+def embedding_coords(z):
+    """[-i/2 - (i/2)q : z1 : z2 : z3 : -i/2 + (i/2)q] with q the cone
+    quadratic of z, for scalars and polynomials alike."""
+    q = cone_quadratic(z)
+    return (q * -HALF_I - HALF_I, z[0], z[1], z[2], q * HALF_I - HALF_I)
+
+
 def embed_f(z) -> ProjectivePoint:
-    """[-i/2 - (i/2)q : z1 : z2 : z3 : -i/2 + (i/2)q], q = z1^2+z2^2-z3^2."""
-    z = [GQ.of(c) for c in z]
-    q = z[0] * z[0] + z[1] * z[1] - z[2] * z[2]
-    return ProjectivePoint(
-        (-HALF_I - HALF_I * q, z[0], z[1], z[2], -HALF_I + HALF_I * q), "diag"
-    )
+    """The image of z under the embedding, in the diag chart."""
+    return ProjectivePoint(embedding_coords([GQ.of(c) for c in z]), "diag")
 
 
 def isotropy_algebra(v: ProjectivePoint) -> Subspace:
@@ -552,22 +549,10 @@ def model_levi_cubic(theta_scale=1):
 
 
 def embedding_identity_check():
-    """The two polynomial identities of the embedding, as exact booleans."""
-    q = Poly()
-    for j, s in enumerate(SIGNS):
-        q = q + (Poly.var(j) * Poly.var(j)) * GQ(s)
-    comps = [
-        Poly.const(-HALF_I) + q * (-HALF_I),
-        Poly.var(0),
-        Poly.var(1),
-        Poly.var(2),
-        Poly.const(-HALF_I) + q * HALF_I,
-    ]
-    bil = Poly()
-    herm = Poly()
-    for s, c in zip(_DIAG_SIGNS, comps):
-        bil = bil + (c * c) * GQ(s)
-        herm = herm + (c.conj() * c) * GQ(s)
+    """The two polynomial identities of the embedding, as exact booleans:
+    the diag-chart forms of ``embedding_coords`` expanded symbolically."""
+    bil, herm = ambient_forms(
+        embedding_coords([Poly.var(j) for j in range(3)]), _chart_gram("diag"))
     return {
         "symmetric_form_vanishes": bil.is_zero(),
         "hermitian_form_is_twice_rho": (herm - rho() * GQ(2)).is_zero(),

@@ -8,12 +8,12 @@ from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
-from so32cr import prolong
+from so32cr import prolong, tube
 from so32cr.cli import run
 from so32cr.linalg import Subspace
 from so32cr.report import ctorsion_from_json, ctorsion_to_json
 from so32cr.cochains import Cochain, cochain_dim
-from so32cr.scalars import GQ
+from so32cr.scalars import GQ, HALF_I
 from so32cr.so32 import REAL_LABELS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -69,6 +69,16 @@ def test_exit_codes(tmp_path, capsys):
     assert code == 2 and rep is None
     err = capsys.readouterr().err
     assert "too many digits" in err and "set_int_max_str_digits" not in err
+    # a legal input whose result is past the digit limit (q = z1^2 in the
+    # embedding, the squares in the ambient forms) cannot be printed either
+    big = "7" * (2 * sys.get_int_max_str_digits() // 3)
+    for argv in (["model", "embed", "--z", f"{big},0,1,0,0,0"],
+                 ["model", "quadric", "--point",
+                  f"{big},0,1,0,0,0,0,0,0,0"]):
+        code, rep = run(argv)
+        assert code == 2 and rep is None
+        err = capsys.readouterr().err
+        assert "too many digits" in err and "set_int_max_str_digits" not in err
     # a --json path that cannot be opened is an input error, not a traceback
     capsys.readouterr()
     code, rep = run(["--json", str(tmp_path / "missing" / "x.json"),
@@ -78,6 +88,20 @@ def test_exit_codes(tmp_path, capsys):
     # failed check: a non-member quadric point
     code, rep = run(["model", "quadric", "--point", "1,0,0,0,0,0,0,0,0,0"])
     assert code == 1 and rep.status == "fail"
+
+
+def test_identity_check_fails_for_a_wrong_embedding(monkeypatch):
+    # the check expands the formula that `model embed` evaluates, so a wrong
+    # sign of q in the last slot must show in the symmetric-form row
+    def wrong(z):
+        q = tube.cone_quadratic(z)
+        return (q * -HALF_I - HALF_I, z[0], z[1], z[2], q * -HALF_I - HALF_I)
+
+    monkeypatch.setattr(tube, "embedding_coords", wrong)
+    code, rep = run(["model", "identities"])
+    assert code == 1 and rep.status == "fail"
+    (row,) = [c for c in rep.checks if c.name.startswith("symmetric form of")]
+    assert row.actual == "False" and not row.ok
 
 
 def test_signed_values_parse_in_the_spaced_form():

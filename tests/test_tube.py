@@ -2,8 +2,9 @@ from fractions import Fraction
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from so32cr.scalars import GQ
+from so32cr.scalars import GQ, HALF_I
 from so32cr.linalg import Matrix, Subspace, rank
 from so32cr.tube import (
     BASE_POINT,
@@ -12,7 +13,9 @@ from so32cr.tube import (
     Poly,
     ProjectivePoint,
     SAMPLE_POINTS,
+    _bracket_at,
     cone_fields,
+    covectors_at,
     cubic_form_at,
     embed_f,
     embedding_identity_check,
@@ -27,10 +30,21 @@ from so32cr.tube import (
     quadric_eval,
     rho,
     rib_span_at,
-    theta_of,
 )
 
 I = GQ(0, 1)
+
+
+# -- reference: the polynomial path, a CR value read off whole fields --------
+
+def theta_of(field: Field) -> Poly:
+    """theta(X) for theta = (i/2)(d'rho - d''rho), as an exact polynomial."""
+    r = rho()
+    out = Poly()
+    for j in range(3):
+        out = out + r.diff(j) * field.comps[j]
+        out = out - r.diff(j + 3) * field.comps[j + 3]
+    return out * HALF_I
 
 
 def test_poly_ring_and_conjugation():
@@ -277,5 +291,51 @@ def test_theta_kernel_is_distribution():
     l12, l13, l23, r = cone_fields()
     for f in (l12, l13, l23):
         for p in SAMPLE_POINTS:
-            assert theta_of(f).eval(p.z).is_zero()
-            assert theta_of(f.conj()).eval(p.z).is_zero()
+            cov = covectors_at(p)
+            assert cov.apply(f.eval(p.z))[1].is_zero()
+            assert cov.apply(f.conj().eval(p.z))[1].is_zero()
+
+
+@st.composite
+def cone_points(draw):
+    """x = s * (a, b, c) for a Pythagorean triple with legs signed and
+    ordered at random and a positive rational s, plus a rational y."""
+    m = draw(st.integers(2, 9))
+    n = draw(st.integers(1, m - 1))
+    a, b, c = m * m - n * n, 2 * m * n, m * m + n * n
+    if draw(st.booleans()):
+        a, b = b, a
+    a *= draw(st.sampled_from((1, -1)))
+    b *= draw(st.sampled_from((1, -1)))
+    s = Fraction(draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    y = [Fraction(draw(st.integers(-20, 20)), draw(st.integers(1, 9)))
+         for _ in range(3)]
+    return ConePoint(tuple(GQ(s * x, yi) for x, yi in zip((a, b, c), y)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(cone_points())
+def test_pointwise_values_match_the_polynomial_path(p):
+    l12, l13, l23, r = cone_fields()
+    w = Field([Poly.var(3), Poly.const(I), Poly(), Poly.var(0), Poly(),
+               Poly.const(2)])
+    cov = covectors_at(p)
+    for f in (l12, l13.conj(), r):
+        assert cov.apply(f.eval(p.z))[1] == theta_of(f).eval(p.z)
+    # Levi on real sections, a J image and a rho-multiple perturbation
+    real = l12 + l12.conj()
+    pert = real + w.scale(rho()) + w.conj().scale(rho())
+    for v, u in ((r + r.conj(), real), (real.apply_J(), real), (pert, real),
+                 (real, pert)):
+        assert levi_form_at(p, v, u) == -theta_of(
+            v.bracket(u.apply_J())).eval(p.z)
+    # cubic: the inner bracket stays a field, the outer one is read at p
+    for e, h in ((r, l12.conj()), (r.scale(GQ(2, -1)),
+                                   l23.conj() + w.scale(rho()))):
+        assert cubic_form_at(p, e, h, l13.conj()) == theta_of(
+            e.bracket(h).bracket(l13.conj())).eval(p.z)
+    # Freeman step 0 pairs theta with [L, conj L'], step 1 reads [R, conj L']
+    for f, cb in ((l13, l12.conj()), (r, l23.conj())):
+        ref, value = f.bracket(cb), _bracket_at(f, cb, p.z)
+        assert value == ref.eval(p.z)
+        assert cov.apply(value)[1] == theta_of(ref).eval(p.z)
