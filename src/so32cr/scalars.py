@@ -148,7 +148,7 @@ class GQ:
 
     @staticmethod
     def from_str(s: str) -> "GQ":
-        m = _GQ_RE.fullmatch(s.strip().replace(" ", ""))
+        m = _GQ_RE.fullmatch(s.strip())
         if not m:
             raise ValueError(f"not a Gaussian rational: {s!r}")
         im = m.group("im")

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .scalars import GQ, HALF, HALF_I, I
 from .linalg import (Matrix, Subspace, inverse, kernel, kernel_basis, rank,
-                     real_rows, rref, vec)
+                     real_rows, rref, vec, vec_sub)
 from . import so32
 from .so32 import bracket_complex, COMPLEX_LABELS
 
@@ -108,6 +108,8 @@ class Poly:
 
     def eval(self, z) -> GQ:
         """Value at z in Q[i]^3 (the conjugate variables get conj z)."""
+        if not self.terms:
+            return GQ(0)
         z = [GQ.of(v) for v in z]
         vals = z + [v.conj() for v in z]
         total = GQ(0)
@@ -269,49 +271,46 @@ def covectors_at(p: ConePoint) -> Matrix:
     return Matrix([grad, theta])
 
 
-def _derivative_at(a, f: Poly, z) -> GQ:
-    """sum_i a^i d_i f(z): the derivative of f along the vector a at z."""
-    return sum((c * f.diff(i).eval(z) for i, c in enumerate(a) if c), GQ(0))
+def _jet(field: Field, z):
+    """The 1-jet of a field at z: (V(z), D) with D[i, j] = d_j V^i(z)."""
+    return field.eval(z), Matrix([[c.diff(j).eval(z) for j in range(NVARS)]
+                                  for c in field.comps])
 
 
-def _bracket_at(vf: Field, wf: Field, z) -> tuple:
-    """[V, W] at z from the values and first partials of V and W there."""
-    v, w = vf.eval(z), wf.eval(z)
-    return tuple(_derivative_at(v, wc, z) - _derivative_at(w, vc, z)
-                 for vc, wc in zip(vf.comps, wf.comps))
+def _jet_bracket(vj, wj) -> tuple:
+    """[V, W] at a point from the 1-jets of V and W there: D_W v - D_V w."""
+    (v, dv), (w, dw) = vj, wj
+    return vec_sub(dw.apply(v), dv.apply(w))
 
 
-def _contact_value(cov: Matrix, field: Field, p: ConePoint):
-    """The value at p of a section of the contact distribution."""
-    v = field.eval(p.z)
-    if any(cov.apply(v)):
+def _section_jet(cov: Matrix, field: Field, p: ConePoint):
+    """The 1-jet at p of a section of the contact distribution."""
+    jet = _jet(field, p.z)
+    if any(cov.apply(jet[0])):
         raise ValueError("field is not a section of the contact distribution"
                          " at the point")
-    return v
+    return jet
 
 
 def levi_form_at(p: ConePoint, vf: Field, wf: Field) -> GQ:
     """-theta_p([V, JW]) for sections of the contact distribution."""
-    cov = covectors_at(p)
-    _contact_value(cov, vf, p)
-    _contact_value(cov, wf, p)
-    return -cov.apply(_bracket_at(vf, wf.apply_J(), p.z))[1]
+    return _levi_gram(p, [vf], [wf])[0, 0]
 
 
 def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     """theta_p([[E, H], H']) for E a holomorphic rib field and H, H'
     antiholomorphic sections of the contact distribution; the inner bracket
-    stays a field, the outer one is read at p."""
+    stays a field, the outer one is read at p from 1-jets."""
     if not e.is_type10():
         raise ValueError("first argument must be of type (1,0)")
     _, _, _, R = cone_fields()
     if not Subspace(6, [R.eval(p.z)]).contains(e.eval(p.z)):
         raise ValueError("first argument must point along the rib")
     cov = covectors_at(p)
-    for f in (h, hp):
-        if any(_contact_value(cov, f, p)[:3]):
-            raise ValueError("argument is not antiholomorphic at the point")
-    return cov.apply(_bracket_at(e.bracket(h), hp, p.z))[1]
+    jets = [_section_jet(cov, f, p) for f in (h, hp)]
+    if any(any(jet[0][:3]) for jet in jets):
+        raise ValueError("argument is not antiholomorphic at the point")
+    return cov.apply(_jet_bracket(_jet(e.bracket(h), p.z), jets[1]))[1]
 
 
 def _d10_frame_at(p: ConePoint):
@@ -354,7 +353,13 @@ def _real_frame_at(p: ConePoint):
 
 
 def _levi_gram(p: ConePoint, rows, cols) -> Matrix:
-    return Matrix([[levi_form_at(p, a, b) for b in cols] for a in rows])
+    """-theta_p([V, JW]) for V in rows, W in cols, from one 1-jet per field;
+    W is checked as JW, since the contact distribution is J-invariant."""
+    cov = covectors_at(p)
+    row_jets = [_section_jet(cov, v, p) for v in rows]
+    col_jets = [_section_jet(cov, w.apply_J(), p) for w in cols]
+    return Matrix([[-cov.apply(_jet_bracket(a, b))[1] for b in col_jets]
+                   for a in row_jets])
 
 
 def levi_real_gram(p: ConePoint) -> Matrix:
@@ -380,25 +385,20 @@ def freeman_ranks_at(p: ConePoint):
     """(dim F^10_-1, dim F^10_0, dim F^10_1) by exact pointwise solves."""
     (f1, f2), values = _d10_frame_at(p)
     _, _, _, R = cone_fields()
-    r_at = R.eval(p.z)
     conj_frame = [f1.conj(), f2.conj()]
-    cov = covectors_at(p)
-    # step 0: X with theta([X, conj frame]) = 0 at p  (the Levi kernel)
-    rows = [
-        [cov.apply(_bracket_at(f, cb, p.z))[1] for f in (f1, f2)]
-        for cb in conj_frame
-    ]
-    sol = kernel_basis(Matrix(rows, ncols=2))
+    r_jet, *cb_jets = [_jet(f, p.z) for f in [R] + conj_frame]
+    # step 0 (Levi kernel): rows theta([f, conj f']) = -i (Hermitian Gram)^T
+    sol = kernel_basis(_levi_gram(p, (f1, f2), conj_frame).transpose())
     frame = Matrix.from_columns(values)
     f0 = Subspace(6, [frame.apply(coef) for coef in sol])
     # the solver must recover the ruling direction; otherwise the ambient
     # frame fields would be unusable for the next step
-    if f0 != Subspace(6, [r_at]):
+    if f0 != Subspace(6, [r_jet[0]]):
         raise ArithmeticError("rib direction mismatch at the sample point")
     # step 1: c R with [cR, conj frame] in span{R} + D^01 at p
-    span = Subspace(6, [r_at] + [cb.eval(p.z) for cb in conj_frame])
-    dim_f1 = int(all(span.contains(_bracket_at(R, cb, p.z))
-                     for cb in conj_frame))
+    span = Subspace(6, [r_jet[0]] + [jet[0] for jet in cb_jets])
+    dim_f1 = int(all(span.contains(_jet_bracket(r_jet, jet))
+                     for jet in cb_jets))
     return (2, f0.dim, dim_f1)
 
 

@@ -47,12 +47,14 @@ def test_exit_codes(tmp_path, capsys):
     for z in ("1e100000", "0.5", "1_000"):
         code, rep = run(["model", "embed", "--z", f"{z},0,1,0,0,0"])
         assert code == 2 and rep is None
-    exp_coef = {"k": 2, "terms": [
-        {"args": ["e^-2", "e_1^-1"], "value": "e_2^-1", "coef": "1e3"}]}
-    path = tmp_path / "exp_coef.json"
-    path.write_text(json.dumps(exp_coef))
-    code, rep = run(["normalize", "--k", "2", "--input", str(path)])
-    assert code == 2 and rep is None
+    # a blank inside a coefficient is refused, not deleted ("1 0/1" is not 10)
+    for coef in ("1e3", "1 0/1"):
+        bad_coef = {"k": 2, "terms": [
+            {"args": ["e^-2", "e_1^-1"], "value": "e_2^-1", "coef": coef}]}
+        path = tmp_path / "bad_coef.json"
+        path.write_text(json.dumps(bad_coef))
+        code, rep = run(["normalize", "--k", "2", "--input", str(path)])
+        assert code == 2 and rep is None
     assert "integer string conversion" not in capsys.readouterr().err
     # an integer past the interpreter's digit limit is named as an input
     # error, not answered with advice about sys.set_int_max_str_digits

@@ -56,6 +56,15 @@ def test_serialization_format():
     assert rat_from_str("-3/6") == Fraction(-1, 2)
 
 
+def test_from_str_rejects_inner_blanks():
+    # blanks are stripped at the ends only, as rat_from_str does: "1 2" is
+    # not read as 12
+    assert GQ.from_str(" 1/2+3/4*i ") == GQ(Fraction(1, 2), Fraction(3, 4))
+    for s in ("1 2", "1/2 +3/4*i"):
+        with pytest.raises(ValueError):
+            GQ.from_str(s)
+
+
 def test_i_squares_to_minus_one():
     i = GQ(0, 1)
     assert i * i == GQ(-1)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from so32cr.scalars import GQ, HALF_I
-from so32cr.linalg import Matrix, Subspace, rank
+from so32cr import tube
+from so32cr.linalg import Matrix, Subspace, kernel_basis, rank
 from so32cr.tube import (
     BASE_POINT,
     ConePoint,
@@ -13,7 +14,11 @@ from so32cr.tube import (
     Poly,
     ProjectivePoint,
     SAMPLE_POINTS,
-    _bracket_at,
+    _d10_frame_at,
+    _jet,
+    _jet_bracket,
+    _levi_gram,
+    _real_frame_at,
     cone_fields,
     covectors_at,
     cubic_form_at,
@@ -45,6 +50,18 @@ def theta_of(field: Field) -> Poly:
         out = out + r.diff(j) * field.comps[j]
         out = out - r.diff(j + 3) * field.comps[j + 3]
     return out * HALF_I
+
+
+_LEVI_POLYNOMIALS = {}
+
+
+def levi_polynomial(v: Field, u: Field) -> Poly:
+    """-theta([V, JU]) as a polynomial; it does not depend on the point, so
+    each pair of fields is expanded once."""
+    key = (v.comps, u.comps)
+    if key not in _LEVI_POLYNOMIALS:
+        _LEVI_POLYNOMIALS[key] = -theta_of(v.bracket(u.apply_J()))
+    return _LEVI_POLYNOMIALS[key]
 
 
 def test_poly_ring_and_conjugation():
@@ -334,8 +351,44 @@ def test_pointwise_values_match_the_polynomial_path(p):
                                    l23.conj() + w.scale(rho()))):
         assert cubic_form_at(p, e, h, l13.conj()) == theta_of(
             e.bracket(h).bracket(l13.conj())).eval(p.z)
-    # Freeman step 0 pairs theta with [L, conj L'], step 1 reads [R, conj L']
+    # every entry of the real and the Hermitian Levi Gram
+    (f1, f2), _ = _d10_frame_at(p)
+    frame, conj_frame = (f1, f2), (f1.conj(), f2.conj())
+    herm = _levi_gram(p, frame, conj_frame)
+    reals = _real_frame_at(p)[0]
+    for gram, rows, cols in ((levi_real_gram(p), reals, reals),
+                             (herm, frame, conj_frame)):
+        assert gram == Matrix([[levi_polynomial(v, u).eval(p.z) for u in cols]
+                               for v in rows])
+    # Freeman step 0 pairs theta with [L, conj L'] and reads its kernel off
+    # the transposed Hermitian Gram; step 1 reads [R, conj L']
+    ref_rows = Matrix([[theta_of(f.bracket(cb)).eval(p.z) for f in frame]
+                       for cb in conj_frame])
+    assert (Subspace(2, kernel_basis(herm.transpose()))
+            == Subspace(2, kernel_basis(ref_rows)))
     for f, cb in ((l13, l12.conj()), (r, l23.conj())):
-        ref, value = f.bracket(cb), _bracket_at(f, cb, p.z)
+        ref, value = f.bracket(cb), _jet_bracket(_jet(f, p.z), _jet(cb, p.z))
         assert value == ref.eval(p.z)
         assert cov.apply(value)[1] == theta_of(ref).eval(p.z)
+
+
+def test_one_reading_of_the_covectors_per_point(monkeypatch):
+    # each public evaluator builds theta_p once, whatever the frame size
+    calls = []
+    original = tube.covectors_at
+
+    def counting(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(tube, "covectors_at", counting)
+    l12, _, _, r = cone_fields()
+    real = l12 + l12.conj()
+    p = SAMPLE_POINTS[1]
+    for evaluate in (levi_real_gram, levi_kernel_at, levi_hermitian_rank,
+                     freeman_ranks_at,
+                     lambda p: levi_form_at(p, real, real),
+                     lambda p: cubic_form_at(p, r, l12.conj(), l12.conj())):
+        calls.clear()
+        evaluate(p)
+        assert calls == [p]
