@@ -19,7 +19,7 @@ from . import so32
 from .so32 import Alg
 from .report import Report, ctorsion_from_json, ctorsion_to_json
 from . import cochains, coframe, prolong, tube
-from .carriers import Carrier, endo_complex_matrix
+from .carriers import Carrier, endo_complex_matrix, gl_filtered
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +242,6 @@ def _prolong_report(rep: Report, step: int):
             prolong.step3_component_equations().dim,
             "componentwise linear solve",
         )
-        from .carriers import gl_filtered
         rep.add(
             "degree-5 filtered endomorphisms vanish",
             0,
@@ -460,7 +459,7 @@ def run_constraints() -> Report:
         coframe.catalog_contains_vanishing("T^-1(01)_-1(01)|0(01)"),
         "conjugate of the degree-0 frame condition",
     )
-    flat = prolong.FullTorsion.flat()
+    flat = coframe.FullTorsion.flat()
     flat_ok = all(r.evaluate(flat).is_zero() for r in cat)
     rep.add("flat model satisfies every relation", True, flat_ok,
             "exact evaluation on the bracket torsion")

@@ -10,20 +10,27 @@ flat Maurer-Cartan rule d w^a = -(1/2) C^a_bc w^b ^ w^c is generated from
 the commutator-derived structure constants, and the ten flat structure
 equations are checked coefficient by coefficient; any residue is reported
 with its wedge pair rather than silenced, so printed-sign deltas localize.
+
+The module is also the one home of the structure-function catalog: the
+full torsion, the symbols T^a_b|c and R^a_b|c that name its components, and
+the linear relations among them that the frame conditions of each
+prolongation step and the three torsion normalizations impose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .scalars import GQ, HALF, HALF_I, I
 from . import forms, so32
-from .so32 import CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex
-from .cochains import cochain_dim
+from .so32 import (Alg, CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex,
+                   from_complex_basis, to_complex_basis)
+from .cochains import Cochain, cochain_dim
 from .forms import Form, canonical
-from .linalg import Matrix, kernel
+from .linalg import Matrix, kernel, vec_add, vec_scale, zero_vec
+from .prolong import normalization_space
 
 # short grade labels of the complexified basis ("e^-1(10)" -> "-1(10)"),
 # used in the coframe labels and in the structure-function symbols
@@ -138,35 +145,99 @@ def d_squared_report():
 
 
 # ---------------------------------------------------------------------------
-# the constraint catalog
+# full torsion and the constraint catalog
 # ---------------------------------------------------------------------------
+
+class FullTorsion:
+    """Alternating bilinear map on m with values in g, over the complexified
+    bases: forms[beta] is the 2-form on the five complexified m-labels giving
+    the value component along the complexified g-label beta."""
+
+    def __init__(self, forms=None):
+        self.forms = {b: f for b, f in (forms or {}).items() if not f.is_zero()}
+
+    @staticmethod
+    def flat() -> "FullTorsion":
+        """The torsion of the model: every value is the Lie bracket."""
+        m = [i for i in range(DIM) if not IN_H[i]]
+        values = {(i, j): bracket_complex(i, j) for i, j in combinations(m, 2)}
+        return FullTorsion({
+            beta: Form({pair: v[beta] for pair, v in values.items()})
+            for beta in range(DIM)
+        })
+
+    def add_term(self, arg1: str, arg2: str, value_label: str, coef) -> "FullTorsion":
+        i, j, beta = (so32.COMPLEX_LABELS.index(x) for x in (arg1, arg2, value_label))
+        forms = dict(self.forms)
+        forms[beta] = forms.get(beta, Form()) + Form({(i, j): coef})
+        return FullTorsion(forms)
+
+    def graded_component(self, i: int, j: int, k: int):
+        """tau^k on the (i, j) complexified argument pair: the value
+        components of grade g_i + g_j + k, as complex g-coordinates."""
+        target = GRADES[i] + GRADES[j] + k
+        zero = Form()
+        return tuple(
+            self.forms.get(beta, zero).at((i, j)) if GRADES[beta] == target
+            else GQ(0)
+            for beta in range(DIM)
+        )
+
+    def restrict_ctorsion(self, k: int) -> Cochain:
+        """The degree-k part of the restriction to wedge pairs inside m_-,
+        as a 2-cochain over the real monomial basis."""
+        zc = [to_complex_basis(Alg.basis(i).coords) for i in M_MINUS]
+        table = {}
+        for a, b in combinations(range(len(M_MINUS)), 2):
+            val = zero_vec(DIM)
+            for i, j in product(M_MINUS, repeat=2):
+                f = zc[a][i] * zc[b][j]
+                if f:
+                    val = vec_add(val, vec_scale(f, self.graded_component(i, j, k)))
+            for beta, c in enumerate(from_complex_basis(val)):
+                table[((a, b), beta)] = c
+        return Cochain.from_full_table(2, k, table)
+
+
+def beta_gauge_response(mu, nu, nuprime) -> GQ:
+    """Linear response of the beta component to a degree-1 frame change
+    with parameters (mu, nu, nu'): -conj(mu) + nu - nu'.
+
+    This is a frame-jet statement about the bundle construction, recorded
+    here as the stated response law; it vanishes exactly on the l1 locus
+    nu' = nu - conj(mu), which is why l1 is the residual gauge group once
+    the beta component is normalized to zero."""
+    mu, nu, nuprime = GQ.of(mu), GQ.of(nu), GQ.of(nuprime)
+    return -mu.conj() + nu - nuprime
+
+
+def beta_gauge_variation(base: FullTorsion, mu, nu, nuprime) -> FullTorsion:
+    """The torsion after a degree-1 frame change, at the beta component."""
+    return base.add_term(
+        "e^-1(10)", "e^0(10)", "e^0(01)", beta_gauge_response(mu, nu, nuprime)
+    )
+
 
 @dataclass(frozen=True)
 class Symbol:
-    """One structure function: T^upper_b|c or R^upper_b|c."""
+    """One structure function: T^upper_b|c (m-valued) or R^upper_b|c
+    (h-valued)."""
 
-    kind: str   # "T" for m-valued, "R" for h-valued
     upper: int  # complexified g-basis index of the value
     lower: tuple  # ordered pair of complexified m-basis indices (i < j)
 
+    @property
+    def kind(self) -> str:
+        return "R" if IN_H[self.upper] else "T"
+
     def render(self) -> str:
         b, c = self.lower
-        return (
-            f"{self.kind}^{_SHORT[self.upper]}_"
-            f"{_SHORT[b]}|{_SHORT[c]}"
-        )
+        return f"{self.kind}^{_SHORT[self.upper]}_{_SHORT[b]}|{_SHORT[c]}"
 
-    def conj(self) -> "Symbol":
+    def conj(self):
+        """The conjugate symbol and the sign that orders its pair."""
         lower, sign = canonical(CONJ_PERM[x] for x in self.lower)
-        return Symbol(self.kind, CONJ_PERM[self.upper], lower), sign
-
-
-def symbol_for(value_index: int, arg_pair) -> Symbol:
-    kind = "R" if IN_H[value_index] else "T"
-    i, j = arg_pair
-    if i > j:
-        raise ValueError("arguments must be ordered")
-    return Symbol(kind, value_index, (i, j))
+        return Symbol(CONJ_PERM[self.upper], lower), sign
 
 
 @dataclass(frozen=True)
@@ -183,50 +254,50 @@ class Relation:
     def is_single_vanishing(self) -> bool:
         return len(self.terms) == 1
 
-    def evaluate(self, torsion) -> GQ:
+    def evaluate(self, torsion: FullTorsion) -> GQ:
         """Value on a full torsion (coefficients over complexified bases)."""
-        total = GQ(0)
-        for c, s in self.terms:
-            total = total + c * torsion.value(*s.lower)[s.upper]
-        return total
+        zero = Form()
+        return sum((c * torsion.forms.get(s.upper, zero).at(s.lower)
+                    for c, s in self.terms), GQ(0))
 
 
-def _frame_condition_relations():
-    from .prolong import frame_conditions
+# the graded-torsion components each prolongation step sets to zero, as
+# (name, argument 1, argument 2, value) over the complexified labels; the
+# catalog adds the conjugate of each
+_FRAME_CONDITIONS = {
+    1: (("alpha", "e^-1(10)", "e^0(10)", "e^-1(10)"),
+        ("beta", "e^-1(10)", "e^0(10)", "e^0(01)")),
+    2: (("gamma", "e^-1(10)", "e^0(10)", "e^0(10)"),
+        ("gamma", "e^-1(01)", "e^0(10)", "e^0(01)")),
+    3: (("epsilon", "e^-2", "e^0(10)", "E^0(10)"),
+        ("epsilon", "e^-2", "e^0(10)", "E^0(01)")),
+}
 
+
+def frame_conditions(step: int):
+    """The step's frame conditions as single-symbol relations, each
+    followed by its conjugate."""
+    if step not in _FRAME_CONDITIONS:
+        raise ValueError("step must be 1, 2 or 3")
+    zl = so32.COMPLEX_LABELS.index
     out = []
-    for step in (1, 2, 3):
-        for f in frame_conditions(step):
-            pair, sign = canonical((f.arg1, f.arg2))
-            sym = symbol_for(f.component, pair)
-            rel = Relation(
-                f"step-{step} frame condition: {f.name}",
-                ((GQ(sign), sym),),
-            )
-            out.append(rel)
-            csym, csign = sym.conj()
-            out.append(
-                Relation(
-                    f"step-{step} frame condition (conjugate): {f.name}",
-                    ((GQ(sign * csign), csym),),
-                )
-            )
-    # drop duplicates while keeping order
-    seen = set()
-    unique = []
-    for r in out:
-        key = tuple((c.to_str(), s) for c, s in r.terms)
-        if key not in seen:
-            seen.add(key)
-            unique.append(r)
-    return unique
+    for name, arg1, arg2, value in _FRAME_CONDITIONS[step]:
+        label = f"{name}({arg1}, {arg2}) | {value}"
+        pair, sign = canonical((zl(arg1), zl(arg2)))
+        sym = Symbol(zl(value), pair)
+        csym, csign = sym.conj()
+        out.append(Relation(f"step-{step} frame condition: {label}",
+                            ((GQ(sign), sym),)))
+        out.append(Relation(f"step-{step} frame condition (conjugate): {label}",
+                            ((GQ(sign * csign), csym),)))
+    return out
 
 
 @lru_cache(maxsize=None)
 def _symbol_basis(k: int):
     """Complex symbols of c-torsion degree k on wedge pairs inside m_-."""
     return tuple(
-        symbol_for(beta, (i, j))
+        Symbol(beta, (i, j))
         for i, j in combinations(M_MINUS, 2)
         for beta in range(DIM)
         if GRADES[beta] == GRADES[i] + GRADES[j] + k
@@ -236,8 +307,6 @@ def _symbol_basis(k: int):
 def _normalization_relations(k: int):
     """Annihilator relations expressing membership of the degree-k c-torsion
     in the normalization space, over the complex symbol basis."""
-    from .prolong import FullTorsion, normalization_space
-
     syms = _symbol_basis(k)
     n = cochain_dim(2, k)
     # column for each symbol: real monomial coordinates of the elementary
@@ -266,10 +335,10 @@ def _normalization_relations(k: int):
 def constraint_catalog():
     """All linear relations on structure functions induced by the frame
     conditions and the three torsion-normalization conditions."""
-    out = _frame_condition_relations()
-    for k in (1, 2, 3):
-        out.extend(_normalization_relations(k))
-    return tuple(out)
+    return tuple(
+        [r for step in (1, 2, 3) for r in frame_conditions(step)]
+        + [r for k in (1, 2, 3) for r in _normalization_relations(k)]
+    )
 
 
 def catalog_contains_vanishing(symbol_text: str) -> bool:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, product
 
 from .scalars import GQ, HALF_I, I
 from .linalg import (
@@ -39,9 +38,7 @@ from .linalg import (
     zero_vec,
 )
 from . import so32
-from .so32 import (Alg, GRADES, M_MINUS, bracket_complex, from_complex_basis,
-                   to_complex_basis)
-from .forms import Form
+from .so32 import Alg, M_MINUS
 from .carriers import Carrier, endo_from_complex_images, gl_graded
 from .cochains import (
     Cochain,
@@ -376,12 +373,8 @@ def normalization_space(k: int) -> Subspace:
     # degree 1: orthocomplement of the l1-image inside the full coboundary
     # image (identity Gram), plus ker d*
     image_all = Subspace(n, coboundary_matrix(1, k).columns())
-    l1_img = gauge_image(1)
-    if l1_img.dim == 0:
-        ortho = image_all
-    else:
-        rows = [list(v) for v in l1_img.basis_vectors()]
-        ortho = kernel(Matrix(rows, ncols=n)).intersect(image_all)
+    rows = [list(v) for v in gauge_image(1).basis_vectors()]
+    ortho = kernel(Matrix(rows, ncols=n)).intersect(image_all)
     return ortho.sum(ker_dstar)
 
 
@@ -396,16 +389,15 @@ def _normalize_solver(k: int):
     return carrier, Matrix.from_columns([b.flatten() for b in gauge]), span
 
 
-def normalize_ctorsion(c: Cochain, k: int | None = None):
+def normalize_ctorsion(c: Cochain):
     """Split c = dB + residual with the residual in the normalization space.
 
     Returns (B, residual) where B is an endomorphism of the step carrier,
     unique modulo the step's prolongation algebra (the closed gauge
     directions), and residual is exact: c - dB."""
-    if k is None:
-        k = c.k
-    if (c.ell, c.k) != (2, k):
-        raise ValueError("expected a degree-k 2-cochain")
+    k = c.k
+    if c.ell != 2 or k not in (1, 2, 3):
+        raise ValueError("expected a 2-cochain of degree 1, 2 or 3")
     carrier, gauge, span = _normalize_solver(k)
     x, _ = solve(span, c.coords)
     b = Matrix.unflatten(gauge.apply(x[: gauge.ncols]), carrier.dim)
@@ -413,151 +405,3 @@ def normalize_ctorsion(c: Cochain, k: int | None = None):
     if not normalization_space(k).contains(residual.coords):
         raise ArithmeticError("residual escaped the normalization space")
     return b, residual
-
-
-# ---------------------------------------------------------------------------
-# full torsion and pointwise frame conditions
-# ---------------------------------------------------------------------------
-
-class FullTorsion:
-    """Alternating bilinear map on m with values in g, over the complexified
-    bases: forms[beta] is the 2-form on the five complexified m-labels giving
-    the value component along the complexified g-label beta."""
-
-    def __init__(self, forms=None):
-        self.forms = {b: f for b, f in (forms or {}).items() if not f.is_zero()}
-
-    @staticmethod
-    def flat() -> "FullTorsion":
-        """The torsion of the model: every value is the Lie bracket."""
-        m = [i for i in range(so32.DIM) if not so32.IN_H[i]]
-        values = {(i, j): bracket_complex(i, j) for i, j in combinations(m, 2)}
-        return FullTorsion({
-            beta: Form({pair: v[beta] for pair, v in values.items()})
-            for beta in range(so32.DIM)
-        })
-
-    def add_term(self, arg1: str, arg2: str, value_label: str, coef) -> "FullTorsion":
-        i, j, beta = (so32.COMPLEX_LABELS.index(x) for x in (arg1, arg2, value_label))
-        forms = dict(self.forms)
-        forms[beta] = forms.get(beta, Form()) + Form({(i, j): coef})
-        return FullTorsion(forms)
-
-    def value(self, i: int, j: int):
-        """tau(e_i, e_j) for complexified m-labels, as complex g-coordinates."""
-        zero = Form()
-        return tuple(self.forms.get(b, zero).at((i, j)) for b in range(so32.DIM))
-
-    def graded_component(self, i: int, j: int, k: int):
-        """tau^k on the (i, j) complexified argument pair: the value
-        components of grade g_i + g_j + k, as complex g-coordinates."""
-        target = GRADES[i] + GRADES[j] + k
-        return tuple(
-            c if GRADES[beta] == target else GQ(0)
-            for beta, c in enumerate(self.value(i, j))
-        )
-
-    def restrict_ctorsion(self, k: int) -> Cochain:
-        """The degree-k part of the restriction to wedge pairs inside m_-,
-        as a 2-cochain over the real monomial basis."""
-        zc = [to_complex_basis(Alg.basis(i).coords) for i in M_MINUS]
-        table = {}
-        for a, b in combinations(range(len(M_MINUS)), 2):
-            val = zero_vec(so32.DIM)
-            for i, j in product(M_MINUS, repeat=2):
-                f = zc[a][i] * zc[b][j]
-                if f:
-                    val = vec_add(val, vec_scale(f, self.graded_component(i, j, k)))
-            for beta, c in enumerate(from_complex_basis(val)):
-                table[((a, b), beta)] = c
-        return Cochain.from_full_table(2, k, table)
-
-
-@dataclass(frozen=True)
-class TorsionFunctional:
-    """A linear functional extracting one component of a graded torsion part."""
-
-    name: str
-    source: str
-    arg1: int     # complexified m-label indices
-    arg2: int
-    degree: int
-    component: int  # complexified g-label index
-
-    def apply(self, torsion: FullTorsion) -> GQ:
-        return self.graded_value(torsion)[self.component]
-
-    def graded_value(self, torsion: FullTorsion):
-        return torsion.graded_component(self.arg1, self.arg2, self.degree)
-
-
-def _zl(label):
-    return so32.COMPLEX_LABELS.index(label)
-
-
-def frame_conditions(step: int):
-    """The pointwise linear frame-normalization functionals per step."""
-    if step == 1:
-        return [
-            TorsionFunctional(
-                "alpha(e^-1(10), e^0(10)) | e^-1(10)",
-                "degree-0 torsion component on the contact-level pair",
-                _zl("e^-1(10)"), _zl("e^0(10)"), 0, _zl("e^-1(10)"),
-            ),
-            TorsionFunctional(
-                "alpha(e^-1(01), e^0(01)) | e^-1(01)",
-                "conjugate degree-0 torsion component",
-                _zl("e^-1(01)"), _zl("e^0(01)"), 0, _zl("e^-1(01)"),
-            ),
-            TorsionFunctional(
-                "beta(e^-1(10), e^0(10)) | e^0(01)",
-                "antiholomorphic m^0 component of the degree-1 torsion",
-                _zl("e^-1(10)"), _zl("e^0(10)"), 1, _zl("e^0(01)"),
-            ),
-        ]
-    if step == 2:
-        return [
-            TorsionFunctional(
-                "gamma(e^-1(10), e^0(10)) | e^0(10)",
-                "holomorphic m^0 component of the degree-1 torsion",
-                _zl("e^-1(10)"), _zl("e^0(10)"), 1, _zl("e^0(10)"),
-            ),
-            TorsionFunctional(
-                "gamma(e^-1(01), e^0(10)) | e^0(01)",
-                "antiholomorphic m^0 component on the mixed pair",
-                _zl("e^-1(01)"), _zl("e^0(10)"), 1, _zl("e^0(01)"),
-            ),
-        ]
-    if step == 3:
-        return [
-            TorsionFunctional(
-                "epsilon(e^-2, e^0(10)) | E^0(10)",
-                "h^0 component of the degree-2 torsion, holomorphic part",
-                _zl("e^-2"), _zl("e^0(10)"), 2, _zl("E^0(10)"),
-            ),
-            TorsionFunctional(
-                "epsilon(e^-2, e^0(10)) | E^0(01)",
-                "h^0 component of the degree-2 torsion, antiholomorphic part",
-                _zl("e^-2"), _zl("e^0(10)"), 2, _zl("E^0(01)"),
-            ),
-        ]
-    raise ValueError("step must be 1, 2 or 3")
-
-
-def beta_gauge_response(mu, nu, nuprime) -> GQ:
-    """Linear response of the beta component to a degree-1 frame change
-    with parameters (mu, nu, nu'): -conj(mu) + nu - nu'.
-
-    This is a frame-jet statement about the bundle construction, recorded
-    here as the stated response law; it vanishes exactly on the l1 locus
-    nu' = nu - conj(mu), which is why l1 is the residual gauge group once
-    the beta component is normalized to zero."""
-    mu, nu, nuprime = GQ.of(mu), GQ.of(nu), GQ.of(nuprime)
-    return -mu.conj() + nu - nuprime
-
-
-def beta_gauge_variation(base: FullTorsion, mu, nu, nuprime) -> FullTorsion:
-    """The torsion after a degree-1 frame change, at the beta component."""
-    return base.add_term(
-        "e^-1(10)", "e^0(10)", "e^0(01)", beta_gauge_response(mu, nu, nuprime)
-    )

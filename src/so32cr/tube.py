@@ -310,7 +310,8 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     jets = [_section_jet(cov, f, p) for f in (h, hp)]
     if any(any(jet[0][:3]) for jet in jets):
         raise ValueError("argument is not antiholomorphic at the point")
-    return cov.apply(_jet_bracket(_jet(e.bracket(h), p.z), jets[1]))[1]
+    theta = Matrix([cov.row(1)])
+    return theta.apply(_jet_bracket(_jet(e.bracket(h), p.z), jets[1]))[0]
 
 
 def _d10_frame_at(p: ConePoint):
@@ -358,7 +359,8 @@ def _levi_gram(p: ConePoint, rows, cols) -> Matrix:
     cov = covectors_at(p)
     row_jets = [_section_jet(cov, v, p) for v in rows]
     col_jets = [_section_jet(cov, w.apply_J(), p) for w in cols]
-    return Matrix([[-cov.apply(_jet_bracket(a, b))[1] for b in col_jets]
+    theta = Matrix([cov.row(1)])
+    return Matrix([[-theta.apply(_jet_bracket(a, b))[0] for b in col_jets]
                    for a in row_jets])
 
 

@@ -2,17 +2,19 @@ from fractions import Fraction
 
 from so32cr.scalars import GQ
 from so32cr.coframe import (
+    FullTorsion,
     catalog_contains_vanishing,
     constraint_catalog,
     d_squared_report,
     exterior_derivative,
+    frame_conditions,
     maurer_cartan,
     structure_equation_lhs,
     verify_structure_equations,
     _idx,
 )
 from so32cr.forms import Form
-from so32cr.prolong import FullTorsion
+from so32cr.so32 import COMPLEX_LABELS
 
 I = GQ(0, 1)
 HALF_I = GQ(0, Fraction(1, 2))
@@ -123,3 +125,19 @@ def test_relation_detects_violation():
         and r.terms[0][1].render() == "T^-1(10)_-1(10)|0(10)"
         for r in violated
     )
+
+
+def test_every_frame_condition_can_fail():
+    # perturb the flat torsion on each relation's own symbol, conjugates too
+    flat = FullTorsion.flat()
+    c = GQ(Fraction(3, 2), -1)
+    relations = [r for step in (1, 2, 3) for r in frame_conditions(step)]
+    assert len(relations) == 12
+    for r in relations:
+        ((sign, sym),) = r.terms
+        assert sign in (1, -1)
+        i, j = sym.lower
+        bad = flat.add_term(COMPLEX_LABELS[i], COMPLEX_LABELS[j],
+                            COMPLEX_LABELS[sym.upper], c)
+        assert r.evaluate(flat).is_zero(), r.source
+        assert r.evaluate(bad) == sign * c, r.source

@@ -8,14 +8,16 @@ from so32cr.linalg import Matrix, Subspace
 from so32cr.so32 import Alg, GRADES
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr.cochains import Cochain, act_on_cochain, coboundary, cochain_dim
-from so32cr.prolong import (
+from so32cr.coframe import (
     FullTorsion,
-    STEP_CARRIERS,
     beta_gauge_response,
     beta_gauge_variation,
+    frame_conditions,
+)
+from so32cr.prolong import (
+    STEP_CARRIERS,
     cochain_of_endo,
     endo_of_cochain,
-    frame_conditions,
     gauge_image,
     gl2_endo,
     invariant_inner_product,
@@ -221,6 +223,12 @@ def test_normalize_round_trip_random():
             assert normalization_space(k).contains(res.coords)
 
 
+def test_normalize_rejects_degrees_without_a_step():
+    for k in (0, 4):
+        with pytest.raises(ValueError):
+            normalize_ctorsion(Cochain.zero(2, k))
+
+
 def test_endo_cochain_round_trip():
     carrier = Carrier("m+h0+h1")
     b = gl2_endo(GQ(1, -1), 2, I, GQ(0, 3))
@@ -232,7 +240,7 @@ def test_frame_conditions_on_flat_model():
     flat = FullTorsion.flat()
     for step in (1, 2, 3):
         for f in frame_conditions(step):
-            assert f.apply(flat).is_zero()
+            assert f.evaluate(flat).is_zero()
     with pytest.raises(ValueError):
         frame_conditions(4)
 
@@ -242,8 +250,8 @@ def test_alpha_perturbation_response():
     nu = GQ(Fraction(5, 3), -2)
     pert = flat.add_term("e^-1(10)", "e^0(10)", "e^-1(10)", nu)
     alpha = frame_conditions(1)[0]
-    assert alpha.apply(pert) == nu
-    assert alpha.apply(flat).is_zero()
+    assert alpha.evaluate(pert) == nu
+    assert alpha.evaluate(flat).is_zero()
 
 
 def test_beta_gauge_response():
@@ -254,7 +262,7 @@ def test_beta_gauge_response():
         mu = GQ(rng.randrange(-3, 4), rng.randrange(-3, 4))
         nu = GQ(rng.randrange(-3, 4), rng.randrange(-3, 4))
         nup = GQ(rng.randrange(-3, 4), rng.randrange(-3, 4))
-        assert beta.apply(beta_gauge_variation(flat, mu, nu, nup)) == (
+        assert beta.evaluate(beta_gauge_variation(flat, mu, nu, nup)) == (
             beta_gauge_response(mu, nu, nup)
         )
         # the response vanishes exactly on the l1 locus
