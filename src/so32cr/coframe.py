@@ -148,6 +148,12 @@ def d_squared_report():
 # full torsion and the constraint catalog
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
+def _m_minus_complex_coords():
+    """Complex coordinates of the real m_- basis vectors."""
+    return [to_complex_basis(Alg.basis(i).coords) for i in M_MINUS]
+
+
 class FullTorsion:
     """Alternating bilinear map on m with values in g, over the complexified
     bases: forms[beta] is the 2-form on the five complexified m-labels giving
@@ -186,7 +192,7 @@ class FullTorsion:
     def restrict_ctorsion(self, k: int) -> Cochain:
         """The degree-k part of the restriction to wedge pairs inside m_-,
         as a 2-cochain over the real monomial basis."""
-        zc = [to_complex_basis(Alg.basis(i).coords) for i in M_MINUS]
+        zc = _m_minus_complex_coords()
         table = {}
         for a, b in combinations(range(len(M_MINUS)), 2):
             val = zero_vec(DIM)
@@ -304,18 +310,31 @@ def _symbol_basis(k: int):
     )
 
 
+def _symbol_column(s: Symbol, k: int):
+    """Real monomial coordinates of the restricted degree-k c-torsion whose
+    one nonzero complex coefficient is s = 1.  Its only component is the
+    value label s.upper on the pair s.lower = (i, j), so on the real wedge
+    pair (a, b) its value is the 2x2 minor z_a^i z_b^j - z_a^j z_b^i times
+    the real coordinates of that value label."""
+    i, j = s.lower
+    zc = _m_minus_complex_coords()
+    unit = so32.complex_unit(s.upper)
+    table = {}
+    for a, b in combinations(range(len(M_MINUS)), 2):
+        f = zc[a][i] * zc[b][j] - zc[a][j] * zc[b][i]
+        if f:
+            for beta, c in enumerate(unit):
+                table[((a, b), beta)] = f * c
+    return Cochain.from_full_table(2, k, table).coords
+
+
 def _normalization_relations(k: int):
     """Annihilator relations expressing membership of the degree-k c-torsion
     in the normalization space, over the complex symbol basis."""
     syms = _symbol_basis(k)
     n = cochain_dim(2, k)
-    # column for each symbol: real monomial coordinates of the elementary
-    # torsion with that single complex coefficient
-    cols = []
-    for s in syms:
-        t = FullTorsion({s.upper: Form({s.lower: 1})})
-        cols.append(t.restrict_ctorsion(k).coords)
-    phi_t = Matrix.from_columns(cols, nrows=n).transpose()
+    phi_t = Matrix.from_columns([_symbol_column(s, k) for s in syms],
+                                nrows=n).transpose()
     # the annihilator of the normalization space, one covector at a time
     rows = normalization_space(k).basis_vectors()
     out = []

@@ -199,7 +199,7 @@ def rref(m: Matrix):
             continue
         rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
         piv = rows[pr][pc]
-        if piv.re != 1 or piv.im != 0:
+        if piv != 1:
             inv = piv.inverse()
             rows[pr] = [inv * x for x in rows[pr]]
         for i in range(nr):

@@ -1,9 +1,10 @@
 """Exact scalars: rationals and Gaussian rationals.
 
-Rationals are stdlib ``fractions.Fraction`` (arbitrary precision, always
-normalized, positive denominator).  ``GaussianRational`` is the field Q[i]
-built on top of it; every linear-algebra routine in this package works over
-that field so nothing ever rounds.
+Rationals are stdlib ``fractions.Fraction``.  A Gaussian rational, the field
+Q[i], is a ``GQ``: three Python ints (a, b, d) standing for (a + b*i)/d, with
+d > 0 and gcd(a, b, d) = 1, so every value has exactly one representation
+and zero is (0, 0, 1).  Every linear-algebra routine in this package works
+over that field, so nothing ever rounds, and floats are refused.
 
 Text serialization (used in JSON reports and the Table-1 fixture):
 
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from numbers import Rational
 
 _RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
 _GQ_RE = re.compile(rf"(?P<re>{_RAT})(?:(?P<im>[+-][0-9]+(?:/[0-9]+)?)\*i)?")
@@ -46,25 +49,68 @@ def rat_from_str(s: str) -> Fraction:
             f"not a rational: too many digits in {s.strip()[:20]}...") from None
 
 
-class GQ:
-    """A Gaussian rational re + im*i with exact Fraction parts.
+def _gq(a: int, b: int, d: int) -> "GQ":
+    """The value (a + b*i)/d for ints with d > 0, reduced by one gcd unless
+    d == 1; every arithmetic result is built here, without ``__init__``."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a //= g
+            b //= g
+            d //= g
+    x = _new(GQ)
+    x._a = a
+    x._b = b
+    x._d = d
+    return x
 
-    Immutable and hashable.  Arithmetic never leaves Q[i]; division by zero
+
+def _rational(x):
+    """(numerator, denominator > 0) of an int, a rational or a rational
+    literal; floats, complex numbers and anything else raise TypeError."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, (str, Rational)):
+        f = Fraction(x)
+        return f.numerator, f.denominator
+    raise TypeError(f"GQ takes ints and rationals, not {type(x).__name__}")
+
+
+def _operand(x):
+    """An int or Fraction operand as a GQ; NotImplemented for any other
+    type, so that the other operand's reflected method decides."""
+    if isinstance(x, int):
+        return _gq(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _gq(x.numerator, 0, x.denominator)
+    return NotImplemented
+
+
+class GQ:
+    """A Gaussian rational (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.
+
+    Immutable and hashable, as ``Fraction`` is: the ints sit in private
+    slots that nothing outside this module writes, and equal values have
+    equal representations.  Arithmetic never leaves Q[i]; division by zero
     raises ZeroDivisionError.
+    ``re``, ``im`` and ``abs2`` are derived Fractions for readers.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        if type(re) is not Fraction:
-            re = Fraction(re)
-        if type(im) is not Fraction:
-            im = Fraction(im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GQ is immutable")
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            p, q = _rational(re)
+            r, s = _rational(im)
+            # reduced re and im over the lcm of their denominators already
+            # have gcd(a, b, d) = 1
+            d = lcm(q, s)
+            a, b = p * (d // q), r * (d // s)
+        self._a = a
+        self._b = b
+        self._d = d
 
     # -- constructors -------------------------------------------------
     @staticmethod
@@ -73,77 +119,121 @@ class GQ:
             return x
         return GQ(x)
 
+    # -- readers ---------------------------------------------------------
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- ring/field operations ----------------------------------------
     def __add__(self, other):
-        other = GQ.of(other)
-        return GQ(self.re + other.re, self.im + other.im)
+        if type(other) is not GQ:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _gq(self._a + other._a, self._b + other._b, d)
+        return _gq(self._a * f + other._a * d, self._b * f + other._b * d,
+                   d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GQ(-self.re, -self.im)
+        return _gq(-self._a, -self._b, self._d)
 
     def __sub__(self, other):
-        return self + (-GQ.of(other))
+        if type(other) is not GQ:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _gq(self._a - other._a, self._b - other._b, d)
+        return _gq(self._a * f - other._a * d, self._b * f - other._b * d,
+                   d * f)
 
     def __rsub__(self, other):
-        return GQ.of(other) + (-self)
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other - self
 
     def __mul__(self, other):
-        other = GQ.of(other)
-        return GQ(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GQ:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b, c, e = self._a, self._b, other._a, other._b
+        if b or e:
+            return _gq(a * c - b * e, a * e + b * c, self._d * other._d)
+        return _gq(a * c, 0, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GQ":
-        n = self.abs2()
-        if n == 0:
+        """d(a - b*i)/(a^2 + b^2)."""
+        a, b, d = self._a, self._b, self._d
+        n = a * a + b * b
+        if not n:
             raise ZeroDivisionError("inverse of 0 in Q[i]")
-        return GQ(self.re / n, -self.im / n)
+        return _gq(d * a, -d * b, n)
 
     def __truediv__(self, other):
-        return self * GQ.of(other).inverse()
+        if type(other) is not GQ:
+            other = _operand(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
-        return GQ.of(other) * self.inverse()
+        other = _operand(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other * self.inverse()
 
     def conj(self) -> "GQ":
-        return GQ(self.re, -self.im)
+        return _gq(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """|x|^2 = re^2 + im^2, a nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b,
+                        self._d * self._d)
 
     # -- predicates / hashing ------------------------------------------
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self._a or self._b)
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._a or self._b)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GQ(other)
-        if not isinstance(other, GQ):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is GQ:
+            return (self._a == other._a and self._b == other._b
+                    and self._d == other._d)
+        if isinstance(other, int):
+            return not self._b and self._d == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return (not self._b and self._d == other.denominator
+                    and self._a == other.numerator)
+        return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
+        if not self._b:
+            return hash(self._a) if self._d == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     # -- text -----------------------------------------------------------
     def to_str(self) -> str:
-        if self.im == 0:
+        if not self._b:
             return rat_to_str(self.re)
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self._b > 0 else "-"
         return f"{rat_to_str(self.re)}{sign}{rat_to_str(abs(self.im))}*i"
 
     @staticmethod
@@ -157,6 +247,8 @@ class GQ:
     def __repr__(self):
         return f"GQ({self.to_str()})"
 
+
+_new = object.__new__
 
 I = GQ(0, 1)
 HALF = GQ(Fraction(1, 2))

@@ -248,7 +248,7 @@ class ConePoint:
         if len(z) != 3:
             raise ValueError("need 3 complex coordinates")
         object.__setattr__(self, "z", z)
-        if cone_quadratic([c.re for c in z]) != 0:
+        if cone_quadratic([GQ(c.re) for c in z]):
             raise ValueError("real part is not on the cone")
         if z[2].re <= 0:
             raise ValueError("not on the future half (x^3 must be positive)")
@@ -283,6 +283,23 @@ def _jet_bracket(vj, wj) -> tuple:
     return vec_sub(dw.apply(v), dv.apply(w))
 
 
+def _dot(u, v) -> GQ:
+    return sum((a * b for a, b in zip(u, v) if a and b), GQ(0))
+
+
+def _theta_jet(theta, jet):
+    """(V(p), theta_p D_V) from the 1-jet of V at p: one row per field, so
+    that theta_p([V, W]) is (theta_p D_W) v - (theta_p D_V) w."""
+    v, d = jet
+    return v, tuple(_dot(theta, col) for col in d.columns())
+
+
+def _theta_bracket(vt, wt) -> GQ:
+    """theta_p([V, W]) from the theta-jets of V and W at p."""
+    (v, tv), (w, tw) = vt, wt
+    return _dot(tw, v) - _dot(tv, w)
+
+
 def _section_jet(cov: Matrix, field: Field, p: ConePoint):
     """The 1-jet at p of a section of the contact distribution."""
     jet = _jet(field, p.z)
@@ -310,8 +327,9 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     jets = [_section_jet(cov, f, p) for f in (h, hp)]
     if any(any(jet[0][:3]) for jet in jets):
         raise ValueError("argument is not antiholomorphic at the point")
-    theta = Matrix([cov.row(1)])
-    return theta.apply(_jet_bracket(_jet(e.bracket(h), p.z), jets[1]))[0]
+    theta = cov.row(1)
+    return _theta_bracket(_theta_jet(theta, _jet(e.bracket(h), p.z)),
+                          _theta_jet(theta, jets[1]))
 
 
 def _d10_frame_at(p: ConePoint):
@@ -357,10 +375,11 @@ def _levi_gram(p: ConePoint, rows, cols) -> Matrix:
     """-theta_p([V, JW]) for V in rows, W in cols, from one 1-jet per field;
     W is checked as JW, since the contact distribution is J-invariant."""
     cov = covectors_at(p)
-    row_jets = [_section_jet(cov, v, p) for v in rows]
-    col_jets = [_section_jet(cov, w.apply_J(), p) for w in cols]
-    theta = Matrix([cov.row(1)])
-    return Matrix([[-theta.apply(_jet_bracket(a, b))[0] for b in col_jets]
+    theta = cov.row(1)
+    row_jets = [_theta_jet(theta, _section_jet(cov, v, p)) for v in rows]
+    col_jets = [_theta_jet(theta, _section_jet(cov, w.apply_J(), p))
+                for w in cols]
+    return Matrix([[-_theta_bracket(a, b) for b in col_jets]
                    for a in row_jets])
 
 

@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from so32cr.scalars import GQ
 from so32cr.coframe import (
     FullTorsion,
@@ -12,6 +14,8 @@ from so32cr.coframe import (
     structure_equation_lhs,
     verify_structure_equations,
     _idx,
+    _symbol_basis,
+    _symbol_column,
 )
 from so32cr.forms import Form
 from so32cr.so32 import COMPLEX_LABELS
@@ -141,3 +145,14 @@ def test_every_frame_condition_can_fail():
                             COMPLEX_LABELS[sym.upper], c)
         assert r.evaluate(flat).is_zero(), r.source
         assert r.evaluate(bad) == sign * c, r.source
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_symbol_columns_match_restrict_ctorsion(k):
+    # each catalog column, read from its symbol's one nonzero component,
+    # equals the restriction of the whole one-symbol torsion
+    syms = _symbol_basis(k)
+    assert syms
+    for s in syms:
+        torsion = FullTorsion({s.upper: Form({s.lower: 1})})
+        assert _symbol_column(s, k) == torsion.restrict_ctorsion(k).coords, s
