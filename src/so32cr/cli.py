@@ -3,6 +3,11 @@
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage error.
 ``--json PATH`` additionally writes the report (byte-identical across runs
 with the same arguments).
+
+Every command is one row of ``COMMANDS``.  Its report is named by the row's
+words followed by each declared argument with its parsed value, and its
+runner imports the engine modules it uses when it runs, so a command loads
+only what it computes with.
 """
 
 from __future__ import annotations
@@ -12,51 +17,42 @@ import itertools
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .scalars import GQ, rat_from_str
-from .linalg import Subspace, rank
-from . import so32
-from .so32 import Alg
-from .report import Report, ctorsion_from_json, ctorsion_to_json
-from . import cochains, coframe, prolong, tube
-from .carriers import Carrier, endo_complex_matrix, gl_filtered
+from .report import Report
 
 
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
 
-def run_verify_table1() -> Report:
-    rep = Report("verify table1")
+def run_verify_table1(rep: Report):
+    """110 fixture cells vs matrix commutators"""
+    from . import so32
     cells = so32.table1_crosscheck()
     rep.add("cell count", 110, len(cells), "fixture layout")
     for c in cells:
         name = f"table1[{c.row}, {c.col}]"
-        if c.match:
-            rep.add(
-                name,
-                so32.format_combination(c.commutator_value),
-                so32.format_combination(c.table_value),
-                "matrix commutator oracle",
-            )
-        else:
-            note = (
-                f"transcription delta, scalar factor {c.scalar_factor.to_str()}"
+        if not c.match:
+            name += (
+                f" (transcription delta, scalar factor {c.scalar_factor.to_str()})"
                 if c.scalar_factor is not None
-                else "unexplained delta"
+                else " (unexplained delta)"
             )
-            rep.add(
-                name + f" ({note})",
-                so32.format_combination(c.commutator_value),
-                so32.format_combination(c.table_value),
-                "matrix commutator oracle",
-                ok=c.explained,
-            )
-    return rep
+        rep.add(
+            name,
+            so32.format_combination(c.commutator_value),
+            so32.format_combination(c.table_value),
+            "matrix commutator oracle",
+            ok=None if c.match else c.explained,
+        )
 
 
-def run_verify_jacobi() -> Report:
-    rep = Report("verify jacobi")
+def run_verify_jacobi(rep: Report):
+    """bracket integrity and grading"""
+    from . import so32
+    from .so32 import Alg
     basis = [Alg.basis(i) for i in range(so32.DIM)]
     bad = 0
     total = 0
@@ -86,11 +82,11 @@ def run_verify_jacobi() -> Report:
     rep.add("bracket respects grading", True, grading_ok, "adjoint grading")
     dims = tuple(so32.GRADE_DIMS.values())
     rep.add("grading eigenspace dims", (1, 2, 4, 2, 1), dims, "grading element spectrum")
-    return rep
 
 
-def run_verify_structeq() -> Report:
-    rep = Report("verify structeq")
+def run_verify_structeq(rep: Report):
+    """flat structure equations and d^2 = 0"""
+    from . import coframe
     for r in coframe.verify_structure_equations():
         rep.add(
             f"structure equation {r['equation']}",
@@ -119,15 +115,15 @@ def run_verify_structeq() -> Report:
         "conjugation symmetry of the catalog (one printed variant differs "
         "in this single index; localized transcription delta)",
     )
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # cochain commands
 # ---------------------------------------------------------------------------
 
-def run_cohomology(ell: int, k: int) -> Report:
-    rep = Report(f"cohomology --ell {ell} --k {k}")
+def run_cohomology(rep: Report, ell: int, k: int):
+    """cohomology dimension of a slice"""
+    from . import cochains
     dim = cochains.cohomology_dim(ell, k)
     harm = cochains.kostant_pieces(ell, k)[1].dim
     rep.add(f"dim H^{ell}_{k}", dim, dim, "kernel/image rank arithmetic")
@@ -137,11 +133,11 @@ def run_cohomology(ell: int, k: int) -> Report:
         harm,
         "two independent computations (quotient vs harmonic subspace)",
     )
-    return rep
 
 
-def run_hodge(ell: int, k: int) -> Report:
-    rep = Report(f"hodge --ell {ell} --k {k}")
+def run_hodge(rep: Report, ell: int, k: int):
+    """Hodge decomposition checks of a slice"""
+    from . import cochains
     n = cochains.cochain_dim(ell, k)
     exact, harm, coex = cochains.kostant_pieces(ell, k)
     rep.add("dim slice", n, n, "monomial enumeration")
@@ -166,7 +162,6 @@ def run_hodge(ell: int, k: int) -> Report:
         t = cochains.hodge_decompose(c)
         resum_ok = resum_ok and t.resum().coords == c.coords
     rep.add("decompose/resum is the identity", True, resum_ok, "partition of identity")
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -175,101 +170,87 @@ def run_hodge(ell: int, k: int) -> Report:
 
 _EXPECTED_DIMS = (2, 2, 1, 0)
 
-
-def _prolong_report(rep: Report, step: int):
-    s = (prolong.prolong_step0, prolong.prolong_step1,
-         prolong.prolong_step2, prolong.prolong_step3)[step]()
-    rep.add(
-        f"step {step} dimension",
-        _EXPECTED_DIMS[step],
-        s.dim,
-        "linear solver on the graded gauge space",
-    )
-    # the generators are projected adjoint actions by construction; the
-    # check is that the solver's space is exactly their span
-    span = Subspace(s.space.ambient_dim, [g.flatten() for g in s.generators])
-    for g in s.generators:
-        ok = s.space.contains(g.flatten()) and span == s.space
-        rep.add(
-            f"step {step} generator equals projected ad of witness",
-            True,
-            ok,
-            "projected adjoint action, exact matrix equality",
-        )
-    if step == 1:
-        l1 = prolong.l1_subspace()
-        rep.add("degree-1 gauge space dimension", 6, l1.dim,
-                "parameter count of the gauge algebra")
-        rep.add("degree-1 gauge space note", l1.note, l1.note,
-                "solver summary", ok=True)
-        ip = prolong.invariant_inner_product()
-        rep.add("inner product choice", ip.note, ip.note,
-                "recorded normalization data", ok=True)
-        g1, g2 = s.generators
-        z1 = endo_complex_matrix(s.carrier, g1)
-        z2 = endo_complex_matrix(s.carrier, g2)
-        rep.add(
-            "step 1 first generator on grade -2",
-            "(1/1)*e^-1(10) + (1/1)*e^-1(01)",
-            so32.format_combination(s.carrier.embed_coords(z1.col(0))),
-            "closed gauge directions at degree 1",
-        )
-        rep.add(
-            "step 1 second generator on grade -2",
-            "(0/1+1/1*i)*e^-1(10) + (0/1-1/1*i)*e^-1(01)",
-            so32.format_combination(s.carrier.embed_coords(z2.col(0))),
-            "closed gauge directions at degree 1",
-        )
-    if step == 2:
-        (g,) = s.generators
-        z = endo_complex_matrix(s.carrier, g)
-        rep.add(
-            "step 2 generator on grade -2",
-            "(1/1)*E^0(10) + (1/1)*E^0(01)",
-            so32.format_combination(s.carrier.embed_coords(z.col(0))),
-            "closed gauge directions at degree 2",
-        )
-        rep.add(
-            "step 2 generator on e^-1(10)",
-            "(0/1+1/1*i)*E^1(10)",
-            so32.format_combination(s.carrier.embed_coords(z.col(1))),
-            "closed gauge directions at degree 2",
-        )
-    if step == 3:
-        rep.add(
-            "displayed component equations admit only zero",
-            0,
-            prolong.step3_component_equations().dim,
-            "componentwise linear solve",
-        )
-        rep.add(
-            "degree-5 filtered endomorphisms vanish",
-            0,
-            gl_filtered(Carrier("m+h"), 5).dim,
-            "filtration entry patterns",
-        )
-    for note in s.notes:
-        rep.add(f"step {step} note", note, note, "solver summary")
+# (step, row name, generator, column, expected): a generator's image of one
+# carrier basis vector, in complexified coordinates
+_GENERATOR_IMAGES = (
+    (1, "first generator on grade -2", 0, 0,
+     "(1/1)*e^-1(10) + (1/1)*e^-1(01)"),
+    (1, "second generator on grade -2", 1, 0,
+     "(0/1+1/1*i)*e^-1(10) + (0/1-1/1*i)*e^-1(01)"),
+    (2, "generator on grade -2", 0, 0, "(1/1)*E^0(10) + (1/1)*E^0(01)"),
+    (2, "generator on e^-1(10)", 0, 1, "(0/1+1/1*i)*E^1(10)"),
+)
 
 
-def run_prolong(step: str) -> Report:
-    rep = Report(f"prolong --step {step}")
-    if step == "all":
-        for i in range(4):
-            _prolong_report(rep, i)
-    else:
-        _prolong_report(rep, int(step))
-    return rep
+def run_prolong(rep: Report, which: str):
+    """prolongation step solver"""
+    from . import prolong, so32
+    from .carriers import Carrier, endo_complex_matrix, gl_filtered
+    from .linalg import Subspace
+    for step in range(4) if which == "all" else (int(which),):
+        s = getattr(prolong, f"prolong_step{step}")()
+        rep.add(
+            f"step {step} dimension",
+            _EXPECTED_DIMS[step],
+            s.dim,
+            "linear solver on the graded gauge space",
+        )
+        # the generators are projected adjoint actions by construction; the
+        # check is that the solver's space is exactly their span
+        span = Subspace(s.space.ambient_dim, [g.flatten() for g in s.generators])
+        for g in s.generators:
+            ok = s.space.contains(g.flatten()) and span == s.space
+            rep.add(
+                f"step {step} generator equals projected ad of witness",
+                True,
+                ok,
+                "projected adjoint action, exact matrix equality",
+            )
+        if step == 1:
+            l1 = prolong.l1_subspace()
+            rep.add("degree-1 gauge space dimension", 6, l1.dim,
+                    "parameter count of the gauge algebra")
+            rep.add("degree-1 gauge space note", l1.note, l1.note,
+                    "solver summary", ok=True)
+            ip = prolong.invariant_inner_product()
+            rep.add("inner product choice", ip.note, ip.note,
+                    "recorded normalization data", ok=True)
+        for row_step, name, g, col, expected in _GENERATOR_IMAGES:
+            if row_step == step:
+                z = endo_complex_matrix(s.carrier, s.generators[g])
+                rep.add(
+                    f"step {step} {name}",
+                    expected,
+                    so32.format_combination(s.carrier.embed_coords(z.col(col))),
+                    f"closed gauge directions at degree {step}",
+                )
+        if step == 3:
+            rep.add(
+                "displayed component equations admit only zero",
+                0,
+                prolong.step3_component_equations().dim,
+                "componentwise linear solve",
+            )
+            rep.add(
+                "degree-5 filtered endomorphisms vanish",
+                0,
+                gl_filtered(Carrier("m+h"), 5).dim,
+                "filtration entry patterns",
+            )
+        for note in s.notes:
+            rep.add(f"step {step} note", note, note, "solver summary")
 
 
-def run_normalize(k: int, path: str) -> Report:
-    rep = Report(f"normalize --k {k} --input {path}")
+def run_normalize(rep: Report, k: int, path: str):
+    """normalize a c-torsion table"""
+    from . import cochains, prolong
+    from .carriers import Carrier
     with open(path) as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise ValueError("input JSON is nested too deeply") from None
-    c = ctorsion_from_json(data)
+    c = cochains.ctorsion_from_json(data)
     if c.k != k:
         raise ValueError(f"input degree {c.k} does not match --k {k}")
     b, residual = prolong.normalize_ctorsion(c)
@@ -290,7 +271,7 @@ def run_normalize(k: int, path: str) -> Report:
     rep.add(
         "residual coefficients",
         "(reported)",
-        json.dumps(ctorsion_to_json(residual), sort_keys=True),
+        json.dumps(cochains.ctorsion_to_json(residual), sort_keys=True),
         "normalization output",
         ok=True,
     )
@@ -298,48 +279,47 @@ def run_normalize(k: int, path: str) -> Report:
         ip = prolong.invariant_inner_product()
         rep.add("inner product choice", ip.note, ip.note,
                 "recorded normalization data", ok=True)
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # model commands
 # ---------------------------------------------------------------------------
 
-def _parse_point(csv: str, chart: str) -> tube.ProjectivePoint:
+def _rationals(csv: str, flag: str, n: int, layout: str) -> list:
+    """The n comma-separated rationals of an option value, in ``layout``."""
     parts = [rat_from_str(p) for p in csv.split(",")]
-    if len(parts) != 10:
-        raise ValueError("--point needs 10 rationals re0,im0,...,re4,im4")
-    coords = [GQ(parts[2 * i], parts[2 * i + 1]) for i in range(5)]
-    return tube.ProjectivePoint(coords, chart)
+    if len(parts) != n:
+        raise ValueError(f"{flag} needs {n} rationals {layout}")
+    return parts
 
 
-def _parse_z(csv: str):
-    parts = [rat_from_str(p) for p in csv.split(",")]
-    if len(parts) != 6:
-        raise ValueError("--z needs 6 rationals x1,x2,x3,y1,y2,y3")
-    return [GQ(parts[i], parts[i + 3]) for i in range(3)]
+def _cone_z(csv: str) -> list:
+    x = _rationals(csv, "--z", 6, "x1,x2,x3,y1,y2,y3")
+    return [GQ(re, im) for re, im in zip(x[:3], x[3:])]
 
 
-def run_model_quadric(csv: str, chart: str) -> Report:
-    rep = Report(f"model quadric --point {csv} --chart {chart}")
-    t = _parse_point(csv, chart)
+def run_model_quadric(rep: Report, csv: str, chart: str):
+    """ambient forms and orbit value at a projective point"""
+    from . import tube
+    x = _rationals(csv, "--point", 10, "re0,im0,...,re4,im4")
+    t = tube.ProjectivePoint([GQ(re, im) for re, im in zip(x[::2], x[1::2])],
+                             chart)
     bil, herm, third = tube.quadric_eval(t)
     rep.add("symmetric form", "0/1", bil.to_str(), "exact substitution")
     rep.add("hermitian form", "0/1", herm.to_str(), "exact substitution")
-    if third is not None:
-        rep.add(
-            "orbit inequality value positive",
-            True,
-            third.im == 0 and third.re > 0,
-            "exact substitution (diag chart only)",
-        )
-        rep.add("orbit value", third.to_str(), third.to_str(), "exact substitution")
-    return rep
+    rep.add(
+        "orbit inequality value positive",
+        True,
+        third.im == 0 and third.re > 0,
+        "exact substitution (diag chart only)",
+    )
+    rep.add("orbit value", third.to_str(), third.to_str(), "exact substitution")
 
 
-def run_model_embed(csv: str) -> Report:
-    rep = Report(f"model embed --z {csv}")
-    z = _parse_z(csv)
+def run_model_embed(rep: Report, csv: str):
+    """the embedding of a tube point into the quadric"""
+    from . import tube
+    z = _cone_z(csv)
     f = tube.embed_f(z)
     bil, herm, third = tube.quadric_eval(f)
     rep.add(
@@ -357,12 +337,13 @@ def run_model_embed(csv: str) -> Report:
         "polynomial identity",
     )
     rep.add("orbit value", third.to_str(), third.to_str(), "exact substitution")
-    return rep
 
 
-def run_model_levi(csv: str) -> Report:
-    rep = Report(f"model levi --z {csv}")
-    p = tube.ConePoint(_parse_z(csv))
+def run_model_levi(rep: Report, csv: str):
+    """Levi ranks and kernel at a cone point"""
+    from . import tube
+    from .linalg import rank
+    p = tube.ConePoint(_cone_z(csv))
     rep.add("hermitian Levi rank", 1, tube.levi_hermitian_rank(p),
             "exact rank of the holomorphic-frame Gram")
     rep.add("real Levi rank", 2, rank(tube.levi_real_gram(p)),
@@ -373,12 +354,12 @@ def run_model_levi(csv: str) -> Report:
         tube.rib_span_at(p) == tube.levi_kernel_at(p),
         "canonical subspace comparison",
     )
-    return rep
 
 
-def run_model_cubic(csv: str) -> Report:
-    rep = Report(f"model cubic --z {csv}")
-    p = tube.ConePoint(_parse_z(csv))
+def run_model_cubic(rep: Report, csv: str):
+    """the cubic form at a cone point"""
+    from . import tube
+    p = tube.ConePoint(_cone_z(csv))
     l12, l13, l23, r = tube.cone_fields()
     value = None
     for L in (l12, l13, l23):
@@ -409,19 +390,19 @@ def run_model_cubic(csv: str) -> Report:
             tube.cubic_form_at(p, r, pert, base.conj()) == value,
             "perturbation by a multiple of the defining function",
         )
-    return rep
 
 
-def run_model_freeman(csv: str) -> Report:
-    rep = Report(f"model freeman --z {csv}")
-    p = tube.ConePoint(_parse_z(csv))
+def run_model_freeman(rep: Report, csv: str):
+    """Freeman rank sequence at a cone point"""
+    from . import tube
+    p = tube.ConePoint(_cone_z(csv))
     rep.add("holomorphic rank sequence", (2, 1, 0), tube.freeman_ranks_at(p),
             "exact pointwise linear solves")
-    return rep
 
 
-def run_model_identities() -> Report:
-    rep = Report("model identities")
+def run_model_identities(rep: Report):
+    """the polynomial identities of the embedding"""
+    from . import tube
     res = tube.embedding_identity_check()
     rep.add("symmetric form of the embedding vanishes identically",
             True, res["symmetric_form_vanishes"], "symbolic expansion")
@@ -433,11 +414,11 @@ def run_model_identities() -> Report:
             f"{bil.to_str()} {herm.to_str()}", "substitution at a cone point")
     rep.add("sample point orbit value", "5/2", third.to_str(),
             "substitution at a cone point")
-    return rep
 
 
-def run_constraints() -> Report:
-    rep = Report("constraints")
+def run_constraints(rep: Report):
+    """structure-function constraint catalog"""
+    from . import coframe
     cat = coframe.constraint_catalog()
     rep.add("catalog size", len(cat), len(cat), "relation enumeration")
     counts = {}
@@ -466,16 +447,56 @@ def run_constraints() -> Report:
     for r in cat:
         rep.add(f"relation [{r.source}]", r.render(), r.render(),
                 "constraint catalog", ok=True)
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
+class Command(NamedTuple):
+    words: tuple   # argv words naming the command
+    args: tuple    # (flag, argparse keywords); required unless it has a default
+    fill: Callable  # fill(report, *parsed values in the order of args)
+
+
+_ELL_K = (("--ell", {"type": int}), ("--k", {"type": int}))
+_Z = (("--z", {}),)
+
+COMMANDS = (
+    Command(("verify", "table1"), (), run_verify_table1),
+    Command(("verify", "jacobi"), (), run_verify_jacobi),
+    Command(("verify", "structeq"), (), run_verify_structeq),
+    Command(("cohomology",), _ELL_K, run_cohomology),
+    Command(("hodge",), _ELL_K, run_hodge),
+    Command(("prolong",),
+            (("--step", {"choices": ["0", "1", "2", "3", "all"]}),),
+            run_prolong),
+    Command(("normalize",),
+            (("--k", {"type": int, "choices": [1, 2, 3]}), ("--input", {})),
+            run_normalize),
+    Command(("model", "quadric"),
+            (("--point", {}),
+             ("--chart", {"choices": ["diag", "antidiag"], "default": "diag"})),
+            run_model_quadric),
+    Command(("model", "embed"), _Z, run_model_embed),
+    Command(("model", "levi"), _Z, run_model_levi),
+    Command(("model", "cubic"), _Z, run_model_cubic),
+    Command(("model", "freeman"), _Z, run_model_freeman),
+    Command(("model", "identities"), (), run_model_identities),
+    Command(("constraints",), (), run_constraints),
+)
+
+_GROUP_HELP = {"verify": "run a verification suite",
+               "model": "flat-model computations"}
+
+# options whose value is a signed rational list, which argparse would read
+# as a flag when it starts with "-"
+_SIGNED_LISTS = ("--z", "--point")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The command line; each command's ``run`` default maps the parsed
-    arguments to its report."""
+    """The command line, one subcommand per row of ``COMMANDS``; each leaf
+    parser's ``command`` default is its row."""
     ap = argparse.ArgumentParser(
         prog="so32cr",
         description="exact verification engine for the so(3,2) prolongation "
@@ -483,51 +504,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--json", metavar="PATH", help="write the report as JSON")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("suite", choices=["table1", "jacobi", "structeq"])
-    v.set_defaults(run=lambda a: {
-        "table1": run_verify_table1,
-        "jacobi": run_verify_jacobi,
-        "structeq": run_verify_structeq,
-    }[a.suite]())
-
-    c = sub.add_parser("cohomology", help="cohomology dimension of a slice")
-    c.add_argument("--ell", type=int, required=True)
-    c.add_argument("--k", type=int, required=True)
-    c.set_defaults(run=lambda a: run_cohomology(a.ell, a.k))
-
-    h = sub.add_parser("hodge", help="Hodge decomposition checks of a slice")
-    h.add_argument("--ell", type=int, required=True)
-    h.add_argument("--k", type=int, required=True)
-    h.set_defaults(run=lambda a: run_hodge(a.ell, a.k))
-
-    p = sub.add_parser("prolong", help="prolongation step solver")
-    p.add_argument("--step", choices=["0", "1", "2", "3", "all"], required=True)
-    p.set_defaults(run=lambda a: run_prolong(a.step))
-
-    n = sub.add_parser("normalize", help="normalize a c-torsion table")
-    n.add_argument("--k", type=int, required=True, choices=[1, 2, 3])
-    n.add_argument("--input", required=True)
-    n.set_defaults(run=lambda a: run_normalize(a.k, a.input))
-
-    m = sub.add_parser("model", help="flat-model computations")
-    msub = m.add_subparsers(dest="model_cmd", required=True)
-    q = msub.add_parser("quadric")
-    q.add_argument("--point", required=True)
-    q.add_argument("--chart", choices=["diag", "antidiag"], default="diag")
-    q.set_defaults(run=lambda a: run_model_quadric(a.point, a.chart))
-    for name, fn in (("embed", run_model_embed), ("levi", run_model_levi),
-                     ("cubic", run_model_cubic), ("freeman", run_model_freeman)):
-        mm = msub.add_parser(name)
-        mm.add_argument("--z", required=True)
-        mm.set_defaults(run=lambda a, fn=fn: fn(a.z))
-    msub.add_parser("identities").set_defaults(
-        run=lambda a: run_model_identities())
-
-    sub.add_parser(
-        "constraints", help="structure-function constraint catalog"
-    ).set_defaults(run=lambda a: run_constraints())
+    groups = {}
+    for cmd in COMMANDS:
+        parent = sub
+        if len(cmd.words) == 2:
+            group = cmd.words[0]
+            if group not in groups:
+                groups[group] = sub.add_parser(
+                    group, help=_GROUP_HELP[group]
+                ).add_subparsers(dest="subcmd", required=True)
+            parent = groups[group]
+        p = parent.add_parser(cmd.words[-1], help=cmd.fill.__doc__)
+        for flag, kw in cmd.args:
+            p.add_argument(flag, required="default" not in kw, **kw)
+        p.set_defaults(command=cmd)
     return ap
 
 
@@ -535,20 +525,24 @@ def run(argv) -> tuple[int, Report | None]:
     ap = build_parser()
     words = []
     for a in argv:  # "--z -3,4,..." must not read the signed value as a flag
-        if words and words[-1] in ("--z", "--point"):
+        if words and words[-1] in _SIGNED_LISTS:
             words[-1] += "=" + a
         else:
             words.append(a)
     try:
         args = ap.parse_args(words)
         # argparse drops a bare "--" from "--z=--", leaving [] for the value
-        for name in ("z", "point"):
-            if not isinstance(getattr(args, name, ""), str):
-                ap.error(f"--{name} needs a value")
+        for flag in _SIGNED_LISTS:
+            if not isinstance(getattr(args, flag[2:], ""), str):
+                ap.error(f"{flag} needs a value")
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), None
+    cmd = args.command
+    values = [getattr(args, flag[2:]) for flag, _ in cmd.args]
+    rep = Report(" ".join([*cmd.words, *(
+        f"{flag} {value}" for (flag, _), value in zip(cmd.args, values))]))
     try:
-        rep = args.run(args)
+        cmd.fill(rep, *values)
         if args.json:
             with open(args.json, "w") as fh:
                 fh.write(rep.to_json())

@@ -11,10 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .scalars import GQ
-from .cochains import Cochain
-from . import so32
-
 
 @dataclass(frozen=True)
 class Check:
@@ -67,59 +63,3 @@ class Report:
             mark = "ok  " if c.ok else "FAIL"
             lines.append(f"  {mark} {c.name}: expected {c.expected}, got {c.actual}")
         return "\n".join(lines)
-
-
-# -- c-torsion JSON round trip -------------------------------------------------
-
-_ARG_LABELS = tuple(so32.REAL_LABELS[i] for i in so32.M_MINUS)
-
-
-def ctorsion_to_json(c: Cochain) -> dict:
-    terms = []
-    for (wedge, beta), coef in sorted(c.coeff_map().items()):
-        terms.append(
-            {
-                "args": [_ARG_LABELS[a] for a in wedge],
-                "value": so32.REAL_LABELS[beta],
-                "coef": coef.to_str(),
-            }
-        )
-    return {"k": c.k, "terms": terms}
-
-
-def ctorsion_from_json(data) -> Cochain:
-    """Inverse of ctorsion_to_json; input of any other shape raises
-    ValueError.  An argument pair may come in either order: a reversed
-    pair counts with the opposite sign."""
-    if not (
-        isinstance(data, dict)
-        and type(data.get("k")) is int
-        and isinstance(data.get("terms"), list)
-        and all(
-            isinstance(t, dict)
-            and isinstance(t.get("args"), list)
-            and isinstance(t.get("value"), str)
-            and isinstance(t.get("coef"), str)
-            for t in data["terms"]
-        )
-    ):
-        raise ValueError(
-            'c-torsion input must be {"k": int, "terms": [{"args": [...], '
-            '"value": str, "coef": str}, ...]}'
-        )
-    k = data["k"]
-    table = {}
-    for t in data["terms"]:
-        args = t["args"]
-        if len(args) != 2 or not all(a in _ARG_LABELS for a in args):
-            raise ValueError(f"term args {args!r} must be two of {_ARG_LABELS}")
-        if args[0] == args[1]:
-            raise ValueError(f"term args repeat the argument {args[0]!r}")
-        if t["value"] not in so32.REAL_LABELS:
-            raise ValueError(
-                f"term value {t['value']!r} must be one of {so32.REAL_LABELS}")
-        wedge = tuple(_ARG_LABELS.index(a) for a in args)
-        beta = so32.REAL_LABELS.index(t["value"])
-        key = (wedge, beta)
-        table[key] = table.get(key, GQ(0)) + GQ.from_str(t["coef"])
-    return Cochain.from_full_table(2, k, table)

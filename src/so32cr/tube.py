@@ -501,18 +501,16 @@ def ambient_forms(h, gram: Matrix):
 
 
 def quadric_eval(t: ProjectivePoint):
-    """((t,t), <t,t>, Im(t^3 conj t^4)) over the chart's Gram matrix; the
-    third slot is chart-bound and None in the anti-diagonal chart, where
-    the orbit inequality is not evaluated."""
-    h = t.homogeneous
-    bil, herm = ambient_forms(h, _chart_gram(t.chart))
-    if t.chart != "diag":
-        return bil, herm, None
-    return bil, herm, GQ((h[3] * h[4].conj()).im)
+    """((t,t), <t,t>) over the chart's Gram matrix, and the orbit value
+    Im(s^3 conj s^4) of the point's diag-chart representative s, in either
+    chart; its sign does not depend on the representative."""
+    bil, herm = ambient_forms(t.homogeneous, _chart_gram(t.chart))
+    s = t.to_chart("diag").homogeneous
+    return bil, herm, GQ((s[3] * s[4].conj()).im)
 
 
 def in_model(t: ProjectivePoint) -> bool:
-    bil, herm, third = quadric_eval(t.to_chart("diag"))
+    bil, herm, third = quadric_eval(t)
     return bil.is_zero() and herm.is_zero() and third.im == 0 and third.re > 0
 
 

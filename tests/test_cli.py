@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from so32cr import prolong, tube
 from so32cr.cli import run
 from so32cr.linalg import Subspace
-from so32cr.report import ctorsion_from_json, ctorsion_to_json
-from so32cr.cochains import Cochain, cochain_dim
+from so32cr.cochains import (Cochain, cochain_dim, ctorsion_from_json,
+                              ctorsion_to_json)
 from so32cr.scalars import GQ, HALF_I
 from so32cr.so32 import REAL_LABELS
 
@@ -245,10 +246,15 @@ def test_deeply_nested_input_is_an_input_error(tmp_path):
     assert code == 2 and rep is None
 
 
-def test_closed_stdout_exits_with_the_run_code():
+def _src_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_closed_stdout_exits_with_the_run_code():
+    env = _src_env()
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -260,6 +266,79 @@ def test_closed_stdout_exits_with_the_run_code():
         os.close(write_end)
     assert proc.returncode == 0
     assert b"Traceback" not in proc.stderr
+
+
+# the probe runs one command, then prints the so32cr modules it loaded
+_LOAD_PROBE = """import json, sys
+from so32cr.cli import run
+run(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("so32cr"))))
+"""
+_ENGINE = {"tube", "forms", "cochains", "carriers", "prolong", "coframe"}
+_MODEL_COMMANDS = (
+    ["quadric", "--point", "0,-1/2,3,0,4,0,5,0,0,-1/2"],
+    ["embed", "--z", "3,4,5,0,0,0"],
+    ["levi", "--z", "1,0,1,0,0,0"],
+    ["cubic", "--z", "3,4,5,1/2,-2,1"],
+    ["freeman", "--z", "5,12,13,0,1,-1/3"],
+    ["identities"],
+)
+
+
+def _modules_loaded_by(argv):
+    """The so32cr modules (without the package prefix) that a fresh
+    interpreter holds after running one command."""
+    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *argv],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {m.removeprefix("so32cr.")
+            for m in json.loads(proc.stdout.splitlines()[-1])}
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["verify", "table1"], _ENGINE),
+    (["verify", "jacobi"], _ENGINE),
+    *((["model"] + argv, _ENGINE - {"tube"}) for argv in _MODEL_COMMANDS),
+    (["cohomology", "--ell", "2", "--k", "2"],
+     {"tube", "carriers", "prolong", "coframe"}),
+    (["hodge", "--ell", "2", "--k", "3"],
+     {"tube", "carriers", "prolong", "coframe"}),
+])
+def test_a_command_loads_only_the_modules_it_runs(argv, unused):
+    loaded = _modules_loaded_by(argv)
+    assert "cli" in loaded and not loaded & unused, loaded
+
+
+def test_help_loads_only_the_front_end():
+    assert _modules_loaded_by(["-h"]) <= {"so32cr", "scalars", "report", "cli"}
+
+
+def test_report_names_list_the_declared_arguments_in_order():
+    point = "-1,0,0,-6,0,-8,0,-10,-1,0"
+    for argv, name in (
+        (["cohomology", "--k", "2", "--ell", "2"], "cohomology --ell 2 --k 2"),
+        (["model", "embed", "--z=-3,4,5,0,0,0"], "model embed --z -3,4,5,0,0,0"),
+        (["model", "quadric", "--point", point],
+         f"model quadric --point {point} --chart diag"),
+    ):
+        code, rep = run(argv)
+        assert code == 0 and rep.command == name, argv
+
+
+def test_quadric_verdict_is_the_same_in_both_charts():
+    # diag [1 : 0 : 0 : 0 : 1] and antidiag [1 : 0 : 0 : 0 : 0] name one
+    # point, with orbit value 0; the base point antidiag [1 : i : 0 : 0 : 0]
+    # has orbit value 1/4
+    for argv, code_expected, value in (
+        (["--point", "1,0,0,0,0,0,0,0,1,0"], 1, "0/1"),
+        (["--point", "1,0,0,0,0,0,0,0,0,0", "--chart", "antidiag"], 1, "0/1"),
+        (["--point", "1,0,0,1,0,0,0,0,0,0", "--chart", "antidiag"], 0, "1/4"),
+    ):
+        code, rep = run(["model", "quadric"] + argv)
+        assert code == code_expected, argv
+        (row,) = [c for c in rep.checks if c.name == "orbit value"]
+        assert row.actual == value, argv
 
 
 def test_prolong_generator_check_can_fail(monkeypatch):

@@ -219,8 +219,10 @@ def test_quadric_eval_examples():
     t2 = ProjectivePoint((GQ(1), 0, 0, 0, 0), "diag")
     assert quadric_eval(t2) == (GQ(1), GQ(1), GQ(0))
     assert not in_model(t2)
+    # the orbit value is read on the diag representative in either chart:
+    # BASE_POINT [1 : i : 0 : 0 : 0] is [1/2 : i/2 : 0 : i/2 : 1/2] there
     bil, herm, third = quadric_eval(BASE_POINT)
-    assert bil.is_zero() and herm.is_zero() and third is None
+    assert bil.is_zero() and herm.is_zero() and third == GQ(Fraction(1, 4))
 
 
 def test_chart_conversion():
