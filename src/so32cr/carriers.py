@@ -16,12 +16,12 @@ vectorized row-major (``Matrix.flatten``) for subspace bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .scalars import GQ
-from .linalg import Matrix, Subspace, kernel_basis, vec
+from .linalg import Matrix, Subspace, kernel_basis, unit_vec, vec
 from . import so32
-from .so32 import _J_IMAGE, Alg, complex_basis_matrix, complex_basis_matrix_inv
+from .so32 import (_J_IMAGE, bracket_coords, complex_basis_matrix,
+                   complex_basis_matrix_inv)
 
 # each carrier is m plus the part of h up to a grade
 _H_TOP_GRADE = {"m": -1, "m+h0": 0, "m+h0+h1": 1, "m+h": 2}
@@ -83,12 +83,11 @@ class Carrier:
         embed(b . project(coords))."""
         return self.embed_coords(b.apply(self.project_coords(coords)))
 
-    def ad_action(self, x: Alg) -> Matrix:
+    def ad_action(self, x) -> Matrix:
         """pi . ad(x) . incl : the quotient action of x on the carrier."""
-        cols = []
-        for i in self.indices:
-            cols.append(self.project_coords(x.bracket(Alg.basis(i)).coords))
-        return Matrix.from_columns(cols)
+        return Matrix.from_columns([
+            self.project_coords(bracket_coords(x, unit_vec(so32.DIM, i)))
+            for i in self.indices])
 
     def __repr__(self):
         return f"Carrier({self.name})"
@@ -165,12 +164,6 @@ def gl_filtered(carrier: Carrier, k: int, star: bool = False,
     and -1 steps shift along the integer chain while the V_(0|j) steps shift
     along the semitone ladder.
     """
-    return _gl_filtered(carrier.name, k, star, j_compatible)
-
-
-@lru_cache(maxsize=None)
-def _gl_filtered(name: str, k: int, star: bool, j_compatible: bool) -> EndoSubspace:
-    carrier = Carrier(name)
     if k < 0:
         raise ValueError("only nonnegative degrees are defined here")
     g, lv = carrier.grades, carrier.levels
@@ -194,12 +187,6 @@ def gl_graded(carrier: Carrier, k: int, j_compatible: bool = False) -> EndoSubsp
     classes.  For k >= 2 the J-condition is vacuous (values at grade >= 1
     land inside the h-part), and the two variants coincide.
     """
-    return _gl_graded(carrier.name, k, j_compatible)
-
-
-@lru_cache(maxsize=None)
-def _gl_graded(name: str, k: int, j_compatible: bool) -> EndoSubspace:
-    carrier = Carrier(name)
     if k < 0:
         raise ValueError("only nonnegative degrees are defined here")
     g = carrier.grades

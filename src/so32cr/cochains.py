@@ -40,7 +40,7 @@ from .linalg import (
 )
 from . import so32
 from .forms import Form, canonical, exterior_derivative
-from .so32 import Alg, GRADES, M_MINUS, bracket_coords, killing_gram
+from .so32 import GRADES, M_MINUS, bracket_coords, grades, killing_gram
 
 MAX_ELL = 3  # top wedge degree of a 3-dimensional argument algebra
 
@@ -428,12 +428,12 @@ def cohomology_dim(ell: int, k: int) -> int:
 
 # -- adjoint actions on cochains ----------------------------------------------
 
-def act_on_cochain(x: Alg, c: Cochain) -> Cochain:
+def act_on_cochain(x, c: Cochain) -> Cochain:
     """Natural action of a grade-homogeneous x (grade >= 0 part of g) on an
     m_- cochain: ad on values minus the induced action on arguments, the
     argument bracket taken modulo everything outside m_-.  Acting by grade
     j shifts the homogeneity degree from k to k + j."""
-    xgrades = {GRADES[i] for i, ci in enumerate(x.coords) if ci}
+    xgrades = grades(x)
     if len(xgrades) > 1:
         raise ValueError("actor must be grade homogeneous")
     k_out = c.k + (xgrades.pop() if xgrades else 0)
@@ -442,12 +442,12 @@ def act_on_cochain(x: Alg, c: Cochain) -> Cochain:
     # argument action matrix: proj_{m_-} [x, n_a]
     arg_act = []
     for a in range(side.n):
-        w = bracket_coords(x.coords, side.args[a])
+        w = bracket_coords(x, side.args[a])
         arg_act.append(tuple(w[i] for i in M_MINUS))
     out = {}
     for (wedge, beta), coef in cm.items():
         # value part [x, g_beta]
-        valbr = bracket_coords(x.coords, Alg.basis(beta).coords)
+        valbr = bracket_coords(x, unit_vec(so32.DIM, beta))
         for b2 in range(so32.DIM):
             if valbr[b2]:
                 key = (wedge, b2)

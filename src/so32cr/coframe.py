@@ -25,11 +25,11 @@ from itertools import combinations, product
 
 from .scalars import GQ, HALF, HALF_I, I
 from . import forms, so32
-from .so32 import (Alg, CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex,
+from .so32 import (CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex,
                    from_complex_basis, to_complex_basis)
 from .cochains import Cochain, cochain_dim
 from .forms import Form, canonical
-from .linalg import Matrix, kernel, vec_add, vec_scale, zero_vec
+from .linalg import Matrix, kernel, unit_vec, vec_add, vec_scale, zero_vec
 from .prolong import normalization_space
 
 # short grade labels of the complexified basis ("e^-1(10)" -> "-1(10)"),
@@ -151,7 +151,7 @@ def d_squared_report():
 @lru_cache(maxsize=1)
 def _m_minus_complex_coords():
     """Complex coordinates of the real m_- basis vectors."""
-    return [to_complex_basis(Alg.basis(i).coords) for i in M_MINUS]
+    return [to_complex_basis(unit_vec(DIM, i)) for i in M_MINUS]
 
 
 class FullTorsion:

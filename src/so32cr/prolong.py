@@ -35,15 +35,15 @@ from .linalg import (
     solve,
     vec_add,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 from . import so32
-from .so32 import Alg, M_MINUS
+from .so32 import M_MINUS, real_unit
 from .carriers import Carrier, endo_from_complex_images, gl_graded
 from .cochains import (
     Cochain,
     act_on_cochain,
-    coboundary,
     coboundary_matrix,
     cochain_dim,
     codifferential_matrix,
@@ -83,12 +83,12 @@ def endo_of_cochain(carrier: Carrier, c: Cochain) -> Matrix:
     return Matrix.from_columns(cols)
 
 
-def _solve_in_gauge(carrier, basis, cols) -> Subspace:
-    """Span of the real combinations sum_i t_i basis[i] whose conditions
-    vanish, sum_i t_i cols[i] = 0 (cols[i]: the condition column of basis[i])."""
-    gauge = Matrix.from_columns([b.flatten() for b in basis])
-    solutions = kernel_basis(real_rows(Matrix.from_columns(cols)))
-    return Subspace(carrier.dim ** 2, [gauge.apply(t) for t in solutions])
+def _solve_in_gauge(gauge: Matrix, conditions: Matrix) -> Subspace:
+    """Span of the real combinations G t of the flattened gauge columns
+    whose conditions vanish, C t = 0 (column i of C: the conditions of
+    gauge column i)."""
+    solutions = kernel_basis(real_rows(conditions))
+    return Subspace(gauge.nrows, [gauge.apply(t) for t in solutions])
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def prolong_step0() -> ProlongationStep:
     e10_01 = so32.complex_unit(zl("e^-1(01)"))
     e0_10 = so32.complex_unit(zl("e^0(10)"))
     e0_01 = so32.complex_unit(zl("e^0(01)"))
-    em2 = Alg.basis(0).coords
+    em2 = real_unit("e^-2")
 
     def conditions(b: Matrix):
         act = partial(carrier.apply_endo, b)
@@ -140,8 +140,10 @@ def prolong_step0() -> ProlongationStep:
         c2 = vec_add(c2, vec_scale(HALF_I, act(em2)))
         return list(c1) + list(c2)
 
-    space = _solve_in_gauge(carrier, basis, [conditions(b) for b in basis])
-    witnesses = (Alg.from_label("E_1^0"), Alg.from_label("E_2^0"))
+    space = _solve_in_gauge(
+        Matrix.from_columns([b.flatten() for b in basis]),
+        Matrix.from_columns([conditions(b) for b in basis]))
+    witnesses = (real_unit("E_1^0"), real_unit("E_2^0"))
     generators = tuple(carrier.ad_action(w) for w in witnesses)
     notes = (
         "solved relations: tau = 2 Re(lambda), mu = 2i Im(lambda)",
@@ -208,31 +210,32 @@ def l1_subspace() -> L1Space:
 
 @lru_cache(maxsize=None)
 def _gauge(k: int):
-    """(step carrier, gauge basis endomorphisms, their coboundaries in C^2_k):
-    the gauge space is l1 at degree 1 and gl_k^gr of the step carrier at
-    degrees 2 and 3."""
+    """(step carrier, G, D): the columns of G are the flattened gauge basis
+    endomorphisms and those of D their coboundaries in C^2_k.  The gauge
+    space is l1 at degree 1 and gl_k^gr of the step carrier at degrees 2
+    and 3."""
     carrier = Carrier(STEP_CARRIERS[k])
     if k == 1:
-        gauge = list(l1_subspace().generators)
+        gauge = l1_subspace().generators
     else:
         gauge = gl_graded(carrier, k).basis_endos()
     dmat = coboundary_matrix(1, k)
-    return carrier, tuple(gauge), tuple(
-        dmat.apply(cochain_of_endo(carrier, b, k).coords) for b in gauge
-    )
+    d = [dmat.apply(cochain_of_endo(carrier, b, k).coords) for b in gauge]
+    return (carrier, Matrix.from_columns([b.flatten() for b in gauge]),
+            Matrix.from_columns(d))
 
 
 def _kernel_step(k, witnesses, notes) -> ProlongationStep:
     """dB = 0 over the step-k gauge space."""
-    carrier, gauge, cols = _gauge(k)
-    space = _solve_in_gauge(carrier, gauge, cols)
+    carrier, gauge, d = _gauge(k)
+    space = _solve_in_gauge(gauge, d)
     generators = tuple(carrier.ad_action(w) for w in witnesses)
     return ProlongationStep(k, carrier, space, generators, witnesses, notes)
 
 
 def prolong_step1() -> ProlongationStep:
     """{B in l1 : dB = 0}; spanned by the projected ad of -E_2^1 and E_1^1."""
-    witnesses = (-Alg.from_label("E_2^1"), Alg.from_label("E_1^1"))
+    witnesses = (vec_scale(-1, real_unit("E_2^1")), real_unit("E_1^1"))
     notes = (
         "solved relations: nu = (i/2) conj(lambda), mu = -(i/2) lambda, "
         "antiholomorphic h^0 coefficient 0",
@@ -276,7 +279,7 @@ def gl3_endo(lam, mu) -> Matrix:
 
 def prolong_step2() -> ProlongationStep:
     """{B in gl_2^gr(m+h0+h1) : dB = 0}; one generator, the projected ad(E^2)."""
-    witnesses = (Alg.from_label("E^2"),)
+    witnesses = (real_unit("E^2"),)
     notes = ("solved parameter family (lambda, mu, nu, nu') = (0, t, it, 0), t real",)
     return _kernel_step(2, witnesses, notes)
 
@@ -344,7 +347,7 @@ def invariant_inner_product() -> InnerProduct:
     return InnerProduct(2, 1)
 
 
-def rotation_action_matrix(ell: int, k: int, x: Alg) -> Matrix:
+def rotation_action_matrix(ell: int, k: int, x) -> Matrix:
     """Matrix of the action of a grade-0 element on a cochain slice."""
     n = cochain_dim(ell, k)
     cols = []
@@ -357,7 +360,7 @@ def rotation_action_matrix(ell: int, k: int, x: Alg) -> Matrix:
 @lru_cache(maxsize=None)
 def gauge_image(k: int) -> Subspace:
     """The coboundary image of the step-k gauge space inside C^2_k."""
-    return Subspace(cochain_dim(2, k), _gauge(k)[2])
+    return Subspace(cochain_dim(2, k), _gauge(k)[2].columns())
 
 
 @lru_cache(maxsize=None)
@@ -380,13 +383,13 @@ def normalization_space(k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def _normalize_solver(k: int):
-    """Precomputed column span [d(gauge basis) | normalization basis], and
-    the gauge basis flattened into the columns of one matrix."""
-    carrier, gauge, gauge_cols = _gauge(k)
-    norm_basis = normalization_space(k).basis_vectors()
-    span = Matrix.from_columns(list(gauge_cols) + norm_basis,
-                               nrows=cochain_dim(2, k))
-    return carrier, Matrix.from_columns([b.flatten() for b in gauge]), span
+    """The step-k gauge data of ``_gauge`` and the precomputed column span
+    [D | normalization basis]."""
+    carrier, gauge, d = _gauge(k)
+    span = Matrix.from_columns(
+        d.columns() + normalization_space(k).basis_vectors(),
+        nrows=cochain_dim(2, k))
+    return carrier, gauge, d, span
 
 
 def normalize_ctorsion(c: Cochain):
@@ -398,10 +401,11 @@ def normalize_ctorsion(c: Cochain):
     k = c.k
     if c.ell != 2 or k not in (1, 2, 3):
         raise ValueError("expected a 2-cochain of degree 1, 2 or 3")
-    carrier, gauge, span = _normalize_solver(k)
+    carrier, gauge, d, span = _normalize_solver(k)
     x, _ = solve(span, c.coords)
-    b = Matrix.unflatten(gauge.apply(x[: gauge.ncols]), carrier.dim)
-    residual = c - coboundary(cochain_of_endo(carrier, b, k))
+    xg = x[: gauge.ncols]
+    b = Matrix.unflatten(gauge.apply(xg), carrier.dim)
+    residual = Cochain(2, k, vec_sub(c.coords, d.apply(xg)))
     if not normalization_space(k).contains(residual.coords):
         raise ArithmeticError("residual escaped the normalization space")
     return b, residual

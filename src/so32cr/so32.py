@@ -16,6 +16,10 @@ pair into holomorphic/antiholomorphic halves:
 with X^(10) = (X_1 - i X_2)/2 and X^(01) its conjugate, so that
 X_1 = X^(10) + X^(01) and X_2 = i(X^(10) - X^(01)).
 
+An element of so(3,2), or of its complexification, is the tuple of its
+coordinates over the real basis; the functions here that take or return
+an element take or return that tuple.
+
 All brackets are grounded in the 5x5 matrix commutator, through one sparse
 table of structure constants built once from the sparse basis matrices.
 The shipped bracket-table fixture (``table1.txt``) is a transcription that
@@ -31,7 +35,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .scalars import GQ, HALF, HALF_I
-from .linalg import Matrix, Subspace, inverse, unit_vec, vec, vec_add, vec_scale
+from .linalg import Matrix, Subspace, inverse, unit_vec, vec
 
 DIM = 10
 N = 5
@@ -167,84 +171,14 @@ def bracket_coords(x, y):
     return tuple(out)
 
 
-class Alg:
-    """Element of so(3,2) (or its complexification) as a coordinate vector."""
+def real_unit(label: str):
+    """Coordinates of the real basis vector with the given label."""
+    return unit_vec(DIM, REAL_LABELS.index(label))
 
-    __slots__ = ("coords",)
 
-    def __init__(self, coords):
-        coords = vec(coords)
-        if len(coords) != DIM:
-            raise ValueError("need 10 coordinates")
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Alg is immutable")
-
-    @staticmethod
-    def basis(i: int) -> "Alg":
-        return Alg(unit_vec(DIM, i))
-
-    @staticmethod
-    def from_label(label: str) -> "Alg":
-        return Alg.basis(REAL_LABELS.index(label))
-
-    def __add__(self, other):
-        return Alg(vec_add(self.coords, other.coords))
-
-    def __sub__(self, other):
-        return Alg(vec_add(self.coords, vec_scale(-1, other.coords)))
-
-    def scale(self, c) -> "Alg":
-        return Alg(vec_scale(c, self.coords))
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def bracket(self, other: "Alg") -> "Alg":
-        return Alg(bracket_coords(self.coords, other.coords))
-
-    def to_matrix(self) -> Matrix:
-        return to_matrix(self.coords)
-
-    @staticmethod
-    def from_matrix(a: Matrix) -> "Alg":
-        return Alg(from_matrix(a))
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
-
-    def conj(self) -> "Alg":
-        """Conjugation of the complexification fixing the real form."""
-        return Alg([c.conj() for c in self.coords])
-
-    def is_real(self) -> bool:
-        """Membership in the real form: conjugation-symmetric complex coords."""
-        z = self.complex_coords()
-        return all(z[CONJ_PERM[i]].conj() == z[i] for i in range(DIM))
-
-    def complex_coords(self):
-        return to_complex_basis(self.coords)
-
-    def grade_decompose(self):
-        """Split into ad(E_1^0)-eigencomponents, keyed by grade -2..2."""
-        out = {}
-        for g, idxs in GRADE_INDICES.items():
-            if any(self.coords[i] for i in idxs):
-                out[g] = Alg([c if i in idxs else GQ(0)
-                              for i, c in enumerate(self.coords)])
-        return out
-
-    def __eq__(self, other):
-        if not isinstance(other, Alg):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return format_combination(self.coords, REAL_LABELS)
+def grades(x):
+    """The grades on which the coordinate vector x is nonzero."""
+    return {GRADES[i] for i, c in enumerate(x) if c}
 
 
 @lru_cache(maxsize=1)
@@ -316,9 +250,9 @@ def killing_gram() -> Matrix:
     return Matrix([[kappa(i, j) for j in range(DIM)] for i in range(DIM)])
 
 
-def killing(x: Alg, y: Alg) -> GQ:
-    gy = killing_gram().apply(y.coords)
-    return sum((xi * g for xi, g in zip(x.coords, gy) if xi and g), GQ(0))
+def killing(x, y) -> GQ:
+    gy = killing_gram().apply(y)
+    return sum((xi * g for xi, g in zip(x, gy) if xi and g), GQ(0))
 
 
 def symmetric_signature(gram: Matrix):
@@ -356,19 +290,19 @@ _J_IMAGE = {i: (p, 1 if i < p else -1)
             for i, p in enumerate(CONJ_PERM) if p != i}
 
 
-def apply_J(x: Alg) -> Alg:
+def apply_J(x):
     """The grade-preserving complex structure on m^-1+m^0+h^0+h^1.
 
     Raises ValueError when x has a grade -2 or grade 2 component.
     """
-    if any(c for i, c in enumerate(x.coords) if i not in _J_IMAGE):
+    if any(c for i, c in enumerate(x) if i not in _J_IMAGE):
         raise ValueError("J is undefined on the m^-2 / h^2 components")
     out = [GQ(0)] * DIM
-    for i, c in enumerate(x.coords):
+    for i, c in enumerate(x):
         if c:
             j, s = _J_IMAGE[i]
             out[j] = out[j] + c * GQ(s)
-    return Alg(out)
+    return tuple(out)
 
 
 def filtration_steps(kind: str, indices=tuple(range(DIM))):
@@ -426,10 +360,9 @@ def parse_combination(cell: str):
     return tuple(out)
 
 
-def format_combination(coords, labels=COMPLEX_LABELS) -> str:
-    """Render coordinates as "(c1)*label1 + ..." (the complexified labels
-    unless told otherwise)."""
-    terms = [f"({c.to_str()})*{labels[i]}"
+def format_combination(coords) -> str:
+    """Render complex coordinates as "(c1)*label1 + ..."."""
+    terms = [f"({c.to_str()})*{COMPLEX_LABELS[i]}"
              for i, c in enumerate(coords) if c]
     return " + ".join(terms) if terms else "0"
 
@@ -460,7 +393,7 @@ def _arg_coords(label: str):
     """Real coordinates of a Table-1 row/column argument."""
     if label in COMPLEX_LABELS:
         return complex_unit(COMPLEX_LABELS.index(label))
-    return unit_vec(DIM, REAL_LABELS.index(label))  # the grading element
+    return real_unit(label)  # the grading element
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import random
 
 from so32cr.scalars import GQ
 from so32cr.linalg import Matrix, Subspace, kernel
-from so32cr.so32 import Alg
+from so32cr.so32 import real_unit
 from so32cr.carriers import (
     CARRIER_NAMES,
     Carrier,
@@ -95,7 +95,7 @@ def test_ad_of_h_restricts_to_graded():
     for label, k, cname in cases:
         c = Carrier(cname)
         assert gl_graded(c, k, j_compatible=True).contains(
-            c.ad_action(Alg.from_label(label))
+            c.ad_action(real_unit(label))
         )
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from so32cr import prolong, tube
+from so32cr import prolong, so32, tube
 from so32cr.cli import run
 from so32cr.linalg import Subspace
 from so32cr.cochains import (Cochain, cochain_dim, ctorsion_from_json,
@@ -105,6 +105,42 @@ def test_identity_check_fails_for_a_wrong_embedding(monkeypatch):
     assert code == 1 and rep.status == "fail"
     (row,) = [c for c in rep.checks if c.name.startswith("symmetric form of")]
     assert row.actual == "False" and not row.ok
+
+
+def _mutated_table(monkeypatch, entries):
+    """Replace the bracket table by a copy with C^k_ij = value for each
+    (i, j, k, value) of ``entries``."""
+    table = {key: dict(row) for key, row in so32.structure_constants().items()}
+    for i, j, k, value in entries:
+        table.setdefault((i, j), {})[k] = value
+    monkeypatch.setattr(so32, "structure_constants", lambda: table)
+
+
+def _row(rep, name):
+    (row,) = [c for c in rep.checks if c.name == name]
+    return row
+
+
+def test_jacobi_check_fails_for_a_negated_pair(monkeypatch):
+    # [e^-2, E^2] = -E_1^0; negating C^k_ij and C^k_ji keeps the table
+    # antisymmetric and graded, so only the Jacobi sum can see it
+    i, j = REAL_LABELS.index("e^-2"), REAL_LABELS.index("E^2")
+    k = REAL_LABELS.index("E_1^0")
+    c = so32.structure_constants()[(i, j)][k]
+    _mutated_table(monkeypatch, [(i, j, k, -c), (j, i, k, c)])
+    code, rep = run(["verify", "jacobi"])
+    assert code == 1 and rep.status == "fail"
+    assert not _row(rep, "Jacobi failures").ok
+    assert _row(rep, "bracket respects grading").ok
+
+
+def test_jacobi_check_fails_for_a_constant_of_the_wrong_grade(monkeypatch):
+    # [e^-2, E^2] has grade 0; an e_1^-1 term in it breaks the grading
+    i, j = REAL_LABELS.index("e^-2"), REAL_LABELS.index("E^2")
+    _mutated_table(monkeypatch, [(i, j, REAL_LABELS.index("e_1^-1"), GQ(1))])
+    code, rep = run(["verify", "jacobi"])
+    assert code == 1 and rep.status == "fail"
+    assert not _row(rep, "bracket respects grading").ok
 
 
 def test_signed_values_parse_in_the_spaced_form():

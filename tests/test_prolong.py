@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from so32cr.scalars import GQ
-from so32cr.linalg import Matrix, Subspace
-from so32cr.so32 import Alg, GRADES
+from so32cr.linalg import Matrix, Subspace, unit_vec, vec_scale
+from so32cr.so32 import DIM, GRADES, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr.cochains import Cochain, act_on_cochain, coboundary, cochain_dim
 from so32cr.coframe import (
@@ -110,8 +110,8 @@ def test_step1_generators_match_stated_values():
     assert g1 == l1_endo(1, GQ(0, Fraction(-1, 2)), GQ(0, Fraction(1, 2)))
     assert g2 == l1_endo(I, GQ(Fraction(1, 2)), GQ(Fraction(1, 2)))
     # and equal the projected adjoint action of the h^1 witnesses
-    assert g1 == s.carrier.ad_action(-Alg.from_label("E_2^1"))
-    assert g2 == s.carrier.ad_action(Alg.from_label("E_1^1"))
+    assert g1 == s.carrier.ad_action(vec_scale(-1, real_unit("E_2^1")))
+    assert g2 == s.carrier.ad_action(real_unit("E_1^1"))
     assert Subspace(49, [flat_endo(g1), flat_endo(g2)]) == s.space
 
 
@@ -123,7 +123,7 @@ def test_step2_generator():
     assert z[7, 1] == I                            # B(e^-1(10)) = iE^1(10)
     assert z[8, 2] == -I                           # B(e^-1(01)) = -iE^1(01)
     assert g == gl2_endo(0, 1, I, 0)               # family (0, t, it, 0) at t=1
-    assert g == s.carrier.ad_action(Alg.from_label("E^2"))
+    assert g == s.carrier.ad_action(real_unit("E^2"))
     assert Subspace(81, [flat_endo(g)]) == s.space
 
 
@@ -138,16 +138,18 @@ def test_step3_trivial():
 def test_witness_bracket_compatibility():
     # commutators of the quotient ad-actions reproduce ad of the bracket
     witnesses = [
-        (0, Alg.from_label("E_1^0")), (0, Alg.from_label("E_2^0")),
-        (1, -Alg.from_label("E_2^1")), (1, Alg.from_label("E_1^1")),
-        (2, Alg.from_label("E^2")),
+        (0, real_unit("E_1^0")), (0, real_unit("E_2^0")),
+        (1, vec_scale(-1, real_unit("E_2^1"))), (1, real_unit("E_1^1")),
+        (2, real_unit("E^2")),
     ]
+    assert [x for s in prolong_all() for x in s.witnesses] == [
+        x for _, x in witnesses]
     carrier_for = {0: "m+h0", 1: "m+h0+h1", 2: "m+h"}
     for (k, x) in witnesses:
         for (l, y) in witnesses:
             c = Carrier(carrier_for[min(k + l, 2)])
             qx, qy = c.ad_action(x), c.ad_action(y)
-            assert qx @ qy - qy @ qx == c.ad_action(x.bracket(y))
+            assert qx @ qy - qy @ qx == c.ad_action(bracket_coords(x, y))
 
 
 def test_invariant_inner_product():
@@ -162,7 +164,7 @@ def test_invariant_inner_product():
     c2 = Cochain(2, 1, [GQ(j) for j in range(n)])
     assert ip.pair(c1, c2) == ip.pair(c2, c1)
     # the rotation generator acts skew-adjointly
-    a = rotation_action_matrix(2, 1, Alg.from_label("E_2^0"))
+    a = rotation_action_matrix(2, 1, real_unit("E_2^0"))
     assert (a + a.transpose()).is_zero()
 
 
@@ -183,7 +185,7 @@ def test_normalization_ad_invariance():
         for i in idxs:
             k2 = k + GRADES[i]
             for v in ns.basis_vectors():
-                img = act_on_cochain(Alg.basis(i), Cochain(2, k, v))
+                img = act_on_cochain(unit_vec(DIM, i), Cochain(2, k, v))
                 if cochain_dim(2, k2) == 0:
                     assert img.is_zero()
                 elif k2 in (1, 2, 3):
