@@ -30,7 +30,6 @@ from .so32 import (CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex,
 from .cochains import Cochain, cochain_dim
 from .forms import Form, canonical
 from .linalg import Matrix, kernel, unit_vec, vec_add, vec_scale, zero_vec
-from .prolong import normalization_space
 
 # short grade labels of the complexified basis ("e^-1(10)" -> "-1(10)"),
 # used in the coframe labels and in the structure-function symbols
@@ -331,6 +330,7 @@ def _symbol_column(s: Symbol, k: int):
 def _normalization_relations(k: int):
     """Annihilator relations expressing membership of the degree-k c-torsion
     in the normalization space, over the complex symbol basis."""
+    from .prolong import normalization_space  # only the catalog needs it
     syms = _symbol_basis(k)
     n = cochain_dim(2, k)
     phi_t = Matrix.from_columns([_symbol_column(s, k) for s in syms],
@@ -361,7 +361,13 @@ def constraint_catalog():
 
 
 def catalog_contains_vanishing(symbol_text: str) -> bool:
-    return any(
-        r.is_single_vanishing() and r.terms[0][1].render() == symbol_text
-        for r in constraint_catalog()
-    )
+    """Whether the catalog holds the relation symbol_text = 0.  The frame
+    conditions are scanned first, so the normalization relations are built
+    only when none of them matches."""
+    def holds(relations):
+        return any(
+            r.is_single_vanishing() and r.terms[0][1].render() == symbol_text
+            for r in relations
+        )
+    return (holds(r for step in (1, 2, 3) for r in frame_conditions(step))
+            or holds(constraint_catalog()))

@@ -15,7 +15,8 @@ Vector = tuple  # tuple of GQ
 
 
 def vec(entries) -> Vector:
-    return tuple(GQ.of(x) for x in entries)
+    # most rows are already GQ (built by rref, @, apply): no call for those
+    return tuple(x if type(x) is GQ else GQ.of(x) for x in entries)
 
 
 def zero_vec(n: int) -> Vector:

@@ -12,6 +12,13 @@ Two sides of the same object:
   form theta = (i/2)(d'rho - d''rho), the Levi and cubic forms and the
   Freeman ranks, read there from values and first partials of the fields.
 
+Only the point changes from one pointwise evaluation to the next, so what
+does not depend on it is built once: each field's table of first partials,
+its conjugate and J image, the real parts of the cone fields and the
+gradient of rho, on first use; each polynomial's terms are compiled once
+into coefficients and (variable, exponent) factors.  At a point, one power
+table holds the powers of each coordinate, and every evaluation reads it.
+
 Everything stays inside Q[i]; sample points come from Pythagorean triples
 so that all evaluations are exact.
 """
@@ -20,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .scalars import GQ, HALF, HALF_I, I
 from .linalg import (Matrix, Subspace, inverse, kernel, kernel_basis, rank,
-                     real_rows, rref, vec, vec_sub)
+                     real_rows, rref, vec)
 from . import so32
 from .so32 import bracket_complex, COMPLEX_LABELS
 
@@ -33,15 +40,43 @@ from .so32 import bracket_complex, COMPLEX_LABELS
 # ---------------------------------------------------------------------------
 
 NVARS = 6  # z1 z2 z3 zb1 zb2 zb3
+ZERO = GQ(0)
+
+
+class Powers:
+    """The powers of z^1..z^3, conj z^1..conj z^3 at one point: row v holds
+    1, x_v, x_v^2, ..., each computed once.  The rows grow to the highest
+    exponent an evaluation asks for."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, z):
+        z = [GQ.of(v) for v in z]
+        self.rows = [[GQ(1), v] for v in z + [v.conj() for v in z]]
+
+    @staticmethod
+    def of(z) -> "Powers":
+        """z itself when it is a power table, else the table at the point z."""
+        return z if isinstance(z, Powers) else Powers(z)
+
+    def upto(self, degree: int):
+        """Extend every row to the power x_v^degree."""
+        while len(self.rows[0]) <= degree:
+            for row in self.rows:
+                row.append(row[-1] * row[1])
 
 
 class Poly:
-    """Multivariate polynomial over Q[i]; terms keyed by exponent tuples."""
+    """Multivariate polynomial over Q[i]; terms keyed by exponent tuples.
 
-    __slots__ = ("terms",)
+    The terms are compiled once, on first evaluation, into (coefficient,
+    nonzero (variable, exponent) factors) and the highest exponent."""
+
+    __slots__ = ("terms", "_compiled")
 
     def __init__(self, terms=None):
         self.terms = {}
+        self._compiled = None
         for mono, c in (terms or {}).items():
             c = GQ.of(c)
             if c:
@@ -107,18 +142,25 @@ class Poly:
         return self.conj() == self
 
     def eval(self, z) -> GQ:
-        """Value at z in Q[i]^3 (the conjugate variables get conj z)."""
+        """Value at z in Q[i]^3 (the conjugate variables get conj z); z may
+        also be the point's ``Powers``, which every evaluation there reads."""
         if not self.terms:
-            return GQ(0)
-        z = [GQ.of(v) for v in z]
-        vals = z + [v.conj() for v in z]
-        total = GQ(0)
-        for m, c in self.terms.items():
-            t = c
-            for e, v in zip(m, vals):
-                for _ in range(e):
-                    t = t * v
-            total = total + t
+            return ZERO
+        if self._compiled is None:
+            self._compiled = (
+                tuple((c, tuple((v, e) for v, e in enumerate(m) if e))
+                      for m, c in self.terms.items()),
+                max(max(m) for m in self.terms))
+        terms, degree = self._compiled
+        powers = Powers.of(z)
+        rows = powers.rows
+        if len(rows[0]) <= degree:
+            powers.upto(degree)
+        total = ZERO
+        for c, factors in terms:
+            for v, e in factors:
+                c = c * rows[v][e]
+            total = total + c
         return total
 
     def __eq__(self, other):
@@ -144,9 +186,12 @@ class Poly:
 
 class Field:
     """Vector field with polynomial coefficients over the frame
-    (d/dz1, d/dz2, d/dz3, d/dzb1, d/dzb2, d/dzb3)."""
+    (d/dz1, d/dz2, d/dz3, d/dzb1, d/dzb2, d/dzb3).
 
-    __slots__ = ("comps",)
+    Fields are immutable, so the table of first partials, the conjugate and
+    the J image are each built once, on first use, and kept."""
+
+    __slots__ = ("comps", "_partials", "_conj", "_J")
 
     def __init__(self, comps):
         comps = tuple(
@@ -155,6 +200,7 @@ class Field:
         if len(comps) != NVARS:
             raise ValueError("need 6 components")
         self.comps = comps
+        self._partials = self._conj = self._J = None
 
     def __add__(self, other):
         return Field([a + b for a, b in zip(self.comps, other.comps)])
@@ -165,9 +211,21 @@ class Field:
     def scale(self, c) -> "Field":
         return Field([a * c for a in self.comps])
 
+    def partials(self):
+        """The first partials d_j V^i that are not identically zero, as
+        (i, j, d_j V^i)."""
+        if self._partials is None:
+            self._partials = tuple(
+                (i, j, d) for i, c in enumerate(self.comps) if not c.is_zero()
+                for j in range(NVARS) if not (d := c.diff(j)).is_zero())
+        return self._partials
+
     def conj(self) -> "Field":
-        comps = [c.conj() for c in self.comps]
-        return Field(comps[3:] + comps[:3])
+        if self._conj is None:
+            comps = [c.conj() for c in self.comps]
+            self._conj = Field(comps[3:] + comps[:3])
+            self._conj._conj = self
+        return self._conj
 
     def is_type10(self) -> bool:
         return all(c.is_zero() for c in self.comps[3:])
@@ -180,20 +238,27 @@ class Field:
         return out
 
     def bracket(self, other: "Field") -> "Field":
-        return Field(
-            [
-                self.apply(oc) - other.apply(sc)
-                for sc, oc in zip(self.comps, other.comps)
-            ]
-        )
+        """[V, W]^k = V(W^k) - W(V^k), from the two tables of partials."""
+        comps = [Poly()] * NVARS
+        for k, i, d in other.partials():
+            if not self.comps[i].is_zero():
+                comps[k] = comps[k] + self.comps[i] * d
+        for k, i, d in self.partials():
+            if not other.comps[i].is_zero():
+                comps[k] = comps[k] - other.comps[i] * d
+        return Field(comps)
 
     def eval(self, z):
-        return tuple(c.eval(z) for c in self.comps)
+        """Values at z (coordinates or the point's ``Powers``)."""
+        powers = Powers.of(z)
+        return tuple(c.eval(powers) for c in self.comps)
 
     def apply_J(self) -> "Field":
         """Pointwise complex structure: +i on the (1,0) part, -i on (0,1)."""
-        return Field([c * I for c in self.comps[:3]]
-                     + [c * -I for c in self.comps[3:]])
+        if self._J is None:
+            self._J = Field([c * I for c in self.comps[:3]]
+                            + [c * -I for c in self.comps[3:]])
+        return self._J
 
     def __repr__(self):
         return f"Field({self.comps!r})"
@@ -237,6 +302,19 @@ def cone_fields():
     return L(0, 1), L(0, 2), L(1, 2), R
 
 
+@lru_cache(maxsize=1)
+def cone_real_parts():
+    """The real fields (f + conj f, i(f - conj f)) of each cone field, in
+    the order of ``cone_fields()``."""
+    return tuple((f + f.conj(), (f - f.conj()).scale(I))
+                 for f in cone_fields())
+
+
+@lru_cache(maxsize=1)
+def _rho_gradient():
+    return tuple(rho().diff(i) for i in range(NVARS))
+
+
 @dataclass(frozen=True)
 class ConePoint:
     """A point z = x + iy with x on the future light cone, all rational."""
@@ -253,6 +331,11 @@ class ConePoint:
         if z[2].re <= 0:
             raise ValueError("not on the future half (x^3 must be positive)")
 
+    @cached_property
+    def powers(self) -> Powers:
+        """The point's one power table, read by every evaluation at it."""
+        return Powers(self.z)
+
 
 SAMPLE_POINTS = (
     ConePoint((GQ(3, Fraction(1, 2)), GQ(4, -2), GQ(5, 1))),
@@ -266,32 +349,40 @@ SAMPLE_POINTS = (
 def covectors_at(p: ConePoint) -> Matrix:
     """Rows d rho_p and theta_p = (i/2)(d'rho - d''rho)_p on the frame
     (d/dz, d/dzb), read off the gradient of rho at p."""
-    grad = [rho().diff(i).eval(p.z) for i in range(NVARS)]
+    grad = [g.eval(p.powers) for g in _rho_gradient()]
     theta = [g * HALF_I for g in grad[:3]] + [g * -HALF_I for g in grad[3:]]
     return Matrix([grad, theta])
 
 
 def _jet(field: Field, z):
-    """The 1-jet of a field at z: (V(z), D) with D[i, j] = d_j V^i(z)."""
-    return field.eval(z), Matrix([[c.diff(j).eval(z) for j in range(NVARS)]
-                                  for c in field.comps])
+    """The 1-jet of a field at z (coordinates or the point's ``Powers``):
+    (V(z), D) with D[i][j] = d_j V^i(z), as tuples of rows."""
+    powers = Powers.of(z)
+    d = [[ZERO] * NVARS for _ in range(NVARS)]
+    for i, j, c in field.partials():
+        d[i][j] = c.eval(powers)
+    return field.eval(powers), tuple(map(tuple, d))
+
+
+def _dot(u, v) -> GQ:
+    total = ZERO
+    for a, b in zip(u, v):
+        if a and b:
+            total = total + a * b
+    return total
 
 
 def _jet_bracket(vj, wj) -> tuple:
     """[V, W] at a point from the 1-jets of V and W there: D_W v - D_V w."""
     (v, dv), (w, dw) = vj, wj
-    return vec_sub(dw.apply(v), dv.apply(w))
-
-
-def _dot(u, v) -> GQ:
-    return sum((a * b for a, b in zip(u, v) if a and b), GQ(0))
+    return tuple(_dot(a, v) - _dot(b, w) for a, b in zip(dw, dv))
 
 
 def _theta_jet(theta, jet):
     """(V(p), theta_p D_V) from the 1-jet of V at p: one row per field, so
     that theta_p([V, W]) is (theta_p D_W) v - (theta_p D_V) w."""
     v, d = jet
-    return v, tuple(_dot(theta, col) for col in d.columns())
+    return v, tuple(_dot(theta, col) for col in zip(*d))
 
 
 def _theta_bracket(vt, wt) -> GQ:
@@ -302,7 +393,7 @@ def _theta_bracket(vt, wt) -> GQ:
 
 def _section_jet(cov: Matrix, field: Field, p: ConePoint):
     """The 1-jet at p of a section of the contact distribution."""
-    jet = _jet(field, p.z)
+    jet = _jet(field, p.powers)
     if any(cov.apply(jet[0])):
         raise ValueError("field is not a section of the contact distribution"
                          " at the point")
@@ -321,14 +412,14 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     if not e.is_type10():
         raise ValueError("first argument must be of type (1,0)")
     _, _, _, R = cone_fields()
-    if not Subspace(6, [R.eval(p.z)]).contains(e.eval(p.z)):
+    if not Subspace(6, [R.eval(p.powers)]).contains(e.eval(p.powers)):
         raise ValueError("first argument must point along the rib")
     cov = covectors_at(p)
     jets = [_section_jet(cov, f, p) for f in (h, hp)]
     if any(any(jet[0][:3]) for jet in jets):
         raise ValueError("argument is not antiholomorphic at the point")
     theta = cov.row(1)
-    return _theta_bracket(_theta_jet(theta, _jet(e.bracket(h), p.z)),
+    return _theta_bracket(_theta_jet(theta, _jet(e.bracket(h), p.powers)),
                           _theta_jet(theta, jets[1]))
 
 
@@ -336,7 +427,7 @@ def _d10_frame_at(p: ConePoint):
     """Two of the three L-fields that are independent at p (the first two
     pivot columns of their values), and their values at p."""
     fields = cone_fields()[:3]
-    values = [f.eval(p.z) for f in fields]
+    values = [f.eval(p.powers) for f in fields]
     pivots = rref(Matrix.from_columns(values))[1]
     if len(pivots) < 2:
         raise ArithmeticError("contact frame degenerates at the point")
@@ -350,22 +441,17 @@ def levi_hermitian_rank(p: ConePoint) -> int:
     return rank(_levi_gram(p, (f1, f2), (f1.conj(), f2.conj())))
 
 
-def _real_parts(f: Field):
-    """The real fields f + conj f and i(f - conj f)."""
-    return [f + f.conj(), (f - f.conj()).scale(I)]
-
-
 def _real_frame_at(p: ConePoint):
     """Four real fields framing the distribution at p, and their values at
     p: the real parts of R and of the first frame field, or of the second
     when those four are dependent at p."""
     (f1, f2), _ = _d10_frame_at(p)
-    _, _, _, R = cone_fields()
-    rib = _real_parts(R)
-    rib_values = [f.eval(p.z) for f in rib]
+    fields, reals = cone_fields(), cone_real_parts()
+    rib = reals[3]
+    rib_values = [f.eval(p.powers) for f in rib]
     for f in (f1, f2):
-        extra = _real_parts(f)
-        values = rib_values + [g.eval(p.z) for g in extra]
+        extra = reals[fields.index(f)]
+        values = rib_values + [g.eval(p.powers) for g in extra]
         if rank(Matrix(values)) == 4:
             break
     return rib + extra, values
@@ -390,8 +476,7 @@ def levi_real_gram(p: ConePoint) -> Matrix:
 
 
 def rib_span_at(p: ConePoint) -> Subspace:
-    _, _, _, R = cone_fields()
-    return Subspace(6, [u.eval(p.z) for u in _real_parts(R)])
+    return Subspace(6, [u.eval(p.powers) for u in cone_real_parts()[3]])
 
 
 def levi_kernel_at(p: ConePoint) -> Subspace:
@@ -407,7 +492,7 @@ def freeman_ranks_at(p: ConePoint):
     (f1, f2), values = _d10_frame_at(p)
     _, _, _, R = cone_fields()
     conj_frame = [f1.conj(), f2.conj()]
-    r_jet, *cb_jets = [_jet(f, p.z) for f in [R] + conj_frame]
+    r_jet, *cb_jets = [_jet(f, p.powers) for f in [R] + conj_frame]
     # step 0 (Levi kernel): rows theta([f, conj f']) = -i (Hermitian Gram)^T
     sol = kernel_basis(_levi_gram(p, (f1, f2), conj_frame).transpose())
     frame = Matrix.from_columns(values)

@@ -394,3 +394,138 @@ def test_one_reading_of_the_covectors_per_point(monkeypatch):
         calls.clear()
         evaluate(p)
         assert calls == [p]
+
+
+# -- compiled evaluation: jet tables, power tables, warm work ---------------
+
+def naive_eval(poly: Poly, z) -> GQ:
+    """The value of each monomial by repeated multiplication, summed."""
+    vals = [GQ.of(v) for v in z]
+    vals += [v.conj() for v in vals]
+    total = GQ(0)
+    for mono, c in poly.terms.items():
+        t = c
+        for e, v in zip(mono, vals):
+            for _ in range(e):
+                t = t * v
+        total = total + t
+    return total
+
+
+def fresh(poly: Poly) -> Poly:
+    """An equal polynomial that has not been evaluated yet."""
+    return Poly(dict(poly.terms))
+
+
+_small_gq = st.builds(
+    GQ,
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+)
+
+
+@st.composite
+def polys(draw, max_degree=4):
+    """A random polynomial of total degree at most max_degree."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        mono = [0] * 6
+        for _ in range(draw(st.integers(0, max_degree))):
+            mono[draw(st.integers(0, 5))] += 1
+        terms[tuple(mono)] = draw(_small_gq)
+    return Poly(terms)
+
+
+@settings(deadline=None, max_examples=60)
+@given(polys(), st.lists(_small_gq, min_size=3, max_size=3))
+def test_compiled_eval_matches_the_monomial_loop(poly, z):
+    assert poly.eval(z) == naive_eval(poly, z)
+    # one power table shared by polynomials of rising degree grows as needed
+    powers = tube.Powers(z)
+    for q in (Poly.var(0), poly, poly * poly, poly.conj()):
+        assert q.eval(powers) == naive_eval(q, z)
+
+
+def _jet_fields():
+    """Cone fields with their conjugates, J images and real parts, and
+    non-linear fields: the rho-multiple perturbation of ``model cubic`` and
+    products of the coordinates."""
+    fields = []
+    for f in cone_fields():
+        fields += [f, f.conj(), f.apply_J(), f.conj().apply_J()]
+    for pair in tube.cone_real_parts():
+        fields += list(pair)
+    l12 = cone_fields()[0]
+    z = [Poly.var(j) for j in range(6)]
+    w = Field([z[3], Poly(), Poly(), z[0], Poly(), Poly.const(1)])
+    fields += [
+        l12.conj() + w.scale(rho()),
+        Field([z[0] * z[4], z[1] * z[1] * z[3], Poly(), z[5] * z[5] * z[5],
+               z[0] * z[1] * z[2] * z[3], Poly.const(I)]),
+        cone_fields()[3].bracket(l12.conj()),
+    ]
+    return fields
+
+
+@settings(deadline=None, max_examples=15)
+@given(cone_points())
+def test_jet_tables_match_a_direct_computation(p):
+    for f in _jet_fields():
+        for _ in range(2):  # the first reading fills the tables, the second reads them
+            value, d = _jet(f, p.powers)
+            assert value == tuple(fresh(c).eval(p.z) for c in f.comps)
+            assert d == tuple(tuple(fresh(c).diff(j).eval(p.z)
+                                    for j in range(6)) for c in f.comps)
+            assert f.eval(p.powers) == value
+
+
+def test_derived_fields_are_kept():
+    for f in cone_fields():
+        assert f.conj() is f.conj() and f.conj().conj() is f
+        assert f.apply_J() is f.apply_J()
+        assert f.partials() is f.partials()
+        assert f.conj().comps == Field([c.conj() for c in
+                                        f.comps[3:] + f.comps[:3]]).comps
+    assert tube.cone_real_parts() is tube.cone_real_parts()
+
+
+def test_warm_evaluators_build_no_fields_or_derivatives(monkeypatch):
+    # after one call per evaluator, a call at a new point does no Poly.diff,
+    # Field.__add__ or Field.scale; the cubic's inner bracket [E, H] is the
+    # one field built per call, so it is served here from a warmed copy
+    l12, _, l23, r = cone_fields()
+    real = l12 + l12.conj()
+    inner = {}
+    bracket = Field.bracket
+
+    def kept_bracket(self, other):
+        key = (id(self), id(other))
+        if key not in inner:
+            inner[key] = bracket(self, other)
+        return inner[key]
+
+    monkeypatch.setattr(Field, "bracket", kept_bracket)
+    evaluators = (
+        covectors_at, levi_hermitian_rank, levi_real_gram, levi_kernel_at, rib_span_at,
+        freeman_ranks_at,
+        lambda p: levi_form_at(p, real, real),
+        lambda p: cubic_form_at(p, r, l12.conj(), l12.conj()),
+        lambda p: cubic_form_at(p, r, l23.conj(), l23.conj()),
+    )
+    for evaluate in evaluators:
+        evaluate(SAMPLE_POINTS[0])
+    counts = {"diff": 0, "add": 0, "scale": 0}
+
+    def counting(name, method):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(Poly, "diff", counting("diff", Poly.diff))
+    monkeypatch.setattr(Field, "__add__", counting("add", Field.__add__))
+    monkeypatch.setattr(Field, "scale", counting("scale", Field.scale))
+    for p in SAMPLE_POINTS[1:3]:
+        for evaluate in evaluators:
+            evaluate(p)
+            assert counts == {"diff": 0, "add": 0, "scale": 0}, evaluate
