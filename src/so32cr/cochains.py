@@ -27,13 +27,12 @@ from itertools import combinations, product
 
 from .scalars import GQ
 from .linalg import (
-    NO_SOLUTION,
     Matrix,
     Subspace,
     inverse,
     kernel,
     rank,
-    solve,
+    solution_map,
     unit_vec,
     vec,
     zero_vec,
@@ -69,15 +68,14 @@ class _Side:
         self.n = len(self.args)
         # brackets of argument basis vectors, re-expanded in that basis
         span = Matrix.from_columns(self.args)
+        left = solution_map(span.transpose()).transpose()
         self.bracket_coeffs = {}
         for a in range(self.n):
             for b in range(self.n):
                 w = bracket_coords(self.args[a], self.args[b])
-                res = solve(span, w)
-                if res is NO_SOLUTION:
+                self.bracket_coeffs[(a, b)] = x = left.apply(w)
+                if span.apply(x) != w:
                     raise ValueError("argument basis does not close under bracket")
-                x, _ = res
-                self.bracket_coeffs[(a, b)] = x
         # d theta^c = -sum_{a<b} C^c_ab theta^a ^ theta^b on the dual coframe
         self.d_theta = tuple(
             Form({(a, b): -self.bracket_coeffs[(a, b)][c]
@@ -394,27 +392,22 @@ class HodgeTriple:
         return self.exact + self.harmonic + self.coexact
 
 
+@lru_cache(maxsize=None)
+def _hodge_map(pieces) -> Matrix:
+    """The fixed map from a cochain to its coordinates along the pieces."""
+    basis = [v for piece in pieces for v in piece.basis_vectors()]
+    if len(basis) != pieces[0].ambient_dim:
+        raise ArithmeticError("Kostant pieces do not decompose the slice")
+    return solution_map(Matrix.from_columns(basis), "Kostant pieces overlap")
+
+
 def hodge_decompose(c: Cochain) -> HodgeTriple:
     """Split c along im d + harmonic + im d*; exact and unique."""
-    ell, k = c.ell, c.k
-    exact, harmonic, coexact = kostant_pieces(ell, k)
-    n = cochain_dim(ell, k)
-    basis = (
-        exact.basis_vectors() + harmonic.basis_vectors() + coexact.basis_vectors()
-    )
-    if len(basis) != n:
-        raise ArithmeticError("Kostant pieces do not decompose the slice")
-    span = Matrix.from_columns(basis, nrows=n)
-    res = solve(span, c.coords)
-    if res is NO_SOLUTION or res[1].dim != 0:
-        raise ArithmeticError("Kostant pieces overlap")
-    x, _ = res
-    parts = []
-    offset = 0
-    for piece in (exact, harmonic, coexact):
-        coefs = x[offset: offset + piece.dim]
-        parts.append(Cochain(ell, k, piece.basis.apply(coefs)))
-        offset += piece.dim
+    pieces = kostant_pieces(c.ell, c.k)
+    x, parts = _hodge_map(pieces).apply(c.coords), []
+    for piece in pieces:
+        parts.append(Cochain(c.ell, c.k, piece.basis.apply(x[:piece.dim])))
+        x = x[piece.dim:]
     return HodgeTriple(*parts)
 
 

@@ -9,7 +9,7 @@ equal iff their stored bases are structurally equal.
 
 from __future__ import annotations
 
-from .scalars import GQ
+from .scalars import GQ, ZERO
 
 Vector = tuple  # tuple of GQ
 
@@ -296,7 +296,7 @@ class Subspace:
             lead = next(j for j, x in enumerate(row) if x)
             if v[lead]:
                 c = v[lead]
-                v = [a - c * b for a, b in zip(v, row)]
+                v = [a - c * b if b else a for a, b in zip(v, row)]
         return all(x.is_zero() for x in v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
@@ -361,14 +361,7 @@ def kernel(m: Matrix) -> Subspace:
 
 
 class NoSolution:
-    """Marker value returned by solve() for inconsistent systems."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """The type of solve()'s marker value for inconsistent systems."""
 
     def __repr__(self):
         return "NoSolution"
@@ -397,14 +390,40 @@ def solve(a: Matrix, b):
     return tuple(x), Subspace(a.ncols, _null_vectors(r, pivots, a.ncols))
 
 
+def solution_map(a: Matrix, why: str = "dependent rows") -> Matrix:
+    """X with X b = solve(a, b)'s particular solution for every b: when a
+    has full row rank, rref([a | b]) pivots inside a and ends in E b, for E
+    the right block of one rref([a | I]).  ArithmeticError(why) otherwise."""
+    n, m = a.nrows, a.ncols
+    r, pivots = rref(Matrix([row + unit_vec(n, i)
+                             for i, row in enumerate(a.rows)], ncols=m + n))
+    if any(p >= m for p in pivots):
+        raise ArithmeticError(why)
+    pivot_rows = dict(zip(pivots, r.rows))
+    return Matrix([pivot_rows[j][m:] if j in pivot_rows else zero_vec(n)
+                   for j in range(m)], ncols=n)
+
+
 def inverse(m: Matrix) -> Matrix:
     if m.nrows != m.ncols:
         raise ValueError("inverse of a non-square matrix")
-    n = m.nrows
-    aug = Matrix(
-        [list(m.rows[i]) + list(unit_vec(n, i)) for i in range(n)], ncols=2 * n
-    )
-    r, pivots = rref(aug)
-    if tuple(pivots[:n]) != tuple(range(n)):
-        raise ValueError("singular matrix")
-    return Matrix([r.rows[i][n:] for i in range(n)], ncols=n)
+    try:
+        return solution_map(m)
+    except ArithmeticError:
+        raise ValueError("singular matrix") from None
+
+
+def sparse_entries(m: Matrix) -> tuple:
+    """(nrows, the nonzero entries of m as (i, j, m[i, j]))."""
+    return m.nrows, tuple((i, j, x) for i, r in enumerate(m.rows)
+                          for j, x in enumerate(r) if x)
+
+
+def apply_entries(sparse, v) -> Vector:
+    """m v from ``sparse_entries(m)``, skipping the zero entries of v."""
+    nrows, entries = sparse
+    out = [ZERO] * nrows
+    for i, j, a in entries:
+        if x := v[j]:
+            out[i] = out[i] + a * x
+    return tuple(out)

@@ -16,8 +16,8 @@ gauge image: the normalization space is, at degree 1, the orthocomplement
 of the l1-image inside the coboundary image (for the rotation-invariant
 inner product that makes the monomial basis orthonormal) plus ker d*, and
 at degrees 2 and 3 simply ker d*.  Each is complementary to the gauge
-image, so normalize() always succeeds and the gauge part is unique modulo
-the step's prolongation algebra.
+image, so the split c = dB + residual always exists and is linear in c: one
+elimination per degree fixes the maps c -> B and c -> residual.
 """
 
 from __future__ import annotations
@@ -29,13 +29,14 @@ from .scalars import GQ, HALF_I, I
 from .linalg import (
     Matrix,
     Subspace,
+    apply_entries,
     kernel,
     kernel_basis,
     real_rows,
-    solve,
+    solution_map,
+    sparse_entries,
     vec_add,
     vec_scale,
-    vec_sub,
     zero_vec,
 )
 from . import so32
@@ -382,14 +383,16 @@ def normalization_space(k: int) -> Subspace:
 
 
 @lru_cache(maxsize=None)
-def _normalize_solver(k: int):
-    """The step-k gauge data of ``_gauge`` and the precomputed column span
-    [D | normalization basis]."""
+def _normalize_maps(k: int):
+    """(step carrier, entries of G X, entries of I - D X) for X the gauge
+    rows of the solution map of [D | normalization basis], which has full
+    row rank: c -> flattened B and c -> residual, linear in c."""
     carrier, gauge, d = _gauge(k)
     span = Matrix.from_columns(
-        d.columns() + normalization_space(k).basis_vectors(),
-        nrows=cochain_dim(2, k))
-    return carrier, gauge, d, span
+        d.columns() + normalization_space(k).basis_vectors())
+    x = Matrix(solution_map(span).rows[: gauge.ncols], ncols=d.nrows)
+    return (carrier, sparse_entries(gauge @ x),
+            sparse_entries(Matrix.identity(d.nrows) - d @ x))
 
 
 def normalize_ctorsion(c: Cochain):
@@ -401,11 +404,9 @@ def normalize_ctorsion(c: Cochain):
     k = c.k
     if c.ell != 2 or k not in (1, 2, 3):
         raise ValueError("expected a 2-cochain of degree 1, 2 or 3")
-    carrier, gauge, d, span = _normalize_solver(k)
-    x, _ = solve(span, c.coords)
-    xg = x[: gauge.ncols]
-    b = Matrix.unflatten(gauge.apply(xg), carrier.dim)
-    residual = Cochain(2, k, vec_sub(c.coords, d.apply(xg)))
+    carrier, b_map, residual_map = _normalize_maps(k)
+    b = Matrix.unflatten(apply_entries(b_map, c.coords), carrier.dim)
+    residual = Cochain(2, k, apply_entries(residual_map, c.coords))
     if not normalization_space(k).contains(residual.coords):
         raise ArithmeticError("residual escaped the normalization space")
     return b, residual

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .scalars import GQ, HALF, HALF_I, I
+from .scalars import GQ, HALF, HALF_I, I, ZERO
 from .linalg import (Matrix, Subspace, inverse, kernel, kernel_basis, rank,
                      real_rows, rref, vec)
 from . import so32
@@ -40,7 +40,6 @@ from .so32 import bracket_complex, COMPLEX_LABELS
 # ---------------------------------------------------------------------------
 
 NVARS = 6  # z1 z2 z3 zb1 zb2 zb3
-ZERO = GQ(0)
 
 
 class Powers:
@@ -378,11 +377,14 @@ def _jet_bracket(vj, wj) -> tuple:
     return tuple(_dot(a, v) - _dot(b, w) for a, b in zip(dw, dv))
 
 
-def _theta_jet(theta, jet):
-    """(V(p), theta_p D_V) from the 1-jet of V at p: one row per field, so
-    that theta_p([V, W]) is (theta_p D_W) v - (theta_p D_V) w."""
-    v, d = jet
-    return v, tuple(_dot(theta, col) for col in zip(*d))
+def _theta_jet(theta, field: Field, powers):
+    """(V(p), theta_p D_V) from the nonzero first partials of V, so that
+    theta_p([V, W]) is (theta_p D_W) v - (theta_p D_V) w."""
+    row = [ZERO] * NVARS
+    for i, j, d in field.partials():
+        if theta[i]:
+            row[j] = row[j] + theta[i] * d.eval(powers)
+    return field.eval(powers), tuple(row)
 
 
 def _theta_bracket(vt, wt) -> GQ:
@@ -392,8 +394,8 @@ def _theta_bracket(vt, wt) -> GQ:
 
 
 def _section_jet(cov: Matrix, field: Field, p: ConePoint):
-    """The 1-jet at p of a section of the contact distribution."""
-    jet = _jet(field, p.powers)
+    """The theta-jet at p of a section of the contact distribution."""
+    jet = _theta_jet(cov.row(1), field, p.powers)
     if any(cov.apply(jet[0])):
         raise ValueError("field is not a section of the contact distribution"
                          " at the point")
@@ -418,9 +420,8 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     jets = [_section_jet(cov, f, p) for f in (h, hp)]
     if any(any(jet[0][:3]) for jet in jets):
         raise ValueError("argument is not antiholomorphic at the point")
-    theta = cov.row(1)
-    return _theta_bracket(_theta_jet(theta, _jet(e.bracket(h), p.powers)),
-                          _theta_jet(theta, jets[1]))
+    return _theta_bracket(_theta_jet(cov.row(1), e.bracket(h), p.powers),
+                          jets[1])
 
 
 def _d10_frame_at(p: ConePoint):
@@ -461,10 +462,8 @@ def _levi_gram(p: ConePoint, rows, cols) -> Matrix:
     """-theta_p([V, JW]) for V in rows, W in cols, from one 1-jet per field;
     W is checked as JW, since the contact distribution is J-invariant."""
     cov = covectors_at(p)
-    theta = cov.row(1)
-    row_jets = [_theta_jet(theta, _section_jet(cov, v, p)) for v in rows]
-    col_jets = [_theta_jet(theta, _section_jet(cov, w.apply_J(), p))
-                for w in cols]
+    row_jets = [_section_jet(cov, v, p) for v in rows]
+    col_jets = [_section_jet(cov, w.apply_J(), p) for w in cols]
     return Matrix([[-_theta_bracket(a, b) for b in col_jets]
                    for a in row_jets])
 

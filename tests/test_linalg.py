@@ -11,11 +11,14 @@ from so32cr.linalg import (
     NO_SOLUTION,
     Matrix,
     Subspace,
+    apply_entries,
     inverse,
     kernel,
     rank,
     rref,
+    solution_map,
     solve,
+    sparse_entries,
     unit_vec,
     vec,
 )
@@ -233,3 +236,24 @@ def test_solve_eliminates_once(monkeypatch):
     # one elimination of [A | b], one canonical form of the kernel
     x, ker = solve(Matrix([[1, 1]]), vec([2]))
     assert ker.dim == 1 and len(calls) == 2
+
+
+def test_solution_map_matches_solve():
+    rng = random.Random(2024)
+    tried = 0
+    while tried < 60:
+        a = _random_matrix(rng)
+        if rank(a) < a.nrows:
+            with pytest.raises(ArithmeticError):
+                solution_map(a)
+            continue
+        tried += 1
+        x_map = solution_map(a)
+        entries = sparse_entries(x_map)
+        for _ in range(3):
+            b = vec([GQ(rng.randrange(-9, 10), rng.randrange(-9, 10))
+                     for _ in range(a.nrows)])
+            x, _ = solve(a, b)
+            assert x_map.apply(b) == x == apply_entries(entries, b)
+    with pytest.raises(ValueError):
+        inverse(Matrix([[1, I], [I, -1]]))

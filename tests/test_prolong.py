@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from so32cr import cochains, linalg, prolong
 from so32cr.scalars import GQ
-from so32cr.linalg import Matrix, Subspace, unit_vec, vec_scale
+from so32cr.linalg import Matrix, Subspace, solve, unit_vec, vec_scale
 from so32cr.so32 import DIM, GRADES, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr.cochains import Cochain, act_on_cochain, coboundary, cochain_dim
@@ -278,3 +280,90 @@ def test_flat_ctorsion_degrees():
         c = flat.restrict_ctorsion(k)
         assert c.is_zero()
         assert normalization_space(k).contains(c.coords)
+
+
+# -- the fixed normalization maps against the solve-based split ---------------
+
+def _reference_split(c):
+    """Solve [D | normalization basis] x = c (free variables 0), then
+    B = G x_G and residual = c - D x_G."""
+    carrier, gauge, d = prolong._gauge(c.k)
+    span = Matrix.from_columns(
+        d.columns() + normalization_space(c.k).basis_vectors(),
+        nrows=len(c.coords))
+    x, _ = solve(span, c.coords)
+    xg = x[: gauge.ncols]
+    return (Matrix.unflatten(gauge.apply(xg), carrier.dim).rows,
+            tuple(a - b for a, b in zip(c.coords, d.apply(xg))))
+
+
+_HEIGHTS = (
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-10**3, 10**3), st.integers(1, 10**3)),
+    st.builds(Fraction, st.integers(-10**30, 10**30),
+              st.integers(10**19, 10**20)),
+)
+
+
+@st.composite
+def ctorsions(draw):
+    """A degree-k 2-cochain, k in {1, 2, 3}, with entries of one height:
+    small integers, three-digit or 20- to 30-digit rationals, some zero."""
+    k = draw(st.sampled_from((1, 2, 3)))
+    q = draw(st.sampled_from(_HEIGHTS))
+    entry = st.one_of(st.just(GQ(0)), st.builds(GQ, q, q))
+    n = cochain_dim(2, k)
+    return Cochain(2, k, draw(st.lists(entry, min_size=n, max_size=n)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(ctorsions())
+def test_normalize_matches_the_solve_split(c):
+    b, residual = normalize_ctorsion(c)
+    ref_b, ref_residual = _reference_split(c)
+    assert b.rows == ref_b
+    assert residual.coords == ref_residual
+
+
+def test_warm_normalize_runs_no_elimination(monkeypatch):
+    for k in (1, 2, 3):
+        normalize_ctorsion(Cochain.zero(2, k))
+    counts = {"rref": 0, "solve": 0}
+
+    def counting(name, function):
+        def counted(*args):
+            counts[name] += 1
+            return function(*args)
+        return counted
+
+    for module in (linalg, cochains, prolong):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    rng = random.Random(15)
+    for k in (1, 2, 3):
+        for _ in range(5):
+            normalize_ctorsion(Cochain(2, k, [
+                GQ(Fraction(rng.randrange(-99, 100), rng.randrange(1, 99)),
+                   rng.randrange(-9, 10))
+                for _ in range(cochain_dim(2, k))]))
+    assert counts == {"rref": 0, "solve": 0}
+
+
+def test_a_corrupted_projector_entry_is_caught(monkeypatch):
+    # the membership check still runs per call: a wrong residual map entry
+    # (i, j) with the unit vector e_i outside the normalization space moves
+    # the residual of the input e_j out of it
+    k = 3
+    carrier, b_map, (n, entries) = prolong._normalize_maps(k)
+    ns = normalization_space(k)
+    e = next(e for e, (i, _, _) in enumerate(entries)
+             if not ns.contains(unit_vec(n, i)))
+    i, j, a = entries[e]
+    bad = entries[:e] + ((i, j, a + 1),) + entries[e + 1:]
+    normalize_ctorsion(Cochain(2, k, unit_vec(n, j)))
+    monkeypatch.setattr(prolong, "_normalize_maps",
+                        lambda k: (carrier, b_map, (n, bad)))
+    with pytest.raises(ArithmeticError):
+        normalize_ctorsion(Cochain(2, k, unit_vec(n, j)))
