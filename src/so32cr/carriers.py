@@ -58,13 +58,12 @@ class Carrier:
 
     def j_matrix(self) -> Matrix:
         """J on the carrier, extended by zero outside m^-1+m^0+h^0+h^1."""
-        rows = [[GQ(0)] * self.dim for _ in range(self.dim)]
+        entries = []
         for p, i in enumerate(self.indices):
-            if i in _J_IMAGE:
-                j, s = _J_IMAGE[i]
-                if j in self.indices:
-                    rows[self.indices.index(j)][p] = GQ(s)
-        return Matrix(rows)
+            j, s = _J_IMAGE.get(i, (None, 0))
+            if j in self.indices:
+                entries.append((self.indices.index(j), p, s))
+        return Matrix.from_entries(self.dim, self.dim, entries)
 
     # -- embedding in the full algebra ------------------------------------
     def project_coords(self, coords):
@@ -77,6 +76,12 @@ class Carrier:
         for p, i in enumerate(self.indices):
             out[i] = local[p]
         return tuple(out)
+
+    def embedding(self) -> Matrix:
+        """The inclusion of the carrier's coordinates into the algebra's;
+        its transpose is the projection."""
+        return Matrix.from_entries(so32.DIM, self.dim, (
+            (i, p, 1) for p, i in enumerate(self.indices)))
 
     def apply_endo(self, b: Matrix, coords):
         """An endomorphism of the carrier acting on algebra coordinates:
@@ -114,26 +119,23 @@ class EndoSubspace:
         return self.space.contains(m.flatten())
 
 
-def _j_constraint_rows(carrier: Carrier, domain_slots):
-    """Rows expressing (J A - A J)(v) = 0 mod h-part for v in domain slots."""
+def _j_constraint_matrix(carrier: Carrier, domain_slots, coords) -> Matrix:
+    """Rows expressing (J A - A J)(v) = 0 mod h-part for v in domain slots,
+    over the row-major entries ``coords`` of A (entries outside them are
+    taken to be zero)."""
     n = carrier.dim
     jm = carrier.j_matrix()
+    jt = jm.transpose()  # row c: the coordinates of J(v_c)
     hpart = set(carrier.h_part())
-    rows = []
-    for c in domain_slots:
-        jc = [jm[r, c] for r in range(n)]  # coordinates of J(v_c)
-        for r in range(n):
-            if r in hpart:
-                continue
-            # (J A)(v_c)_r = sum_s J[r,s] A[s,c];  (A J)(v_c)_r = sum_s A[r,s] J[s,c]
-            row = [GQ(0)] * (n * n)
-            for s in range(n):
-                if jm[r, s]:
-                    row[s * n + c] = row[s * n + c] + jm[r, s]
-                if jc[s]:
-                    row[r * n + s] = row[r * n + s] - jc[s]
-            rows.append(row)
-    return rows
+    column = {q: p for p, q in enumerate(coords)}
+    targets = [(c, r) for c in domain_slots for r in range(n) if r not in hpart]
+    entries = []
+    for t, (c, r) in enumerate(targets):
+        # (J A)(v_c)_r = sum_s J[r,s] A[s,c];  (A J)(v_c)_r = sum_s A[r,s] J[s,c]
+        entries += [(t, s * n + c, x) for s, x in jm.rows[r]]
+        entries += [(t, r * n + s, -x) for s, x in jt.rows[c]]
+    return Matrix.from_entries(len(targets), len(coords), (
+        (t, column[q], x) for t, q, x in entries if q in column))
 
 
 def _endo_space(carrier: Carrier, allowed, j_domain) -> Subspace:
@@ -145,10 +147,8 @@ def _endo_space(carrier: Carrier, allowed, j_domain) -> Subspace:
     coords = [r * n + c for r in range(n) for c in range(n) if allowed(r, c)]
     if not j_domain:
         return Subspace.coordinate(n * n, coords)
-    rows = [[row[p] for p in coords]
-            for row in _j_constraint_rows(carrier, j_domain)]
     vectors = []
-    for v in kernel_basis(Matrix(rows, ncols=len(coords))):
+    for v in kernel_basis(_j_constraint_matrix(carrier, j_domain, coords)):
         w = [GQ(0)] * (n * n)
         for p, x in zip(coords, v):
             w[p] = x
@@ -229,36 +229,31 @@ def endo_from_complex_images(carrier: Carrier, images: dict) -> Matrix:
     symmetry of a real map; omitted columns are zero.  Raises when the
     result does not stay in the carrier or fails to be real.
     """
-    zcols = [[GQ(0)] * so32.DIM for _ in range(so32.DIM)]
-    specified = set()
+    zl, conj = so32.COMPLEX_LABELS.index, so32.CONJ_PERM
+    entries = {}  # (row, column) -> value in the complexified basis
     for label, terms in images.items():
-        j = so32.COMPLEX_LABELS.index(label)
-        specified.add(j)
         for coef, target in terms:
-            zcols[j][so32.COMPLEX_LABELS.index(target)] = GQ.of(coef)
-    for j in range(so32.DIM):
-        cj = so32.CONJ_PERM[j]
-        if j in specified and cj not in specified:
-            for i in range(so32.DIM):
-                zcols[cj][so32.CONJ_PERM[i]] = zcols[j][i].conj()
-    mz = Matrix.from_columns(zcols)
+            entries[zl(target), zl(label)] = GQ.of(coef)
+    specified = {zl(label) for label in images}
+    for (i, j), x in list(entries.items()):
+        if conj[j] not in specified:
+            entries[conj[i], conj[j]] = x.conj()
+    mz = Matrix.from_entries(so32.DIM, so32.DIM,
+                             ((i, j, x) for (i, j), x in entries.items()))
     mreal = complex_basis_matrix() @ mz @ complex_basis_matrix_inv()
-    for r in range(so32.DIM):
-        for c in range(so32.DIM):
-            if not mreal[r, c].is_real():
+    for r, row in enumerate(mreal.rows):
+        for c, x in row:
+            if not x.is_real():
                 raise ValueError("images do not define a real endomorphism")
-            if c in carrier.indices and r not in carrier.indices and mreal[r, c]:
+            if c in carrier.indices and r not in carrier.indices:
                 raise ValueError("image leaves the carrier")
-    idx = carrier.indices
-    return Matrix([[mreal[r, c] for c in idx] for r in idx])
+    e = carrier.embedding()
+    return e.transpose() @ mreal @ e
 
 
 def endo_complex_matrix(carrier: Carrier, m: Matrix) -> Matrix:
     """The endomorphism in complexified coordinates of the carrier."""
-    full = [[GQ(0)] * so32.DIM for _ in range(so32.DIM)]
-    for p, i in enumerate(carrier.indices):
-        for q, j in enumerate(carrier.indices):
-            full[i][j] = m[p, q]
-    zfull = complex_basis_matrix_inv() @ Matrix(full) @ complex_basis_matrix()
-    idx = carrier.indices
-    return Matrix([[zfull[r, c] for c in idx] for r in idx])
+    e = carrier.embedding()
+    zfull = (complex_basis_matrix_inv() @ (e @ m @ e.transpose())
+             @ complex_basis_matrix())
+    return e.transpose() @ zfull @ e

@@ -282,19 +282,18 @@ def _coboundary_on(side: _Side, ell: int, k: int) -> Matrix:
     dst_index = {
         m: p for p, m in enumerate(side.graded_monomials(ell + 1, k))
     }
-    cols = []
-    for w, beta in side.graded_monomials(ell, k):
-        col = [GQ(0)] * len(dst_index)
+    src = side.graded_monomials(ell, k)
+    entries = []
+    for p, (w, beta) in enumerate(src):
         d_w = exterior_derivative(Form({w: 1}), side.d_theta.__getitem__)
         for key, c in d_w.coeffs.items():
-            col[dst_index[key, beta]] += c
+            entries.append((dst_index[key, beta], p, c))
         for a in range(side.n):
             for key, c in Form({(a,) + w: 1}).coeffs.items():
                 for gamma, v in enumerate(side.ad_values[a][beta]):
                     if v:
-                        col[dst_index[key, gamma]] += c * v
-        cols.append(col)
-    return Matrix.from_columns(cols, nrows=len(dst_index))
+                        entries.append((dst_index[key, gamma], p, c * v))
+    return Matrix.from_entries(len(dst_index), len(src), entries)
 
 
 def coboundary_matrix(ell: int, k: int) -> Matrix:
@@ -318,16 +317,10 @@ def _pairing_matrix(ell: int, k: int) -> Matrix:
     rows_m = cochain_monomials(ell, k)
     cols_h = tuple(_side_h().graded_monomials(ell, -k))
     g = killing_gram()
-    return Matrix(
-        [
-            [
-                g[beta, gamma] if wm == wh else GQ(0)
-                for (wh, gamma) in cols_h
-            ]
-            for (wm, beta) in rows_m
-        ],
-        ncols=len(cols_h),
-    )
+    return Matrix.from_entries(len(rows_m), len(cols_h), (
+        (r, c, g[beta, gamma])
+        for r, (wm, beta) in enumerate(rows_m)
+        for c, (wh, gamma) in enumerate(cols_h) if wm == wh))
 
 
 @lru_cache(maxsize=None)
@@ -365,12 +358,12 @@ def kostant_pieces(ell: int, k: int):
     exact = (
         _image_subspace(coboundary_matrix(ell - 1, k))
         if ell > 0
-        else Subspace.zero(n)
+        else Subspace(n)
     )
     coexact = (
         _image_subspace(codifferential_matrix(ell + 1, k))
         if ell < MAX_ELL
-        else Subspace.zero(n)
+        else Subspace(n)
     )
     ker_d = (
         kernel(coboundary_matrix(ell, k)) if ell < MAX_ELL else Subspace.full(n)

@@ -1,15 +1,18 @@
-"""Dense exact linear algebra over Q[i].
+"""Exact sparse linear algebra over Q[i].
 
 Everything is built on one primitive, Gauss-Jordan reduction with exact
-scalars (no pivot strategy is needed because nothing rounds).  Subspaces are
-kept in a canonical form -- the reduced column echelon basis, equivalently
-the reduced row echelon form of the row span -- so that two subspaces are
-equal iff their stored bases are structurally equal.
+scalars (no pivot strategy is needed because nothing rounds) on the nonzero
+entries of each row.  Subspaces are kept in a canonical form -- the reduced
+column echelon basis, equivalently the reduced row echelon form of the row
+span -- so that two subspaces are equal iff their stored bases are
+structurally equal.
 """
 
 from __future__ import annotations
 
-from .scalars import GQ, ZERO
+from itertools import chain
+
+from .scalars import GQ, ONE, ZERO
 
 Vector = tuple  # tuple of GQ
 
@@ -20,11 +23,11 @@ def vec(entries) -> Vector:
 
 
 def zero_vec(n: int) -> Vector:
-    return tuple(GQ(0) for _ in range(n))
+    return (ZERO,) * n
 
 
 def unit_vec(n: int, i: int) -> Vector:
-    return tuple(GQ(1) if j == i else GQ(0) for j in range(n))
+    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -44,126 +47,151 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a.is_zero() for a in v)
 
 
+def dot(u: Vector, v: Vector) -> GQ:
+    """sum u_i v_i, skipping the indices where either entry is zero."""
+    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
+
+
+def _row(pairs) -> tuple:
+    """(column, value) pairs as a sparse row: ascending columns, no zeros."""
+    return tuple(sorted((j, x) for j, x in pairs if x))
+
+
+_set = object.__setattr__
+
+
 class Matrix:
-    """Immutable dense matrix over GQ, stored as a tuple of row tuples."""
+    """Immutable sparse matrix over GQ: ``rows[i]`` is row i's sparse row,
+    its nonzero entries as (column, value) pairs in ascending column order,
+    so equal matrices have equal rows.  The constructor takes dense rows;
+    ``row``, ``col``, ``columns`` and ``flatten`` return dense vectors."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(vec(r) for r in rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "nrows", len(rows))
+        rows = [vec(r) for r in rows]
         if rows:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged matrix")
-        elif ncols is None:
-            ncols = 0
-        object.__setattr__(self, "ncols", ncols)
+        _set(self, "rows", tuple(tuple(p for p in enumerate(r) if p[1])
+                                 for r in rows))
+        _set(self, "nrows", len(rows))
+        _set(self, "ncols", ncols or 0)
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
+    def _of(rows: tuple, ncols: int) -> "Matrix":
+        """The matrix with the given sparse rows, which must be canonical."""
+        m = object.__new__(Matrix)
+        _set(m, "rows", rows)
+        _set(m, "nrows", len(rows))
+        _set(m, "ncols", ncols)
+        return m
+
+    @staticmethod
     def zero(m: int, n: int) -> "Matrix":
-        return Matrix([zero_vec(n) for _ in range(m)], ncols=n)
+        return Matrix._of(((),) * m, n)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix([unit_vec(n, i) for i in range(n)], ncols=n)
+        return Matrix._of(tuple(((i, ONE),) for i in range(n)), n)
 
     @staticmethod
     def from_columns(cols, nrows=None) -> "Matrix":
-        cols = [vec(c) for c in cols]
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            nrows = 0
-        return Matrix(
-            [tuple(c[i] for c in cols) for i in range(nrows)],
-            ncols=len(cols),
-        )
+        return Matrix(cols, ncols=nrows).transpose()
 
     @staticmethod
-    def unflatten(v, n: int) -> "Matrix":
+    def from_entries(nrows: int, ncols: int, entries) -> "Matrix":
+        """The matrix whose (i, j) entry is the sum of the values x of the
+        given triples (i, j, x); a triple outside the shape is an error."""
+        rows = [{} for _ in range(nrows)]
+        for i, j, x in entries:
+            if not (0 <= i < nrows and 0 <= j < ncols):
+                raise IndexError("entry outside the matrix")
+            r = rows[i]
+            r[j] = r[j] + x if j in r else GQ.of(x)
+        return Matrix._of(tuple(_row(r.items()) for r in rows), ncols)
+
+    @staticmethod
+    def unflatten(v: Vector, n: int) -> "Matrix":
         """The n x n matrix whose row-major entries are v (inverse of flatten)."""
-        v = vec(v)
         if len(v) != n * n:
             raise ValueError("vector length is not n*n")
-        return Matrix([v[r * n: (r + 1) * n] for r in range(n)], ncols=n)
+        return Matrix._of(tuple(tuple(p for p in enumerate(v[r * n: (r + 1) * n])
+                                      if p[1]) for r in range(n)), n)
 
     def flatten(self) -> Vector:
         """Row-major entries, the vectorization under which spaces of
         endomorphisms are kept as subspaces."""
-        return tuple(x for r in self.rows for x in r)
+        return tuple(x for i in range(self.nrows) for x in self.row(i))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return self.row(i)[j]
+
+    def _entries(self):
+        return ((i, j, x) for i, r in enumerate(self.rows) for j, x in r)
 
     def row(self, i: int) -> Vector:
-        return self.rows[i]
+        out = [ZERO] * self.ncols
+        for j, x in self.rows[i]:
+            out[j] = x
+        return tuple(out)
 
     def col(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.rows)
+        return self.transpose().row(j)
 
     def columns(self):
-        return [self.col(j) for j in range(self.ncols)]
+        t = self.transpose()
+        return [t.row(j) for j in range(self.ncols)]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            [self.col(j) for j in range(self.ncols)], ncols=self.nrows
-        )
-
-    def conj(self) -> "Matrix":
-        return Matrix([[x.conj() for x in r] for r in self.rows], ncols=self.ncols)
+        cols = [[] for _ in range(self.ncols)]
+        for i, j, x in self._entries():
+            cols[j].append((i, x))
+        return Matrix._of(tuple(map(tuple, cols)), self.nrows)
 
     def __add__(self, other):
-        return Matrix(
-            [vec_add(r, s) for r, s in zip(self.rows, other.rows, strict=True)],
-            ncols=self.ncols,
-        )
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch in matrix sum")
+        return Matrix.from_entries(self.nrows, self.ncols,
+                                   chain(self._entries(), other._entries()))
 
     def __sub__(self, other):
-        return Matrix(
-            [vec_sub(r, s) for r, s in zip(self.rows, other.rows, strict=True)],
-            ncols=self.ncols,
-        )
+        return self + other.scale(-1)
 
     def scale(self, c) -> "Matrix":
-        return Matrix([vec_scale(c, r) for r in self.rows], ncols=self.ncols)
-
-    def __neg__(self):
-        return self.scale(-1)
+        c = GQ.of(c)
+        return Matrix._of(tuple(_row((j, c * x) for j, x in r)
+                                for r in self.rows), self.ncols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
-        ocols = other.columns()
-        return Matrix(
-            [
-                tuple(
-                    sum((a * b for a, b in zip(r, c) if a and b), GQ(0))
-                    for c in ocols
-                )
-                for r in self.rows
-            ],
-            ncols=other.ncols,
-        )
+        return Matrix.from_entries(self.nrows, other.ncols, (
+            (i, j, a * b) for i, k, a in self._entries()
+            for j, b in other.rows[k]))
 
     def apply(self, v: Vector) -> Vector:
         if self.ncols != len(v):
             raise ValueError("shape mismatch in apply")
-        return tuple(
-            sum((a * b for a, b in zip(r, v) if a and b), GQ(0))
-            for r in self.rows
-        )
+        out = []
+        for r in self.rows:
+            total = ZERO
+            for j, a in r:
+                if x := v[j]:
+                    total = total + a * x
+            out.append(total)
+        return tuple(out)
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(r) for r in self.rows)
+        return not any(self.rows)
 
     def trace(self) -> GQ:
-        return sum((self.rows[i][i] for i in range(min(self.nrows, self.ncols))), GQ(0))
+        return sum((self[i, i] for i in range(min(self.nrows, self.ncols))), ZERO)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -175,7 +203,7 @@ class Matrix:
 
     def __repr__(self):
         body = "; ".join(
-            " ".join(x.to_str() for x in r) for r in self.rows
+            " ".join(x.to_str() for x in self.row(i)) for i in range(self.nrows)
         )
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
@@ -186,33 +214,27 @@ def rref(m: Matrix):
     Returns (R, pivot_columns).  Leading entries are 1, pivot columns are
     cleared above and below, zero rows sink to the bottom.
     """
-    rows = [list(r) for r in m.rows]
-    nr, nc = m.nrows, m.ncols
+    rows = [dict(r) for r in m.rows]
     pivots = []
-    pr = 0
-    for pc in range(nc):
-        pivot_row = None
-        for i in range(pr, nr):
-            if rows[i][pc]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[pr], rows[pivot_row] = rows[pivot_row], rows[pr]
-        piv = rows[pr][pc]
-        if piv != 1:
-            inv = piv.inverse()
-            rows[pr] = [inv * x for x in rows[pr]]
-        for i in range(nr):
-            if i != pr and rows[i][pc]:
-                f = rows[i][pc]
-                rows[i] = [x - f * y if y else x
-                           for x, y in zip(rows[i], rows[pr])]
-        pivots.append(pc)
-        pr += 1
-        if pr == nr:
+    for pc in range(m.ncols):
+        pr = len(pivots)
+        if pr == m.nrows:
             break
-    return Matrix(rows, ncols=nc), tuple(pivots)
+        i = next((i for i in range(pr, m.nrows) if pc in rows[i]), None)
+        if i is None:
+            continue
+        rows[pr], rows[i] = rows[i], rows[pr]
+        prow = rows[pr]
+        if (piv := prow[pc]) != 1:
+            inv = piv.inverse()
+            prow = rows[pr] = {j: inv * x for j, x in prow.items()}
+        for i, r in enumerate(rows):
+            if i != pr and (f := r.pop(pc, None)):
+                for j, y in prow.items():  # r -= f * prow, keeping no zero
+                    if j != pc and (x := r.pop(j, ZERO) - f * y):
+                        r[j] = x
+        pivots.append(pc)
+    return Matrix._of(tuple(_row(r.items()) for r in rows), m.ncols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -224,41 +246,32 @@ def real_rows(m: Matrix) -> Matrix:
     of m: its real kernel vectors are the real solutions of m x = 0."""
     rows = []
     for r in m.rows:
-        rows.append([GQ(x.re) for x in r])
-        rows.append([GQ(x.im) for x in r])
-    return Matrix(rows, ncols=m.ncols)
+        rows.append(tuple((j, GQ(x.re)) for j, x in r if x.re))
+        rows.append(tuple((j, GQ(x.im)) for j, x in r if x.im))
+    return Matrix._of(tuple(rows), m.ncols)
 
 
 class Subspace:
     """A linear subspace of GQ^n in canonical echelon form.
 
-    The stored ``rows`` are the reduced-row-echelon basis of the row span of
-    whatever spanning set was given; the ``basis`` matrix (columns = basis
-    vectors) is therefore in reduced column echelon form with leading
-    entries 1, and structural equality decides subspace equality.
+    The stored ``rows`` are the sparse reduced-row-echelon basis of the row
+    span of whatever spanning set was given; the ``basis`` matrix (columns
+    = basis vectors) is therefore in reduced column echelon form with
+    leading entries 1, and structural equality decides subspace equality.
     """
 
     __slots__ = ("ambient_dim", "rows")
 
     def __init__(self, ambient_dim: int, spanning_vectors=()):
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        vs = [vec(v) for v in spanning_vectors]
-        for v in vs:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length != ambient dimension")
-        if vs:
-            r, piv = rref(Matrix(vs, ncols=ambient_dim))
-            rows = tuple(r.rows[i] for i in range(len(piv)))
-        else:
-            rows = ()
-        object.__setattr__(self, "rows", rows)
+        m = Matrix(spanning_vectors, ncols=ambient_dim)
+        if m.ncols != ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        r, piv = rref(m) if m.nrows else (m, ())
+        object.__setattr__(self, "rows", r.rows[: len(piv)])
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
-
-    @staticmethod
-    def zero(n: int) -> "Subspace":
-        return Subspace(n)
 
     @staticmethod
     def full(n: int) -> "Subspace":
@@ -272,7 +285,7 @@ class Subspace:
         if positions and not 0 <= positions[0] <= positions[-1] < n:
             raise ValueError("coordinate position outside the ambient space")
         s = Subspace(n)
-        object.__setattr__(s, "rows", tuple(unit_vec(n, p) for p in positions))
+        object.__setattr__(s, "rows", tuple(((p, ONE),) for p in positions))
         return s
 
     @property
@@ -282,40 +295,40 @@ class Subspace:
     @property
     def basis(self) -> Matrix:
         """Canonical basis as matrix columns (reduced column echelon)."""
-        return Matrix.from_columns(list(self.rows), nrows=self.ambient_dim)
+        return Matrix._of(self.rows, self.ambient_dim).transpose()
 
     def basis_vectors(self):
-        return list(self.rows)
+        rows = Matrix._of(self.rows, self.ambient_dim)
+        return [rows.row(i) for i in range(self.dim)]
 
     def contains(self, v) -> bool:
-        v = vec(v)
+        v = list(vec(v))
         if len(v) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        v = list(v)
         for row in self.rows:
-            lead = next(j for j, x in enumerate(row) if x)
-            if v[lead]:
-                c = v[lead]
-                v = [a - c * b if b else a for a, b in zip(v, row)]
-        return all(x.is_zero() for x in v)
+            # row[0] is the leading entry, 1 in the pivot column
+            if c := v[row[0][0]]:
+                for j, b in row:
+                    v[j] = v[j] - c * b
+        return not any(v)
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.rows)
+        return all(self.contains(v) for v in other.basis_vectors())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace(self.ambient_dim, list(self.rows) + list(other.rows))
+        return Subspace(self.ambient_dim,
+                        self.basis_vectors() + other.basis_vectors())
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of [B1 | B2] (Zassenhaus-free version)."""
         self._check(other)
         if self.dim == 0 or other.dim == 0:
-            return Subspace.zero(self.ambient_dim)
-        stacked = Matrix.from_columns(self.rows + other.rows,
-                                      nrows=self.ambient_dim)
+            return Subspace(self.ambient_dim)
+        stacked = Matrix._of(self.rows + other.rows, self.ambient_dim)
         b1 = self.basis
         return Subspace(self.ambient_dim, [
-            b1.apply(k[: self.dim]) for k in kernel_basis(stacked)
+            b1.apply(k[: self.dim]) for k in kernel_basis(stacked.transpose())
         ])
 
     def _check(self, other: "Subspace"):
@@ -337,14 +350,14 @@ class Subspace:
 def _null_vectors(r: Matrix, pivots, n: int):
     """Back substitution: the null space basis, one vector per free column
     among the first n columns of a reduced matrix r with the given pivots."""
-    piv_set = set(pivots)
-    free = [j for j in range(n) if j not in piv_set]
+    pivot_rows = [dict(row) for row in r.rows[: len(pivots)]]
     basis = []
-    for f in free:
-        x = [GQ(0)] * n
-        x[f] = GQ(1)
-        for i, p in enumerate(pivots):
-            x[p] = -r.rows[i][f]
+    for f in sorted(set(range(n)) - set(pivots)):
+        x = [ZERO] * n
+        x[f] = ONE
+        for p, row in zip(pivots, pivot_rows):
+            if y := row.get(f):
+                x[p] = -y
         basis.append(tuple(x))
     return basis
 
@@ -380,14 +393,16 @@ def solve(a: Matrix, b):
     b = vec(b)
     if len(b) != a.nrows:
         raise ValueError("shape mismatch in solve")
-    aug = Matrix([list(r) + [bi] for r, bi in zip(a.rows, b)], ncols=a.ncols + 1)
-    r, pivots = rref(aug)
-    if a.ncols in pivots:
+    n = a.ncols
+    r, pivots = rref(Matrix._of(tuple(row + ((n, bi),) if bi else row
+                                      for row, bi in zip(a.rows, b)), n + 1))
+    if n in pivots:
         return NO_SOLUTION
-    x = [GQ(0)] * a.ncols
-    for i, p in enumerate(pivots):
-        x[p] = r.rows[i][a.ncols]
-    return tuple(x), Subspace(a.ncols, _null_vectors(r, pivots, a.ncols))
+    x = [ZERO] * n
+    for row, p in zip(r.rows, pivots):
+        if row[-1][0] == n:
+            x[p] = row[-1][1]
+    return tuple(x), Subspace(n, _null_vectors(r, pivots, n))
 
 
 def solution_map(a: Matrix, why: str = "dependent rows") -> Matrix:
@@ -395,13 +410,14 @@ def solution_map(a: Matrix, why: str = "dependent rows") -> Matrix:
     has full row rank, rref([a | b]) pivots inside a and ends in E b, for E
     the right block of one rref([a | I]).  ArithmeticError(why) otherwise."""
     n, m = a.nrows, a.ncols
-    r, pivots = rref(Matrix([row + unit_vec(n, i)
-                             for i, row in enumerate(a.rows)], ncols=m + n))
+    r, pivots = rref(Matrix._of(tuple(row + ((m + i, ONE),)
+                                      for i, row in enumerate(a.rows)), m + n))
     if any(p >= m for p in pivots):
         raise ArithmeticError(why)
     pivot_rows = dict(zip(pivots, r.rows))
-    return Matrix([pivot_rows[j][m:] if j in pivot_rows else zero_vec(n)
-                   for j in range(m)], ncols=n)
+    return Matrix._of(tuple(
+        tuple((c - m, x) for c, x in pivot_rows.get(j, ()) if c >= m)
+        for j in range(m)), n)
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -411,19 +427,3 @@ def inverse(m: Matrix) -> Matrix:
         return solution_map(m)
     except ArithmeticError:
         raise ValueError("singular matrix") from None
-
-
-def sparse_entries(m: Matrix) -> tuple:
-    """(nrows, the nonzero entries of m as (i, j, m[i, j]))."""
-    return m.nrows, tuple((i, j, x) for i, r in enumerate(m.rows)
-                          for j, x in enumerate(r) if x)
-
-
-def apply_entries(sparse, v) -> Vector:
-    """m v from ``sparse_entries(m)``, skipping the zero entries of v."""
-    nrows, entries = sparse
-    out = [ZERO] * nrows
-    for i, j, a in entries:
-        if x := v[j]:
-            out[i] = out[i] + a * x
-    return tuple(out)

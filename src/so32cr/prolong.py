@@ -29,15 +29,13 @@ from .scalars import GQ, HALF_I, I
 from .linalg import (
     Matrix,
     Subspace,
-    apply_entries,
+    dot,
     kernel,
     kernel_basis,
     real_rows,
     solution_map,
-    sparse_entries,
     vec_add,
     vec_scale,
-    zero_vec,
 )
 from . import so32
 from .so32 import M_MINUS, real_unit
@@ -63,25 +61,22 @@ def cochain_of_endo(carrier: Carrier, b: Matrix, k: int) -> Cochain:
     Graded degree-k endomorphisms of a step carrier vanish on grades >= 0
     and are determined by this restriction."""
     table = {}
+    columns = b.transpose().rows
     for a, i in enumerate(M_MINUS):
-        col = carrier.embed_coords(b.col(carrier.indices.index(i)))
-        for beta, c in enumerate(col):
-            if c:
-                table[((a,), beta)] = c
+        for r, c in columns[carrier.indices.index(i)]:
+            table[((a,), carrier.indices[r])] = c
     return Cochain.from_full_table(1, k, table)
 
 
 def endo_of_cochain(carrier: Carrier, c: Cochain) -> Matrix:
     """The graded endomorphism acting as the 1-cochain on m_- and by zero
     on the rest of the carrier."""
-    n = carrier.dim
-    cols = [list(zero_vec(n)) for _ in range(n)]
-    for (wedge, beta), coef in c.coeff_map().items():
-        (a,) = wedge
+    entries = []
+    for ((a,), beta), coef in c.coeff_map().items():
         if beta not in carrier.indices:
             raise ValueError("cochain value leaves the carrier")
-        cols[a][carrier.indices.index(beta)] = coef
-    return Matrix.from_columns(cols)
+        entries.append((carrier.indices.index(beta), a, coef))
+    return Matrix.from_entries(carrier.dim, carrier.dim, entries)
 
 
 def _solve_in_gauge(gauge: Matrix, conditions: Matrix) -> Subspace:
@@ -337,7 +332,7 @@ class InnerProduct:
     def pair(self, c1: Cochain, c2: Cochain) -> GQ:
         if (c1.ell, c1.k) != (self.ell, self.k) or (c2.ell, c2.k) != (self.ell, self.k):
             raise ValueError("cochain bidegree mismatch")
-        return sum((a * b for a, b in zip(c1.coords, c2.coords)), GQ(0))
+        return dot(c1.coords, c2.coords)
 
     def gram(self) -> Matrix:
         return Matrix.identity(cochain_dim(self.ell, self.k))
@@ -384,15 +379,15 @@ def normalization_space(k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def _normalize_maps(k: int):
-    """(step carrier, entries of G X, entries of I - D X) for X the gauge
-    rows of the solution map of [D | normalization basis], which has full
-    row rank: c -> flattened B and c -> residual, linear in c."""
+    """(step carrier, G X, I - D X) for X the gauge rows of the solution
+    map of [D | normalization basis], which has full row rank: the maps
+    c -> flattened B and c -> residual, linear in c."""
     carrier, gauge, d = _gauge(k)
     span = Matrix.from_columns(
         d.columns() + normalization_space(k).basis_vectors())
-    x = Matrix(solution_map(span).rows[: gauge.ncols], ncols=d.nrows)
-    return (carrier, sparse_entries(gauge @ x),
-            sparse_entries(Matrix.identity(d.nrows) - d @ x))
+    sol = solution_map(span)
+    x = Matrix([sol.row(i) for i in range(gauge.ncols)], ncols=d.nrows)
+    return carrier, gauge @ x, Matrix.identity(d.nrows) - d @ x
 
 
 def normalize_ctorsion(c: Cochain):
@@ -405,8 +400,8 @@ def normalize_ctorsion(c: Cochain):
     if c.ell != 2 or k not in (1, 2, 3):
         raise ValueError("expected a 2-cochain of degree 1, 2 or 3")
     carrier, b_map, residual_map = _normalize_maps(k)
-    b = Matrix.unflatten(apply_entries(b_map, c.coords), carrier.dim)
-    residual = Cochain(2, k, apply_entries(residual_map, c.coords))
+    b = Matrix.unflatten(b_map.apply(c.coords), carrier.dim)
+    residual = Cochain(2, k, residual_map.apply(c.coords))
     if not normalization_space(k).contains(residual.coords):
         raise ArithmeticError("residual escaped the normalization space")
     return b, residual

@@ -251,6 +251,7 @@ class GQ:
 _new = object.__new__
 
 ZERO = GQ(0)
+ONE = GQ(1)
 I = GQ(0, 1)
 HALF = GQ(Fraction(1, 2))
 HALF_I = GQ(0, Fraction(1, 2))

@@ -35,7 +35,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .scalars import GQ, HALF, HALF_I
-from .linalg import Matrix, Subspace, inverse, unit_vec, vec
+from .linalg import Matrix, Subspace, dot, inverse, unit_vec, vec
 
 DIM = 10
 N = 5
@@ -114,11 +114,9 @@ def _coords_of(entries):
 
 
 def to_matrix(coords) -> Matrix:
-    rows = [[GQ(0)] * N for _ in range(N)]
-    for c, entries in zip(vec(coords), _BASIS_ENTRIES):
-        for (i, j, v) in entries:
-            rows[i][j] += c * v
-    return Matrix(rows)
+    return Matrix.from_entries(N, N, (
+        (i, j, c * v) for c, entries in zip(vec(coords), _BASIS_ENTRIES)
+        for (i, j, v) in entries))
 
 
 @lru_cache(maxsize=1)
@@ -130,7 +128,7 @@ def basis_matrices():
 def from_matrix(a: Matrix):
     """Coordinates of a 5x5 matrix in the basis; raises if not in so(3,2)."""
     return _coords_of(
-        {(i, j): a[i, j] for i in range(N) for j in range(N) if a[i, j]}
+        {(i, j): x for i, row in enumerate(a.rows) for j, x in row}
     )
 
 
@@ -186,16 +184,14 @@ def complex_basis_matrix() -> Matrix:
     """Columns = complexified basis vectors in real coordinates: on each
     CONJ_PERM pair (X_1, X_2), X^(10) = (X_1 - i X_2)/2 and X^(01) =
     (X_1 + i X_2)/2; a fixed index keeps its real vector."""
-    cols = []
+    entries = []
     for i, p in enumerate(CONJ_PERM):
-        col = [GQ(0)] * DIM
         if p == i:
-            col[i] = GQ(1)
+            entries.append((i, i, 1))
         else:
-            col[min(i, p)] = HALF
-            col[max(i, p)] = -HALF_I if i < p else HALF_I
-        cols.append(col)
-    return Matrix.from_columns(cols)
+            entries += [(min(i, p), i, HALF),
+                        (max(i, p), i, -HALF_I if i < p else HALF_I)]
+    return Matrix.from_entries(DIM, DIM, entries)
 
 
 @lru_cache(maxsize=1)
@@ -251,8 +247,7 @@ def killing_gram() -> Matrix:
 
 
 def killing(x, y) -> GQ:
-    gy = killing_gram().apply(y)
-    return sum((xi * g for xi, g in zip(x, gy) if xi and g), GQ(0))
+    return dot(x, killing_gram().apply(y))
 
 
 def symmetric_signature(gram: Matrix):
@@ -263,7 +258,7 @@ def symmetric_signature(gram: Matrix):
     counts the positive ones exactly, and zero's multiplicity is the number
     of vanishing low-order coefficients.
     """
-    if any(not x.is_real() for r in gram.rows for x in r):
+    if any(not x.is_real() for r in gram.rows for _, x in r):
         raise ValueError("signature of a non-real matrix")
     if gram != gram.transpose():
         raise ValueError("signature of a non-symmetric matrix")

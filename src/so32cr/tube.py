@@ -13,11 +13,13 @@ Two sides of the same object:
   Freeman ranks, read there from values and first partials of the fields.
 
 Only the point changes from one pointwise evaluation to the next, so what
-does not depend on it is built once: each field's table of first partials,
-its conjugate and J image, the real parts of the cone fields and the
-gradient of rho, on first use; each polynomial's terms are compiled once
-into coefficients and (variable, exponent) factors.  At a point, one power
-table holds the powers of each coordinate, and every evaluation reads it.
+does not depend on it is built once: each field's table of nonzero first
+partials, its conjugate and J image, the real parts of the cone fields and
+the gradient of rho, on first use; each polynomial's terms are compiled
+once into coefficients and (variable, exponent) factors.  At a point, one
+power table holds the powers of each coordinate, and every evaluation reads
+it.  A field's 1-jet there is its value and the sparse ``Matrix`` built
+from that table of partials; theta_p D_V is summed over the same entries.
 
 Everything stays inside Q[i]; sample points come from Pythagorean triples
 so that all evaluations are exact.
@@ -30,8 +32,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .scalars import GQ, HALF, HALF_I, I, ZERO
-from .linalg import (Matrix, Subspace, inverse, kernel, kernel_basis, rank,
-                     real_rows, rref, vec)
+from .linalg import (Matrix, Subspace, dot, inverse, kernel, kernel_basis,
+                     rank, real_rows, rref, vec, vec_sub)
 from . import so32
 from .so32 import bracket_complex, COMPLEX_LABELS
 
@@ -355,26 +357,16 @@ def covectors_at(p: ConePoint) -> Matrix:
 
 def _jet(field: Field, z):
     """The 1-jet of a field at z (coordinates or the point's ``Powers``):
-    (V(z), D) with D[i][j] = d_j V^i(z), as tuples of rows."""
+    (V(z), D) with D the matrix of the partials d_j V^i(z)."""
     powers = Powers.of(z)
-    d = [[ZERO] * NVARS for _ in range(NVARS)]
-    for i, j, c in field.partials():
-        d[i][j] = c.eval(powers)
-    return field.eval(powers), tuple(map(tuple, d))
-
-
-def _dot(u, v) -> GQ:
-    total = ZERO
-    for a, b in zip(u, v):
-        if a and b:
-            total = total + a * b
-    return total
+    return field.eval(powers), Matrix.from_entries(NVARS, NVARS, (
+        (i, j, c.eval(powers)) for i, j, c in field.partials()))
 
 
 def _jet_bracket(vj, wj) -> tuple:
     """[V, W] at a point from the 1-jets of V and W there: D_W v - D_V w."""
     (v, dv), (w, dw) = vj, wj
-    return tuple(_dot(a, v) - _dot(b, w) for a, b in zip(dw, dv))
+    return vec_sub(dw.apply(v), dv.apply(w))
 
 
 def _theta_jet(theta, field: Field, powers):
@@ -390,7 +382,7 @@ def _theta_jet(theta, field: Field, powers):
 def _theta_bracket(vt, wt) -> GQ:
     """theta_p([V, W]) from the theta-jets of V and W at p."""
     (v, tv), (w, tw) = vt, wt
-    return _dot(tw, v) - _dot(tv, w)
+    return dot(tw, v) - dot(tv, w)
 
 
 def _section_jet(cov: Matrix, field: Field, p: ConePoint):
@@ -517,15 +509,9 @@ _DIAG_SIGNS = (1, 1, 1, -1, -1)
 
 # antidiag coordinates t in terms of diag coordinates s (real matrix):
 # t0 = s0+s4, t1 = s1+s3, t2 = s2, t3 = (s1-s3)/2, t4 = (s0-s4)/2
-_DIAG_TO_ANTIDIAG = Matrix(
-    [
-        [1, 0, 0, 0, 1],
-        [0, 1, 0, 1, 0],
-        [0, 0, 1, 0, 0],
-        [0, HALF, 0, -HALF, 0],
-        [HALF, 0, 0, 0, -HALF],
-    ]
-)
+_DIAG_TO_ANTIDIAG = Matrix.from_entries(5, 5, (
+    (0, 0, 1), (0, 4, 1), (1, 1, 1), (1, 3, 1), (2, 2, 1),
+    (3, 1, HALF), (3, 3, -HALF), (4, 0, HALF), (4, 4, -HALF)))
 
 
 @dataclass(frozen=True)
@@ -567,8 +553,8 @@ def _antidiag_to_diag() -> Matrix:
 def _chart_gram(chart: str) -> Matrix:
     """Gram matrix of the ambient symmetric form in a chart."""
     if chart == "diag":
-        return Matrix([[s if i == j else 0 for j in range(5)]
-                       for i, s in enumerate(_DIAG_SIGNS)])
+        return Matrix.from_entries(
+            5, 5, ((i, i, s) for i, s in enumerate(_DIAG_SIGNS)))
     return so32.iform()
 
 
@@ -577,10 +563,9 @@ def ambient_forms(h, gram: Matrix):
     Gram matrix, for scalars and polynomials alike."""
     bil = herm = 0
     for i, row in enumerate(gram.rows):
-        for j, g in enumerate(row):
-            if g:
-                bil = bil + h[i] * h[j] * g
-                herm = herm + h[i].conj() * h[j] * g
+        for j, g in row:
+            bil = bil + h[i] * h[j] * g
+            herm = herm + h[i].conj() * h[j] * g
     return bil, herm
 
 

@@ -12,12 +12,12 @@ from so32cr.carriers import (
     gl_filtered,
     gl_graded,
     gl_star_equals_gl_on_m,
-    _j_constraint_rows,
+    _j_constraint_matrix,
 )
 
 
 def flat(m):
-    return tuple(x for r in m.rows for x in r)
+    return m.flatten()
 
 
 def test_graded_dimensions():
@@ -160,7 +160,9 @@ def _reference_space(c, allowed, j_domain):
                 row = [GQ(0)] * (n * n)
                 row[r * n + col] = GQ(1)
                 rows.append(row)
-    rows += _j_constraint_rows(c, j_domain) if j_domain else []
+    if j_domain:
+        j_rows = _j_constraint_matrix(c, j_domain, range(n * n))
+        rows += [j_rows.row(i) for i in range(j_rows.nrows)]
     if not rows:
         return Subspace.full(n * n)
     return kernel(Matrix(rows, ncols=n * n))

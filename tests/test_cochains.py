@@ -306,7 +306,8 @@ def test_coboundary_matches_reference_evaluator():
 
 def sympy_rank(m: Matrix) -> int:
     rows = [[QQ_I(QQ(x.re.numerator, x.re.denominator),
-                  QQ(x.im.numerator, x.im.denominator)) for x in r] for r in m.rows]
+                  QQ(x.im.numerator, x.im.denominator)) for x in m.row(i)]
+            for i in range(m.nrows)]
     return DomainMatrix(rows, (m.nrows, m.ncols), QQ_I).rank()
 
 

@@ -40,7 +40,7 @@ I = GQ(0, 1)
 
 
 def flat_endo(m):
-    return tuple(x for r in m.rows for x in r)
+    return m.flatten()
 
 
 def test_prolongation_dimensions():
@@ -356,14 +356,14 @@ def test_a_corrupted_projector_entry_is_caught(monkeypatch):
     # (i, j) with the unit vector e_i outside the normalization space moves
     # the residual of the input e_j out of it
     k = 3
-    carrier, b_map, (n, entries) = prolong._normalize_maps(k)
+    carrier, b_map, residual_map = prolong._normalize_maps(k)
+    n = residual_map.nrows
     ns = normalization_space(k)
-    e = next(e for e, (i, _, _) in enumerate(entries)
-             if not ns.contains(unit_vec(n, i)))
-    i, j, a = entries[e]
-    bad = entries[:e] + ((i, j, a + 1),) + entries[e + 1:]
+    i, j = next((i, j) for i, row in enumerate(residual_map.rows) for j, _ in row
+                if not ns.contains(unit_vec(n, i)))
+    bad = residual_map + Matrix.from_entries(n, n, [(i, j, 1)])
     normalize_ctorsion(Cochain(2, k, unit_vec(n, j)))
     monkeypatch.setattr(prolong, "_normalize_maps",
-                        lambda k: (carrier, b_map, (n, bad)))
+                        lambda k: (carrier, b_map, bad))
     with pytest.raises(ArithmeticError):
         normalize_ctorsion(Cochain(2, k, unit_vec(n, j)))

@@ -474,8 +474,8 @@ def test_jet_tables_match_a_direct_computation(p):
         for _ in range(2):  # the first reading fills the tables, the second reads them
             value, d = _jet(f, p.powers)
             assert value == tuple(fresh(c).eval(p.z) for c in f.comps)
-            assert d == tuple(tuple(fresh(c).diff(j).eval(p.z)
-                                    for j in range(6)) for c in f.comps)
+            assert d == Matrix([[fresh(c).diff(j).eval(p.z) for j in range(6)]
+                                for c in f.comps])
             assert f.eval(p.powers) == value
 
 
