@@ -48,10 +48,6 @@ class Carrier:
         """Local slots of the h-part (the semitone space V_(0|0))."""
         return tuple(p for p, i in enumerate(self.indices) if so32.IN_H[i])
 
-    def f_chain(self):
-        """Plain filtration as local slot sets, levels V_-2 .. V_2, 0."""
-        return so32.filtration_steps("F", self.indices)
-
     def fstar_ladder(self):
         """Semitone ladder V_-2, V_-1, V_(0|-1), V_(0|0), V_(0|1), V_(0|2), 0."""
         return so32.filtration_steps("F*", self.indices)
@@ -114,9 +110,6 @@ class EndoSubspace:
     def basis_endos(self):
         n = self.carrier.dim
         return [Matrix.unflatten(v, n) for v in self.space.basis_vectors()]
-
-    def contains(self, m: Matrix) -> bool:
-        return self.space.contains(m.flatten())
 
 
 def _j_constraint_matrix(carrier: Carrier, domain_slots, coords) -> Matrix:
@@ -197,24 +190,6 @@ def gl_graded(carrier: Carrier, k: int, j_compatible: bool = False) -> EndoSubsp
     ) if j_compatible else ()
     return EndoSubspace(carrier, _endo_space(
         carrier, lambda r, c: g[r] == g[c] + k, j_domain))
-
-
-def frame_freedom(carrier: Carrier) -> EndoSubspace:
-    """The degree-1* algebra: first-order frame changes I + B fixing the
-    graded part of an adapted frame."""
-    return gl_filtered(carrier, 1, star=True, j_compatible=True)
-
-
-def gl_star_equals_gl_on_m():
-    """Witness that the semitone and plain degree-1 algebras agree on m."""
-    m = Carrier("m")
-    plain = gl_filtered(m, 1, star=False, j_compatible=True)
-    starred = gl_filtered(m, 1, star=True, j_compatible=True)
-    return {
-        "equal": plain.space == starred.space,
-        "dim": plain.dim,
-        "dim_star": starred.dim,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .scalars import GQ
 from .linalg import (
@@ -39,7 +39,7 @@ from .linalg import (
 )
 from . import so32
 from .forms import Form, canonical, exterior_derivative
-from .so32 import GRADES, M_MINUS, bracket_coords, grades, killing_gram
+from .so32 import GRADES, M_MINUS, bracket_coords, killing_gram
 
 MAX_ELL = 3  # top wedge degree of a 3-dimensional argument algebra
 
@@ -173,25 +173,6 @@ class Cochain:
         monos = cochain_monomials(self.ell, self.k)
         return {m: c for m, c in zip(monos, self.coords) if c}
 
-    def evaluate(self, *arg_vectors):
-        """Value on elements of m_- given as 3-vectors over (e^-2, e_1^-1, e_2^-1)."""
-        if len(arg_vectors) != self.ell:
-            raise ValueError("wrong number of arguments")
-        args = [vec(a) for a in arg_vectors]
-        values = {}
-        for (w, beta), c in self.coeff_map().items():
-            values.setdefault(beta, {})[w] = c
-        out = [GQ(0)] * so32.DIM
-        for beta, coeffs in values.items():
-            form = Form(coeffs)
-            for idx_tuple in product(range(len(M_MINUS)), repeat=self.ell):
-                f = GQ(1)
-                for pos, i in enumerate(idx_tuple):
-                    f = f * args[pos][i]
-                if f:
-                    out[beta] += f * form.at(idx_tuple)
-        return tuple(out)
-
     def __add__(self, other):
         self._compat(other)
         return Cochain(self.ell, self.k,
@@ -201,13 +182,6 @@ class Cochain:
         self._compat(other)
         return Cochain(self.ell, self.k,
                        [a - b for a, b in zip(self.coords, other.coords)])
-
-    def scale(self, c):
-        c = GQ.of(c)
-        return Cochain(self.ell, self.k, [c * a for a in self.coords])
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coords)
 
     def _compat(self, other):
         if (self.ell, self.k) != (other.ell, other.k):
@@ -337,13 +311,6 @@ def codifferential_matrix(ell: int, k: int) -> Matrix:
     return inverse(p_dst.transpose()).scale(-1) @ dh.transpose() @ p_src.transpose()
 
 
-def codifferential(c: Cochain) -> Cochain:
-    if c.ell <= 0:
-        raise ValueError("codifferential undefined for 0-cochains")
-    return Cochain(c.ell - 1, c.k,
-                   codifferential_matrix(c.ell, c.k).apply(c.coords))
-
-
 # -- Kostant decomposition ----------------------------------------------------
 
 def _image_subspace(m: Matrix) -> Subspace:
@@ -411,41 +378,3 @@ def cohomology_dim(ell: int, k: int) -> int:
     rank_prev = rank(coboundary_matrix(ell - 1, k)) if ell > 0 else 0
     return n - rank_d - rank_prev
 
-
-# -- adjoint actions on cochains ----------------------------------------------
-
-def act_on_cochain(x, c: Cochain) -> Cochain:
-    """Natural action of a grade-homogeneous x (grade >= 0 part of g) on an
-    m_- cochain: ad on values minus the induced action on arguments, the
-    argument bracket taken modulo everything outside m_-.  Acting by grade
-    j shifts the homogeneity degree from k to k + j."""
-    xgrades = grades(x)
-    if len(xgrades) > 1:
-        raise ValueError("actor must be grade homogeneous")
-    k_out = c.k + (xgrades.pop() if xgrades else 0)
-    side = _side_m()
-    cm = c.coeff_map()
-    # argument action matrix: proj_{m_-} [x, n_a]
-    arg_act = []
-    for a in range(side.n):
-        w = bracket_coords(x, side.args[a])
-        arg_act.append(tuple(w[i] for i in M_MINUS))
-    out = {}
-    for (wedge, beta), coef in cm.items():
-        # value part [x, g_beta]
-        valbr = bracket_coords(x, unit_vec(so32.DIM, beta))
-        for b2 in range(so32.DIM):
-            if valbr[b2]:
-                key = (wedge, b2)
-                out[key] = out.get(key, GQ(0)) + coef * valbr[b2]
-        # minus argument substitutions (covector slots transform dually);
-        # from_full_table sorts each new wedge with its sign
-        for pos, a in enumerate(wedge):
-            for a2 in range(side.n):
-                f = arg_act[a2][a]
-                if f:
-                    key = (wedge[:pos] + (a2,) + wedge[pos + 1:], beta)
-                    out[key] = out.get(key, GQ(0)) - coef * f
-    if any(side.monomial_degree(m) != k_out for m, v in out.items() if v):
-        raise ArithmeticError("action did not shift homogeneity uniformly")
-    return Cochain.from_full_table(c.ell, k_out, out)

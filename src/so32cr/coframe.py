@@ -21,15 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .scalars import GQ, HALF, HALF_I, I
 from . import forms, so32
 from .so32 import (CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex,
-                   from_complex_basis, to_complex_basis)
+                   to_complex_basis)
 from .cochains import Cochain, cochain_dim
 from .forms import Form, canonical
-from .linalg import Matrix, kernel, unit_vec, vec_add, vec_scale, zero_vec
+from .linalg import Matrix, kernel, unit_vec
 
 # short grade labels of the complexified basis ("e^-1(10)" -> "-1(10)"),
 # used in the coframe labels and in the structure-function symbols
@@ -170,57 +170,6 @@ class FullTorsion:
             beta: Form({pair: v[beta] for pair, v in values.items()})
             for beta in range(DIM)
         })
-
-    def add_term(self, arg1: str, arg2: str, value_label: str, coef) -> "FullTorsion":
-        i, j, beta = (so32.COMPLEX_LABELS.index(x) for x in (arg1, arg2, value_label))
-        forms = dict(self.forms)
-        forms[beta] = forms.get(beta, Form()) + Form({(i, j): coef})
-        return FullTorsion(forms)
-
-    def graded_component(self, i: int, j: int, k: int):
-        """tau^k on the (i, j) complexified argument pair: the value
-        components of grade g_i + g_j + k, as complex g-coordinates."""
-        target = GRADES[i] + GRADES[j] + k
-        zero = Form()
-        return tuple(
-            self.forms.get(beta, zero).at((i, j)) if GRADES[beta] == target
-            else GQ(0)
-            for beta in range(DIM)
-        )
-
-    def restrict_ctorsion(self, k: int) -> Cochain:
-        """The degree-k part of the restriction to wedge pairs inside m_-,
-        as a 2-cochain over the real monomial basis."""
-        zc = _m_minus_complex_coords()
-        table = {}
-        for a, b in combinations(range(len(M_MINUS)), 2):
-            val = zero_vec(DIM)
-            for i, j in product(M_MINUS, repeat=2):
-                f = zc[a][i] * zc[b][j]
-                if f:
-                    val = vec_add(val, vec_scale(f, self.graded_component(i, j, k)))
-            for beta, c in enumerate(from_complex_basis(val)):
-                table[((a, b), beta)] = c
-        return Cochain.from_full_table(2, k, table)
-
-
-def beta_gauge_response(mu, nu, nuprime) -> GQ:
-    """Linear response of the beta component to a degree-1 frame change
-    with parameters (mu, nu, nu'): -conj(mu) + nu - nu'.
-
-    This is a frame-jet statement about the bundle construction, recorded
-    here as the stated response law; it vanishes exactly on the l1 locus
-    nu' = nu - conj(mu), which is why l1 is the residual gauge group once
-    the beta component is normalized to zero."""
-    mu, nu, nuprime = GQ.of(mu), GQ.of(nu), GQ.of(nuprime)
-    return -mu.conj() + nu - nuprime
-
-
-def beta_gauge_variation(base: FullTorsion, mu, nu, nuprime) -> FullTorsion:
-    """The torsion after a degree-1 frame change, at the beta component."""
-    return base.add_term(
-        "e^-1(10)", "e^0(10)", "e^0(01)", beta_gauge_response(mu, nu, nuprime)
-    )
 
 
 @dataclass(frozen=True)

@@ -187,12 +187,6 @@ class Matrix:
             out.append(total)
         return tuple(out)
 
-    def is_zero(self) -> bool:
-        return not any(self.rows)
-
-    def trace(self) -> GQ:
-        return sum((self[i, i] for i in range(min(self.nrows, self.ncols))), ZERO)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -311,9 +305,6 @@ class Subspace:
                 for j, b in row:
                     v[j] = v[j] - c * b
         return not any(v)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis_vectors())
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)

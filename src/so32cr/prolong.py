@@ -13,11 +13,13 @@ spanned by the projected adjoint action of explicit witnesses in h^k.
 
 Degree-k c-torsions (2-cochains on m_-) are normalized against the step-k
 gauge image: the normalization space is, at degree 1, the orthocomplement
-of the l1-image inside the coboundary image (for the rotation-invariant
-inner product that makes the monomial basis orthonormal) plus ker d*, and
-at degrees 2 and 3 simply ker d*.  Each is complementary to the gauge
-image, so the split c = dB + residual always exists and is linear in c: one
-elimination per degree fixes the maps c -> B and c -> residual.
+of the l1-image inside the coboundary image plus ker d*, and at degrees 2
+and 3 simply ker d*.  The orthocomplement is taken for the inner product
+that makes the monomial basis orthonormal, so its Gram is the identity;
+``INNER_PRODUCT_NOTE`` is the text the reports record for that choice.
+Each space is complementary to the gauge image, so the split c = dB +
+residual always exists and is linear in c: one elimination per degree fixes
+the maps c -> B and c -> residual.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .scalars import GQ, HALF_I, I
 from .linalg import (
     Matrix,
     Subspace,
-    dot,
     kernel,
     kernel_basis,
     real_rows,
@@ -42,7 +43,6 @@ from .so32 import M_MINUS, real_unit
 from .carriers import Carrier, endo_from_complex_images, gl_graded
 from .cochains import (
     Cochain,
-    act_on_cochain,
     coboundary_matrix,
     cochain_dim,
     codifferential_matrix,
@@ -52,7 +52,7 @@ STEP_CARRIERS = {0: "m", 1: "m+h0", 2: "m+h0+h1", 3: "m+h"}
 
 
 # ---------------------------------------------------------------------------
-# endomorphisms <-> degree-k 1-cochains
+# gauge endomorphisms as degree-k 1-cochains
 # ---------------------------------------------------------------------------
 
 def cochain_of_endo(carrier: Carrier, b: Matrix, k: int) -> Cochain:
@@ -66,17 +66,6 @@ def cochain_of_endo(carrier: Carrier, b: Matrix, k: int) -> Cochain:
         for r, c in columns[carrier.indices.index(i)]:
             table[((a,), carrier.indices[r])] = c
     return Cochain.from_full_table(1, k, table)
-
-
-def endo_of_cochain(carrier: Carrier, c: Cochain) -> Matrix:
-    """The graded endomorphism acting as the 1-cochain on m_- and by zero
-    on the rest of the carrier."""
-    entries = []
-    for ((a,), beta), coef in c.coeff_map().items():
-        if beta not in carrier.indices:
-            raise ValueError("cochain value leaves the carrier")
-        entries.append((carrier.indices.index(beta), a, coef))
-    return Matrix.from_entries(carrier.dim, carrier.dim, entries)
 
 
 def _solve_in_gauge(gauge: Matrix, conditions: Matrix) -> Subspace:
@@ -182,9 +171,6 @@ class L1Space:
     def dim(self):
         return self.space.dim
 
-    def contains(self, m: Matrix) -> bool:
-        return self.space.contains(m.flatten())
-
 
 @lru_cache(maxsize=1)
 def l1_subspace() -> L1Space:
@@ -243,23 +229,6 @@ def prolong_step1() -> ProlongationStep:
 # steps 2 and 3
 # ---------------------------------------------------------------------------
 
-def gl2_endo(lam, mu, nu, nup) -> Matrix:
-    """Degree-2 graded endomorphism of m+h0+h1 with complex parameters:
-    e^-2 -> lam e^0(10) + mu E^0(10) + conjugates,
-    e^-1(10) -> nu E^1(10) + nup E^1(01)."""
-    lam, mu, nu, nup = (GQ.of(x) for x in (lam, mu, nu, nup))
-    return endo_from_complex_images(
-        Carrier("m+h0+h1"),
-        {
-            "e^-2": [
-                (lam, "e^0(10)"), (lam.conj(), "e^0(01)"),
-                (mu, "E^0(10)"), (mu.conj(), "E^0(01)"),
-            ],
-            "e^-1(10)": [(nu, "E^1(10)"), (nup, "E^1(01)")],
-        },
-    )
-
-
 def gl3_endo(lam, mu) -> Matrix:
     """Degree-3 graded endomorphism of m+h:
     e^-2 -> lam E^1(10) + conj, e^-1(10) -> mu E^2."""
@@ -286,10 +255,6 @@ def prolong_step3() -> ProlongationStep:
     return _kernel_step(3, (), ("forced vanishing: lambda = 0 = mu",))
 
 
-def prolong_all():
-    return (prolong_step0(), prolong_step1(), prolong_step2(), prolong_step3())
-
-
 def step3_component_equations() -> Subspace:
     """The solutions of the two displayed component equations of the
     degree-3 closedness condition, over the real parameters of (lambda, mu).
@@ -313,44 +278,14 @@ def step3_component_equations() -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# invariant inner product and normalization spaces
+# normalization spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class InnerProduct:
-    """Symmetric bilinear form on a cochain slice, with the monomial basis
-    orthonormal; restricted below to the image of the degree-1 coboundary."""
-
-    ell: int
-    k: int
-    note: str = (
-        "monomial cochain basis over the real algebra basis declared "
-        "orthonormal; any rotation-invariant choice gives the same "
-        "normalization dimensions"
-    )
-
-    def pair(self, c1: Cochain, c2: Cochain) -> GQ:
-        if (c1.ell, c1.k) != (self.ell, self.k) or (c2.ell, c2.k) != (self.ell, self.k):
-            raise ValueError("cochain bidegree mismatch")
-        return dot(c1.coords, c2.coords)
-
-    def gram(self) -> Matrix:
-        return Matrix.identity(cochain_dim(self.ell, self.k))
-
-
-def invariant_inner_product() -> InnerProduct:
-    """The rotation-invariant product used to split the degree-1 gauge image."""
-    return InnerProduct(2, 1)
-
-
-def rotation_action_matrix(ell: int, k: int, x) -> Matrix:
-    """Matrix of the action of a grade-0 element on a cochain slice."""
-    n = cochain_dim(ell, k)
-    cols = []
-    for p in range(n):
-        c = Cochain(ell, k, [GQ(1 if q == p else 0) for q in range(n)])
-        cols.append(act_on_cochain(x, c).coords)
-    return Matrix.from_columns(cols, nrows=n)
+INNER_PRODUCT_NOTE = (
+    "monomial cochain basis over the real algebra basis declared "
+    "orthonormal; any rotation-invariant choice gives the same "
+    "normalization dimensions"
+)
 
 
 @lru_cache(maxsize=None)

@@ -93,7 +93,7 @@ class GQ:
     slots that nothing outside this module writes, and equal values have
     equal representations.  Arithmetic never leaves Q[i]; division by zero
     raises ZeroDivisionError.
-    ``re``, ``im`` and ``abs2`` are derived Fractions for readers.
+    ``re`` and ``im`` are derived Fractions for readers.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -197,11 +197,6 @@ class GQ:
 
     def conj(self) -> "GQ":
         return _gq(self._a, -self._b, self._d)
-
-    def abs2(self) -> Fraction:
-        """|x|^2 = re^2 + im^2, a nonnegative rational."""
-        return Fraction(self._a * self._a + self._b * self._b,
-                        self._d * self._d)
 
     # -- predicates / hashing ------------------------------------------
     def is_zero(self) -> bool:

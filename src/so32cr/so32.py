@@ -35,7 +35,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .scalars import GQ, HALF, HALF_I
-from .linalg import Matrix, Subspace, dot, inverse, unit_vec, vec
+from .linalg import Matrix, inverse, unit_vec, vec
 
 DIM = 10
 N = 5
@@ -113,25 +113,6 @@ def _coords_of(entries):
     )
 
 
-def to_matrix(coords) -> Matrix:
-    return Matrix.from_entries(N, N, (
-        (i, j, c * v) for c, entries in zip(vec(coords), _BASIS_ENTRIES)
-        for (i, j, v) in entries))
-
-
-@lru_cache(maxsize=1)
-def basis_matrices():
-    """The ten 5x5 basis matrices, in the fixed order of REAL_LABELS."""
-    return tuple(to_matrix(unit_vec(DIM, k)) for k in range(DIM))
-
-
-def from_matrix(a: Matrix):
-    """Coordinates of a 5x5 matrix in the basis; raises if not in so(3,2)."""
-    return _coords_of(
-        {(i, j): x for i, row in enumerate(a.rows) for j, x in row}
-    )
-
-
 @lru_cache(maxsize=1)
 def structure_constants():
     """The nonzero structure constants {(i, j): {k: C^k_ij}}, with
@@ -203,10 +184,6 @@ def to_complex_basis(coords):
     return complex_basis_matrix_inv().apply(vec(coords))
 
 
-def from_complex_basis(zcoords):
-    return complex_basis_matrix().apply(vec(zcoords))
-
-
 def complex_unit(i: int):
     """Real coordinates of the i-th complexified basis vector."""
     return complex_basis_matrix().col(i)
@@ -246,35 +223,6 @@ def killing_gram() -> Matrix:
     return Matrix([[kappa(i, j) for j in range(DIM)] for i in range(DIM)])
 
 
-def killing(x, y) -> GQ:
-    return dot(x, killing_gram().apply(y))
-
-
-def symmetric_signature(gram: Matrix):
-    """(n_pos, n_neg, n_zero) of a rational symmetric matrix.
-
-    The characteristic polynomial comes from Faddeev-LeVerrier.  A real
-    symmetric matrix has only real eigenvalues, so Descartes' rule of signs
-    counts the positive ones exactly, and zero's multiplicity is the number
-    of vanishing low-order coefficients.
-    """
-    if any(not x.is_real() for r in gram.rows for _, x in r):
-        raise ValueError("signature of a non-real matrix")
-    if gram != gram.transpose():
-        raise ValueError("signature of a non-symmetric matrix")
-    n = gram.nrows
-    # coeffs[k] multiplies lambda^(n-k) in det(lambda I - gram)
-    coeffs = [GQ(1)]
-    m = Matrix.zero(n, n)
-    for k in range(1, n + 1):
-        m = gram @ m + Matrix.identity(n).scale(coeffs[-1])
-        coeffs.append(-(gram @ m).trace() / k)
-    zero = n - max(k for k, c in enumerate(coeffs) if c)
-    signs = [c.re > 0 for c in coeffs if c]
-    pos = sum(s != t for s, t in zip(signs, signs[1:]))
-    return pos, n - zero - pos, zero
-
-
 # ---------------------------------------------------------------------------
 # partial complex structure and filtrations
 # ---------------------------------------------------------------------------
@@ -283,21 +231,6 @@ def symmetric_signature(gram: Matrix):
 # CONJ_PERM pair, so that X^(10) is its +i eigenvector
 _J_IMAGE = {i: (p, 1 if i < p else -1)
             for i, p in enumerate(CONJ_PERM) if p != i}
-
-
-def apply_J(x):
-    """The grade-preserving complex structure on m^-1+m^0+h^0+h^1.
-
-    Raises ValueError when x has a grade -2 or grade 2 component.
-    """
-    if any(c for i, c in enumerate(x) if i not in _J_IMAGE):
-        raise ValueError("J is undefined on the m^-2 / h^2 components")
-    out = [GQ(0)] * DIM
-    for i, c in enumerate(x):
-        if c:
-            j, s = _J_IMAGE[i]
-            out[j] = out[j] + c * GQ(s)
-    return tuple(out)
 
 
 def filtration_steps(kind: str, indices=tuple(range(DIM))):
@@ -316,11 +249,6 @@ def filtration_steps(kind: str, indices=tuple(range(DIM))):
         tuple(p for p, i in enumerate(indices) if weights[i] >= t)
         for t in sorted(set(weights))
     ] + [()]
-
-
-def filtration_chain(kind: str):
-    """The two canonical filtrations of m+h, as subspaces of GQ^10."""
-    return [Subspace.coordinate(DIM, step) for step in filtration_steps(kind)]
 
 
 # ---------------------------------------------------------------------------

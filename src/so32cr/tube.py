@@ -4,8 +4,8 @@ Two sides of the same object:
 
 * the projective quadric in CP^4 cut out by the vanishing of a symmetric
   and a Hermitian form (in either the diag(+,+,+,-,-) chart or the
-  anti-diagonal chart of the algebra coordinates), with the isotropy
-  algebra of the base point and the bracket-level Levi/cubic values;
+  anti-diagonal chart of the algebra coordinates), the embedding of the
+  tube into it, and the orbit value that picks out the model;
 
 * the tube over the future light cone in C^3: tangent vector fields with
   polynomial coefficients in (z, conj z), and at rational cone points the
@@ -32,10 +32,9 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .scalars import GQ, HALF, HALF_I, I, ZERO
-from .linalg import (Matrix, Subspace, dot, inverse, kernel, kernel_basis,
-                     rank, real_rows, rref, vec, vec_sub)
+from .linalg import (Matrix, Subspace, dot, inverse, kernel_basis, rank, rref,
+                     vec, vec_sub)
 from . import so32
-from .so32 import bracket_complex, COMPLEX_LABELS
 
 # ---------------------------------------------------------------------------
 # polynomials in z^1..z^3, conj z^1..conj z^3
@@ -139,9 +138,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_real(self) -> bool:
-        return self.conj() == self
-
     def eval(self, z) -> GQ:
         """Value at z in Q[i]^3 (the conjugate variables get conj z); z may
         also be the point's ``Powers``, which every evaluation there reads."""
@@ -230,13 +226,6 @@ class Field:
 
     def is_type10(self) -> bool:
         return all(c.is_zero() for c in self.comps[3:])
-
-    def apply(self, f: Poly) -> Poly:
-        out = Poly()
-        for i, c in enumerate(self.comps):
-            if not c.is_zero():
-                out = out + c * f.diff(i)
-        return out
 
     def bracket(self, other: "Field") -> "Field":
         """[V, W]^k = V(W^k) - W(V^k), from the two tables of partials."""
@@ -538,11 +527,6 @@ class ProjectivePoint:
             _antidiag_to_diag().apply(self.homogeneous), "diag"
         )
 
-    def same_point(self, other: "ProjectivePoint") -> bool:
-        o = other.to_chart(self.chart)
-        m = Matrix([list(self.homogeneous), list(o.homogeneous)], ncols=5)
-        return rank(m) == 1
-
 
 @lru_cache(maxsize=1)
 def _antidiag_to_diag() -> Matrix:
@@ -578,11 +562,6 @@ def quadric_eval(t: ProjectivePoint):
     return bil, herm, GQ((s[3] * s[4].conj()).im)
 
 
-def in_model(t: ProjectivePoint) -> bool:
-    bil, herm, third = quadric_eval(t)
-    return bil.is_zero() and herm.is_zero() and third.im == 0 and third.re > 0
-
-
 BASE_POINT = ProjectivePoint((GQ(1), I, GQ(0), GQ(0), GQ(0)), "antidiag")
 
 
@@ -596,44 +575,6 @@ def embedding_coords(z):
 def embed_f(z) -> ProjectivePoint:
     """The image of z under the embedding, in the diag chart."""
     return ProjectivePoint(embedding_coords([GQ.of(c) for c in z]), "diag")
-
-
-def isotropy_algebra(v: ProjectivePoint) -> Subspace:
-    """{A in so(3,2) : A v in span v} as a subspace of the coordinate space.
-
-    The line-stabilizer condition admits eigenvalue zero (the top-grade
-    generator annihilates the base point)."""
-    h = v.to_chart("antidiag").homogeneous
-    pivot = next(i for i, c in enumerate(h) if c)
-    images = [b.apply(h) for b in so32.basis_matrices()]
-    rows = [
-        [w[j] * h[pivot] - w[pivot] * h[j] for w in images]
-        for j in range(5) if j != pivot
-    ]
-    return kernel(real_rows(Matrix(rows, ncols=so32.DIM)))
-
-
-def model_levi_cubic(theta_scale=1):
-    """Levi and cubic values of the model from pure bracket projections,
-    with theta the covector dual to the grade -2 direction (scaled)."""
-    s = GQ.of(theta_scale)
-    zl = COMPLEX_LABELS.index
-
-    def theta(zcoords) -> GQ:
-        return s * zcoords[zl("e^-2")]
-
-    e1_10 = zl("e^-1(10)")
-    e1_01 = zl("e^-1(01)")
-    e0_10 = zl("e^0(10)")
-    # Levi: -theta([e^-1(10), J e^-1(01)]), J acting as -i on the (01) side
-    levi = -theta(
-        tuple(c * (-I) for c in bracket_complex(e1_10, e1_01))
-    )
-    # cubic: theta([[e^0(10), e^-1(01)], e^-1(01)])
-    ad_e1_01 = Matrix.from_columns(
-        [bracket_complex(idx, e1_01) for idx in range(so32.DIM)])
-    cubic = theta(ad_e1_01.apply(bracket_complex(e0_10, e1_01)))
-    return levi, cubic
 
 
 def embedding_identity_check():

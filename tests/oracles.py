@@ -1,0 +1,310 @@
+"""Reference computations for the paper's finite claims.
+
+No CLI command and no benchmark workload calls these, so they live with
+the tests.  Each computes a fact the engine also reaches, by a route of its
+own, or states a law that the engine's results must obey:
+
+* ``basis_matrices``, ``to_matrix``, ``from_matrix``: the ten 5x5 basis
+  matrices of so(3,2); their dense commutators check the sparse structure
+  constants, and their traces the Killing form.
+* ``symmetric_signature`` (with ``trace``): the Killing signature (6, 4),
+  by Faddeev-LeVerrier and Descartes' rule of signs, with no elimination.
+* ``isotropy_algebra``: the stabilizer of a point of the quadric; at the
+  base point it has dimension 5 = 2 + 2 + 1, the prolongation dimensions.
+* ``model_levi_cubic``: the Levi and cubic values (-1/2, -i/2) of the model
+  from pure bracket projections; ``apply_field`` lets a field act on a
+  polynomial (the tangent fields annihilate rho).
+* ``act_on_cochain`` and ``rotation_action_matrix``: the adjoint action of
+  grade >= 0 elements on cochains, which commutes with d and d*, keeps the
+  normalization spaces, and leaves the cochain inner product invariant.
+* ``evaluate_cochain``: a cochain on argument vectors (the coboundary's
+  values, alternation).
+* ``restrict_ctorsion``, ``graded_component``, ``add_term``: the degree-k
+  restriction of a full torsion to m_-, which checks the constraint
+  catalog's symbol columns; ``add_term`` perturbs one torsion component.
+* ``beta_gauge_response``: the response law of the beta component to a
+  degree-1 frame change, which vanishes exactly on the l1 locus.
+* ``endo_of_cochain`` and ``gl2_endo``: the inverse of
+  ``prolong.cochain_of_endo``, and the degree-2 parameter family that the
+  step-2 solution is read against.
+"""
+
+from functools import lru_cache
+from itertools import combinations, product
+
+from so32cr import so32
+from so32cr.carriers import Carrier, endo_from_complex_images
+from so32cr.cochains import Cochain, _side_m, cochain_dim
+from so32cr.coframe import FullTorsion
+from so32cr.forms import Form
+from so32cr.linalg import (Matrix, kernel, real_rows, unit_vec, vec, vec_add,
+                           vec_scale, zero_vec)
+from so32cr.scalars import GQ, I, ZERO
+from so32cr.so32 import (COMPLEX_LABELS, DIM, GRADES, M_MINUS, N,
+                         bracket_complex, bracket_coords, grades,
+                         to_complex_basis)
+from so32cr.tube import Poly
+
+# ---------------------------------------------------------------------------
+# the algebra as 5x5 matrices
+# ---------------------------------------------------------------------------
+
+
+def to_matrix(coords) -> Matrix:
+    return Matrix.from_entries(N, N, (
+        (i, j, c * v) for c, entries in zip(vec(coords), so32._BASIS_ENTRIES)
+        for (i, j, v) in entries))
+
+
+@lru_cache(maxsize=1)
+def basis_matrices():
+    """The ten 5x5 basis matrices, in the fixed order of REAL_LABELS."""
+    return tuple(to_matrix(unit_vec(DIM, k)) for k in range(DIM))
+
+
+def from_matrix(a: Matrix):
+    """Coordinates of a 5x5 matrix in the basis; raises if not in so(3,2)."""
+    return so32._coords_of(
+        {(i, j): x for i, row in enumerate(a.rows) for j, x in row}
+    )
+
+
+def trace(m: Matrix) -> GQ:
+    return sum((m[i, i] for i in range(min(m.nrows, m.ncols))), ZERO)
+
+
+def symmetric_signature(gram: Matrix):
+    """(n_pos, n_neg, n_zero) of a rational symmetric matrix.
+
+    The characteristic polynomial comes from Faddeev-LeVerrier.  A real
+    symmetric matrix has only real eigenvalues, so Descartes' rule of signs
+    counts the positive ones exactly, and zero's multiplicity is the number
+    of vanishing low-order coefficients.
+    """
+    if any(not x.is_real() for r in gram.rows for _, x in r):
+        raise ValueError("signature of a non-real matrix")
+    if gram != gram.transpose():
+        raise ValueError("signature of a non-symmetric matrix")
+    n = gram.nrows
+    # coeffs[k] multiplies lambda^(n-k) in det(lambda I - gram)
+    coeffs = [GQ(1)]
+    m = Matrix.zero(n, n)
+    for k in range(1, n + 1):
+        m = gram @ m + Matrix.identity(n).scale(coeffs[-1])
+        coeffs.append(-trace(gram @ m) / k)
+    zero = n - max(k for k, c in enumerate(coeffs) if c)
+    signs = [c.re > 0 for c in coeffs if c]
+    pos = sum(s != t for s, t in zip(signs, signs[1:]))
+    return pos, n - zero - pos, zero
+
+
+# ---------------------------------------------------------------------------
+# the flat model
+# ---------------------------------------------------------------------------
+
+
+def isotropy_algebra(v):
+    """{A in so(3,2) : A v in span v} for a ``tube.ProjectivePoint`` v, as a
+    subspace of the coordinate space.
+
+    The line-stabilizer condition admits eigenvalue zero (the top-grade
+    generator annihilates the base point)."""
+    h = v.to_chart("antidiag").homogeneous
+    pivot = next(i for i, c in enumerate(h) if c)
+    images = [b.apply(h) for b in basis_matrices()]
+    rows = [
+        [w[j] * h[pivot] - w[pivot] * h[j] for w in images]
+        for j in range(5) if j != pivot
+    ]
+    return kernel(real_rows(Matrix(rows, ncols=DIM)))
+
+
+def model_levi_cubic(theta_scale=1):
+    """Levi and cubic values of the model from pure bracket projections,
+    with theta the covector dual to the grade -2 direction (scaled)."""
+    s = GQ.of(theta_scale)
+    zl = COMPLEX_LABELS.index
+
+    def theta(zcoords) -> GQ:
+        return s * zcoords[zl("e^-2")]
+
+    e1_10 = zl("e^-1(10)")
+    e1_01 = zl("e^-1(01)")
+    e0_10 = zl("e^0(10)")
+    # Levi: -theta([e^-1(10), J e^-1(01)]), J acting as -i on the (01) side
+    levi = -theta(
+        tuple(c * (-I) for c in bracket_complex(e1_10, e1_01))
+    )
+    # cubic: theta([[e^0(10), e^-1(01)], e^-1(01)])
+    ad_e1_01 = Matrix.from_columns(
+        [bracket_complex(idx, e1_01) for idx in range(DIM)])
+    cubic = theta(ad_e1_01.apply(bracket_complex(e0_10, e1_01)))
+    return levi, cubic
+
+
+def apply_field(v, f):
+    """The ``tube.Field`` v acting on the ``tube.Poly`` f: sum V^i d_i f."""
+    out = Poly()
+    for i, c in enumerate(v.comps):
+        if not c.is_zero():
+            out = out + c * f.diff(i)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cochains
+# ---------------------------------------------------------------------------
+
+
+def act_on_cochain(x, c: Cochain) -> Cochain:
+    """Natural action of a grade-homogeneous x (grade >= 0 part of g) on an
+    m_- cochain: ad on values minus the induced action on arguments, the
+    argument bracket taken modulo everything outside m_-.  Acting by grade
+    j shifts the homogeneity degree from k to k + j."""
+    xgrades = grades(x)
+    if len(xgrades) > 1:
+        raise ValueError("actor must be grade homogeneous")
+    k_out = c.k + (xgrades.pop() if xgrades else 0)
+    side = _side_m()
+    cm = c.coeff_map()
+    # argument action matrix: proj_{m_-} [x, n_a]
+    arg_act = []
+    for a in range(side.n):
+        w = bracket_coords(x, side.args[a])
+        arg_act.append(tuple(w[i] for i in M_MINUS))
+    out = {}
+    for (wedge, beta), coef in cm.items():
+        # value part [x, g_beta]
+        valbr = bracket_coords(x, unit_vec(DIM, beta))
+        for b2 in range(DIM):
+            if valbr[b2]:
+                key = (wedge, b2)
+                out[key] = out.get(key, GQ(0)) + coef * valbr[b2]
+        # minus argument substitutions (covector slots transform dually);
+        # from_full_table sorts each new wedge with its sign
+        for pos, a in enumerate(wedge):
+            for a2 in range(side.n):
+                f = arg_act[a2][a]
+                if f:
+                    key = (wedge[:pos] + (a2,) + wedge[pos + 1:], beta)
+                    out[key] = out.get(key, GQ(0)) - coef * f
+    if any(side.monomial_degree(m) != k_out for m, v in out.items() if v):
+        raise ArithmeticError("action did not shift homogeneity uniformly")
+    return Cochain.from_full_table(c.ell, k_out, out)
+
+
+def rotation_action_matrix(ell: int, k: int, x) -> Matrix:
+    """Matrix of the action of a grade-0 element on a cochain slice."""
+    n = cochain_dim(ell, k)
+    cols = []
+    for p in range(n):
+        c = Cochain(ell, k, [GQ(1 if q == p else 0) for q in range(n)])
+        cols.append(act_on_cochain(x, c).coords)
+    return Matrix.from_columns(cols, nrows=n)
+
+
+def evaluate_cochain(c: Cochain, *arg_vectors):
+    """Value on elements of m_- given as 3-vectors over (e^-2, e_1^-1, e_2^-1)."""
+    if len(arg_vectors) != c.ell:
+        raise ValueError("wrong number of arguments")
+    args = [vec(a) for a in arg_vectors]
+    values = {}
+    for (w, beta), coef in c.coeff_map().items():
+        values.setdefault(beta, {})[w] = coef
+    out = [GQ(0)] * DIM
+    for beta, coeffs in values.items():
+        form = Form(coeffs)
+        for idx_tuple in product(range(len(M_MINUS)), repeat=c.ell):
+            f = GQ(1)
+            for pos, i in enumerate(idx_tuple):
+                f = f * args[pos][i]
+            if f:
+                out[beta] += f * form.at(idx_tuple)
+    return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# torsion and frame changes
+# ---------------------------------------------------------------------------
+
+
+def add_term(torsion: FullTorsion, arg1: str, arg2: str, value_label: str,
+             coef) -> FullTorsion:
+    """The torsion plus coef on one (argument pair, value) component."""
+    i, j, beta = (COMPLEX_LABELS.index(x) for x in (arg1, arg2, value_label))
+    forms = dict(torsion.forms)
+    forms[beta] = forms.get(beta, Form()) + Form({(i, j): coef})
+    return FullTorsion(forms)
+
+
+def graded_component(torsion: FullTorsion, i: int, j: int, k: int):
+    """tau^k on the (i, j) complexified argument pair: the value
+    components of grade g_i + g_j + k, as complex g-coordinates."""
+    target = GRADES[i] + GRADES[j] + k
+    zero = Form()
+    return tuple(
+        torsion.forms.get(beta, zero).at((i, j)) if GRADES[beta] == target
+        else GQ(0)
+        for beta in range(DIM)
+    )
+
+
+def restrict_ctorsion(torsion: FullTorsion, k: int) -> Cochain:
+    """The degree-k part of the restriction to wedge pairs inside m_-,
+    as a 2-cochain over the real monomial basis."""
+    zc = [to_complex_basis(unit_vec(DIM, i)) for i in M_MINUS]
+    table = {}
+    for a, b in combinations(range(len(M_MINUS)), 2):
+        val = zero_vec(DIM)
+        for i, j in product(M_MINUS, repeat=2):
+            f = zc[a][i] * zc[b][j]
+            if f:
+                val = vec_add(val, vec_scale(f, graded_component(torsion, i, j, k)))
+        for beta, c in enumerate(so32.complex_basis_matrix().apply(val)):
+            table[((a, b), beta)] = c
+    return Cochain.from_full_table(2, k, table)
+
+
+def beta_gauge_response(mu, nu, nuprime) -> GQ:
+    """Linear response of the beta component to a degree-1 frame change
+    with parameters (mu, nu, nu'): -conj(mu) + nu - nu'.
+
+    This is a frame-jet statement about the bundle construction, recorded
+    here as the stated response law; it vanishes exactly on the l1 locus
+    nu' = nu - conj(mu), which is why l1 is the residual gauge group once
+    the beta component is normalized to zero."""
+    mu, nu, nuprime = GQ.of(mu), GQ.of(nu), GQ.of(nuprime)
+    return -mu.conj() + nu - nuprime
+
+
+# ---------------------------------------------------------------------------
+# gauge endomorphisms
+# ---------------------------------------------------------------------------
+
+
+def endo_of_cochain(carrier: Carrier, c: Cochain) -> Matrix:
+    """The graded endomorphism acting as the 1-cochain on m_- and by zero
+    on the rest of the carrier."""
+    entries = []
+    for ((a,), beta), coef in c.coeff_map().items():
+        if beta not in carrier.indices:
+            raise ValueError("cochain value leaves the carrier")
+        entries.append((carrier.indices.index(beta), a, coef))
+    return Matrix.from_entries(carrier.dim, carrier.dim, entries)
+
+
+def gl2_endo(lam, mu, nu, nup) -> Matrix:
+    """Degree-2 graded endomorphism of m+h0+h1 with complex parameters:
+    e^-2 -> lam e^0(10) + mu E^0(10) + conjugates,
+    e^-1(10) -> nu E^1(10) + nup E^1(01)."""
+    lam, mu, nu, nup = (GQ.of(x) for x in (lam, mu, nu, nup))
+    return endo_from_complex_images(
+        Carrier("m+h0+h1"),
+        {
+            "e^-2": [
+                (lam, "e^0(10)"), (lam.conj(), "e^0(01)"),
+                (mu, "E^0(10)"), (mu.conj(), "E^0(01)"),
+            ],
+            "e^-1(10)": [(nu, "E^1(10)"), (nup, "E^1(01)")],
+        },
+    )

@@ -2,22 +2,29 @@ import random
 
 from so32cr.scalars import GQ
 from so32cr.linalg import Matrix, Subspace, kernel
-from so32cr.so32 import real_unit
+from so32cr.so32 import filtration_steps, real_unit
 from so32cr.carriers import (
     CARRIER_NAMES,
     Carrier,
     endo_complex_matrix,
     endo_from_complex_images,
-    frame_freedom,
     gl_filtered,
     gl_graded,
-    gl_star_equals_gl_on_m,
     _j_constraint_matrix,
 )
 
 
-def flat(m):
-    return m.flatten()
+def contains(endos, m):
+    return endos.space.contains(m.flatten())
+
+
+def includes(big, small):
+    return all(big.contains(v) for v in small.basis_vectors())
+
+
+def frame_freedom(c):
+    # the degree-1* algebra of first-order frame changes I + B
+    return gl_filtered(c, 1, star=True, j_compatible=True)
 
 
 def test_graded_dimensions():
@@ -31,9 +38,9 @@ def test_identity_in_gl0_not_gl1():
     for name in CARRIER_NAMES:
         c = Carrier(name)
         ident = Matrix.identity(c.dim)
-        assert gl_filtered(c, 0).contains(ident)
-        assert gl_filtered(c, 0, star=True).contains(ident)
-        assert not gl_filtered(c, 1).contains(ident)
+        assert contains(gl_filtered(c, 0), ident)
+        assert contains(gl_filtered(c, 0, star=True), ident)
+        assert not contains(gl_filtered(c, 1), ident)
 
 
 def test_j_condition_vacuous_for_degree_two_and_up():
@@ -48,15 +55,17 @@ def test_j_condition_vacuous_for_degree_two_and_up():
 
 
 def test_star_equals_plain_on_m():
-    w = gl_star_equals_gl_on_m()
-    assert w["equal"] and w["dim"] == w["dim_star"] == 6
+    m = Carrier("m")
+    plain = gl_filtered(m, 1, star=False, j_compatible=True)
+    star = gl_filtered(m, 1, star=True, j_compatible=True)
+    assert plain.space == star.space and plain.dim == star.dim == 6
 
 
 def test_star_differs_on_m_h0():
     c = Carrier("m+h0")
     plain = gl_filtered(c, 1, star=False, j_compatible=True)
     star = gl_filtered(c, 1, star=True, j_compatible=True)
-    assert star.space.contains_subspace(plain.space)
+    assert includes(star.space, plain.space)
     assert star.dim - plain.dim == 4
 
 
@@ -64,9 +73,8 @@ def test_endo_filtration_chain():
     for name in CARRIER_NAMES:
         c = Carrier(name)
         for k in range(0, 5):
-            assert gl_filtered(c, k).space.contains_subspace(
-                gl_filtered(c, k + 1).space
-            )
+            assert includes(gl_filtered(c, k).space,
+                            gl_filtered(c, k + 1).space)
         assert gl_filtered(c, 5).dim == 0
 
 
@@ -83,7 +91,7 @@ def test_endo_bracket_degree_additivity():
                 a = ek[rng.randrange(len(ek))]
                 b = el[rng.randrange(len(el))]
                 comm = a @ b - b @ a
-                assert gl_filtered(c, min(k + l, 5)).contains(comm)
+                assert contains(gl_filtered(c, min(k + l, 5)), comm)
 
 
 def test_ad_of_h_restricts_to_graded():
@@ -94,9 +102,8 @@ def test_ad_of_h_restricts_to_graded():
     ]
     for label, k, cname in cases:
         c = Carrier(cname)
-        assert gl_graded(c, k, j_compatible=True).contains(
-            c.ad_action(real_unit(label))
-        )
+        assert contains(gl_graded(c, k, j_compatible=True),
+                        c.ad_action(real_unit(label)))
 
 
 def test_frame_freedom_on_m_is_gl1():
@@ -118,8 +125,8 @@ def test_frame_freedom_first_order_closure():
                 b1 = b1 + e.scale(GQ(rng.randrange(-2, 3)))
                 b2 = b2 + e.scale(GQ(rng.randrange(-2, 3)))
             prod = (ident + b1) @ (ident + b2) - ident
-            assert ff.contains(prod)
-        assert ff.contains(Matrix.zero(c.dim, c.dim))  # B = 0: identity change
+            assert contains(ff, prod)
+        assert contains(ff, Matrix.zero(c.dim, c.dim))  # B = 0: identity change
 
 
 def test_frame_freedom_fixes_graded_projections():
@@ -178,7 +185,7 @@ def _reference_filtered(c, k, star, j):
         )
 
     if not star:
-        chain = c.f_chain()
+        chain = filtration_steps("F", c.indices)
         for t in range(5):
             restrict(chain[t], chain[min(t + k, 5)])
     else:
