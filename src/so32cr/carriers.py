@@ -1,13 +1,12 @@
 """Filtration-preserving endomorphism algebras on truncations of so(3,2).
 
-A carrier is one of the four truncations m, m+h^0, m+h^0+h^1, m+h, each a
-coordinate subspace in the fixed basis order, equipped with the restricted
-plain filtration, the restricted semitone filtration (one extra step at the
-h-part), and the partial complex structure J.  Because every filtration
-space is spanned by basis vectors, the filtered/graded conditions on an
-endomorphism are entry patterns plus small linear relations for the
-J-condition; each space is a coordinate subspace cut down by an exact
-kernel of the J rows alone.
+A carrier is one of the four truncations m, m+h^0, m+h^0+h^1, m+h, the
+carriers of the four prolongation steps, each a coordinate subspace in the
+fixed basis order, equipped with the restricted grading and the partial
+complex structure J.  Because every filtration space is spanned by basis
+vectors, the filtered/graded conditions on an endomorphism are entry
+patterns plus small linear relations for the J-condition; each space is a
+coordinate subspace cut down by an exact kernel of the J rows alone.
 
 Endomorphisms are n x n matrices over the carrier's slice of the basis,
 vectorized row-major (``Matrix.flatten``) for subspace bookkeeping.
@@ -23,34 +22,30 @@ from . import so32
 from .so32 import (_J_IMAGE, bracket_coords, complex_basis_matrix,
                    complex_basis_matrix_inv)
 
-# each carrier is m plus the part of h up to a grade
-_H_TOP_GRADE = {"m": -1, "m+h0": 0, "m+h0+h1": 1, "m+h": 2}
-CARRIER_NAMES = tuple(_H_TOP_GRADE)
+# the step-k carrier is m plus the part of h up to grade k - 1
+STEP_CARRIERS = {0: "m", 1: "m+h0", 2: "m+h0+h1", 3: "m+h"}
+CARRIER_NAMES = tuple(STEP_CARRIERS.values())
 
 
 class Carrier:
-    """A truncation of so(3,2) with its filtrations and J."""
+    """A truncation of so(3,2) with its grading and J."""
 
     def __init__(self, name: str):
-        if name not in _H_TOP_GRADE:
+        if name not in CARRIER_NAMES:
             raise ValueError(f"unknown carrier {name!r}")
         self.name = name
+        top = CARRIER_NAMES.index(name) - 1  # the highest grade of h kept
         self.indices = tuple(
             i for i in range(so32.DIM)
-            if not so32.IN_H[i] or so32.GRADES[i] <= _H_TOP_GRADE[name]
+            if not so32.IN_H[i] or so32.GRADES[i] <= top
         )
         self.dim = len(self.indices)
         self.grades = tuple(so32.GRADES[i] for i in self.indices)
-        self.levels = tuple(so32.LEVELS[i] for i in self.indices)
 
     # -- index sets ------------------------------------------------------
     def h_part(self):
         """Local slots of the h-part (the semitone space V_(0|0))."""
         return tuple(p for p, i in enumerate(self.indices) if so32.IN_H[i])
-
-    def fstar_ladder(self):
-        """Semitone ladder V_-2, V_-1, V_(0|-1), V_(0|0), V_(0|1), V_(0|2), 0."""
-        return so32.filtration_steps("F*", self.indices)
 
     def j_matrix(self) -> Matrix:
         """J on the carrier, extended by zero outside m^-1+m^0+h^0+h^1."""
@@ -149,28 +144,14 @@ def _endo_space(carrier: Carrier, allowed, j_domain) -> Subspace:
     return Subspace(n * n, vectors)
 
 
-def gl_filtered(carrier: Carrier, k: int, star: bool = False,
-                j_compatible: bool = False) -> EndoSubspace:
-    """gl_k / gl_k* of a carrier, optionally J-compatible.
-
-    Plain: A(V_t) in V_{t+k} along the integer chain.  Star: the grade -2
-    and -1 steps shift along the integer chain while the V_(0|j) steps shift
-    along the semitone ladder.
-    """
+def gl_filtered(carrier: Carrier, k: int) -> EndoSubspace:
+    """gl_k of a carrier: A(V_t) in V_{t+k} along the grading filtration,
+    so a column may only reach rows k grades higher."""
     if k < 0:
         raise ValueError("only nonnegative degrees are defined here")
-    g, lv = carrier.grades, carrier.levels
-
-    def allowed(r, c):
-        # A(V_t) in V_(t+k): a column may only reach rows k steps higher.
-        # Star: columns in m^0 + h step along the semitone levels, the
-        # grade -2 and -1 columns along the integer grades.
-        if star and g[c] >= 0:
-            return lv[r] >= lv[c] + k
-        return g[r] >= g[c] + k
-
-    j_domain = carrier.fstar_ladder()[1] if j_compatible else ()
-    return EndoSubspace(carrier, _endo_space(carrier, allowed, j_domain))
+    g = carrier.grades
+    return EndoSubspace(carrier, _endo_space(
+        carrier, lambda r, c: g[r] >= g[c] + k, ()))
 
 
 def gl_graded(carrier: Carrier, k: int, j_compatible: bool = False) -> EndoSubspace:

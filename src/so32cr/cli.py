@@ -202,11 +202,11 @@ def run_prolong(rep: Report, which: str):
                 "projected adjoint action, exact matrix equality",
             )
         if step == 1:
-            l1 = prolong.l1_subspace()
-            rep.add("degree-1 gauge space dimension", 6, l1.dim,
+            rep.add("degree-1 gauge space dimension", 6,
+                    prolong.l1_subspace().dim,
                     "parameter count of the gauge algebra")
-            rep.add("degree-1 gauge space note", l1.note, l1.note,
-                    "solver summary", ok=True)
+            rep.add("degree-1 gauge space note", prolong.L1_NOTE,
+                    prolong.L1_NOTE, "solver summary", ok=True)
             note = prolong.INNER_PRODUCT_NOTE
             rep.add("inner product choice", note, note,
                     "recorded normalization data", ok=True)
@@ -327,7 +327,7 @@ def run_model_embed(rep: Report, csv: str):
     rep.add("symmetric form on image", "0/1", bil.to_str(), "polynomial identity")
     rep.add(
         "hermitian form equals twice the defining function",
-        (GQ(2) * tube.rho().eval(z)).to_str(),
+        (GQ(2) * tube.rho().eval(tube.Powers(z))).to_str(),
         herm.to_str(),
         "polynomial identity",
     )
@@ -435,7 +435,7 @@ def run_constraints(rep: Report):
         coframe.catalog_contains_vanishing("T^-1(01)_-1(01)|0(01)"),
         "conjugate of the degree-0 frame condition",
     )
-    flat = coframe.FullTorsion.flat()
+    flat = coframe.flat_torsion()
     flat_ok = all(r.evaluate(flat).is_zero() for r in cat)
     rep.add("flat model satisfies every relation", True, flat_ok,
             "exact evaluation on the bracket torsion")

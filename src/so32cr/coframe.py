@@ -12,9 +12,10 @@ equations are checked coefficient by coefficient; any residue is reported
 with its wedge pair rather than silenced, so printed-sign deltas localize.
 
 The module is also the one home of the structure-function catalog: the
-full torsion, the symbols T^a_b|c and R^a_b|c that name its components, and
-the linear relations among them that the frame conditions of each
-prolongation step and the three torsion normalizations impose.
+full torsion of the model (a dict of 2-forms, one per value label), the
+symbols T^a_b|c and R^a_b|c that name its components, and the linear
+relations among them that the frame conditions of each prolongation step
+and the three torsion normalizations impose.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .scalars import GQ, HALF, HALF_I, I
+from .scalars import GQ, HALF, HALF_I, I, combination_text
 from . import forms, so32
 from .so32 import (CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex,
                    to_complex_basis)
@@ -153,23 +154,17 @@ def _m_minus_complex_coords():
     return [to_complex_basis(unit_vec(DIM, i)) for i in M_MINUS]
 
 
-class FullTorsion:
-    """Alternating bilinear map on m with values in g, over the complexified
-    bases: forms[beta] is the 2-form on the five complexified m-labels giving
-    the value component along the complexified g-label beta."""
+def flat_torsion() -> dict:
+    """The full torsion of the model, whose every value is the Lie bracket.
 
-    def __init__(self, forms=None):
-        self.forms = {b: f for b, f in (forms or {}).items() if not f.is_zero()}
-
-    @staticmethod
-    def flat() -> "FullTorsion":
-        """The torsion of the model: every value is the Lie bracket."""
-        m = [i for i in range(DIM) if not IN_H[i]]
-        values = {(i, j): bracket_complex(i, j) for i, j in combinations(m, 2)}
-        return FullTorsion({
-            beta: Form({pair: v[beta] for pair, v in values.items()})
-            for beta in range(DIM)
-        })
+    A full torsion is an alternating bilinear map on m with values in g,
+    over the complexified bases: the dict {beta: 2-form on the complexified
+    m-labels} of its nonzero value components along the g-labels beta."""
+    m = [i for i in range(DIM) if not IN_H[i]]
+    values = {(i, j): bracket_complex(i, j) for i, j in combinations(m, 2)}
+    forms = {beta: Form({pair: v[beta] for pair, v in values.items()})
+             for beta in range(DIM)}
+    return {beta: f for beta, f in forms.items() if not f.is_zero()}
 
 
 @dataclass(frozen=True)
@@ -202,16 +197,15 @@ class Relation:
     terms: tuple  # of (GQ, Symbol)
 
     def render(self) -> str:
-        body = " + ".join(f"({c.to_str()})*{s.render()}" for c, s in self.terms)
-        return body + " = 0"
+        return combination_text((c, s.render()) for c, s in self.terms) + " = 0"
 
     def is_single_vanishing(self) -> bool:
         return len(self.terms) == 1
 
-    def evaluate(self, torsion: FullTorsion) -> GQ:
-        """Value on a full torsion (coefficients over complexified bases)."""
+    def evaluate(self, torsion: dict) -> GQ:
+        """Value on a full torsion {beta: 2-form} (``flat_torsion``)."""
         zero = Form()
-        return sum((c * torsion.forms.get(s.upper, zero).at(s.lower)
+        return sum((c * torsion.get(s.upper, zero).at(s.lower)
                     for c, s in self.terms), GQ(0))
 
 

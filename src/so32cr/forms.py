@@ -15,7 +15,7 @@ their argument algebra.
 
 from __future__ import annotations
 
-from .scalars import GQ
+from .scalars import GQ, combination_text
 from .so32 import CONJ_PERM
 
 
@@ -92,12 +92,9 @@ class Form:
 
     def render(self, labels) -> str:
         """Text "(c)*a^b + ..." with one label per index, sorted by key."""
-        if not self.coeffs:
-            return "0"
-        return " + ".join(
-            f"({self.coeffs[k].to_str()})*" + "^".join(labels[i] for i in k)
-            for k in sorted(self.coeffs)
-        )
+        return combination_text(
+            (self.coeffs[k], "^".join(labels[i] for i in k))
+            for k in sorted(self.coeffs))
 
     def __repr__(self):
         return f"Form({self.coeffs!r})"

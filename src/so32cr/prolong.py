@@ -16,7 +16,8 @@ gauge image: the normalization space is, at degree 1, the orthocomplement
 of the l1-image inside the coboundary image plus ker d*, and at degrees 2
 and 3 simply ker d*.  The orthocomplement is taken for the inner product
 that makes the monomial basis orthonormal, so its Gram is the identity;
-``INNER_PRODUCT_NOTE`` is the text the reports record for that choice.
+``INNER_PRODUCT_NOTE`` is the text the reports record for that choice, and
+``L1_NOTE`` the text they record on the degree-1 gauge space.
 Each space is complementary to the gauge image, so the split c = dB +
 residual always exists and is linear in c: one elimination per degree fixes
 the maps c -> B and c -> residual.
@@ -40,15 +41,14 @@ from .linalg import (
 )
 from . import so32
 from .so32 import M_MINUS, real_unit
-from .carriers import Carrier, endo_from_complex_images, gl_graded
+from .carriers import (STEP_CARRIERS, Carrier, EndoSubspace,
+                       endo_from_complex_images, gl_graded)
 from .cochains import (
     Cochain,
     coboundary_matrix,
     cochain_dim,
     codifferential_matrix,
 )
-
-STEP_CARRIERS = {0: "m", 1: "m+h0", 2: "m+h0+h1", 3: "m+h"}
 
 
 # ---------------------------------------------------------------------------
@@ -160,34 +160,29 @@ def l1_endo(lam: GQ, mu: GQ, nu: GQ) -> Matrix:
     )
 
 
-@dataclass(frozen=True)
-class L1Space:
-    carrier: Carrier
-    space: Subspace   # endomorphism coordinates
-    generators: tuple
-    note: str
-
-    @property
-    def dim(self):
-        return self.space.dim
+L1_NOTE = (
+    "the grade -2 action carries a free complex parameter lambda; "
+    "only mu, nu (and the tied antiholomorphic coefficient nu - conj mu) "
+    "enter the defining condition"
+)
 
 
 @lru_cache(maxsize=1)
-def l1_subspace() -> L1Space:
-    """The degree-1 gauge algebra: 6-dimensional, parameters (lambda, mu, nu)."""
-    gens = (
+def l1_generators() -> tuple:
+    """The six endomorphisms l1_endo at the real and imaginary units of
+    lambda, mu and nu in turn."""
+    return (
         l1_endo(1, 0, 0), l1_endo(I, 0, 0),
         l1_endo(0, 1, 0), l1_endo(0, I, 0),
         l1_endo(0, 0, 1), l1_endo(0, 0, I),
     )
+
+
+def l1_subspace() -> EndoSubspace:
+    """The degree-1 gauge algebra: 6-dimensional, parameters (lambda, mu, nu)."""
     carrier = Carrier("m+h0")
-    space = Subspace(carrier.dim ** 2, [g.flatten() for g in gens])
-    note = (
-        "the grade -2 action carries a free complex parameter lambda; "
-        "only mu, nu (and the tied antiholomorphic coefficient nu - conj mu) "
-        "enter the defining condition"
-    )
-    return L1Space(carrier, space, gens, note)
+    return EndoSubspace(carrier, Subspace(
+        carrier.dim ** 2, [g.flatten() for g in l1_generators()]))
 
 
 @lru_cache(maxsize=None)
@@ -198,7 +193,7 @@ def _gauge(k: int):
     and 3."""
     carrier = Carrier(STEP_CARRIERS[k])
     if k == 1:
-        gauge = l1_subspace().generators
+        gauge = l1_generators()
     else:
         gauge = gl_graded(carrier, k).basis_endos()
     dmat = coboundary_matrix(1, k)

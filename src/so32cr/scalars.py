@@ -10,6 +10,7 @@ Text serialization (used in JSON reports and the Table-1 fixture):
 
 * rational       ``"a/b"``            e.g. ``"-3/2"``, ``"0/1"``
 * Gaussian       ``"a/b+c/d*i"``      e.g. ``"1/2+3/4*i"``, ``"0/1-1/2*i"``
+* combination    ``"(c1)*name1 + (c2)*name2"`` (``combination_text``)
 
 A plain ``"a/b"`` parses as a Gaussian rational with zero imaginary part.
 """
@@ -241,6 +242,13 @@ class GQ:
 
     def __repr__(self):
         return f"GQ({self.to_str()})"
+
+
+def combination_text(terms) -> str:
+    """The text "(c1)*name1 + (c2)*name2 + ..." of (GQ, name) pairs, or "0"
+    when there are none: every linear combination in the reports and the
+    Table-1 fixture is written this way."""
+    return " + ".join(f"({c.to_str()})*{name}" for c, name in terms) or "0"
 
 
 _new = object.__new__

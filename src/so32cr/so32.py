@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 
-from .scalars import GQ, HALF, HALF_I
+from .scalars import GQ, HALF, HALF_I, combination_text
 from .linalg import Matrix, inverse, unit_vec, vec
 
 DIM = 10
@@ -57,9 +57,6 @@ GRADES = (-2, -1, -1, 0, 0, 0, 0, 1, 1, 2)
 IN_H = (False, False, False, False, False, True, True, True, True, True)
 # conjugation on the complexified basis: swap (10) <-> (01)
 CONJ_PERM = (0, 2, 1, 4, 3, 6, 5, 8, 7, 9)
-# semitone level: m^-2, m^-1, m^0 -> 0, 1, 2 and h^0, h^1, h^2 -> 3, 4, 5;
-# the extra step at h^0 is the semitone filtration's
-LEVELS = tuple(g + 2 + h for g, h in zip(GRADES, IN_H))
 
 GRADE_INDICES = {
     g: tuple(i for i, gi in enumerate(GRADES) if gi == g)
@@ -224,31 +221,13 @@ def killing_gram() -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# partial complex structure and filtrations
+# partial complex structure
 # ---------------------------------------------------------------------------
 
 # J on basis indices: i -> (image index, sign), X_1 -> X_2 -> -X_1 on each
 # CONJ_PERM pair, so that X^(10) is its +i eigenvector
 _J_IMAGE = {i: (p, 1 if i < p else -1)
             for i, p in enumerate(CONJ_PERM) if p != i}
-
-
-def filtration_steps(kind: str, indices=tuple(range(DIM))):
-    """The steps of a canonical filtration of m+h, restricted to a slice of
-    the basis: each step is the tuple of positions p with indices[p] of
-    weight >= t, for t rising through the weights, then the zero step.
-
-    kind "F":  weight = grade:  m+h > m^-1+m^0+h > m^0+h > h^1+h^2 > h^2 > 0
-    kind "F*": weight = semitone level: the same with the extra step
-    h = h^0+h^1+h^2 between m^0+h and h^1+h^2.
-    """
-    if kind not in ("F", "F*"):
-        raise ValueError("kind must be 'F' or 'F*'")
-    weights = GRADES if kind == "F" else LEVELS
-    return [
-        tuple(p for p, i in enumerate(indices) if weights[i] >= t)
-        for t in sorted(set(weights))
-    ] + [()]
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +264,8 @@ def parse_combination(cell: str):
 
 def format_combination(coords) -> str:
     """Render complex coordinates as "(c1)*label1 + ..."."""
-    terms = [f"({c.to_str()})*{COMPLEX_LABELS[i]}"
-             for i, c in enumerate(coords) if c]
-    return " + ".join(terms) if terms else "0"
+    return combination_text(
+        (c, COMPLEX_LABELS[i]) for i, c in enumerate(coords) if c)
 
 
 @lru_cache(maxsize=1)

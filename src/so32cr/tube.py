@@ -54,11 +54,6 @@ class Powers:
         z = [GQ.of(v) for v in z]
         self.rows = [[GQ(1), v] for v in z + [v.conj() for v in z]]
 
-    @staticmethod
-    def of(z) -> "Powers":
-        """z itself when it is a power table, else the table at the point z."""
-        return z if isinstance(z, Powers) else Powers(z)
-
     def upto(self, degree: int):
         """Extend every row to the power x_v^degree."""
         while len(self.rows[0]) <= degree:
@@ -138,9 +133,9 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def eval(self, z) -> GQ:
-        """Value at z in Q[i]^3 (the conjugate variables get conj z); z may
-        also be the point's ``Powers``, which every evaluation there reads."""
+    def eval(self, powers: Powers) -> GQ:
+        """Value at the point of the power table (the conjugate variables
+        get conj z)."""
         if not self.terms:
             return ZERO
         if self._compiled is None:
@@ -149,7 +144,6 @@ class Poly:
                       for m, c in self.terms.items()),
                 max(max(m) for m in self.terms))
         terms, degree = self._compiled
-        powers = Powers.of(z)
         rows = powers.rows
         if len(rows[0]) <= degree:
             powers.upto(degree)
@@ -238,9 +232,8 @@ class Field:
                 comps[k] = comps[k] - other.comps[i] * d
         return Field(comps)
 
-    def eval(self, z):
-        """Values at z (coordinates or the point's ``Powers``)."""
-        powers = Powers.of(z)
+    def eval(self, powers: Powers):
+        """Values at the point of the power table."""
         return tuple(c.eval(powers) for c in self.comps)
 
     def apply_J(self) -> "Field":
@@ -344,10 +337,9 @@ def covectors_at(p: ConePoint) -> Matrix:
     return Matrix([grad, theta])
 
 
-def _jet(field: Field, z):
-    """The 1-jet of a field at z (coordinates or the point's ``Powers``):
-    (V(z), D) with D the matrix of the partials d_j V^i(z)."""
-    powers = Powers.of(z)
+def _jet(field: Field, powers: Powers):
+    """The 1-jet of a field at the point of the power table: (V(z), D) with
+    D the matrix of the partials d_j V^i(z)."""
     return field.eval(powers), Matrix.from_entries(NVARS, NVARS, (
         (i, j, c.eval(powers)) for i, j, c in field.partials()))
 
@@ -560,9 +552,6 @@ def quadric_eval(t: ProjectivePoint):
     bil, herm = ambient_forms(t.homogeneous, _chart_gram(t.chart))
     s = t.to_chart("diag").homogeneous
     return bil, herm, GQ((s[3] * s[4].conj()).im)
-
-
-BASE_POINT = ProjectivePoint((GQ(1), I, GQ(0), GQ(0), GQ(0)), "antidiag")
 
 
 def embedding_coords(z):

@@ -9,8 +9,14 @@ own, or states a law that the engine's results must obey:
   constants, and their traces the Killing form.
 * ``symmetric_signature`` (with ``trace``): the Killing signature (6, 4),
   by Faddeev-LeVerrier and Descartes' rule of signs, with no elimination.
+* ``LEVELS``, ``filtration_steps``, ``fstar_ladder`` and ``gl_semitone``:
+  the semitone filtration (one extra step at the h-part) and gl_k / gl_k*
+  of a carrier, optionally J-compatible, of which the engine computes only
+  the plain gl_k; the degree-1* J-compatible space is the algebra of
+  first-order frame changes.
 * ``isotropy_algebra``: the stabilizer of a point of the quadric; at the
-  base point it has dimension 5 = 2 + 2 + 1, the prolongation dimensions.
+  base point ``BASE_POINT`` it has dimension 5 = 2 + 2 + 1, the
+  prolongation dimensions.
 * ``model_levi_cubic``: the Levi and cubic values (-1/2, -i/2) of the model
   from pure bracket projections; ``apply_field`` lets a field act on a
   polynomial (the tangent fields annihilate rho).
@@ -20,7 +26,8 @@ own, or states a law that the engine's results must obey:
 * ``evaluate_cochain``: a cochain on argument vectors (the coboundary's
   values, alternation).
 * ``restrict_ctorsion``, ``graded_component``, ``add_term``: the degree-k
-  restriction of a full torsion to m_-, which checks the constraint
+  restriction of a full torsion ({value label: 2-form}, as
+  ``coframe.flat_torsion`` builds it) to m_-, which checks the constraint
   catalog's symbol columns; ``add_term`` perturbs one torsion component.
 * ``beta_gauge_response``: the response law of the beta component to a
   degree-1 frame change, which vanishes exactly on the l1 locus.
@@ -33,17 +40,17 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from so32cr import so32
-from so32cr.carriers import Carrier, endo_from_complex_images
+from so32cr.carriers import (Carrier, EndoSubspace, _endo_space,
+                              endo_from_complex_images)
 from so32cr.cochains import Cochain, _side_m, cochain_dim
-from so32cr.coframe import FullTorsion
 from so32cr.forms import Form
 from so32cr.linalg import (Matrix, kernel, real_rows, unit_vec, vec, vec_add,
                            vec_scale, zero_vec)
 from so32cr.scalars import GQ, I, ZERO
-from so32cr.so32 import (COMPLEX_LABELS, DIM, GRADES, M_MINUS, N,
+from so32cr.so32 import (COMPLEX_LABELS, DIM, GRADES, IN_H, M_MINUS, N,
                          bracket_complex, bracket_coords, grades,
                          to_complex_basis)
-from so32cr.tube import Poly
+from so32cr.tube import Poly, ProjectivePoint
 
 # ---------------------------------------------------------------------------
 # the algebra as 5x5 matrices
@@ -99,8 +106,66 @@ def symmetric_signature(gram: Matrix):
 
 
 # ---------------------------------------------------------------------------
+# the semitone filtration and gl_k*
+# ---------------------------------------------------------------------------
+
+# semitone level: m^-2, m^-1, m^0 -> 0, 1, 2 and h^0, h^1, h^2 -> 3, 4, 5;
+# the extra step at h^0 is the semitone filtration's
+LEVELS = tuple(g + 2 + h for g, h in zip(GRADES, IN_H))
+
+
+def filtration_steps(kind: str, indices=tuple(range(DIM))):
+    """The steps of a canonical filtration of m+h, restricted to a slice of
+    the basis: each step is the tuple of positions p with indices[p] of
+    weight >= t, for t rising through the weights, then the zero step.
+
+    kind "F":  weight = grade:  m+h > m^-1+m^0+h > m^0+h > h^1+h^2 > h^2 > 0
+    kind "F*": weight = semitone level: the same with the extra step
+    h = h^0+h^1+h^2 between m^0+h and h^1+h^2.
+    """
+    if kind not in ("F", "F*"):
+        raise ValueError("kind must be 'F' or 'F*'")
+    weights = GRADES if kind == "F" else LEVELS
+    return [
+        tuple(p for p, i in enumerate(indices) if weights[i] >= t)
+        for t in sorted(set(weights))
+    ] + [()]
+
+
+def fstar_ladder(carrier: Carrier):
+    """Semitone ladder V_-2, V_-1, V_(0|-1), V_(0|0), V_(0|1), V_(0|2), 0."""
+    return filtration_steps("F*", carrier.indices)
+
+
+def gl_semitone(carrier: Carrier, k: int, star: bool = False,
+                j_compatible: bool = False) -> EndoSubspace:
+    """gl_k / gl_k* of a carrier, optionally J-compatible.
+
+    Plain: A(V_t) in V_{t+k} along the integer chain.  Star: the grade -2
+    and -1 steps shift along the integer chain while the V_(0|j) steps shift
+    along the semitone ladder.
+    """
+    if k < 0:
+        raise ValueError("only nonnegative degrees are defined here")
+    g, lv = carrier.grades, tuple(LEVELS[i] for i in carrier.indices)
+
+    def allowed(r, c):
+        # A(V_t) in V_(t+k): a column may only reach rows k steps higher.
+        # Star: columns in m^0 + h step along the semitone levels, the
+        # grade -2 and -1 columns along the integer grades.
+        if star and g[c] >= 0:
+            return lv[r] >= lv[c] + k
+        return g[r] >= g[c] + k
+
+    j_domain = fstar_ladder(carrier)[1] if j_compatible else ()
+    return EndoSubspace(carrier, _endo_space(carrier, allowed, j_domain))
+
+
+# ---------------------------------------------------------------------------
 # the flat model
 # ---------------------------------------------------------------------------
+
+BASE_POINT = ProjectivePoint((GQ(1), I, GQ(0), GQ(0), GQ(0)), "antidiag")
 
 
 def isotropy_algebra(v):
@@ -228,28 +293,28 @@ def evaluate_cochain(c: Cochain, *arg_vectors):
 # ---------------------------------------------------------------------------
 
 
-def add_term(torsion: FullTorsion, arg1: str, arg2: str, value_label: str,
-             coef) -> FullTorsion:
+def add_term(torsion: dict, arg1: str, arg2: str, value_label: str,
+             coef) -> dict:
     """The torsion plus coef on one (argument pair, value) component."""
     i, j, beta = (COMPLEX_LABELS.index(x) for x in (arg1, arg2, value_label))
-    forms = dict(torsion.forms)
+    forms = dict(torsion)
     forms[beta] = forms.get(beta, Form()) + Form({(i, j): coef})
-    return FullTorsion(forms)
+    return forms
 
 
-def graded_component(torsion: FullTorsion, i: int, j: int, k: int):
+def graded_component(torsion: dict, i: int, j: int, k: int):
     """tau^k on the (i, j) complexified argument pair: the value
     components of grade g_i + g_j + k, as complex g-coordinates."""
     target = GRADES[i] + GRADES[j] + k
     zero = Form()
     return tuple(
-        torsion.forms.get(beta, zero).at((i, j)) if GRADES[beta] == target
+        torsion.get(beta, zero).at((i, j)) if GRADES[beta] == target
         else GQ(0)
         for beta in range(DIM)
     )
 
 
-def restrict_ctorsion(torsion: FullTorsion, k: int) -> Cochain:
+def restrict_ctorsion(torsion: dict, k: int) -> Cochain:
     """The degree-k part of the restriction to wedge pairs inside m_-,
     as a 2-cochain over the real monomial basis."""
     zc = [to_complex_basis(unit_vec(DIM, i)) for i in M_MINUS]

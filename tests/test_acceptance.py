@@ -9,7 +9,8 @@ import random
 import sys
 from fractions import Fraction
 
-from oracles import act_on_cochain, isotropy_algebra, model_levi_cubic
+from oracles import (BASE_POINT, act_on_cochain, isotropy_algebra,
+                     model_levi_cubic)
 from so32cr.scalars import GQ
 from so32cr.linalg import Subspace, rank, unit_vec, vec_add, vec_is_zero
 from so32cr import so32
@@ -69,7 +70,7 @@ def test_criterion_02_table1_crosscheck():
 
 
 def test_criterion_03_isotropy():
-    iso = isotropy_algebra(tube.BASE_POINT)
+    iso = isotropy_algebra(BASE_POINT)
     expected = Subspace(
         10, [[1 if i == j else 0 for i in range(10)] for j in (5, 6, 7, 8, 9)]
     )

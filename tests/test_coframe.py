@@ -4,12 +4,13 @@ import pytest
 
 from oracles import add_term, restrict_ctorsion
 from so32cr.scalars import GQ
+from so32cr.cochains import Cochain
 from so32cr.coframe import (
-    FullTorsion,
     catalog_contains_vanishing,
     constraint_catalog,
     d_squared_report,
     exterior_derivative,
+    flat_torsion,
     frame_conditions,
     maurer_cartan,
     structure_equation_lhs,
@@ -19,7 +20,8 @@ from so32cr.coframe import (
     _symbol_column,
 )
 from so32cr.forms import Form
-from so32cr.so32 import COMPLEX_LABELS
+from so32cr.linalg import unit_vec
+from so32cr.so32 import COMPLEX_LABELS, DIM, M_MINUS, bracket_coords
 
 I = GQ(0, 1)
 HALF_I = GQ(0, Fraction(1, 2))
@@ -115,14 +117,28 @@ def test_catalog_conjugation_symmetry():
             assert csym.render() in singles
 
 
+def test_flat_torsion_restricts_to_the_bracket_of_m_minus():
+    # on m_- the model's torsion is the bracket, read in the real basis
+    table = {}
+    for a in range(len(M_MINUS)):
+        for b in range(a + 1, len(M_MINUS)):
+            value = bracket_coords(unit_vec(DIM, M_MINUS[a]),
+                                   unit_vec(DIM, M_MINUS[b]))
+            for beta, c in enumerate(value):
+                table[((a, b), beta)] = c
+    assert any(table.values())
+    assert restrict_ctorsion(flat_torsion(), 0) == Cochain.from_full_table(
+        2, 0, table)
+
+
 def test_flat_model_satisfies_catalog():
-    flat = FullTorsion.flat()
+    flat = flat_torsion()
     for r in constraint_catalog():
         assert r.evaluate(flat).is_zero(), r.render()
 
 
 def test_relation_detects_violation():
-    flat = FullTorsion.flat()
+    flat = flat_torsion()
     bad = add_term(flat, "e^-1(10)", "e^0(10)", "e^-1(10)", GQ(2))
     violated = [r for r in constraint_catalog() if r.evaluate(bad)]
     assert any(
@@ -134,7 +150,7 @@ def test_relation_detects_violation():
 
 def test_every_frame_condition_can_fail():
     # perturb the flat torsion on each relation's own symbol, conjugates too
-    flat = FullTorsion.flat()
+    flat = flat_torsion()
     c = GQ(Fraction(3, 2), -1)
     relations = [r for step in (1, 2, 3) for r in frame_conditions(step)]
     assert len(relations) == 12
@@ -155,5 +171,5 @@ def test_symbol_columns_match_restrict_ctorsion(k):
     syms = _symbol_basis(k)
     assert syms
     for s in syms:
-        torsion = FullTorsion({s.upper: Form({s.lower: 1})})
+        torsion = {s.upper: Form({s.lower: 1})}
         assert _symbol_column(s, k) == restrict_ctorsion(torsion, k).coords, s

@@ -1,8 +1,10 @@
 """The --json report of every README CLI command, byte for byte.
 
-The goldens under perfbench/goldens/ are read, never written here.  The
-commands run in-process from the repository root, because the normalize
-report embeds its (relative) input path.
+The catalogue is the benchmark's ``CLI_COMMANDS`` in
+``perfbench/workloads.py``, executed from its source text so that nothing
+is written under ``perfbench/``.  The goldens under perfbench/goldens/ are
+read, never written here.  The commands run in-process from the repository
+root, because the normalize report embeds its (relative) input path.
 """
 
 from pathlib import Path
@@ -13,25 +15,16 @@ from so32cr.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "perfbench" / "goldens"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
-COMMANDS = (
-    ("verify-jacobi", ["verify", "jacobi"]),
-    ("verify-table1", ["verify", "table1"]),
-    ("verify-structeq", ["verify", "structeq"]),
-    ("cohomology", ["cohomology", "--ell", "2", "--k", "2"]),
-    ("hodge", ["hodge", "--ell", "2", "--k", "3"]),
-    ("prolong", ["prolong", "--step", "all"]),
-    ("normalize", ["normalize", "--k", "2", "--input",
-                   "perfbench/inputs/normalize_k2.json"]),
-    ("model-quadric", ["model", "quadric", "--point",
-                       "0,-1/2,3,0,4,0,5,0,0,-1/2"]),
-    ("model-embed", ["model", "embed", "--z", "3,4,5,0,0,0"]),
-    ("model-levi", ["model", "levi", "--z", "1,0,1,0,0,0"]),
-    ("model-cubic", ["model", "cubic", "--z", "3,4,5,1/2,-2,1"]),
-    ("model-freeman", ["model", "freeman", "--z", "5,12,13,0,1,-1/3"]),
-    ("model-identities", ["model", "identities"]),
-    ("constraints", ["constraints"]),
-)
+
+def _cli_commands():
+    namespace = {"__name__": "perfbench_workloads", "__file__": str(WORKLOADS)}
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"), namespace)
+    return namespace["CLI_COMMANDS"]
+
+
+COMMANDS = _cli_commands()
 
 
 def test_catalogue_covers_every_golden():

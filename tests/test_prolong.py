@@ -13,7 +13,7 @@ from so32cr.linalg import Matrix, Subspace, solve, unit_vec, vec_scale
 from so32cr.so32 import DIM, GRADES, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr.cochains import Cochain, coboundary, cochain_dim
-from so32cr.coframe import FullTorsion, frame_conditions
+from so32cr.coframe import flat_torsion, frame_conditions
 from so32cr.prolong import (
     STEP_CARRIERS,
     cochain_of_endo,
@@ -235,7 +235,7 @@ def test_endo_cochain_round_trip():
 
 
 def test_frame_conditions_on_flat_model():
-    flat = FullTorsion.flat()
+    flat = flat_torsion()
     for step in (1, 2, 3):
         for f in frame_conditions(step):
             assert f.evaluate(flat).is_zero()
@@ -244,7 +244,7 @@ def test_frame_conditions_on_flat_model():
 
 
 def test_alpha_perturbation_response():
-    flat = FullTorsion.flat()
+    flat = flat_torsion()
     nu = GQ(Fraction(5, 3), -2)
     pert = add_term(flat, "e^-1(10)", "e^0(10)", "e^-1(10)", nu)
     alpha = frame_conditions(1)[0]
@@ -253,7 +253,7 @@ def test_alpha_perturbation_response():
 
 
 def test_beta_gauge_response():
-    flat = FullTorsion.flat()
+    flat = flat_torsion()
     beta = frame_conditions(1)[2]
     rng = random.Random(1)
     for _ in range(10):
@@ -268,7 +268,7 @@ def test_beta_gauge_response():
 
 
 def test_flat_ctorsion_degrees():
-    flat = FullTorsion.flat()
+    flat = flat_torsion()
     assert any(restrict_ctorsion(flat, 0).coords)
     for k in (1, 2, 3):
         c = restrict_ctorsion(flat, k)

@@ -8,6 +8,12 @@ with one op of each warm kind.  Every function and method that a module of
 on ``ALLOWED`` with the reason it stays.  Reference computations that only
 the tests call live in ``tests/oracles.py``.
 
+The same run checks that no parameter default is an idle option: each
+defaulted parameter of a called function or method must receive a value
+other than its default at least once, or be on ``DEFAULTS_ALLOWED``.  A
+function's arguments are inspected only until all of its defaults have been
+overridden, so the check costs the run little.
+
 The same file checks with ``ast`` that no module imports a name it never
 uses.
 """
@@ -17,6 +23,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,23 +46,61 @@ ALLOWED = {
     "cli.main": "console entry point; the run calls cli.run directly",
     "linalg.solve": "span of the benchmark's tracer (perfbench/tracing.py)",
     "tube.levi_form_at": "span of the benchmark's tracer",
-    "carriers.Carrier.fstar_ladder": "the J-compatible gl_k* variant "
-                                     "(gl_filtered(..., j_compatible=True))",
-    "so32.filtration_steps": "the semitone ladder that fstar_ladder reads",
 }
+
+# "module.qualname(parameter)": why it keeps a default that the run never
+# overrides
+DEFAULTS_ALLOWED = {}
 
 # The child process: the workloads module is executed from its source text,
 # so no bytecode cache is written under perfbench/.
 _CHILD = r"""
-import contextlib, io, json, os, random, sys, tempfile, types
+import contextlib, importlib, inspect, io, json, os, pkgutil, random, sys
+import tempfile, types
 
 workloads_path, extra = sys.argv[1], json.loads(sys.argv[2])
 seen = set()
+pending = {}  # code -> {parameter: default} not yet overridden
+
+
+def overridden(value, default):
+    return value is not default and not (
+        type(value) is type(default) and value == default)
 
 
 def profile(frame, event, arg):
     if event == "call":
-        seen.add(frame.f_code)
+        code = frame.f_code
+        seen.add(code)
+        todo = pending.get(code)
+        if todo:
+            args = frame.f_locals
+            for name in [n for n, d in todo.items() if overridden(args[n], d)]:
+                del todo[name]
+
+
+def functions(module):
+    # module-level functions and methods of module-level classes, unwrapped
+    owners = [module] + [v for v in vars(module).values()
+                         if isinstance(v, type)
+                         and v.__module__ == module.__name__]
+    for owner in owners:
+        for v in vars(owner).values():
+            for attr in ("__func__", "fget", "func"):
+                v = getattr(v, attr, v)
+            v = inspect.unwrap(v)
+            if (isinstance(v, types.FunctionType)
+                    and v.__module__ == module.__name__):
+                yield v
+
+
+def defaults(fn):
+    code = fn.__code__
+    names = code.co_varnames[:code.co_argcount]
+    values = fn.__defaults__ or ()
+    out = dict(zip(names[len(names) - len(values):], values))
+    out.update(fn.__kwdefaults__ or {})
+    return out
 
 
 sys.setprofile(profile)
@@ -63,6 +108,12 @@ workloads = types.ModuleType("perfbench_workloads")
 workloads.__file__ = workloads_path
 with open(workloads_path) as fh:
     exec(compile(fh.read(), workloads_path, "exec"), workloads.__dict__)
+import so32cr
+for info in pkgutil.iter_modules(so32cr.__path__):
+    module = importlib.import_module(f"so32cr.{info.name}")
+    for fn in functions(module):
+        if not (fn.__name__.startswith("__") and fn.__name__.endswith("__")):
+            pending[fn.__code__] = defaults(fn)
 from so32cr.cli import run
 
 codes = []
@@ -81,6 +132,9 @@ print(json.dumps({
     "codes": codes,
     "checks": checks,
     "called": sorted({(c.co_filename, c.co_firstlineno) for c in seen}),
+    "idle_defaults": sorted((c.co_filename, c.co_firstlineno, name)
+                            for c, todo in pending.items() if c in seen
+                            for name in todo),
 }))
 """
 
@@ -106,6 +160,7 @@ def _defined():
     return out
 
 
+@lru_cache(maxsize=1)
 def _reach_run():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -129,6 +184,16 @@ def test_src_holds_what_the_cli_and_the_benchmark_reach():
     # the allowlist names only what exists and what the run really misses
     assert set(ALLOWED) <= set(defined.values())
     assert sorted(set(ALLOWED) & called) == []
+
+
+def test_every_default_parameter_is_overridden_somewhere():
+    result = _reach_run()
+    defined = _defined()
+    idle = {f"{defined[(path, line)]}({name})"
+            for path, line, name in result["idle_defaults"]}
+    assert sorted(idle - set(DEFAULTS_ALLOWED)) == []
+    # the allowlist names only defaults the run really leaves idle
+    assert sorted(set(DEFAULTS_ALLOWED) - idle) == []
 
 
 def _unused_imports(tree):

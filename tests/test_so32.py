@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (basis_matrices, from_matrix, symmetric_signature,
-                     to_matrix, trace)
+from oracles import (LEVELS, basis_matrices, filtration_steps, from_matrix,
+                     symmetric_signature, to_matrix, trace)
 from so32cr.scalars import GQ
 from so32cr.linalg import (Matrix, Subspace, dot, rank, unit_vec, vec, vec_add,
                            vec_is_zero, vec_scale, vec_sub)
@@ -18,7 +18,6 @@ from so32cr.so32 import (
     bracket_coords,
     complex_basis_matrix,
     complex_unit,
-    filtration_steps,
     grades,
     iform,
     killing_gram,
@@ -352,15 +351,15 @@ def test_graded_layout_tables():
         -2: (0,), -1: (1, 2), 0: (3, 4, 5, 6), 1: (7, 8), 2: (9,)}
     assert list(so32.GRADE_DIMS.items()) == [
         (-2, 1), (-1, 2), (0, 4), (1, 2), (2, 1)]
-    assert so32.LEVELS == (0, 1, 1, 2, 2, 3, 3, 4, 4, 5)
+    assert LEVELS == (0, 1, 1, 2, 2, 3, 3, 4, 4, 5)
     assert so32.M_MINUS == (0, 1, 2)
     assert so32._J_IMAGE == {1: (2, 1), 2: (1, -1), 3: (4, 1), 4: (3, -1),
                              5: (6, 1), 6: (5, -1), 7: (8, 1), 8: (7, -1)}
-    assert so32.filtration_steps("F*", (0, 1, 2, 3, 4, 5, 6)) == [
+    assert filtration_steps("F*", (0, 1, 2, 3, 4, 5, 6)) == [
         (0, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), (3, 4, 5, 6), (5, 6),
         (), (), ()]
     with pytest.raises(ValueError):
-        so32.filtration_steps("G")
+        filtration_steps("G")
     # X^(10) = (X_1 - i X_2)/2 and X^(01) = (X_1 + i X_2)/2 on each pair
     half, half_i = GQ(Fraction(1, 2)), GQ(0, Fraction(1, 2))
     cbm = so32.complex_basis_matrix()

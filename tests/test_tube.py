@@ -4,16 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (apply_field, basis_matrices, isotropy_algebra,
-                     model_levi_cubic)
+from oracles import (BASE_POINT, apply_field, basis_matrices,
+                     isotropy_algebra, model_levi_cubic)
 from so32cr.scalars import GQ, HALF_I
 from so32cr import tube
 from so32cr.linalg import Matrix, Subspace, kernel_basis, rank
 from so32cr.tube import (
-    BASE_POINT,
     ConePoint,
     Field,
     Poly,
+    Powers,
     ProjectivePoint,
     SAMPLE_POINTS,
     _d10_frame_at,
@@ -80,8 +80,8 @@ def test_poly_ring_and_conjugation():
     assert p.conj().conj() == p
     assert rho().conj() == rho()
     assert (z1 * GQ(0, 1)).conj() != z1 * GQ(0, 1)
-    assert rho().eval([3, 4, 5]) == GQ(0)
-    assert rho().eval([1, 1, 1]) == GQ(1)
+    assert rho().eval(Powers([3, 4, 5])) == GQ(0)
+    assert rho().eval(Powers([1, 1, 1])) == GQ(1)
 
 
 def test_cone_point_validation():
@@ -103,7 +103,7 @@ def test_cone_fields_tangency():
 def test_frame_rank_at_degenerate_direction():
     l12, l13, l23, _ = cone_fields()
     p = ConePoint((GQ(1), GQ(0), GQ(1)))
-    m = Matrix([l12.eval(p.z), l13.eval(p.z), l23.eval(p.z)])
+    m = Matrix([l12.eval(p.powers), l13.eval(p.powers), l23.eval(p.powers)])
     assert rank(m) == 2
 
 
@@ -111,7 +111,7 @@ def test_field_bracket_is_polynomial_and_antisymmetric():
     l12, _, _, r = cone_fields()
     br = l12.bracket(r)
     assert br.comps  # stays a polynomial field
-    assert (l12.bracket(r) + r.bracket(l12)).eval((1, 2, 3)) == tuple(
+    assert (l12.bracket(r) + r.bracket(l12)).eval(Powers((1, 2, 3))) == tuple(
         GQ(0) for _ in range(6)
     )
 
@@ -136,8 +136,8 @@ def test_rib_is_levi_kernel_and_j_invariant():
         # J-invariance: J maps the two spanning vectors into the span
         u1 = (r + r.conj()).apply_J()
         u2 = ((r - r.conj()).scale(I)).apply_J()
-        assert rib.contains(u1.eval(p.z))
-        assert rib.contains(u2.eval(p.z))
+        assert rib.contains(u1.eval(p.powers))
+        assert rib.contains(u2.eval(p.powers))
 
 
 def test_rib_involutivity_shadow():
@@ -145,7 +145,7 @@ def test_rib_involutivity_shadow():
     u1 = r + r.conj()
     u2 = (r - r.conj()).scale(I)
     for p in SAMPLE_POINTS:
-        assert rib_span_at(p).contains(u1.bracket(u2).eval(p.z))
+        assert rib_span_at(p).contains(u1.bracket(u2).eval(p.powers))
 
 
 def test_levi_symmetry_at_samples():
@@ -282,7 +282,7 @@ def test_embed_lands_on_quadric_off_cone():
         f = embed_f(z)
         bil, herm, _ = quadric_eval(f)
         assert bil.is_zero()
-        assert herm == GQ(2) * rho().eval(z)
+        assert herm == GQ(2) * rho().eval(Powers(z))
 
 
 def test_embedding_identities():
@@ -320,8 +320,8 @@ def test_theta_kernel_is_distribution():
     for f in (l12, l13, l23):
         for p in SAMPLE_POINTS:
             cov = covectors_at(p)
-            assert cov.apply(f.eval(p.z))[1].is_zero()
-            assert cov.apply(f.conj().eval(p.z))[1].is_zero()
+            assert cov.apply(f.eval(p.powers))[1].is_zero()
+            assert cov.apply(f.conj().eval(p.powers))[1].is_zero()
 
 
 @st.composite
@@ -348,20 +348,21 @@ def test_pointwise_values_match_the_polynomial_path(p):
     w = Field([Poly.var(3), Poly.const(I), Poly(), Poly.var(0), Poly(),
                Poly.const(2)])
     cov = covectors_at(p)
+    at = Powers(p.z)  # the polynomial path reads a power table of its own
     for f in (l12, l13.conj(), r):
-        assert cov.apply(f.eval(p.z))[1] == theta_of(f).eval(p.z)
+        assert cov.apply(f.eval(p.powers))[1] == theta_of(f).eval(at)
     # Levi on real sections, a J image and a rho-multiple perturbation
     real = l12 + l12.conj()
     pert = real + w.scale(rho()) + w.conj().scale(rho())
     for v, u in ((r + r.conj(), real), (real.apply_J(), real), (pert, real),
                  (real, pert)):
         assert levi_form_at(p, v, u) == -theta_of(
-            v.bracket(u.apply_J())).eval(p.z)
+            v.bracket(u.apply_J())).eval(at)
     # cubic: the inner bracket stays a field, the outer one is read at p
     for e, h in ((r, l12.conj()), (r.scale(GQ(2, -1)),
                                    l23.conj() + w.scale(rho()))):
         assert cubic_form_at(p, e, h, l13.conj()) == theta_of(
-            e.bracket(h).bracket(l13.conj())).eval(p.z)
+            e.bracket(h).bracket(l13.conj())).eval(at)
     # every entry of the real and the Hermitian Levi Gram
     (f1, f2), _ = _d10_frame_at(p)
     frame, conj_frame = (f1, f2), (f1.conj(), f2.conj())
@@ -369,18 +370,19 @@ def test_pointwise_values_match_the_polynomial_path(p):
     reals = _real_frame_at(p)[0]
     for gram, rows, cols in ((levi_real_gram(p), reals, reals),
                              (herm, frame, conj_frame)):
-        assert gram == Matrix([[levi_polynomial(v, u).eval(p.z) for u in cols]
+        assert gram == Matrix([[levi_polynomial(v, u).eval(at) for u in cols]
                                for v in rows])
     # Freeman step 0 pairs theta with [L, conj L'] and reads its kernel off
     # the transposed Hermitian Gram; step 1 reads [R, conj L']
-    ref_rows = Matrix([[theta_of(f.bracket(cb)).eval(p.z) for f in frame]
+    ref_rows = Matrix([[theta_of(f.bracket(cb)).eval(at) for f in frame]
                        for cb in conj_frame])
     assert (Subspace(2, kernel_basis(herm.transpose()))
             == Subspace(2, kernel_basis(ref_rows)))
     for f, cb in ((l13, l12.conj()), (r, l23.conj())):
-        ref, value = f.bracket(cb), _jet_bracket(_jet(f, p.z), _jet(cb, p.z))
-        assert value == ref.eval(p.z)
-        assert cov.apply(value)[1] == theta_of(ref).eval(p.z)
+        ref = f.bracket(cb)
+        value = _jet_bracket(_jet(f, p.powers), _jet(cb, p.powers))
+        assert value == ref.eval(at)
+        assert cov.apply(value)[1] == theta_of(ref).eval(at)
 
 
 def test_one_reading_of_the_covectors_per_point(monkeypatch):
@@ -448,9 +450,9 @@ def polys(draw, max_degree=4):
 @settings(deadline=None, max_examples=60)
 @given(polys(), st.lists(_small_gq, min_size=3, max_size=3))
 def test_compiled_eval_matches_the_monomial_loop(poly, z):
-    assert poly.eval(z) == naive_eval(poly, z)
+    assert poly.eval(Powers(z)) == naive_eval(poly, z)
     # one power table shared by polynomials of rising degree grows as needed
-    powers = tube.Powers(z)
+    powers = Powers(z)
     for q in (Poly.var(0), poly, poly * poly, poly.conj()):
         assert q.eval(powers) == naive_eval(q, z)
 
@@ -482,8 +484,9 @@ def test_jet_tables_match_a_direct_computation(p):
     for f in _jet_fields():
         for _ in range(2):  # the first reading fills the tables, the second reads them
             value, d = _jet(f, p.powers)
-            assert value == tuple(fresh(c).eval(p.z) for c in f.comps)
-            assert d == Matrix([[fresh(c).diff(j).eval(p.z) for j in range(6)]
+            at = Powers(p.z)  # a fresh power table, as well as fresh terms
+            assert value == tuple(fresh(c).eval(at) for c in f.comps)
+            assert d == Matrix([[fresh(c).diff(j).eval(at) for j in range(6)]
                                 for c in f.comps])
             assert f.eval(p.powers) == value
 
