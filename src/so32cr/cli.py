@@ -297,8 +297,8 @@ def run_model_quadric(rep: Report, csv: str, chart: str):
     """ambient forms and orbit value at a projective point"""
     from . import tube
     x = _rationals(csv, "--point", 10, "re0,im0,...,re4,im4")
-    t = tube.ProjectivePoint([GQ(re, im) for re, im in zip(x[::2], x[1::2])],
-                             chart)
+    t = tube.projective_point(
+        [GQ(re, im) for re, im in zip(x[::2], x[1::2])], chart)
     bil, herm, third = tube.quadric_eval(t)
     rep.add("symmetric form", "0/1", bil.to_str(), "exact substitution")
     rep.add("hermitian form", "0/1", herm.to_str(), "exact substitution")
@@ -320,7 +320,7 @@ def run_model_embed(rep: Report, csv: str):
     rep.add(
         "image point",
         "(reported)",
-        "[" + " : ".join(c.to_str() for c in f.homogeneous) + "]",
+        "[" + " : ".join(c.to_str() for c in f) + "]",
         "embedding formula",
         ok=True,
     )

@@ -48,7 +48,6 @@ def _arg_vectors_m():
     return [unit_vec(so32.DIM, i) for i in M_MINUS]
 
 
-@lru_cache(maxsize=1)
 def _arg_vectors_h():
     """Killing-dual basis of h_+ = the positive grades: kappa(n_a, eta_b) =
     delta_ab, so eta_b has the grade opposite to n_b."""
@@ -297,7 +296,6 @@ def _pairing_matrix(ell: int, k: int) -> Matrix:
         for c, (wh, gamma) in enumerate(cols_h) if wm == wh))
 
 
-@lru_cache(maxsize=None)
 def codifferential_matrix(ell: int, k: int) -> Matrix:
     """Matrix of d* : C^ell_k -> C^(ell-1)_k (negative Killing transpose)."""
     if ell <= 0:

@@ -241,7 +241,6 @@ def frame_conditions(step: int):
     return out
 
 
-@lru_cache(maxsize=None)
 def _symbol_basis(k: int):
     """Complex symbols of c-torsion degree k on wedge pairs inside m_-."""
     return tuple(
@@ -293,7 +292,6 @@ def _normalization_relations(k: int):
     return out
 
 
-@lru_cache(maxsize=1)
 def constraint_catalog():
     """All linear relations on structure functions induced by the frame
     conditions and the three torsion-normalization conditions."""

@@ -283,7 +283,6 @@ INNER_PRODUCT_NOTE = (
 )
 
 
-@lru_cache(maxsize=None)
 def gauge_image(k: int) -> Subspace:
     """The coboundary image of the step-k gauge space inside C^2_k."""
     return Subspace(cochain_dim(2, k), _gauge(k)[2].columns())

@@ -81,13 +81,6 @@ _BASIS_ENTRIES = (
 )
 
 
-def iform() -> Matrix:
-    """The ambient symmetric form: 1s on the anti-diagonal."""
-    return Matrix(
-        [[1 if i + j == N - 1 else 0 for j in range(N)] for i in range(N)]
-    )
-
-
 def _coords_of(entries):
     """Coordinates of the 5x5 matrix with nonzero entries {(row, col): value};
     raises ValueError unless a^T I + I a = 0, i.e. a[r, c] = -a[4-c, 4-r],
@@ -268,7 +261,6 @@ def format_combination(coords) -> str:
         (c, COMPLEX_LABELS[i]) for i, c in enumerate(coords) if c)
 
 
-@lru_cache(maxsize=1)
 def table1_fixture():
     """The transcribed bracket table: dict (row_label, col_label) -> coords."""
     text = resources.files("so32cr").joinpath("table1.txt").read_text()

@@ -3,9 +3,11 @@
 Two sides of the same object:
 
 * the projective quadric in CP^4 cut out by the vanishing of a symmetric
-  and a Hermitian form (in either the diag(+,+,+,-,-) chart or the
-  anti-diagonal chart of the algebra coordinates), the embedding of the
-  tube into it, and the orbit value that picks out the model;
+  and a Hermitian form, the embedding of the tube into it, and the orbit
+  value that picks out the model.  There is one chart: a point is its
+  5-tuple in the diag(+,+,+,-,-) chart, and a point given in the
+  anti-diagonal chart of the algebra coordinates is converted once, on
+  input;
 
 * the tube over the future light cone in C^3: tangent vector fields with
   polynomial coefficients in (z, conj z), and at rational cone points the
@@ -14,12 +16,13 @@ Two sides of the same object:
 
 Only the point changes from one pointwise evaluation to the next, so what
 does not depend on it is built once: each field's table of nonzero first
-partials, its conjugate and J image, the real parts of the cone fields and
-the gradient of rho, on first use; each polynomial's terms are compiled
-once into coefficients and (variable, exponent) factors.  At a point, one
-power table holds the powers of each coordinate, and every evaluation reads
-it.  A field's 1-jet there is its value and the sparse ``Matrix`` built
-from that table of partials; theta_p D_V is summed over the same entries.
+partials, its conjugate and J image, its brackets with other fields, the
+real parts of the cone fields and the gradient of rho, on first use; each
+polynomial's terms are compiled once into coefficients and (variable,
+exponent) factors.  At a point, one power table holds the powers of each
+coordinate, and every evaluation reads it.  There is one pointwise jet, the
+theta-jet (V(p), theta_p D_V), summed over a field's nonzero partials; a
+bracket that is needed as a vector at p is the bracket field, evaluated.
 
 Everything stays inside Q[i]; sample points come from Pythagorean triples
 so that all evaluations are exact.
@@ -28,13 +31,10 @@ so that all evaluations are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .scalars import GQ, HALF, HALF_I, I, ZERO
-from .linalg import (Matrix, Subspace, dot, inverse, kernel_basis, rank, rref,
-                     vec, vec_sub)
-from . import so32
+from .linalg import Matrix, Subspace, dot, kernel_basis, rank, rref, vec
 
 # ---------------------------------------------------------------------------
 # polynomials in z^1..z^3, conj z^1..conj z^3
@@ -180,9 +180,10 @@ class Field:
     (d/dz1, d/dz2, d/dz3, d/dzb1, d/dzb2, d/dzb3).
 
     Fields are immutable, so the table of first partials, the conjugate and
-    the J image are each built once, on first use, and kept."""
+    the J image are each built once, on first use, and kept; so is each
+    bracket [V, W], on W and keyed by V."""
 
-    __slots__ = ("comps", "_partials", "_conj", "_J")
+    __slots__ = ("comps", "_partials", "_conj", "_J", "_brackets")
 
     def __init__(self, comps):
         comps = tuple(
@@ -192,6 +193,7 @@ class Field:
             raise ValueError("need 6 components")
         self.comps = comps
         self._partials = self._conj = self._J = None
+        self._brackets = {}
 
     def __add__(self, other):
         return Field([a + b for a, b in zip(self.comps, other.comps)])
@@ -222,15 +224,21 @@ class Field:
         return all(c.is_zero() for c in self.comps[3:])
 
     def bracket(self, other: "Field") -> "Field":
-        """[V, W]^k = V(W^k) - W(V^k), from the two tables of partials."""
-        comps = [Poly()] * NVARS
-        for k, i, d in other.partials():
-            if not self.comps[i].is_zero():
-                comps[k] = comps[k] + self.comps[i] * d
-        for k, i, d in self.partials():
-            if not other.comps[i].is_zero():
-                comps[k] = comps[k] - other.comps[i] * d
-        return Field(comps)
+        """[V, W]^k = V(W^k) - W(V^k), from the two tables of partials.
+
+        The result is kept on W, so a fresh W (a perturbed field) is never
+        held by a kept V."""
+        kept = other._brackets.get(self)
+        if kept is None:
+            comps = [Poly()] * NVARS
+            for k, i, d in other.partials():
+                if not self.comps[i].is_zero():
+                    comps[k] = comps[k] + self.comps[i] * d
+            for k, i, d in self.partials():
+                if not other.comps[i].is_zero():
+                    comps[k] = comps[k] - other.comps[i] * d
+            kept = other._brackets[self] = Field(comps)
+        return kept
 
     def eval(self, powers: Powers):
         """Values at the point of the power table."""
@@ -320,34 +328,12 @@ class ConePoint:
         return Powers(self.z)
 
 
-SAMPLE_POINTS = (
-    ConePoint((GQ(3, Fraction(1, 2)), GQ(4, -2), GQ(5, 1))),
-    ConePoint((GQ(5), GQ(12, 1), GQ(13, Fraction(-1, 3)))),
-    ConePoint((GQ(8, 2), GQ(15), GQ(17, 5))),
-    ConePoint((GQ(1), GQ(0), GQ(1))),
-    ConePoint((GQ(20, -1), GQ(21, Fraction(1, 7)), GQ(29))),
-)
-
-
 def covectors_at(p: ConePoint) -> Matrix:
     """Rows d rho_p and theta_p = (i/2)(d'rho - d''rho)_p on the frame
     (d/dz, d/dzb), read off the gradient of rho at p."""
     grad = [g.eval(p.powers) for g in _rho_gradient()]
     theta = [g * HALF_I for g in grad[:3]] + [g * -HALF_I for g in grad[3:]]
     return Matrix([grad, theta])
-
-
-def _jet(field: Field, powers: Powers):
-    """The 1-jet of a field at the point of the power table: (V(z), D) with
-    D the matrix of the partials d_j V^i(z)."""
-    return field.eval(powers), Matrix.from_entries(NVARS, NVARS, (
-        (i, j, c.eval(powers)) for i, j, c in field.partials()))
-
-
-def _jet_bracket(vj, wj) -> tuple:
-    """[V, W] at a point from the 1-jets of V and W there: D_W v - D_V w."""
-    (v, dv), (w, dw) = vj, wj
-    return vec_sub(dw.apply(v), dv.apply(w))
 
 
 def _theta_jet(theta, field: Field, powers):
@@ -383,7 +369,7 @@ def levi_form_at(p: ConePoint, vf: Field, wf: Field) -> GQ:
 def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     """theta_p([[E, H], H']) for E a holomorphic rib field and H, H'
     antiholomorphic sections of the contact distribution; the inner bracket
-    stays a field, the outer one is read at p from 1-jets."""
+    stays a field, the outer one is read at p from theta-jets."""
     if not e.is_type10():
         raise ValueError("first argument must be of type (1,0)")
     _, _, _, R = cone_fields()
@@ -464,19 +450,19 @@ def freeman_ranks_at(p: ConePoint):
     (f1, f2), values = _d10_frame_at(p)
     _, _, _, R = cone_fields()
     conj_frame = [f1.conj(), f2.conj()]
-    r_jet, *cb_jets = [_jet(f, p.powers) for f in [R] + conj_frame]
+    r_value = R.eval(p.powers)
     # step 0 (Levi kernel): rows theta([f, conj f']) = -i (Hermitian Gram)^T
     sol = kernel_basis(_levi_gram(p, (f1, f2), conj_frame).transpose())
     frame = Matrix.from_columns(values)
     f0 = Subspace(6, [frame.apply(coef) for coef in sol])
     # the solver must recover the ruling direction; otherwise the ambient
     # frame fields would be unusable for the next step
-    if f0 != Subspace(6, [r_jet[0]]):
+    if f0 != Subspace(6, [r_value]):
         raise ArithmeticError("rib direction mismatch at the sample point")
     # step 1: c R with [cR, conj frame] in span{R} + D^01 at p
-    span = Subspace(6, [r_jet[0]] + [jet[0] for jet in cb_jets])
-    dim_f1 = int(all(span.contains(_jet_bracket(r_jet, jet))
-                     for jet in cb_jets))
+    span = Subspace(6, [r_value] + [cb.eval(p.powers) for cb in conj_frame])
+    dim_f1 = int(all(span.contains(R.bracket(cb).eval(p.powers))
+                     for cb in conj_frame))
     return (2, f0.dim, dim_f1)
 
 
@@ -484,73 +470,40 @@ def freeman_ranks_at(p: ConePoint):
 # projective quadric model
 # ---------------------------------------------------------------------------
 
-CHARTS = ("diag", "antidiag")
-
 _DIAG_SIGNS = (1, 1, 1, -1, -1)
 
-# antidiag coordinates t in terms of diag coordinates s (real matrix):
-# t0 = s0+s4, t1 = s1+s3, t2 = s2, t3 = (s1-s3)/2, t4 = (s0-s4)/2
-_DIAG_TO_ANTIDIAG = Matrix.from_entries(5, 5, (
-    (0, 0, 1), (0, 4, 1), (1, 1, 1), (1, 3, 1), (2, 2, 1),
-    (3, 1, HALF), (3, 3, -HALF), (4, 0, HALF), (4, 4, -HALF)))
+# diag coordinates s in terms of anti-diagonal coordinates t (real matrix):
+# s0 = t0/2 + t4, s1 = t1/2 + t3, s2 = t2, s3 = t1/2 - t3, s4 = t0/2 - t4;
+# it carries diag(+,+,+,-,-) to the anti-diagonal form of the algebra
+_ANTIDIAG_TO_DIAG = Matrix.from_entries(5, 5, (
+    (0, 0, HALF), (0, 4, 1), (1, 1, HALF), (1, 3, 1), (2, 2, 1),
+    (3, 1, HALF), (3, 3, -1), (4, 0, HALF), (4, 4, -1)))
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    homogeneous: tuple
-    chart: str = "diag"
-
-    def __post_init__(self):
-        h = vec(self.homogeneous)
-        if len(h) != 5 or all(not c for c in h):
-            raise ValueError("need a nonzero 5-vector")
-        if self.chart not in CHARTS:
-            raise ValueError("chart must be 'diag' or 'antidiag'")
-        object.__setattr__(self, "homogeneous", h)
-
-    def to_chart(self, chart: str) -> "ProjectivePoint":
-        if chart == self.chart:
-            return self
-        if chart == "antidiag":
-            return ProjectivePoint(
-                _DIAG_TO_ANTIDIAG.apply(self.homogeneous), "antidiag"
-            )
-        return ProjectivePoint(
-            _antidiag_to_diag().apply(self.homogeneous), "diag"
-        )
+def projective_point(coords, chart: str) -> tuple:
+    """The diag-chart tuple of a point given by coordinates in ``chart``."""
+    h = vec(coords)
+    if len(h) != 5 or all(not c for c in h):
+        raise ValueError("need a nonzero 5-vector")
+    if chart not in ("diag", "antidiag"):
+        raise ValueError("chart must be 'diag' or 'antidiag'")
+    return _ANTIDIAG_TO_DIAG.apply(h) if chart == "antidiag" else h
 
 
-@lru_cache(maxsize=1)
-def _antidiag_to_diag() -> Matrix:
-    return inverse(_DIAG_TO_ANTIDIAG)
-
-
-@lru_cache(maxsize=None)
-def _chart_gram(chart: str) -> Matrix:
-    """Gram matrix of the ambient symmetric form in a chart."""
-    if chart == "diag":
-        return Matrix.from_entries(
-            5, 5, ((i, i, s) for i, s in enumerate(_DIAG_SIGNS)))
-    return so32.iform()
-
-
-def ambient_forms(h, gram: Matrix):
-    """((h, h), <h, h>): the symmetric and the Hermitian form of a chart's
-    Gram matrix, for scalars and polynomials alike."""
+def ambient_forms(s):
+    """((s, s), <s, s>) over diag(+,+,+,-,-) at a diag-chart tuple s, for
+    scalars and polynomials alike."""
     bil = herm = 0
-    for i, row in enumerate(gram.rows):
-        for j, g in row:
-            bil = bil + h[i] * h[j] * g
-            herm = herm + h[i].conj() * h[j] * g
+    for c, sign in zip(s, _DIAG_SIGNS):
+        bil = bil + c * c * sign
+        herm = herm + c.conj() * c * sign
     return bil, herm
 
 
-def quadric_eval(t: ProjectivePoint):
-    """((t,t), <t,t>) over the chart's Gram matrix, and the orbit value
-    Im(s^3 conj s^4) of the point's diag-chart representative s, in either
-    chart; its sign does not depend on the representative."""
-    bil, herm = ambient_forms(t.homogeneous, _chart_gram(t.chart))
-    s = t.to_chart("diag").homogeneous
+def quadric_eval(s):
+    """The two forms at a diag-chart tuple s, and the orbit value
+    Im(s^3 conj s^4); its sign does not depend on the representative."""
+    bil, herm = ambient_forms(s)
     return bil, herm, GQ((s[3] * s[4].conj()).im)
 
 
@@ -561,16 +514,15 @@ def embedding_coords(z):
     return (q * -HALF_I - HALF_I, z[0], z[1], z[2], q * HALF_I - HALF_I)
 
 
-def embed_f(z) -> ProjectivePoint:
-    """The image of z under the embedding, in the diag chart."""
-    return ProjectivePoint(embedding_coords([GQ.of(c) for c in z]), "diag")
+def embed_f(z) -> tuple:
+    """The diag-chart tuple of the image of z under the embedding."""
+    return embedding_coords([GQ.of(c) for c in z])
 
 
 def embedding_identity_check():
     """The two polynomial identities of the embedding, as exact booleans:
     the diag-chart forms of ``embedding_coords`` expanded symbolically."""
-    bil, herm = ambient_forms(
-        embedding_coords([Poly.var(j) for j in range(3)]), _chart_gram("diag"))
+    bil, herm = ambient_forms(embedding_coords([Poly.var(j) for j in range(3)]))
     return {
         "symmetric_form_vanishes": bil.is_zero(),
         "hermitian_form_is_twice_rho": (herm - rho() * GQ(2)).is_zero(),

@@ -6,7 +6,8 @@ own, or states a law that the engine's results must obey:
 
 * ``basis_matrices``, ``to_matrix``, ``from_matrix``: the ten 5x5 basis
   matrices of so(3,2); their dense commutators check the sparse structure
-  constants, and their traces the Killing form.
+  constants, and their traces the Killing form.  ``iform`` is the
+  anti-diagonal form they preserve.
 * ``symmetric_signature`` (with ``trace``): the Killing signature (6, 4),
   by Faddeev-LeVerrier and Descartes' rule of signs, with no elimination.
 * ``LEVELS``, ``filtration_steps``, ``fstar_ladder`` and ``gl_semitone``:
@@ -14,9 +15,13 @@ own, or states a law that the engine's results must obey:
   of a carrier, optionally J-compatible, of which the engine computes only
   the plain gl_k; the degree-1* J-compatible space is the algebra of
   first-order frame changes.
-* ``isotropy_algebra``: the stabilizer of a point of the quadric; at the
-  base point ``BASE_POINT`` it has dimension 5 = 2 + 2 + 1, the
-  prolongation dimensions.
+* ``isotropy_algebra``: the stabilizer of a point of the quadric, in the
+  anti-diagonal coordinates of the basis matrices; at the base point
+  ``BASE_POINT`` it has dimension 5 = 2 + 2 + 1, the prolongation
+  dimensions.  ``DIAG_TO_ANTIDIAG`` takes a diag-chart tuple of
+  ``so32cr.tube`` to those coordinates.
+* ``SAMPLE_POINTS``: rational points of the tube, at which the tests
+  evaluate its Levi, cubic and Freeman data.
 * ``model_levi_cubic``: the Levi and cubic values (-1/2, -i/2) of the model
   from pure bracket projections; ``apply_field`` lets a field act on a
   polynomial (the tangent fields annihilate rho).
@@ -36,6 +41,7 @@ own, or states a law that the engine's results must obey:
   step-2 solution is read against.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -46,11 +52,11 @@ from so32cr.cochains import Cochain, _side_m, cochain_dim
 from so32cr.forms import Form
 from so32cr.linalg import (Matrix, kernel, real_rows, unit_vec, vec, vec_add,
                            vec_scale, zero_vec)
-from so32cr.scalars import GQ, I, ZERO
+from so32cr.scalars import GQ, HALF, I, ZERO
 from so32cr.so32 import (COMPLEX_LABELS, DIM, GRADES, IN_H, M_MINUS, N,
                          bracket_complex, bracket_coords, grades,
                          to_complex_basis)
-from so32cr.tube import Poly, ProjectivePoint
+from so32cr.tube import ConePoint, Poly
 
 # ---------------------------------------------------------------------------
 # the algebra as 5x5 matrices
@@ -67,6 +73,13 @@ def to_matrix(coords) -> Matrix:
 def basis_matrices():
     """The ten 5x5 basis matrices, in the fixed order of REAL_LABELS."""
     return tuple(to_matrix(unit_vec(DIM, k)) for k in range(DIM))
+
+
+def iform() -> Matrix:
+    """The ambient symmetric form: 1s on the anti-diagonal."""
+    return Matrix(
+        [[1 if i + j == N - 1 else 0 for j in range(N)] for i in range(N)]
+    )
 
 
 def from_matrix(a: Matrix):
@@ -165,16 +178,31 @@ def gl_semitone(carrier: Carrier, k: int, star: bool = False,
 # the flat model
 # ---------------------------------------------------------------------------
 
-BASE_POINT = ProjectivePoint((GQ(1), I, GQ(0), GQ(0), GQ(0)), "antidiag")
+# anti-diagonal coordinates t in terms of diag coordinates s (real matrix):
+# t0 = s0+s4, t1 = s1+s3, t2 = s2, t3 = (s1-s3)/2, t4 = (s0-s4)/2
+DIAG_TO_ANTIDIAG = Matrix.from_entries(5, 5, (
+    (0, 0, 1), (0, 4, 1), (1, 1, 1), (1, 3, 1), (2, 2, 1),
+    (3, 1, HALF), (3, 3, -HALF), (4, 0, HALF), (4, 4, -HALF)))
+
+# [1 : i : 0 : 0 : 0] in anti-diagonal coordinates
+BASE_POINT = (GQ(1), I, GQ(0), GQ(0), GQ(0))
+
+SAMPLE_POINTS = (
+    ConePoint((GQ(3, Fraction(1, 2)), GQ(4, -2), GQ(5, 1))),
+    ConePoint((GQ(5), GQ(12, 1), GQ(13, Fraction(-1, 3)))),
+    ConePoint((GQ(8, 2), GQ(15), GQ(17, 5))),
+    ConePoint((GQ(1), GQ(0), GQ(1))),
+    ConePoint((GQ(20, -1), GQ(21, Fraction(1, 7)), GQ(29))),
+)
 
 
-def isotropy_algebra(v):
-    """{A in so(3,2) : A v in span v} for a ``tube.ProjectivePoint`` v, as a
-    subspace of the coordinate space.
+def isotropy_algebra(h):
+    """{A in so(3,2) : A h in span h} for a nonzero h in anti-diagonal
+    coordinates, as a subspace of the coordinate space.
 
     The line-stabilizer condition admits eigenvalue zero (the top-grade
     generator annihilates the base point)."""
-    h = v.to_chart("antidiag").homogeneous
+    h = vec(h)
     pivot = next(i for i, c in enumerate(h) if c)
     images = [b.apply(h) for b in basis_matrices()]
     rows = [

@@ -9,8 +9,8 @@ import random
 import sys
 from fractions import Fraction
 
-from oracles import (BASE_POINT, act_on_cochain, isotropy_algebra,
-                     model_levi_cubic)
+from oracles import (BASE_POINT, SAMPLE_POINTS, act_on_cochain,
+                     isotropy_algebra, model_levi_cubic)
 from so32cr.scalars import GQ
 from so32cr.linalg import Subspace, rank, unit_vec, vec_add, vec_is_zero
 from so32cr import so32
@@ -205,8 +205,8 @@ def test_criterion_08_tube_geometry():
         [tube.Poly.var(3), tube.Poly.const(I), tube.Poly(),
          tube.Poly.var(0), tube.Poly(), tube.Poly.const(2)]
     )
-    ok = len(tube.SAMPLE_POINTS) >= 4
-    for p in tube.SAMPLE_POINTS:
+    ok = len(SAMPLE_POINTS) >= 4
+    for p in SAMPLE_POINTS:
         ok = ok and tube.levi_hermitian_rank(p) == 1
         ok = ok and rank(tube.levi_real_gram(p)) == 2
         ok = ok and tube.rib_span_at(p) == tube.levi_kernel_at(p)
@@ -228,7 +228,7 @@ def test_criterion_08_tube_geometry():
 def test_criterion_09_embedding_identities():
     res = tube.embedding_identity_check()
     ok = res["symmetric_form_vanishes"] and res["hermitian_form_is_twice_rho"]
-    for p in tube.SAMPLE_POINTS:
+    for p in SAMPLE_POINTS:
         f = tube.embed_f(p.z)
         bil, herm, third = tube.quadric_eval(f)
         ok = ok and bil.is_zero() and herm.is_zero()
