@@ -30,7 +30,7 @@ from .so32 import (CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex,
                    to_complex_basis)
 from .cochains import Cochain, cochain_dim
 from .forms import Form, canonical
-from .linalg import Matrix, kernel, unit_vec
+from .linalg import Matrix, unit_vec
 
 # short grade labels of the complexified basis ("e^-1(10)" -> "-1(10)"),
 # used in the coframe labels and in the structure-function symbols
@@ -272,16 +272,14 @@ def _symbol_column(s: Symbol, k: int):
 def _normalization_relations(k: int):
     """Annihilator relations expressing membership of the degree-k c-torsion
     in the normalization space, over the complex symbol basis."""
-    from .prolong import normalization_space  # only the catalog needs it
+    from .prolong import _annihilator  # only the catalog needs it
     syms = _symbol_basis(k)
-    n = cochain_dim(2, k)
-    phi_t = Matrix.from_columns([_symbol_column(s, k) for s in syms],
-                                nrows=n).transpose()
-    # the annihilator of the normalization space, one covector at a time
-    rows = normalization_space(k).basis_vectors()
+    phi = Matrix.from_columns([_symbol_column(s, k) for s in syms],
+                              nrows=cochain_dim(2, k))
     out = []
-    for cv in kernel(Matrix(rows, ncols=n)).basis_vectors():
-        terms = tuple((c, s) for c, s in zip(phi_t.apply(cv), syms) if c)
+    # the annihilator of the normalization space, one covector at a time
+    for row in (_annihilator(k) @ phi).rows:
+        terms = tuple((c, syms[j]) for j, c in row)
         if terms:
             out.append(
                 Relation(

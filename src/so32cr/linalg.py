@@ -5,14 +5,14 @@ scalars (no pivot strategy is needed because nothing rounds) on the nonzero
 entries of each row.  Subspaces are kept in a canonical form -- the reduced
 column echelon basis, equivalently the reduced row echelon form of the row
 span -- so that two subspaces are equal iff their stored bases are
-structurally equal.
+structurally equal.  ``Matrix.apply`` costs one gcd per nonzero output.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 
-from .scalars import GQ, ONE, ZERO
+from .scalars import GQ, ONE, ZERO, _gq, over_common_denominator
 
 Vector = tuple  # tuple of GQ
 
@@ -60,9 +60,12 @@ class Matrix:
     """Immutable sparse matrix over GQ: ``rows[i]`` is row i's sparse row,
     its nonzero entries as (column, value) pairs in ascending column order,
     so equal matrices have equal rows.  The constructor takes dense rows;
-    ``row``, ``col``, ``columns`` and ``flatten`` return dense vectors."""
+    ``row``, ``col``, ``columns`` and ``flatten`` return dense vectors.
+    ``apply`` keeps an integer form (== and hash ignore it): a common
+    denominator L and, per nonzero row i, (i, real, imag), the (column,
+    numerator over L) pairs of the nonzero parts of the row's entries."""
 
-    __slots__ = ("rows", "nrows", "ncols")
+    __slots__ = ("rows", "nrows", "ncols", "_integer")
 
     def __init__(self, rows, ncols=None):
         rows = [vec(r) for r in rows]
@@ -171,16 +174,35 @@ class Matrix:
             (i, j, a * b) for i, k, a in self._entries()
             for j, b in other.rows[k]))
 
-    def apply(self, v: Vector) -> Vector:
+    def apply(self, v: Vector, v_form=None) -> Vector:
+        """M v for v a vector of GQ; a caller that applies several matrices
+        to v can pass v_form = over_common_denominator(v), made once."""
         if self.ncols != len(v):
             raise ValueError("shape mismatch in apply")
-        out = []
-        for r in self.rows:
-            total = ZERO
-            for j, a in r:
-                if x := v[j]:
-                    total = total + a * x
-            out.append(total)
+        if getattr(self, "_integer", None) is None:
+            den, re, im = over_common_denominator(
+                [x for r in self.rows for _, x in r])
+            nums, form = iter(zip(re, im)), []
+            for i, r in enumerate(self.rows):
+                if r:
+                    cells = [(j, *next(nums)) for j, _ in r]
+                    form.append((i, [(j, p) for j, p, _ in cells if p],
+                                 [(j, q) for j, _, q in cells if q]))
+            _set(self, "_integer", (den, form))
+        den, rows = self._integer
+        dv, va, vb = v_form or over_common_denominator(v)
+        den *= dv
+        out = [ZERO] * self.nrows
+        for i, real, imag in rows:
+            s = t = 0
+            for j, p in real:
+                s += p * va[j]
+                t += p * vb[j]
+            for j, q in imag:
+                s -= q * vb[j]
+                t += q * va[j]
+            if s or t:
+                out[i] = _gq(s, t, den)
         return tuple(out)
 
     def __eq__(self, other):

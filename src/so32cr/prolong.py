@@ -20,7 +20,8 @@ that makes the monomial basis orthonormal, so its Gram is the identity;
 ``L1_NOTE`` the text they record on the degree-1 gauge space.
 Each space is complementary to the gauge image, so the split c = dB +
 residual always exists and is linear in c: one elimination per degree fixes
-the maps c -> B and c -> residual.
+the maps c -> B and c -> residual; A r = 0 checks each residual r, for a
+fixed A whose kernel is the normalization space.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from .scalars import GQ, HALF_I, I
+from .scalars import GQ, HALF_I, I, over_common_denominator
 from .linalg import (
     Matrix,
     Subspace,
@@ -308,15 +309,26 @@ def normalization_space(k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def _normalize_maps(k: int):
-    """(step carrier, G X, I - D X) for X the gauge rows of the solution
-    map of [D | normalization basis], which has full row rank: the maps
-    c -> flattened B and c -> residual, linear in c."""
+    """(layout, B map, I - D X), X the gauge rows of the solution map of
+    [D | normalization basis]: the B map is the nonzero rows of G X (c -> flat
+    B), and layout[r] lists (B map row, j) for the entries (r, j) of B."""
     carrier, gauge, d = _gauge(k)
     span = Matrix.from_columns(
         d.columns() + normalization_space(k).basis_vectors())
-    sol = solution_map(span)
-    x = Matrix([sol.row(i) for i in range(gauge.ncols)], ncols=d.nrows)
-    return carrier, gauge @ x, Matrix.identity(d.nrows) - d @ x
+    x = Matrix._of(solution_map(span).rows[:gauge.ncols], d.nrows)
+    kept = [(p, r) for p, r in enumerate((gauge @ x).rows) if r]
+    n = carrier.dim
+    layout = tuple(tuple((t, p % n) for t, (p, _) in enumerate(kept)
+                         if p // n == r) for r in range(n))
+    return (layout, Matrix._of(tuple(r for _, r in kept), d.nrows),
+            Matrix.identity(d.nrows) - d @ x)
+
+
+@lru_cache(maxsize=None)
+def _annihilator(k: int) -> Matrix:
+    """A with ker A = normalization_space(k), rows the canonical kernel basis
+    of the space's basis transposed: A = I when the space is 0 (k = 1)."""
+    return kernel(normalization_space(k).basis.transpose()).basis.transpose()
 
 
 def normalize_ctorsion(c: Cochain):
@@ -328,9 +340,12 @@ def normalize_ctorsion(c: Cochain):
     k = c.k
     if c.ell != 2 or k not in (1, 2, 3):
         raise ValueError("expected a 2-cochain of degree 1, 2 or 3")
-    carrier, b_map, residual_map = _normalize_maps(k)
-    b = Matrix.unflatten(b_map.apply(c.coords), carrier.dim)
-    residual = Cochain(2, k, residual_map.apply(c.coords))
-    if not normalization_space(k).contains(residual.coords):
+    layout, b_map, residual_map = _normalize_maps(k)
+    c_form = over_common_denominator(c.coords)
+    entries = b_map.apply(c.coords, c_form)
+    b = Matrix._of(tuple(tuple((j, entries[t]) for t, j in row if entries[t])
+                         for row in layout), len(layout))
+    residual = residual_map.apply(c.coords, c_form)
+    if any(_annihilator(k).apply(residual)):
         raise ArithmeticError("residual escaped the normalization space")
-    return b, residual
+    return b, Cochain(2, k, residual)

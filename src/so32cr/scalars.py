@@ -66,6 +66,17 @@ def _gq(a: int, b: int, d: int) -> "GQ":
     return x
 
 
+def over_common_denominator(xs):
+    """(d, re, im) for GQ values xs: d the lcm of their denominators (1 when
+    there are none), re and im lists of the ints with x = (re + im*i)/d."""
+    d = lcm(*[x._d for x in xs])
+    if d == 1:
+        return 1, [x._a for x in xs], [x._b for x in xs]
+    f = [d // x._d for x in xs]
+    return (d, [x._a * g for x, g in zip(xs, f)],
+            [x._b * g for x, g in zip(xs, f)])
+
+
 def _rational(x):
     """(numerator, denominator > 0) of an int, a rational or a rational
     literal; floats, complex numbers and anything else raise TypeError."""

@@ -39,6 +39,8 @@ own, or states a law that the engine's results must obey:
 * ``endo_of_cochain`` and ``gl2_endo``: the inverse of
   ``prolong.cochain_of_endo``, and the degree-2 parameter family that the
   step-2 solution is read against.
+* ``reference_apply``: a matrix times a vector, summed term by term in
+  ``GQ`` arithmetic, apart from the integer form of ``Matrix.apply``.
 """
 
 from fractions import Fraction
@@ -57,6 +59,25 @@ from so32cr.so32 import (COMPLEX_LABELS, DIM, GRADES, IN_H, M_MINUS, N,
                          bracket_complex, bracket_coords, grades,
                          to_complex_basis)
 from so32cr.tube import ConePoint, Poly
+
+# ---------------------------------------------------------------------------
+# a matrix times a vector
+# ---------------------------------------------------------------------------
+
+
+def reference_apply(m: Matrix, v) -> tuple:
+    """m v, each product and each partial sum a reduced GQ."""
+    v = vec(v)
+    if len(v) != m.ncols:
+        raise ValueError("shape mismatch in apply")
+    out = []
+    for r in m.rows:
+        total = ZERO
+        for j, a in r:
+            total = total + a * v[j]
+        out.append(total)
+    return tuple(out)
+
 
 # ---------------------------------------------------------------------------
 # the algebra as 5x5 matrices

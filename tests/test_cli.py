@@ -215,6 +215,21 @@ def test_normalize_round_trip(tmp_path):
     assert code == 0 and rep.status == "pass"
 
 
+def test_normalize_with_a_4000_digit_coefficient(tmp_path):
+    # huge numerators through the integer form of the normalization maps
+    huge = "9" * 3999 + "7"
+    data = json.loads(NORMALIZE_K2.read_text())
+    data["terms"].append({"args": ["e^-2", "e_2^-1"], "value": "e_1^-1",
+                          "coef": f"-{huge}/3+1/{huge}*i"})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    code, rep = run(["normalize", "--k", "2", "--input", str(path)])
+    assert code == 0 and rep.status == "pass"
+    checks = {c.name: c.ok for c in rep.checks}
+    assert checks["gauge + residual reproduces the input"]
+    assert checks["residual lies in the normalization space"]
+
+
 def test_model_subcommands():
     for argv in (
         ["model", "quadric", "--point", "0,-1/2,3,0,4,0,5,0,0,-1/2"],

@@ -6,7 +6,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from so32cr import linalg
-from so32cr.scalars import GQ
+from so32cr.scalars import GQ, over_common_denominator
 from so32cr.linalg import (
     NO_SOLUTION,
     Matrix,
@@ -265,6 +265,45 @@ def test_rref_kernel_solve_match_sympy():
             x, solved_ker = res
             assert a.apply(x) == b
             assert solved_ker == ker
+
+
+def test_apply_matches_sympy():
+    # shapes down to 0 x n and m x 0, zero rows, the zero vector, and
+    # entries of one height or of mixed heights (so mixed denominators), up
+    # to 30-digit numerators over 20-digit denominators
+    rng = random.Random(1979)
+    heights = (
+        lambda: Fraction(rng.randint(-3, 3)),
+        lambda: Fraction(rng.randint(-999, 999), rng.randint(1, 999)),
+        lambda: Fraction(rng.randint(-10**30, 10**30),
+                         rng.randint(10**19, 10**20)),
+    )
+    for trial in range(300):
+        m, n = rng.randrange(6), rng.randrange(7)
+        fixed = rng.choice(heights) if trial % 2 else None
+
+        def entry(density):
+            if rng.random() >= density:
+                return GQ(0)
+            q = fixed or rng.choice(heights)
+            return GQ(q(), q() if rng.randrange(3) else 0)
+
+        density = rng.uniform(0.1, 1)
+        rows = [[entry(density) for _ in range(n)] for _ in range(m)]
+        if m and rng.randrange(2):
+            rows[rng.randrange(m)] = [GQ(0)] * n
+        a = Matrix(rows, ncols=n)
+        v = vec([entry(0 if trial % 5 == 0 else rng.uniform(0.3, 1))
+                 for _ in range(n)])
+        built, h = Matrix(rows, ncols=n), hash(a)
+        out = a.apply(v)
+        expected = (_to_sympy(dense_rows(a), n)
+                    * _to_sympy([[x] for x in v], 1)).to_list()
+        assert out == tuple(_from_sympy(x) for (x,) in expected)
+        assert a.apply(v) == out == a.apply(v, over_common_denominator(v))
+        assert a == built and hash(a) == h == hash(built)
+        with pytest.raises(ValueError):
+            a.apply(v + (GQ(1),))
 
 
 def _count_rref(monkeypatch):

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (act_on_cochain, add_term, beta_gauge_response,
-                     endo_of_cochain, gl2_endo, restrict_ctorsion,
-                     rotation_action_matrix, symmetric_signature)
+                     endo_of_cochain, gl2_endo, reference_apply,
+                     restrict_ctorsion, rotation_action_matrix,
+                     symmetric_signature)
 from so32cr import cochains, linalg, prolong
 from so32cr.scalars import GQ
-from so32cr.linalg import Matrix, Subspace, solve, unit_vec, vec_scale
+from so32cr.linalg import Matrix, Subspace, kernel, solve, unit_vec, vec_scale
 from so32cr.so32 import DIM, GRADES, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr.cochains import Cochain, coboundary, cochain_dim
@@ -280,15 +281,16 @@ def test_flat_ctorsion_degrees():
 
 def _reference_split(c):
     """Solve [D | normalization basis] x = c (free variables 0), then
-    B = G x_G and residual = c - D x_G."""
+    B = G x_G and residual = c - D x_G, both products summed term by term
+    apart from ``Matrix.apply``."""
     carrier, gauge, d = prolong._gauge(c.k)
     span = Matrix.from_columns(
         d.columns() + normalization_space(c.k).basis_vectors(),
         nrows=len(c.coords))
     x, _ = solve(span, c.coords)
     xg = x[: gauge.ncols]
-    return (Matrix.unflatten(gauge.apply(xg), carrier.dim).rows,
-            tuple(a - b for a, b in zip(c.coords, d.apply(xg))))
+    return (Matrix.unflatten(reference_apply(gauge, xg), carrier.dim).rows,
+            tuple(a - b for a, b in zip(c.coords, reference_apply(d, xg))))
 
 
 _HEIGHTS = (
@@ -317,6 +319,14 @@ def test_normalize_matches_the_solve_split(c):
     ref_b, ref_residual = _reference_split(c)
     assert b.rows == ref_b
     assert residual.coords == ref_residual
+
+
+def test_the_annihilator_kernel_is_the_normalization_space():
+    for k in (1, 2, 3):
+        a = prolong._annihilator(k)
+        assert kernel(a) == normalization_space(k)
+        assert a.nrows == cochain_dim(2, k) - normalization_space(k).dim
+    assert prolong._annihilator(1) == Matrix.identity(cochain_dim(2, 1))
 
 
 def test_warm_normalize_runs_no_elimination(monkeypatch):
