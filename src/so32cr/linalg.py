@@ -43,11 +43,6 @@ def vec_is_zero(v: Vector) -> bool:
     return all(a.is_zero() for a in v)
 
 
-def dot(u: Vector, v: Vector) -> GQ:
-    """sum u_i v_i, skipping the indices where either entry is zero."""
-    return sum((a * b for a, b in zip(u, v, strict=True) if a and b), ZERO)
-
-
 def _row(pairs) -> tuple:
     """(column, value) pairs as a sparse row: ascending columns, no zeros."""
     return tuple(sorted((j, x) for j, x in pairs if x))

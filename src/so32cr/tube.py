@@ -12,7 +12,7 @@ Two sides of the same object:
 * the tube over the future light cone in C^3: tangent vector fields with
   polynomial coefficients in (z, conj z), and at rational cone points the
   form theta = (i/2)(d'rho - d''rho), the Levi and cubic forms and the
-  Freeman ranks, read there from values and first partials of the fields.
+  Freeman ranks, read there from values of the fields.
 
 Only the point changes from one pointwise evaluation to the next, so what
 does not depend on it is built once: each field's table of nonzero first
@@ -20,9 +20,12 @@ partials, its conjugate and J image, its brackets with other fields, the
 real parts of the cone fields and the gradient of rho, on first use; each
 polynomial's terms are compiled once into coefficients and (variable,
 exponent) factors.  At a point, one power table holds the powers of each
-coordinate, and every evaluation reads it.  There is one pointwise jet, the
-theta-jet (V(p), theta_p D_V), summed over a field's nonzero partials; a
-bracket that is needed as a vector at p is the bracket field, evaluated.
+coordinate, and every evaluation reads it.  rho is a quadratic in x = Re z,
+so d theta = (i/2) sum_j eps_j dzb_j ^ dz_j, eps = (1, 1, -1), is constant:
+on sections of the contact distribution the Levi entry -theta_p([V, JW]) is
+d theta_p(V(p), JW(p)) and the cubic theta_p([[E, H], H']) is
+-d theta_p([E, H](p), H'(p)), read from values with no jet; [E, H](p) is
+the kept bracket field, evaluated.  Whether x^1 = 0 picks the frames.
 
 Everything stays inside Q[i]; sample points come from Pythagorean triples
 so that all evaluations are exact.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .scalars import GQ, HALF, HALF_I, I, ZERO
-from .linalg import Matrix, Subspace, dot, kernel_basis, rank, rref, vec
+from .linalg import Matrix, Subspace, kernel_basis, rank, vec
 
 # ---------------------------------------------------------------------------
 # polynomials in z^1..z^3, conj z^1..conj z^3
@@ -336,63 +339,64 @@ def covectors_at(p: ConePoint) -> Matrix:
     return Matrix([grad, theta])
 
 
-def _theta_jet(theta, field: Field, powers):
-    """(V(p), theta_p D_V) from the nonzero first partials of V, so that
-    theta_p([V, W]) is (theta_p D_W) v - (theta_p D_V) w."""
-    row = [ZERO] * NVARS
-    for i, j, d in field.partials():
-        if theta[i]:
-            row[j] = row[j] + theta[i] * d.eval(powers)
-    return field.eval(powers), tuple(row)
+_EPS = (1, 1, -1)  # the signs of rho, and of d theta
 
 
-def _theta_bracket(vt, wt) -> GQ:
-    """theta_p([V, W]) from the theta-jets of V and W at p."""
-    (v, tv), (w, tw) = vt, wt
-    return dot(tw, v) - dot(tv, w)
+def _dtheta(u, v) -> GQ:
+    """d theta_p(u, v) = (i/2) sum_j eps_j (u^jb v^j - u^j v^jb) on two
+    vectors of the frame (d/dz, d/dzb): d theta is constant, so it needs no
+    point."""
+    total = ZERO
+    for j, eps in enumerate(_EPS):
+        term = u[j + 3] * v[j] - u[j] * v[j + 3]
+        total = total + term if eps > 0 else total - term
+    return total * HALF_I
 
 
-def _section_jet(cov: Matrix, field: Field, p: ConePoint):
-    """The theta-jet at p of a section of the contact distribution."""
-    jet = _theta_jet(cov.row(1), field, p.powers)
-    if any(cov.apply(jet[0])):
+def _section_value(cov: Matrix, field: Field, p: ConePoint):
+    """V(p) for a field that must lie in the contact distribution at p."""
+    value = field.eval(p.powers)
+    if any(cov.apply(value)):
         raise ValueError("field is not a section of the contact distribution"
                          " at the point")
-    return jet
+    return value
 
 
 def levi_form_at(p: ConePoint, vf: Field, wf: Field) -> GQ:
-    """-theta_p([V, JW]) for sections of the contact distribution."""
+    """-theta_p([V, JW]) = d theta_p(V(p), JW(p)).  The identity needs V and
+    JW to be sections of the contact distribution near p (theta(V) = 0 mod
+    rho, and so for JW); only their values at p are checked."""
     return _levi_gram(p, [vf], [wf])[0, 0]
 
 
 def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
-    """theta_p([[E, H], H']) for E a holomorphic rib field and H, H'
-    antiholomorphic sections of the contact distribution; the inner bracket
-    stays a field, the outer one is read at p from theta-jets."""
+    """theta_p([[E, H], H']) = -d theta_p([E, H](p), H'(p)) for E a
+    holomorphic rib field and H, H' antiholomorphic sections of the contact
+    distribution; [E, H](p) is the value of the kept bracket field.  The
+    identity needs H, H' to be sections near p and E to stay in the Levi
+    kernel along the tube (d theta(E, H) = 0 mod rho), so that [E, H] is a
+    section too; only the values at p are checked."""
     if not e.is_type10():
         raise ValueError("first argument must be of type (1,0)")
     _, _, _, R = cone_fields()
     if not Subspace(6, [R.eval(p.powers)]).contains(e.eval(p.powers)):
         raise ValueError("first argument must point along the rib")
     cov = covectors_at(p)
-    jets = [_section_jet(cov, f, p) for f in (h, hp)]
-    if any(any(jet[0][:3]) for jet in jets):
+    values = [_section_value(cov, f, p) for f in (h, hp)]
+    if any(any(value[:3]) for value in values):
         raise ValueError("argument is not antiholomorphic at the point")
-    return _theta_bracket(_theta_jet(cov.row(1), e.bracket(h), p.powers),
-                          jets[1])
+    return -_dtheta(e.bracket(h).eval(p.powers), values[1])
 
 
 def _d10_frame_at(p: ConePoint):
-    """Two of the three L-fields that are independent at p (the first two
-    pivot columns of their values), and their values at p."""
-    fields = cone_fields()[:3]
-    values = [f.eval(p.powers) for f in fields]
-    pivots = rref(Matrix.from_columns(values))[1]
-    if len(pivots) < 2:
-        raise ArithmeticError("contact frame degenerates at the point")
-    a, b = pivots[:2]
-    return (fields[a], fields[b]), (values[a], values[b])
+    """Two L-fields independent at p, and their values there: L12 and L13,
+    or L12 and L23 where x^1 = 0.  L12 = (x^2, -x^1, 0) is nonzero on the
+    cone, L13 = (-x^3, 0, -x^1) leaves its line iff x^1 != 0, and L23 =
+    (0, -x^3, -x^2) always does; these are the first two pivot columns of
+    (L12, L13, L23)(p)."""
+    l12, l13, l23, _ = cone_fields()
+    fields = (l12, l13) if p.z[0].re else (l12, l23)
+    return fields, tuple(f.eval(p.powers) for f in fields)
 
 
 def levi_hermitian_rank(p: ConePoint) -> int:
@@ -403,28 +407,22 @@ def levi_hermitian_rank(p: ConePoint) -> int:
 
 def _real_frame_at(p: ConePoint):
     """Four real fields framing the distribution at p, and their values at
-    p: the real parts of R and of the first frame field, or of the second
-    when those four are dependent at p."""
-    (f1, f2), _ = _d10_frame_at(p)
-    fields, reals = cone_fields(), cone_real_parts()
-    rib = reals[3]
-    rib_values = [f.eval(p.powers) for f in rib]
-    for f in (f1, f2):
-        extra = reals[fields.index(f)]
-        values = rib_values + [g.eval(p.powers) for g in extra]
-        if rank(Matrix(values)) == 4:
-            break
-    return rib + extra, values
+    p: the real parts of R and of L12.  R(p) has third entry x^3 > 0 and
+    L12(p) is nonzero with third entry 0, so the two are complex-independent
+    at every cone point."""
+    reals = cone_real_parts()
+    fields = reals[3] + reals[0]
+    return fields, [f.eval(p.powers) for f in fields]
 
 
 def _levi_gram(p: ConePoint, rows, cols) -> Matrix:
-    """-theta_p([V, JW]) for V in rows, W in cols, from one 1-jet per field;
-    W is checked as JW, since the contact distribution is J-invariant."""
+    """d theta_p(V(p), JW(p)) = -theta_p([V, JW]) for V in rows, W in cols,
+    under ``levi_form_at``'s contract; each value is checked against the
+    covectors at p, W as JW, since the contact distribution is J-invariant."""
     cov = covectors_at(p)
-    row_jets = [_section_jet(cov, v, p) for v in rows]
-    col_jets = [_section_jet(cov, w.apply_J(), p) for w in cols]
-    return Matrix([[-_theta_bracket(a, b) for b in col_jets]
-                   for a in row_jets])
+    row_values = [_section_value(cov, v, p) for v in rows]
+    col_values = [_section_value(cov, w.apply_J(), p) for w in cols]
+    return Matrix([[_dtheta(v, w) for w in col_values] for v in row_values])
 
 
 def levi_real_gram(p: ConePoint) -> Matrix:

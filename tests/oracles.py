@@ -25,6 +25,9 @@ own, or states a law that the engine's results must obey:
 * ``model_levi_cubic``: the Levi and cubic values (-1/2, -i/2) of the model
   from pure bracket projections; ``apply_field`` lets a field act on a
   polynomial (the tangent fields annihilate rho).
+* ``pivot_frame_pair``: the holomorphic frame at a cone point chosen by
+  elimination, the first two pivot columns of (L12, L13, L23)(p), against
+  which the sign test of ``tube._d10_frame_at`` is checked.
 * ``act_on_cochain`` and ``rotation_action_matrix``: the adjoint action of
   grade >= 0 elements on cochains, which commutes with d and d*, keeps the
   normalization spaces, and leaves the cochain inner product invariant.
@@ -52,13 +55,13 @@ from so32cr.carriers import (Carrier, EndoSubspace, _endo_space,
                               endo_from_complex_images)
 from so32cr.cochains import Cochain, _side_m, cochain_dim
 from so32cr.forms import Form
-from so32cr.linalg import (Matrix, kernel, real_rows, unit_vec, vec, vec_add,
-                           vec_scale, zero_vec)
+from so32cr.linalg import (Matrix, kernel, real_rows, rref, unit_vec, vec,
+                           vec_add, vec_scale, zero_vec)
 from so32cr.scalars import GQ, HALF, I, ZERO
 from so32cr.so32 import (COMPLEX_LABELS, DIM, GRADES, IN_H, M_MINUS, N,
                          bracket_complex, bracket_coords, grades,
                          to_complex_basis)
-from so32cr.tube import ConePoint, Poly
+from so32cr.tube import ConePoint, Poly, cone_fields
 
 # ---------------------------------------------------------------------------
 # a matrix times a vector
@@ -263,6 +266,14 @@ def apply_field(v, f):
         if not c.is_zero():
             out = out + c * f.diff(i)
     return out
+
+
+def pivot_frame_pair(p: ConePoint):
+    """The two L-fields whose values are the first two pivot columns of
+    (L12, L13, L23)(p)."""
+    fields = cone_fields()[:3]
+    pivots = rref(Matrix.from_columns([f.eval(p.powers) for f in fields]))[1]
+    return tuple(fields[k] for k in pivots[:2])
 
 
 # ---------------------------------------------------------------------------

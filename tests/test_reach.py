@@ -39,6 +39,9 @@ EXTRA_COMMANDS = (
      "antidiag"],
     # the top slice: an empty C^2_6, so d* out of C^3_6 is a 0-row matrix
     ["hodge", "--ell", "3", "--k", "6"],
+    # cone points with x^1 = 0, where the holomorphic frame is L12 and L23
+    ["model", "levi", "--z", "0,1,1,0,0,0"],
+    ["model", "freeman", "--z", "0,-3,3,1,2,-1"],
 )
 
 # "module.qualname": why it stays although the run above does not call it

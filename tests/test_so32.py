@@ -7,7 +7,7 @@ import pytest
 from oracles import (LEVELS, basis_matrices, filtration_steps, from_matrix,
                      iform, symmetric_signature, to_matrix, trace)
 from so32cr.scalars import GQ
-from so32cr.linalg import (Matrix, Subspace, dot, rank, unit_vec, vec, vec_add,
+from so32cr.linalg import (Matrix, Subspace, rank, unit_vec, vec, vec_add,
                            vec_is_zero, vec_scale)
 from so32cr import so32
 from so32cr.carriers import Carrier
@@ -30,7 +30,7 @@ BASIS = [unit_vec(DIM, i) for i in range(DIM)]
 
 
 def killing(x, y):
-    return dot(x, killing_gram().apply(y))
+    return sum((a * b for a, b in zip(x, killing_gram().apply(y))), GQ(0))
 
 
 def apply_J(x):

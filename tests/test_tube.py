@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (BASE_POINT, DIAG_TO_ANTIDIAG, SAMPLE_POINTS,
                      apply_field, basis_matrices, iform, isotropy_algebra,
-                     model_levi_cubic)
+                     model_levi_cubic, pivot_frame_pair)
 from so32cr.scalars import GQ, HALF_I
 from so32cr import tube
 from so32cr.linalg import Matrix, Subspace, kernel_basis, rank
@@ -362,10 +362,13 @@ def test_theta_kernel_is_distribution():
 @st.composite
 def cone_points(draw):
     """x = s * (a, b, c) for a Pythagorean triple with legs signed and
-    ordered at random and a positive rational s, plus a rational y."""
+    ordered at random and a positive rational s, plus a rational y; one
+    triple in four is the axis triple (1, 0, 1), so that x^1 or x^2 is 0."""
     m = draw(st.integers(2, 9))
     n = draw(st.integers(1, m - 1))
     a, b, c = m * m - n * n, 2 * m * n, m * m + n * n
+    if draw(st.integers(0, 3)) == 0:
+        a, b, c = 1, 0, 1
     if draw(st.booleans()):
         a, b = b, a
     a *= draw(st.sampled_from((1, -1)))
@@ -382,20 +385,29 @@ def test_pointwise_values_match_the_polynomial_path(p):
     l12, l13, l23, r = cone_fields()
     w = Field([Poly.var(3), Poly.const(I), Poly(), Poly.var(0), Poly(),
                Poly.const(2)])
+    u10 = Field([Poly.var(3), Poly.const(I), Poly.var(0), Poly(), Poly(),
+                 Poly()])  # of type (1,0), so that E + rho U is one too
     cov = covectors_at(p)
     at = Powers(p.z)  # the polynomial path reads a power table of its own
-    for f in (l12, l13.conj(), r):
+    j_images = [f.apply_J() for f in cone_fields()]
+    for f in [l12, l13.conj(), r] + j_images:
         assert cov.apply(f.eval(p.powers))[1] == theta_of(f).eval(at)
-    # Levi on real sections, a J image and a rho-multiple perturbation
+    # Levi on real sections, J images of the four cone fields and
+    # rho-multiple perturbations, in either slot
     real = l12 + l12.conj()
     pert = real + w.scale(rho()) + w.conj().scale(rho())
-    for v, u in ((r + r.conj(), real), (real.apply_J(), real), (pert, real),
-                 (real, pert)):
-        assert levi_form_at(p, v, u) == -theta_of(
-            v.bracket(u.apply_J())).eval(at)
-    # cubic: the inner bracket stays a field, the outer one is read at p
+    pairs = [(r + r.conj(), real), (real.apply_J(), real), (pert, real),
+             (real, pert)]
+    for f, jf in zip(cone_fields(), j_images):
+        pairs += [(jf, real), (real, jf), (jf, f.conj()), (f, jf.conj())]
+    for v, u in pairs:
+        assert levi_form_at(p, v, u) == levi_polynomial(v, u).eval(at)
+    # cubic: [E, H](p) is the bracket field's value, paired with H'(p) by
+    # d theta; E may be perturbed by rho U, H by rho W
     for e, h in ((r, l12.conj()), (r.scale(GQ(2, -1)),
-                                   l23.conj() + w.scale(rho()))):
+                                   l23.conj() + w.scale(rho())),
+                 (r + u10.scale(rho()), l12.conj()),
+                 (r.scale(GQ(0, 3)) + u10.scale(rho()), l23.conj())):
         assert cubic_form_at(p, e, h, l13.conj()) == theta_of(
             e.bracket(h).bracket(l13.conj())).eval(at)
     # every entry of the real and the Hermitian Levi Gram
@@ -420,6 +432,18 @@ def test_pointwise_values_match_the_polynomial_path(p):
             (apply_field(f, w) - apply_field(cb, v)).eval(at)
             for v, w in zip(f.comps, cb.comps))
         assert cov.apply(value)[1] == theta_of(f.bracket(cb)).eval(at)
+
+
+@settings(deadline=None, max_examples=40)
+@given(cone_points())
+@example(ConePoint((GQ(0), GQ(1), GQ(1))))
+@example(ConePoint((GQ(0, 1), GQ(-3, 2), GQ(3, -1))))
+@example(ConePoint((GQ(Fraction(-2, 3)), GQ(0, 5), GQ(Fraction(2, 3)))))
+def test_frames_match_the_elimination_rule(p):
+    # the x^1 = 0 test picks the pair that the first two rref pivots pick,
+    # and R with L12 frames the distribution at every cone point
+    assert _d10_frame_at(p)[0] == pivot_frame_pair(p)
+    assert rank(Matrix(_real_frame_at(p)[1])) == 4
 
 
 def test_one_reading_of_the_covectors_per_point(monkeypatch):
