@@ -15,17 +15,17 @@ Two sides of the same object:
   Freeman ranks, read there from values of the fields.
 
 Only the point changes from one pointwise evaluation to the next, so what
-does not depend on it is built once: each field's table of nonzero first
-partials, its conjugate and J image, its brackets with other fields, the
-real parts of the cone fields and the gradient of rho, on first use; each
-polynomial's terms are compiled once into coefficients and (variable,
-exponent) factors.  At a point, one power table holds the powers of each
-coordinate, and every evaluation reads it.  rho is a quadratic in x = Re z,
-so d theta = (i/2) sum_j eps_j dzb_j ^ dz_j, eps = (1, 1, -1), is constant:
-on sections of the contact distribution the Levi entry -theta_p([V, JW]) is
-d theta_p(V(p), JW(p)) and the cubic theta_p([[E, H], H']) is
--d theta_p([E, H](p), H'(p)), read from values with no jet; [E, H](p) is
-the kept bracket field, evaluated.  Whether x^1 = 0 picks the frames.
+does not depend on it is built once: each field's partials, conjugate and
+brackets, and each polynomial's terms, as Gaussian-integer numerators over
+one denominator.  A point's one power table holds its coordinates' powers
+the same way, so an evaluation sums integer monomials and reduces once.
+rho is a quadratic in x = Re z, so d theta = (i/2) sum_j eps_j dzb_j ^ dz_j,
+eps = (1, 1, -1), is constant: on sections of the contact distribution the
+Levi entry -theta_p([V, JW]) is d theta_p(V(p), JW(p)) and the cubic
+theta_p([[E, H], H']) is -d theta_p([E, H](p), H'(p)), [E, H] the kept
+bracket field; both are read off values over a common denominator.  Each
+field is evaluated once per call: conjugates, J images and real parts are
+read off values, and whether x^1 = 0 picks the frame.
 
 Everything stays inside Q[i]; sample points come from Pythagorean triples
 so that all evaluations are exact.
@@ -36,7 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from .scalars import GQ, HALF, HALF_I, I, ZERO
+from .scalars import (GQ, HALF, HALF_I, ZERO, _gq,
+                      over_common_denominator)
 from .linalg import Matrix, Subspace, kernel_basis, rank, vec
 
 # ---------------------------------------------------------------------------
@@ -44,31 +45,38 @@ from .linalg import Matrix, Subspace, kernel_basis, rank, vec
 # ---------------------------------------------------------------------------
 
 NVARS = 6  # z1 z2 z3 zb1 zb2 zb3
+_EPS = (1, 1, -1)  # the signs of rho, and of d theta
 
 
 class Powers:
-    """The powers of z^1..z^3, conj z^1..conj z^3 at one point: row v holds
-    1, x_v, x_v^2, ..., each computed once.  The rows grow to the highest
-    exponent an evaluation asks for."""
+    """The powers of z^1..z^3, conj z^1..conj z^3 at one point over D, the
+    lcm of the coordinates' denominators: row v holds the Gaussian-integer
+    numerators (re, im) of x_v^e over D^e, and ``scale`` holds D^e, for
+    e = 0, 1, ... up to the highest degree an evaluation asks for."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "scale")
 
     def __init__(self, z):
-        z = [GQ.of(v) for v in z]
-        self.rows = [[GQ(1), v] for v in z + [v.conj() for v in z]]
+        d, re, im = over_common_denominator([GQ.of(v) for v in z])
+        self.scale = [1, d]
+        self.rows = [[(1, 0), (a, sign * b)] for sign in (1, -1)
+                     for a, b in zip(re, im)]
 
     def upto(self, degree: int):
-        """Extend every row to the power x_v^degree."""
-        while len(self.rows[0]) <= degree:
+        """Extend the scale and every row to the power degree."""
+        while len(self.scale) <= degree:
+            self.scale.append(self.scale[-1] * self.scale[1])
             for row in self.rows:
-                row.append(row[-1] * row[1])
+                (a, b), (c, e) = row[-1], row[1]
+                row.append((a * c - b * e, a * e + b * c))
 
 
 class Poly:
     """Multivariate polynomial over Q[i]; terms keyed by exponent tuples.
 
-    The terms are compiled once, on first evaluation, into (coefficient,
-    nonzero (variable, exponent) factors) and the highest exponent."""
+    On first evaluation the terms are compiled into Gaussian-integer
+    numerators (re, im) over one denominator C, each with its nonzero
+    (variable, exponent) factors and its gap to the top total degree."""
 
     __slots__ = ("terms", "_compiled")
 
@@ -86,9 +94,7 @@ class Poly:
 
     @staticmethod
     def var(i: int) -> "Poly":
-        mono = [0] * NVARS
-        mono[i] = 1
-        return Poly({tuple(mono): GQ(1)})
+        return Poly({tuple(int(j == i) for j in range(NVARS)): GQ(1)})
 
     def __add__(self, other):
         other = other if isinstance(other, Poly) else Poly.const(other)
@@ -106,8 +112,7 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(other)
+        other = other if isinstance(other, Poly) else Poly.const(other)
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -121,41 +126,40 @@ class Poly:
         out = {}
         for m, c in self.terms.items():
             if m[i]:
-                m2 = list(m)
-                m2[i] -= 1
-                out[tuple(m2)] = c * GQ(m[i])
+                out[m[:i] + (m[i] - 1,) + m[i + 1:]] = c * GQ(m[i])
         return Poly(out)
 
     def conj(self) -> "Poly":
         """Formal conjugate: swap z and conj z, conjugate coefficients."""
-        out = {}
-        for m, c in self.terms.items():
-            out[m[3:] + m[:3]] = c.conj()
-        return Poly(out)
+        return Poly({m[3:] + m[:3]: c.conj() for m, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def eval(self, powers: Powers) -> GQ:
         """Value at the point of the power table (the conjugate variables
-        get conj z)."""
+        get conj z): each term, scaled by D^gap, lies over C D^deg, so the
+        sum is two ints, reduced once."""
         if not self.terms:
             return ZERO
         if self._compiled is None:
-            self._compiled = (
-                tuple((c, tuple((v, e) for v, e in enumerate(m) if e))
-                      for m, c in self.terms.items()),
-                max(max(m) for m in self.terms))
-        terms, degree = self._compiled
-        rows = powers.rows
-        if len(rows[0]) <= degree:
-            powers.upto(degree)
-        total = ZERO
-        for c, factors in terms:
+            den, re, im = over_common_denominator(list(self.terms.values()))
+            deg = max(map(sum, self.terms))
+            self._compiled = deg, den, tuple(
+                (a, b, tuple((v, e) for v, e in enumerate(m) if e),
+                 deg - sum(m)) for m, a, b in zip(self.terms, re, im))
+        deg, den, terms = self._compiled
+        if len(powers.scale) <= deg:
+            powers.upto(deg)
+        rows, scale = powers.rows, powers.scale
+        s = t = 0
+        for a, b, factors, gap in terms:
             for v, e in factors:
-                c = c * rows[v][e]
-            total = total + c
-        return total
+                c, d = rows[v][e]
+                a, b = a * c - b * d, a * d + b * c
+            s += a * scale[gap]
+            t += b * scale[gap]
+        return _gq(s, t, den * scale[deg])
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -166,36 +170,26 @@ class Poly:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
-        names = ["z1", "z2", "z3", "zb1", "zb2", "zb3"]
-        parts = []
-        for m, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{n}^{e}" if e > 1 else n for n, e in zip(names, m) if e
-            )
-            parts.append(f"({c.to_str()})" + (f"*{mono}" if mono else ""))
-        return "Poly(" + " + ".join(parts) + ")"
+        return f"Poly({ {m: c.to_str() for m, c in self.terms.items()} })"
 
 
 class Field:
     """Vector field with polynomial coefficients over the frame
     (d/dz1, d/dz2, d/dz3, d/dzb1, d/dzb2, d/dzb3).
 
-    Fields are immutable, so the table of first partials, the conjugate and
-    the J image are each built once, on first use, and kept; so is each
-    bracket [V, W], on W and keyed by V."""
+    Fields are immutable, so the table of first partials and the conjugate
+    are each built once, on first use, and kept; so is each bracket [V, W],
+    on W and keyed by V."""
 
-    __slots__ = ("comps", "_partials", "_conj", "_J", "_brackets")
+    __slots__ = ("comps", "_partials", "_conj", "_brackets")
 
     def __init__(self, comps):
-        comps = tuple(
-            c if isinstance(c, Poly) else Poly.const(c) for c in comps
-        )
+        comps = tuple(c if isinstance(c, Poly) else Poly.const(c)
+                      for c in comps)
         if len(comps) != NVARS:
             raise ValueError("need 6 components")
         self.comps = comps
-        self._partials = self._conj = self._J = None
+        self._partials = self._conj = None
         self._brackets = {}
 
     def __add__(self, other):
@@ -247,13 +241,6 @@ class Field:
         """Values at the point of the power table."""
         return tuple(c.eval(powers) for c in self.comps)
 
-    def apply_J(self) -> "Field":
-        """Pointwise complex structure: +i on the (1,0) part, -i on (0,1)."""
-        if self._J is None:
-            self._J = Field([c * I for c in self.comps[:3]]
-                            + [c * -I for c in self.comps[3:]])
-        return self._J
-
     def __repr__(self):
         return f"Field({self.comps!r})"
 
@@ -267,14 +254,11 @@ def cone_quadratic(v):
     return v[0] * v[0] + v[1] * v[1] - v[2] * v[2]
 
 
-def x_coord(j: int) -> Poly:
-    return (Poly.var(j) + Poly.var(j + 3)) * HALF
-
-
 @lru_cache(maxsize=1)
 def rho() -> Poly:
     """The cone quadratic of x^j = (z^j + conj z^j)/2."""
-    return cone_quadratic([x_coord(j) for j in range(3)])
+    return cone_quadratic([(Poly.var(j) + Poly.var(j + 3)) * HALF
+                           for j in range(3)])
 
 
 @lru_cache(maxsize=1)
@@ -292,21 +276,9 @@ def cone_fields():
         comps[k] = -r.diff(j)
         return Field(comps)
 
-    R = Field([x_coord(0), x_coord(1), x_coord(2), Poly(), Poly(), Poly()])
+    # x^j = eps_j rho_{z^j}
+    R = Field([r.diff(j) * eps for j, eps in enumerate(_EPS)] + [Poly()] * 3)
     return L(0, 1), L(0, 2), L(1, 2), R
-
-
-@lru_cache(maxsize=1)
-def cone_real_parts():
-    """The real fields (f + conj f, i(f - conj f)) of each cone field, in
-    the order of ``cone_fields()``."""
-    return tuple((f + f.conj(), (f - f.conj()).scale(I))
-                 for f in cone_fields())
-
-
-@lru_cache(maxsize=1)
-def _rho_gradient():
-    return tuple(rho().diff(i) for i in range(NVARS))
 
 
 @dataclass(frozen=True)
@@ -333,40 +305,65 @@ class ConePoint:
 
 def covectors_at(p: ConePoint) -> Matrix:
     """Rows d rho_p and theta_p = (i/2)(d'rho - d''rho)_p on the frame
-    (d/dz, d/dzb), read off the gradient of rho at p."""
-    grad = [g.eval(p.powers) for g in _rho_gradient()]
-    theta = [g * HALF_I for g in grad[:3]] + [g * -HALF_I for g in grad[3:]]
-    return Matrix([grad, theta])
-
-
-_EPS = (1, 1, -1)  # the signs of rho, and of d theta
+    (d/dz, d/dzb): d rho/dz^j = d rho/dzb^j = eps_j x^j, x^j = Re z^j."""
+    d = p.powers.scale[1]  # z^j = (a_j + b_j i)/d in the power table
+    x = [eps * row[1][0] for row, eps in zip(p.powers.rows, _EPS)]
+    return Matrix([[_gq(a, 0, d) for a in x] * 2,
+                   [_gq(0, s * a, 2 * d) for s in (1, -1) for a in x]])
 
 
 def _dtheta(u, v) -> GQ:
-    """d theta_p(u, v) = (i/2) sum_j eps_j (u^jb v^j - u^j v^jb) on two
-    vectors of the frame (d/dz, d/dzb): d theta is constant, so it needs no
-    point."""
-    total = ZERO
+    """d theta(u, v) = (i/2) sum_j eps_j (u^jb v^j - u^j v^jb) on vectors of
+    the frame (d/dz, d/dzb) in integer form (d, re, im), reduced once as
+    i S / (2 d_u d_v), S the Gaussian-integer sum; it needs no point."""
+    (du, ua, ub), (dv, va, vb) = u, v
+    s = t = 0
     for j, eps in enumerate(_EPS):
-        term = u[j + 3] * v[j] - u[j] * v[j + 3]
-        total = total + term if eps > 0 else total - term
-    return total * HALF_I
+        for a, b, sign in ((j + 3, j, eps), (j, j + 3, -eps)):
+            s += sign * (ua[a] * va[b] - ub[a] * vb[b])
+            t += sign * (ua[a] * vb[b] + ub[a] * va[b])
+    return _gq(-t, s, 2 * du * dv)
 
 
-def _section_value(cov: Matrix, field: Field, p: ConePoint):
-    """V(p) for a field that must lie in the contact distribution at p."""
-    value = field.eval(p.powers)
-    if any(cov.apply(value)):
+def _section_forms(cov: Matrix, values):
+    """Values V(p) of sections of the contact distribution in integer form
+    (d, re, im) over one d, each checked against the covectors in it."""
+    d, re, im = over_common_denominator([x for v in values for x in v])
+    forms = [(d, re[k:k + 6], im[k:k + 6]) for k in range(0, len(re), 6)]
+    if any(any(cov.apply(v, form)) for v, form in zip(values, forms)):
         raise ValueError("field is not a section of the contact distribution"
                          " at the point")
-    return value
+    return forms
+
+
+def _conj(form):
+    """The integer form of (conj V)(p), read off that of V(p)."""
+    d, re, im = form
+    return d, re[3:] + re[:3], [-b for b in im[3:] + im[:3]]
+
+
+def _J(form):
+    """The integer form of (JV)(p): i on the (1,0) part, -i on (0,1)."""
+    d, re, im = form
+    return d, [-b for b in im[:3]] + im[3:], re[:3] + [-a for a in re[3:]]
+
+
+def _combine(coef, forms):
+    """sum_k coef_k V_k(p) for integer forms over one denominator."""
+    c, ca, cb = over_common_denominator(coef)
+    terms = list(zip(ca, cb, forms))
+    return tuple(_gq(sum(a * f[1][i] - b * f[2][i] for a, b, f in terms),
+                     sum(a * f[2][i] + b * f[1][i] for a, b, f in terms),
+                     c * forms[0][0]) for i in range(NVARS))
 
 
 def levi_form_at(p: ConePoint, vf: Field, wf: Field) -> GQ:
     """-theta_p([V, JW]) = d theta_p(V(p), JW(p)).  The identity needs V and
     JW to be sections of the contact distribution near p (theta(V) = 0 mod
-    rho, and so for JW); only their values at p are checked."""
-    return _levi_gram(p, [vf], [wf])[0, 0]
+    rho, and so for JW); only V(p) and W(p) are checked, JW(p) = J W(p)."""
+    v, w = _section_forms(covectors_at(p),
+                          [vf.eval(p.powers), wf.eval(p.powers)])
+    return _dtheta(v, _J(w))
 
 
 def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
@@ -375,92 +372,95 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     distribution; [E, H](p) is the value of the kept bracket field.  The
     identity needs H, H' to be sections near p and E to stay in the Levi
     kernel along the tube (d theta(E, H) = 0 mod rho), so that [E, H] is a
-    section too; only the values at p are checked."""
+    section too; only values at p are checked."""
     if not e.is_type10():
         raise ValueError("first argument must be of type (1,0)")
     _, _, _, R = cone_fields()
-    if not Subspace(6, [R.eval(p.powers)]).contains(e.eval(p.powers)):
+    e_value = e.eval(p.powers)
+    r_value = e_value if e is R else R.eval(p.powers)
+    if not Subspace(6, [r_value]).contains(e_value):
         raise ValueError("first argument must point along the rib")
-    cov = covectors_at(p)
-    values = [_section_value(cov, f, p) for f in (h, hp)]
+    values = [h.eval(p.powers)] + ([] if hp is h else [hp.eval(p.powers)])
+    forms = _section_forms(covectors_at(p), values)
     if any(any(value[:3]) for value in values):
         raise ValueError("argument is not antiholomorphic at the point")
-    return -_dtheta(e.bracket(h).eval(p.powers), values[1])
+    bracket = over_common_denominator(e.bracket(h).eval(p.powers))
+    return _dtheta(forms[-1], bracket)  # -d theta(u, v) = d theta(v, u)
 
 
 def _d10_frame_at(p: ConePoint):
-    """Two L-fields independent at p, and their values there: L12 and L13,
-    or L12 and L23 where x^1 = 0.  L12 = (x^2, -x^1, 0) is nonzero on the
-    cone, L13 = (-x^3, 0, -x^1) leaves its line iff x^1 != 0, and L23 =
-    (0, -x^3, -x^2) always does; these are the first two pivot columns of
-    (L12, L13, L23)(p)."""
+    """Two L-fields independent at p, their values there and the checked
+    integer forms of those: L12 and L13, or L12 and L23 where x^1 = 0.
+    L12 = (x^2, -x^1, 0) is nonzero on the cone, L13 = (-x^3, 0, -x^1)
+    leaves its line iff x^1 != 0, and L23 = (0, -x^3, -x^2) always does;
+    these are the first two pivot columns of (L12, L13, L23)(p)."""
     l12, l13, l23, _ = cone_fields()
     fields = (l12, l13) if p.z[0].re else (l12, l23)
-    return fields, tuple(f.eval(p.powers) for f in fields)
+    values = [f.eval(p.powers) for f in fields]
+    return fields, values, _section_forms(covectors_at(p), values)
+
+
+def _levi_gram(rows, cols) -> Matrix:
+    """d theta_p(V(p), JW(p)) = -theta_p([V, JW]) for the integer forms of
+    V(p) in rows and W(p) in cols, under ``levi_form_at``'s contract."""
+    jcols = [_J(w) for w in cols]
+    return Matrix([[_dtheta(v, w) for w in jcols] for v in rows])
 
 
 def levi_hermitian_rank(p: ConePoint) -> int:
     """Rank of the Hermitian Levi matrix on a holomorphic frame."""
-    (f1, f2), _ = _d10_frame_at(p)
-    return rank(_levi_gram(p, (f1, f2), (f1.conj(), f2.conj())))
+    forms = _d10_frame_at(p)[2]
+    return rank(_levi_gram(forms, [_conj(f) for f in forms]))
 
 
 def _real_frame_at(p: ConePoint):
-    """Four real fields framing the distribution at p, and their values at
-    p: the real parts of R and of L12.  R(p) has third entry x^3 > 0 and
-    L12(p) is nonzero with third entry 0, so the two are complex-independent
-    at every cone point."""
-    reals = cone_real_parts()
-    fields = reals[3] + reals[0]
-    return fields, [f.eval(p.powers) for f in fields]
-
-
-def _levi_gram(p: ConePoint, rows, cols) -> Matrix:
-    """d theta_p(V(p), JW(p)) = -theta_p([V, JW]) for V in rows, W in cols,
-    under ``levi_form_at``'s contract; each value is checked against the
-    covectors at p, W as JW, since the contact distribution is J-invariant."""
-    cov = covectors_at(p)
-    row_values = [_section_value(cov, v, p) for v in rows]
-    col_values = [_section_value(cov, w.apply_J(), p) for w in cols]
-    return Matrix([[_dtheta(v, w) for w in col_values] for v in row_values])
+    """Integer forms of four real vectors framing the distribution at p: the
+    real parts f + conj f = (f, conj f) and i(f - conj f) = J(f + conj f)
+    of the holomorphic frame's values, of type (1,0) and independent."""
+    frame = []
+    for d, re, im in _d10_frame_at(p)[2]:
+        real = (d, re[:3] + re[:3], im[:3] + [-b for b in im[:3]])
+        frame += [real, _J(real)]
+    return frame
 
 
 def levi_real_gram(p: ConePoint) -> Matrix:
     """The 4x4 Gram of the Levi form on a real frame of the distribution."""
-    reals = _real_frame_at(p)[0]
-    return _levi_gram(p, reals, reals)
+    reals = _real_frame_at(p)
+    return _levi_gram(reals, reals)
 
 
 def rib_span_at(p: ConePoint) -> Subspace:
-    return Subspace(6, [u.eval(p.powers) for u in cone_real_parts()[3]])
+    """The span of R(p) and (conj R)(p), as of the real parts of R."""
+    r = cone_fields()[3].eval(p.powers)
+    return Subspace(6, [r, tuple(x.conj() for x in r[3:] + r[:3])])
 
 
 def levi_kernel_at(p: ConePoint) -> Subspace:
     """Kernel of the Levi form inside the distribution at p, as vectors."""
-    reals, values = _real_frame_at(p)
-    frame = Matrix.from_columns(values)
-    gram = _levi_gram(p, reals, reals)
-    return Subspace(6, [frame.apply(coef) for coef in kernel_basis(gram)])
+    reals = _real_frame_at(p)
+    return Subspace(6, [_combine(coef, reals)
+                        for coef in kernel_basis(_levi_gram(reals, reals))])
 
 
 def freeman_ranks_at(p: ConePoint):
     """(dim F^10_-1, dim F^10_0, dim F^10_1) by exact pointwise solves."""
-    (f1, f2), values = _d10_frame_at(p)
+    (f1, f2), values, forms = _d10_frame_at(p)
     _, _, _, R = cone_fields()
-    conj_frame = [f1.conj(), f2.conj()]
     r_value = R.eval(p.powers)
     # step 0 (Levi kernel): rows theta([f, conj f']) = -i (Hermitian Gram)^T
-    sol = kernel_basis(_levi_gram(p, (f1, f2), conj_frame).transpose())
-    frame = Matrix.from_columns(values)
-    f0 = Subspace(6, [frame.apply(coef) for coef in sol])
+    herm = _levi_gram(forms, [_conj(f) for f in forms])
+    f0 = Subspace(6, [_combine(coef, forms)
+                      for coef in kernel_basis(herm.transpose())])
     # the solver must recover the ruling direction; otherwise the ambient
     # frame fields would be unusable for the next step
     if f0 != Subspace(6, [r_value]):
         raise ArithmeticError("rib direction mismatch at the sample point")
     # step 1: c R with [cR, conj frame] in span{R} + D^01 at p
-    span = Subspace(6, [r_value] + [cb.eval(p.powers) for cb in conj_frame])
+    span = Subspace(6, [r_value] + [tuple(x.conj() for x in v[3:] + v[:3])
+                                    for v in values])
     dim_f1 = int(all(span.contains(R.bracket(cb).eval(p.powers))
-                     for cb in conj_frame))
+                     for cb in (f1.conj(), f2.conj())))
     return (2, f0.dim, dim_f1)
 
 

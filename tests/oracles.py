@@ -28,6 +28,11 @@ own, or states a law that the engine's results must obey:
 * ``pivot_frame_pair``: the holomorphic frame at a cone point chosen by
   elimination, the first two pivot columns of (L12, L13, L23)(p), against
   which the sign test of ``tube._d10_frame_at`` is checked.
+* ``j_image``, ``real_parts`` and ``dtheta``: the J image and the real parts
+  of a field as whole polynomial fields, and d theta summed term by term in
+  ``GQ`` arithmetic, against which the tube's values read off values and
+  its integer d theta are checked.
+* ``form_value``: the ``GQ`` vector of an integer form (d, re, im).
 * ``act_on_cochain`` and ``rotation_action_matrix``: the adjoint action of
   grade >= 0 elements on cochains, which commutes with d and d*, keeps the
   normalization spaces, and leaves the cochain inner product invariant.
@@ -57,11 +62,11 @@ from so32cr.cochains import Cochain, _side_m, cochain_dim
 from so32cr.forms import Form
 from so32cr.linalg import (Matrix, kernel, real_rows, rref, unit_vec, vec,
                            vec_add, vec_scale, zero_vec)
-from so32cr.scalars import GQ, HALF, I, ZERO
+from so32cr.scalars import GQ, HALF, HALF_I, I, ZERO
 from so32cr.so32 import (COMPLEX_LABELS, DIM, GRADES, IN_H, M_MINUS, N,
                          bracket_complex, bracket_coords, grades,
                          to_complex_basis)
-from so32cr.tube import ConePoint, Poly, cone_fields
+from so32cr.tube import ConePoint, Field, Poly, cone_fields
 
 # ---------------------------------------------------------------------------
 # a matrix times a vector
@@ -266,6 +271,33 @@ def apply_field(v, f):
         if not c.is_zero():
             out = out + c * f.diff(i)
     return out
+
+
+def j_image(v: Field) -> Field:
+    """The field JV: +i on the (1,0) part, -i on the (0,1) part."""
+    return Field([c * I for c in v.comps[:3]]
+                 + [c * -I for c in v.comps[3:]])
+
+
+def real_parts(v: Field):
+    """The real fields (V + conj V, i(V - conj V))."""
+    return v + v.conj(), (v - v.conj()).scale(I)
+
+
+def dtheta(u, v) -> GQ:
+    """d theta(u, v) = (i/2) sum_j eps_j (u^jb v^j - u^j v^jb), eps =
+    (1, 1, -1), on two GQ 6-vectors of the frame (d/dz, d/dzb)."""
+    total = ZERO
+    for j, eps in enumerate((1, 1, -1)):
+        term = u[j + 3] * v[j] - u[j] * v[j + 3]
+        total = total + term if eps > 0 else total - term
+    return total * HALF_I
+
+
+def form_value(form) -> tuple:
+    """The GQ vector (re + im*i)/d of an integer form (d, re, im)."""
+    d, re, im = form
+    return tuple(GQ(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im))
 
 
 def pivot_frame_pair(p: ConePoint):

@@ -42,6 +42,11 @@ EXTRA_COMMANDS = (
     # cone points with x^1 = 0, where the holomorphic frame is L12 and L23
     ["model", "levi", "--z", "0,1,1,0,0,0"],
     ["model", "freeman", "--z", "0,-3,3,1,2,-1"],
+    # coordinates over different denominators (140^2 + 147^2 = 203^2), so
+    # the integer power tables and d theta scale each value to a common one
+    ["model", "levi", "--z", "140/11,-147/11,203/11,-17/9,13/7,5/3"],
+    ["model", "cubic", "--z", "140/11,-147/11,203/11,-17/9,13/7,5/3"],
+    ["model", "freeman", "--z", "140/11,-147/11,203/11,-17/9,13/7,5/3"],
 )
 
 # "module.qualname": why it stays although the run above does not call it

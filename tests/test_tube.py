@@ -1,12 +1,16 @@
+import random
+import types
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (BASE_POINT, DIAG_TO_ANTIDIAG, SAMPLE_POINTS,
-                     apply_field, basis_matrices, iform, isotropy_algebra,
-                     model_levi_cubic, pivot_frame_pair)
-from so32cr.scalars import GQ, HALF_I
+                     apply_field, basis_matrices, dtheta, form_value, iform,
+                     isotropy_algebra, j_image, model_levi_cubic,
+                     pivot_frame_pair, real_parts)
+from so32cr.scalars import GQ, HALF_I, over_common_denominator
 from so32cr import tube
 from so32cr.linalg import Matrix, Subspace, kernel_basis, rank
 from so32cr.tube import (
@@ -74,7 +78,7 @@ def levi_polynomial(v: Field, u: Field) -> Poly:
     each pair of fields is expanded once."""
     key = (v.comps, u.comps)
     if key not in _LEVI_POLYNOMIALS:
-        _LEVI_POLYNOMIALS[key] = -theta_of(v.bracket(u.apply_J()))
+        _LEVI_POLYNOMIALS[key] = -theta_of(v.bracket(j_image(u)))
     return _LEVI_POLYNOMIALS[key]
 
 
@@ -128,7 +132,7 @@ def test_field_bracket_is_the_commutator_of_derivations():
     l12, l13, _, r = cone_fields()
     z = [Poly.var(j) for j in range(6)]
     w = Field([z[3], Poly(), Poly(), z[0], Poly(), Poly.const(1)])
-    fields = [l12, r, l13.conj(), r.conj(), l12.apply_J(),
+    fields = [l12, r, l13.conj(), r.conj(), j_image(l12),
               l12.conj() + w.scale(rho()), l13.conj() + w.scale(rho())]
     tests = (rho(), z[0] * z[4] + z[2] * GQ(0, 3),
              z[1] * z[1] * z[5] - z[3] + GQ(2))
@@ -160,8 +164,7 @@ def test_rib_is_levi_kernel_and_j_invariant():
         assert rib.dim == 2
         assert levi_kernel_at(p) == rib
         # J-invariance: J maps the two spanning vectors into the span
-        u1 = (r + r.conj()).apply_J()
-        u2 = ((r - r.conj()).scale(I)).apply_J()
+        u1, u2 = map(j_image, real_parts(r))
         assert rib.contains(u1.eval(p.powers))
         assert rib.contains(u2.eval(p.powers))
 
@@ -202,8 +205,10 @@ def test_levi_extension_independence():
 def test_levi_rejects_non_sections():
     _, _, _, r = cone_fields()
     p = SAMPLE_POINTS[3]
-    with pytest.raises(ValueError):
-        levi_form_at(p, Field([1, 0, 0, 1, 0, 0]), r + r.conj())
+    off = Field([1, 0, 0, 1, 0, 0])
+    for v, w in ((off, r + r.conj()), (r + r.conj(), off)):
+        with pytest.raises(ValueError, match="not a section"):
+            levi_form_at(p, v, w)
 
 
 def test_cubic_form_golden_value_and_linearity():
@@ -238,6 +243,10 @@ def test_cubic_membership_errors():
         cubic_form_at(p, r, l12, l12.conj())  # wrong type at the point
     with pytest.raises(ValueError):
         cubic_form_at(p, r.conj(), l12.conj(), l12.conj())  # not (1,0)
+    off = Field([0, 0, 0, 1, 0, 0])  # of type (0,1), but theta(off) != 0
+    for h, hp in ((off, l12.conj()), (l12.conj(), off), (off, off)):
+        with pytest.raises(ValueError, match="not a section"):
+            cubic_form_at(p, r, h, hp)
 
 
 def test_freeman_ranks():
@@ -389,14 +398,14 @@ def test_pointwise_values_match_the_polynomial_path(p):
                  Poly()])  # of type (1,0), so that E + rho U is one too
     cov = covectors_at(p)
     at = Powers(p.z)  # the polynomial path reads a power table of its own
-    j_images = [f.apply_J() for f in cone_fields()]
+    j_images = [j_image(f) for f in cone_fields()]
     for f in [l12, l13.conj(), r] + j_images:
         assert cov.apply(f.eval(p.powers))[1] == theta_of(f).eval(at)
     # Levi on real sections, J images of the four cone fields and
     # rho-multiple perturbations, in either slot
     real = l12 + l12.conj()
     pert = real + w.scale(rho()) + w.conj().scale(rho())
-    pairs = [(r + r.conj(), real), (real.apply_J(), real), (pert, real),
+    pairs = [(r + r.conj(), real), (j_image(real), real), (pert, real),
              (real, pert)]
     for f, jf in zip(cone_fields(), j_images):
         pairs += [(jf, real), (real, jf), (jf, f.conj()), (f, jf.conj())]
@@ -410,11 +419,20 @@ def test_pointwise_values_match_the_polynomial_path(p):
                  (r.scale(GQ(0, 3)) + u10.scale(rho()), l23.conj())):
         assert cubic_form_at(p, e, h, l13.conj()) == theta_of(
             e.bracket(h).bracket(l13.conj())).eval(at)
-    # every entry of the real and the Hermitian Levi Gram
-    (f1, f2), _ = _d10_frame_at(p)
+    # every entry of the real and the Hermitian Levi Gram; the frame's
+    # integer forms, and the real frame read off them, against the values
+    # of the frame fields and of their real parts
+    (f1, f2), values, forms = _d10_frame_at(p)
     frame, conj_frame = (f1, f2), (f1.conj(), f2.conj())
-    herm = _levi_gram(p, frame, conj_frame)
-    reals = _real_frame_at(p)[0]
+    assert [form_value(f) for f in forms] == [f.eval(at) for f in frame]
+    assert [form_value(tube._conj(f)) for f in forms] == [
+        f.eval(at) for f in conj_frame]
+    herm = _levi_gram(forms, [tube._conj(f) for f in forms])
+    reals = [u for f in frame for u in real_parts(f)]
+    assert [form_value(u) for u in _real_frame_at(p)] == [
+        u.eval(at) for u in reals]
+    assert rib_span_at(p) == Subspace(6, [u.eval(at)
+                                          for u in real_parts(r)])
     for gram, rows, cols in ((levi_real_gram(p), reals, reals),
                              (herm, frame, conj_frame)):
         assert gram == Matrix([[levi_polynomial(v, u).eval(at) for u in cols]
@@ -441,9 +459,48 @@ def test_pointwise_values_match_the_polynomial_path(p):
 @example(ConePoint((GQ(Fraction(-2, 3)), GQ(0, 5), GQ(Fraction(2, 3)))))
 def test_frames_match_the_elimination_rule(p):
     # the x^1 = 0 test picks the pair that the first two rref pivots pick,
-    # and R with L12 frames the distribution at every cone point
+    # and the real parts of that pair frame the distribution
     assert _d10_frame_at(p)[0] == pivot_frame_pair(p)
-    assert rank(Matrix(_real_frame_at(p)[1])) == 4
+    assert rank(Matrix([form_value(u) for u in _real_frame_at(p)])) == 4
+
+
+WORKLOADS = (Path(__file__).resolve().parent.parent / "perfbench"
+             / "workloads.py")
+
+
+def _workloads():
+    # executed from its source text, so no bytecode cache is written there
+    module = types.ModuleType("perfbench_workloads")
+    module.__file__ = str(WORKLOADS)
+    exec(compile(WORKLOADS.read_text(), str(WORKLOADS), "exec"),
+         module.__dict__)
+    return module
+
+
+def test_each_benchmark_kind_evaluates_each_field_once(monkeypatch):
+    # one op of each tube-points kind at a fresh point: conjugates, J
+    # images and real parts are read off values, and no field is evaluated
+    # twice.  The counts are Hermitian rank, real Gram, kernel and rib,
+    # Freeman (step 1 stops at the first bracket [R, conj L] outside the
+    # span) and cubic
+    workloads = _workloads()
+    seen = []
+    original = Field.eval
+
+    def counting(field, powers):
+        seen.append(field)
+        return original(field, powers)
+
+    monkeypatch.setattr(Field, "eval", counting)
+    for seed in (1, 2, 3):
+        counts = []
+        for kind, check in workloads._tube_kinds():
+            p = workloads.random_cone_point(random.Random(seed))
+            seen.clear()
+            assert check(kind(p))
+            assert len(set(map(id, seen))) == len(seen), kind
+            counts.append(len(seen))
+        assert counts == [2, 2, 3, 4, 3]
 
 
 def test_one_reading_of_the_covectors_per_point(monkeypatch):
@@ -489,26 +546,83 @@ def fresh(poly: Poly) -> Poly:
     return Poly(dict(poly.terms))
 
 
+_BIG = st.integers(-10 ** 20, 10 ** 20)
+_high_gq = st.builds(lambda a, b, d: GQ(Fraction(a, d), Fraction(b, d)),
+                     _BIG, _BIG, st.integers(1, 10 ** 6))
+
+
 @st.composite
-def polys(draw, max_degree=4):
-    """A random polynomial of total degree at most max_degree."""
+def polys(draw, coefficients=_small_gq):
+    """A random polynomial of total degree at most 4, of terms of mixed
+    degree in general."""
     terms = {}
     for _ in range(draw(st.integers(0, 8))):
         mono = [0] * 6
-        for _ in range(draw(st.integers(0, max_degree))):
+        for _ in range(draw(st.integers(0, 4))):
             mono[draw(st.integers(0, 5))] += 1
-        terms[tuple(mono)] = draw(_small_gq)
+        terms[tuple(mono)] = draw(coefficients)
     return Poly(terms)
 
 
-@settings(deadline=None, max_examples=60)
-@given(polys(), st.lists(_small_gq, min_size=3, max_size=3))
+@st.composite
+def high_points(draw):
+    """Three coordinates with numerators of up to 20 digits, each over a
+    denominator of its own, one of them zero."""
+    dens = draw(st.lists(st.integers(2, 10 ** 6), min_size=3, max_size=3,
+                         unique=True))
+    z = [GQ(Fraction(draw(_BIG), d), Fraction(draw(_BIG), d)) for d in dens]
+    z[draw(st.integers(0, 2))] = GQ(0)
+    return z
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.one_of(polys(), polys(_high_gq)),
+       st.one_of(st.lists(_small_gq, min_size=3, max_size=3), high_points()))
+@example(Poly({(2, 0, 0, 0, 0, 1): GQ(10 ** 19 + 7, -3),
+               (0, 1, 0, 0, 0, 0): GQ(Fraction(1, 3)), (0,) * 6: GQ(0, 5)}),
+         [GQ(Fraction(10 ** 20 - 1, 7), Fraction(-3, 11)), GQ(0),
+          GQ(Fraction(5, 13), Fraction(10 ** 19, 17))])
 def test_compiled_eval_matches_the_monomial_loop(poly, z):
+    # each term's numerator is scaled by D^gap to the top degree, so terms
+    # of mixed degree, coordinates over different denominators, a zero
+    # coordinate and 20-digit heights all go through the integer sum
     assert poly.eval(Powers(z)) == naive_eval(poly, z)
     # one power table shared by polynomials of rising degree grows as needed
     powers = Powers(z)
-    for q in (Poly.var(0), poly, poly * poly, poly.conj()):
+    for q in (Poly.var(0), poly, poly * poly, poly.conj(),
+              poly + Poly.var(4) + 1):
         assert q.eval(powers) == naive_eval(q, z)
+
+
+_mixed_vectors = st.lists(st.one_of(_small_gq, _high_gq), min_size=6,
+                          max_size=6)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_mixed_vectors, _mixed_vectors,
+       st.lists(st.one_of(_small_gq, _high_gq), min_size=2, max_size=2))
+@example([GQ(Fraction(10 ** 19 + 3, 7), Fraction(-5, 3)), GQ(2, -1), GQ(0),
+          GQ(Fraction(-1, 2), 4), GQ(Fraction(3, 10 ** 6), 10 ** 20 - 7),
+          GQ(0, 1)],
+         [GQ(1, 2), GQ(Fraction(-7, 5)), GQ(Fraction(10 ** 20 + 1, 13), -3),
+          GQ(0, Fraction(1, 9)), GQ(5), GQ(Fraction(-2, 3), Fraction(1, 4))],
+         [GQ(Fraction(1, 3), -2), GQ(Fraction(-10 ** 19, 7), Fraction(5, 2))])
+def test_integer_dtheta_matches_the_gq_sum(u, v, coef):
+    # d theta, J and conj on integer forms, over each vector's own
+    # denominator or over one shared by both (as _section_forms makes them),
+    # and a combination of forms over one denominator with complex
+    # coefficients, which the cone fields' real values never need
+    own = over_common_denominator(u), over_common_denominator(v)
+    d, re, im = over_common_denominator(u + v)
+    shared = (d, re[:6], im[:6]), (d, re[6:], im[6:])
+    assert tube._combine(coef, shared) == tuple(
+        coef[0] * x + coef[1] * y for x, y in zip(u, v))
+    for fu, fv in (own, shared):
+        assert tube._dtheta(fu, fv) == dtheta(u, v)
+        assert form_value(tube._J(fu)) == tuple(
+            [x * I for x in u[:3]] + [x * -I for x in u[3:]])
+        assert form_value(tube._conj(fu)) == tuple(
+            x.conj() for x in u[3:] + u[:3])
 
 
 def _jet_fields():
@@ -517,9 +631,8 @@ def _jet_fields():
     products of the coordinates."""
     fields = []
     for f in cone_fields():
-        fields += [f, f.conj(), f.apply_J(), f.conj().apply_J()]
-    for pair in tube.cone_real_parts():
-        fields += list(pair)
+        fields += [f, f.conj(), j_image(f), j_image(f.conj())]
+        fields += list(real_parts(f))
     l12 = cone_fields()[0]
     z = [Poly.var(j) for j in range(6)]
     w = Field([z[3], Poly(), Poly(), z[0], Poly(), Poly.const(1)])
@@ -549,11 +662,9 @@ def test_jet_tables_match_a_direct_computation(p):
 def test_derived_fields_are_kept():
     for f in cone_fields():
         assert f.conj() is f.conj() and f.conj().conj() is f
-        assert f.apply_J() is f.apply_J()
         assert f.partials() is f.partials()
         assert f.conj().comps == Field([c.conj() for c in
                                         f.comps[3:] + f.comps[:3]]).comps
-    assert tube.cone_real_parts() is tube.cone_real_parts()
 
 
 def test_warm_evaluators_build_no_fields_or_derivatives(monkeypatch):
