@@ -4,9 +4,10 @@ A carrier is one of the four truncations m, m+h^0, m+h^0+h^1, m+h, the
 carriers of the four prolongation steps, each a coordinate subspace in the
 fixed basis order, equipped with the restricted grading and the partial
 complex structure J.  Because every filtration space is spanned by basis
-vectors, the filtered/graded conditions on an endomorphism are entry
-patterns plus small linear relations for the J-condition; each space is a
-coordinate subspace cut down by an exact kernel of the J rows alone.
+vectors, the filtered and graded conditions on an endomorphism are entry
+patterns, and each space is a coordinate subspace.  J-compatibility is a
+condition of the step-0 system (``prolong.prolong_step0``), not of a space
+here.
 
 Endomorphisms are n x n matrices over the carrier's slice of the basis,
 vectorized row-major (``Matrix.flatten``) for subspace bookkeeping.
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .scalars import GQ
-from .linalg import Matrix, Subspace, kernel_basis, unit_vec, vec
+from .linalg import Matrix, Subspace, unit_vec, vec
 from . import so32
 from .so32 import (_J_IMAGE, bracket_coords, complex_basis_matrix,
                    complex_basis_matrix_inv)
@@ -42,11 +43,7 @@ class Carrier:
         self.dim = len(self.indices)
         self.grades = tuple(so32.GRADES[i] for i in self.indices)
 
-    # -- index sets ------------------------------------------------------
-    def h_part(self):
-        """Local slots of the h-part (the semitone space V_(0|0))."""
-        return tuple(p for p, i in enumerate(self.indices) if so32.IN_H[i])
-
+    # -- J ----------------------------------------------------------------
     def j_matrix(self) -> Matrix:
         """J on the carrier, extended by zero outside m^-1+m^0+h^0+h^1."""
         entries = []
@@ -107,41 +104,12 @@ class EndoSubspace:
         return [Matrix.unflatten(v, n) for v in self.space.basis_vectors()]
 
 
-def _j_constraint_matrix(carrier: Carrier, domain_slots, coords) -> Matrix:
-    """Rows expressing (J A - A J)(v) = 0 mod h-part for v in domain slots,
-    over the row-major entries ``coords`` of A (entries outside them are
-    taken to be zero)."""
+def _endo_space(carrier: Carrier, allowed) -> Subspace:
+    """Endomorphisms supported on the entries (r, c) with ``allowed(r, c)``:
+    a coordinate subspace."""
     n = carrier.dim
-    jm = carrier.j_matrix()
-    jt = jm.transpose()  # row c: the coordinates of J(v_c)
-    hpart = set(carrier.h_part())
-    column = {q: p for p, q in enumerate(coords)}
-    targets = [(c, r) for c in domain_slots for r in range(n) if r not in hpart]
-    entries = []
-    for t, (c, r) in enumerate(targets):
-        # (J A)(v_c)_r = sum_s J[r,s] A[s,c];  (A J)(v_c)_r = sum_s A[r,s] J[s,c]
-        entries += [(t, s * n + c, x) for s, x in jm.rows[r]]
-        entries += [(t, r * n + s, -x) for s, x in jt.rows[c]]
-    return Matrix.from_entries(len(targets), len(coords), (
-        (t, column[q], x) for t, q, x in entries if q in column))
-
-
-def _endo_space(carrier: Carrier, allowed, j_domain) -> Subspace:
-    """Endomorphisms supported on the entries (r, c) with ``allowed(r, c)``
-    and J-compatible on the ``j_domain`` slots.  The entry pattern is a
-    coordinate subspace; only the J rows, restricted to the allowed
-    coordinates, need a kernel."""
-    n = carrier.dim
-    coords = [r * n + c for r in range(n) for c in range(n) if allowed(r, c)]
-    if not j_domain:
-        return Subspace.coordinate(n * n, coords)
-    vectors = []
-    for v in kernel_basis(_j_constraint_matrix(carrier, j_domain, coords)):
-        w = [GQ(0)] * (n * n)
-        for p, x in zip(coords, v):
-            w[p] = x
-        vectors.append(w)
-    return Subspace(n * n, vectors)
+    return Subspace.coordinate(n * n, [r * n + c for r in range(n)
+                                       for c in range(n) if allowed(r, c)])
 
 
 def gl_filtered(carrier: Carrier, k: int) -> EndoSubspace:
@@ -151,26 +119,17 @@ def gl_filtered(carrier: Carrier, k: int) -> EndoSubspace:
         raise ValueError("only nonnegative degrees are defined here")
     g = carrier.grades
     return EndoSubspace(carrier, _endo_space(
-        carrier, lambda r, c: g[r] >= g[c] + k, ()))
+        carrier, lambda r, c: g[r] >= g[c] + k))
 
 
-def gl_graded(carrier: Carrier, k: int, j_compatible: bool = False) -> EndoSubspace:
-    """Graded degree-k endomorphisms B(W^g) in W^{g+k}, optionally with J.
-
-    These are the honest graded representatives of the "mod higher degree"
-    classes.  For k >= 2 the J-condition is vacuous (values at grade >= 1
-    land inside the h-part), and the two variants coincide.
-    """
+def gl_graded(carrier: Carrier, k: int) -> EndoSubspace:
+    """Graded degree-k endomorphisms B(W^g) in W^{g+k}: the honest graded
+    representatives of the "mod higher degree" classes."""
     if k < 0:
         raise ValueError("only nonnegative degrees are defined here")
     g = carrier.grades
-    # the J-condition is imposed on the slots of m where J is defined
-    j_domain = tuple(
-        p for p, i in enumerate(carrier.indices)
-        if i in _J_IMAGE and not so32.IN_H[i]
-    ) if j_compatible else ()
     return EndoSubspace(carrier, _endo_space(
-        carrier, lambda r, c: g[r] == g[c] + k, j_domain))
+        carrier, lambda r, c: g[r] == g[c] + k))
 
 
 # ---------------------------------------------------------------------------

@@ -177,11 +177,6 @@ class Cochain:
         return Cochain(self.ell, self.k,
                        [a + b for a, b in zip(self.coords, other.coords)])
 
-    def __sub__(self, other):
-        self._compat(other)
-        return Cochain(self.ell, self.k,
-                       [a - b for a, b in zip(self.coords, other.coords)])
-
     def _compat(self, other):
         if (self.ell, self.k) != (other.ell, other.k):
             raise ValueError("cochain bidegree mismatch")

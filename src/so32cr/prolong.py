@@ -3,7 +3,8 @@
 Step k solves a linear system inside a gauge space of graded degree-k
 endomorphisms of the step carrier:
 
-    step 0   gl_0^gr(m, J)           two cubic/Levi compatibility conditions
+    step 0   gl_0^gr(m)              [J, B] = 0 and the two Levi/cubic
+                                     compatibility conditions
     step 1   l1 in gl_1^gr(m+h0, J)  dB = 0
     step 2   gl_2^gr(m+h0+h1)        dB = 0
     step 3   gl_3^gr(m+h)            dB = 0
@@ -95,40 +96,45 @@ class ProlongationStep:
         return self.space.dim
 
 
-def prolong_step0() -> ProlongationStep:
-    """Degree-0 step: solve the two strong-adaptation conditions inside
-    gl_0^gr(m, J); the result is ad(h^0) restricted to m."""
-    carrier = Carrier("m")
-    basis = gl_graded(carrier, 0, j_compatible=True).basis_endos()
-
+def adaptation_conditions(b: Matrix) -> list:
+    """The two strong-adaptation conditions on a degree-0 endomorphism b of
+    m, as complex algebra coordinates: all vanish iff b keeps the Levi and
+    the cubic form."""
+    act = partial(Carrier("m").apply_endo, b)
+    br = so32.bracket_coords
     zl = so32.COMPLEX_LABELS.index
-    e10_10 = so32.complex_unit(zl("e^-1(10)"))
-    e10_01 = so32.complex_unit(zl("e^-1(01)"))
-    e0_10 = so32.complex_unit(zl("e^0(10)"))
-    e0_01 = so32.complex_unit(zl("e^0(01)"))
-    em2 = real_unit("e^-2")
+    e10_10, e10_01, e0_10 = (so32.complex_unit(zl(label)) for label in (
+        "e^-1(10)", "e^-1(01)", "e^0(10)"))
+    b_em2 = act(real_unit("e^-2"))
+    # Levi compatibility: [B e^-1(10), e^-1(01)] + [e^-1(10), B e^-1(01)]
+    #                     = (i/2) B e^-2
+    c1 = vec_add(br(act(e10_10), e10_01), br(e10_10, act(e10_01)))
+    c1 = vec_add(c1, vec_scale(-HALF_I, b_em2))
+    # cubic compatibility, derivation of [[e^0(10), e^-1(01)], e^-1(01)]
+    c2 = vec_add(
+        br(br(act(e0_10), e10_01), e10_01),
+        vec_add(
+            br(br(e0_10, act(e10_01)), e10_01),
+            br(br(e0_10, e10_01), act(e10_01)),
+        ),
+    )
+    c2 = vec_add(c2, vec_scale(HALF_I, b_em2))
+    return list(c1) + list(c2)
 
-    def conditions(b: Matrix):
-        act = partial(carrier.apply_endo, b)
-        br = so32.bracket_coords
-        # Levi compatibility: [B e^-1(10), e^-1(01)] + [e^-1(10), B e^-1(01)]
-        #                     = (i/2) B e^-2
-        c1 = vec_add(br(act(e10_10), e10_01), br(e10_10, act(e10_01)))
-        c1 = vec_add(c1, vec_scale(-HALF_I, act(em2)))
-        # cubic compatibility, derivation of [[e^0(10), e^-1(01)], e^-1(01)]
-        c2 = vec_add(
-            br(br(act(e0_10), e10_01), e10_01),
-            vec_add(
-                br(br(e0_10, act(e10_01)), e10_01),
-                br(br(e0_10, e10_01), act(e10_01)),
-            ),
-        )
-        c2 = vec_add(c2, vec_scale(HALF_I, act(em2)))
-        return list(c1) + list(c2)
 
+def prolong_step0() -> ProlongationStep:
+    """Degree-0 step: solve J-compatibility, [J, B] = 0, and the two
+    strong-adaptation conditions in one system over gl_0^gr(m); the result
+    is ad(h^0) restricted to m.  J is zero on e^-2 and B keeps e^-2 in
+    m^-2, so the full commutator is the J-condition on m^-1 + m^0."""
+    carrier = Carrier("m")
+    basis = gl_graded(carrier, 0).basis_endos()
+    j = carrier.j_matrix()
     space = _solve_in_gauge(
         Matrix.from_columns([b.flatten() for b in basis]),
-        Matrix.from_columns([conditions(b) for b in basis]))
+        Matrix.from_columns([adaptation_conditions(b)
+                             + list((j @ b - b @ j).flatten())
+                             for b in basis]))
     witnesses = (real_unit("E_1^0"), real_unit("E_2^0"))
     generators = tuple(carrier.ad_action(w) for w in witnesses)
     notes = (

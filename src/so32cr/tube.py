@@ -376,9 +376,9 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     if not e.is_type10():
         raise ValueError("first argument must be of type (1,0)")
     _, _, _, R = cone_fields()
-    e_value = e.eval(p.powers)
-    r_value = e_value if e is R else R.eval(p.powers)
-    if not Subspace(6, [r_value]).contains(e_value):
+    # R is on the rib; any other E is tested against R(p)
+    if e is not R and not Subspace(6, [R.eval(p.powers)]).contains(
+            e.eval(p.powers)):
         raise ValueError("first argument must point along the rib")
     values = [h.eval(p.powers)] + ([] if hp is h else [hp.eval(p.powers)])
     forms = _section_forms(covectors_at(p), values)
@@ -454,7 +454,7 @@ def freeman_ranks_at(p: ConePoint):
                       for coef in kernel_basis(herm.transpose())])
     # the solver must recover the ruling direction; otherwise the ambient
     # frame fields would be unusable for the next step
-    if f0 != Subspace(6, [r_value]):
+    if not (f0.dim == 1 and f0.contains(r_value)):
         raise ArithmeticError("rib direction mismatch at the sample point")
     # step 1: c R with [cR, conj frame] in span{R} + D^01 at p
     span = Subspace(6, [r_value] + [tuple(x.conj() for x in v[3:] + v[:3])

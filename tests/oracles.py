@@ -15,6 +15,14 @@ own, or states a law that the engine's results must obey:
   of a carrier, optionally J-compatible, of which the engine computes only
   the plain gl_k; the degree-1* J-compatible space is the algebra of
   first-order frame changes.
+* ``j_rows`` and ``j_endo_space``: the J-condition (J A - A J)(v) = 0
+  modulo the h-part, for v in chosen slots, as linear rows on the entries
+  of A, and the kernel of those rows over an entry pattern.  The engine
+  has no J-compatible space: step 0 solves [J, B] = 0 in one system with
+  its other two conditions.
+* ``gl_graded_j``: gl_k^gr of a carrier, J-compatible on m^-1 + m^0; at
+  k = 0 on m it is the 5-dimensional gauge in which the two
+  strong-adaptation conditions alone give the step-0 space.
 * ``isotropy_algebra``: the stabilizer of a point of the quadric, in the
   anti-diagonal coordinates of the basis matrices; at the base point
   ``BASE_POINT`` it has dimension 5 = 2 + 2 + 1, the prolongation
@@ -56,15 +64,14 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from so32cr import so32
-from so32cr.carriers import (Carrier, EndoSubspace, _endo_space,
-                              endo_from_complex_images)
+from so32cr.carriers import Carrier, EndoSubspace, endo_from_complex_images
 from so32cr.cochains import Cochain, _side_m, cochain_dim
 from so32cr.forms import Form
-from so32cr.linalg import (Matrix, kernel, real_rows, rref, unit_vec, vec,
-                           vec_add, vec_scale, zero_vec)
+from so32cr.linalg import (Matrix, Subspace, kernel, kernel_basis, real_rows,
+                           rref, unit_vec, vec, vec_add, vec_scale, zero_vec)
 from so32cr.scalars import GQ, HALF, HALF_I, I, ZERO
-from so32cr.so32 import (COMPLEX_LABELS, DIM, GRADES, IN_H, M_MINUS, N,
-                         bracket_complex, bracket_coords, grades,
+from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, DIM, GRADES, IN_H,
+                         M_MINUS, N, bracket_complex, bracket_coords, grades,
                          to_complex_basis)
 from so32cr.tube import ConePoint, Field, Poly, cone_fields
 
@@ -200,7 +207,59 @@ def gl_semitone(carrier: Carrier, k: int, star: bool = False,
         return g[r] >= g[c] + k
 
     j_domain = fstar_ladder(carrier)[1] if j_compatible else ()
-    return EndoSubspace(carrier, _endo_space(carrier, allowed, j_domain))
+    return EndoSubspace(carrier, j_endo_space(carrier, allowed, j_domain))
+
+
+# ---------------------------------------------------------------------------
+# J-compatibility as rows
+# ---------------------------------------------------------------------------
+
+
+def j_rows(carrier: Carrier, domain_slots, coords) -> Matrix:
+    """Rows expressing (J A - A J)(v) = 0 modulo the h-part for v in the
+    domain slots, over the row-major entries ``coords`` of A (entries
+    outside them are taken to be zero)."""
+    n = carrier.dim
+    jm = carrier.j_matrix()
+    jt = jm.transpose()  # row c: the coordinates of J(v_c)
+    hpart = {p for p, i in enumerate(carrier.indices) if IN_H[i]}
+    column = {q: p for p, q in enumerate(coords)}
+    targets = [(c, r) for c in domain_slots for r in range(n) if r not in hpart]
+    entries = []
+    for t, (c, r) in enumerate(targets):
+        # (J A)(v_c)_r = sum_s J[r,s] A[s,c];  (A J)(v_c)_r = sum_s A[r,s] J[s,c]
+        entries += [(t, s * n + c, x) for s, x in jm.rows[r]]
+        entries += [(t, r * n + s, -x) for s, x in jt.rows[c]]
+    return Matrix.from_entries(len(targets), len(coords), (
+        (t, column[q], x) for t, q, x in entries if q in column))
+
+
+def j_endo_space(carrier: Carrier, allowed, j_domain) -> Subspace:
+    """Endomorphisms supported on the entries (r, c) with ``allowed(r, c)``
+    and J-compatible on the ``j_domain`` slots: the kernel of the J rows
+    restricted to the allowed coordinates."""
+    n = carrier.dim
+    coords = [r * n + c for r in range(n) for c in range(n) if allowed(r, c)]
+    if not j_domain:
+        return Subspace.coordinate(n * n, coords)
+    vectors = []
+    for v in kernel_basis(j_rows(carrier, j_domain, coords)):
+        w = [ZERO] * (n * n)
+        for p, x in zip(coords, v):
+            w[p] = x
+        vectors.append(w)
+    return Subspace(n * n, vectors)
+
+
+def gl_graded_j(carrier: Carrier, k: int) -> EndoSubspace:
+    """Graded degree-k endomorphisms B(W^g) in W^{g+k}, J-compatible on the
+    slots of m where J is defined (m^-1 + m^0).  For k >= 2 the condition
+    is vacuous: values at grade >= 1 land inside the h-part."""
+    g = carrier.grades
+    j_domain = tuple(p for p, i in enumerate(carrier.indices)
+                     if i in _J_IMAGE and not IN_H[i])
+    return EndoSubspace(carrier, j_endo_space(
+        carrier, lambda r, c: g[r] == g[c] + k, j_domain))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import random
 
-from oracles import filtration_steps, fstar_ladder, gl_semitone
+from oracles import (filtration_steps, fstar_ladder, gl_graded_j,
+                     gl_semitone, j_rows)
 from so32cr.scalars import GQ
 from so32cr.linalg import Matrix, Subspace, kernel
 from so32cr.so32 import real_unit
@@ -11,7 +12,6 @@ from so32cr.carriers import (
     endo_from_complex_images,
     gl_filtered,
     gl_graded,
-    _j_constraint_matrix,
 )
 
 
@@ -29,8 +29,9 @@ def frame_freedom(c):
 
 
 def test_graded_dimensions():
-    assert gl_graded(Carrier("m"), 0, j_compatible=True).dim == 5
-    assert gl_graded(Carrier("m+h0"), 1, j_compatible=True).dim == 8
+    assert gl_graded(Carrier("m"), 0).dim == 9
+    assert gl_graded_j(Carrier("m"), 0).dim == 5
+    assert gl_graded_j(Carrier("m+h0"), 1).dim == 8
     assert gl_graded(Carrier("m+h0+h1"), 2).dim == 8
     assert gl_graded(Carrier("m+h"), 3).dim == 4
 
@@ -48,7 +49,7 @@ def test_j_condition_vacuous_for_degree_two_and_up():
     for name in CARRIER_NAMES:
         c = Carrier(name)
         for k in (2, 3, 4):
-            assert gl_graded(c, k, True).space == gl_graded(c, k, False).space
+            assert gl_graded_j(c, k).space == gl_graded(c, k).space
             assert (
                 gl_semitone(c, k, star=True, j_compatible=True).space
                 == gl_semitone(c, k, star=True, j_compatible=False).space
@@ -103,8 +104,7 @@ def test_ad_of_h_restricts_to_graded():
     ]
     for label, k, cname in cases:
         c = Carrier(cname)
-        assert contains(gl_graded(c, k, j_compatible=True),
-                        c.ad_action(real_unit(label)))
+        assert contains(gl_graded_j(c, k), c.ad_action(real_unit(label)))
 
 
 def test_frame_freedom_on_m_is_gl1():
@@ -169,8 +169,8 @@ def _reference_space(c, allowed, j_domain):
                 row[r * n + col] = GQ(1)
                 rows.append(row)
     if j_domain:
-        j_rows = _j_constraint_matrix(c, j_domain, range(n * n))
-        rows += [j_rows.row(i) for i in range(j_rows.nrows)]
+        j = j_rows(c, j_domain, range(n * n))
+        rows += [j.row(i) for i in range(j.nrows)]
     if not rows:
         return Subspace.full(n * n)
     return kernel(Matrix(rows, ncols=n * n))
@@ -226,9 +226,11 @@ def test_filtered_spaces_match_kernel_reference():
 
 
 def test_graded_spaces_match_kernel_reference():
+    # the engine's plain gl_k^gr, and the oracle's J-compatible one
     for name in CARRIER_NAMES:
         c = Carrier(name)
         for k in range(4):
-            for j in (False, True):
-                assert gl_graded(c, k, j).space == _reference_graded(c, k, j), (
-                    name, k, j)
+            assert gl_graded(c, k).space == _reference_graded(
+                c, k, False), (name, k)
+            assert gl_graded_j(c, k).space == _reference_graded(
+                c, k, True), (name, k)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (act_on_cochain, add_term, beta_gauge_response,
-                     endo_of_cochain, gl2_endo, reference_apply,
+                     endo_of_cochain, gl2_endo, gl_graded_j, reference_apply,
                      restrict_ctorsion, rotation_action_matrix,
                      symmetric_signature)
 from so32cr import cochains, linalg, prolong
 from so32cr.scalars import GQ
-from so32cr.linalg import Matrix, Subspace, kernel, solve, unit_vec, vec_scale
+from so32cr.linalg import (Matrix, Subspace, kernel, real_rows, solve,
+                           unit_vec, vec_scale)
 from so32cr.so32 import DIM, GRADES, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr.cochains import Cochain, coboundary, cochain_dim
@@ -82,6 +83,21 @@ def test_step0_solved_relations():
         )
         fam.append(flat_endo(b))
     assert Subspace(25, fam) == s.space
+
+
+def test_step0_j_rows_match_the_j_compatible_gauge():
+    # step 0's one system, J rows included, against the two
+    # strong-adaptation conditions solved inside the oracle's J-compatible
+    # gl_0^gr(m)
+    gauge = gl_graded_j(Carrier("m"), 0).basis_endos()
+    assert len(gauge) == 5
+    solutions = kernel(real_rows(Matrix.from_columns(
+        [prolong.adaptation_conditions(b) for b in gauge])))
+    old = Subspace(25, [
+        reference_apply(Matrix.from_columns([b.flatten() for b in gauge]), t)
+        for t in solutions.basis_vectors()])
+    assert old.dim == 2
+    assert prolong_step0().space == old
 
 
 def test_l1_subspace():
