@@ -15,7 +15,7 @@ vectorized row-major (``Matrix.flatten``) for subspace bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .scalars import GQ
 from .linalg import Matrix, Subspace, unit_vec, vec
@@ -90,8 +90,7 @@ class Carrier:
 # endomorphism subspaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EndoSubspace:
+class EndoSubspace(NamedTuple):
     carrier: Carrier
     space: Subspace  # subspace of GQ^(n*n), row-major vectorization
 

@@ -21,9 +21,9 @@ homogeneity is structural: a Cochain is a coordinate vector over the slice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .scalars import GQ
 from .linalg import (
@@ -130,19 +130,30 @@ def cochain_dim(ell: int, k: int) -> int:
     return len(cochain_monomials(ell, k))
 
 
-@dataclass(frozen=True)
 class Cochain:
-    """Element of C^ell_k(m_-, g): coordinates over the monomial basis."""
+    """Element of C^ell_k(m_-, g): coordinates over the monomial basis;
+    immutable, equal when ell, k and the coordinates are."""
 
-    ell: int
-    k: int
-    coords: tuple
+    __slots__ = ("ell", "k", "coords")
 
-    def __post_init__(self):
-        monos = cochain_monomials(self.ell, self.k)
-        if len(self.coords) != len(monos):
+    def __init__(self, ell: int, k: int, coords):
+        if len(coords) != cochain_dim(ell, k):
             raise ValueError("coordinate count does not match the slice basis")
-        object.__setattr__(self, "coords", vec(self.coords))
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "coords", vec(coords))
+
+    def __setattr__(self, *a):
+        raise AttributeError("Cochain is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Cochain):
+            return NotImplemented
+        return (self.ell, self.k, self.coords) == (other.ell, other.k,
+                                                   other.coords)
+
+    def __hash__(self):
+        return hash((self.ell, self.k, self.coords))
 
     @staticmethod
     def zero(ell: int, k: int) -> "Cochain":
@@ -335,8 +346,7 @@ def kostant_pieces(ell: int, k: int):
     return exact, harmonic, coexact
 
 
-@dataclass(frozen=True)
-class HodgeTriple:
+class HodgeTriple(NamedTuple):
     exact: Cochain
     harmonic: Cochain
     coexact: Cochain

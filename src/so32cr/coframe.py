@@ -20,9 +20,9 @@ and the three torsion normalizations impose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 from .scalars import GQ, HALF, HALF_I, I, combination_text
 from . import forms, so32
@@ -167,8 +167,7 @@ def flat_torsion() -> dict:
     return {beta: f for beta, f in forms.items() if not f.is_zero()}
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """One structure function: T^upper_b|c (m-valued) or R^upper_b|c
     (h-valued)."""
 
@@ -189,8 +188,7 @@ class Symbol:
         return Symbol(CONJ_PERM[self.upper], lower), sign
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     """A linear relation sum(coef * symbol) = 0 among structure functions."""
 
     source: str

@@ -27,8 +27,8 @@ fixed A whose kernel is the normalization space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import NamedTuple
 
 from .scalars import GQ, HALF_I, I, over_common_denominator
 from .linalg import (
@@ -82,8 +82,7 @@ def _solve_in_gauge(gauge: Matrix, conditions: Matrix) -> Subspace:
 # step 0
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProlongationStep:
+class ProlongationStep(NamedTuple):
     step: int
     carrier: Carrier
     space: Subspace          # endomorphisms of the carrier, vectorized

@@ -9,11 +9,10 @@ The JSON layout is deliberately flat so golden-file diffs localize:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     expected: str
     actual: str
@@ -30,10 +29,12 @@ class Check:
         }
 
 
-@dataclass
 class Report:
-    command: str
-    checks: list = field(default_factory=list)
+    __slots__ = ("command", "checks")
+
+    def __init__(self, command: str):
+        self.command = command
+        self.checks = []
 
     def add(self, name, expected, actual, source, ok=None):
         expected = str(expected)

@@ -30,9 +30,8 @@ scalar-factor deltas instead of trusting them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
+from typing import NamedTuple
 
 from .scalars import GQ, HALF, HALF_I, combination_text
 from .linalg import Matrix, inverse, unit_vec, vec
@@ -263,6 +262,7 @@ def format_combination(coords) -> str:
 
 def table1_fixture():
     """The transcribed bracket table: dict (row_label, col_label) -> coords."""
+    from importlib import resources  # only verify table1 reads a resource
     text = resources.files("so32cr").joinpath("table1.txt").read_text()
     table = {}
     rows_seen = []
@@ -289,8 +289,7 @@ def _arg_coords(label: str):
     return real_unit(label)  # the grading element
 
 
-@dataclass(frozen=True)
-class CellCheck:
+class CellCheck(NamedTuple):
     row: str
     col: str
     table_value: tuple

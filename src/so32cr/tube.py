@@ -33,8 +33,7 @@ so that all evaluations are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .scalars import (GQ, HALF, HALF_I, ZERO, _gq,
                       over_common_denominator)
@@ -281,26 +280,33 @@ def cone_fields():
     return L(0, 1), L(0, 2), L(1, 2), R
 
 
-@dataclass(frozen=True)
 class ConePoint:
-    """A point z = x + iy with x on the future light cone, all rational."""
+    """An immutable point z = x + iy with x on the future light cone, all
+    rational."""
 
-    z: tuple
+    __slots__ = ("z", "_powers")
 
-    def __post_init__(self):
-        z = vec(self.z)
+    def __init__(self, z):
+        z = vec(z)
         if len(z) != 3:
             raise ValueError("need 3 complex coordinates")
-        object.__setattr__(self, "z", z)
         if cone_quadratic([GQ(c.re) for c in z]):
             raise ValueError("real part is not on the cone")
         if z[2].re <= 0:
             raise ValueError("not on the future half (x^3 must be positive)")
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "_powers", None)
 
-    @cached_property
+    def __setattr__(self, *a):
+        raise AttributeError("ConePoint is immutable")
+
+    @property
     def powers(self) -> Powers:
-        """The point's one power table, read by every evaluation at it."""
-        return Powers(self.z)
+        """The point's one power table, read by every evaluation at it and
+        built by the first."""
+        if self._powers is None:
+            object.__setattr__(self, "_powers", Powers(self.z))
+        return self._powers
 
 
 def covectors_at(p: ConePoint) -> Matrix:

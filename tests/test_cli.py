@@ -1,21 +1,22 @@
-import dataclasses
 import itertools
 import json
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from so32cr import prolong, so32, tube
+from so32cr import carriers, cochains, coframe, prolong, report, so32, tube
 from so32cr.cli import run
 from so32cr.linalg import Subspace
 from so32cr.cochains import (Cochain, cochain_dim, ctorsion_from_json,
                               ctorsion_to_json)
 from so32cr.scalars import GQ, HALF_I
 from so32cr.so32 import REAL_LABELS
+from test_golden_reports import COMMANDS as CATALOGUE
 
 ROOT = Path(__file__).resolve().parent.parent
 NORMALIZE_K2 = ROOT / "perfbench" / "inputs" / "normalize_k2.json"
@@ -179,6 +180,13 @@ def test_every_check_has_source():
         assert code == 0, argv
         assert rep.checks
         assert all(c.source for c in rep.checks)
+
+
+def test_reports_do_not_share_their_checks():
+    first, second = report.Report("a"), report.Report("b")
+    first.add("row", 1, 1, "test")
+    assert len(first.checks) == 1 and second.checks == []
+    assert first.status == second.status == "pass"
 
 
 def test_json_schema_and_determinism(tmp_path):
@@ -369,6 +377,47 @@ def test_help_loads_only_the_front_end():
     assert _modules_loaded_by(["-h"]) <= {"so32cr", "scalars", "report", "cli"}
 
 
+# one interpreter without site runs the catalogue given as JSON, then prints
+# per command its exit code and the watched modules it found loaded
+_IMPORT_GUARD = """import json, sys
+from so32cr.cli import run
+found = []
+for argv in json.loads(sys.argv[1]):
+    code, _ = run(argv)
+    watched = ["dataclasses", "inspect"]
+    if argv != ["verify", "table1"]:
+        watched.append("importlib.resources")
+    found.append([argv, code, [m for m in watched if m in sys.modules]])
+print(json.dumps(found))
+"""
+
+
+def test_no_command_imports_dataclasses_inspect_or_the_fixture_loader():
+    # verify table1 runs last: it alone reads a resource
+    catalogue = sorted((args for _, args in CATALOGUE),
+                       key=lambda args: args == ["verify", "table1"])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORT_GUARD, json.dumps(catalogue)],
+        capture_output=True, text=True, cwd=ROOT, env=_src_env(),
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout.splitlines()[-1])
+    assert [argv for argv, _, _ in found] == catalogue
+    assert catalogue[-1] == ["verify", "table1"]
+    assert [row for row in found if row[1] or row[2]] == []
+
+
+def test_record_annotations_resolve():
+    # NamedTuple records keep their annotations as text; each must name
+    # what its module binds (CellCheck's "GQ | None" needs Python 3.10+)
+    for record in (report.Check, carriers.EndoSubspace, cochains.HodgeTriple,
+                   coframe.Symbol, coframe.Relation, prolong.ProlongationStep,
+                   so32.CellCheck):
+        assert list(typing.get_type_hints(record)) == list(record._fields)
+    assert typing.get_type_hints(so32.CellCheck)["scalar_factor"] == (
+        GQ | None)
+
+
 def test_report_names_list_the_declared_arguments_in_order():
     point = "-1,0,0,-6,0,-8,0,-10,-1,0"
     for argv, name in (
@@ -398,7 +447,7 @@ def test_quadric_verdict_is_the_same_in_both_charts():
 
 def test_prolong_generator_check_can_fail(monkeypatch):
     step = prolong.prolong_step1()
-    narrowed = dataclasses.replace(step, space=Subspace(
+    narrowed = step._replace(space=Subspace(
         step.space.ambient_dim, [step.generators[0].flatten()]))
     monkeypatch.setattr(prolong, "prolong_step1", lambda: narrowed)
     code, rep = run(["prolong", "--step", "1"])

@@ -62,6 +62,19 @@ def test_homogeneity_rejected_at_construction():
         cochain_monomials(4, 0)
 
 
+def test_cochain_is_an_immutable_value():
+    a = Cochain(0, 1, [1, 0])
+    b = Cochain(0, 1, (GQ(1), GQ(0)))
+    assert a == b and hash(a) == hash(b)
+    # the same coordinates over a slice of another degree
+    assert cochain_dim(0, -1) == 2 and a != Cochain(0, -1, [1, 0])
+    assert a != a.coords
+    with pytest.raises(AttributeError):
+        a.k = 2
+    with pytest.raises(ValueError):
+        Cochain(0, 1, [1, 0, 0])
+
+
 def test_coboundary_of_constant():
     # d of the 0-cochain E^2 evaluated at e^-2 is [e^-2, E^2]
     c = Cochain.from_full_table(0, 2, {((), 9): GQ(1)})

@@ -100,6 +100,13 @@ def test_cone_point_validation():
         ConePoint((GQ(3), GQ(4), GQ(-5)))
 
 
+def test_cone_point_is_immutable_and_keeps_one_power_table():
+    p = ConePoint((GQ(3), GQ(4), GQ(5)))
+    with pytest.raises(AttributeError):
+        p.z = (GQ(5), GQ(12), GQ(13))
+    assert p.powers is p.powers
+
+
 def test_cone_fields_tangency():
     l12, l13, l23, r = cone_fields()
     for f in (l12, l13, l23):
