@@ -6,13 +6,14 @@ on a wedge of total grade s lies in g^(s+k).  The coboundary is the
 Chevalley-Eilenberg differential for the m_--module g (full adjoint
 action, no truncation of values).
 
-The codifferential is the negative transpose of the coboundary of the
-mirror complex on h_+ = h^1 + h^2 under the two Killing pairings: the
-argument pairing matches the m_- basis with its Killing-dual basis of h_+,
-and values are paired by the Killing form itself (Killing is ad-invariant,
-so the mirror module may stay g with the adjoint action).  This convention
-is pinned by the direct-sum decomposition tests; flipping the overall sign
-would change no kernel or image.
+The codifferential is minus the transpose of the coboundary of the mirror
+complex on h_+ = h^1 + h^2, whose arguments are the Killing-dual basis of
+h_+ (kappa(n_a, eta_b) = delta_ab) and whose values are written in the
+Killing-dual basis b^beta of g, where ad(eta) acts as -ad(eta)^T and every
+grade is flipped.  Monomial (w, beta) of C^l_{-k}(h_+) is then the Killing
+dual of monomial (w, beta) of C^l_k(m_-), listed in the same order, so
+<d* c, e> = -<c, d_h e> needs no Gram matrix.  Only the tests against the
+Killing-pairing formula pin the sign: flipping it moves no kernel or image.
 
 Every monomial (wedge of basis covectors times a value basis vector) is
 homogeneous, so each graded slice is spanned by a sub-list of monomials and
@@ -59,11 +60,13 @@ def _arg_vectors_h():
 
 
 class _Side:
-    """One argument algebra (m_- or h_+) acting on g by ad."""
+    """One argument algebra acting on g by ad: m_- with values in the
+    standard basis of g (sign +1), or h_+ with values in its Killing-dual
+    basis (sign -1), where every grade is flipped."""
 
-    def __init__(self, arg_vectors, arg_grades):
+    def __init__(self, arg_vectors, sign):
         self.args = [vec(v) for v in arg_vectors]
-        self.arg_grades = tuple(arg_grades)
+        self.sign = sign
         self.n = len(self.args)
         # brackets of argument basis vectors, re-expanded in that basis
         span = Matrix.from_columns(self.args)
@@ -81,12 +84,14 @@ class _Side:
                   for a, b in combinations(range(self.n), 2)})
             for c in range(self.n)
         )
-        # ad_values[a][beta]: coordinates of [n_a, g_beta]
-        self.ad_values = tuple(
-            tuple(bracket_coords(v, unit_vec(so32.DIM, beta))
-                  for beta in range(so32.DIM))
-            for v in self.args
-        )
+        # ad_values[a][beta]: coordinates of [n_a, b_beta], or of
+        # [n_a, b^beta] = -sum_gamma [n_a, b_gamma]_beta b^gamma when sign < 0
+        self.ad_values = []
+        for v in self.args:
+            ad = Matrix.from_columns([bracket_coords(v, unit_vec(so32.DIM, b))
+                                      for b in range(so32.DIM)])
+            self.ad_values.append(
+                (ad if sign > 0 else ad.transpose().scale(-1)).columns())
 
     def monomials(self, ell: int):
         """All (sorted wedge tuple, value index) monomials of C^ell."""
@@ -98,7 +103,7 @@ class _Side:
 
     def monomial_degree(self, mono) -> int:
         w, beta = mono
-        return GRADES[beta] - sum(self.arg_grades[a] for a in w)
+        return self.sign * (GRADES[beta] - sum(GRADES[M_MINUS[a]] for a in w))
 
     def graded_monomials(self, ell: int, k: int):
         return [m for m in self.monomials(ell) if self.monomial_degree(m) == k]
@@ -106,12 +111,12 @@ class _Side:
 
 @lru_cache(maxsize=1)
 def _side_m() -> _Side:
-    return _Side(_arg_vectors_m(), [GRADES[i] for i in M_MINUS])
+    return _Side(_arg_vectors_m(), 1)
 
 
 @lru_cache(maxsize=1)
 def _side_h() -> _Side:
-    return _Side(_arg_vectors_h(), [-GRADES[i] for i in M_MINUS])
+    return _Side(_arg_vectors_h(), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -290,29 +295,12 @@ def coboundary(c: Cochain) -> Cochain:
 
 # -- codifferential ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pairing_matrix(ell: int, k: int) -> Matrix:
-    """<c, d> = c^T P d between C^ell_k(m_-, g) and C^ell_{-k}(h_+, g)."""
-    rows_m = cochain_monomials(ell, k)
-    cols_h = tuple(_side_h().graded_monomials(ell, -k))
-    g = killing_gram()
-    return Matrix.from_entries(len(rows_m), len(cols_h), (
-        (r, c, g[beta, gamma])
-        for r, (wm, beta) in enumerate(rows_m)
-        for c, (wh, gamma) in enumerate(cols_h) if wm == wh))
-
-
 def codifferential_matrix(ell: int, k: int) -> Matrix:
-    """Matrix of d* : C^ell_k -> C^(ell-1)_k (negative Killing transpose)."""
+    """Matrix of d* : C^ell_k -> C^(ell-1)_k, minus the transpose of the
+    mirror coboundary C^(ell-1)_-k(h_+) -> C^ell_-k(h_+)."""
     if ell <= 0:
         raise ValueError("codifferential undefined for 0-cochains")
-    p_src = _pairing_matrix(ell, k)          # C^ell_k x C^ell_-k(h)
-    p_dst = _pairing_matrix(ell - 1, k)      # C^(ell-1)_k x C^(ell-1)_-k(h)
-    dh = _coboundary_on(_side_h(), ell - 1, -k)  # C^(ell-1)_-k(h) -> C^ell_-k(h)
-    if p_dst.nrows == 0 or p_dst.ncols == 0:
-        return Matrix.zero(0, cochain_dim(ell, k))
-    # <d* c, d> = -<c, dh d>  for all d
-    return inverse(p_dst.transpose()).scale(-1) @ dh.transpose() @ p_src.transpose()
+    return _coboundary_on(_side_h(), ell - 1, -k).transpose().scale(-1)
 
 
 # -- Kostant decomposition ----------------------------------------------------
@@ -336,13 +324,10 @@ def kostant_pieces(ell: int, k: int):
         if ell < MAX_ELL
         else Subspace(n)
     )
-    ker_d = (
-        kernel(coboundary_matrix(ell, k)) if ell < MAX_ELL else Subspace.full(n)
-    )
-    ker_ds = (
-        kernel(codifferential_matrix(ell, k)) if ell > 0 else Subspace.full(n)
-    )
-    harmonic = ker_d.intersect(ker_ds)
+    # ker d and ker d* at once; at ell = 0 and ell = 3 only one of them exists
+    rows = ((coboundary_matrix(ell, k).rows if ell < MAX_ELL else ())
+            + (codifferential_matrix(ell, k).rows if ell > 0 else ()))
+    harmonic = kernel(Matrix._of(rows, n))
     return exact, harmonic, coexact
 
 

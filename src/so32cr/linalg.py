@@ -86,10 +86,6 @@ class Matrix:
         return m
 
     @staticmethod
-    def zero(m: int, n: int) -> "Matrix":
-        return Matrix._of(((),) * m, n)
-
-    @staticmethod
     def identity(n: int) -> "Matrix":
         return Matrix._of(tuple(((i, ONE),) for i in range(n)), n)
 
@@ -279,10 +275,6 @@ class Subspace:
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
-
-    @staticmethod
-    def full(n: int) -> "Subspace":
-        return Subspace.coordinate(n, range(n))
 
     @staticmethod
     def coordinate(n: int, positions) -> "Subspace":

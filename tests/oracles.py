@@ -46,6 +46,10 @@ own, or states a law that the engine's results must obey:
   normalization spaces, and leaves the cochain inner product invariant.
 * ``evaluate_cochain``: a cochain on argument vectors (the coboundary's
   values, alternation).
+* ``codifferential_by_pairing``: d* from the two Killing pairings, with the
+  mirror complex on h_+ taking its values in the standard basis of g; the
+  engine's d* = -d_h^T on Killing-dual values must equal it exactly, sign
+  included.
 * ``restrict_ctorsion``, ``graded_component``, ``add_term``: the degree-k
   restriction of a full torsion ({value label: 2-form}, as
   ``coframe.flat_torsion`` builds it) to m_-, which checks the constraint
@@ -65,14 +69,16 @@ from itertools import combinations, product
 
 from so32cr import so32
 from so32cr.carriers import Carrier, EndoSubspace, endo_from_complex_images
-from so32cr.cochains import Cochain, _side_m, cochain_dim
+from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_h, _side_m,
+                             cochain_dim, cochain_monomials)
 from so32cr.forms import Form
-from so32cr.linalg import (Matrix, Subspace, kernel, kernel_basis, real_rows,
-                           rref, unit_vec, vec, vec_add, vec_scale, zero_vec)
+from so32cr.linalg import (Matrix, Subspace, inverse, kernel, kernel_basis,
+                           real_rows, rref, unit_vec, vec, vec_add, vec_scale,
+                           zero_vec)
 from so32cr.scalars import GQ, HALF, HALF_I, I, ZERO
 from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, DIM, GRADES, IN_H,
                          M_MINUS, N, bracket_complex, bracket_coords, grades,
-                         to_complex_basis)
+                         killing_gram, to_complex_basis)
 from so32cr.tube import ConePoint, Field, Poly, cone_fields
 
 # ---------------------------------------------------------------------------
@@ -144,7 +150,7 @@ def symmetric_signature(gram: Matrix):
     n = gram.nrows
     # coeffs[k] multiplies lambda^(n-k) in det(lambda I - gram)
     coeffs = [GQ(1)]
-    m = Matrix.zero(n, n)
+    m = Matrix.from_entries(n, n, ())
     for k in range(1, n + 1):
         m = gram @ m + Matrix.identity(n).scale(coeffs[-1])
         coeffs.append(-trace(gram @ m) / k)
@@ -437,6 +443,44 @@ def evaluate_cochain(c: Cochain, *arg_vectors):
             if f:
                 out[beta] += f * form.at(idx_tuple)
     return tuple(out)
+
+
+class _StandardValueSide(_Side):
+    """The mirror complex on h_+ with values in the standard basis of g: a
+    monomial (w, beta) has degree grade(beta) + the m_- grades of w."""
+
+    def monomial_degree(self, mono) -> int:
+        w, beta = mono
+        return GRADES[beta] + sum(GRADES[M_MINUS[a]] for a in w)
+
+
+@lru_cache(maxsize=1)
+def _h_side_standard_values() -> _Side:
+    return _StandardValueSide(_side_h().args, 1)
+
+
+def codifferential_by_pairing(ell: int, k: int) -> Matrix:
+    """d* : C^ell_k -> C^(ell-1)_k as -(P_(ell-1)^T)^-1 d_h^T P_ell^T, with
+    d_h the coboundary of the mirror complex on h_+ with standard values and
+    P_l the pairing of C^l_k(m_-) with C^l_-k(h_+): the identity on the
+    Killing-dual arguments times the Killing Gram on values."""
+    side = _h_side_standard_values()
+    gram = killing_gram()
+
+    def pairing(l):
+        rows, cols = cochain_monomials(l, k), side.graded_monomials(l, -k)
+        return Matrix.from_entries(len(rows), len(cols), (
+            (r, c, gram[beta, gamma])
+            for r, (wm, beta) in enumerate(rows)
+            for c, (wh, gamma) in enumerate(cols) if wm == wh))
+
+    p_src, p_dst = pairing(ell), pairing(ell - 1)
+    if p_dst.nrows == 0:
+        return Matrix.from_entries(0, cochain_dim(ell, k), ())
+    # <d* c, e> = -<c, d_h e> for all e
+    d_h = _coboundary_on(side, ell - 1, -k)
+    return (inverse(p_dst.transpose()).scale(-1) @ d_h.transpose()
+            @ p_src.transpose())
 
 
 # ---------------------------------------------------------------------------

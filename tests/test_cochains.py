@@ -5,14 +5,17 @@ from hypothesis import given, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import act_on_cochain, evaluate_cochain
+from oracles import act_on_cochain, codifferential_by_pairing, evaluate_cochain
 from so32cr import linalg
 from so32cr.scalars import GQ
-from so32cr.linalg import Matrix, kernel, rank, unit_vec, vec_is_zero, zero_vec
-from so32cr.so32 import DIM, GRADES, GRADE_DIMS, bracket_coords, to_complex_basis
+from so32cr.linalg import (Matrix, inverse, kernel, rank, unit_vec, vec_is_zero,
+                           zero_vec)
+from so32cr.so32 import (DIM, GRADES, GRADE_DIMS, bracket_coords, killing_gram,
+                         to_complex_basis)
 from so32cr.forms import perm_sign
 from so32cr.cochains import (
     Cochain,
+    _Side,
     _coboundary_on,
     _side_h,
     _side_m,
@@ -22,6 +25,7 @@ from so32cr.cochains import (
     cochain_monomials,
     codifferential_matrix,
     cohomology_dim,
+    ctorsion_from_json,
     hodge_decompose,
     kostant_pieces,
 )
@@ -55,10 +59,10 @@ def test_dimensions_match_enumeration():
 
 
 def test_homogeneity_rejected_at_construction():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="violates homogeneity"):
         # a grade-0 value on a grade -2 argument is degree 2, not 1
         Cochain.from_full_table(1, 1, {((0,), 3): GQ(1)})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="ell must be between 0 and 3"):
         cochain_monomials(4, 0)
 
 
@@ -69,10 +73,12 @@ def test_cochain_is_an_immutable_value():
     # the same coordinates over a slice of another degree
     assert cochain_dim(0, -1) == 2 and a != Cochain(0, -1, [1, 0])
     assert a != a.coords
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="Cochain is immutable"):
         a.k = 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coordinate count does not match"):
         Cochain(0, 1, [1, 0, 0])
+    with pytest.raises(ValueError, match="cochain bidegree mismatch"):
+        a + Cochain(0, -1, [1, 0])
 
 
 def test_coboundary_of_constant():
@@ -101,28 +107,82 @@ def test_dd_zero_and_dstar_dstar_zero():
 
 
 def test_degree_bounds_raise():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coboundary undefined for 3-cochains"):
         coboundary(Cochain.zero(3, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coboundary needs a cochain degree"):
+        coboundary_matrix(3, 2)
+    with pytest.raises(ValueError, match="undefined for 0-cochains"):
         codifferential_matrix(0, 0)
+
+
+def test_side_rejects_arguments_that_do_not_close():
+    # [e_1^-1, E_1^1] is a nonzero element of g^0, outside their span
+    args = [unit_vec(DIM, 1), unit_vec(DIM, 7)]
+    with pytest.raises(ValueError, match="does not close under bracket"):
+        _Side(args, 1)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"k": 1, "terms": {}}, "c-torsion input must be"),
+    ({"k": 1, "terms": [{"args": ["e^-2"], "value": "e^-2", "coef": "1"}]},
+     "term args .* must be two of"),
+    ({"k": 1, "terms": [{"args": ["e^-2", "e^-2"], "value": "e^-2",
+                         "coef": "1"}]}, "repeat the argument 'e\\^-2'"),
+    ({"k": 1, "terms": [{"args": ["e^-2", "e_1^-1"], "value": "e^5",
+                         "coef": "1"}]}, "term value 'e\\^5' must be one of"),
+])
+def test_ctorsion_from_json_names_what_is_wrong(data, message):
+    with pytest.raises(ValueError, match=message):
+        ctorsion_from_json(data)
 
 
 def test_codifferential_of_zero():
     assert not any(codifferential(Cochain.zero(2, 2)).coords)
 
 
+def cochain_slices():
+    """(ell, k) of every nonempty slice C^ell_k."""
+    return [(ell, k) for ell in range(4) for k in range(-8, 9)
+            if cochain_dim(ell, k)]
+
+
+# Kostant's theorem for so(3,2) and its contact grading: the nonzero H^ell_k
+KOSTANT_TABLE = {(0, -2): 1, (1, 1): 4, (2, 3): 4, (3, 6): 1}
+
+
+def test_kostant_table_on_every_slice():
+    slices = cochain_slices()
+    assert len(slices) == 22
+    for ell, k in slices:
+        expected = KOSTANT_TABLE.get((ell, k), 0)
+        assert cohomology_dim(ell, k) == expected, (ell, k)
+        assert kostant_pieces(ell, k)[1].dim == expected, (ell, k)
+    # empty slices have trivial cohomology
+    assert cochain_dim(3, 1) == 0 and cohomology_dim(3, 1) == 0
+
+
 def test_kostant_direct_sum():
-    for k in range(1, 5):
-        exact, harm, coex = kostant_pieces(2, k)
-        n = cochain_dim(2, k)
+    for ell, k in cochain_slices():
+        exact, harm, coex = kostant_pieces(ell, k)
+        n = cochain_dim(ell, k)
         assert exact.dim + harm.dim + coex.dim == n
         assert exact.sum(harm).sum(coex).dim == n
         assert exact.intersect(harm).dim == 0
         assert exact.intersect(coex).dim == 0
         assert harm.intersect(coex).dim == 0
-        # ker d* = harmonic + coexact
-        kd = kernel(codifferential_matrix(2, k))
-        assert kd == harm.sum(coex)
+        if ell >= 1:  # ker d* = harmonic + coexact
+            assert kernel(codifferential_matrix(ell, k)) == harm.sum(coex)
+        if ell <= 2:  # ker d = exact + harmonic
+            assert kernel(coboundary_matrix(ell, k)) == exact.sum(harm)
+
+
+def test_codifferential_is_the_killing_pairing_transpose():
+    slices = [(ell, k) for ell in (1, 2, 3) for k in range(-8, 9)
+              if cochain_dim(ell, k) or cochain_dim(ell - 1, k)]
+    assert len(slices) == 21
+    for ell, k in slices:
+        assert codifferential_matrix(ell, k) == codifferential_by_pairing(
+            ell, k), (ell, k)
 
 
 def test_hodge_exact_input():
@@ -154,18 +214,15 @@ def test_hodge_overlapping_pieces_raise(monkeypatch):
     # dimensions add up to n, but the first two pieces coincide
     pieces = (Subspace(n, e[:1]), Subspace(n, e[:1]), Subspace(n, e[1:-1]))
     monkeypatch.setattr(cochains, "kostant_pieces", lambda ell, k: pieces)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="Kostant pieces overlap"):
         hodge_decompose(basis_cochain(2, 2, n - 1))  # outside their span
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match="Kostant pieces overlap"):
         hodge_decompose(basis_cochain(2, 2, 0))  # inside, not unique
-
-
-def test_cohomology_dims():
-    for ell in (1, 2):
-        for k in range(0, 5):
-            assert cohomology_dim(ell, k) == kostant_pieces(ell, k)[1].dim
-    # empty slices have trivial cohomology
-    assert cochain_dim(3, 1) == 0 and cohomology_dim(3, 1) == 0
+    # dimensions that do not add up to n
+    short = (Subspace(n, e[:1]), Subspace(n), Subspace(n, e[1:-1]))
+    monkeypatch.setattr(cochains, "kostant_pieces", lambda ell, k: short)
+    with pytest.raises(ArithmeticError, match="do not decompose the slice"):
+        hodge_decompose(basis_cochain(2, 2, 0))
 
 
 def test_cohomology_dim_eliminates_once_per_coboundary(monkeypatch):
@@ -258,9 +315,21 @@ def ref_eval_coeffs(coeff_map, arg_tuple):
     return tuple(out)
 
 
+def ref_action(side):
+    """(x, v) -> x.v on value coordinates: the bracket on m_-, and on h_+,
+    whose values are Killing-dual coordinates K v, the bracket moved
+    through the Killing Gram K."""
+    if side.sign > 0:
+        return bracket_coords
+    gram = killing_gram()
+    gram_inv = inverse(gram)
+    return lambda x, v: gram.apply(bracket_coords(x, gram_inv.apply(v)))
+
+
 def ref_coboundary_of_monomial(side, ell, mono):
     """Coefficient map of the (ell+1)-cochain d(mono)."""
     coeff = {mono: GQ(1)}
+    act = ref_action(side)
     out = {}
     for target in itertools.combinations(range(side.n), ell + 1):
         val = [GQ(0)] * DIM
@@ -269,7 +338,7 @@ def ref_coboundary_of_monomial(side, ell, mono):
             rest = target[:s] + target[s + 1:]
             inner = ref_eval_coeffs(coeff, rest)
             if any(inner):
-                term = bracket_coords(side.args[target[s]], inner)
+                term = act(side.args[target[s]], inner)
                 sgn = GQ((-1) ** s)  # (-1)^(s+1) with s starting at 1
                 val = [v + sgn * t for v, t in zip(val, term)]
         # sum_{s<t} (-1)^(s+t) c([X_s, X_t] ^ ...)
@@ -320,7 +389,7 @@ def test_coboundary_matches_reference_evaluator():
     assert len(slices) == 42
     for side, ell, k in slices:
         assert _coboundary_on(side, ell, k) == ref_coboundary_matrix(side, ell, k), (
-            side.arg_grades, ell, k)
+            side.sign, ell, k)
 
 
 def sympy_rank(m: Matrix) -> int:

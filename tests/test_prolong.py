@@ -71,7 +71,6 @@ def test_step0_solved_relations():
         tau = lam + lam.conj()
         mu = lam - lam.conj()
         cols = [[GQ(0)] * 5 for _ in range(5)]
-        b = Matrix.zero(5, 5)
         from so32cr.carriers import endo_from_complex_images
         b = endo_from_complex_images(
             c,
@@ -103,7 +102,7 @@ def test_step0_j_rows_match_the_j_compatible_gauge():
 def test_l1_subspace():
     l1 = l1_subspace()
     assert l1.dim == 6
-    assert l1_endo(0, 0, 0) == Matrix.zero(7, 7)
+    assert l1_endo(0, 0, 0) == Matrix.from_entries(7, 7, ())
     z = endo_complex_matrix(l1.carrier, l1_endo(0, 1, 0))
     # mu = 1, nu = 0: h^0 part of B(e^-1(10)) is -E^0(01)
     assert z[5, 1].is_zero() and z[6, 1] == GQ(-1)
@@ -178,7 +177,7 @@ def test_invariant_inner_product():
     assert (neg, zero) == (0, 0) and pos == n
     # the rotation generator acts skew-adjointly for it
     a = rotation_action_matrix(2, 1, real_unit("E_2^0"))
-    assert a.transpose() @ g + g @ a == Matrix.zero(n, n)
+    assert a.transpose() @ g + g @ a == Matrix.from_entries(n, n, ())
 
 
 def test_gauge_image_dims_and_complementarity():

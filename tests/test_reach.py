@@ -39,6 +39,13 @@ EXTRA_COMMANDS = (
      "antidiag"],
     # the top slice: an empty C^2_6, so d* out of C^3_6 is a 0-row matrix
     ["hodge", "--ell", "3", "--k", "6"],
+    # both ends of the complex, where the harmonic space is the kernel of
+    # d alone (ell = 0) or of d* alone (ell = 3)
+    ["hodge", "--ell", "0", "--k", "-2"],
+    ["cohomology", "--ell", "3", "--k", "6"],
+    # degree 1: ker d* plus the orthocomplement of the gauge image, and the
+    # report's inner-product row
+    ["normalize", "--k", "1", "--input", "tests/inputs/normalize_k1.json"],
     # cone points with x^1 = 0, where the holomorphic frame is L12 and L23
     ["model", "levi", "--z", "0,1,1,0,0,0"],
     ["model", "freeman", "--z", "0,-3,3,1,2,-1"],

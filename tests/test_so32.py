@@ -54,7 +54,7 @@ def test_basis_independent_and_iskew():
     assert rank(flat) == 10
     form = iform()
     for m in bm:
-        assert m.transpose() @ form + form @ m == Matrix.zero(5, 5)
+        assert m.transpose() @ form + form @ m == Matrix.from_entries(5, 5, ())
 
 
 def test_matrix_round_trip():
