@@ -2,7 +2,4 @@
 Kostant-style cochain decompositions, and the CR geometry of the tube over
 the future light cone."""
 
-from .scalars import GQ
-
-__all__ = ["GQ"]
 __version__ = "0.1.0"

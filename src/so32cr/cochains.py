@@ -18,6 +18,9 @@ Killing-pairing formula pin the sign: flipping it moves no kernel or image.
 Every monomial (wedge of basis covectors times a value basis vector) is
 homogeneous, so each graded slice is spanned by a sub-list of monomials and
 homogeneity is structural: a Cochain is a coordinate vector over the slice.
+
+The ``run_*`` functions at the end fill the reports of ``so32cr
+cohomology`` and ``so32cr hodge``.
 """
 
 from __future__ import annotations
@@ -366,3 +369,45 @@ def cohomology_dim(ell: int, k: int) -> int:
     rank_prev = rank(coboundary_matrix(ell - 1, k)) if ell > 0 else 0
     return n - rank_d - rank_prev
 
+
+# ---------------------------------------------------------------------------
+# the cohomology and hodge commands
+# ---------------------------------------------------------------------------
+
+def run_cohomology(rep, ell: int, k: int):
+    dim = cohomology_dim(ell, k)
+    harm = kostant_pieces(ell, k)[1].dim
+    rep.add(f"dim H^{ell}_{k}", dim, dim, "kernel/image rank arithmetic")
+    rep.add(
+        "agrees with harmonic dimension",
+        dim,
+        harm,
+        "two independent computations (quotient vs harmonic subspace)",
+    )
+
+
+def run_hodge(rep, ell: int, k: int):
+    n = cochain_dim(ell, k)
+    exact, harm, coex = kostant_pieces(ell, k)
+    rep.add("dim slice", n, n, "monomial enumeration")
+    rep.add(
+        "dims (exact, harmonic, coexact)",
+        f"sum {n}",
+        f"({exact.dim}, {harm.dim}, {coex.dim}) sum {exact.dim + harm.dim + coex.dim}",
+        "Kostant direct-sum decomposition",
+        ok=exact.dim + harm.dim + coex.dim == n,
+    )
+    rep.add(
+        "pairwise intersections trivial",
+        True,
+        exact.intersect(harm).dim == 0
+        and exact.intersect(coex).dim == 0
+        and harm.intersect(coex).dim == 0,
+        "Kostant direct-sum decomposition",
+    )
+    resum_ok = True
+    for p in range(n):
+        c = Cochain(ell, k, [GQ(1 if q == p else 0) for q in range(n)])
+        t = hodge_decompose(c)
+        resum_ok = resum_ok and t.resum().coords == c.coords
+    rep.add("decompose/resum is the identity", True, resum_ok, "partition of identity")

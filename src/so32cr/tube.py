@@ -29,6 +29,9 @@ read off values, and whether x^1 = 0 picks the frame.
 
 Everything stays inside Q[i]; sample points come from Pythagorean triples
 so that all evaluations are exact.
+
+The ``run_*`` functions at the end fill the reports of the ``so32cr model``
+commands.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .scalars import (GQ, HALF, HALF_I, ZERO, _gq,
-                      over_common_denominator)
+                      over_common_denominator, rat_from_str)
 from .linalg import Matrix, Subspace, kernel_basis, rank, vec
 
 # ---------------------------------------------------------------------------
@@ -531,3 +534,123 @@ def embedding_identity_check():
         "symmetric_form_vanishes": bil.is_zero(),
         "hermitian_form_is_twice_rho": (herm - rho() * GQ(2)).is_zero(),
     }
+
+
+# ---------------------------------------------------------------------------
+# the model commands
+# ---------------------------------------------------------------------------
+
+def _rationals(csv: str, flag: str, n: int, layout: str) -> list:
+    """The n comma-separated rationals of an option value, in ``layout``."""
+    parts = [rat_from_str(p) for p in csv.split(",")]
+    if len(parts) != n:
+        raise ValueError(f"{flag} needs {n} rationals {layout}")
+    return parts
+
+
+def _cone_z(csv: str) -> list:
+    x = _rationals(csv, "--z", 6, "x1,x2,x3,y1,y2,y3")
+    return [GQ(re, im) for re, im in zip(x[:3], x[3:])]
+
+
+def run_model_quadric(rep, csv: str, chart: str):
+    x = _rationals(csv, "--point", 10, "re0,im0,...,re4,im4")
+    t = projective_point([GQ(re, im) for re, im in zip(x[::2], x[1::2])], chart)
+    bil, herm, third = quadric_eval(t)
+    rep.add("symmetric form", "0/1", bil.to_str(), "exact substitution")
+    rep.add("hermitian form", "0/1", herm.to_str(), "exact substitution")
+    rep.add(
+        "orbit inequality value positive",
+        True,
+        third.re > 0,
+        "exact substitution (diag chart only)",
+    )
+    rep.add("orbit value", third.to_str(), third.to_str(), "exact substitution")
+
+
+def run_model_embed(rep, csv: str):
+    z = _cone_z(csv)
+    f = embed_f(z)
+    bil, herm, third = quadric_eval(f)
+    rep.add(
+        "image point",
+        "(reported)",
+        "[" + " : ".join(c.to_str() for c in f) + "]",
+        "embedding formula",
+        ok=True,
+    )
+    rep.add("symmetric form on image", "0/1", bil.to_str(), "polynomial identity")
+    rep.add(
+        "hermitian form equals twice the defining function",
+        (GQ(2) * rho().eval(Powers(z))).to_str(),
+        herm.to_str(),
+        "polynomial identity",
+    )
+    rep.add("orbit value", third.to_str(), third.to_str(), "exact substitution")
+
+
+def run_model_levi(rep, csv: str):
+    p = ConePoint(_cone_z(csv))
+    rep.add("hermitian Levi rank", 1, levi_hermitian_rank(p),
+            "exact rank of the holomorphic-frame Gram")
+    rep.add("real Levi rank", 2, rank(levi_real_gram(p)),
+            "exact rank of the real-frame Gram (twice the hermitian rank)")
+    rep.add(
+        "rib equals the Levi kernel",
+        True,
+        rib_span_at(p) == levi_kernel_at(p),
+        "canonical subspace comparison",
+    )
+
+
+def run_model_cubic(rep, csv: str):
+    p = ConePoint(_cone_z(csv))
+    l12, l13, l23, r = cone_fields()
+    value = None
+    for L in (l12, l13, l23):
+        v = cubic_form_at(p, r, L.conj(), L.conj())
+        if v:
+            value = v
+            base = L
+            break
+    rep.add("cubic form nonzero on some frame pair", True, value is not None,
+            "exact nested-bracket evaluation")
+    if value is not None:
+        rep.add("cubic value (defining form fixed by the engine)",
+                value.to_str(), value.to_str(), "exact nested-bracket evaluation")
+        rep.add(
+            "linear in the last argument",
+            True,
+            cubic_form_at(p, r, base.conj(), base.conj().scale(2))
+            == value * GQ(2),
+            "bilinearity of brackets",
+        )
+        pert = base.conj() + Field(
+            [Poly.var(3), Poly(), Poly(), Poly.var(0), Poly(), Poly.const(1)]
+        ).scale(rho())
+        rep.add(
+            "independent of the chosen extension",
+            True,
+            cubic_form_at(p, r, pert, base.conj()) == value,
+            "perturbation by a multiple of the defining function",
+        )
+
+
+def run_model_freeman(rep, csv: str):
+    p = ConePoint(_cone_z(csv))
+    rep.add("holomorphic rank sequence", (2, 1, 0), freeman_ranks_at(p),
+            "exact pointwise linear solves")
+
+
+def run_model_identities(rep):
+    res = embedding_identity_check()
+    rep.add("symmetric form of the embedding vanishes identically",
+            True, res["symmetric_form_vanishes"], "symbolic expansion")
+    rep.add("hermitian form of the embedding is twice the defining function",
+            True, res["hermitian_form_is_twice_rho"], "symbolic expansion")
+    f = embed_f([3, 4, 5])
+    bil, herm, third = quadric_eval(f)
+    rep.add("sample point lands on the quadric", "0/1 0/1",
+            f"{bil.to_str()} {herm.to_str()}", "substitution at a cone point")
+    rep.add("sample point orbit value", "5/2", third.to_str(),
+            "substitution at a cone point")

@@ -61,13 +61,19 @@ own, or states a law that the engine's results must obey:
   step-2 solution is read against.
 * ``reference_apply``: a matrix times a vector, summed term by term in
   ``GQ`` arithmetic, apart from the integer form of ``Matrix.apply``.
+* ``argparse_parse``: the command line read by ``argparse`` from
+  ``cli.COMMANDS``, as the CLI read it before ``cli.parse``, against which
+  the table-driven parser is fuzzed.
 """
 
+import argparse
+import contextlib
+import io
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, product
 
-from so32cr import so32
+from so32cr import cli, so32
 from so32cr.carriers import Carrier, EndoSubspace, endo_from_complex_images
 from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_h, _side_m,
                              cochain_dim, cochain_monomials)
@@ -568,3 +574,59 @@ def gl2_endo(lam, mu, nu, nup) -> Matrix:
             "e^-1(10)": [(nu, "E^1(10)"), (nup, "E^1(01)")],
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# the command line by argparse
+# ---------------------------------------------------------------------------
+
+def _bare_or(kind, word):
+    return word if word == "--" else kind(word)
+
+
+def argparse_parse(argv):
+    """``cli.parse`` by argparse: (Command, values, --json path), or
+    SystemExit(0) for -h and SystemExit(2) for a usage error, with
+    argparse's output swallowed.
+
+    Two workarounds come with it.  A word after ``--z`` or ``--point`` is
+    glued on as ``--z=WORD``, because argparse reads a signed list such as
+    -3,4,5,0,0,0 as a flag.  A bare ``--``, as a word or as the last value
+    of a flag, is a usage error: argparse drops it from ``--z=--`` (leaving
+    an empty list) or keeps it, depending on its version."""
+    ap = argparse.ArgumentParser(prog="so32cr", description=cli._DESCRIPTION)
+    ap.add_argument("--json", metavar="PATH", help="write the report as JSON")
+    sub = ap.add_subparsers(dest="cmd", required=True)
+    groups = {}
+    for cmd in cli.COMMANDS:  # each leaf parser's "command" is its row
+        parent = sub
+        if len(cmd.words) == 2:
+            group = cmd.words[0]
+            if group not in groups:
+                groups[group] = sub.add_parser(
+                    group, help=cli._GROUP_HELP[group]
+                ).add_subparsers(dest="subcmd", required=True)
+            parent = groups[group]
+        p = parent.add_parser(cmd.words[-1], help=cmd.help)
+        for flag, kind, choices, default in cmd.args:
+            # a bare "--" passes type and choices, so that every version
+            # keeps it for the check below
+            p.add_argument(flag, type=partial(_bare_or, kind),
+                           choices=choices and (*choices, "--"),
+                           default=default, required=default is None)
+        p.set_defaults(command=cmd)
+    words = []
+    for a in argv:
+        if words and words[-1] in ("--z", "--point"):
+            words[-1] += "=" + a
+        else:
+            words.append(a)
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        args = ap.parse_args(words)
+        cmd = args.command
+        values = [getattr(args, flag[2:]) for flag, *_ in cmd.args]
+        if "--" in words or any(isinstance(v, list) or v == "--"
+                                for v in values + [args.json]):
+            ap.error("a bare -- is not a value")
+    return cmd, values, args.json

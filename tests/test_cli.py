@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import os
@@ -7,15 +8,17 @@ import typing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from so32cr import carriers, cochains, coframe, prolong, report, so32, tube
+from so32cr import (carriers, cli, cochains, coframe, prolong, report, so32,
+                    tube)
 from so32cr.cli import run
 from so32cr.linalg import Subspace
 from so32cr.cochains import (Cochain, cochain_dim, ctorsion_from_json,
                               ctorsion_to_json)
 from so32cr.scalars import GQ, HALF_I
 from so32cr.so32 import REAL_LABELS
+from oracles import argparse_parse
 from test_golden_reports import COMMANDS as CATALOGUE
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -158,12 +161,17 @@ def test_signed_values_parse_in_the_spaced_form():
 
 
 def test_a_bare_double_dash_value_is_a_usage_error():
-    # argparse turns "--z=--" into an empty list; that is a usage error
+    # "--" is no value, even after --z, which takes any other word; it is
+    # an error unless the flag is given again
     for argv in (["model", "embed", "--z", "--"],
                  ["model", "embed", "--z=--"],
-                 ["model", "quadric", "--point", "--", "--chart", "diag"]):
+                 ["model", "quadric", "--point", "--", "--chart", "diag"],
+                 ["prolong", "--step=--"],
+                 ["--json=--", "verify", "jacobi"]):
         code, rep = run(argv)
         assert code == 2 and rep is None, argv
+    code, rep = run(["model", "embed", "--z=--", "--z", "3,4,5,0,0,0"])
+    assert code == 0
 
 
 def test_every_check_has_source():
@@ -374,7 +382,7 @@ def test_a_command_loads_only_the_modules_it_runs(argv, unused):
 
 
 def test_help_loads_only_the_front_end():
-    assert _modules_loaded_by(["-h"]) <= {"so32cr", "scalars", "report", "cli"}
+    assert _modules_loaded_by(["-h"]) == {"so32cr", "cli"}
 
 
 # one interpreter without site runs the catalogue given as JSON, then prints
@@ -384,16 +392,18 @@ from so32cr.cli import run
 found = []
 for argv in json.loads(sys.argv[1]):
     code, _ = run(argv)
-    watched = ["dataclasses", "inspect"]
+    watched = ["dataclasses", "inspect", "argparse", "gettext", "locale"]
     if argv != ["verify", "table1"]:
-        watched.append("importlib.resources")
+        watched += ["importlib.resources", "shutil"]
     found.append([argv, code, [m for m in watched if m in sys.modules]])
 print(json.dumps(found))
 """
 
 
 def test_no_command_imports_dataclasses_inspect_or_the_fixture_loader():
-    # verify table1 runs last: it alone reads a resource
+    # verify table1 runs last: it alone reads a resource, whose loader
+    # brings in shutil; no command parses its line with argparse, which
+    # would bring in gettext and locale
     catalogue = sorted((args for _, args in CATALOGUE),
                        key=lambda args: args == ["verify", "table1"])
     proc = subprocess.run(
@@ -519,3 +529,229 @@ def test_fuzzed_normalize_inputs_get_an_exit_code(tmp_path_factory, body, k):
     path.write_text(json.dumps(body))
     code, _ = run(["normalize", "--k", k, "--input", str(path)])
     assert code in (0, 1, 2)
+
+
+# -- the command line ----------------------------------------------------------
+
+_LEVELS = [[], ["verify"], ["model"]] + [list(c.words) for c in cli.COMMANDS]
+
+
+@pytest.mark.parametrize("words", _LEVELS,
+                         ids=lambda words: " ".join(words) or "top")
+def test_help_at_every_level(words, capsys):
+    below = [c for c in cli.COMMANDS if list(c.words[:len(words)]) == words]
+    for flag in ("-h", "--help"):
+        capsys.readouterr()
+        code, rep = run(words + [flag])
+        out, err = capsys.readouterr()
+        assert code == 0 and rep is None and err == ""
+        assert out.startswith(" ".join(["usage: so32cr", *words, "[-h]"]))
+        if list(below[0].words) != words:  # the top, verify or model
+            for cmd in below:
+                assert f"\n  {cmd.words[len(words)]} " in out
+            continue
+        (cmd,) = below
+        assert cmd.help in out
+        for name, _, choices, _ in cmd.args:
+            listed = "{" + ",".join(map(str, choices)) + "}" if choices else ""
+            assert f"\n  {name} {listed}" in out
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bogus"], "so32cr: error: invalid choice: 'bogus'"),
+    (["verify", "jacobi", "--bogus"],
+     "so32cr: error: unrecognized arguments: --bogus"),
+    (["model", "embed", "--z"],
+     "so32cr model embed: error: argument --z: expected one argument"),
+    (["cohomology", "--ell", "--k", "2"],
+     "so32cr cohomology: error: argument --ell: expected one argument"),
+    (["prolong"], "so32cr prolong: error: the following arguments are "
+     "required: --step"),
+    (["model"], "so32cr model: error: the following arguments are "
+     "required: COMMAND"),
+    (["hodge", "--ell", "two", "--k", "2"],
+     "so32cr hodge: error: argument --ell: invalid int value: 'two'"),
+    (["prolong", "--step", "4"],
+     "so32cr prolong: error: argument --step: invalid choice: '4'"),
+    (["normalize", "--k", "4", "--input", "x"],
+     "so32cr normalize: error: argument --k: invalid choice: 4"),
+    (["--=x", "verify", "jacobi"],
+     "so32cr: error: ambiguous option: -- could match --help, --json"),
+    (["verify", "jacobi", "stray"],
+     "so32cr: error: unrecognized arguments: stray"),
+    (["--json"], "so32cr: error: argument --json: expected one argument"),
+    (["--json", "-h", "verify", "jacobi"],
+     "so32cr: error: argument --json: expected one argument"),
+    (["verify", "jacobi", "--json", "out.json"],
+     "so32cr: error: unrecognized arguments: --json out.json"),
+    (["verify", "jacobi", "--help=x"],
+     "so32cr verify jacobi: error: argument -h/--help: ignored explicit "
+     "argument 'x'"),
+    (["verify", "--", "jacobi"],
+     "so32cr verify: error: '--' is neither a flag nor a value here"),
+], ids=["unknown command", "unknown flag", "missing value at the end",
+        "missing value before a flag", "missing flag", "missing command",
+        "bad int", "bad choice", "bad int choice", "ambiguous prefix",
+        "stray word", "json without a path", "json before a flag",
+        "json after the command", "help with a value", "bare double dash"])
+def test_every_usage_error_is_named(argv, message, capsys):
+    capsys.readouterr()
+    code, rep = run(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and rep is None and out == ""
+    usage, line = err.rstrip("\n").split("\n")
+    assert usage.startswith("usage: so32cr") and line.startswith(message)
+    assert "Traceback" not in err
+
+
+# Where the parser parts from argparse (tests/oracles.py), on purpose:
+# (argv, argparse's outcome, this parser's, why).  An outcome is the exit
+# code of -h (0) or of a usage error (2), or "ok".
+PARSER_DIFFERENCES = (
+    (["-h", "--=x"], 2, 0,
+     "argparse reads every word before it acts and finds the empty flag "
+     "name of --=x ambiguous; this parser acts on -h first"),
+    (["verify", "jacobi", "-hh"], 0, 2,
+     "no bundled short flags: -hh is an unknown flag, not -h -h"),
+    (["--json", "-x y", "verify", "jacobi"], "ok", 2,
+     "a word that starts with '-' is a flag, blanks or not; argparse reads "
+     "one with a blank as a value when it names no flag"),
+    (["-x y", "-h"], 2, 0,
+     "the same word is an unknown flag here, where argparse reads it as a "
+     "command word"),
+)
+
+
+def _outcome(parse, argv):
+    """(command words, values, --json path) of a parsed line, else the
+    exit code of -h (0) or of a usage error (2)."""
+    try:
+        cmd, values, path = parse(argv)
+    except cli.Stop as stop:
+        return stop.code
+    except SystemExit as exc:
+        return exc.code
+    return cmd.words, values, path
+
+
+@pytest.mark.parametrize("argv,old,new,why", PARSER_DIFFERENCES)
+def test_parser_differences_are_as_listed(argv, old, new, why):
+    def kind(outcome):
+        return outcome if isinstance(outcome, int) else "ok"
+    assert kind(_outcome(argparse_parse, argv)) == old
+    assert kind(_outcome(cli.parse, argv)) == new
+
+
+_WORDS = sorted({w for c in cli.COMMANDS for w in c.words})
+_LONG = sorted({f for c in cli.COMMANDS for f, *_ in c.args} | {"--json",
+                                                                "--help"})
+_PREFIXES = sorted({f[:n] for f in _LONG for n in range(3, len(f))})
+_FLAGS = _LONG + _PREFIXES + ["-h", "--bogus", "-x", "--=x", "---"]
+# no blanks: argparse reads "--z= 2 ", as the old join glued it, and any
+# other word that starts with "-" and holds a blank by its own rule (see
+# PARSER_DIFFERENCES)
+_VALUES = ["0", "1", "2", "3", "all", "diag", "antidiag", "-1", "-2", "1_0",
+           "-1_0", "x", "", "-3,4,5,0,0,0", "3,4,5,0,0,0", "-1/2", "-", "--",
+           "-.5", "-1.5", "out.json", "=", "-h"]
+_word = st.one_of(
+    st.sampled_from(_WORDS + _FLAGS + _VALUES),
+    st.builds("{}={}".format, st.sampled_from(_FLAGS),
+              st.sampled_from(_VALUES)),
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """A catalogue command with its flags in any order, some abbreviated,
+    repeated, written with "=" or left out, and stray words put anywhere."""
+    cmd = draw(st.sampled_from(cli.COMMANDS))
+    line = list(cmd.words)
+    if draw(st.booleans()):
+        line[:0] = ["--json", draw(st.sampled_from(("out.json", "-1", "-h")))]
+    flags = [f for f, *_ in cmd.args]
+    if flags:
+        flags = list(draw(st.permutations(flags)))
+        flags = (flags[draw(st.integers(0, 1)):]
+                 + draw(st.lists(st.sampled_from(flags), max_size=1)))
+    for flag in flags:
+        name = draw(st.sampled_from([flag] + [p for p in _PREFIXES
+                                              if flag.startswith(p)]))
+        # int() strips blanks: " 2 " is the one blank value
+        value = draw(st.sampled_from(
+            _VALUES + ([" 2 "] if flag in ("--ell", "--k") else [])))
+        line += [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+    for word in draw(st.lists(_word, max_size=2)):
+        line.insert(draw(st.integers(0, len(line))), word)
+    return line
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_command_lines(), st.lists(_word, max_size=6)))
+# shapes that a few hundred draws may miss: a bare "--" value given again,
+# and --z/--point taking their value where the command has no such flag
+@example(["model", "embed", "--z", "--", "--z", "3,4,5,0,0,0"])
+@example(["prolong", "--step=--", "--step", "0", "-h"])
+@example(["cohomology", "--point", "-h"])
+@example(["--z", "verify", "jacobi"])
+def test_parse_agrees_with_argparse(argv):
+    new, old = _outcome(cli.parse, argv), _outcome(argparse_parse, argv)
+    # the first row of PARSER_DIFFERENCES: -h before an ambiguous --=...
+    ambiguous = any(w.startswith("--=") for w in argv)
+    assert new == old or (ambiguous and (old, new) == (2, 0)), (new, old)
+
+
+# so32cr statements (ast.stmt nodes) in the modules a command loads, at
+# most; "-h" loads the front end alone
+STATEMENT_BUDGET = {
+    "-h": 171,
+    "verify jacobi": 854,
+    "verify table1": 854,
+    "verify structeq": 1294,
+    "cohomology": 1135,
+    "hodge": 1135,
+    "prolong": 1427,
+    "normalize": 1427,
+    "model quadric": 1019,
+    "model embed": 1019,
+    "model levi": 1019,
+    "model cubic": 1019,
+    "model freeman": 1019,
+    "model identities": 1019,
+    "constraints": 1586,
+}
+
+# one interpreter runs each command given as JSON with so32cr unloaded
+# before it, then prints per command its exit code and the so32cr modules
+_MODULE_PROBE = """import contextlib, importlib, io, json, sys
+found = []
+for argv in json.loads(sys.argv[1]):
+    for name in [m for m in sys.modules if m.split(".")[0] == "so32cr"]:
+        del sys.modules[name]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, _ = importlib.import_module("so32cr.cli").run(argv)
+    found.append([code, [m for m in sys.modules if m.split(".")[0] == "so32cr"]])
+print(json.dumps(found))
+"""
+
+
+def _statements(module: str) -> int:
+    path = ROOT / "src" / Path(*module.split("."))
+    path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+    tree = ast.parse(path.read_text())
+    return sum(isinstance(node, ast.stmt) for node in ast.walk(tree))
+
+
+def test_each_command_compiles_within_its_statement_budget():
+    lines = [args for _, args in CATALOGUE] + [["-h"]]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(lines)],
+        capture_output=True, text=True, cwd=ROOT, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    counts = {}
+    for args, (code, modules) in zip(lines, json.loads(proc.stdout)):
+        assert code == 0, args
+        name = " ".join(w for w in args if w in _WORDS or w == "-h")
+        counts[name] = sum(_statements(m) for m in modules)
+    assert set(counts) == set(STATEMENT_BUDGET)
+    assert {name: (n, STATEMENT_BUDGET[name]) for name, n in counts.items()
+            if n > STATEMENT_BUDGET[name]} == {}

@@ -54,6 +54,8 @@ EXTRA_COMMANDS = (
     ["model", "levi", "--z", "140/11,-147/11,203/11,-17/9,13/7,5/3"],
     ["model", "cubic", "--z", "140/11,-147/11,203/11,-17/9,13/7,5/3"],
     ["model", "freeman", "--z", "140/11,-147/11,203/11,-17/9,13/7,5/3"],
+    # the help of a command, printed from its row of cli.COMMANDS
+    ["model", "quadric", "-h"],
 )
 
 # "module.qualname": why it stays although the run above does not call it
