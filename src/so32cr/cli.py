@@ -162,8 +162,7 @@ class Stop(Exception):
             self.code, self.text = 0, _help(words)
         else:
             prog = " ".join(("so32cr",) + words)
-            self.code = 2
-            self.text = f"{_usage(words)}\n{prog}: error: {message}"
+            self.code, self.text = 2, f"{_usage(words)}\n{prog}: error: {message}"
         super().__init__(self.code, self.text)
 
 
@@ -264,6 +263,8 @@ def run(argv) -> tuple[int, Report | None]:
     rep = Report(" ".join([*cmd.words, *(
         f"{flag} {value}" for (flag, *_), value in zip(cmd.args, values))]))
     try:
+        if json_path == "":  # --json= names no file; refused before any work
+            raise ValueError("--json needs a file path")
         fill(rep, *values)
         if json_path:
             with open(json_path, "w") as fh:
@@ -282,8 +283,7 @@ def run(argv) -> tuple[int, Report | None]:
 
 
 def main() -> None:
-    code, _ = run(sys.argv[1:])
-    raise SystemExit(code)
+    raise SystemExit(run(sys.argv[1:])[0])
 
 
 if __name__ == "__main__":

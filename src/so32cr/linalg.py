@@ -249,8 +249,8 @@ def real_rows(m: Matrix) -> Matrix:
     of m: its real kernel vectors are the real solutions of m x = 0."""
     rows = []
     for r in m.rows:
-        rows.append(tuple((j, GQ(x.re)) for j, x in r if x.re))
-        rows.append(tuple((j, GQ(x.im)) for j, x in r if x.im))
+        rows.append(tuple((j, x.re) for j, x in r if x.re_sign()))
+        rows.append(tuple((j, x.im) for j, x in r if not x.is_real()))
     return Matrix._of(tuple(rows), m.ncols)
 
 

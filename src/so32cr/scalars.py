@@ -1,10 +1,11 @@
-"""Exact scalars: rationals and Gaussian rationals.
+"""Exact scalars: Gaussian rationals.
 
-Rationals are stdlib ``fractions.Fraction``.  A Gaussian rational, the field
-Q[i], is a ``GQ``: three Python ints (a, b, d) standing for (a + b*i)/d, with
-d > 0 and gcd(a, b, d) = 1, so every value has exactly one representation
-and zero is (0, 0, 1).  Every linear-algebra routine in this package works
-over that field, so nothing ever rounds, and floats are refused.
+The one scalar is a ``GQ``, an element of the field Q[i]: three Python ints
+(a, b, d) standing for (a + b*i)/d, with d > 0 and gcd(a, b, d) = 1, so
+every value has exactly one representation and zero is (0, 0, 1).  A
+rational is a ``GQ`` with b = 0.  Every linear-algebra routine in this
+package works over that field, so nothing ever rounds, and floats are
+refused.
 
 Text serialization (used in JSON reports and the Table-1 fixture):
 
@@ -18,36 +19,35 @@ A plain ``"a/b"`` parses as a Gaussian rational with zero imaginary part.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from math import gcd, lcm
-from numbers import Rational
 
 _RAT = r"[+-]?[0-9]+(?:/[0-9]+)?"
+_RAT_RE = re.compile(_RAT)
 _GQ_RE = re.compile(rf"(?P<re>{_RAT})(?:(?P<im>[+-][0-9]+(?:/[0-9]+)?)\*i)?")
 
 
-def rat_to_str(x: Fraction) -> str:
-    """Serialize a rational as "a/b" (denominator always present)."""
-    x = Fraction(x)
+def _ratio_str(p: int, q: int) -> str:  # "p/q" in lowest terms, q > 0
+    g = gcd(p, q)
     try:
-        return f"{x.numerator}/{x.denominator}"
+        return f"{p // g}/{q // g}"
     except ValueError:  # an integer past the interpreter's digit limit
         raise ValueError("result has too many digits to print") from None
 
 
-def rat_from_str(s: str) -> Fraction:
-    """Parse "a/b" or "a" (ASCII digits, optional sign, surrounding blanks
-    ignored); any other string, a zero denominator or an integer too long
-    for int() raises ValueError."""
-    if not re.fullmatch(_RAT, s.strip()):
+def rat_from_str(s: str) -> "GQ":
+    """The real GQ of "a/b" or "a" in ASCII digits, signed or not, blanks at
+    the ends ignored; anything else, b = 0 or too many digits: ValueError."""
+    t = s.strip()
+    if not _RAT_RE.fullmatch(t):
         raise ValueError(f"not a rational: {s!r}")
+    num, _, den = t.partition("/")
     try:
-        return Fraction(s.strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {s!r}") from None
+        p, q = int(num), int(den or 1)
     except ValueError:  # an integer past the interpreter's digit limit
-        raise ValueError(
-            f"not a rational: too many digits in {s.strip()[:20]}...") from None
+        raise ValueError(f"not a rational: too many digits in {t[:20]}...") from None
+    if not q:
+        raise ValueError(f"zero denominator in {s!r}")
+    return _gq(p, 0, q)
 
 
 def _gq(a: int, b: int, d: int) -> "GQ":
@@ -78,34 +78,30 @@ def over_common_denominator(xs):
 
 
 def _rational(x):
-    """(numerator, denominator > 0) of an int, a rational or a rational
-    literal; floats, complex numbers and anything else raise TypeError."""
-    if isinstance(x, int):
-        return int(x), 1
-    if isinstance(x, (str, Rational)):
-        f = Fraction(x)
-        return f.numerator, f.denominator
+    """(numerator, denominator > 0) of a ``numbers.Rational``, such as an
+    int; floats, complex numbers, strings and the rest raise TypeError."""
+    from numbers import Rational  # loaded only where a non-int enters
+    if isinstance(x, Rational):
+        return int(x.numerator), int(x.denominator)
     raise TypeError(f"GQ takes ints and rationals, not {type(x).__name__}")
 
 
 def _operand(x):
-    """An int or Fraction operand as a GQ; NotImplemented for any other
-    type, so that the other operand's reflected method decides."""
+    """An int as a GQ, else NotImplemented: the other operand decides."""
     if isinstance(x, int):
         return _gq(int(x), 0, 1)
-    if isinstance(x, Fraction):
-        return _gq(x.numerator, 0, x.denominator)
     return NotImplemented
 
 
 class GQ:
     """A Gaussian rational (a + b*i)/d with d > 0 and gcd(a, b, d) = 1.
 
-    Immutable and hashable, as ``Fraction`` is: the ints sit in private
-    slots that nothing outside this module writes, and equal values have
-    equal representations.  Arithmetic never leaves Q[i]; division by zero
-    raises ZeroDivisionError.
-    ``re`` and ``im`` are derived Fractions for readers.
+    Immutable and hashable: the ints sit in private slots that nothing
+    outside this module writes, and equal values have equal
+    representations.  The constructor takes ``numbers.Rational`` values;
+    text goes through ``from_str``.  Operands of arithmetic and ``==`` are
+    GQs and ints.  Arithmetic never leaves Q[i]; division by zero raises
+    ZeroDivisionError.  ``re`` and ``im`` are real GQs.
     """
 
     __slots__ = ("_a", "_b", "_d")
@@ -127,18 +123,19 @@ class GQ:
     # -- constructors -------------------------------------------------
     @staticmethod
     def of(x) -> "GQ":
-        if isinstance(x, GQ):
-            return x
-        return GQ(x)
+        return x if isinstance(x, GQ) else GQ(x)
 
     # -- readers ---------------------------------------------------------
     @property
-    def re(self) -> Fraction:
-        return Fraction(self._a, self._d)
+    def re(self) -> "GQ":
+        return _gq(self._a, 0, self._d)
 
     @property
-    def im(self) -> Fraction:
-        return Fraction(self._b, self._d)
+    def im(self) -> "GQ":
+        return _gq(self._b, 0, self._d)
+
+    def re_sign(self) -> int:  # -1, 0 or 1: an order test reads one int
+        return (self._a > 0) - (self._a < 0)
 
     # -- ring/field operations ----------------------------------------
     def __add__(self, other):
@@ -226,30 +223,32 @@ class GQ:
                     and self._d == other._d)
         if isinstance(other, int):
             return not self._b and self._d == 1 and self._a == other
-        if isinstance(other, Fraction):
-            return (not self._b and self._d == other.denominator
-                    and self._a == other.numerator)
         return NotImplemented
 
     def __hash__(self):
-        if not self._b:
-            return hash(self._a) if self._d == 1 else hash(self.re)
-        return hash((self.re, self.im))
+        # an integral value hashes as its int, which it equals
+        if self._d == 1 and not self._b:
+            return hash(self._a)
+        return hash((self._a, self._b, self._d))
 
     # -- text -----------------------------------------------------------
     def to_str(self) -> str:
+        # each part reduced on its own: (2 + i)/2 has gcd 1, real part 2/2
+        real = _ratio_str(self._a, self._d)
         if not self._b:
-            return rat_to_str(self.re)
+            return real
         sign = "+" if self._b > 0 else "-"
-        return f"{rat_to_str(self.re)}{sign}{rat_to_str(abs(self.im))}*i"
+        return f"{real}{sign}{_ratio_str(abs(self._b), self._d)}*i"
 
     @staticmethod
     def from_str(s: str) -> "GQ":
+        """The GQ of "a/b+c/d*i", "a/b" or "a", each part as for
+        ``rat_from_str``; any other string raises ValueError."""
         m = _GQ_RE.fullmatch(s.strip())
         if not m:
             raise ValueError(f"not a Gaussian rational: {s!r}")
-        im = m.group("im")
-        return GQ(rat_from_str(m.group("re")), rat_from_str(im) if im else 0)
+        return (rat_from_str(m.group("re"))
+                + rat_from_str(m.group("im") or "0") * I)
 
     def __repr__(self):
         return f"GQ({self.to_str()})"
@@ -267,5 +266,5 @@ _new = object.__new__
 ZERO = GQ(0)
 ONE = GQ(1)
 I = GQ(0, 1)
-HALF = GQ(Fraction(1, 2))
-HALF_I = GQ(0, Fraction(1, 2))
+HALF = _gq(1, 0, 2)
+HALF_I = _gq(0, 1, 2)

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .scalars import (GQ, HALF, HALF_I, ZERO, _gq,
+from .scalars import (GQ, HALF, HALF_I, I, ZERO, _gq,
                       over_common_denominator, rat_from_str)
 from .linalg import Matrix, Subspace, kernel_basis, rank, vec
 
@@ -293,9 +293,9 @@ class ConePoint:
         z = vec(z)
         if len(z) != 3:
             raise ValueError("need 3 complex coordinates")
-        if cone_quadratic([GQ(c.re) for c in z]):
+        if cone_quadratic([c.re for c in z]):
             raise ValueError("real part is not on the cone")
-        if z[2].re <= 0:
+        if z[2].re_sign() <= 0:
             raise ValueError("not on the future half (x^3 must be positive)")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "_powers", None)
@@ -404,7 +404,7 @@ def _d10_frame_at(p: ConePoint):
     leaves its line iff x^1 != 0, and L23 = (0, -x^3, -x^2) always does;
     these are the first two pivot columns of (L12, L13, L23)(p)."""
     l12, l13, l23, _ = cone_fields()
-    fields = (l12, l13) if p.z[0].re else (l12, l23)
+    fields = (l12, l13) if p.z[0].re_sign() else (l12, l23)
     values = [f.eval(p.powers) for f in fields]
     return fields, values, _section_forms(covectors_at(p), values)
 
@@ -511,7 +511,7 @@ def quadric_eval(s):
     """The two forms at a diag-chart tuple s, and the orbit value
     Im(s^3 conj s^4); its sign does not depend on the representative."""
     bil, herm = ambient_forms(s)
-    return bil, herm, GQ((s[3] * s[4].conj()).im)
+    return bil, herm, (s[3] * s[4].conj()).im
 
 
 def embedding_coords(z):
@@ -550,19 +550,19 @@ def _rationals(csv: str, flag: str, n: int, layout: str) -> list:
 
 def _cone_z(csv: str) -> list:
     x = _rationals(csv, "--z", 6, "x1,x2,x3,y1,y2,y3")
-    return [GQ(re, im) for re, im in zip(x[:3], x[3:])]
+    return [re + im * I for re, im in zip(x[:3], x[3:])]
 
 
 def run_model_quadric(rep, csv: str, chart: str):
     x = _rationals(csv, "--point", 10, "re0,im0,...,re4,im4")
-    t = projective_point([GQ(re, im) for re, im in zip(x[::2], x[1::2])], chart)
+    t = projective_point([a + b * I for a, b in zip(x[::2], x[1::2])], chart)
     bil, herm, third = quadric_eval(t)
     rep.add("symmetric form", "0/1", bil.to_str(), "exact substitution")
     rep.add("hermitian form", "0/1", herm.to_str(), "exact substitution")
     rep.add(
         "orbit inequality value positive",
         True,
-        third.re > 0,
+        third.re_sign() > 0,
         "exact substitution (diag chart only)",
     )
     rep.add("orbit value", third.to_str(), third.to_str(), "exact substitution")

@@ -161,7 +161,7 @@ def symmetric_signature(gram: Matrix):
         m = gram @ m + Matrix.identity(n).scale(coeffs[-1])
         coeffs.append(-trace(gram @ m) / k)
     zero = n - max(k for k, c in enumerate(coeffs) if c)
-    signs = [c.re > 0 for c in coeffs if c]
+    signs = [c.re_sign() > 0 for c in coeffs if c]
     pos = sum(s != t for s, t in zip(signs, signs[1:]))
     return pos, n - zero - pos, zero
 

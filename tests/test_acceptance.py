@@ -232,7 +232,7 @@ def test_criterion_09_embedding_identities():
         f = tube.embed_f(p.z)
         bil, herm, third = tube.quadric_eval(f)
         ok = ok and bil.is_zero() and herm.is_zero()
-        ok = ok and third.im == 0 and third.re > 0
+        ok = ok and third.im == 0 and third.re_sign() > 0
     _report(9, "embedding identities and quadric membership at cone points", ok)
 
 

@@ -92,6 +92,12 @@ def test_exit_codes(tmp_path, capsys):
                      "verify", "jacobi"])
     assert code == 2 and rep is None
     assert capsys.readouterr().err.startswith("error: ")
+    # an empty --json path is refused, not silently ignored
+    for argv in (["--json=", "verify", "jacobi"],
+                 ["--json", "", "verify", "jacobi"]):
+        code, rep = run(argv)
+        assert code == 2 and rep is None
+        assert capsys.readouterr().err == "error: --json needs a file path\n"
     # failed check: a non-member quadric point
     code, rep = run(["model", "quadric", "--point", "1,0,0,0,0,0,0,0,0,0"])
     assert code == 1 and rep.status == "fail"
@@ -392,7 +398,8 @@ from so32cr.cli import run
 found = []
 for argv in json.loads(sys.argv[1]):
     code, _ = run(argv)
-    watched = ["dataclasses", "inspect", "argparse", "gettext", "locale"]
+    watched = ["dataclasses", "inspect", "argparse", "gettext", "locale",
+               "fractions", "decimal"]
     if argv != ["verify", "table1"]:
         watched += ["importlib.resources", "shutil"]
     found.append([argv, code, [m for m in watched if m in sys.modules]])
@@ -401,11 +408,12 @@ print(json.dumps(found))
 
 
 def test_no_command_imports_dataclasses_inspect_or_the_fixture_loader():
-    # verify table1 runs last: it alone reads a resource, whose loader
-    # brings in shutil; no command parses its line with argparse, which
-    # would bring in gettext and locale
-    catalogue = sorted((args for _, args in CATALOGUE),
-                       key=lambda args: args == ["verify", "table1"])
+    # -h runs first, so its row shows what help alone loads; verify table1
+    # runs last, since it alone reads a resource, whose loader brings in
+    # shutil; no command parses its line with argparse (which would bring
+    # in gettext and locale) or reads a rational through fractions (decimal)
+    catalogue = [["-h"]] + sorted((args for _, args in CATALOGUE),
+                                  key=lambda args: args == ["verify", "table1"])
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _IMPORT_GUARD, json.dumps(catalogue)],
         capture_output=True, text=True, cwd=ROOT, env=_src_env(),
@@ -704,20 +712,20 @@ def test_parse_agrees_with_argparse(argv):
 # most; "-h" loads the front end alone
 STATEMENT_BUDGET = {
     "-h": 171,
-    "verify jacobi": 854,
-    "verify table1": 854,
-    "verify structeq": 1294,
-    "cohomology": 1135,
-    "hodge": 1135,
-    "prolong": 1427,
-    "normalize": 1427,
-    "model quadric": 1019,
-    "model embed": 1019,
-    "model levi": 1019,
-    "model cubic": 1019,
-    "model freeman": 1019,
-    "model identities": 1019,
-    "constraints": 1586,
+    "verify jacobi": 851,
+    "verify table1": 851,
+    "verify structeq": 1291,
+    "cohomology": 1132,
+    "hodge": 1132,
+    "prolong": 1424,
+    "normalize": 1424,
+    "model quadric": 1016,
+    "model embed": 1016,
+    "model levi": 1016,
+    "model cubic": 1016,
+    "model freeman": 1016,
+    "model identities": 1016,
+    "constraints": 1583,
 }
 
 # one interpreter runs each command given as JSON with so32cr unloaded

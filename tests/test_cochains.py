@@ -7,7 +7,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from oracles import act_on_cochain, codifferential_by_pairing, evaluate_cochain
 from so32cr import linalg
-from so32cr.scalars import GQ
+from so32cr.scalars import GQ, over_common_denominator
 from so32cr.linalg import (Matrix, inverse, kernel, rank, unit_vec, vec_is_zero,
                            zero_vec)
 from so32cr.so32 import (DIM, GRADES, GRADE_DIMS, bracket_coords, killing_gram,
@@ -392,10 +392,13 @@ def test_coboundary_matches_reference_evaluator():
             side.sign, ell, k)
 
 
+def to_qq_i(x: GQ):
+    d, (a,), (b,) = over_common_denominator([x])
+    return QQ_I(QQ(a, d), QQ(b, d))
+
+
 def sympy_rank(m: Matrix) -> int:
-    rows = [[QQ_I(QQ(x.re.numerator, x.re.denominator),
-                  QQ(x.im.numerator, x.im.denominator)) for x in m.row(i)]
-            for i in range(m.nrows)]
+    rows = [[to_qq_i(x) for x in m.row(i)] for i in range(m.nrows)]
     return DomainMatrix(rows, (m.nrows, m.ncols), QQ_I).rank()
 
 

@@ -195,10 +195,14 @@ def test_rref_idempotent_and_inverse():
 
 # -- differential oracle: sympy's DomainMatrix over QQ_I ---------------------
 
+def to_qq_i(x: GQ):
+    d, (a,), (b,) = over_common_denominator([x])
+    return QQ_I(QQ(a, d), QQ(b, d))
+
+
 def _to_sympy(rows, ncols) -> DomainMatrix:
     return DomainMatrix(
-        [[QQ_I(QQ(x.re.numerator, x.re.denominator),
-               QQ(x.im.numerator, x.im.denominator)) for x in r] for r in rows],
+        [[to_qq_i(x) for x in r] for r in rows],
         (len(rows), ncols), QQ_I)
 
 

@@ -1,12 +1,17 @@
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from so32cr.linalg import Matrix
-from so32cr.scalars import GQ, rat_from_str, rat_to_str
+from so32cr.scalars import GQ, rat_from_str
 from so32cr.tube import Poly
+
+
+def frac_str(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 class FractionPairGQ:
@@ -75,16 +80,11 @@ class FractionPairGQ:
             return NotImplemented
         return self.re == other.re and self.im == other.im
 
-    def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
-
     def to_str(self):
         if self.im == 0:
-            return rat_to_str(self.re)
+            return frac_str(self.re)
         sign = "+" if self.im >= 0 else "-"
-        return f"{rat_to_str(self.re)}{sign}{rat_to_str(abs(self.im))}*i"
+        return f"{frac_str(self.re)}{sign}{frac_str(abs(self.im))}*i"
 
 
 rationals = st.fractions(
@@ -101,55 +101,70 @@ pairs = st.tuples(any_rationals, any_rationals)
 
 
 def _matches(x: GQ, ref: FractionPairGQ):
-    """x is canonical and agrees with the reference in value, hash and text."""
+    """x is canonical and agrees with the reference in value, parts, sign,
+    hash and text."""
     a, b, d = x._a, x._b, x._d
     assert d > 0 and gcd(a, b, d) == 1
     if not (a or b):
         assert (a, b, d) == (0, 0, 1)
-    assert x.re == ref.re and x.im == ref.im
-    assert type(x.re) is Fraction and type(x.im) is Fraction
-    assert hash(x) == hash(ref)
+    assert x.re == GQ(ref.re) and x.im == GQ(ref.im)
+    assert x.re.is_real() and x.im.is_real()
+    assert x.re_sign() == (ref.re > 0) - (ref.re < 0)
+    assert hash(x) == hash(GQ(ref.re, ref.im))
     assert x.to_str() == ref.to_str()
     assert bool(x) == (not ref.is_zero())
 
 
 @settings(max_examples=200)
-@given(pairs, pairs, any_rationals)
-def test_matches_the_fraction_pair_reference(p, q, r):
-    x, y = GQ(*p), GQ(*q)
+@given(pairs, pairs, any_rationals, st.integers(-10**20, 10**20))
+def test_matches_the_fraction_pair_reference(p, q, r, n):
+    x, y, g = GQ(*p), GQ(*q), GQ(r)
     rx, ry = FractionPairGQ(*p), FractionPairGQ(*q)
     _matches(x, rx)
     for got, want in ((x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
                       (-x, -rx), (x.conj(), rx.conj()),
-                      (x + r, rx + r), (r + x, r + rx), (x - r, rx - r),
-                      (r - x, r - rx), (x * r, rx * r), (r * x, r * rx),
-                      (x + 3, rx + 3), (2 - x, 2 - rx), (x * -5, rx * -5)):
+                      (x + g, rx + r), (g + x, r + rx), (x - g, rx - r),
+                      (g - x, r - rx), (x * g, rx * r), (g * x, r * rx),
+                      (x + n, rx + n), (n + x, n + rx), (x - n, rx - n),
+                      (n - x, n - rx), (x * n, rx * n), (n * x, n * rx)):
         _matches(got, want)
     assert x * x.conj() == GQ(rx.abs2())
     assert (x == y) == (rx == ry)
-    assert (x == r) == (rx == r) and (x == 7) == (rx == 7)
-    assert (x == p[0]) == (rx == p[0])
-    assert (GQ(p[0]) == p[0]) and hash(GQ(p[0])) == hash(p[0])
+    assert (x == g) == (rx == r) and (x == n) == (rx == n)
+    assert GQ(n) == n and hash(GQ(n)) == hash(n)
     if not ry.is_zero():
         _matches(x / y, rx / ry)
         _matches(y.inverse(), ry.inverse())
-        _matches(r / y, r / ry)
+        _matches(g / y, r / ry)
+        _matches(n / y, n / ry)
     else:
-        with pytest.raises(ZeroDivisionError):
-            y.inverse()
-        with pytest.raises(ZeroDivisionError):
-            x / y
-    if r:
-        _matches(x / r, rx / r)
+        for op in (y.inverse, lambda: x / y, lambda: n / y):
+            with pytest.raises(ZeroDivisionError, match=r"inverse of 0 in Q\[i\]"):
+                op()
+    if n:
+        _matches(x / n, rx / n)
+
+
+def test_a_fraction_enters_through_the_constructor_only():
+    # arithmetic refuses a Fraction operand and == never holds, so a value
+    # cannot silently come out as a Fraction
+    half = Fraction(1, 2)
+    for op in (lambda x: x + half, lambda x: half + x, lambda x: x - half,
+               lambda x: half - x, lambda x: x * half, lambda x: half * x,
+               lambda x: x / half, lambda x: half / x):
+        with pytest.raises(TypeError):
+            op(GQ(2))
+    assert GQ(half) != half and GQ(1) != Fraction(1)
 
 
 @pytest.mark.parametrize("bad", [0.1, 0.5, 1j, float("nan")])
 def test_floats_never_enter(bad):
-    with pytest.raises(TypeError):
+    not_rational = "GQ takes ints and rationals, not "
+    with pytest.raises(TypeError, match=not_rational):
         GQ(bad)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=not_rational):
         GQ(1, bad)
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=not_rational):
         GQ.of(bad)
     for op in (lambda x: x + bad, lambda x: bad + x, lambda x: x - bad,
                lambda x: bad - x, lambda x: x * bad, lambda x: bad * x,
@@ -167,13 +182,21 @@ def test_unknown_operands_defer_to_the_other_type():
     assert GQ(1) + z == z + GQ(1)
     assert GQ.__mul__(GQ(2), z) is NotImplemented
     assert GQ.__add__(GQ(2), "1/2") is NotImplemented
+    assert GQ.__rsub__(GQ(2), "1/2") is NotImplemented
+    assert GQ.__rtruediv__(GQ(2), "1/2") is NotImplemented
+    # text enters through from_str only
+    with pytest.raises(TypeError, match="GQ takes ints and rationals, not str"):
+        GQ("1/2")
 
 
 def test_constructor_normalizes():
     x = GQ(Fraction(2, 4), -2)
-    assert x.re == Fraction(1, 2) and x.im == -2
+    assert x.re == GQ(Fraction(1, 2)) and x.im == -2
     assert (x._a, x._b, x._d) == (1, -4, 2)
     assert (GQ(Fraction(2, 3), Fraction(5, 6))._d) == 6
+    # an integral value equals and hashes as its int, and nothing else does
+    assert GQ(Fraction(10, 2)) == 5 and hash(GQ(Fraction(-2, 2))) == hash(-1)
+    assert GQ(Fraction(5, 2)) != 2 and GQ(5, 1) != 5
 
 
 @given(gaussians, gaussians, gaussians)
@@ -191,14 +214,15 @@ def test_field_axioms(a, b, c):
 def test_inverse_and_conjugation(a):
     assert a.conj().conj() == a
     norm = a * a.conj()
-    assert norm.is_real() and norm.re >= 0
+    assert norm.is_real() and norm.re_sign() >= 0
     if not a.is_zero():
         assert a * a.inverse() == GQ(1)
 
 
 def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        GQ(0).inverse()
+    for op in (GQ(0).inverse, lambda: GQ(1) / 0, lambda: 1 / GQ(0)):
+        with pytest.raises(ZeroDivisionError, match=r"inverse of 0 in Q\[i\]"):
+            op()
 
 
 @given(gaussians)
@@ -212,8 +236,13 @@ def test_serialization_format():
     assert GQ(Fraction(-3, 2)).to_str() == "-3/2"
     assert GQ.from_str("1/2+3/4*i") == GQ(Fraction(1, 2), Fraction(3, 4))
     assert GQ.from_str("-5") == GQ(-5)
-    assert rat_to_str(Fraction(0)) == "0/1"
-    assert rat_from_str("-3/6") == Fraction(-1, 2)
+    assert GQ(0).to_str() == "0/1"
+    assert rat_from_str("-3/6") == GQ(Fraction(-1, 2))
+    # (2 + i)/2 is stored with gcd(2, 1, 2) = 1, yet its real part is 1/1
+    assert GQ(1, Fraction(1, 2)).to_str() == "1/1+1/2*i"
+    assert GQ(Fraction(-3, 4), 5).re == GQ(Fraction(-3, 4))
+    assert GQ(Fraction(-3, 4), 5).im == 5
+    assert [GQ(c, 7).re_sign() for c in (-2, 0, 3)] == [-1, 0, 1]
 
 
 def test_from_str_rejects_inner_blanks():
@@ -221,8 +250,72 @@ def test_from_str_rejects_inner_blanks():
     # not read as 12
     assert GQ.from_str(" 1/2+3/4*i ") == GQ(Fraction(1, 2), Fraction(3, 4))
     for s in ("1 2", "1/2 +3/4*i"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not a Gaussian rational: "):
             GQ.from_str(s)
+
+
+# the parser against Fraction: signed "a" and "a/b" (b may be 0) with blanks
+# at the ends, and the same literals with one edit that must be refused,
+# whether or not Fraction accepts it
+_EDITS = (".", ".5", "e3", "E-2", "_0", "1 1", "/-2", "\u0661", "\uff11")
+_DIGITS = st.text("0123456789", min_size=1, max_size=30)
+
+
+@st.composite
+def _literals(draw):
+    body = draw(st.sampled_from(["", "+", "-"])) + draw(_DIGITS)
+    if draw(st.booleans()):
+        body += "/" + draw(_DIGITS)
+    refused = draw(st.booleans())
+    if refused:
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.sampled_from(_EDITS)) + body[at:]
+    blanks = st.text(" \t\n\r\u00a0\u2003", max_size=3)
+    return draw(blanks) + body + draw(blanks), refused
+
+
+@settings(max_examples=300)
+@example((" 1/0\t", False))
+@example(("1/-2", True))
+@given(_literals())
+def test_parser_and_printer_agree_with_fraction(case):
+    s, refused = case
+    if refused:
+        with pytest.raises(ValueError, match="^not a rational: "):
+            rat_from_str(s)
+        with pytest.raises(ValueError, match="^not a Gaussian rational: "):
+            GQ.from_str(s)
+        return
+    try:
+        want = Fraction(s)
+    except ZeroDivisionError:
+        for parse in (rat_from_str, GQ.from_str):
+            with pytest.raises(ValueError, match="^zero denominator in "):
+                parse(s)
+        return
+    x = rat_from_str(s)
+    assert x == GQ(want) and GQ.from_str(s) == x
+    assert x.to_str() == frac_str(want)
+
+
+@example(2, 1, 2)  # (2 + i)/2: gcd(2, 1, 2) = 1, the real part is 1/1
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6),
+       st.integers(1, 10**6))
+def test_to_str_reduces_each_part_on_its_own(a, b, d):
+    x = GQ(Fraction(a, d), Fraction(b, d))
+    assert x.to_str() == FractionPairGQ(Fraction(a, d), Fraction(b, d)).to_str()
+
+
+def test_digits_past_the_interpreter_limit_are_named():
+    limit = sys.get_int_max_str_digits()
+    for parse in (rat_from_str, GQ.from_str):
+        with pytest.raises(ValueError,
+                           match="^not a rational: too many digits in 7777"):
+            parse("7" * (limit + 1))
+    for x in (GQ(10 ** limit), GQ(1, 10 ** limit)):
+        with pytest.raises(ValueError,
+                           match="^result has too many digits to print$"):
+            x.to_str()
 
 
 def test_i_squares_to_minus_one():

@@ -212,8 +212,8 @@ def test_table1_crosscheck():
     assert ok.match
     assert ok.commutator_value[0] == GQ(-2)
     d = by_key[("e^-1(10)", "e^-1(01)")]
-    assert d.commutator_value[0] == GQ(0, "1/2")
-    assert d.table_value[0] == GQ("1/2")
+    assert d.commutator_value[0] == GQ(0, Fraction(1, 2))
+    assert d.table_value[0] == GQ(Fraction(1, 2))
 
 
 def test_conjugation_symmetry_of_commutator_table():

@@ -43,7 +43,7 @@ I = GQ(0, 1)
 def in_model(s) -> bool:
     # a diag-chart tuple on both forms' zero set, with a positive orbit value
     bil, herm, third = quadric_eval(s)
-    return bil.is_zero() and herm.is_zero() and third.re > 0
+    return bil.is_zero() and herm.is_zero() and third.re_sign() > 0
 
 
 def same_point(s, t) -> bool:
