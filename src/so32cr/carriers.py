@@ -1,16 +1,18 @@
 """Filtration-preserving endomorphism algebras on truncations of so(3,2).
 
 A carrier is one of the four truncations m, m+h^0, m+h^0+h^1, m+h, the
-carriers of the four prolongation steps, each a coordinate subspace in the
-fixed basis order, equipped with the restricted grading and the partial
-complex structure J.  Because every filtration space is spanned by basis
-vectors, the filtered and graded conditions on an endomorphism are entry
-patterns, and each space is a coordinate subspace.  J-compatibility is a
-condition of the step-0 system (``prolong.prolong_step0``), not of a space
-here.
+carriers of the four prolongation steps, with the restricted grading and
+the partial complex structure J.  The ``so32`` basis lists m first and then
+h by grade, so a carrier is the first 5, 7, 9 or 10 basis vectors, and its
+J, ad actions, endomorphisms and complex basis change are leading blocks of
+the algebra's: no conjugate pair (X^(10), X^(01)) straddles a carrier's end.
+Every filtration space is spanned by basis vectors, so the filtered and
+graded conditions on an endomorphism are entry patterns and each space is a
+coordinate subspace.  J-compatibility is a condition of the step-0 system
+(``prolong.prolong_step0``), not of a space here.
 
-Endomorphisms are n x n matrices over the carrier's slice of the basis,
-vectorized row-major (``Matrix.flatten``) for subspace bookkeeping.
+Endomorphisms are n x n matrices, vectorized row-major (``Matrix.flatten``)
+for subspace bookkeeping.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .scalars import GQ
-from .linalg import Matrix, Subspace, unit_vec, vec
+from .linalg import Matrix, Subspace, unit_vec, vec, zero_vec
 from . import so32
 from .so32 import (_J_IMAGE, bracket_coords, complex_basis_matrix,
                    complex_basis_matrix_inv)
@@ -28,59 +30,40 @@ STEP_CARRIERS = {0: "m", 1: "m+h0", 2: "m+h0+h1", 3: "m+h"}
 CARRIER_NAMES = tuple(STEP_CARRIERS.values())
 
 
+def _leading(m: Matrix, n: int) -> Matrix:
+    """The leading n x n block of a matrix."""
+    return Matrix([m.row(i)[:n] for i in range(n)])
+
+
 class Carrier:
-    """A truncation of so(3,2) with its grading and J."""
+    """A truncation of so(3,2) with its grading and J: the first ``dim``
+    basis vectors, m and the part of h of grade below the step."""
 
     def __init__(self, name: str):
         if name not in CARRIER_NAMES:
             raise ValueError(f"unknown carrier {name!r}")
         self.name = name
         top = CARRIER_NAMES.index(name) - 1  # the highest grade of h kept
-        self.indices = tuple(
-            i for i in range(so32.DIM)
-            if not so32.IN_H[i] or so32.GRADES[i] <= top
-        )
-        self.dim = len(self.indices)
-        self.grades = tuple(so32.GRADES[i] for i in self.indices)
+        self.dim = sum(not h or g <= top
+                       for g, h in zip(so32.GRADES, so32.IN_H))
+        self.grades = so32.GRADES[:self.dim]
 
-    # -- J ----------------------------------------------------------------
     def j_matrix(self) -> Matrix:
         """J on the carrier, extended by zero outside m^-1+m^0+h^0+h^1."""
-        entries = []
-        for p, i in enumerate(self.indices):
-            j, s = _J_IMAGE.get(i, (None, 0))
-            if j in self.indices:
-                entries.append((self.indices.index(j), p, s))
-        return Matrix.from_entries(self.dim, self.dim, entries)
-
-    # -- embedding in the full algebra ------------------------------------
-    def project_coords(self, coords):
-        coords = vec(coords)
-        return tuple(coords[i] for i in self.indices)
-
-    def embed_coords(self, local):
-        local = vec(local)
-        out = [GQ(0)] * so32.DIM
-        for p, i in enumerate(self.indices):
-            out[i] = local[p]
-        return tuple(out)
-
-    def embedding(self) -> Matrix:
-        """The inclusion of the carrier's coordinates into the algebra's;
-        its transpose is the projection."""
-        return Matrix.from_entries(so32.DIM, self.dim, (
-            (i, p, 1) for p, i in enumerate(self.indices)))
+        n = self.dim
+        return Matrix.from_entries(n, n, (
+            (j, i, s) for i, (j, s) in _J_IMAGE.items() if i < n and j < n))
 
     def apply_endo(self, b: Matrix, coords):
         """An endomorphism of the carrier acting on algebra coordinates:
-        embed(b . project(coords))."""
-        return self.embed_coords(b.apply(self.project_coords(coords)))
+        b on the first n of them, with zeros after the image."""
+        return b.apply(vec(coords)[:self.dim]) + zero_vec(so32.DIM - self.dim)
 
     def ad_action(self, x) -> Matrix:
         """pi . ad(x) . incl : the quotient action of x on the carrier."""
+        n = self.dim
         return Matrix.from_columns([
-            self.project_coords(bracket_coords(x, unit_vec(so32.DIM, i)))
-            for i in self.indices])
+            bracket_coords(x, unit_vec(so32.DIM, i))[:n] for i in range(n)])
 
     def __repr__(self):
         return f"Carrier({self.name})"
@@ -140,9 +123,12 @@ def endo_from_complex_images(carrier: Carrier, images: dict) -> Matrix:
 
     ``images`` maps a complexified basis label to a list of (coef, label)
     terms.  Columns for conjugate labels are filled by the conjugation
-    symmetry of a real map; omitted columns are zero.  Raises when the
-    result does not stay in the carrier or fails to be real.
+    symmetry of a real map; omitted columns are zero.  The n x n complex
+    matrix is conjugated by the leading blocks of the basis change.  Raises
+    when a label or an image leaves the carrier, or when the result fails
+    to be real.
     """
+    n = carrier.dim
     zl, conj = so32.COMPLEX_LABELS.index, so32.CONJ_PERM
     entries = {}  # (row, column) -> value in the complexified basis
     for label, terms in images.items():
@@ -152,22 +138,18 @@ def endo_from_complex_images(carrier: Carrier, images: dict) -> Matrix:
     for (i, j), x in list(entries.items()):
         if conj[j] not in specified:
             entries[conj[i], conj[j]] = x.conj()
-    mz = Matrix.from_entries(so32.DIM, so32.DIM,
-                             ((i, j, x) for (i, j), x in entries.items()))
-    mreal = complex_basis_matrix() @ mz @ complex_basis_matrix_inv()
-    for r, row in enumerate(mreal.rows):
-        for c, x in row:
-            if not x.is_real():
-                raise ValueError("images do not define a real endomorphism")
-            if c in carrier.indices and r not in carrier.indices:
-                raise ValueError("image leaves the carrier")
-    e = carrier.embedding()
-    return e.transpose() @ mreal @ e
+    if any(max(ij) >= n for ij in entries):
+        raise ValueError("image leaves the carrier")
+    mz = Matrix.from_entries(n, n, ((i, j, x) for (i, j), x in entries.items()))
+    mreal = (_leading(complex_basis_matrix(), n) @ mz
+             @ _leading(complex_basis_matrix_inv(), n))
+    if not all(x.is_real() for row in mreal.rows for _, x in row):
+        raise ValueError("images do not define a real endomorphism")
+    return mreal
 
 
 def endo_complex_matrix(carrier: Carrier, m: Matrix) -> Matrix:
     """The endomorphism in complexified coordinates of the carrier."""
-    e = carrier.embedding()
-    zfull = (complex_basis_matrix_inv() @ (e @ m @ e.transpose())
-             @ complex_basis_matrix())
-    return e.transpose() @ zfull @ e
+    n = carrier.dim
+    return (_leading(complex_basis_matrix_inv(), n) @ m
+            @ _leading(complex_basis_matrix(), n))

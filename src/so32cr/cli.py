@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import os
 import sys
-from importlib import import_module
 from itertools import islice
 from typing import NamedTuple
 
@@ -259,7 +258,8 @@ def run(argv) -> tuple[int, Report | None]:
         return stop.code, None
     from .report import Report
     module, _, name = cmd.runner.partition(".")
-    fill = getattr(import_module(f"{__package__}.{module}"), name)
+    # __import__, unlike importlib.import_module, shows in -X importtime
+    fill = getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
     rep = Report(" ".join([*cmd.words, *(
         f"{flag} {value}" for (flag, *_), value in zip(cmd.args, values))]))
     try:

@@ -69,12 +69,13 @@ def cochain_of_endo(carrier: Carrier, b: Matrix, k: int) -> Cochain:
     """The 1-cochain of degree k given by the action of b on m_-.
 
     Graded degree-k endomorphisms of a step carrier vanish on grades >= 0
-    and are determined by this restriction."""
+    and are determined by this restriction.  The carrier is a leading
+    block of the basis, so b's rows and columns are basis indices."""
     table = {}
     columns = b.transpose().rows
     for a, i in enumerate(M_MINUS):
-        for r, c in columns[carrier.indices.index(i)]:
-            table[((a,), carrier.indices[r])] = c
+        for r, c in columns[i]:
+            table[((a,), r)] = c
     return Cochain.from_full_table(1, k, table)
 
 
@@ -416,7 +417,7 @@ def run_prolong(rep, which: str):
                 rep.add(
                     f"step {step} {name}",
                     expected,
-                    so32.format_combination(s.carrier.embed_coords(z.col(col))),
+                    so32.format_combination(z.col(col)),
                     f"closed gauge directions at degree {step}",
                 )
         if step == 3:

@@ -563,7 +563,8 @@ def run_model_quadric(rep, csv: str, chart: str):
         "orbit inequality value positive",
         True,
         third.re_sign() > 0,
-        "exact substitution (diag chart only)",
+        "exact substitution (diag chart only)" if chart == "diag"
+        else "exact substitution on the diag-chart representative",
     )
     rep.add("orbit value", third.to_str(), third.to_str(), "exact substitution")
 

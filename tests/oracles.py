@@ -195,7 +195,7 @@ def filtration_steps(kind: str, indices=tuple(range(DIM))):
 
 def fstar_ladder(carrier: Carrier):
     """Semitone ladder V_-2, V_-1, V_(0|-1), V_(0|0), V_(0|1), V_(0|2), 0."""
-    return filtration_steps("F*", carrier.indices)
+    return filtration_steps("F*", range(carrier.dim))
 
 
 def gl_semitone(carrier: Carrier, k: int, star: bool = False,
@@ -208,7 +208,7 @@ def gl_semitone(carrier: Carrier, k: int, star: bool = False,
     """
     if k < 0:
         raise ValueError("only nonnegative degrees are defined here")
-    g, lv = carrier.grades, tuple(LEVELS[i] for i in carrier.indices)
+    g, lv = carrier.grades, LEVELS[:carrier.dim]
 
     def allowed(r, c):
         # A(V_t) in V_(t+k): a column may only reach rows k steps higher.
@@ -234,7 +234,7 @@ def j_rows(carrier: Carrier, domain_slots, coords) -> Matrix:
     n = carrier.dim
     jm = carrier.j_matrix()
     jt = jm.transpose()  # row c: the coordinates of J(v_c)
-    hpart = {p for p, i in enumerate(carrier.indices) if IN_H[i]}
+    hpart = {p for p in range(n) if IN_H[p]}
     column = {q: p for p, q in enumerate(coords)}
     targets = [(c, r) for c in domain_slots for r in range(n) if r not in hpart]
     entries = []
@@ -268,8 +268,8 @@ def gl_graded_j(carrier: Carrier, k: int) -> EndoSubspace:
     slots of m where J is defined (m^-1 + m^0).  For k >= 2 the condition
     is vacuous: values at grade >= 1 land inside the h-part."""
     g = carrier.grades
-    j_domain = tuple(p for p, i in enumerate(carrier.indices)
-                     if i in _J_IMAGE and not IN_H[i])
+    j_domain = tuple(p for p in range(carrier.dim)
+                     if p in _J_IMAGE and not IN_H[p])
     return EndoSubspace(carrier, j_endo_space(
         carrier, lambda r, c: g[r] == g[c] + k, j_domain))
 
@@ -553,9 +553,9 @@ def endo_of_cochain(carrier: Carrier, c: Cochain) -> Matrix:
     on the rest of the carrier."""
     entries = []
     for ((a,), beta), coef in c.coeff_map().items():
-        if beta not in carrier.indices:
+        if beta >= carrier.dim:
             raise ValueError("cochain value leaves the carrier")
-        entries.append((carrier.indices.index(beta), a, coef))
+        entries.append((beta, a, coef))
     return Matrix.from_entries(carrier.dim, carrier.dim, entries)
 
 

@@ -1,12 +1,15 @@
 import random
 
+import pytest
+
 from oracles import (filtration_steps, fstar_ladder, gl_graded_j,
                      gl_semitone, j_rows)
-from so32cr.scalars import GQ
+from so32cr.scalars import GQ, I
 from so32cr.linalg import Matrix, Subspace, kernel
-from so32cr.so32 import real_unit
+from so32cr.so32 import _J_IMAGE, CONJ_PERM, DIM, GRADES, IN_H, real_unit
 from so32cr.carriers import (
     CARRIER_NAMES,
+    STEP_CARRIERS,
     Carrier,
     endo_complex_matrix,
     endo_from_complex_images,
@@ -157,6 +160,43 @@ def test_endo_from_complex_images_reality():
     assert all(b[r, col].is_real() for r in range(7) for col in range(7))
 
 
+def test_each_carrier_is_a_leading_block_of_the_basis():
+    # the kept basis vectors are the first dim ones, no conjugate pair and
+    # no J pair straddles dim, and the quotient action of ad(x) is the
+    # leading block of the one on m+h
+    rng = random.Random(5)
+    full = Carrier("m+h")
+    for step, name in STEP_CARRIERS.items():
+        c = Carrier(name)
+        n = c.dim
+        kept = [i for i in range(DIM) if not IN_H[i] or GRADES[i] <= step - 1]
+        assert kept == list(range(n)), name
+        j_pairs = [(i, j) for i, (j, _) in _J_IMAGE.items()]
+        for i, j in [*enumerate(CONJ_PERM), *j_pairs]:
+            assert (i < n) == (j < n), (name, i, j)
+        for _ in range(3):
+            x = [GQ(rng.randrange(-3, 4), rng.randrange(-3, 4))
+                 for _ in range(DIM)]
+            lead = full.ad_action(x)
+            assert c.ad_action(x) == Matrix(
+                [lead.row(r)[:n] for r in range(n)]), name
+
+
+def test_carrier_errors_are_named():
+    with pytest.raises(ValueError, match="unknown carrier 'h'"):
+        Carrier("h")
+    m = Carrier("m")
+    for gl in (gl_filtered, gl_graded):
+        with pytest.raises(ValueError,
+                           match="only nonnegative degrees are defined here"):
+            gl(m, -1)
+    with pytest.raises(ValueError,
+                       match="images do not define a real endomorphism"):
+        endo_from_complex_images(m, {"e^-2": [(I, "e^-2")]})
+    with pytest.raises(ValueError, match="image leaves the carrier"):
+        endo_from_complex_images(m, {"e^-2": [(1, "E^0(10)")]})
+
+
 # -- reference formulation: unit rows for every entry outside the pattern
 # plus the J rows, then one kernel of the full n^2-column matrix ------------
 
@@ -187,7 +227,7 @@ def _reference_filtered(c, k, star, j):
         )
 
     if not star:
-        chain = filtration_steps("F", c.indices)
+        chain = filtration_steps("F", range(c.dim))
         for t in range(5):
             restrict(chain[t], chain[min(t + k, 5)])
     else:
@@ -208,7 +248,7 @@ def _reference_graded(c, k, j):
     n = c.dim
     allowed = {(r, col) for r in range(n) for col in range(n)
                if c.grades[r] == c.grades[col] + k}
-    domain = [p for p, i in enumerate(c.indices) if i in (1, 2, 3, 4)]
+    domain = [p for p in range(c.dim) if p in (1, 2, 3, 4)]
     return _reference_space(c, allowed, domain if j else ())
 
 

@@ -20,6 +20,7 @@ from so32cr.scalars import GQ, HALF_I
 from so32cr.so32 import REAL_LABELS
 from oracles import argparse_parse
 from test_golden_reports import COMMANDS as CATALOGUE
+from test_reach import EXTRA_COMMANDS
 
 ROOT = Path(__file__).resolve().parent.parent
 NORMALIZE_K2 = ROOT / "perfbench" / "inputs" / "normalize_k2.json"
@@ -312,11 +313,22 @@ def test_cochain_degree_out_of_range_is_reported_as_such(capsys):
                 capsys.readouterr().err)
 
 
-def test_deeply_nested_input_is_an_input_error(tmp_path):
+def test_deeply_nested_input_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100000)
+    capsys.readouterr()
     code, rep = run(["normalize", "--k", "2", "--input", str(path)])
     assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        "error: input JSON is nested too deeply\n")
+
+
+def test_input_degree_other_than_k_is_an_input_error(capsys):
+    capsys.readouterr()
+    code, rep = run(["normalize", "--k", "3", "--input", str(NORMALIZE_K2)])
+    assert code == 2 and rep is None
+    assert capsys.readouterr().err == (
+        "error: input degree 2 does not match --k 3\n")
 
 
 def _src_env():
@@ -391,6 +403,18 @@ def test_help_loads_only_the_front_end():
     assert _modules_loaded_by(["-h"]) == {"so32cr", "cli"}
 
 
+def test_importtime_lists_the_runner_module():
+    # cli.run loads the runner's module with __import__, which -X importtime
+    # logs; importlib.import_module is not logged
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "so32cr.cli",
+         "model", "levi", "--z", "1,0,1,0,0,0"],
+        capture_output=True, text=True, cwd=ROOT, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "so32cr.tube" in [line.split("|")[-1].strip()
+                             for line in proc.stderr.splitlines()]
+
+
 # one interpreter without site runs the catalogue given as JSON, then prints
 # per command its exit code and the watched modules it found loaded
 _IMPORT_GUARD = """import json, sys
@@ -461,6 +485,18 @@ def test_quadric_verdict_is_the_same_in_both_charts():
         assert code == code_expected, argv
         (row,) = [c for c in rep.checks if c.name == "orbit value"]
         assert row.actual == value, argv
+
+
+def test_antidiag_orbit_row_names_the_diag_representative(tmp_path):
+    # the orbit value is computed on the point's diag-chart representative
+    (argv,) = [args for args in EXTRA_COMMANDS if "antidiag" in args]
+    path = tmp_path / "antidiag.json"
+    code, _ = run(["--json", str(path), *argv])
+    assert code == 0
+    (row,) = [c for c in json.loads(path.read_text())["checks"]
+              if c["name"] == "orbit inequality value positive"]
+    assert row["source"] == (
+        "exact substitution on the diag-chart representative")
 
 
 def test_prolong_generator_check_can_fail(monkeypatch):
@@ -711,21 +747,21 @@ def test_parse_agrees_with_argparse(argv):
 # so32cr statements (ast.stmt nodes) in the modules a command loads, at
 # most; "-h" loads the front end alone
 STATEMENT_BUDGET = {
-    "-h": 171,
-    "verify jacobi": 851,
-    "verify table1": 851,
-    "verify structeq": 1291,
-    "cohomology": 1132,
-    "hodge": 1132,
-    "prolong": 1424,
-    "normalize": 1424,
-    "model quadric": 1016,
-    "model embed": 1016,
-    "model levi": 1016,
-    "model cubic": 1016,
-    "model freeman": 1016,
-    "model identities": 1016,
-    "constraints": 1583,
+    "-h": 170,
+    "verify jacobi": 850,
+    "verify table1": 850,
+    "verify structeq": 1290,
+    "cohomology": 1131,
+    "hodge": 1131,
+    "prolong": 1407,
+    "normalize": 1407,
+    "model quadric": 1015,
+    "model embed": 1015,
+    "model levi": 1015,
+    "model cubic": 1015,
+    "model freeman": 1015,
+    "model identities": 1015,
+    "constraints": 1566,
 }
 
 # one interpreter runs each command given as JSON with so32cr unloaded

@@ -239,8 +239,11 @@ def test_normalize_round_trip_random():
 
 def test_normalize_rejects_degrees_without_a_step():
     for k in (0, 4):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected a 2-cochain of degree"):
             normalize_ctorsion(Cochain.zero(2, k))
+        with pytest.raises(ValueError,
+                           match="normalization degree must be 1, 2 or 3"):
+            normalization_space(k)
 
 
 def test_endo_cochain_round_trip():
@@ -384,5 +387,6 @@ def test_a_corrupted_projector_entry_is_caught(monkeypatch):
     normalize_ctorsion(Cochain(2, k, unit_vec(n, j)))
     monkeypatch.setattr(prolong, "_normalize_maps",
                         lambda k: (carrier, b_map, bad))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError,
+                       match="residual escaped the normalization space"):
         normalize_ctorsion(Cochain(2, k, unit_vec(n, j)))
