@@ -31,9 +31,9 @@ from .scalars import GQ, HALF, HALF_I, I, combination_text
 from . import forms, so32
 from .so32 import (CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex,
                    to_complex_basis)
-from .cochains import Cochain, cochain_dim
+from .cochains import Cochain, cochain_dim, codifferential_matrix
 from .forms import Form, canonical
-from .linalg import Matrix, unit_vec
+from .linalg import Matrix, rref, unit_vec
 
 # short grade labels of the complexified basis ("e^-1(10)" -> "-1(10)"),
 # used in the coframe labels and in the structure-function symbols
@@ -271,15 +271,15 @@ def _symbol_column(s: Symbol, k: int):
 
 
 def _normalization_relations(k: int):
-    """Annihilator relations expressing membership of the degree-k c-torsion
-    in the normalization space, over the complex symbol basis."""
-    from .prolong import _annihilator  # only the catalog needs it
+    """Relations expressing membership of the degree-k c-torsion in the
+    normalization space ker d*, over the complex symbol basis: one per
+    nonzero row of rref(d*)."""
     syms = _symbol_basis(k)
     phi = Matrix.from_columns([_symbol_column(s, k) for s in syms],
                               nrows=cochain_dim(2, k))
     out = []
-    # the annihilator of the normalization space, one covector at a time
-    for row in (_annihilator(k) @ phi).rows:
+    # the reduced rows of d*, one covector at a time; zero rows give no terms
+    for row in (rref(codifferential_matrix(2, k))[0] @ phi).rows:
         terms = tuple((c, syms[j]) for j, c in row)
         if terms:
             out.append(

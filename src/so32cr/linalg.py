@@ -311,14 +311,10 @@ class Subspace:
                     v[j] = v[j] - c * b
         return not any(v)
 
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace(self.ambient_dim,
-                        self.basis_vectors() + other.basis_vectors())
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Intersection via the kernel of [B1 | B2] (Zassenhaus-free version)."""
-        self._check(other)
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.ambient_dim)
         stacked = Matrix._of(self.rows + other.rows, self.ambient_dim)
@@ -326,10 +322,6 @@ class Subspace:
         return Subspace(self.ambient_dim, [
             b1.apply(k[: self.dim]) for k in kernel_basis(stacked.transpose())
         ])
-
-    def _check(self, other: "Subspace"):
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -13,16 +13,17 @@ The solution dimensions come out (2, 2, 1, 0) and each solution space is
 spanned by the projected adjoint action of explicit witnesses in h^k.
 
 Degree-k c-torsions (2-cochains on m_-) are normalized against the step-k
-gauge image: the normalization space is, at degree 1, the orthocomplement
-of the l1-image inside the coboundary image plus ker d*, and at degrees 2
-and 3 simply ker d*.  The orthocomplement is taken for the inner product
-that makes the monomial basis orthonormal, so its Gram is the identity;
-``INNER_PRODUCT_NOTE`` is the text the reports record for that choice, and
-``L1_NOTE`` the text they record on the degree-1 gauge space.
-Each space is complementary to the gauge image, so the split c = dB +
-residual always exists and is linear in c: one elimination per degree fixes
-the maps c -> B and c -> residual; A r = 0 checks each residual r, for a
-fixed A whose kernel is the normalization space.
+gauge image: the normalization space is ker d* on C^2_k at every degree,
+the coclosedness condition of parabolic geometry.  At degree 1 the gauge
+image is all of C^2_1, so the space is 0; the paper's recipe there (the
+orthocomplement of the l1-image inside the coboundary image, plus ker d*)
+gives the same 0 for the inner product that makes the monomial basis
+orthonormal.  ``INNER_PRODUCT_NOTE`` is the text the reports record for
+that choice, and ``L1_NOTE`` the text they record on the degree-1 gauge
+space.  Each space is complementary to the gauge image, so the split c =
+dB + residual always exists and is linear in c: one elimination per degree
+fixes the maps c -> B and c -> residual; A r = 0 checks each residual r,
+for A the reduced nonzero rows of d*.
 
 The ``run_*`` functions at the end fill the reports of ``so32cr prolong``
 and ``so32cr normalize``.
@@ -40,16 +41,17 @@ from .linalg import (
     Subspace,
     kernel,
     kernel_basis,
+    rank,
     real_rows,
+    rref,
     solution_map,
     vec_add,
     vec_scale,
 )
 from . import so32
 from .so32 import M_MINUS, real_unit
-from .carriers import (STEP_CARRIERS, Carrier, EndoSubspace,
-                       endo_complex_matrix, endo_from_complex_images,
-                       gl_filtered, gl_graded)
+from .carriers import (STEP_CARRIERS, Carrier, endo_complex_matrix,
+                       endo_from_complex_images, gl_filtered, gl_graded)
 from .cochains import (
     Cochain,
     coboundary,
@@ -193,13 +195,6 @@ def l1_generators() -> tuple:
     )
 
 
-def l1_subspace() -> EndoSubspace:
-    """The degree-1 gauge algebra: 6-dimensional, parameters (lambda, mu, nu)."""
-    carrier = Carrier("m+h0")
-    return EndoSubspace(carrier, Subspace(
-        carrier.dim ** 2, [g.flatten() for g in l1_generators()]))
-
-
 @lru_cache(maxsize=None)
 def _gauge(k: int):
     """(step carrier, G, D): the columns of G are the flattened gauge basis
@@ -291,6 +286,8 @@ def step3_component_equations() -> Subspace:
 # normalization spaces
 # ---------------------------------------------------------------------------
 
+# the inner product for which the paper's degree-1 recipe takes the
+# orthocomplement of the l1-image; the recipe's space is then ker d* = 0
 INNER_PRODUCT_NOTE = (
     "monomial cochain basis over the real algebra basis declared "
     "orthonormal; any rotation-invariant choice gives the same "
@@ -305,26 +302,17 @@ def gauge_image(k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def normalization_space(k: int) -> Subspace:
-    """The residual space for degree-k c-torsion, complementary to the
-    step-k gauge image in C^2_k."""
+    """The residual space for degree-k c-torsion, ker d* on C^2_k,
+    complementary to the step-k gauge image."""
     if k not in (1, 2, 3):
         raise ValueError("normalization degree must be 1, 2 or 3")
-    n = cochain_dim(2, k)
-    ker_dstar = kernel(codifferential_matrix(2, k))
-    if k >= 2:
-        return ker_dstar
-    # degree 1: orthocomplement of the l1-image inside the full coboundary
-    # image (identity Gram), plus ker d*
-    image_all = Subspace(n, coboundary_matrix(1, k).columns())
-    rows = [list(v) for v in gauge_image(1).basis_vectors()]
-    ortho = kernel(Matrix(rows, ncols=n)).intersect(image_all)
-    return ortho.sum(ker_dstar)
+    return kernel(codifferential_matrix(2, k))
 
 
 @lru_cache(maxsize=None)
 def _normalize_maps(k: int):
     """(layout, B map, I - D X), X the gauge rows of the solution map of
-    [D | normalization basis]: the B map is the nonzero rows of G X (c -> flat
+    [D | basis of ker d*]: the B map is the nonzero rows of G X (c -> flat
     B), and layout[r] lists (B map row, j) for the entries (r, j) of B."""
     carrier, gauge, d = _gauge(k)
     span = Matrix.from_columns(
@@ -340,9 +328,11 @@ def _normalize_maps(k: int):
 
 @lru_cache(maxsize=None)
 def _annihilator(k: int) -> Matrix:
-    """A with ker A = normalization_space(k), rows the canonical kernel basis
-    of the space's basis transposed: A = I when the space is 0 (k = 1)."""
-    return kernel(normalization_space(k).basis.transpose()).basis.transpose()
+    """A with ker A = normalization_space(k): the nonzero rows of rref(d*),
+    the canonical basis of d*'s row space; A = I when d* is injective
+    (k = 1)."""
+    r, pivots = rref(codifferential_matrix(2, k))
+    return Matrix._of(r.rows[:len(pivots)], r.ncols)
 
 
 def normalize_ctorsion(c: Cochain):
@@ -405,7 +395,8 @@ def run_prolong(rep, which: str):
                 "projected adjoint action, exact matrix equality",
             )
         if step == 1:
-            rep.add("degree-1 gauge space dimension", 6, l1_subspace().dim,
+            rep.add("degree-1 gauge space dimension", 6,
+                    rank(Matrix([g.flatten() for g in l1_generators()])),
                     "parameter count of the gauge algebra")
             rep.add("degree-1 gauge space note", L1_NOTE, L1_NOTE,
                     "solver summary", ok=True)

@@ -61,6 +61,11 @@ own, or states a law that the engine's results must obey:
   step-2 solution is read against.
 * ``reference_apply``: a matrix times a vector, summed term by term in
   ``GQ`` arithmetic, apart from the integer form of ``Matrix.apply``.
+* ``span_sum``: the sum of subspaces, spanned by their bases together.
+* ``degree1_normalization_recipe``: the paper's degree-1 normalization
+  space, the orthocomplement of the l1 gauge image inside the coboundary
+  image (for the inner product of ``prolong.INNER_PRODUCT_NOTE``) plus
+  ker d*, against which the engine's ker d* is checked.
 * ``argparse_parse``: the command line read by ``argparse`` from
   ``cli.COMMANDS``, as the CLI read it before ``cli.parse``, against which
   the table-driven parser is fuzzed.
@@ -73,10 +78,11 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, product
 
-from so32cr import cli, so32
+from so32cr import cli, prolong, so32
 from so32cr.carriers import Carrier, EndoSubspace, endo_from_complex_images
 from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_h, _side_m,
-                             cochain_dim, cochain_monomials)
+                             coboundary_matrix, cochain_dim, cochain_monomials,
+                             codifferential_matrix)
 from so32cr.forms import Form
 from so32cr.linalg import (Matrix, Subspace, inverse, kernel, kernel_basis,
                            real_rows, rref, unit_vec, vec, vec_add, vec_scale,
@@ -104,6 +110,12 @@ def reference_apply(m: Matrix, v) -> tuple:
             total = total + a * v[j]
         out.append(total)
     return tuple(out)
+
+
+def span_sum(*spaces) -> Subspace:
+    """The sum of subspaces of one ambient space."""
+    (n,) = {s.ambient_dim for s in spaces}
+    return Subspace(n, [v for s in spaces for v in s.basis_vectors()])
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +499,18 @@ def codifferential_by_pairing(ell: int, k: int) -> Matrix:
     d_h = _coboundary_on(side, ell - 1, -k)
     return (inverse(p_dst.transpose()).scale(-1) @ d_h.transpose()
             @ p_src.transpose())
+
+
+def degree1_normalization_recipe() -> Subspace:
+    """The paper's degree-1 normalization space: the orthocomplement of the
+    l1 gauge image inside the image of d on C^1_1, for the inner product
+    that makes the monomial cochain basis orthonormal (Gram = identity),
+    plus ker d* on C^2_1."""
+    n = cochain_dim(2, 1)
+    image_all = Subspace(n, coboundary_matrix(1, 1).columns())
+    ortho = kernel(Matrix(prolong.gauge_image(1).basis_vectors(), ncols=n))
+    return span_sum(ortho.intersect(image_all),
+                    kernel(codifferential_matrix(2, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -399,6 +399,13 @@ def test_a_command_loads_only_the_modules_it_runs(argv, unused):
     assert "cli" in loaded and not loaded & unused, loaded
 
 
+def test_constraints_reads_d_star_without_the_prolongation_modules():
+    # the catalog's normalization relations are the reduced rows of d*
+    assert _modules_loaded_by(["constraints"]) == {
+        "so32cr", "cli", "report", "scalars", "linalg", "so32", "forms",
+        "cochains", "coframe"}
+
+
 def test_help_loads_only_the_front_end():
     assert _modules_loaded_by(["-h"]) == {"so32cr", "cli"}
 
@@ -748,20 +755,20 @@ def test_parse_agrees_with_argparse(argv):
 # most; "-h" loads the front end alone
 STATEMENT_BUDGET = {
     "-h": 170,
-    "verify jacobi": 850,
-    "verify table1": 850,
-    "verify structeq": 1290,
-    "cohomology": 1131,
-    "hodge": 1131,
-    "prolong": 1407,
-    "normalize": 1407,
-    "model quadric": 1015,
-    "model embed": 1015,
-    "model levi": 1015,
-    "model cubic": 1015,
-    "model freeman": 1015,
-    "model identities": 1015,
-    "constraints": 1566,
+    "verify jacobi": 845,
+    "verify table1": 845,
+    "verify structeq": 1284,
+    "cohomology": 1126,
+    "hodge": 1126,
+    "prolong": 1392,
+    "normalize": 1392,
+    "model quadric": 1010,
+    "model embed": 1010,
+    "model levi": 1010,
+    "model cubic": 1010,
+    "model freeman": 1010,
+    "model identities": 1010,
+    "constraints": 1284,
 }
 
 # one interpreter runs each command given as JSON with so32cr unloaded

@@ -5,6 +5,7 @@ import pytest
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
+from oracles import span_sum
 from so32cr import linalg
 from so32cr.scalars import GQ, over_common_denominator
 from so32cr.linalg import (
@@ -116,8 +117,10 @@ def test_coordinate_subspace_is_canonical():
         assert Subspace.coordinate(n, positions) == Subspace(
             n, [unit_vec(n, p) for p in positions]
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="coordinate position outside"):
         Subspace.coordinate(3, [3])
+    with pytest.raises(ValueError, match="coordinate position outside"):
+        Subspace.coordinate(3, [-1, 0])
 
 
 def test_lattice_basics():
@@ -146,7 +149,7 @@ def test_dimension_formula_randomized():
                 ],
             )
         a, b = rand_space(), rand_space()
-        s = a.sum(b)
+        s = span_sum(a, b)
         i = a.intersect(b)
         assert a.dim + b.dim == s.dim + i.dim
         for big, small in ((s, a), (s, b), (a, i), (b, i)):
@@ -179,9 +182,9 @@ def test_matrix_equality_ignores_how_it_was_built():
     assert Matrix.from_entries(2, 3, ()) != Matrix.from_entries(2, 4, ())
     assert m[2, 3] == GQ(1, -1) and m[1, 3] == 0
     for bad in ((3, 0), (0, 4), (-1, 0)):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match="entry outside the matrix"):
             Matrix.from_entries(3, 4, [(*bad, 1)])
-    with pytest.raises(IndexError):
+    with pytest.raises(IndexError, match="tuple index out of range"):
         m[0, 4]
 
 
@@ -305,7 +308,7 @@ def test_apply_matches_sympy():
         assert out == tuple(_from_sympy(x) for (x,) in expected)
         assert a.apply(v) == out == a.apply(v, over_common_denominator(v))
         assert a == built and hash(a) == h == hash(built)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="shape mismatch in apply"):
             a.apply(v + (GQ(1),))
 
 
@@ -337,7 +340,7 @@ def test_solution_map_matches_solve():
     while tried < 60:
         a = _random_matrix(rng)
         if rank(a) < a.nrows:
-            with pytest.raises(ArithmeticError):
+            with pytest.raises(ArithmeticError, match="dependent rows"):
                 solution_map(a)
             continue
         tried += 1
@@ -347,5 +350,41 @@ def test_solution_map_matches_solve():
                      for _ in range(a.nrows)])
             x, _ = solve(a, b)
             assert x_map.apply(b) == x
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="singular matrix"):
         inverse(Matrix([[1, I], [I, -1]]))
+    with pytest.raises(ArithmeticError, match="the reason given"):
+        solution_map(Matrix([[1, I], [I, -1]]), "the reason given")
+    with pytest.raises(ValueError, match="inverse of a non-square matrix"):
+        inverse(Matrix([[1, I]]))
+
+
+def test_malformed_input_is_named():
+    square = Matrix([[1, I], [0, 2]])
+    wide = Matrix([[1, 0, I]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        Matrix([[1, 2], [3]])
+    with pytest.raises(ValueError, match="vector length is not n"):
+        Matrix.unflatten(vec([1, 2, 3]), 2)
+    with pytest.raises(ValueError, match="shape mismatch in matrix sum"):
+        square + wide
+    with pytest.raises(ValueError, match="shape mismatch in matmul"):
+        wide @ square
+    with pytest.raises(ValueError, match="shape mismatch in solve"):
+        solve(square, vec([1]))
+    with pytest.raises(ValueError, match="vector length != ambient dimension"):
+        Subspace(3, [[1, 2]])
+    plane = Subspace(3, [unit_vec(3, 0), unit_vec(3, 1)])
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        plane.contains(unit_vec(2, 0))
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        plane.intersect(Subspace(2, [unit_vec(2, 0)]))
+
+
+def test_matrices_and_subspaces_are_immutable():
+    m = Matrix([[1, I]])
+    s = Subspace(2, [[1, I]])
+    with pytest.raises(AttributeError, match="Matrix is immutable"):
+        m.rows = ()
+    with pytest.raises(AttributeError, match="Subspace is immutable"):
+        s.rows = ()
+    assert m == Matrix([[1, I]]) and s == Subspace(2, [[1, I]])

@@ -5,23 +5,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (act_on_cochain, add_term, beta_gauge_response,
-                     endo_of_cochain, gl2_endo, gl_graded_j, reference_apply,
-                     restrict_ctorsion, rotation_action_matrix,
-                     symmetric_signature)
+                     degree1_normalization_recipe, endo_of_cochain, gl2_endo,
+                     gl_graded_j, reference_apply, restrict_ctorsion,
+                     rotation_action_matrix, span_sum, symmetric_signature)
 from so32cr import cochains, linalg, prolong
 from so32cr.scalars import GQ
 from so32cr.linalg import (Matrix, Subspace, kernel, real_rows, solve,
                            unit_vec, vec_scale)
 from so32cr.so32 import DIM, GRADES, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
-from so32cr.cochains import Cochain, coboundary, cochain_dim
+from so32cr.cochains import (Cochain, coboundary, coboundary_matrix,
+                             cochain_dim, codifferential_matrix)
 from so32cr.coframe import flat_torsion, frame_conditions
 from so32cr.prolong import (
     STEP_CARRIERS,
     cochain_of_endo,
     gauge_image,
     l1_endo,
-    l1_subspace,
+    l1_generators,
     normalization_space,
     normalize_ctorsion,
     prolong_step0,
@@ -100,10 +101,11 @@ def test_step0_j_rows_match_the_j_compatible_gauge():
 
 
 def test_l1_subspace():
-    l1 = l1_subspace()
+    carrier = Carrier("m+h0")
+    l1 = Subspace(carrier.dim ** 2, [g.flatten() for g in l1_generators()])
     assert l1.dim == 6
     assert l1_endo(0, 0, 0) == Matrix.from_entries(7, 7, ())
-    z = endo_complex_matrix(l1.carrier, l1_endo(0, 1, 0))
+    z = endo_complex_matrix(carrier, l1_endo(0, 1, 0))
     # mu = 1, nu = 0: h^0 part of B(e^-1(10)) is -E^0(01)
     assert z[5, 1].is_zero() and z[6, 1] == GQ(-1)
     assert z[3, 1] == GQ(1)
@@ -168,8 +170,9 @@ def test_witness_bracket_compatibility():
 
 
 def test_invariant_inner_product():
-    # the monomial basis of C^2_1 is declared orthonormal, so the Gram of
-    # the product that splits the degree-1 gauge image is the identity
+    # the paper's degree-1 recipe (oracles.degree1_normalization_recipe)
+    # takes an orthocomplement for the product that makes the monomial
+    # basis of C^2_1 orthonormal, so its Gram is the identity
     assert "orthonormal" in prolong.INNER_PRODUCT_NOTE
     n = cochain_dim(2, 1)
     g = Matrix.identity(n)
@@ -187,7 +190,24 @@ def test_gauge_image_dims_and_complementarity():
         n = cochain_dim(2, k)
         assert gi.intersect(ns).dim == 0
         assert gi.dim + ns.dim == n
-        assert gi.sum(ns).dim == n
+        assert span_sum(gi, ns).dim == n
+
+
+def test_the_normalization_space_is_ker_dstar_at_every_degree():
+    # the gauge image is the whole image of d on C^1_k, so ker d* is a
+    # complement of it; at degree 1 that image is all of C^2_1, and the
+    # paper's orthocomplement recipe gives the same 0
+    for k in (1, 2, 3):
+        n = cochain_dim(2, k)
+        assert gauge_image(k) == Subspace(n, coboundary_matrix(1, k).columns())
+        assert normalization_space(k) == kernel(codifferential_matrix(2, k))
+    assert gauge_image(1).dim == cochain_dim(2, 1)
+    assert degree1_normalization_recipe() == normalization_space(1)
+    # the recipe splits the image of the paper's l1: each generator's
+    # (mu, nu, nu') on e^-1(10) lies on the locus where beta does not move
+    for g in l1_generators():
+        z = endo_complex_matrix(Carrier("m+h0"), g)
+        assert beta_gauge_response(z[3, 1], z[5, 1], z[6, 1]).is_zero()
 
 
 def test_normalization_ad_invariance():
@@ -258,7 +278,7 @@ def test_frame_conditions_on_flat_model():
     for step in (1, 2, 3):
         for f in frame_conditions(step):
             assert f.evaluate(flat).is_zero()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="step must be 1, 2 or 3"):
         frame_conditions(4)
 
 

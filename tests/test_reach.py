@@ -43,8 +43,7 @@ EXTRA_COMMANDS = (
     # d alone (ell = 0) or of d* alone (ell = 3)
     ["hodge", "--ell", "0", "--k", "-2"],
     ["cohomology", "--ell", "3", "--k", "6"],
-    # degree 1: ker d* plus the orthocomplement of the gauge image, and the
-    # report's inner-product row
+    # degree 1, where ker d* is 0, and the report's inner-product row
     ["normalize", "--k", "1", "--input", "tests/inputs/normalize_k1.json"],
     # cone points with x^1 = 0, where the holomorphic frame is L12 and L23
     ["model", "levi", "--z", "0,1,1,0,0,0"],
@@ -62,6 +61,7 @@ EXTRA_COMMANDS = (
 ALLOWED = {
     "cli.main": "console entry point; the run calls cli.run directly",
     "linalg.solve": "span of the benchmark's tracer (perfbench/tracing.py)",
+    "prolong.gauge_image": "span of the benchmark's tracer",
     "tube.levi_form_at": "span of the benchmark's tracer",
 }
 
