@@ -1,13 +1,16 @@
 """The four prolongation steps and torsion normalization.
 
-Step k solves a linear system inside a gauge space of graded degree-k
-endomorphisms of the step carrier:
+Step k solves dB = 0 inside a gauge space of graded degree-k
+endomorphisms of the step carrier, with extra rows at degree 0 only:
 
-    step 0   gl_0^gr(m)              [J, B] = 0 and the two Levi/cubic
-                                     compatibility conditions
+    step 0   gl_0^gr(m)              dB = 0, the cubic condition and
+                                     [J, B] = 0
     step 1   l1 in gl_1^gr(m+h0, J)  dB = 0
     step 2   gl_2^gr(m+h0+h1)        dB = 0
     step 3   gl_3^gr(m+h)            dB = 0
+
+At degree 0, dB = 0 is the Levi compatibility of B; the cubic and J rows
+are the two conditions that 2-nondegeneracy adds.
 
 The solution dimensions come out (2, 2, 1, 0) and each solution space is
 spanned by the projected adjoint action of explicit witnesses in h^k.
@@ -70,23 +73,17 @@ from .cochains import (
 def cochain_of_endo(carrier: Carrier, b: Matrix, k: int) -> Cochain:
     """The 1-cochain of degree k given by the action of b on m_-.
 
-    Graded degree-k endomorphisms of a step carrier vanish on grades >= 0
-    and are determined by this restriction.  The carrier is a leading
-    block of the basis, so b's rows and columns are basis indices."""
+    For k >= 1, graded degree-k endomorphisms of a step carrier vanish on
+    grades >= 0 and are determined by this restriction.  At k = 0 the
+    restriction drops b's action on m^0, so dB = 0 does not see it; only
+    the cubic and J rows of step 0 do.  The carrier is a leading block of
+    the basis, so b's rows and columns are basis indices."""
     table = {}
     columns = b.transpose().rows
     for a, i in enumerate(M_MINUS):
         for r, c in columns[i]:
             table[((a,), r)] = c
     return Cochain.from_full_table(1, k, table)
-
-
-def _solve_in_gauge(gauge: Matrix, conditions: Matrix) -> Subspace:
-    """Span of the real combinations G t of the flattened gauge columns
-    whose conditions vanish, C t = 0 (column i of C: the conditions of
-    gauge column i)."""
-    solutions = kernel_basis(real_rows(conditions))
-    return Subspace(gauge.nrows, [gauge.apply(t) for t in solutions])
 
 
 # ---------------------------------------------------------------------------
@@ -106,52 +103,42 @@ class ProlongationStep(NamedTuple):
         return self.space.dim
 
 
-def adaptation_conditions(b: Matrix) -> list:
-    """The two strong-adaptation conditions on a degree-0 endomorphism b of
-    m, as complex algebra coordinates: all vanish iff b keeps the Levi and
-    the cubic form."""
+def cubic_conditions(b: Matrix) -> list:
+    """The cubic strong-adaptation condition on a degree-0 endomorphism b
+    of m, as complex algebra coordinates: b acts as a derivation on
+    [[e^0(10), e^-1(01)], e^-1(01)] = -(i/2) e^-2."""
     act = partial(Carrier("m").apply_endo, b)
     br = so32.bracket_coords
     zl = so32.COMPLEX_LABELS.index
-    e10_10, e10_01, e0_10 = (so32.complex_unit(zl(label)) for label in (
-        "e^-1(10)", "e^-1(01)", "e^0(10)"))
-    b_em2 = act(real_unit("e^-2"))
-    # Levi compatibility: [B e^-1(10), e^-1(01)] + [e^-1(10), B e^-1(01)]
-    #                     = (i/2) B e^-2
-    c1 = vec_add(br(act(e10_10), e10_01), br(e10_10, act(e10_01)))
-    c1 = vec_add(c1, vec_scale(-HALF_I, b_em2))
-    # cubic compatibility, derivation of [[e^0(10), e^-1(01)], e^-1(01)]
-    c2 = vec_add(
+    e10_01, e0_10 = (so32.complex_unit(zl(label))
+                     for label in ("e^-1(01)", "e^0(10)"))
+    c = vec_add(
         br(br(act(e0_10), e10_01), e10_01),
         vec_add(
             br(br(e0_10, act(e10_01)), e10_01),
             br(br(e0_10, e10_01), act(e10_01)),
         ),
     )
-    c2 = vec_add(c2, vec_scale(HALF_I, b_em2))
-    return list(c1) + list(c2)
+    return list(vec_add(c, vec_scale(HALF_I, act(real_unit("e^-2")))))
 
 
 def prolong_step0() -> ProlongationStep:
-    """Degree-0 step: solve J-compatibility, [J, B] = 0, and the two
-    strong-adaptation conditions in one system over gl_0^gr(m); the result
-    is ad(h^0) restricted to m.  J is zero on e^-2 and B keeps e^-2 in
-    m^-2, so the full commutator is the J-condition on m^-1 + m^0."""
-    carrier = Carrier("m")
-    basis = gl_graded(carrier, 0).basis_endos()
+    """Degree-0 step: dB = 0 over gl_0^gr(m), with the cubic condition and
+    [J, B] = 0 as extra rows; the result is ad(h^0) restricted to m.  J is
+    zero on e^-2 and B keeps e^-2 in m^-2, so the full commutator is the
+    J-condition on m^-1 + m^0."""
+    carrier, gauge, _ = _gauge(0)
     j = carrier.j_matrix()
-    space = _solve_in_gauge(
-        Matrix.from_columns([b.flatten() for b in basis]),
-        Matrix.from_columns([adaptation_conditions(b)
-                             + list((j @ b - b @ j).flatten())
-                             for b in basis]))
+    endos = [Matrix.unflatten(v, carrier.dim) for v in gauge.columns()]
+    extra = Matrix.from_columns([cubic_conditions(b)
+                                 + list((j @ b - b @ j).flatten())
+                                 for b in endos])
     witnesses = (real_unit("E_1^0"), real_unit("E_2^0"))
-    generators = tuple(carrier.ad_action(w) for w in witnesses)
     notes = (
         "solved relations: tau = 2 Re(lambda), mu = 2i Im(lambda)",
         "solution space = ad(h^0) restricted to m",
     )
-    return ProlongationStep(0, carrier, space, generators, witnesses, notes)
+    return _kernel_step(0, witnesses, notes, extra.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +171,6 @@ L1_NOTE = (
 )
 
 
-@lru_cache(maxsize=1)
 def l1_generators() -> tuple:
     """The six endomorphisms l1_endo at the real and imaginary units of
     lambda, mu and nu in turn."""
@@ -199,8 +185,8 @@ def l1_generators() -> tuple:
 def _gauge(k: int):
     """(step carrier, G, D): the columns of G are the flattened gauge basis
     endomorphisms and those of D their coboundaries in C^2_k.  The gauge
-    space is l1 at degree 1 and gl_k^gr of the step carrier at degrees 2
-    and 3."""
+    space is l1 at degree 1 and gl_k^gr of the step carrier at degrees 0,
+    2 and 3."""
     carrier = Carrier(STEP_CARRIERS[k])
     if k == 1:
         gauge = l1_generators()
@@ -212,10 +198,13 @@ def _gauge(k: int):
             Matrix.from_columns(d))
 
 
-def _kernel_step(k, witnesses, notes) -> ProlongationStep:
-    """dB = 0 over the step-k gauge space."""
+def _kernel_step(k, witnesses, notes, extra=()) -> ProlongationStep:
+    """dB = 0 over the step-k gauge space, together with the ``extra``
+    sparse rows (one column per gauge column): the span of the real
+    combinations G t with D t = 0 and every extra row zero at t."""
     carrier, gauge, d = _gauge(k)
-    space = _solve_in_gauge(gauge, d)
+    solutions = kernel_basis(real_rows(Matrix._of(d.rows + extra, d.ncols)))
+    space = Subspace(gauge.nrows, [gauge.apply(t) for t in solutions])
     generators = tuple(carrier.ad_action(w) for w in witnesses)
     return ProlongationStep(k, carrier, space, generators, witnesses, notes)
 
@@ -396,7 +385,7 @@ def run_prolong(rep, which: str):
             )
         if step == 1:
             rep.add("degree-1 gauge space dimension", 6,
-                    rank(Matrix([g.flatten() for g in l1_generators()])),
+                    rank(_gauge(1)[1]),
                     "parameter count of the gauge algebra")
             rep.add("degree-1 gauge space note", L1_NOTE, L1_NOTE,
                     "solver summary", ok=True)

@@ -19,10 +19,13 @@ own, or states a law that the engine's results must obey:
   modulo the h-part, for v in chosen slots, as linear rows on the entries
   of A, and the kernel of those rows over an entry pattern.  The engine
   has no J-compatible space: step 0 solves [J, B] = 0 in one system with
-  its other two conditions.
+  dB = 0 and the cubic condition.
 * ``gl_graded_j``: gl_k^gr of a carrier, J-compatible on m^-1 + m^0; at
-  k = 0 on m it is the 5-dimensional gauge in which the two
+  k = 0 on m it is the 5-dimensional gauge in which the Levi and the cubic
   strong-adaptation conditions alone give the step-0 space.
+* ``levi_compatibility``: the paper's Levi strong-adaptation condition on a
+  degree-0 endomorphism of m, written out with its (i/2); over
+  gl_0^gr(m) it cuts out the same space as step 0's dB = 0.
 * ``isotropy_algebra``: the stabilizer of a point of the quadric, in the
   anti-diagonal coordinates of the basis matrices; at the base point
   ``BASE_POINT`` it has dimension 5 = 2 + 2 + 1, the prolongation
@@ -284,6 +287,17 @@ def gl_graded_j(carrier: Carrier, k: int) -> EndoSubspace:
                      if p in _J_IMAGE and not IN_H[p])
     return EndoSubspace(carrier, j_endo_space(
         carrier, lambda r, c: g[r] == g[c] + k, j_domain))
+
+
+def levi_compatibility(b: Matrix) -> list:
+    """The Levi strong-adaptation condition on a degree-0 endomorphism b of
+    m, as complex algebra coordinates: all vanish iff
+    [B e^-1(10), e^-1(01)] + [e^-1(10), B e^-1(01)] = (i/2) B e^-2."""
+    act = partial(Carrier("m").apply_endo, b)
+    e10, e01 = (so32.complex_unit(COMPLEX_LABELS.index(label))
+                for label in ("e^-1(10)", "e^-1(01)"))
+    c = vec_add(bracket_coords(act(e10), e01), bracket_coords(e10, act(e01)))
+    return list(vec_add(c, vec_scale(-HALF_I, act(so32.real_unit("e^-2")))))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from so32cr import (carriers, cli, cochains, coframe, prolong, report, so32,
                     tube)
 from so32cr.cli import run
-from so32cr.linalg import Subspace
+from so32cr.linalg import Matrix, Subspace
 from so32cr.cochains import (Cochain, cochain_dim, ctorsion_from_json,
                               ctorsion_to_json)
 from so32cr.scalars import GQ, HALF_I
@@ -517,6 +517,25 @@ def test_prolong_generator_check_can_fail(monkeypatch):
     assert len(gen_checks) == 2 and not any(c.ok for c in gen_checks)
 
 
+def test_step0_dimension_check_fails_without_the_coboundary_rows(monkeypatch):
+    # with D zeroed at degree 0 only the cubic and J rows remain, and they
+    # leave a 3-dimensional space
+    real = prolong.coboundary_matrix
+
+    def zero_at_degree_0(ell, k):
+        d = real(ell, k)
+        return Matrix.from_entries(d.nrows, d.ncols, ()) if k == 0 else d
+    monkeypatch.setattr(prolong, "coboundary_matrix", zero_at_degree_0)
+    prolong._gauge.cache_clear()
+    try:
+        code, rep = run(["prolong", "--step", "0"])
+    finally:
+        prolong._gauge.cache_clear()
+    assert code == 1
+    (row,) = [c for c in rep.checks if c.name == "step 0 dimension"]
+    assert (row.actual, row.ok) == ("3", False)
+
+
 # -- fuzzing the parsing boundary ----------------------------------------------
 
 _PIECES = ("0", "1", "-1", "3", "4", "5", "1/2", "-1/3", "1/0", "0/0", "",
@@ -760,8 +779,8 @@ STATEMENT_BUDGET = {
     "verify structeq": 1284,
     "cohomology": 1126,
     "hodge": 1126,
-    "prolong": 1392,
-    "normalize": 1392,
+    "prolong": 1384,
+    "normalize": 1384,
     "model quadric": 1010,
     "model embed": 1010,
     "model levi": 1010,

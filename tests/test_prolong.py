@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (act_on_cochain, add_term, beta_gauge_response,
                      degree1_normalization_recipe, endo_of_cochain, gl2_endo,
-                     gl_graded_j, reference_apply, restrict_ctorsion,
-                     rotation_action_matrix, span_sum, symmetric_signature)
+                     gl_graded_j, levi_compatibility, reference_apply,
+                     restrict_ctorsion, rotation_action_matrix, span_sum,
+                     symmetric_signature)
 from so32cr import cochains, linalg, prolong
 from so32cr.scalars import GQ
 from so32cr.linalg import (Matrix, Subspace, kernel, real_rows, solve,
@@ -85,14 +86,27 @@ def test_step0_solved_relations():
     assert Subspace(25, fam) == s.space
 
 
+def test_the_levi_condition_is_db_at_degree_0():
+    # over gl_0^gr(m), the paper's Levi rows and step 0's coboundary rows
+    # cut out one 8-dimensional space of gauge coefficients
+    carrier, gauge, d = prolong._gauge(0)
+    assert gauge.ncols == 9
+    levi = Matrix.from_columns([
+        levi_compatibility(Matrix.unflatten(v, carrier.dim))
+        for v in gauge.columns()])
+    assert kernel(real_rows(levi)) == kernel(real_rows(d))
+    assert kernel(real_rows(d)).dim == 8
+
+
 def test_step0_j_rows_match_the_j_compatible_gauge():
-    # step 0's one system, J rows included, against the two
-    # strong-adaptation conditions solved inside the oracle's J-compatible
-    # gl_0^gr(m)
+    # step 0's one system, dB = 0 and J rows included, against the Levi
+    # oracle and the cubic condition solved inside the oracle's
+    # J-compatible gl_0^gr(m)
     gauge = gl_graded_j(Carrier("m"), 0).basis_endos()
     assert len(gauge) == 5
     solutions = kernel(real_rows(Matrix.from_columns(
-        [prolong.adaptation_conditions(b) for b in gauge])))
+        [levi_compatibility(b) + prolong.cubic_conditions(b)
+         for b in gauge])))
     old = Subspace(25, [
         reference_apply(Matrix.from_columns([b.flatten() for b in gauge]), t)
         for t in solutions.basis_vectors()])

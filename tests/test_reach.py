@@ -15,12 +15,18 @@ function's arguments are inspected only until all of its defaults have been
 overridden, so the check costs the run little.
 
 The same file checks with ``ast`` that no module imports a name it never
-uses.
+uses, and that every ``raise`` in ``src/so32cr`` is tripped by a test that
+names its message: the leading literal of the message (its text up to the
+first placeholder) is named by the ``match=`` pattern of a
+``pytest.raises``, or, for the errors ``cli.run`` prints with exit 2,
+appears in an error line a CLI test reads.  ``RAISES_ALLOWED`` lists the
+exceptions with their reasons.
 """
 
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from functools import lru_cache
@@ -236,3 +242,123 @@ def test_no_module_imports_a_name_it_never_uses():
     unused = {path.name: _unused_imports(ast.parse(path.read_text()))
               for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: u for name, u in unused.items() if u} == {}
+
+
+# "module: exception call": why a raise with a message is matched by no
+# pytest.raises pattern of tests/
+RAISES_ALLOWED = {
+    "linalg: ArithmeticError(why)":
+        "the message is the caller's reason; test_linalg matches the one it "
+        "passes",
+}
+
+
+def _leading_literal(node):
+    """The text of a message expression up to its first placeholder (a
+    message that opens with one: its first literal run), or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return next((v.value for v in node.values
+                     if isinstance(v, ast.Constant) and v.value), None)
+    if isinstance(node, ast.BinOp):
+        return _leading_literal(node.left)
+    return None
+
+
+def _raises():
+    """(key, exception name, leading literal) of every raise of a call in
+    src/so32cr; the message is the call's last positional argument."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+                call = node.exc
+                message = call.args[-1] if call.args else None
+                literal = _leading_literal(message)
+                yield (f"{path.stem}: {ast.unparse(call)}",
+                       ast.unparse(call.func), literal)
+
+
+def _string_bindings(fn):
+    """{name: [strings]} a test function binds to plain names: by a
+    constant assignment or through a literal parametrize table."""
+    bound = {}
+    for node in ast.walk(fn):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)
+                and isinstance(node.value, ast.Constant)):
+            bound.setdefault(node.targets[0].id, []).append(node.value.value)
+    for dec in fn.decorator_list:
+        if (isinstance(dec, ast.Call)
+                and getattr(dec.func, "attr", None) == "parametrize"
+                and isinstance(dec.args[1], (ast.List, ast.Tuple))):
+            names = [n.strip() for n in dec.args[0].value.split(",")]
+            for row in dec.args[1].elts:
+                values = row.elts if isinstance(row, ast.Tuple) else [row]
+                for name, v in zip(names, values):
+                    if isinstance(v, ast.Constant):
+                        bound.setdefault(name, []).append(v.value)
+    return bound
+
+
+def _match_patterns():
+    """The match= patterns of every pytest.raises in tests/, constants or
+    names bound in the enclosing test function; and the error lines the
+    tests read from a command's stderr: the messages of test_cli's
+    usage-error table, and each "error: ..." line of an input error."""
+    patterns, unresolved, printed = set(), [], []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        printed += [node.value for node in ast.walk(tree)
+                    if isinstance(node, ast.Constant)
+                    and str(node.value).startswith("error: ")]
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            bound = _string_bindings(fn)
+            if fn.name == "test_every_usage_error_is_named":
+                printed += bound["message"]
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == "pytest.raises"):
+                    continue
+                for kw in [k for k in node.keywords if k.arg == "match"]:
+                    if isinstance(kw.value, ast.Constant):
+                        patterns.add(kw.value.value)
+                    elif getattr(kw.value, "id", None) in bound:
+                        patterns.update(bound[kw.value.id])
+                    else:
+                        unresolved.append((path.name, node.lineno))
+    return patterns, unresolved, printed
+
+
+def _names(pattern: str, literal: str) -> bool:
+    """The pattern lies inside the literal, or its text starts at a word of
+    the literal and runs on past the placeholder (pytest checks the full
+    message at run time)."""
+    plain = re.sub(r"\\(\W)", r"\1", pattern)
+    starts = [0] + [m.end() for m in re.finditer(" +", literal)]
+    return bool(re.search(pattern, literal)) or any(
+        literal[i:] and plain.startswith(literal[i:]) for i in starts)
+
+
+def test_every_raise_is_matched_by_a_test():
+    patterns, unresolved, printed = _match_patterns()
+    assert unresolved == []
+    unmatched, seen = [], set()
+    for key, name, literal in _raises():
+        seen.add(key)
+        if name == "SystemExit" or (name == "Stop" and literal is None):
+            continue  # an exit code, or -h: no message
+        if key in RAISES_ALLOWED:
+            continue
+        # cli.run turns a Stop or a ValueError into exit 2 and an error line
+        if literal is not None and (
+                any(_names(p, literal) for p in patterns)
+                or name in ("Stop", "ValueError")
+                and any(literal in line for line in printed)):
+            continue
+        unmatched.append(key)
+    assert unmatched == []
+    # the allowlist names only raises that exist
+    assert sorted(set(RAISES_ALLOWED) - seen) == []

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -196,6 +197,37 @@ def test_fixture_conjugation_asymmetry_localizes_to_deltas():
     }
 
 
+class _FixtureText:
+    """Stands in for the package's resource files, holding one text."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def joinpath(self, name):
+        return self
+
+    def read_text(self):
+        return self.text
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (lambda rows: [rows[0].rsplit("\t", 1)[0]] + rows[1:],
+     "fixture row 'E_1\\^0' has 9 cells"),
+    (lambda rows: [rows[1], rows[0]] + rows[2:], "fixture rows out of order"),
+    (lambda rows: [rows[0].replace("(2/1)*E^2", "2*E^2", 1)] + rows[1:],
+     "bad fixture term: '2\\*E\\^2'"),
+], ids=["short row", "rows swapped", "bad term"])
+def test_table1_fixture_names_its_parse_errors(monkeypatch, mangle, message):
+    text = resources.files("so32cr").joinpath("table1.txt").read_text()
+    rows = [line for line in text.splitlines()
+            if line and not line.startswith("#")]
+    mangled = "\n".join(mangle(rows))
+    monkeypatch.setattr(resources, "files",
+                        lambda package: _FixtureText(mangled))
+    with pytest.raises(ValueError, match=message):
+        so32.table1_fixture()
+
+
 def test_table1_crosscheck():
     cells = table1_crosscheck()
     assert len(cells) == 110
@@ -358,7 +390,7 @@ def test_graded_layout_tables():
     assert filtration_steps("F*", (0, 1, 2, 3, 4, 5, 6)) == [
         (0, 1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6), (3, 4, 5, 6), (5, 6),
         (), (), ()]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="kind must be 'F' or 'F\\*'"):
         filtration_steps("G")
     # X^(10) = (X_1 - i X_2)/2 and X^(01) = (X_1 + i X_2)/2 on each pair
     half, half_i = GQ(Fraction(1, 2)), GQ(0, Fraction(1, 2))

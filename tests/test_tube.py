@@ -94,15 +94,17 @@ def test_poly_ring_and_conjugation():
 
 def test_cone_point_validation():
     ConePoint((GQ(3, 7), GQ(4), GQ(5)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need 3 complex coordinates"):
+        ConePoint((GQ(3), GQ(4)))
+    with pytest.raises(ValueError, match="real part is not on the cone"):
         ConePoint((1, 1, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not on the future half"):
         ConePoint((GQ(3), GQ(4), GQ(-5)))
 
 
 def test_cone_point_is_immutable_and_keeps_one_power_table():
     p = ConePoint((GQ(3), GQ(4), GQ(5)))
-    with pytest.raises(AttributeError):
+    with pytest.raises(AttributeError, match="ConePoint is immutable"):
         p.z = (GQ(5), GQ(12), GQ(13))
     assert p.powers is p.powers
 
@@ -244,12 +246,12 @@ def test_cubic_extension_independence():
 def test_cubic_membership_errors():
     l12, _, _, r = cone_fields()
     p = SAMPLE_POINTS[3]
-    with pytest.raises(ValueError):
-        cubic_form_at(p, l12, l12.conj(), l12.conj())  # not along the rib
-    with pytest.raises(ValueError):
-        cubic_form_at(p, r, l12, l12.conj())  # wrong type at the point
-    with pytest.raises(ValueError):
-        cubic_form_at(p, r.conj(), l12.conj(), l12.conj())  # not (1,0)
+    with pytest.raises(ValueError, match="must point along the rib"):
+        cubic_form_at(p, l12, l12.conj(), l12.conj())
+    with pytest.raises(ValueError, match="is not antiholomorphic at"):
+        cubic_form_at(p, r, l12, l12.conj())
+    with pytest.raises(ValueError, match=r"must be of type \(1,0\)"):
+        cubic_form_at(p, r.conj(), l12.conj(), l12.conj())
     off = Field([0, 0, 0, 1, 0, 0])  # of type (0,1), but theta(off) != 0
     for h, hp in ((off, l12.conj()), (l12.conj(), off), (off, off)):
         with pytest.raises(ValueError, match="not a section"):
@@ -287,9 +289,29 @@ def test_chart_conversion():
     scaled = projective_point([GQ(0, 3) * c for c in BASE_POINT], "antidiag")
     assert same_point(scaled, diag)
     for coords, chart in (((0,) * 5, "diag"), ((1, 0, 0, 0), "diag"),
-                          ((0,) * 5, "antidiag"), ((1, 0, 0, 0, 0), "other")):
-        with pytest.raises(ValueError):
+                          ((0,) * 5, "antidiag")):
+        with pytest.raises(ValueError, match="need a nonzero 5-vector"):
             projective_point(coords, chart)
+    with pytest.raises(ValueError, match="chart must be 'diag' or 'antidiag'"):
+        projective_point((1, 0, 0, 0, 0), "other")
+
+
+def test_cone_coordinates_need_six_rationals():
+    with pytest.raises(ValueError, match="needs 6 rationals x1,x2,x3"):
+        tube._cone_z("3,4,5")
+
+
+def test_a_field_has_six_components():
+    with pytest.raises(ValueError, match="need 6 components"):
+        Field([0] * 5)
+
+
+def test_freeman_ranks_check_the_ruling_field(monkeypatch):
+    # a ruling field off the Levi kernel (here L12) is refused, not used
+    l12, l13, l23, _ = cone_fields()
+    monkeypatch.setattr(tube, "cone_fields", lambda: (l12, l13, l23, l12))
+    with pytest.raises(ArithmeticError, match="rib direction mismatch"):
+        freeman_ranks_at(SAMPLE_POINTS[0])
 
 
 _small_gq = st.builds(
