@@ -19,20 +19,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .scalars import GQ
-from .linalg import Matrix, Subspace, unit_vec, vec, zero_vec
+from .scalars import GQ, unit_vec, vec, zero_vec
+from .linalg import Matrix, Subspace
 from . import so32
-from .so32 import (_J_IMAGE, bracket_coords, complex_basis_matrix,
-                   complex_basis_matrix_inv)
+from .so32 import (_J_IMAGE, bracket_coords, from_complex_basis,
+                   to_complex_basis)
 
 # the step-k carrier is m plus the part of h up to grade k - 1
 STEP_CARRIERS = {0: "m", 1: "m+h0", 2: "m+h0+h1", 3: "m+h"}
 CARRIER_NAMES = tuple(STEP_CARRIERS.values())
-
-
-def _leading(m: Matrix, n: int) -> Matrix:
-    """The leading n x n block of a matrix."""
-    return Matrix([m.row(i)[:n] for i in range(n)])
 
 
 class Carrier:
@@ -124,9 +119,9 @@ def endo_from_complex_images(carrier: Carrier, images: dict) -> Matrix:
     ``images`` maps a complexified basis label to a list of (coef, label)
     terms.  Columns for conjugate labels are filled by the conjugation
     symmetry of a real map; omitted columns are zero.  The n x n complex
-    matrix is conjugated by the leading blocks of the basis change.  Raises
-    when a label or an image leaves the carrier, or when the result fails
-    to be real.
+    matrix is conjugated by the basis change on the carrier's coordinates.
+    Raises when a label or an image leaves the carrier, or when the result
+    fails to be real.
     """
     n = carrier.dim
     zl, conj = so32.COMPLEX_LABELS.index, so32.CONJ_PERM
@@ -141,8 +136,7 @@ def endo_from_complex_images(carrier: Carrier, images: dict) -> Matrix:
     if any(max(ij) >= n for ij in entries):
         raise ValueError("image leaves the carrier")
     mz = Matrix.from_entries(n, n, ((i, j, x) for (i, j), x in entries.items()))
-    mreal = (_leading(complex_basis_matrix(), n) @ mz
-             @ _leading(complex_basis_matrix_inv(), n))
+    mreal = _conjugated(n, mz, from_complex_basis, to_complex_basis)
     if not all(x.is_real() for row in mreal.rows for _, x in row):
         raise ValueError("images do not define a real endomorphism")
     return mreal
@@ -150,6 +144,11 @@ def endo_from_complex_images(carrier: Carrier, images: dict) -> Matrix:
 
 def endo_complex_matrix(carrier: Carrier, m: Matrix) -> Matrix:
     """The endomorphism in complexified coordinates of the carrier."""
-    n = carrier.dim
-    return (_leading(complex_basis_matrix_inv(), n) @ m
-            @ _leading(complex_basis_matrix(), n))
+    return _conjugated(carrier.dim, m, to_complex_basis, from_complex_basis)
+
+
+def _conjugated(n: int, m: Matrix, left, right) -> Matrix:
+    """left . m . right on n coordinates, for ``so32``'s two mutually
+    inverse basis changes, column by column."""
+    return Matrix.from_columns([left(m.apply(right(unit_vec(n, j))))
+                                for j in range(n)])

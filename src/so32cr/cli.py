@@ -56,9 +56,9 @@ COMMANDS = (
     Command(("model", "quadric"),
             (("--point", str, None, None),
              ("--chart", str, ("diag", "antidiag"), "diag")),
-            "tube.run_model_quadric",
+            "quadric.run_model_quadric",
             "ambient forms and orbit value at a projective point"),
-    Command(("model", "embed"), _Z, "tube.run_model_embed",
+    Command(("model", "embed"), _Z, "quadric.run_model_embed",
             "the embedding of a tube point into the quadric"),
     Command(("model", "levi"), _Z, "tube.run_model_levi",
             "Levi ranks and kernel at a cone point"),
@@ -66,7 +66,7 @@ COMMANDS = (
             "the cubic form at a cone point"),
     Command(("model", "freeman"), _Z, "tube.run_model_freeman",
             "Freeman rank sequence at a cone point"),
-    Command(("model", "identities"), (), "tube.run_model_identities",
+    Command(("model", "identities"), (), "quadric.run_model_identities",
             "the polynomial identities of the embedding"),
     Command(("constraints",), (), "coframe.run_constraints",
             "structure-function constraint catalog"),

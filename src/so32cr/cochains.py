@@ -12,8 +12,11 @@ h_+ (kappa(n_a, eta_b) = delta_ab) and whose values are written in the
 Killing-dual basis b^beta of g, where ad(eta) acts as -ad(eta)^T and every
 grade is flipped.  Monomial (w, beta) of C^l_{-k}(h_+) is then the Killing
 dual of monomial (w, beta) of C^l_k(m_-), listed in the same order, so
-<d* c, e> = -<c, d_h e> needs no Gram matrix.  Only the tests against the
-Killing-pairing formula pin the sign: flipping it moves no kernel or image.
+<d* c, e> = -<c, d_h e> needs no Gram matrix.  Flipping the sign of d*
+moves no kernel or image, so two independent tests pin it: the
+Killing-pairing formula pins the sign, and Kostant's Laplacian
+d* d + d d* = (1 - C_g0)/2 + k/6 on C^l_k, C_g0 the Casimir of g^0, pins
+both the sign and the scale.
 
 Every monomial (wedge of basis covectors times a value basis vector) is
 homogeneous, so each graded slice is spanned by a sub-list of monomials and
@@ -29,18 +32,8 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .scalars import GQ
-from .linalg import (
-    Matrix,
-    Subspace,
-    inverse,
-    kernel,
-    rank,
-    solution_map,
-    unit_vec,
-    vec,
-    zero_vec,
-)
+from .scalars import GQ, unit_vec, vec, zero_vec
+from .linalg import Matrix, Subspace, kernel, rank, solution_map
 from . import so32
 from .forms import Form, canonical, exterior_derivative
 from .so32 import GRADES, M_MINUS, bracket_coords, killing_gram
@@ -57,9 +50,9 @@ def _arg_vectors_h():
     delta_ab, so eta_b has the grade opposite to n_b."""
     h_plus = [i for i, g in enumerate(GRADES) if g > 0]
     g = killing_gram()
-    gram = Matrix([[g[i, j] for j in h_plus] for i in M_MINUS])
+    gram = Matrix([[g[i][j] for j in h_plus] for i in M_MINUS])
     embed = Matrix.from_columns([unit_vec(so32.DIM, i) for i in h_plus])
-    return (embed @ inverse(gram)).columns()
+    return (embed @ solution_map(gram)).columns()
 
 
 class _Side:

@@ -27,13 +27,13 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .scalars import GQ, HALF, HALF_I, I, combination_text
+from .scalars import GQ, HALF, HALF_I, I, combination_text, unit_vec
 from . import forms, so32
 from .so32 import (CONJ_PERM, DIM, GRADES, IN_H, M_MINUS, bracket_complex,
                    to_complex_basis)
 from .cochains import Cochain, cochain_dim, codifferential_matrix
 from .forms import Form, canonical
-from .linalg import Matrix, rref, unit_vec
+from .linalg import Matrix, rref
 
 # short grade labels of the complexified basis ("e^-1(10)" -> "-1(10)"),
 # used in the coframe labels and in the structure-function symbols

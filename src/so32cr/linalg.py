@@ -12,22 +12,9 @@ from __future__ import annotations
 
 from itertools import chain
 
-from .scalars import GQ, ONE, ZERO, _gq, over_common_denominator
+from .scalars import GQ, ONE, ZERO, _gq, over_common_denominator, vec
 
 Vector = tuple  # tuple of GQ
-
-
-def vec(entries) -> Vector:
-    # most rows are already GQ (built by rref, @, apply): no call for those
-    return tuple(x if type(x) is GQ else GQ.of(x) for x in entries)
-
-
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def unit_vec(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -37,10 +24,6 @@ def vec_add(u: Vector, v: Vector) -> Vector:
 def vec_scale(c, v: Vector) -> Vector:
     c = GQ.of(c)
     return tuple(c * a for a in v)
-
-
-def vec_is_zero(v: Vector) -> bool:
-    return all(a.is_zero() for a in v)
 
 
 def _row(pairs) -> tuple:
@@ -406,12 +389,3 @@ def solution_map(a: Matrix, why: str = "dependent rows") -> Matrix:
     return Matrix._of(tuple(
         tuple((c - m, x) for c, x in pivot_rows.get(j, ()) if c >= m)
         for j in range(m)), n)
-
-
-def inverse(m: Matrix) -> Matrix:
-    if m.nrows != m.ncols:
-        raise ValueError("inverse of a non-square matrix")
-    try:
-        return solution_map(m)
-    except ArithmeticError:
-        raise ValueError("singular matrix") from None

@@ -14,6 +14,9 @@ Text serialization (used in JSON reports and the Table-1 fixture):
 * combination    ``"(c1)*name1 + (c2)*name2"`` (``combination_text``)
 
 A plain ``"a/b"`` parses as a Gaussian rational with zero imaginary part.
+
+A vector is a tuple of GQ: ``vec`` makes one of ints, rationals and GQs,
+and ``unit_vec`` and ``zero_vec`` build the unit and zero vectors.
 """
 
 from __future__ import annotations
@@ -268,3 +271,16 @@ ONE = GQ(1)
 I = GQ(0, 1)
 HALF = _gq(1, 0, 2)
 HALF_I = _gq(0, 1, 2)
+
+
+def vec(entries) -> tuple:
+    # most rows are already GQ (built by rref, @, apply): no call for those
+    return tuple(x if type(x) is GQ else GQ.of(x) for x in entries)
+
+
+def zero_vec(n: int) -> tuple:
+    return (ZERO,) * n
+
+
+def unit_vec(n: int, i: int) -> tuple:
+    return tuple(ONE if j == i else ZERO for j in range(n))

@@ -14,17 +14,22 @@ pair into holomorphic/antiholomorphic halves:
     E^0(10), E^0(01), E^1(10), E^1(01), E^2
 
 with X^(10) = (X_1 - i X_2)/2 and X^(01) its conjugate, so that
-X_1 = X^(10) + X^(01) and X_2 = i(X^(10) - X^(01)).
+X_1 = X^(10) + X^(01) and X_2 = i(X^(10) - X^(01)).  The change between the
+two coordinate systems acts pair by pair (``to_complex_basis``,
+``from_complex_basis``).
 
 An element of so(3,2), or of its complexification, is the tuple of its
 coordinates over the real basis; the functions here that take or return
 an element take or return that tuple.
 
 All brackets are grounded in the 5x5 matrix commutator, through one sparse
-table of structure constants built once from the sparse basis matrices.
-The shipped bracket-table fixture (``table1.txt``) is a transcription that
-the crosscheck compares against the commutator, flagging any cell-local
-scalar-factor deltas instead of trusting them.
+table of structure constants built once from the sparse basis matrices; the
+Killing Gram is a table of rows read off it, and ``verify jacobi`` reads the
+Jacobi sums and the grading off the structure constants themselves.  No
+matrix type is used here.  The shipped bracket-table fixture
+(``table1.txt``) is a transcription that the crosscheck compares against the
+commutator, flagging any cell-local scalar-factor deltas instead of trusting
+them.
 
 The ``run_*`` functions at the end fill the reports of ``so32cr verify
 table1`` and ``so32cr verify jacobi``.
@@ -37,8 +42,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .scalars import GQ, HALF, HALF_I, combination_text
-from .linalg import Matrix, inverse, unit_vec, vec, vec_add, vec_is_zero
+from .scalars import GQ, HALF, HALF_I, I, ZERO, combination_text, unit_vec, vec
 
 DIM = 10
 N = 5
@@ -148,45 +152,43 @@ def real_unit(label: str):
     return unit_vec(DIM, REAL_LABELS.index(label))
 
 
-def grades(x):
-    """The grades on which the coordinate vector x is nonzero."""
-    return {GRADES[i] for i, c in enumerate(x) if c}
+# the conjugate pairs (X^(10), X^(01)) of CONJ_PERM, as index pairs p < q
+_PAIRS = tuple((p, q) for p, q in enumerate(CONJ_PERM) if p < q)
 
 
-@lru_cache(maxsize=1)
-def complex_basis_matrix() -> Matrix:
-    """Columns = complexified basis vectors in real coordinates: on each
-    CONJ_PERM pair (X_1, X_2), X^(10) = (X_1 - i X_2)/2 and X^(01) =
-    (X_1 + i X_2)/2; a fixed index keeps its real vector."""
-    entries = []
-    for i, p in enumerate(CONJ_PERM):
-        if p == i:
-            entries.append((i, i, 1))
-        else:
-            entries += [(min(i, p), i, HALF),
-                        (max(i, p), i, -HALF_I if i < p else HALF_I)]
-    return Matrix.from_entries(DIM, DIM, entries)
-
-
-@lru_cache(maxsize=1)
-def complex_basis_matrix_inv() -> Matrix:
-    return inverse(complex_basis_matrix())
+def _pairwise(coords, rule):
+    """coords with each CONJ_PERM pair's entries (a_p, a_q), p < q, replaced
+    by rule(a_p, a_q); a fixed index keeps its entry.  coords may be a
+    leading block of a vector that no pair straddles."""
+    out = list(vec(coords))
+    for p, q in _PAIRS:
+        if q < len(out):
+            out[p], out[q] = rule(out[p], out[q])
+    return tuple(out)
 
 
 def to_complex_basis(coords):
-    return complex_basis_matrix_inv().apply(vec(coords))
+    """Complex coordinates of a vector given in real coordinates:
+    c_p = x_p + i x_q and c_q = x_p - i x_q."""
+    return _pairwise(coords, lambda x, y: (x + I * y, x - I * y))
+
+
+def from_complex_basis(coords):
+    """Real coordinates of a vector given in complex coordinates (the inverse
+    of ``to_complex_basis``): x_p = (c_p + c_q)/2, x_q = i (c_q - c_p)/2."""
+    return _pairwise(coords, lambda c, d: ((c + d) * HALF, (d - c) * HALF_I))
 
 
 def complex_unit(i: int):
     """Real coordinates of the i-th complexified basis vector."""
-    return complex_basis_matrix().col(i)
+    return from_complex_basis(unit_vec(DIM, i))
 
 
 @lru_cache(maxsize=1)
 def complex_structure_constants():
     """{(a, b): complex coordinates of [z_a, z_b]} over all pairs of
     complexified basis vectors: the real table in the complexified basis."""
-    units = complex_basis_matrix().columns()
+    units = [complex_unit(a) for a in range(DIM)]
     return {(a, b): to_complex_basis(bracket_coords(units[a], units[b]))
             for a in range(DIM) for b in range(DIM)}
 
@@ -201,9 +203,10 @@ def bracket_complex(zi: int, zj: int):
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=1)
-def killing_gram() -> Matrix:
-    """Gram matrix of kappa(b_i, b_j) = trace(ad b_i . ad b_j)
-    = sum_{a,b} C^b_ia C^a_jb on the real basis."""
+def killing_gram():
+    """The Gram table of kappa(b_i, b_j) = trace(ad b_i . ad b_j)
+    = sum_{a,b} C^b_ia C^a_jb on the real basis: row i is the tuple of
+    kappa(b_i, b_j) over j."""
     table = structure_constants()
 
     def kappa(i, j):
@@ -213,7 +216,7 @@ def killing_gram() -> Matrix:
             GQ(0),
         )
 
-    return Matrix([[kappa(i, j) for j in range(DIM)] for i in range(DIM)])
+    return tuple(tuple(kappa(i, j) for j in range(DIM)) for i in range(DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -359,28 +362,30 @@ def run_verify_table1(rep):
         )
 
 
+def _jacobi_sum(table, i, j, k) -> dict:
+    """{m: sum_l (C^l_ij C^m_lk + C^l_jk C^m_li + C^l_ki C^m_lj)}: the
+    coordinates of [[b_i, b_j], b_k] + [[b_j, b_k], b_i] + [[b_k, b_i], b_j]."""
+    out = {}
+    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+        for l, x in table.get((a, b), {}).items():
+            for m, y in table.get((l, c), {}).items():
+                out[m] = out.get(m, ZERO) + x * y
+    return out
+
+
 def run_verify_jacobi(rep):
-    br = bracket_coords
-    basis = [unit_vec(DIM, i) for i in range(DIM)]
-    bad = 0
-    total = 0
-    for x, y, z in combinations(basis, 3):
-        s = vec_add(vec_add(br(br(x, y), z), br(br(y, z), x)), br(br(z, x), y))
-        total += 1
-        if not vec_is_zero(s):
-            bad += 1
-    rep.add("Jacobi triples checked", 120, total, "commutator arithmetic")
+    table = structure_constants()
+    triples = list(combinations(range(DIM), 3))
+    bad = sum(any(_jacobi_sum(table, *t).values()) for t in triples)
+    rep.add("Jacobi triples checked", 120, len(triples), "commutator arithmetic")
     rep.add("Jacobi failures", 0, bad, "commutator arithmetic")
-    grading_ok = True
-    pairs = 0
-    for gi, gj in product(GRADE_INDICES, repeat=2):
-        pairs += 1
-        for i in GRADE_INDICES[gi]:
-            for j in GRADE_INDICES[gj]:
-                # outside -2..2 this asks for the zero bracket
-                b = br(basis[i], basis[j])
-                grading_ok = grading_ok and grades(b) <= {gi + gj}
-    rep.add("grade pairs checked", 25, pairs, "adjoint grading")
+    # C^k_ij != 0 only where deg k = deg i + deg j; for a grade sum outside
+    # -2..2 this asks for the zero bracket
+    pairs = list(product(GRADE_INDICES, repeat=2))
+    grading_ok = all(GRADES[k] == gi + gj for gi, gj in pairs
+                     for i in GRADE_INDICES[gi] for j in GRADE_INDICES[gj]
+                     for k in table.get((i, j), {}))
+    rep.add("grade pairs checked", 25, len(pairs), "adjoint grading")
     rep.add("bracket respects grading", True, grading_ok, "adjoint grading")
     dims = tuple(GRADE_DIMS.values())
     rep.add("grading eigenspace dims", (1, 2, 4, 2, 1), dims, "grading element spectrum")

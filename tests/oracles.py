@@ -7,9 +7,13 @@ own, or states a law that the engine's results must obey:
 * ``basis_matrices``, ``to_matrix``, ``from_matrix``: the ten 5x5 basis
   matrices of so(3,2); their dense commutators check the sparse structure
   constants, and their traces the Killing form.  ``iform`` is the
-  anti-diagonal form they preserve.
+  anti-diagonal form they preserve, and ``grades`` the support of an
+  element's grade decomposition.
 * ``symmetric_signature`` (with ``trace``): the Killing signature (6, 4),
   by Faddeev-LeVerrier and Descartes' rule of signs, with no elimination.
+* ``complex_basis_matrix`` and ``complex_basis_matrix_inv``: the change
+  to the complexified basis as a 10x10 matrix and its inverse by
+  elimination, against which the engine's pair-by-pair rule is checked.
 * ``LEVELS``, ``filtration_steps``, ``fstar_ladder`` and ``gl_semitone``:
   the semitone filtration (one extra step at the h-part) and gl_k / gl_k*
   of a carrier, optionally J-compatible, of which the engine computes only
@@ -87,12 +91,11 @@ from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_h, _side_m,
                              coboundary_matrix, cochain_dim, cochain_monomials,
                              codifferential_matrix)
 from so32cr.forms import Form
-from so32cr.linalg import (Matrix, Subspace, inverse, kernel, kernel_basis,
-                           real_rows, rref, unit_vec, vec, vec_add, vec_scale,
-                           zero_vec)
-from so32cr.scalars import GQ, HALF, HALF_I, I, ZERO
-from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, DIM, GRADES, IN_H,
-                         M_MINUS, N, bracket_complex, bracket_coords, grades,
+from so32cr.linalg import (Matrix, Subspace, kernel, kernel_basis, real_rows,
+                           rref, solution_map, vec_add, vec_scale)
+from so32cr.scalars import GQ, HALF, HALF_I, I, ZERO, unit_vec, vec, zero_vec
+from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, CONJ_PERM, DIM, GRADES,
+                         IN_H, M_MINUS, N, bracket_complex, bracket_coords,
                          killing_gram, to_complex_basis)
 from so32cr.tube import ConePoint, Field, Poly, cone_fields
 
@@ -124,6 +127,11 @@ def span_sum(*spaces) -> Subspace:
 # ---------------------------------------------------------------------------
 # the algebra as 5x5 matrices
 # ---------------------------------------------------------------------------
+
+
+def grades(x):
+    """The grades on which the coordinate vector x is nonzero."""
+    return {GRADES[i] for i, c in enumerate(x) if c}
 
 
 def to_matrix(coords) -> Matrix:
@@ -179,6 +187,33 @@ def symmetric_signature(gram: Matrix):
     signs = [c.re_sign() > 0 for c in coeffs if c]
     pos = sum(s != t for s, t in zip(signs, signs[1:]))
     return pos, n - zero - pos, zero
+
+
+# ---------------------------------------------------------------------------
+# the complexified basis change as a matrix
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def complex_basis_matrix() -> Matrix:
+    """Columns = complexified basis vectors in real coordinates: on each
+    CONJ_PERM pair (X_1, X_2), X^(10) = (X_1 - i X_2)/2 and X^(01) =
+    (X_1 + i X_2)/2; a fixed index keeps its real vector."""
+    entries = []
+    for i, p in enumerate(CONJ_PERM):
+        if p == i:
+            entries.append((i, i, 1))
+        else:
+            entries += [(min(i, p), i, HALF),
+                        (max(i, p), i, -HALF_I if i < p else HALF_I)]
+    return Matrix.from_entries(DIM, DIM, entries)
+
+
+@lru_cache(maxsize=1)
+def complex_basis_matrix_inv() -> Matrix:
+    """The inverse basis change, real to complex coordinates, by
+    elimination."""
+    return solution_map(complex_basis_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +537,7 @@ def codifferential_by_pairing(ell: int, k: int) -> Matrix:
     def pairing(l):
         rows, cols = cochain_monomials(l, k), side.graded_monomials(l, -k)
         return Matrix.from_entries(len(rows), len(cols), (
-            (r, c, gram[beta, gamma])
+            (r, c, gram[beta][gamma])
             for r, (wm, beta) in enumerate(rows)
             for c, (wh, gamma) in enumerate(cols) if wm == wh))
 
@@ -511,7 +546,7 @@ def codifferential_by_pairing(ell: int, k: int) -> Matrix:
         return Matrix.from_entries(0, cochain_dim(ell, k), ())
     # <d* c, e> = -<c, d_h e> for all e
     d_h = _coboundary_on(side, ell - 1, -k)
-    return (inverse(p_dst.transpose()).scale(-1) @ d_h.transpose()
+    return (solution_map(p_dst.transpose()).scale(-1) @ d_h.transpose()
             @ p_src.transpose())
 
 
@@ -564,7 +599,7 @@ def restrict_ctorsion(torsion: dict, k: int) -> Cochain:
             f = zc[a][i] * zc[b][j]
             if f:
                 val = vec_add(val, vec_scale(f, graded_component(torsion, i, j, k)))
-        for beta, c in enumerate(so32.complex_basis_matrix().apply(val)):
+        for beta, c in enumerate(complex_basis_matrix().apply(val)):
             table[((a, b), beta)] = c
     return Cochain.from_full_table(2, k, table)
 

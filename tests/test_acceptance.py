@@ -9,17 +9,17 @@ import random
 import sys
 from fractions import Fraction
 
-from oracles import (BASE_POINT, SAMPLE_POINTS, act_on_cochain,
+from oracles import (BASE_POINT, SAMPLE_POINTS, act_on_cochain, grades,
                      isotropy_algebra, model_levi_cubic, span_sum)
-from so32cr.scalars import GQ
-from so32cr.linalg import Subspace, rank, unit_vec, vec_add, vec_is_zero
+from so32cr.scalars import GQ, unit_vec
+from so32cr.linalg import Subspace, rank, vec_add
 from so32cr import so32
-from so32cr.so32 import GRADES, GRADE_DIMS, bracket_coords, grades, real_unit
+from so32cr.so32 import GRADES, GRADE_DIMS, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr import cochains
 from so32cr.cochains import Cochain, cochain_dim
 from so32cr import prolong
-from so32cr import tube
+from so32cr import quadric, tube
 from so32cr import coframe
 from so32cr.cli import run
 
@@ -41,8 +41,8 @@ def test_criterion_01_lie_algebra_integrity():
     basis = [unit_vec(10, i) for i in range(10)]
     br = bracket_coords
     jacobi = all(
-        vec_is_zero(vec_add(vec_add(br(br(x, y), z), br(br(y, z), x)),
-                            br(br(z, x), y)))
+        not any(vec_add(vec_add(br(br(x, y), z), br(br(y, z), x)),
+                        br(br(z, x), y)))
         for x, y, z in itertools.combinations(basis, 3)
     )
     grading = True
@@ -51,7 +51,7 @@ def test_criterion_01_lie_algebra_integrity():
             for j in so32.GRADE_INDICES[gj]:
                 b = br(basis[i], basis[j])
                 if gi + gj < -2 or gi + gj > 2:
-                    grading = grading and vec_is_zero(b)
+                    grading = grading and not any(b)
                 else:
                     grading = grading and grades(b) <= {gi + gj}
     dims = tuple(GRADE_DIMS[g] for g in (-2, -1, 0, 1, 2)) == (1, 2, 4, 2, 1)
@@ -226,11 +226,11 @@ def test_criterion_08_tube_geometry():
 
 
 def test_criterion_09_embedding_identities():
-    res = tube.embedding_identity_check()
+    res = quadric.embedding_identity_check()
     ok = res["symmetric_form_vanishes"] and res["hermitian_form_is_twice_rho"]
     for p in SAMPLE_POINTS:
-        f = tube.embed_f(p.z)
-        bil, herm, third = tube.quadric_eval(f)
+        f = quadric.embed_f(p.z)
+        bil, herm, third = quadric.quadric_eval(f)
         ok = ok and bil.is_zero() and herm.is_zero()
         ok = ok and third.im == 0 and third.re_sign() > 0
     _report(9, "embedding identities and quadric membership at cone points", ok)

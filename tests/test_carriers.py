@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from oracles import (filtration_steps, fstar_ladder, gl_graded_j,
-                     gl_semitone, j_rows)
+from oracles import (complex_basis_matrix, complex_basis_matrix_inv,
+                     filtration_steps, fstar_ladder, gl_graded_j, gl_semitone,
+                     j_rows)
 from so32cr.scalars import GQ, I
 from so32cr.linalg import Matrix, Subspace, kernel
 from so32cr.so32 import _J_IMAGE, CONJ_PERM, DIM, GRADES, IN_H, real_unit
@@ -158,6 +159,30 @@ def test_endo_from_complex_images_reality():
     assert z[1, 0] == GQ(0, 1) and z[2, 0] == GQ(0, -1)
     # round trip through complex coordinates is consistent
     assert all(b[r, col].is_real() for r in range(7) for col in range(7))
+
+
+def leading_blocks(n):
+    """The leading n x n blocks of the 10x10 basis change and its inverse."""
+    return tuple(Matrix([m.row(r)[:n] for r in range(n)])
+                 for m in (complex_basis_matrix(), complex_basis_matrix_inv()))
+
+
+def test_complex_coordinates_use_the_leading_blocks_of_the_basis_change():
+    # the pair rule on a carrier's n coordinates acts as the leading blocks
+    rng = random.Random(11)
+    for name in CARRIER_NAMES:
+        c = Carrier(name)
+        n = c.dim
+        lead, lead_inv = leading_blocks(n)
+        b = Matrix([[GQ(rng.randrange(-3, 4), rng.randrange(-3, 4))
+                     for _ in range(n)] for _ in range(n)])
+        assert endo_complex_matrix(c, b) == lead_inv @ b @ lead, name
+    # e^-2 -> i e^-1(10) - i e^-1(01) on m, in complex coordinates
+    lead, lead_inv = leading_blocks(5)
+    mz = Matrix.from_entries(5, 5, [(1, 0, I), (2, 0, -I)])
+    assert endo_from_complex_images(
+        Carrier("m"), {"e^-2": [(I, "e^-1(10)"), (-I, "e^-1(01)")]}
+    ) == lead @ mz @ lead_inv
 
 
 def test_each_carrier_is_a_leading_block_of_the_basis():

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from so32cr import (carriers, cli, cochains, coframe, prolong, report, so32,
-                    tube)
+from so32cr import (carriers, cli, cochains, coframe, prolong, quadric, report,
+                    so32)
 from so32cr.cli import run
 from so32cr.linalg import Matrix, Subspace
 from so32cr.cochains import (Cochain, cochain_dim, ctorsion_from_json,
@@ -108,10 +108,10 @@ def test_identity_check_fails_for_a_wrong_embedding(monkeypatch):
     # the check expands the formula that `model embed` evaluates, so a wrong
     # sign of q in the last slot must show in the symmetric-form row
     def wrong(z):
-        q = tube.cone_quadratic(z)
+        q = quadric.cone_quadratic(z)
         return (q * -HALF_I - HALF_I, z[0], z[1], z[2], q * -HALF_I - HALF_I)
 
-    monkeypatch.setattr(tube, "embedding_coords", wrong)
+    monkeypatch.setattr(quadric, "embedding_coords", wrong)
     code, rep = run(["model", "identities"])
     assert code == 1 and rep.status == "fail"
     (row,) = [c for c in rep.checks if c.name.startswith("symmetric form of")]
@@ -143,6 +143,16 @@ def test_jacobi_check_fails_for_a_negated_pair(monkeypatch):
     assert code == 1 and rep.status == "fail"
     assert not _row(rep, "Jacobi failures").ok
     assert _row(rep, "bracket respects grading").ok
+
+
+def test_verify_jacobi_reads_only_the_structure_constants(monkeypatch):
+    # the Jacobi sums and the grading are read off the table itself
+    def refuse(x, y):
+        raise AssertionError("verify jacobi called bracket_coords")
+
+    monkeypatch.setattr(so32, "bracket_coords", refuse)
+    code, rep = run(["verify", "jacobi"])
+    assert code == 0 and rep.status == "pass"
 
 
 def test_jacobi_check_fails_for_a_constant_of_the_wrong_grade(monkeypatch):
@@ -360,13 +370,15 @@ run(sys.argv[1:])
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("so32cr"))))
 """
 _ENGINE = {"tube", "forms", "cochains", "carriers", "prolong", "coframe"}
-_MODEL_COMMANDS = (
+_QUADRIC_COMMANDS = (
     ["quadric", "--point", "0,-1/2,3,0,4,0,5,0,0,-1/2"],
     ["embed", "--z", "3,4,5,0,0,0"],
+    ["identities"],
+)
+_TUBE_COMMANDS = (
     ["levi", "--z", "1,0,1,0,0,0"],
     ["cubic", "--z", "3,4,5,1/2,-2,1"],
     ["freeman", "--z", "5,12,13,0,1,-1/3"],
-    ["identities"],
 )
 
 
@@ -382,11 +394,15 @@ def _modules_loaded_by(argv):
 
 
 @pytest.mark.parametrize("argv,unused", [
-    (["verify", "table1"], _ENGINE),
-    (["verify", "jacobi"], _ENGINE),
-    # a projective point is its diag-chart tuple: no algebra is loaded
+    # the algebra is tables: the basis change is applied pair by pair
+    (["verify", "table1"], _ENGINE | {"linalg"}),
+    (["verify", "jacobi"], _ENGINE | {"linalg"}),
+    # a projective point is its diag-chart tuple: no algebra is loaded, and
+    # the quadric side needs neither linear algebra nor the tube's fields
+    *((["model"] + argv, _ENGINE | {"so32", "linalg"})
+      for argv in _QUADRIC_COMMANDS),
     *((["model"] + argv, _ENGINE - {"tube"} | {"so32"})
-      for argv in _MODEL_COMMANDS),
+      for argv in _TUBE_COMMANDS),
     (["cohomology", "--ell", "2", "--k", "2"],
      {"tube", "carriers", "prolong", "coframe"}),
     (["hodge", "--ell", "2", "--k", "3"],
@@ -774,20 +790,20 @@ def test_parse_agrees_with_argparse(argv):
 # most; "-h" loads the front end alone
 STATEMENT_BUDGET = {
     "-h": 170,
-    "verify jacobi": 845,
-    "verify table1": 845,
-    "verify structeq": 1284,
-    "cohomology": 1126,
-    "hodge": 1126,
-    "prolong": 1384,
-    "normalize": 1384,
-    "model quadric": 1010,
-    "model embed": 1010,
-    "model levi": 1010,
-    "model cubic": 1010,
-    "model freeman": 1010,
-    "model identities": 1010,
-    "constraints": 1284,
+    "verify jacobi": 574,
+    "verify table1": 574,
+    "verify structeq": 1270,
+    "cohomology": 1112,
+    "hodge": 1112,
+    "prolong": 1369,
+    "normalize": 1369,
+    "model quadric": 547,
+    "model embed": 547,
+    "model levi": 1008,
+    "model cubic": 1008,
+    "model freeman": 1008,
+    "model identities": 547,
+    "constraints": 1270,
 }
 
 # one interpreter runs each command given as JSON with so32cr unloaded

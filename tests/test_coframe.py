@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import add_term, restrict_ctorsion
-from so32cr.scalars import GQ
+from so32cr.scalars import GQ, unit_vec
 from so32cr.cochains import Cochain
 from so32cr.coframe import (
     catalog_contains_vanishing,
@@ -20,7 +20,6 @@ from so32cr.coframe import (
     _symbol_column,
 )
 from so32cr.forms import Form
-from so32cr.linalg import unit_vec
 from so32cr.so32 import COMPLEX_LABELS, DIM, M_MINUS, bracket_coords
 
 I = GQ(0, 1)

@@ -10,9 +10,9 @@ from oracles import (act_on_cochain, add_term, beta_gauge_response,
                      restrict_ctorsion, rotation_action_matrix, span_sum,
                      symmetric_signature)
 from so32cr import cochains, linalg, prolong
-from so32cr.scalars import GQ
+from so32cr.scalars import GQ, unit_vec
 from so32cr.linalg import (Matrix, Subspace, kernel, real_rows, solve,
-                           unit_vec, vec_scale)
+                           vec_scale)
 from so32cr.so32 import DIM, GRADES, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr.cochains import (Cochain, coboundary, coboundary_matrix,

@@ -5,11 +5,11 @@ from importlib import resources
 
 import pytest
 
-from oracles import (LEVELS, basis_matrices, filtration_steps, from_matrix,
-                     iform, symmetric_signature, to_matrix, trace)
-from so32cr.scalars import GQ
-from so32cr.linalg import (Matrix, Subspace, rank, unit_vec, vec, vec_add,
-                           vec_is_zero, vec_scale)
+from oracles import (LEVELS, basis_matrices, complex_basis_matrix,
+                     complex_basis_matrix_inv, filtration_steps, from_matrix,
+                     grades, iform, symmetric_signature, to_matrix, trace)
+from so32cr.scalars import GQ, unit_vec, vec
+from so32cr.linalg import Matrix, Subspace, rank, vec_add, vec_scale
 from so32cr import so32
 from so32cr.carriers import Carrier
 from so32cr.so32 import (
@@ -17,9 +17,8 @@ from so32cr.so32 import (
     GRADES,
     GRADE_DIMS,
     bracket_coords,
-    complex_basis_matrix,
     complex_unit,
-    grades,
+    from_complex_basis,
     killing_gram,
     real_unit,
     table1_crosscheck,
@@ -30,8 +29,12 @@ I = GQ(0, 1)
 BASIS = [unit_vec(DIM, i) for i in range(DIM)]
 
 
+def gram() -> Matrix:
+    return Matrix(killing_gram())
+
+
 def killing(x, y):
-    return sum((a * b for a, b in zip(x, killing_gram().apply(y))), GQ(0))
+    return sum((a * b for a, b in zip(x, gram().apply(y))), GQ(0))
 
 
 def apply_J(x):
@@ -93,8 +96,8 @@ def test_complex_table_matches_a_per_call_basis_change():
 def test_killing_gram_matches_the_trace_of_ad_products():
     ads = [Matrix.from_columns([_commutator(i, j) for j in range(DIM)])
            for i in range(DIM)]
-    assert killing_gram() == Matrix(
-        [[trace(ads[i] @ ads[j]) for j in range(DIM)] for i in range(DIM)])
+    assert killing_gram() == tuple(
+        tuple(trace(ads[i] @ ads[j]) for j in range(DIM)) for i in range(DIM))
 
 
 def test_from_matrix_rejects_non_members():
@@ -117,8 +120,7 @@ def test_tables_are_built_without_dense_products(monkeypatch):
 
     monkeypatch.setattr(Matrix, "__matmul__", counting)
     built = (so32.structure_constants, so32.complex_structure_constants,
-             killing_gram, so32.complex_basis_matrix,
-             so32.complex_basis_matrix_inv)
+             killing_gram)
     for f in built:
         f.cache_clear()
     so32.structure_constants()
@@ -139,8 +141,8 @@ def test_bracket_examples():
 def test_bracket_antisymmetry_and_bilinearity():
     x = vec_add(real_unit("e_1^-1"), vec_scale(GQ(0, 2), real_unit("E^2")))
     y = vec_add(real_unit("e_2^-1"), vec_scale(-1, real_unit("E_2^0")))
-    assert vec_is_zero(bracket_coords(x, x))
-    assert vec_is_zero(vec_add(bracket_coords(x, y), bracket_coords(y, x)))
+    assert not any(bracket_coords(x, x))
+    assert not any(vec_add(bracket_coords(x, y), bracket_coords(y, x)))
     assert bracket_coords(vec_scale(3, x), y) == vec_scale(3, bracket_coords(x, y))
 
 
@@ -149,7 +151,7 @@ def test_jacobi_all_basis_triples():
     count = 0
     for x, y, z in itertools.combinations(BASIS, 3):
         s = vec_add(vec_add(br(br(x, y), z), br(br(y, z), x)), br(br(z, x), y))
-        assert vec_is_zero(s)
+        assert not any(s)
         count += 1
     assert count == 120
 
@@ -160,7 +162,7 @@ def test_bracket_grading():
             for j in so32.GRADE_INDICES[gj]:
                 b = bracket_coords(BASIS[i], BASIS[j])
                 if gi + gj < -2 or gi + gj > 2:
-                    assert vec_is_zero(b)
+                    assert not any(b)
                 else:
                     assert grades(b) <= {gi + gj}
 
@@ -256,7 +258,7 @@ def test_conjugation_symmetry_of_commutator_table():
 
     for i in range(DIM):
         for j in range(DIM):
-            lhs = sigma(complex_basis_matrix().apply(so32.bracket_complex(i, j)))
+            lhs = sigma(from_complex_basis(so32.bracket_complex(i, j)))
             assert lhs == bracket_coords(sigma(complex_unit(i)),
                                          sigma(complex_unit(j)))
 
@@ -273,7 +275,36 @@ def test_complex_basis_change():
     assert z[1] == I and z[2] == -I
     # round trip on all basis vectors
     for x in BASIS:
-        assert vec(complex_basis_matrix().apply(to_complex_basis(x))) == x
+        assert from_complex_basis(to_complex_basis(x)) == x
+
+
+def _gaussian_vectors(seed, count=20):
+    rng = random.Random(seed)
+    return [vec(GQ(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                   Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+                for _ in range(DIM)) for _ in range(count)]
+
+
+def test_pair_rule_matches_the_basis_change_matrix():
+    # the per-pair maps against the 10x10 matrix and its inverse by
+    # elimination, on the ten units and on seeded Gaussian vectors
+    cbm, cbm_inv = complex_basis_matrix(), complex_basis_matrix_inv()
+    assert cbm @ cbm_inv == Matrix.identity(DIM)
+    for x in BASIS + _gaussian_vectors(31):
+        assert to_complex_basis(x) == cbm_inv.apply(x)
+        assert from_complex_basis(x) == cbm.apply(x)
+    for i in range(DIM):
+        assert complex_unit(i) == cbm.col(i)
+
+
+def test_pair_rule_round_trips_both_ways():
+    for x in BASIS + _gaussian_vectors(32):
+        assert from_complex_basis(to_complex_basis(x)) == x
+        assert to_complex_basis(from_complex_basis(x)) == x
+        # a leading block that no pair straddles maps on its own
+        for n in (5, 7, 9):
+            assert to_complex_basis(x[:n]) == to_complex_basis(x)[:n]
+            assert from_complex_basis(x[:n]) == from_complex_basis(x)[:n]
 
 
 def test_real_form_membership():
@@ -304,7 +335,7 @@ def test_killing_values():
 
 
 def test_killing_symmetric_and_graded():
-    g = killing_gram()
+    g = gram()
     assert g == g.transpose()
     for i in range(DIM):
         for j in range(DIM):
@@ -321,7 +352,7 @@ def test_killing_ad_invariance():
 
 
 def test_killing_signature():
-    assert symmetric_signature(killing_gram()) == (6, 4, 0)
+    assert symmetric_signature(gram()) == (6, 4, 0)
 
 
 def test_signature_obeys_sylvester_law():
@@ -350,7 +381,7 @@ def test_signature_rejects_non_symmetric_and_non_real():
 
 
 def test_killing_nondegenerate():
-    assert rank(killing_gram()) == DIM
+    assert rank(gram()) == DIM
 
 
 def test_apply_J():
@@ -359,7 +390,7 @@ def test_apply_J():
     x = vec_add(real_unit("E_1^1"), real_unit("e_2^-1"))
     assert apply_J(x) == vec_add(real_unit("E_2^1"),
                                  vec_scale(-1, real_unit("e_1^-1")))
-    assert vec_is_zero(apply_J(vec_add(real_unit("E^2"), real_unit("e^-2"))))
+    assert not any(apply_J(vec_add(real_unit("E^2"), real_unit("e^-2"))))
 
 
 def test_filtration_chains():
@@ -394,14 +425,13 @@ def test_graded_layout_tables():
         filtration_steps("G")
     # X^(10) = (X_1 - i X_2)/2 and X^(01) = (X_1 + i X_2)/2 on each pair
     half, half_i = GQ(Fraction(1, 2)), GQ(0, Fraction(1, 2))
-    cbm = so32.complex_basis_matrix()
     for lo, hi in ((1, 2), (3, 4), (5, 6), (7, 8)):
-        col10, col01 = cbm.col(lo), cbm.col(hi)
+        col10, col01 = complex_unit(lo), complex_unit(hi)
         assert (col10[lo], col10[hi], col01[lo], col01[hi]) == (
             half, -half_i, half, half_i)
         assert sum(1 for c in col10 + col01 if c) == 4
     for i in (0, 9):
-        assert cbm.col(i) == tuple(GQ(1 if r == i else 0) for r in range(DIM))
+        assert complex_unit(i) == unit_vec(DIM, i)
 
 
 def test_j_is_i_on_the_holomorphic_basis():

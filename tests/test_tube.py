@@ -10,30 +10,32 @@ from oracles import (BASE_POINT, DIAG_TO_ANTIDIAG, SAMPLE_POINTS,
                      apply_field, basis_matrices, dtheta, form_value, iform,
                      isotropy_algebra, j_image, model_levi_cubic,
                      pivot_frame_pair, real_parts)
-from so32cr.scalars import GQ, HALF_I, over_common_denominator
-from so32cr import tube
+from so32cr.scalars import GQ, HALF_I, over_common_denominator, unit_vec
+from so32cr import quadric, tube
 from so32cr.linalg import Matrix, Subspace, kernel_basis, rank
+from so32cr.quadric import (
+    Poly,
+    Powers,
+    embed_f,
+    embedding_identity_check,
+    projective_point,
+    quadric_eval,
+    rho,
+)
 from so32cr.tube import (
     ConePoint,
     Field,
-    Poly,
-    Powers,
     _d10_frame_at,
     _levi_gram,
     _real_frame_at,
     cone_fields,
     covectors_at,
     cubic_form_at,
-    embed_f,
-    embedding_identity_check,
     freeman_ranks_at,
     levi_form_at,
     levi_hermitian_rank,
     levi_kernel_at,
     levi_real_gram,
-    projective_point,
-    quadric_eval,
-    rho,
     rib_span_at,
 )
 
@@ -298,7 +300,7 @@ def test_chart_conversion():
 
 def test_cone_coordinates_need_six_rationals():
     with pytest.raises(ValueError, match="needs 6 rationals x1,x2,x3"):
-        tube._cone_z("3,4,5")
+        quadric._cone_z("3,4,5")
 
 
 def test_a_field_has_six_components():
@@ -326,8 +328,11 @@ _small_gq = st.builds(
 def test_antidiag_input_keeps_the_anti_diagonal_forms(t):
     # the chart matrices are inverse to each other and carry the algebra's
     # anti-diagonal form to diag(+,+,+,-,-), so a point given in the
-    # anti-diagonal chart keeps the values of that chart's two forms
-    to_diag = tube._ANTIDIAG_TO_DIAG
+    # anti-diagonal chart keeps the values of that chart's two forms; the
+    # conversion is linear, with the matrix of its values on the units
+    to_diag = Matrix.from_columns(
+        [projective_point(unit_vec(5, j), "antidiag") for j in range(5)])
+    assert projective_point(t, "antidiag") == to_diag.apply(t)
     assert to_diag @ DIAG_TO_ANTIDIAG == Matrix.identity(5)
     assert DIAG_TO_ANTIDIAG @ to_diag == Matrix.identity(5)
     assert DIAG_TO_ANTIDIAG.transpose() @ iform() @ DIAG_TO_ANTIDIAG == Matrix(
