@@ -7,20 +7,17 @@ h by grade, so a carrier is the first 5, 7, 9 or 10 basis vectors, and its
 J, ad actions, endomorphisms and complex basis change are leading blocks of
 the algebra's: no conjugate pair (X^(10), X^(01)) straddles a carrier's end.
 Every filtration space is spanned by basis vectors, so the filtered and
-graded conditions on an endomorphism are entry patterns and each space is a
-coordinate subspace.  J-compatibility is a condition of the step-0 system
-(``prolong.prolong_step0``), not of a space here.
-
-Endomorphisms are n x n matrices, vectorized row-major (``Matrix.flatten``)
-for subspace bookkeeping.
+graded conditions on an endomorphism are entry patterns, and a space of
+them is the tuple of its basis endomorphisms: the n x n unit matrices E_rc
+at the allowed entries (r, c), in row-major order.  J-compatibility is a
+condition of the step-0 system (``prolong.prolong_step0``), not of a space
+here.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .scalars import GQ, unit_vec, vec, zero_vec
-from .linalg import Matrix, Subspace
+from .linalg import Matrix
 from . import so32
 from .so32 import (_J_IMAGE, bracket_coords, from_complex_basis,
                    to_complex_basis)
@@ -65,48 +62,33 @@ class Carrier:
 
 
 # ---------------------------------------------------------------------------
-# endomorphism subspaces
+# filtration endomorphism spaces, as tuples of basis endomorphisms
 # ---------------------------------------------------------------------------
 
-class EndoSubspace(NamedTuple):
-    carrier: Carrier
-    space: Subspace  # subspace of GQ^(n*n), row-major vectorization
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def basis_endos(self):
-        n = self.carrier.dim
-        return [Matrix.unflatten(v, n) for v in self.space.basis_vectors()]
-
-
-def _endo_space(carrier: Carrier, allowed) -> Subspace:
-    """Endomorphisms supported on the entries (r, c) with ``allowed(r, c)``:
-    a coordinate subspace."""
+def _units(carrier: Carrier, allowed) -> tuple:
+    """The unit endomorphisms E_rc at the entries (r, c) with
+    ``allowed(r, c)``, in row-major order."""
     n = carrier.dim
-    return Subspace.coordinate(n * n, [r * n + c for r in range(n)
-                                       for c in range(n) if allowed(r, c)])
+    return tuple(Matrix.from_entries(n, n, ((r, c, 1),))
+                 for r in range(n) for c in range(n) if allowed(r, c))
 
 
-def gl_filtered(carrier: Carrier, k: int) -> EndoSubspace:
-    """gl_k of a carrier: A(V_t) in V_{t+k} along the grading filtration,
-    so a column may only reach rows k grades higher."""
+def gl_filtered(carrier: Carrier, k: int) -> tuple:
+    """The basis of gl_k of a carrier: A(V_t) in V_{t+k} along the grading
+    filtration, so a column may only reach rows k grades higher."""
     if k < 0:
         raise ValueError("only nonnegative degrees are defined here")
     g = carrier.grades
-    return EndoSubspace(carrier, _endo_space(
-        carrier, lambda r, c: g[r] >= g[c] + k))
+    return _units(carrier, lambda r, c: g[r] >= g[c] + k)
 
 
-def gl_graded(carrier: Carrier, k: int) -> EndoSubspace:
-    """Graded degree-k endomorphisms B(W^g) in W^{g+k}: the honest graded
-    representatives of the "mod higher degree" classes."""
+def gl_graded(carrier: Carrier, k: int) -> tuple:
+    """The basis of the graded degree-k endomorphisms B(W^g) in W^{g+k}:
+    the honest graded representatives of the "mod higher degree" classes."""
     if k < 0:
         raise ValueError("only nonnegative degrees are defined here")
     g = carrier.grades
-    return EndoSubspace(carrier, _endo_space(
-        carrier, lambda r, c: g[r] == g[c] + k))
+    return _units(carrier, lambda r, c: g[r] == g[c] + k)
 
 
 # ---------------------------------------------------------------------------

@@ -390,12 +390,12 @@ def run_hodge(rep, ell: int, k: int):
         "Kostant direct-sum decomposition",
         ok=exact.dim + harm.dim + coex.dim == n,
     )
+    # A and B meet in 0 iff their stacked canonical rows have full rank
     rep.add(
         "pairwise intersections trivial",
         True,
-        exact.intersect(harm).dim == 0
-        and exact.intersect(coex).dim == 0
-        and harm.intersect(coex).dim == 0,
+        all(rank(Matrix._of(a.rows + b.rows, n)) == a.dim + b.dim
+            for a, b in ((exact, harm), (exact, coex), (harm, coex))),
         "Kostant direct-sum decomposition",
     )
     resum_ok = True

@@ -88,14 +88,6 @@ class Matrix:
             r[j] = r[j] + x if j in r else GQ.of(x)
         return Matrix._of(tuple(_row(r.items()) for r in rows), ncols)
 
-    @staticmethod
-    def unflatten(v: Vector, n: int) -> "Matrix":
-        """The n x n matrix whose row-major entries are v (inverse of flatten)."""
-        if len(v) != n * n:
-            raise ValueError("vector length is not n*n")
-        return Matrix._of(tuple(tuple(p for p in enumerate(v[r * n: (r + 1) * n])
-                                      if p[1]) for r in range(n)), n)
-
     def flatten(self) -> Vector:
         """Row-major entries, the vectorization under which spaces of
         endomorphisms are kept as subspaces."""
@@ -259,17 +251,6 @@ class Subspace:
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
-    @staticmethod
-    def coordinate(n: int, positions) -> "Subspace":
-        """The span of the unit vectors at the given positions; sorted unit
-        rows are already in canonical form, so no elimination runs."""
-        positions = sorted(set(positions))
-        if positions and not 0 <= positions[0] <= positions[-1] < n:
-            raise ValueError("coordinate position outside the ambient space")
-        s = Subspace(n)
-        object.__setattr__(s, "rows", tuple(((p, ONE),) for p in positions))
-        return s
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -293,18 +274,6 @@ class Subspace:
                 for j, b in row:
                     v[j] = v[j] - c * b
         return not any(v)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection via the kernel of [B1 | B2] (Zassenhaus-free version)."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if self.dim == 0 or other.dim == 0:
-            return Subspace(self.ambient_dim)
-        stacked = Matrix._of(self.rows + other.rows, self.ambient_dim)
-        b1 = self.basis
-        return Subspace(self.ambient_dim, [
-            b1.apply(k[: self.dim]) for k in kernel_basis(stacked.transpose())
-        ])
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -127,12 +127,11 @@ def prolong_step0() -> ProlongationStep:
     [J, B] = 0 as extra rows; the result is ad(h^0) restricted to m.  J is
     zero on e^-2 and B keeps e^-2 in m^-2, so the full commutator is the
     J-condition on m^-1 + m^0."""
-    carrier, gauge, _ = _gauge(0)
+    carrier, basis, _, _ = _gauge(0)
     j = carrier.j_matrix()
-    endos = [Matrix.unflatten(v, carrier.dim) for v in gauge.columns()]
     extra = Matrix.from_columns([cubic_conditions(b)
                                  + list((j @ b - b @ j).flatten())
-                                 for b in endos])
+                                 for b in basis])
     witnesses = (real_unit("E_1^0"), real_unit("E_2^0"))
     notes = (
         "solved relations: tau = 2 Re(lambda), mu = 2i Im(lambda)",
@@ -183,18 +182,15 @@ def l1_generators() -> tuple:
 
 @lru_cache(maxsize=None)
 def _gauge(k: int):
-    """(step carrier, G, D): the columns of G are the flattened gauge basis
-    endomorphisms and those of D their coboundaries in C^2_k.  The gauge
-    space is l1 at degree 1 and gl_k^gr of the step carrier at degrees 0,
-    2 and 3."""
+    """(step carrier, basis, G, D): the gauge basis endomorphisms, l1's
+    generators at degree 1 and gl_k^gr of the step carrier at degrees 0, 2
+    and 3; the columns of G are their flattened entries and those of D
+    their coboundaries in C^2_k."""
     carrier = Carrier(STEP_CARRIERS[k])
-    if k == 1:
-        gauge = l1_generators()
-    else:
-        gauge = gl_graded(carrier, k).basis_endos()
+    basis = l1_generators() if k == 1 else gl_graded(carrier, k)
     dmat = coboundary_matrix(1, k)
-    d = [dmat.apply(cochain_of_endo(carrier, b, k).coords) for b in gauge]
-    return (carrier, Matrix.from_columns([b.flatten() for b in gauge]),
+    d = [dmat.apply(cochain_of_endo(carrier, b, k).coords) for b in basis]
+    return (carrier, basis, Matrix.from_columns([b.flatten() for b in basis]),
             Matrix.from_columns(d))
 
 
@@ -202,7 +198,7 @@ def _kernel_step(k, witnesses, notes, extra=()) -> ProlongationStep:
     """dB = 0 over the step-k gauge space, together with the ``extra``
     sparse rows (one column per gauge column): the span of the real
     combinations G t with D t = 0 and every extra row zero at t."""
-    carrier, gauge, d = _gauge(k)
+    carrier, _, gauge, d = _gauge(k)
     solutions = kernel_basis(real_rows(Matrix._of(d.rows + extra, d.ncols)))
     space = Subspace(gauge.nrows, [gauge.apply(t) for t in solutions])
     generators = tuple(carrier.ad_action(w) for w in witnesses)
@@ -286,7 +282,7 @@ INNER_PRODUCT_NOTE = (
 
 def gauge_image(k: int) -> Subspace:
     """The coboundary image of the step-k gauge space inside C^2_k."""
-    return Subspace(cochain_dim(2, k), _gauge(k)[2].columns())
+    return Subspace(cochain_dim(2, k), _gauge(k)[3].columns())
 
 
 @lru_cache(maxsize=None)
@@ -302,8 +298,9 @@ def normalization_space(k: int) -> Subspace:
 def _normalize_maps(k: int):
     """(layout, B map, I - D X), X the gauge rows of the solution map of
     [D | basis of ker d*]: the B map is the nonzero rows of G X (c -> flat
-    B), and layout[r] lists (B map row, j) for the entries (r, j) of B."""
-    carrier, gauge, d = _gauge(k)
+    B), and layout[r] lists (B map row, j) for the entries (r, j) of B,
+    read off the row-major order of ``Matrix.flatten``."""
+    carrier, _, gauge, d = _gauge(k)
     span = Matrix.from_columns(
         d.columns() + normalization_space(k).basis_vectors())
     x = Matrix._of(solution_map(span).rows[:gauge.ncols], d.nrows)
@@ -385,7 +382,7 @@ def run_prolong(rep, which: str):
             )
         if step == 1:
             rep.add("degree-1 gauge space dimension", 6,
-                    rank(_gauge(1)[1]),
+                    rank(_gauge(1)[2]),
                     "parameter count of the gauge algebra")
             rep.add("degree-1 gauge space note", L1_NOTE, L1_NOTE,
                     "solver summary", ok=True)
@@ -410,7 +407,7 @@ def run_prolong(rep, which: str):
             rep.add(
                 "degree-5 filtered endomorphisms vanish",
                 0,
-                gl_filtered(Carrier("m+h"), 5).dim,
+                len(gl_filtered(Carrier("m+h"), 5)),
                 "filtration entry patterns",
             )
         for note in s.notes:

@@ -68,7 +68,13 @@ own, or states a law that the engine's results must obey:
   step-2 solution is read against.
 * ``reference_apply``: a matrix times a vector, summed term by term in
   ``GQ`` arithmetic, apart from the integer form of ``Matrix.apply``.
-* ``span_sum``: the sum of subspaces, spanned by their bases together.
+* ``span_sum``: the sum of subspaces, spanned by their bases together;
+  ``intersect``: their intersection, from the kernel of the stacked bases;
+  ``coordinate_subspace``: the span of unit vectors, built in canonical
+  form with no elimination.
+* ``unflatten``: the inverse of ``Matrix.flatten``, and ``EndoSubspace``: a
+  space of endomorphisms of a carrier kept as a subspace of the flattened
+  entries, the form of the oracle's spaces below.
 * ``degree1_normalization_recipe``: the paper's degree-1 normalization
   space, the orthocomplement of the l1 gauge image inside the coboundary
   image (for the inner product of ``prolong.INNER_PRODUCT_NOTE``) plus
@@ -84,16 +90,18 @@ import io
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, product
+from typing import NamedTuple
 
 from so32cr import cli, prolong, so32
-from so32cr.carriers import Carrier, EndoSubspace, endo_from_complex_images
+from so32cr.carriers import Carrier, endo_from_complex_images
 from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_h, _side_m,
                              coboundary_matrix, cochain_dim, cochain_monomials,
                              codifferential_matrix)
 from so32cr.forms import Form
 from so32cr.linalg import (Matrix, Subspace, kernel, kernel_basis, real_rows,
                            rref, solution_map, vec_add, vec_scale)
-from so32cr.scalars import GQ, HALF, HALF_I, I, ZERO, unit_vec, vec, zero_vec
+from so32cr.scalars import (GQ, HALF, HALF_I, I, ONE, ZERO, unit_vec, vec,
+                            zero_vec)
 from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, CONJ_PERM, DIM, GRADES,
                          IN_H, M_MINUS, N, bracket_complex, bracket_coords,
                          killing_gram, to_complex_basis)
@@ -122,6 +130,54 @@ def span_sum(*spaces) -> Subspace:
     """The sum of subspaces of one ambient space."""
     (n,) = {s.ambient_dim for s in spaces}
     return Subspace(n, [v for s in spaces for v in s.basis_vectors()])
+
+
+def intersect(a: Subspace, b: Subspace) -> Subspace:
+    """a meet b: the combinations of a's basis that the kernel of the
+    stacked bases [A | B] pairs with one of b's."""
+    if a.ambient_dim != b.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if a.dim == 0 or b.dim == 0:
+        return Subspace(a.ambient_dim)
+    stacked = Matrix._of(a.rows + b.rows, a.ambient_dim)
+    return Subspace(a.ambient_dim, [
+        a.basis.apply(k[: a.dim]) for k in kernel_basis(stacked.transpose())])
+
+
+def coordinate_subspace(n: int, positions) -> Subspace:
+    """The span of the unit vectors at the given positions; sorted unit
+    rows are already in canonical form, so no elimination runs."""
+    positions = sorted(set(positions))
+    if positions and not 0 <= positions[0] <= positions[-1] < n:
+        raise ValueError("coordinate position outside the ambient space")
+    s = Subspace(n)
+    object.__setattr__(s, "rows", tuple(((p, ONE),) for p in positions))
+    return s
+
+
+# ---------------------------------------------------------------------------
+# endomorphisms as flattened entries
+# ---------------------------------------------------------------------------
+
+
+def unflatten(v, n: int) -> Matrix:
+    """The n x n matrix whose row-major entries are v (inverse of flatten)."""
+    if len(v) != n * n:
+        raise ValueError("vector length is not n*n")
+    return Matrix([v[r * n: (r + 1) * n] for r in range(n)], ncols=n)
+
+
+class EndoSubspace(NamedTuple):
+    carrier: Carrier
+    space: Subspace  # subspace of GQ^(n*n), row-major vectorization
+
+    @property
+    def dim(self) -> int:
+        return self.space.dim
+
+    def basis_endos(self):
+        n = self.carrier.dim
+        return [unflatten(v, n) for v in self.space.basis_vectors()]
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +359,7 @@ def j_endo_space(carrier: Carrier, allowed, j_domain) -> Subspace:
     n = carrier.dim
     coords = [r * n + c for r in range(n) for c in range(n) if allowed(r, c)]
     if not j_domain:
-        return Subspace.coordinate(n * n, coords)
+        return coordinate_subspace(n * n, coords)
     vectors = []
     for v in kernel_basis(j_rows(carrier, j_domain, coords)):
         w = [ZERO] * (n * n)
@@ -558,7 +614,7 @@ def degree1_normalization_recipe() -> Subspace:
     n = cochain_dim(2, 1)
     image_all = Subspace(n, coboundary_matrix(1, 1).columns())
     ortho = kernel(Matrix(prolong.gauge_image(1).basis_vectors(), ncols=n))
-    return span_sum(ortho.intersect(image_all),
+    return span_sum(intersect(ortho, image_all),
                     kernel(codifferential_matrix(2, 1)))
 
 

@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 
 from oracles import (BASE_POINT, SAMPLE_POINTS, act_on_cochain, grades,
-                     isotropy_algebra, model_levi_cubic, span_sum)
+                     intersect, isotropy_algebra, model_levi_cubic, span_sum)
 from so32cr.scalars import GQ, unit_vec
 from so32cr.linalg import Subspace, rank, vec_add
 from so32cr import so32
@@ -130,9 +130,9 @@ def test_criterion_06_kostant():
         n = cochain_dim(2, k)
         ok = ok and exact.dim + harm.dim + coex.dim == n
         ok = ok and span_sum(exact, harm, coex).dim == n
-        ok = ok and exact.intersect(harm).dim == 0
-        ok = ok and exact.intersect(coex).dim == 0
-        ok = ok and harm.intersect(coex).dim == 0
+        ok = ok and intersect(exact, harm).dim == 0
+        ok = ok and intersect(exact, coex).dim == 0
+        ok = ok and intersect(harm, coex).dim == 0
     for i in (3, 4, 5, 6):
         x = unit_vec(10, i)
         for k in range(0, 5):
@@ -162,7 +162,7 @@ def test_criterion_07_normalization():
         gi = prolong.gauge_image(k)
         ns = prolong.normalization_space(k)
         n = cochain_dim(2, k)
-        ok = ok and gi.intersect(ns).dim == 0
+        ok = ok and intersect(gi, ns).dim == 0
         ok = ok and gi.dim + ns.dim == n and span_sum(gi, ns).dim == n
     # ad-invariance under the stated actions
     actors = {1: (5, 6), 2: (5, 6, 7, 8), 3: (5, 6, 7, 8, 9)}

@@ -5,13 +5,13 @@ import os
 import subprocess
 import sys
 import typing
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from so32cr import (carriers, cli, cochains, coframe, prolong, quadric, report,
-                    so32)
+from so32cr import cli, cochains, coframe, prolong, quadric, report, so32
 from so32cr.cli import run
 from so32cr.linalg import Matrix, Subspace
 from so32cr.cochains import (Cochain, cochain_dim, ctorsion_from_json,
@@ -162,6 +162,22 @@ def test_jacobi_check_fails_for_a_constant_of_the_wrong_grade(monkeypatch):
     code, rep = run(["verify", "jacobi"])
     assert code == 1 and rep.status == "fail"
     assert not _row(rep, "bracket respects grading").ok
+
+
+def test_hodge_pairwise_check_fails_for_two_equal_pieces(monkeypatch):
+    # C^2_3 splits (4, 4, 2); the exact piece in place of the harmonic one
+    # keeps the dimension sum, so only the pairwise row can see it; the
+    # decompositions of the resum row read the true pieces
+    real = cochains.kostant_pieces
+    exact, _, coex = real(2, 3)
+    doubled = iter([(exact, exact, coex)])
+    monkeypatch.setattr(cochains, "kostant_pieces",
+                        lambda ell, k: next(doubled, None) or real(ell, k))
+    code, rep = run(["hodge", "--ell", "2", "--k", "3"])
+    assert code == 1
+    row = _row(rep, "pairwise intersections trivial")
+    assert row.actual == "False"
+    assert [c for c in rep.checks if not c.ok] == [row]
 
 
 def test_signed_values_parse_in_the_spaced_form():
@@ -363,12 +379,6 @@ def test_closed_stdout_exits_with_the_run_code():
     assert b"Traceback" not in proc.stderr
 
 
-# the probe runs one command, then prints the so32cr modules it loaded
-_LOAD_PROBE = """import json, sys
-from so32cr.cli import run
-run(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("so32cr"))))
-"""
 _ENGINE = {"tube", "forms", "cochains", "carriers", "prolong", "coframe"}
 _QUADRIC_COMMANDS = (
     ["quadric", "--point", "0,-1/2,3,0,4,0,5,0,0,-1/2"],
@@ -380,20 +390,8 @@ _TUBE_COMMANDS = (
     ["cubic", "--z", "3,4,5,1/2,-2,1"],
     ["freeman", "--z", "5,12,13,0,1,-1/3"],
 )
-
-
-def _modules_loaded_by(argv):
-    """The so32cr modules (without the package prefix) that a fresh
-    interpreter holds after running one command."""
-    proc = subprocess.run([sys.executable, "-c", _LOAD_PROBE, *argv],
-                          capture_output=True, text=True, env=_src_env(),
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return {m.removeprefix("so32cr.")
-            for m in json.loads(proc.stdout.splitlines()[-1])}
-
-
-@pytest.mark.parametrize("argv,unused", [
+# (argv, so32cr modules it must not load)
+_UNUSED_MODULES = (
     # the algebra is tables: the basis change is applied pair by pair
     (["verify", "table1"], _ENGINE | {"linalg"}),
     (["verify", "jacobi"], _ENGINE | {"linalg"}),
@@ -409,21 +407,59 @@ def _modules_loaded_by(argv):
      {"tube", "carriers", "prolong", "coframe"}),
     # the two "catalog contains" rows are settled by the frame conditions
     (["verify", "structeq"], {"tube", "carriers", "prolong"}),
-])
+)
+
+# one interpreter runs each command given as JSON with so32cr unloaded
+# before it, then prints per command its exit code and the so32cr modules
+_MODULE_PROBE = """import contextlib, importlib, io, json, sys
+found = []
+for argv in json.loads(sys.argv[1]):
+    for name in [m for m in sys.modules if m.split(".")[0] == "so32cr"]:
+        del sys.modules[name]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, _ = importlib.import_module("so32cr.cli").run(argv)
+    found.append([code, [m for m in sys.modules if m.split(".")[0] == "so32cr"]])
+print(json.dumps(found))
+"""
+
+
+@lru_cache(maxsize=1)
+def _probe():
+    """{argv tuple: (exit code, so32cr modules loaded)} for the catalogue,
+    -h, constraints and the lines of _UNUSED_MODULES, from one run of
+    _MODULE_PROBE."""
+    lines = list(dict.fromkeys(tuple(args) for args in (
+        [args for _, args in CATALOGUE] + [["-h"], ["constraints"]]
+        + [argv for argv, _ in _UNUSED_MODULES])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULE_PROBE, json.dumps(lines)],
+        capture_output=True, text=True, cwd=ROOT, env=_src_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {args: (code, modules)
+            for args, (code, modules) in zip(lines, json.loads(proc.stdout))}
+
+
+def _loaded(argv):
+    """The so32cr modules, without the package prefix, that one command
+    loads with so32cr unloaded before it."""
+    return {m.removeprefix("so32cr.") for m in _probe()[tuple(argv)][1]}
+
+
+@pytest.mark.parametrize("argv,unused", _UNUSED_MODULES)
 def test_a_command_loads_only_the_modules_it_runs(argv, unused):
-    loaded = _modules_loaded_by(argv)
+    loaded = _loaded(argv)
     assert "cli" in loaded and not loaded & unused, loaded
 
 
 def test_constraints_reads_d_star_without_the_prolongation_modules():
     # the catalog's normalization relations are the reduced rows of d*
-    assert _modules_loaded_by(["constraints"]) == {
+    assert _loaded(["constraints"]) == {
         "so32cr", "cli", "report", "scalars", "linalg", "so32", "forms",
         "cochains", "coframe"}
 
 
 def test_help_loads_only_the_front_end():
-    assert _modules_loaded_by(["-h"]) == {"so32cr", "cli"}
+    assert _loaded(["-h"]) == {"so32cr", "cli"}
 
 
 def test_importtime_lists_the_runner_module():
@@ -475,9 +511,8 @@ def test_no_command_imports_dataclasses_inspect_or_the_fixture_loader():
 def test_record_annotations_resolve():
     # NamedTuple records keep their annotations as text; each must name
     # what its module binds (CellCheck's "GQ | None" needs Python 3.10+)
-    for record in (report.Check, carriers.EndoSubspace, cochains.HodgeTriple,
-                   coframe.Symbol, coframe.Relation, prolong.ProlongationStep,
-                   so32.CellCheck):
+    for record in (report.Check, cochains.HodgeTriple, coframe.Symbol,
+                   coframe.Relation, prolong.ProlongationStep, so32.CellCheck):
         assert list(typing.get_type_hints(record)) == list(record._fields)
     assert typing.get_type_hints(so32.CellCheck)["scalar_factor"] == (
         GQ | None)
@@ -792,34 +827,21 @@ STATEMENT_BUDGET = {
     "-h": 170,
     "verify jacobi": 574,
     "verify table1": 574,
-    "verify structeq": 1270,
-    "cohomology": 1112,
-    "hodge": 1112,
-    "prolong": 1369,
-    "normalize": 1369,
+    "verify structeq": 1248,
+    "cohomology": 1090,
+    "hodge": 1090,
+    "prolong": 1335,
+    "normalize": 1335,
     "model quadric": 547,
     "model embed": 547,
-    "model levi": 1008,
-    "model cubic": 1008,
-    "model freeman": 1008,
+    "model levi": 986,
+    "model cubic": 986,
+    "model freeman": 986,
     "model identities": 547,
-    "constraints": 1270,
+    "constraints": 1248,
 }
 
-# one interpreter runs each command given as JSON with so32cr unloaded
-# before it, then prints per command its exit code and the so32cr modules
-_MODULE_PROBE = """import contextlib, importlib, io, json, sys
-found = []
-for argv in json.loads(sys.argv[1]):
-    for name in [m for m in sys.modules if m.split(".")[0] == "so32cr"]:
-        del sys.modules[name]
-    with contextlib.redirect_stdout(io.StringIO()):
-        code, _ = importlib.import_module("so32cr.cli").run(argv)
-    found.append([code, [m for m in sys.modules if m.split(".")[0] == "so32cr"]])
-print(json.dumps(found))
-"""
-
-
+@lru_cache(maxsize=None)
 def _statements(module: str) -> int:
     path = ROOT / "src" / Path(*module.split("."))
     path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
@@ -828,13 +850,9 @@ def _statements(module: str) -> int:
 
 
 def test_each_command_compiles_within_its_statement_budget():
-    lines = [args for _, args in CATALOGUE] + [["-h"]]
-    proc = subprocess.run(
-        [sys.executable, "-c", _MODULE_PROBE, json.dumps(lines)],
-        capture_output=True, text=True, cwd=ROOT, env=_src_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr
     counts = {}
-    for args, (code, modules) in zip(lines, json.loads(proc.stdout)):
+    for args in [args for _, args in CATALOGUE] + [["-h"]]:
+        code, modules = _probe()[tuple(args)]
         assert code == 0, args
         name = " ".join(w for w in args if w in _WORDS or w == "-h")
         counts[name] = sum(_statements(m) for m in modules)

@@ -6,7 +6,7 @@ from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
 from oracles import (act_on_cochain, codifferential_by_pairing, evaluate_cochain,
-                     rotation_action_matrix, span_sum)
+                     intersect, rotation_action_matrix, span_sum)
 from so32cr import linalg
 from so32cr.scalars import GQ, HALF, over_common_denominator, unit_vec, zero_vec
 from so32cr.linalg import Matrix, kernel, rank, solution_map
@@ -168,9 +168,9 @@ def test_kostant_direct_sum():
         n = cochain_dim(ell, k)
         assert exact.dim + harm.dim + coex.dim == n
         assert span_sum(exact, harm, coex).dim == n
-        assert exact.intersect(harm).dim == 0
-        assert exact.intersect(coex).dim == 0
-        assert harm.intersect(coex).dim == 0
+        assert intersect(exact, harm).dim == 0
+        assert intersect(exact, coex).dim == 0
+        assert intersect(harm, coex).dim == 0
         if ell >= 1:  # ker d* = harmonic + coexact
             assert kernel(codifferential_matrix(ell, k)) == span_sum(harm, coex)
         if ell <= 2:  # ker d = exact + harmonic

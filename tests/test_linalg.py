@@ -5,7 +5,7 @@ import pytest
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import span_sum
+from oracles import coordinate_subspace, intersect, span_sum, unflatten
 from so32cr import linalg
 from so32cr.scalars import GQ, over_common_denominator, unit_vec, vec
 from so32cr.linalg import (
@@ -111,24 +111,24 @@ def test_coordinate_subspace_is_canonical():
     for _ in range(20):
         n = rng.randrange(1, 9)
         positions = [rng.randrange(n) for _ in range(rng.randrange(n + 1))]
-        assert Subspace.coordinate(n, positions) == Subspace(
+        assert coordinate_subspace(n, positions) == Subspace(
             n, [unit_vec(n, p) for p in positions]
         )
     with pytest.raises(ValueError, match="coordinate position outside"):
-        Subspace.coordinate(3, [3])
+        coordinate_subspace(3, [3])
     with pytest.raises(ValueError, match="coordinate position outside"):
-        Subspace.coordinate(3, [-1, 0])
+        coordinate_subspace(3, [-1, 0])
 
 
 def test_lattice_basics():
     e1, e2, e3 = (unit_vec(3, i) for i in range(3))
     a = Subspace(3, [e1])
     b = Subspace(3, [e2])
-    assert a.intersect(b).dim == 0
-    assert a.intersect(a) == a
+    assert intersect(a, b).dim == 0
+    assert intersect(a, a) == a
     c = Subspace(3, [e1, e2])
     d = Subspace(3, [e2, e3])
-    assert c.intersect(d) == Subspace(3, [e2])
+    assert intersect(c, d) == Subspace(3, [e2])
 
 
 def test_dimension_formula_randomized():
@@ -147,7 +147,7 @@ def test_dimension_formula_randomized():
             )
         a, b = rand_space(), rand_space()
         s = span_sum(a, b)
-        i = a.intersect(b)
+        i = intersect(a, b)
         assert a.dim + b.dim == s.dim + i.dim
         for big, small in ((s, a), (s, b), (a, i), (b, i)):
             assert all(big.contains(v) for v in small.basis_vectors())
@@ -174,7 +174,7 @@ def test_matrix_equality_ignores_how_it_was_built():
         assert other == m and hash(other) == hash(m)
         assert dense_rows(other) == dense_rows(m)
     square = Matrix([[0, 2, 0], [0, 0, 0], [I, 0, 0]])
-    assert Matrix.unflatten(square.flatten(), 3) == square
+    assert unflatten(square.flatten(), 3) == square
     assert m != Matrix(rows[:2] + [[I, 0, 0, 1]])
     assert Matrix.from_entries(2, 3, ()) != Matrix.from_entries(2, 4, ())
     assert m[2, 3] == GQ(1, -1) and m[1, 3] == 0
@@ -358,7 +358,7 @@ def test_malformed_input_is_named():
     with pytest.raises(ValueError, match="ragged matrix"):
         Matrix([[1, 2], [3]])
     with pytest.raises(ValueError, match="vector length is not n"):
-        Matrix.unflatten(vec([1, 2, 3]), 2)
+        unflatten(vec([1, 2, 3]), 2)
     with pytest.raises(ValueError, match="shape mismatch in matrix sum"):
         square + wide
     with pytest.raises(ValueError, match="shape mismatch in matmul"):
@@ -371,7 +371,7 @@ def test_malformed_input_is_named():
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
         plane.contains(unit_vec(2, 0))
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
-        plane.intersect(Subspace(2, [unit_vec(2, 0)]))
+        intersect(plane, Subspace(2, [unit_vec(2, 0)]))
 
 
 def test_matrices_and_subspaces_are_immutable():

@@ -6,10 +6,11 @@ from importlib import resources
 import pytest
 
 from oracles import (LEVELS, basis_matrices, complex_basis_matrix,
-                     complex_basis_matrix_inv, filtration_steps, from_matrix,
-                     grades, iform, symmetric_signature, to_matrix, trace)
+                     complex_basis_matrix_inv, coordinate_subspace,
+                     filtration_steps, from_matrix, grades, iform,
+                     symmetric_signature, to_matrix, trace)
 from so32cr.scalars import GQ, unit_vec, vec
-from so32cr.linalg import Matrix, Subspace, rank, vec_add, vec_scale
+from so32cr.linalg import Matrix, rank, vec_add, vec_scale
 from so32cr import so32
 from so32cr.carriers import Carrier
 from so32cr.so32 import (
@@ -394,7 +395,7 @@ def test_apply_J():
 
 
 def test_filtration_chains():
-    f, fs = ([Subspace.coordinate(DIM, step) for step in filtration_steps(kind)]
+    f, fs = ([coordinate_subspace(DIM, step) for step in filtration_steps(kind)]
              for kind in ("F", "F*"))
     assert [s.dim for s in f] == [10, 9, 7, 3, 1, 0]
     assert [s.dim for s in fs] == [10, 9, 7, 5, 3, 1, 0]
