@@ -8,8 +8,12 @@ Freeman ranks, read there from values of the fields.
 
 Only the point changes from one pointwise evaluation to the next, so what
 does not depend on it is built once: each field's partials, conjugate and
-brackets, and each polynomial's compiled terms.  Every evaluation at a
-point reads the point's one power table.
+brackets, and each polynomial's compiled terms.  What depends on the point
+alone is kept on the point, built by the first evaluation that reads it:
+its power table, theta_p's covector rows and the checked holomorphic frame
+(the fields, their values and the values' integer forms).  Form values are
+not kept: each Gram, rank, kernel, bracket value and cubic value, and each
+section check of a caller's fields, is computed on every call.
 rho is a quadratic in x = Re z, so d theta = (i/2) sum_j eps_j dzb_j ^ dz_j,
 eps = (1, 1, -1), is constant: on sections of the contact distribution the
 Levi entry -theta_p([V, JW]) is d theta_p(V(p), JW(p)) and the cubic
@@ -27,7 +31,7 @@ levi``, ``model cubic`` and ``model freeman``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .scalars import GQ, _gq, over_common_denominator, vec
 from .linalg import Matrix, Subspace, kernel_basis, rank
@@ -134,9 +138,11 @@ def cone_fields():
 
 class ConePoint:
     """An immutable point z = x + iy with x on the future light cone, all
-    rational."""
+    rational.
 
-    __slots__ = ("z", "_powers")
+    What depends on the point alone is built by the first evaluation that
+    reads it and kept: the power table, theta_p's covector rows and the
+    checked holomorphic frame."""
 
     def __init__(self, z):
         z = vec(z)
@@ -147,18 +153,26 @@ class ConePoint:
         if z[2].re_sign() <= 0:
             raise ValueError("not on the future half (x^3 must be positive)")
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "_powers", None)
 
+    # cached_property writes to the instance dict, not through __setattr__
     def __setattr__(self, *a):
         raise AttributeError("ConePoint is immutable")
 
-    @property
+    @cached_property
     def powers(self) -> Powers:
-        """The point's one power table, read by every evaluation at it and
-        built by the first."""
-        if self._powers is None:
-            object.__setattr__(self, "_powers", Powers(self.z))
-        return self._powers
+        """The point's one power table."""
+        return Powers(self.z)
+
+    @cached_property
+    def covectors(self) -> Matrix:
+        """The rows d rho_p and theta_p of ``covectors_at``."""
+        return covectors_at(self)
+
+    @cached_property
+    def frame(self):
+        """The holomorphic frame of ``_d10_frame_at``: fields, values and
+        checked integer forms."""
+        return _d10_frame_at(self)
 
 
 def covectors_at(p: ConePoint) -> Matrix:
@@ -176,10 +190,11 @@ def _dtheta(u, v) -> GQ:
     i S / (2 d_u d_v), S the Gaussian-integer sum; it needs no point."""
     (du, ua, ub), (dv, va, vb) = u, v
     s = t = 0
-    for j, eps in enumerate(_EPS):
-        for a, b, sign in ((j + 3, j, eps), (j, j + 3, -eps)):
-            s += sign * (ua[a] * va[b] - ub[a] * vb[b])
-            t += sign * (ua[a] * vb[b] + ub[a] * va[b])
+    for j, k, eps in ((0, 3, 1), (1, 4, 1), (2, 5, -1)):  # k = j + 3
+        s += eps * (ua[k] * va[j] - ub[k] * vb[j] - ua[j] * va[k]
+                    + ub[j] * vb[k])
+        t += eps * (ua[k] * vb[j] + ub[k] * va[j] - ua[j] * vb[k]
+                    - ub[j] * va[k])
     return _gq(-t, s, 2 * du * dv)
 
 
@@ -219,7 +234,7 @@ def levi_form_at(p: ConePoint, vf: Field, wf: Field) -> GQ:
     """-theta_p([V, JW]) = d theta_p(V(p), JW(p)).  The identity needs V and
     JW to be sections of the contact distribution near p (theta(V) = 0 mod
     rho, and so for JW); only V(p) and W(p) are checked, JW(p) = J W(p)."""
-    v, w = _section_forms(covectors_at(p),
+    v, w = _section_forms(p.covectors,
                           [vf.eval(p.powers), wf.eval(p.powers)])
     return _dtheta(v, _J(w))
 
@@ -239,7 +254,7 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
             e.eval(p.powers)):
         raise ValueError("first argument must point along the rib")
     values = [h.eval(p.powers)] + ([] if hp is h else [hp.eval(p.powers)])
-    forms = _section_forms(covectors_at(p), values)
+    forms = _section_forms(p.covectors, values)
     if any(any(value[:3]) for value in values):
         raise ValueError("argument is not antiholomorphic at the point")
     bracket = over_common_denominator(e.bracket(h).eval(p.powers))
@@ -255,7 +270,7 @@ def _d10_frame_at(p: ConePoint):
     l12, l13, l23, _ = cone_fields()
     fields = (l12, l13) if p.z[0].re_sign() else (l12, l23)
     values = [f.eval(p.powers) for f in fields]
-    return fields, values, _section_forms(covectors_at(p), values)
+    return fields, values, _section_forms(p.covectors, values)
 
 
 def _levi_gram(rows, cols) -> Matrix:
@@ -267,7 +282,7 @@ def _levi_gram(rows, cols) -> Matrix:
 
 def levi_hermitian_rank(p: ConePoint) -> int:
     """Rank of the Hermitian Levi matrix on a holomorphic frame."""
-    forms = _d10_frame_at(p)[2]
+    forms = p.frame[2]
     return rank(_levi_gram(forms, [_conj(f) for f in forms]))
 
 
@@ -275,11 +290,9 @@ def _real_frame_at(p: ConePoint):
     """Integer forms of four real vectors framing the distribution at p: the
     real parts f + conj f = (f, conj f) and i(f - conj f) = J(f + conj f)
     of the holomorphic frame's values, of type (1,0) and independent."""
-    frame = []
-    for d, re, im in _d10_frame_at(p)[2]:
-        real = (d, re[:3] + re[:3], im[:3] + [-b for b in im[:3]])
-        frame += [real, _J(real)]
-    return frame
+    reals = [(d, re[:3] + re[:3], im[:3] + [-b for b in im[:3]])
+             for d, re, im in p.frame[2]]
+    return [u for real in reals for u in (real, _J(real))]
 
 
 def levi_real_gram(p: ConePoint) -> Matrix:
@@ -303,7 +316,7 @@ def levi_kernel_at(p: ConePoint) -> Subspace:
 
 def freeman_ranks_at(p: ConePoint):
     """(dim F^10_-1, dim F^10_0, dim F^10_1) by exact pointwise solves."""
-    (f1, f2), values, forms = _d10_frame_at(p)
+    (f1, f2), values, forms = p.frame
     _, _, _, R = cone_fields()
     r_value = R.eval(p.powers)
     # step 0 (Levi kernel): rows theta([f, conj f']) = -i (Hermitian Gram)^T

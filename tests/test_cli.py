@@ -180,6 +180,21 @@ def test_hodge_pairwise_check_fails_for_two_equal_pieces(monkeypatch):
     assert [c for c in rep.checks if not c.ok] == [row]
 
 
+def test_hodge_reports_overlapping_pieces_without_a_traceback(monkeypatch):
+    # with (exact, exact, coexact) for every call, the decompositions of the
+    # resum row have no Kostant map to solve with; both rows read False and
+    # the command exits 1 instead of raising out of run
+    exact, _, coex = cochains.kostant_pieces(2, 3)
+    monkeypatch.setattr(cochains, "kostant_pieces",
+                        lambda ell, k: (exact, exact, coex))
+    code, rep = run(["hodge", "--ell", "2", "--k", "3"])
+    assert code == 1 and rep.status == "fail"
+    rows = [_row(rep, "pairwise intersections trivial"),
+            _row(rep, "decompose/resum is the identity")]
+    assert [row.actual for row in rows] == ["False", "False"]
+    assert [c for c in rep.checks if not c.ok] == rows
+
+
 def test_signed_values_parse_in_the_spaced_form():
     # "--z -3,..." is a value, not a flag: the same report as "--z=-3,..."
     for option, cmd, value in (
@@ -827,18 +842,18 @@ STATEMENT_BUDGET = {
     "-h": 170,
     "verify jacobi": 574,
     "verify table1": 574,
-    "verify structeq": 1248,
-    "cohomology": 1090,
-    "hodge": 1090,
-    "prolong": 1335,
-    "normalize": 1335,
+    "verify structeq": 1247,
+    "cohomology": 1089,
+    "hodge": 1089,
+    "prolong": 1334,
+    "normalize": 1334,
     "model quadric": 547,
     "model embed": 547,
-    "model levi": 986,
-    "model cubic": 986,
-    "model freeman": 986,
+    "model levi": 984,
+    "model cubic": 984,
+    "model freeman": 984,
     "model identities": 547,
-    "constraints": 1248,
+    "constraints": 1247,
 }
 
 @lru_cache(maxsize=None)

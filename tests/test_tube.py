@@ -109,6 +109,11 @@ def test_cone_point_is_immutable_and_keeps_one_power_table():
     with pytest.raises(AttributeError, match="ConePoint is immutable"):
         p.z = (GQ(5), GQ(12), GQ(13))
     assert p.powers is p.powers
+    # theta_p's rows and the checked holomorphic frame are kept as well
+    assert p.covectors is p.covectors
+    assert p.frame is p.frame
+    with pytest.raises(AttributeError, match="ConePoint is immutable"):
+        p.frame = None
 
 
 def test_cone_fields_tangency():
@@ -538,7 +543,8 @@ def test_each_benchmark_kind_evaluates_each_field_once(monkeypatch):
 
 
 def test_one_reading_of_the_covectors_per_point(monkeypatch):
-    # each public evaluator builds theta_p once, whatever the frame size
+    # theta_p is built once per point, whatever the frame size and however
+    # many evaluators read it there
     calls = []
     original = tube.covectors_at
 
@@ -549,14 +555,90 @@ def test_one_reading_of_the_covectors_per_point(monkeypatch):
     monkeypatch.setattr(tube, "covectors_at", counting)
     l12, _, _, r = cone_fields()
     real = l12 + l12.conj()
-    p = SAMPLE_POINTS[1]
+    p = ConePoint(SAMPLE_POINTS[1].z)  # a point no other test has read
     for evaluate in (levi_real_gram, levi_kernel_at, levi_hermitian_rank,
                      freeman_ranks_at,
                      lambda p: levi_form_at(p, real, real),
                      lambda p: cubic_form_at(p, r, l12.conj(), l12.conj())):
-        calls.clear()
         evaluate(p)
-        assert calls == [p]
+    assert calls == [p]
+
+
+def test_the_benchmark_kinds_at_one_point_evaluate_each_frame_field_once(
+        monkeypatch):
+    # the five tube-points kinds at one point share its holomorphic frame:
+    # the first kind evaluates its two fields, the others read their values
+    workloads = _workloads()
+    seen = []
+    original = Field.eval
+
+    def counting(field, powers):
+        seen.append(field)
+        return original(field, powers)
+
+    monkeypatch.setattr(Field, "eval", counting)
+    for seed in (1, 2, 3):
+        p = workloads.random_cone_point(random.Random(seed))
+        seen.clear()
+        for kind, check in workloads._tube_kinds():
+            assert check(kind(p))
+        for field in p.frame[0]:
+            assert sum(f is field for f in seen) == 1
+
+
+def _warm_and_fresh_kinds():
+    """The tube-points kinds and ``rib_span_at``, each returning the whole
+    value the benchmark checks a rank or a fact of, with that fact."""
+    l12, l13, l23, r = cone_fields()
+    return (
+        (levi_hermitian_rank, lambda v: v == 1),
+        (levi_real_gram, lambda v: rank(v) == 2),
+        (levi_kernel_at, lambda v: v.dim == 2),
+        (rib_span_at, lambda v: v.dim == 2),
+        (freeman_ranks_at, lambda v: v == (2, 1, 0)),
+        (lambda p: tuple(cubic_form_at(p, r, f.conj(), f.conj())
+                         for f in (l12, l13, l23)), any),
+    )
+
+
+def _seeded_cone_point(rng: random.Random, height: int) -> ConePoint:
+    """x = s * (a, b, c) for a Pythagorean triple, signed and ordered at
+    random, plus y; s and y have numerators of up to ``height`` digits."""
+    m = rng.randint(2, 9)
+    n = rng.randint(1, m - 1)
+    a, b, c = m * m - n * n, 2 * m * n, m * m + n * n
+    if rng.random() < 0.25:
+        a, b, c = 1, 0, 1
+    if rng.random() < 0.5:
+        a, b = b, a
+    a *= rng.choice((1, -1))
+    b *= rng.choice((1, -1))
+    top = 10 ** height
+    s = Fraction(rng.randint(1, top), rng.randint(1, 10 ** 6))
+    y = [Fraction(rng.randint(-top, top), rng.randint(1, 10 ** 6))
+         for _ in range(3)]
+    return ConePoint(tuple(GQ(s * x, yi) for x, yi in zip((a, b, c), y)))
+
+
+def test_warm_point_evaluations_match_fresh_points():
+    # the kinds in a shuffled order at one point, each against the same
+    # kind at a fresh point of the same z: what the point keeps from one
+    # kind is what a fresh point would build for the next.  The kept frame
+    # also matches the fields that rref's pivots pick, evaluated on a power
+    # table of their own, and the kernel is the rib at the point itself
+    rng = random.Random(33)
+    kinds = list(_warm_and_fresh_kinds())
+    for i in range(30):
+        p = _seeded_cone_point(rng, (1, 3, 20)[i % 3])
+        rng.shuffle(kinds)
+        warm = {kind: kind(p) for kind, _ in kinds}
+        for kind, fact in kinds:
+            assert warm[kind] == kind(ConePoint(p.z)), (i, kind)
+            assert fact(warm[kind]), (i, kind)
+        assert warm[levi_kernel_at] == warm[rib_span_at]
+        at = Powers(p.z)
+        assert [form_value(f) for f in p.frame[2]] == [
+            f.eval(at) for f in pivot_frame_pair(p)]
 
 
 # -- compiled evaluation: jet tables, power tables, warm work ---------------
