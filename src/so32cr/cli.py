@@ -41,7 +41,7 @@ COMMANDS = (
             "110 fixture cells vs matrix commutators"),
     Command(("verify", "jacobi"), (), "so32.run_verify_jacobi",
             "bracket integrity and grading"),
-    Command(("verify", "structeq"), (), "coframe.run_verify_structeq",
+    Command(("verify", "structeq"), (), "structeq.run_verify_structeq",
             "flat structure equations and d^2 = 0"),
     Command(("cohomology",), _ELL_K, "cochains.run_cohomology",
             "cohomology dimension of a slice"),

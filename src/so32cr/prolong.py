@@ -385,9 +385,9 @@ def run_prolong(rep, which: str):
                     rank(_gauge(1)[2]),
                     "parameter count of the gauge algebra")
             rep.add("degree-1 gauge space note", L1_NOTE, L1_NOTE,
-                    "solver summary", ok=True)
+                    "solver summary")
             rep.add("inner product choice", INNER_PRODUCT_NOTE,
-                    INNER_PRODUCT_NOTE, "recorded normalization data", ok=True)
+                    INNER_PRODUCT_NOTE, "recorded normalization data")
         for row_step, name, g, col, expected in _GENERATOR_IMAGES:
             if row_step == step:
                 z = endo_complex_matrix(s.carrier, s.generators[g])
@@ -447,4 +447,4 @@ def run_normalize(rep, k: int, path: str):
     )
     if k == 1:
         rep.add("inner product choice", INNER_PRODUCT_NOTE, INNER_PRODUCT_NOTE,
-                "recorded normalization data", ok=True)
+                "recorded normalization data")

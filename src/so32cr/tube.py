@@ -10,10 +10,11 @@ Only the point changes from one pointwise evaluation to the next, so what
 does not depend on it is built once: each field's partials, conjugate and
 brackets, and each polynomial's compiled terms.  What depends on the point
 alone is kept on the point, built by the first evaluation that reads it:
-its power table, theta_p's covector rows and the checked holomorphic frame
-(the fields, their values and the values' integer forms).  Form values are
-not kept: each Gram, rank, kernel, bracket value and cubic value, and each
-section check of a caller's fields, is computed on every call.
+its power table, theta_p's covector rows, and the checked holomorphic frame
+(the fields, their values and the values' integer forms) with the value
+R(p) of the ruling field.  Form values are not kept: each Gram, rank,
+kernel, bracket value and cubic value, and each section check of a
+caller's fields, is computed on every call.
 rho is a quadratic in x = Re z, so d theta = (i/2) sum_j eps_j dzb_j ^ dz_j,
 eps = (1, 1, -1), is constant: on sections of the contact distribution the
 Levi entry -theta_p([V, JW]) is d theta_p(V(p), JW(p)) and the cubic
@@ -142,7 +143,7 @@ class ConePoint:
 
     What depends on the point alone is built by the first evaluation that
     reads it and kept: the power table, theta_p's covector rows and the
-    checked holomorphic frame."""
+    checked holomorphic frame with R(p)."""
 
     def __init__(self, z):
         z = vec(z)
@@ -170,8 +171,8 @@ class ConePoint:
 
     @cached_property
     def frame(self):
-        """The holomorphic frame of ``_d10_frame_at``: fields, values and
-        checked integer forms."""
+        """The holomorphic frame of ``_d10_frame_at``: fields, values,
+        checked integer forms and R(p)."""
         return _d10_frame_at(self)
 
 
@@ -248,9 +249,8 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
     section too; only values at p are checked."""
     if not e.is_type10():
         raise ValueError("first argument must be of type (1,0)")
-    _, _, _, R = cone_fields()
     # R is on the rib; any other E is tested against R(p)
-    if e is not R and not Subspace(6, [R.eval(p.powers)]).contains(
+    if e is not cone_fields()[3] and not Subspace(6, [p.frame[3]]).contains(
             e.eval(p.powers)):
         raise ValueError("first argument must point along the rib")
     values = [h.eval(p.powers)] + ([] if hp is h else [hp.eval(p.powers)])
@@ -262,15 +262,17 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
 
 
 def _d10_frame_at(p: ConePoint):
-    """Two L-fields independent at p, their values there and the checked
-    integer forms of those: L12 and L13, or L12 and L23 where x^1 = 0.
+    """Two L-fields independent at p, their values there, the checked
+    integer forms of those and the value R(p) of the ruling field: L12 and
+    L13, or L12 and L23 where x^1 = 0.
     L12 = (x^2, -x^1, 0) is nonzero on the cone, L13 = (-x^3, 0, -x^1)
     leaves its line iff x^1 != 0, and L23 = (0, -x^3, -x^2) always does;
     these are the first two pivot columns of (L12, L13, L23)(p)."""
-    l12, l13, l23, _ = cone_fields()
+    l12, l13, l23, r = cone_fields()
     fields = (l12, l13) if p.z[0].re_sign() else (l12, l23)
     values = [f.eval(p.powers) for f in fields]
-    return fields, values, _section_forms(p.covectors, values)
+    return (fields, values, _section_forms(p.covectors, values),
+            r.eval(p.powers))
 
 
 def _levi_gram(rows, cols) -> Matrix:
@@ -303,7 +305,7 @@ def levi_real_gram(p: ConePoint) -> Matrix:
 
 def rib_span_at(p: ConePoint) -> Subspace:
     """The span of R(p) and (conj R)(p), as of the real parts of R."""
-    r = cone_fields()[3].eval(p.powers)
+    r = p.frame[3]
     return Subspace(6, [r, tuple(x.conj() for x in r[3:] + r[:3])])
 
 
@@ -316,9 +318,8 @@ def levi_kernel_at(p: ConePoint) -> Subspace:
 
 def freeman_ranks_at(p: ConePoint):
     """(dim F^10_-1, dim F^10_0, dim F^10_1) by exact pointwise solves."""
-    (f1, f2), values, forms = p.frame
-    _, _, _, R = cone_fields()
-    r_value = R.eval(p.powers)
+    (f1, f2), values, forms, r_value = p.frame
+    R = cone_fields()[3]
     # step 0 (Levi kernel): rows theta([f, conj f']) = -i (Hermitian Gram)^T
     herm = _levi_gram(forms, [_conj(f) for f in forms])
     f0 = Subspace(6, [_combine(coef, forms)

@@ -20,7 +20,7 @@ from so32cr import cochains
 from so32cr.cochains import Cochain, cochain_dim
 from so32cr import prolong
 from so32cr import quadric, tube
-from so32cr import coframe
+from so32cr import structeq
 from so32cr.cli import run
 
 I = GQ(0, 1)
@@ -237,12 +237,12 @@ def test_criterion_09_embedding_identities():
 
 
 def test_criterion_10_structure_equations():
-    eqs = coframe.verify_structure_equations()
-    ok = len(eqs) == 10 and all(e["vanishes"] for e in eqs)
-    dd = coframe.d_squared_report()
-    ok = ok and len(dd) == 10 and all(e["vanishes"] for e in dd)
-    ok = ok and coframe.catalog_contains_vanishing("T^-1(10)_-1(10)|0(10)")
-    ok = ok and coframe.catalog_contains_vanishing("T^-1(01)_-1(01)|0(01)")
+    eqs = structeq.verify_structure_equations()
+    ok = len(eqs) == 10 and all(residue == "0" for _, residue in eqs)
+    dd = structeq.d_squared_report()
+    ok = ok and len(dd) == 10 and all(vanishes for _, vanishes in dd)
+    ok = ok and structeq.frame_conditions_vanish("T^-1(10)_-1(10)|0(10)")
+    ok = ok and structeq.frame_conditions_vanish("T^-1(01)_-1(01)|0(01)")
     _report(10, "flat structure equations, d^2 = 0, catalog vanishing pair", ok)
 
 

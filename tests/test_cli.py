@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from so32cr import cli, cochains, coframe, prolong, quadric, report, so32
+from so32cr import cli, cochains, prolong, quadric, report, so32, structeq
 from so32cr.cli import run
 from so32cr.linalg import Matrix, Subspace
 from so32cr.cochains import (Cochain, cochain_dim, ctorsion_from_json,
@@ -394,7 +394,8 @@ def test_closed_stdout_exits_with_the_run_code():
     assert b"Traceback" not in proc.stderr
 
 
-_ENGINE = {"tube", "forms", "cochains", "carriers", "prolong", "coframe"}
+_ENGINE = {"tube", "forms", "cochains", "carriers", "prolong", "coframe",
+           "structeq"}
 _QUADRIC_COMMANDS = (
     ["quadric", "--point", "0,-1/2,3,0,4,0,5,0,0,-1/2"],
     ["embed", "--z", "3,4,5,0,0,0"],
@@ -420,8 +421,10 @@ _UNUSED_MODULES = (
      {"tube", "carriers", "prolong", "coframe"}),
     (["hodge", "--ell", "2", "--k", "3"],
      {"tube", "carriers", "prolong", "coframe"}),
-    # the two "catalog contains" rows are settled by the frame conditions
-    (["verify", "structeq"], {"tube", "carriers", "prolong"}),
+    # the structure equations and the frame conditions need no linear
+    # algebra; the catalog's normalization relations do
+    (["verify", "structeq"],
+     {"tube", "carriers", "prolong", "cochains", "linalg", "coframe"}),
 )
 
 # one interpreter runs each command given as JSON with so32cr unloaded
@@ -470,7 +473,14 @@ def test_constraints_reads_d_star_without_the_prolongation_modules():
     # the catalog's normalization relations are the reduced rows of d*
     assert _loaded(["constraints"]) == {
         "so32cr", "cli", "report", "scalars", "linalg", "so32", "forms",
-        "cochains", "coframe"}
+        "cochains", "coframe", "structeq"}
+
+
+def test_verify_structeq_loads_no_linear_algebra():
+    # the flat structure equations are Maurer-Cartan equations on the
+    # coframe, and the two "catalog contains" rows read the frame conditions
+    assert _loaded(["verify", "structeq"]) == {
+        "so32cr", "cli", "report", "scalars", "so32", "forms", "structeq"}
 
 
 def test_help_loads_only_the_front_end():
@@ -526,8 +536,8 @@ def test_no_command_imports_dataclasses_inspect_or_the_fixture_loader():
 def test_record_annotations_resolve():
     # NamedTuple records keep their annotations as text; each must name
     # what its module binds (CellCheck's "GQ | None" needs Python 3.10+)
-    for record in (report.Check, cochains.HodgeTriple, coframe.Symbol,
-                   coframe.Relation, prolong.ProlongationStep, so32.CellCheck):
+    for record in (report.Check, cochains.HodgeTriple, structeq.Symbol,
+                   structeq.Relation, prolong.ProlongationStep, so32.CellCheck):
         assert list(typing.get_type_hints(record)) == list(record._fields)
     assert typing.get_type_hints(so32.CellCheck)["scalar_factor"] == (
         GQ | None)
@@ -842,18 +852,18 @@ STATEMENT_BUDGET = {
     "-h": 170,
     "verify jacobi": 574,
     "verify table1": 574,
-    "verify structeq": 1247,
+    "verify structeq": 738,
     "cohomology": 1089,
     "hodge": 1089,
     "prolong": 1334,
     "normalize": 1334,
     "model quadric": 547,
     "model embed": 547,
-    "model levi": 984,
-    "model cubic": 984,
-    "model freeman": 984,
+    "model levi": 982,
+    "model cubic": 982,
+    "model freeman": 982,
     "model identities": 547,
-    "constraints": 1247,
+    "constraints": 1246,
 }
 
 @lru_cache(maxsize=None)

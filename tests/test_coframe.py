@@ -5,25 +5,37 @@ import pytest
 from oracles import add_term, restrict_ctorsion
 from so32cr.scalars import GQ, unit_vec
 from so32cr.cochains import Cochain
+from so32cr import coframe, structeq
 from so32cr.coframe import (
-    catalog_contains_vanishing,
     constraint_catalog,
+    flat_torsion,
+    _symbol_basis,
+    _symbol_column,
+)
+from so32cr.structeq import (
     d_squared_report,
     exterior_derivative,
-    flat_torsion,
     frame_conditions,
+    frame_conditions_vanish,
     maurer_cartan,
     structure_equation_lhs,
     verify_structure_equations,
     _idx,
-    _symbol_basis,
-    _symbol_column,
 )
 from so32cr.forms import Form
 from so32cr.so32 import COMPLEX_LABELS, DIM, M_MINUS, bracket_coords
 
 I = GQ(0, 1)
 HALF_I = GQ(0, Fraction(1, 2))
+
+
+def test_coframe_rebinds_the_traced_structure_equation_functions():
+    # the benchmark tracer wraps these under coframe's name and rebinds
+    # every so32cr namespace holding the same object, so the wrapped object
+    # must be the one run_verify_structeq calls
+    assert coframe.verify_structure_equations is (
+        structeq.verify_structure_equations)
+    assert coframe.d_squared_report is structeq.d_squared_report
 
 
 def test_maurer_cartan_omega2():
@@ -54,8 +66,8 @@ def test_maurer_cartan_conjugation():
 def test_all_structure_equations_vanish():
     rep = verify_structure_equations()
     assert len(rep) == 10
-    for r in rep:
-        assert r["vanishes"], r
+    for label, residue in rep:
+        assert residue == "0", (label, residue)
 
 
 def test_fault_injection_localizes():
@@ -69,7 +81,7 @@ def test_fault_injection_localizes():
 def test_d_squared_zero():
     rep = d_squared_report()
     assert len(rep) == 10
-    assert all(r["vanishes"] for r in rep)
+    assert all(vanishes for _, vanishes in rep)
     # and on a nontrivial injected wedge
     w = Form({(0, 9): GQ(1, 2)})
     assert isinstance(exterior_derivative(w).coeffs, dict)
@@ -86,10 +98,12 @@ def test_catalog_contains_expected_vanishing_pair():
     # the derived pair from the degree-0 frame condition; the second entry
     # carries the conjugated m^0 index (one printed variant differs there
     # by a single index: a localized transcription delta)
-    assert catalog_contains_vanishing("T^-1(10)_-1(10)|0(10)")
-    assert catalog_contains_vanishing("T^-1(01)_-1(01)|0(01)")
+    assert frame_conditions_vanish("T^-1(10)_-1(10)|0(10)")
+    assert frame_conditions_vanish("T^-1(01)_-1(01)|0(01)")
     # beta = 0 in symbol form
-    assert catalog_contains_vanishing("T^0(01)_-1(10)|0(10)")
+    assert frame_conditions_vanish("T^0(01)_-1(10)|0(10)")
+    # the bracket of m_-1 with itself, nonzero on the flat model
+    assert not frame_conditions_vanish("T^-2_-1(10)|-1(01)")
 
 
 def test_catalog_counts():
@@ -108,10 +122,10 @@ def test_catalog_conjugation_symmetry():
     # single-symbol relations map to single-symbol relations in the catalog
     cat = constraint_catalog()
     singles = {
-        r.terms[0][1].render() for r in cat if r.is_single_vanishing()
+        r.terms[0][1].render() for r in cat if len(r.terms) == 1
     }
     for r in cat:
-        if r.is_single_vanishing():
+        if len(r.terms) == 1:
             csym, _ = r.terms[0][1].conj()
             assert csym.render() in singles
 
@@ -141,7 +155,7 @@ def test_relation_detects_violation():
     bad = add_term(flat, "e^-1(10)", "e^0(10)", "e^-1(10)", GQ(2))
     violated = [r for r in constraint_catalog() if r.evaluate(bad)]
     assert any(
-        r.is_single_vanishing()
+        len(r.terms) == 1
         and r.terms[0][1].render() == "T^-1(10)_-1(10)|0(10)"
         for r in violated
     )

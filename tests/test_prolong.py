@@ -18,7 +18,8 @@ from so32cr.so32 import DIM, GRADES, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr.cochains import (Cochain, coboundary, coboundary_matrix,
                              cochain_dim, codifferential_matrix)
-from so32cr.coframe import flat_torsion, frame_conditions
+from so32cr.coframe import flat_torsion
+from so32cr.structeq import frame_conditions
 from so32cr.prolong import (
     STEP_CARRIERS,
     cochain_of_endo,

@@ -314,11 +314,12 @@ def test_a_field_has_six_components():
 
 
 def test_freeman_ranks_check_the_ruling_field(monkeypatch):
-    # a ruling field off the Levi kernel (here L12) is refused, not used
+    # a ruling field off the Levi kernel (here L12) is refused, not used; a
+    # fresh point, since a shared one may keep the true R(p) in its frame
     l12, l13, l23, _ = cone_fields()
     monkeypatch.setattr(tube, "cone_fields", lambda: (l12, l13, l23, l12))
     with pytest.raises(ArithmeticError, match="rib direction mismatch"):
-        freeman_ranks_at(SAMPLE_POINTS[0])
+        freeman_ranks_at(ConePoint(SAMPLE_POINTS[0].z))
 
 
 _small_gq = st.builds(
@@ -461,9 +462,10 @@ def test_pointwise_values_match_the_polynomial_path(p):
     # every entry of the real and the Hermitian Levi Gram; the frame's
     # integer forms, and the real frame read off them, against the values
     # of the frame fields and of their real parts
-    (f1, f2), values, forms = _d10_frame_at(p)
+    (f1, f2), values, forms, r_value = _d10_frame_at(p)
     frame, conj_frame = (f1, f2), (f1.conj(), f2.conj())
     assert [form_value(f) for f in forms] == [f.eval(at) for f in frame]
+    assert r_value == r.eval(at)
     assert [form_value(tube._conj(f)) for f in forms] == [
         f.eval(at) for f in conj_frame]
     herm = _levi_gram(forms, [tube._conj(f) for f in forms])
@@ -519,9 +521,10 @@ def _workloads():
 def test_each_benchmark_kind_evaluates_each_field_once(monkeypatch):
     # one op of each tube-points kind at a fresh point: conjugates, J
     # images and real parts are read off values, and no field is evaluated
-    # twice.  The counts are Hermitian rank, real Gram, kernel and rib,
-    # Freeman (step 1 stops at the first bracket [R, conj L] outside the
-    # span) and cubic (H and [R, H]: E = R needs no rib test)
+    # twice.  The counts are Hermitian rank, real Gram, kernel and rib (each
+    # builds the frame: two L-fields and R), Freeman (the frame, and step 1
+    # stops at the first bracket [R, conj L] outside the span) and cubic (H
+    # and [R, H]: E = R needs no rib test)
     workloads = _workloads()
     seen = []
     original = Field.eval
@@ -539,7 +542,7 @@ def test_each_benchmark_kind_evaluates_each_field_once(monkeypatch):
             assert check(kind(p))
             assert len(set(map(id, seen))) == len(seen), kind
             counts.append(len(seen))
-        assert counts == [2, 2, 3, 4, 2]
+        assert counts == [3, 3, 3, 4, 2]
 
 
 def test_one_reading_of_the_covectors_per_point(monkeypatch):
@@ -566,9 +569,11 @@ def test_one_reading_of_the_covectors_per_point(monkeypatch):
 
 def test_the_benchmark_kinds_at_one_point_evaluate_each_frame_field_once(
         monkeypatch):
-    # the five tube-points kinds at one point share its holomorphic frame:
-    # the first kind evaluates its two fields, the others read their values
+    # the five tube-points kinds at one point share its holomorphic frame
+    # and R(p): the first kind evaluates the two fields and R, the others
+    # read their values
     workloads = _workloads()
+    ruling = cone_fields()[3]
     seen = []
     original = Field.eval
 
@@ -582,7 +587,7 @@ def test_the_benchmark_kinds_at_one_point_evaluate_each_frame_field_once(
         seen.clear()
         for kind, check in workloads._tube_kinds():
             assert check(kind(p))
-        for field in p.frame[0]:
+        for field in p.frame[0] + (ruling,):
             assert sum(f is field for f in seen) == 1
 
 
