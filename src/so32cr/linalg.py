@@ -140,9 +140,8 @@ class Matrix:
             (i, j, a * b) for i, k, a in self._entries()
             for j, b in other.rows[k]))
 
-    def apply(self, v: Vector, v_form=None) -> Vector:
-        """M v for v a vector of GQ; a caller that applies several matrices
-        to v can pass v_form = over_common_denominator(v), made once."""
+    def apply(self, v: Vector) -> Vector:
+        """M v for v a vector of GQ."""
         if self.ncols != len(v):
             raise ValueError("shape mismatch in apply")
         if getattr(self, "_integer", None) is None:
@@ -156,7 +155,7 @@ class Matrix:
                                  [(j, q) for j, _, q in cells if q]))
             _set(self, "_integer", (den, form))
         den, rows = self._integer
-        dv, va, vb = v_form or over_common_denominator(v)
+        dv, va, vb = over_common_denominator(v)
         den *= dv
         out = [ZERO] * self.nrows
         for i, real, imag in rows:

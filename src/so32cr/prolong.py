@@ -25,7 +25,7 @@ orthonormal.  ``INNER_PRODUCT_NOTE`` is the text the reports record for
 that choice, and ``L1_NOTE`` the text they record on the degree-1 gauge
 space.  Each space is complementary to the gauge image, so the split c =
 dB + residual always exists and is linear in c: one elimination per degree
-fixes the maps c -> B and c -> residual; A r = 0 checks each residual r,
+fixes one stacked map c -> (B, residual); A r = 0 checks each residual r,
 for A the reduced nonzero rows of d*.
 
 The ``run_*`` functions at the end fill the reports of ``so32cr prolong``
@@ -38,7 +38,7 @@ import json
 from functools import lru_cache, partial
 from typing import NamedTuple
 
-from .scalars import GQ, HALF_I, I, over_common_denominator
+from .scalars import GQ, HALF_I, I
 from .linalg import (
     Matrix,
     Subspace,
@@ -296,10 +296,13 @@ def normalization_space(k: int) -> Subspace:
 
 @lru_cache(maxsize=None)
 def _normalize_maps(k: int):
-    """(layout, B map, I - D X), X the gauge rows of the solution map of
-    [D | basis of ker d*]: the B map is the nonzero rows of G X (c -> flat
-    B), and layout[r] lists (B map row, j) for the entries (r, j) of B,
-    read off the row-major order of ``Matrix.flatten``."""
+    """(layout, split map, A) at degree k.  With X the gauge rows of the
+    solution map of [D | basis of ker d*], the split map stacks the nonzero
+    rows of G X (c -> flat B) over I - D X (c -> residual); layout[r] lists
+    (split map row, j) for the entries (r, j) of B, read off the row-major
+    order of ``Matrix.flatten``; A is the nonzero rows of rref(d*), the
+    canonical basis of d*'s row space, so ker A = normalization_space(k)
+    (A = I when d* is injective, k = 1)."""
     carrier, _, gauge, d = _gauge(k)
     span = Matrix.from_columns(
         d.columns() + normalization_space(k).basis_vectors())
@@ -308,17 +311,11 @@ def _normalize_maps(k: int):
     n = carrier.dim
     layout = tuple(tuple((t, p % n) for t, (p, _) in enumerate(kept)
                          if p // n == r) for r in range(n))
-    return (layout, Matrix._of(tuple(r for _, r in kept), d.nrows),
-            Matrix.identity(d.nrows) - d @ x)
-
-
-@lru_cache(maxsize=None)
-def _annihilator(k: int) -> Matrix:
-    """A with ker A = normalization_space(k): the nonzero rows of rref(d*),
-    the canonical basis of d*'s row space; A = I when d* is injective
-    (k = 1)."""
-    r, pivots = rref(codifferential_matrix(2, k))
-    return Matrix._of(r.rows[:len(pivots)], r.ncols)
+    a, pivots = rref(codifferential_matrix(2, k))
+    return (layout,
+            Matrix._of(tuple(r for _, r in kept)
+                       + (Matrix.identity(d.nrows) - d @ x).rows, d.nrows),
+            Matrix._of(a.rows[:len(pivots)], a.ncols))
 
 
 def normalize_ctorsion(c: Cochain):
@@ -330,13 +327,12 @@ def normalize_ctorsion(c: Cochain):
     k = c.k
     if c.ell != 2 or k not in (1, 2, 3):
         raise ValueError("expected a 2-cochain of degree 1, 2 or 3")
-    layout, b_map, residual_map = _normalize_maps(k)
-    c_form = over_common_denominator(c.coords)
-    entries = b_map.apply(c.coords, c_form)
+    layout, split, annihilator = _normalize_maps(k)
+    entries = split.apply(c.coords)
     b = Matrix._of(tuple(tuple((j, entries[t]) for t, j in row if entries[t])
                          for row in layout), len(layout))
-    residual = residual_map.apply(c.coords, c_form)
-    if any(_annihilator(k).apply(residual)):
+    residual = entries[len(entries) - len(c.coords):]
+    if any(annihilator.apply(residual)):
         raise ArithmeticError("residual escaped the normalization space")
     return b, Cochain(2, k, residual)
 

@@ -227,13 +227,11 @@ def embed_f(z) -> tuple:
 
 
 def embedding_identity_check():
-    """The two polynomial identities of the embedding, as exact booleans:
-    the diag-chart forms of ``embedding_coords`` expanded symbolically."""
+    """(the symmetric form vanishes, the Hermitian form is twice rho): the
+    embedding's two polynomial identities as exact booleans, the diag-chart
+    forms of ``embedding_coords`` expanded symbolically."""
     bil, herm = ambient_forms(embedding_coords([Poly.var(j) for j in range(3)]))
-    return {
-        "symmetric_form_vanishes": bil.is_zero(),
-        "hermitian_form_is_twice_rho": (herm - rho() * GQ(2)).is_zero(),
-    }
+    return bil.is_zero(), (herm - rho() * GQ(2)).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +289,11 @@ def run_model_embed(rep, csv: str):
 
 
 def run_model_identities(rep):
-    res = embedding_identity_check()
+    symmetric_vanishes, hermitian_is_twice_rho = embedding_identity_check()
     rep.add("symmetric form of the embedding vanishes identically",
-            True, res["symmetric_form_vanishes"], "symbolic expansion")
+            True, symmetric_vanishes, "symbolic expansion")
     rep.add("hermitian form of the embedding is twice the defining function",
-            True, res["hermitian_form_is_twice_rho"], "symbolic expansion")
+            True, hermitian_is_twice_rho, "symbolic expansion")
     f = embed_f([3, 4, 5])
     bil, herm, third = quadric_eval(f)
     rep.add("sample point lands on the quadric", "0/1 0/1",

@@ -10,11 +10,14 @@ Only the point changes from one pointwise evaluation to the next, so what
 does not depend on it is built once: each field's partials, conjugate and
 brackets, and each polynomial's compiled terms.  What depends on the point
 alone is kept on the point, built by the first evaluation that reads it:
-its power table, theta_p's covector rows, and the checked holomorphic frame
-(the fields, their values and the values' integer forms) with the value
-R(p) of the ruling field.  Form values are not kept: each Gram, rank,
-kernel, bracket value and cubic value, and each section check of a
-caller's fields, is computed on every call.
+its power table, and the checked holomorphic frame (the fields, their
+values and the values' integer forms) with the value R(p) of the ruling
+field.  Form values are not kept: each Gram, rank, kernel, bracket value
+and cubic value, and each section check of a caller's fields, is computed
+on every call.  The contact distribution at p is the common kernel of
+d rho_p and theta_p, both eps_j x^j on each half of the frame (d/dz,
+d/dzb), so V(p) lies in it iff sum_j eps_j x^j V^j = 0 and sum_j eps_j x^j
+V^jb = 0: integer sums on the x numerators of the power table.
 rho is a quadratic in x = Re z, so d theta = (i/2) sum_j eps_j dzb_j ^ dz_j,
 eps = (1, 1, -1), is constant: on sections of the contact distribution the
 Levi entry -theta_p([V, JW]) is d theta_p(V(p), JW(p)) and the cubic
@@ -142,8 +145,8 @@ class ConePoint:
     rational.
 
     What depends on the point alone is built by the first evaluation that
-    reads it and kept: the power table, theta_p's covector rows and the
-    checked holomorphic frame with R(p)."""
+    reads it and kept: the power table and the checked holomorphic frame
+    with R(p)."""
 
     def __init__(self, z):
         z = vec(z)
@@ -165,24 +168,10 @@ class ConePoint:
         return Powers(self.z)
 
     @cached_property
-    def covectors(self) -> Matrix:
-        """The rows d rho_p and theta_p of ``covectors_at``."""
-        return covectors_at(self)
-
-    @cached_property
     def frame(self):
         """The holomorphic frame of ``_d10_frame_at``: fields, values,
         checked integer forms and R(p)."""
         return _d10_frame_at(self)
-
-
-def covectors_at(p: ConePoint) -> Matrix:
-    """Rows d rho_p and theta_p = (i/2)(d'rho - d''rho)_p on the frame
-    (d/dz, d/dzb): d rho/dz^j = d rho/dzb^j = eps_j x^j, x^j = Re z^j."""
-    d = p.powers.scale[1]  # z^j = (a_j + b_j i)/d in the power table
-    x = [eps * row[1][0] for row, eps in zip(p.powers.rows, _EPS)]
-    return Matrix([[_gq(a, 0, d) for a in x] * 2,
-                   [_gq(0, s * a, 2 * d) for s in (1, -1) for a in x]])
 
 
 def _dtheta(u, v) -> GQ:
@@ -199,12 +188,16 @@ def _dtheta(u, v) -> GQ:
     return _gq(-t, s, 2 * du * dv)
 
 
-def _section_forms(cov: Matrix, values):
+def _section_forms(p: ConePoint, values):
     """Values V(p) of sections of the contact distribution in integer form
-    (d, re, im) over one d, each checked against the covectors in it."""
+    (d, re, im) over one d, each checked to lie in it: sum_j eps_j a_j V^j
+    and sum_j eps_j a_j V^jb vanish, a_j the numerator of x^j = Re z^j in
+    the power table, in real and imaginary part."""
     d, re, im = over_common_denominator([x for v in values for x in v])
     forms = [(d, re[k:k + 6], im[k:k + 6]) for k in range(0, len(re), 6)]
-    if any(any(cov.apply(v, form)) for v, form in zip(values, forms)):
+    x = [eps * row[1][0] for row, eps in zip(p.powers.rows, _EPS)]
+    if any(sum(a * u[h + j] for j, a in enumerate(x))
+           for _, ua, ub in forms for u in (ua, ub) for h in (0, 3)):
         raise ValueError("field is not a section of the contact distribution"
                          " at the point")
     return forms
@@ -235,8 +228,7 @@ def levi_form_at(p: ConePoint, vf: Field, wf: Field) -> GQ:
     """-theta_p([V, JW]) = d theta_p(V(p), JW(p)).  The identity needs V and
     JW to be sections of the contact distribution near p (theta(V) = 0 mod
     rho, and so for JW); only V(p) and W(p) are checked, JW(p) = J W(p)."""
-    v, w = _section_forms(p.covectors,
-                          [vf.eval(p.powers), wf.eval(p.powers)])
+    v, w = _section_forms(p, [vf.eval(p.powers), wf.eval(p.powers)])
     return _dtheta(v, _J(w))
 
 
@@ -254,7 +246,7 @@ def cubic_form_at(p: ConePoint, e: Field, h: Field, hp: Field) -> GQ:
             e.eval(p.powers)):
         raise ValueError("first argument must point along the rib")
     values = [h.eval(p.powers)] + ([] if hp is h else [hp.eval(p.powers)])
-    forms = _section_forms(p.covectors, values)
+    forms = _section_forms(p, values)
     if any(any(value[:3]) for value in values):
         raise ValueError("argument is not antiholomorphic at the point")
     bracket = over_common_denominator(e.bracket(h).eval(p.powers))
@@ -271,7 +263,7 @@ def _d10_frame_at(p: ConePoint):
     l12, l13, l23, r = cone_fields()
     fields = (l12, l13) if p.z[0].re_sign() else (l12, l23)
     values = [f.eval(p.powers) for f in fields]
-    return (fields, values, _section_forms(p.covectors, values),
+    return (fields, values, _section_forms(p, values),
             r.eval(p.powers))
 
 

@@ -48,6 +48,8 @@ own, or states a law that the engine's results must obey:
   ``GQ`` arithmetic, against which the tube's values read off values and
   its integer d theta are checked.
 * ``form_value``: the ``GQ`` vector of an integer form (d, re, im).
+* ``covectors_at``: the rows d rho_p and theta_p at a cone point as a
+  ``GQ`` matrix, from which the tests read theta_p on values of fields.
 * ``act_on_cochain`` and ``rotation_action_matrix``: the adjoint action of
   grade >= 0 elements on cochains, which commutes with d and d*, keeps the
   normalization spaces, and leaves the cochain inner product invariant.
@@ -100,12 +102,12 @@ from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_h, _side_m,
 from so32cr.forms import Form
 from so32cr.linalg import (Matrix, Subspace, kernel, kernel_basis, real_rows,
                            rref, solution_map, vec_add, vec_scale)
-from so32cr.scalars import (GQ, HALF, HALF_I, I, ONE, ZERO, unit_vec, vec,
-                            zero_vec)
+from so32cr.scalars import (GQ, HALF, HALF_I, I, ONE, ZERO, _gq, unit_vec,
+                            vec, zero_vec)
 from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, CONJ_PERM, DIM, GRADES,
                          IN_H, M_MINUS, N, bracket_complex, bracket_coords,
                          killing_gram, to_complex_basis)
-from so32cr.tube import ConePoint, Field, Poly, cone_fields
+from so32cr.tube import _EPS, ConePoint, Field, Poly, cone_fields
 
 # ---------------------------------------------------------------------------
 # a matrix times a vector
@@ -486,6 +488,15 @@ def form_value(form) -> tuple:
     """The GQ vector (re + im*i)/d of an integer form (d, re, im)."""
     d, re, im = form
     return tuple(GQ(Fraction(a, d), Fraction(b, d)) for a, b in zip(re, im))
+
+
+def covectors_at(p: ConePoint) -> Matrix:
+    """Rows d rho_p and theta_p = (i/2)(d'rho - d''rho)_p on the frame
+    (d/dz, d/dzb): d rho/dz^j = d rho/dzb^j = eps_j x^j, x^j = Re z^j."""
+    d = p.powers.scale[1]  # z^j = (a_j + b_j i)/d in the power table
+    x = [eps * row[1][0] for row, eps in zip(p.powers.rows, _EPS)]
+    return Matrix([[_gq(a, 0, d) for a in x] * 2,
+                   [_gq(0, s * a, 2 * d) for s in (1, -1) for a in x]])
 
 
 def pivot_frame_pair(p: ConePoint):

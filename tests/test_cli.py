@@ -855,13 +855,13 @@ STATEMENT_BUDGET = {
     "verify structeq": 738,
     "cohomology": 1089,
     "hodge": 1089,
-    "prolong": 1334,
-    "normalize": 1334,
+    "prolong": 1330,
+    "normalize": 1330,
     "model quadric": 547,
     "model embed": 547,
-    "model levi": 982,
-    "model cubic": 982,
-    "model freeman": 982,
+    "model levi": 975,
+    "model cubic": 975,
+    "model freeman": 975,
     "model identities": 547,
     "constraints": 1246,
 }

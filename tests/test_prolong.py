@@ -376,10 +376,10 @@ def test_normalize_matches_the_solve_split(c):
 
 def test_the_annihilator_kernel_is_the_normalization_space():
     for k in (1, 2, 3):
-        a = prolong._annihilator(k)
+        a = prolong._normalize_maps(k)[2]
         assert kernel(a) == normalization_space(k)
         assert a.nrows == cochain_dim(2, k) - normalization_space(k).dim
-    assert prolong._annihilator(1) == Matrix.identity(cochain_dim(2, 1))
+    assert prolong._normalize_maps(1)[2] == Matrix.identity(cochain_dim(2, 1))
 
 
 def test_warm_normalize_runs_no_elimination(monkeypatch):
@@ -409,19 +409,20 @@ def test_warm_normalize_runs_no_elimination(monkeypatch):
 
 
 def test_a_corrupted_projector_entry_is_caught(monkeypatch):
-    # the membership check still runs per call: a wrong residual map entry
-    # (i, j) with the unit vector e_i outside the normalization space moves
-    # the residual of the input e_j out of it
+    # the membership check still runs per call: a wrong entry (i, j) of the
+    # residual rows of the split map, with the unit vector e_i outside the
+    # normalization space, moves the residual of the input e_j out of it
     k = 3
-    carrier, b_map, residual_map = prolong._normalize_maps(k)
-    n = residual_map.nrows
+    layout, split, annihilator = prolong._normalize_maps(k)
+    n = split.ncols
+    top = split.nrows - n  # the residual rows are the last n
     ns = normalization_space(k)
-    i, j = next((i, j) for i, row in enumerate(residual_map.rows) for j, _ in row
-                if not ns.contains(unit_vec(n, i)))
-    bad = residual_map + Matrix.from_entries(n, n, [(i, j, 1)])
+    i, j = next((i, j) for i, row in enumerate(split.rows[top:])
+                for j, _ in row if not ns.contains(unit_vec(n, i)))
+    bad = split + Matrix.from_entries(split.nrows, n, [(top + i, j, 1)])
     normalize_ctorsion(Cochain(2, k, unit_vec(n, j)))
     monkeypatch.setattr(prolong, "_normalize_maps",
-                        lambda k: (carrier, b_map, bad))
+                        lambda k: (layout, bad, annihilator))
     with pytest.raises(ArithmeticError,
                        match="residual escaped the normalization space"):
         normalize_ctorsion(Cochain(2, k, unit_vec(n, j)))

@@ -3,10 +3,11 @@
 One fresh interpreter runs, under ``sys.setprofile``, the README's CLI
 catalogue with ``--json`` (taken from ``perfbench/workloads.py``), a few
 further argument values of the same commands, and the benchmark's set-up
-with one op of each warm kind.  Every function and method that a module of
-``src/so32cr`` defines (dunders aside) must have been called there, or be
-on ``ALLOWED`` with the reason it stays.  Reference computations that only
-the tests call live in ``tests/oracles.py``.
+with one op of each warm kind.  The further commands' stdout and exit
+codes must equal ``tests/extra_commands.txt``.  Every function and method
+that a module of ``src/so32cr`` defines (dunders aside) must have been
+called there, or be on ``ALLOWED`` with the reason it stays.  Reference
+computations that only the tests call live in ``tests/oracles.py``.
 
 The same run checks that no parameter default is an idle option: each
 defaulted parameter of a called function or method must receive a value
@@ -36,6 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "so32cr"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
+# each extra command's line, its stdout and its exit code, as the console
+# script prints them; CI compares the same text with cmp
+EXTRA_OUTPUT = ROOT / "tests" / "extra_commands.txt"
 
 # argument values of existing commands that reach code the README values
 # do not
@@ -139,12 +143,13 @@ for info in pkgutil.iter_modules(so32cr.__path__):
             pending[fn.__code__] = defaults(fn)
 from so32cr.cli import run
 
-codes = []
-with tempfile.TemporaryDirectory() as tmp, \
-        contextlib.redirect_stdout(io.StringIO()):
+codes, stdouts = [], []
+with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "report.json")
     for args in [a for _, a in workloads.CLI_COMMANDS] + extra:
-        codes.append(run(["--json", out] + args)[0])
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            codes.append(run(["--json", out] + args)[0])
+        stdouts.append(text.getvalue())
 for workload in ("normalize-stream", "tube-points"):
     workloads.setup(workload)
 rng = random.Random(1)
@@ -153,6 +158,7 @@ checks = [check(thunk()) for thunk, check in ops]
 sys.setprofile(None)
 print(json.dumps({
     "codes": codes,
+    "stdouts": stdouts,
     "checks": checks,
     "called": sorted({(c.co_filename, c.co_firstlineno) for c in seen}),
     "idle_defaults": sorted((c.co_filename, c.co_firstlineno, name)
@@ -217,6 +223,16 @@ def test_every_default_parameter_is_overridden_somewhere():
     assert sorted(idle - set(DEFAULTS_ALLOWED)) == []
     # the allowlist names only defaults the run really leaves idle
     assert sorted(set(DEFAULTS_ALLOWED) - idle) == []
+
+
+def test_extra_commands_print_their_pinned_output():
+    result = _reach_run()
+    n = len(EXTRA_COMMANDS)
+    text = "".join(f"$ so32cr {' '.join(args)}\n{stdout}exit {code}\n"
+                   for args, stdout, code in zip(
+                       EXTRA_COMMANDS, result["stdouts"][-n:],
+                       result["codes"][-n:], strict=True))
+    assert text == EXTRA_OUTPUT.read_text()
 
 
 def _unused_imports(tree):

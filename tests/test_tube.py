@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (BASE_POINT, DIAG_TO_ANTIDIAG, SAMPLE_POINTS,
-                     apply_field, basis_matrices, dtheta, form_value, iform,
-                     isotropy_algebra, j_image, model_levi_cubic,
-                     pivot_frame_pair, real_parts)
+                     apply_field, basis_matrices, covectors_at, dtheta,
+                     form_value, iform, isotropy_algebra, j_image,
+                     model_levi_cubic, pivot_frame_pair, real_parts)
 from so32cr.scalars import GQ, HALF_I, over_common_denominator, unit_vec
 from so32cr import quadric, tube
 from so32cr.linalg import Matrix, Subspace, kernel_basis, rank
@@ -29,7 +29,6 @@ from so32cr.tube import (
     _levi_gram,
     _real_frame_at,
     cone_fields,
-    covectors_at,
     cubic_form_at,
     freeman_ranks_at,
     levi_form_at,
@@ -109,8 +108,7 @@ def test_cone_point_is_immutable_and_keeps_one_power_table():
     with pytest.raises(AttributeError, match="ConePoint is immutable"):
         p.z = (GQ(5), GQ(12), GQ(13))
     assert p.powers is p.powers
-    # theta_p's rows and the checked holomorphic frame are kept as well
-    assert p.covectors is p.covectors
+    # the checked holomorphic frame is kept as well
     assert p.frame is p.frame
     with pytest.raises(AttributeError, match="ConePoint is immutable"):
         p.frame = None
@@ -250,6 +248,23 @@ def test_cubic_extension_independence():
         assert cubic_form_at(p, r, l12.conj() + w.scale(rho()), l12.conj()) == base
 
 
+def test_the_section_check_reads_both_halves_of_each_value():
+    # V(p) is a section iff sum_j eps_j x^j V^j and sum_j eps_j x^j V^jb
+    # both vanish: d/dz^1 fails the first sum alone and its conjugate the
+    # second alone, while L13 and L23 pass only with the signs eps
+    l12, l13, l23, r = cone_fields()
+    p = ConePoint((GQ(3), GQ(4), GQ(5)))
+    real = l12 + l12.conj()
+    dz1 = Field([1, 0, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match="field is not a section"):
+        levi_form_at(p, dz1, real)
+    with pytest.raises(ValueError, match="field is not a section"):
+        cubic_form_at(p, r, dz1.conj(), dz1.conj())
+    for f in (l13, l23):
+        levi_form_at(p, f + f.conj(), real)
+        cubic_form_at(p, r, f.conj(), f.conj())
+
+
 def test_cubic_membership_errors():
     l12, _, _, r = cone_fields()
     p = SAMPLE_POINTS[3]
@@ -372,9 +387,9 @@ def test_embed_lands_on_quadric_off_cone():
 
 
 def test_embedding_identities():
-    res = embedding_identity_check()
-    assert res["symmetric_form_vanishes"]
-    assert res["hermitian_form_is_twice_rho"]
+    symmetric_vanishes, hermitian_is_twice_rho = embedding_identity_check()
+    assert symmetric_vanishes
+    assert hermitian_is_twice_rho
 
 
 def test_isotropy_algebra():
@@ -543,28 +558,6 @@ def test_each_benchmark_kind_evaluates_each_field_once(monkeypatch):
             assert len(set(map(id, seen))) == len(seen), kind
             counts.append(len(seen))
         assert counts == [3, 3, 3, 4, 2]
-
-
-def test_one_reading_of_the_covectors_per_point(monkeypatch):
-    # theta_p is built once per point, whatever the frame size and however
-    # many evaluators read it there
-    calls = []
-    original = tube.covectors_at
-
-    def counting(p):
-        calls.append(p)
-        return original(p)
-
-    monkeypatch.setattr(tube, "covectors_at", counting)
-    l12, _, _, r = cone_fields()
-    real = l12 + l12.conj()
-    p = ConePoint(SAMPLE_POINTS[1].z)  # a point no other test has read
-    for evaluate in (levi_real_gram, levi_kernel_at, levi_hermitian_rank,
-                     freeman_ranks_at,
-                     lambda p: levi_form_at(p, real, real),
-                     lambda p: cubic_form_at(p, r, l12.conj(), l12.conj())):
-        evaluate(p)
-    assert calls == [p]
 
 
 def test_the_benchmark_kinds_at_one_point_evaluate_each_frame_field_once(
