@@ -6,17 +6,23 @@ on a wedge of total grade s lies in g^(s+k).  The coboundary is the
 Chevalley-Eilenberg differential for the m_--module g (full adjoint
 action, no truncation of values).
 
-The codifferential is minus the transpose of the coboundary of the mirror
-complex on h_+ = h^1 + h^2, whose arguments are the Killing-dual basis of
-h_+ (kappa(n_a, eta_b) = delta_ab) and whose values are written in the
-Killing-dual basis b^beta of g, where ad(eta) acts as -ad(eta)^T and every
-grade is flipped.  Monomial (w, beta) of C^l_{-k}(h_+) is then the Killing
-dual of monomial (w, beta) of C^l_k(m_-), listed in the same order, so
-<d* c, e> = -<c, d_h e> needs no Gram matrix.  Flipping the sign of d*
-moves no kernel or image, so two independent tests pin it: the
-Killing-pairing formula pins the sign, and Kostant's Laplacian
-d* d + d d* = (1 - C_g0)/2 + k/6 on C^l_k, C_g0 the Casimir of g^0, pins
-both the sign and the scale.
+The codifferential is the Killing-form adjoint of the coboundary.  Both
+argument algebras are read off the structure constants at basis indices:
+m_- is (e^-2, e_1^-1, e_2^-1) and h_+ = h^2 + h^1 is (E^2, E_1^1, E_2^1),
+the order in which kappa(n_a, h_b) = kappa delta_ab with kappa = 6
+(checked once), so the Killing duals of m_- are h_+ / kappa.  The mirror
+complex on h_+ writes its values in the Killing-dual basis b^beta of g,
+where ad(h) acts as -ad(h)^T and every grade is flipped.  Monomial
+(w, beta) of C^l_{-k}(h_+) over the arguments h_+ / kappa is then the
+Killing dual of monomial (w, beta) of C^l_k(m_-), listed in the same
+order.  Each coboundary entry is linear in the structure constants of the
+arguments, so the coboundary d_h over h_+ is kappa times the one over
+h_+ / kappa, and <d* c, e> = -<c, d_h e> / kappa gives d* =
+-(1/kappa) d_h^T with no Gram matrix.  Flipping the sign of d* moves no
+kernel or image, so two independent tests pin it: the Killing-pairing
+formula pins the sign, and Kostant's Laplacian d* d + d d* =
+(1 - C_g0)/2 + k/6 on C^l_k, C_g0 the Casimir of g^0, pins both the sign
+and the scale.
 
 Every monomial (wedge of basis covectors times a value basis vector) is
 homogeneous, so each graded slice is spanned by a sub-list of monomials and
@@ -32,62 +38,42 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-from .scalars import GQ, unit_vec, vec, zero_vec
+from .scalars import GQ, ZERO, unit_vec, vec, zero_vec
 from .linalg import Matrix, Subspace, kernel, rank, solution_map
 from . import so32
 from .forms import Form, canonical, exterior_derivative
-from .so32 import GRADES, M_MINUS, bracket_coords, killing_gram
+from .so32 import GRADES, M_MINUS
 
 MAX_ELL = 3  # top wedge degree of a 3-dimensional argument algebra
-
-
-def _arg_vectors_m():
-    return [unit_vec(so32.DIM, i) for i in M_MINUS]
-
-
-def _arg_vectors_h():
-    """Killing-dual basis of h_+ = the positive grades: kappa(n_a, eta_b) =
-    delta_ab, so eta_b has the grade opposite to n_b."""
-    h_plus = [i for i, g in enumerate(GRADES) if g > 0]
-    g = killing_gram()
-    gram = Matrix([[g[i][j] for j in h_plus] for i in M_MINUS])
-    embed = Matrix.from_columns([unit_vec(so32.DIM, i) for i in h_plus])
-    return (embed @ solution_map(gram)).columns()
+# h_+ in the order of its Killing pairing with M_MINUS: E^2, E_1^1, E_2^1
+H_PLUS = (9, 7, 8)
 
 
 class _Side:
-    """One argument algebra acting on g by ad: m_- with values in the
-    standard basis of g (sign +1), or h_+ with values in its Killing-dual
-    basis (sign -1), where every grade is flipped."""
+    """One argument algebra acting on g by ad, read off the structure
+    constants at the basis indices of its arguments: m_- with values in the
+    standard basis of g (sign +1), or h_+ with values in the Killing-dual
+    basis of g (sign -1), where ad acts as minus its transpose and every
+    grade is flipped."""
 
-    def __init__(self, arg_vectors, sign):
-        self.args = [vec(v) for v in arg_vectors]
-        self.sign = sign
-        self.n = len(self.args)
-        # brackets of argument basis vectors, re-expanded in that basis
-        span = Matrix.from_columns(self.args)
-        left = solution_map(span.transpose()).transpose()
-        self.bracket_coeffs = {}
-        for a in range(self.n):
-            for b in range(self.n):
-                w = bracket_coords(self.args[a], self.args[b])
-                self.bracket_coeffs[(a, b)] = x = left.apply(w)
-                if span.apply(x) != w:
-                    raise ValueError("argument basis does not close under bracket")
+    def __init__(self, indices, sign):
+        table = so32.structure_constants()
+        self.sign, self.n = sign, len(indices)
+        brackets = {(a, b): table.get((i, j), {}) for (a, i), (b, j)
+                    in combinations(enumerate(indices), 2)}
+        if any(c not in indices for row in brackets.values() for c in row):
+            raise ValueError("argument basis does not close under bracket")
         # d theta^c = -sum_{a<b} C^c_ab theta^a ^ theta^b on the dual coframe
         self.d_theta = tuple(
-            Form({(a, b): -self.bracket_coeffs[(a, b)][c]
-                  for a, b in combinations(range(self.n), 2)})
-            for c in range(self.n)
-        )
-        # ad_values[a][beta]: coordinates of [n_a, b_beta], or of
+            Form({ab: -row.get(c, ZERO) for ab, row in brackets.items()})
+            for c in indices)
+        # ad_values[a][beta] = {gamma: coefficient} of [n_a, b_beta], or of
         # [n_a, b^beta] = -sum_gamma [n_a, b_gamma]_beta b^gamma when sign < 0
-        self.ad_values = []
-        for v in self.args:
-            ad = Matrix.from_columns([bracket_coords(v, unit_vec(so32.DIM, b))
-                                      for b in range(so32.DIM)])
-            self.ad_values.append(
-                (ad if sign > 0 else ad.transpose().scale(-1)).columns())
+        self.ad_values = [[
+            table.get((i, beta), {}) if sign > 0 else
+            {gamma: -table[i, gamma][beta] for gamma in range(so32.DIM)
+             if beta in table.get((i, gamma), {})}
+            for beta in range(so32.DIM)] for i in indices]
 
     def monomials(self, ell: int):
         """All (sorted wedge tuple, value index) monomials of C^ell."""
@@ -107,12 +93,26 @@ class _Side:
 
 @lru_cache(maxsize=1)
 def _side_m() -> _Side:
-    return _Side(_arg_vectors_m(), 1)
+    return _Side(M_MINUS, 1)
 
 
 @lru_cache(maxsize=1)
 def _side_h() -> _Side:
-    return _Side(_arg_vectors_h(), -1)
+    return _Side(H_PLUS, -1)
+
+
+@lru_cache(maxsize=1)
+def _killing_pairing() -> GQ:
+    """The constant kappa of the Killing pairing kappa(n_a, h_b) =
+    kappa delta_ab of m_- and h_+ in the pairing order, the one number d*
+    reads from the Killing form; any other block would leave d* unpaired."""
+    block = [[so32.killing(i, j) for j in H_PLUS] for i in M_MINUS]
+    kappa = block[0][0]
+    if not kappa or block != [[kappa if a == b else ZERO for b in range(3)]
+                              for a in range(3)]:
+        raise ArithmeticError(
+            "the Killing pairing of m_- and h_+ is not kappa times the identity")
+    return kappa
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +270,8 @@ def _coboundary_on(side: _Side, ell: int, k: int) -> Matrix:
             entries.append((dst_index[key, beta], p, c))
         for a in range(side.n):
             for key, c in Form({(a,) + w: 1}).coeffs.items():
-                for gamma, v in enumerate(side.ad_values[a][beta]):
-                    if v:
-                        entries.append((dst_index[key, gamma], p, c * v))
+                for gamma, v in side.ad_values[a][beta].items():
+                    entries.append((dst_index[key, gamma], p, c * v))
     return Matrix.from_entries(len(dst_index), len(src), entries)
 
 
@@ -292,11 +291,12 @@ def coboundary(c: Cochain) -> Cochain:
 # -- codifferential ----------------------------------------------------------
 
 def codifferential_matrix(ell: int, k: int) -> Matrix:
-    """Matrix of d* : C^ell_k -> C^(ell-1)_k, minus the transpose of the
-    mirror coboundary C^(ell-1)_-k(h_+) -> C^ell_-k(h_+)."""
+    """Matrix of d* : C^ell_k -> C^(ell-1)_k, -(1/kappa) times the transpose
+    of the mirror coboundary C^(ell-1)_-k(h_+) -> C^ell_-k(h_+)."""
     if ell <= 0:
         raise ValueError("codifferential undefined for 0-cochains")
-    return _coboundary_on(_side_h(), ell - 1, -k).transpose().scale(-1)
+    return _coboundary_on(_side_h(), ell - 1, -k).transpose().scale(
+        -1 / _killing_pairing())
 
 
 # -- Kostant decomposition ----------------------------------------------------
@@ -337,21 +337,23 @@ class HodgeTriple(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _hodge_map(pieces) -> Matrix:
-    """The fixed map from a cochain to its coordinates along the pieces."""
+def _hodge_map(pieces):
+    """The fixed map from a cochain to its coordinates along the pieces,
+    and each piece's basis matrix."""
     basis = [v for piece in pieces for v in piece.basis_vectors()]
     if len(basis) != pieces[0].ambient_dim:
         raise ArithmeticError("Kostant pieces do not decompose the slice")
-    return solution_map(Matrix.from_columns(basis), "Kostant pieces overlap")
+    return (solution_map(Matrix.from_columns(basis), "Kostant pieces overlap"),
+            tuple(piece.basis for piece in pieces))
 
 
 def hodge_decompose(c: Cochain) -> HodgeTriple:
     """Split c along im d + harmonic + im d*; exact and unique."""
-    pieces = kostant_pieces(c.ell, c.k)
-    x, parts = _hodge_map(pieces).apply(c.coords), []
-    for piece in pieces:
-        parts.append(Cochain(c.ell, c.k, piece.basis.apply(x[:piece.dim])))
-        x = x[piece.dim:]
+    to_pieces, bases = _hodge_map(kostant_pieces(c.ell, c.k))
+    x, parts = to_pieces.apply(c.coords), []
+    for basis in bases:
+        parts.append(Cochain(c.ell, c.k, basis.apply(x[:basis.ncols])))
+        x = x[basis.ncols:]
     return HodgeTriple(*parts)
 
 

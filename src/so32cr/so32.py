@@ -24,7 +24,7 @@ an element take or return that tuple.
 
 All brackets are grounded in the 5x5 matrix commutator, through one sparse
 table of structure constants built once from the sparse basis matrices; the
-Killing Gram is a table of rows read off it, and ``verify jacobi`` reads the
+Killing form is read off it entry by entry, and ``verify jacobi`` reads the
 Jacobi sums and the grading off the structure constants themselves.  No
 matrix type is used here.  The shipped bracket-table fixture
 (``table1.txt``) is a transcription that the crosscheck compares against the
@@ -202,21 +202,13 @@ def bracket_complex(zi: int, zj: int):
 # Killing form
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def killing_gram():
-    """The Gram table of kappa(b_i, b_j) = trace(ad b_i . ad b_j)
-    = sum_{a,b} C^b_ia C^a_jb on the real basis: row i is the tuple of
-    kappa(b_i, b_j) over j."""
+def killing(i: int, j: int) -> GQ:
+    """kappa(b_i, b_j) = trace(ad b_i . ad b_j) = sum_{a,b} C^b_ia C^a_jb,
+    one entry of the Killing form read off the structure constants."""
     table = structure_constants()
-
-    def kappa(i, j):
-        return sum(
-            (t * table.get((j, b), {}).get(a, GQ(0))
-             for a in range(DIM) for b, t in table.get((i, a), {}).items()),
-            GQ(0),
-        )
-
-    return tuple(tuple(kappa(i, j) for j in range(DIM)) for i in range(DIM))
+    return sum((t * table.get((j, b), {}).get(a, ZERO)
+                for a in range(DIM) for b, t in table.get((i, a), {}).items()),
+               ZERO)
 
 
 # ---------------------------------------------------------------------------

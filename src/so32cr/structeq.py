@@ -66,7 +66,6 @@ def _w(l1: str, l2: str, c=1) -> Form:
     return Form({(_idx(l1), _idx(l2)): c})
 
 
-@lru_cache(maxsize=1)
 def structure_equation_lhs():
     """The ten flat structure equations, as label -> 2-form that must vanish.
 

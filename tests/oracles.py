@@ -55,10 +55,17 @@ own, or states a law that the engine's results must obey:
   normalization spaces, and leaves the cochain inner product invariant.
 * ``evaluate_cochain``: a cochain on argument vectors (the coboundary's
   values, alternation).
+* ``killing_gram``: the dense Gram of the Killing form, entry by entry
+  from ``so32.killing``, of which the engine reads only the m_- x h_+
+  block.
+* ``ArgumentSide`` and ``argument_side``: a cochain complex built from
+  argument vectors (the units of m_-, or the Killing duals of h_+ solved
+  through the Gram), brackets re-expanded through a left inverse, ad as
+  dense matrices; the reference coboundary evaluator reads its arguments.
 * ``codifferential_by_pairing``: d* from the two Killing pairings, with the
   mirror complex on h_+ taking its values in the standard basis of g; the
-  engine's d* = -d_h^T on Killing-dual values must equal it exactly, sign
-  included.
+  engine's d* = -(1/kappa) d_h^T on Killing-dual values must equal it
+  exactly, sign included.
 * ``restrict_ctorsion``, ``graded_component``, ``add_term``: the degree-k
   restriction of a full torsion ({value label: 2-form}, as
   ``coframe.flat_torsion`` builds it) to m_-, which checks the constraint
@@ -96,7 +103,7 @@ from typing import NamedTuple
 
 from so32cr import cli, prolong, so32
 from so32cr.carriers import Carrier, endo_from_complex_images
-from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_h, _side_m,
+from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_m,
                              coboundary_matrix, cochain_dim, cochain_monomials,
                              codifferential_matrix)
 from so32cr.forms import Form
@@ -106,7 +113,7 @@ from so32cr.scalars import (GQ, HALF, HALF_I, I, ONE, ZERO, _gq, unit_vec,
                             vec, zero_vec)
 from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, CONJ_PERM, DIM, GRADES,
                          IN_H, M_MINUS, N, bracket_complex, bracket_coords,
-                         killing_gram, to_complex_basis)
+                         to_complex_basis)
 from so32cr.tube import _EPS, ConePoint, Field, Poly, cone_fields
 
 # ---------------------------------------------------------------------------
@@ -216,6 +223,14 @@ def from_matrix(a: Matrix):
     return so32._coords_of(
         {(i, j): x for i, row in enumerate(a.rows) for j, x in row}
     )
+
+
+@lru_cache(maxsize=1)
+def killing_gram():
+    """The Gram table of the Killing form on the real basis: row i is the
+    tuple of kappa(b_i, b_j) = ``so32.killing(i, j)`` over j."""
+    return tuple(tuple(so32.killing(i, j) for j in range(DIM))
+                 for i in range(DIM))
 
 
 def trace(m: Matrix) -> GQ:
@@ -525,8 +540,8 @@ def act_on_cochain(x, c: Cochain) -> Cochain:
     cm = c.coeff_map()
     # argument action matrix: proj_{m_-} [x, n_a]
     arg_act = []
-    for a in range(side.n):
-        w = bracket_coords(x, side.args[a])
+    for a in M_MINUS:
+        w = bracket_coords(x, unit_vec(DIM, a))
         arg_act.append(tuple(w[i] for i in M_MINUS))
     out = {}
     for (wedge, beta), coef in cm.items():
@@ -579,7 +594,52 @@ def evaluate_cochain(c: Cochain, *arg_vectors):
     return tuple(out)
 
 
-class _StandardValueSide(_Side):
+class ArgumentSide(_Side):
+    """A cochain complex built from argument vectors the long way, as the
+    engine's sides, read off the structure constants at basis indices, are
+    not: each bracket of two arguments re-expanded over them through a left
+    inverse, and ad as a dense matrix of ``bracket_coords``.  Values are in
+    the standard basis of g (sign +1) or in its Killing-dual basis, where ad
+    acts as minus its transpose (sign -1); monomials are the engine's."""
+
+    def __init__(self, arg_vectors, sign):
+        self.args = [vec(v) for v in arg_vectors]
+        self.sign, self.n = sign, len(self.args)
+        span = Matrix.from_columns(self.args)
+        left = solution_map(span.transpose()).transpose()
+        self.bracket_coeffs = {}
+        for a, b in product(range(self.n), repeat=2):
+            w = bracket_coords(self.args[a], self.args[b])
+            self.bracket_coeffs[a, b] = x = left.apply(w)
+            assert span.apply(x) == w, "arguments do not close under bracket"
+        self.d_theta = tuple(
+            Form({(a, b): -self.bracket_coeffs[a, b][c]
+                  for a, b in combinations(range(self.n), 2)})
+            for c in range(self.n))
+        self.ad_values = []
+        for v in self.args:
+            ad = Matrix.from_columns([bracket_coords(v, unit_vec(DIM, b))
+                                      for b in range(DIM)])
+            if sign < 0:
+                ad = ad.transpose().scale(-1)
+            self.ad_values.append([{g: x for g, x in enumerate(col) if x}
+                                   for col in ad.columns()])
+
+
+@lru_cache(maxsize=None)
+def argument_side(sign: int) -> ArgumentSide:
+    """The m_- complex on the units of m_- (sign +1), or the h_+ complex on
+    the Killing-dual basis eta of h_+, kappa(n_a, eta_b) = delta_ab, solved
+    through the dense Gram (sign -1)."""
+    if sign > 0:
+        return ArgumentSide([unit_vec(DIM, i) for i in M_MINUS], 1)
+    h_plus = [i for i, g in enumerate(GRADES) if g > 0]
+    gram = Matrix([[killing_gram()[i][j] for j in h_plus] for i in M_MINUS])
+    embed = Matrix.from_columns([unit_vec(DIM, i) for i in h_plus])
+    return ArgumentSide((embed @ solution_map(gram)).columns(), -1)
+
+
+class _StandardValueSide(ArgumentSide):
     """The mirror complex on h_+ with values in the standard basis of g: a
     monomial (w, beta) has degree grade(beta) + the m_- grades of w."""
 
@@ -589,8 +649,8 @@ class _StandardValueSide(_Side):
 
 
 @lru_cache(maxsize=1)
-def _h_side_standard_values() -> _Side:
-    return _StandardValueSide(_side_h().args, 1)
+def _h_side_standard_values() -> ArgumentSide:
+    return _StandardValueSide(argument_side(-1).args, 1)
 
 
 def codifferential_by_pairing(ell: int, k: int) -> Matrix:

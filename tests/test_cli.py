@@ -850,20 +850,20 @@ def test_parse_agrees_with_argparse(argv):
 # most; "-h" loads the front end alone
 STATEMENT_BUDGET = {
     "-h": 170,
-    "verify jacobi": 574,
-    "verify table1": 574,
-    "verify structeq": 738,
-    "cohomology": 1089,
-    "hodge": 1089,
-    "prolong": 1330,
-    "normalize": 1330,
+    "verify jacobi": 572,
+    "verify table1": 572,
+    "verify structeq": 736,
+    "cohomology": 1075,
+    "hodge": 1075,
+    "prolong": 1316,
+    "normalize": 1316,
     "model quadric": 547,
     "model embed": 547,
     "model levi": 975,
     "model cubic": 975,
     "model freeman": 975,
     "model identities": 547,
-    "constraints": 1246,
+    "constraints": 1232,
 }
 
 @lru_cache(maxsize=None)

@@ -5,12 +5,13 @@ from hypothesis import given, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import (act_on_cochain, codifferential_by_pairing, evaluate_cochain,
-                     intersect, rotation_action_matrix, span_sum)
+from oracles import (act_on_cochain, argument_side, codifferential_by_pairing,
+                     evaluate_cochain, intersect, killing_gram,
+                     rotation_action_matrix, span_sum)
 from so32cr import linalg
 from so32cr.scalars import GQ, HALF, over_common_denominator, unit_vec, zero_vec
 from so32cr.linalg import Matrix, kernel, rank, solution_map
-from so32cr.so32 import (DIM, GRADES, GRADE_DIMS, bracket_coords, killing_gram,
+from so32cr.so32 import (DIM, GRADES, GRADE_DIMS, bracket_coords,
                          to_complex_basis)
 from so32cr.forms import perm_sign
 from so32cr.cochains import (
@@ -118,9 +119,8 @@ def test_degree_bounds_raise():
 
 def test_side_rejects_arguments_that_do_not_close():
     # [e_1^-1, E_1^1] is a nonzero element of g^0, outside their span
-    args = [unit_vec(DIM, 1), unit_vec(DIM, 7)]
     with pytest.raises(ValueError, match="does not close under bracket"):
-        _Side(args, 1)
+        _Side((1, 7), 1)
 
 
 @pytest.mark.parametrize("data, message", [
@@ -429,6 +429,10 @@ def ref_coboundary_matrix(side, ell, k):
     return Matrix.from_columns(cols, nrows=len(dst))
 
 
+# the Killing pairing of m_- with h_+ is KAPPA times the identity
+KAPPA = GQ(6)
+
+
 def nonempty_slices():
     """(side, ell, k) with a nonempty source or target, on both complexes."""
     return [
@@ -441,11 +445,60 @@ def nonempty_slices():
 
 
 def test_coboundary_matches_reference_evaluator():
+    # the reference reads the argument vectors of oracles.argument_side; on
+    # h_+ those are the Killing duals h_+ / KAPPA, so the engine's d_h over
+    # the arguments h_+ is KAPPA times it
     slices = nonempty_slices()
     assert len(slices) == 42
     for side, ell, k in slices:
-        assert _coboundary_on(side, ell, k) == ref_coboundary_matrix(side, ell, k), (
-            side.sign, ell, k)
+        scale = 1 if side.sign > 0 else 1 / KAPPA
+        assert _coboundary_on(side, ell, k).scale(scale) == ref_coboundary_matrix(
+            argument_side(side.sign), ell, k), (side.sign, ell, k)
+
+
+def test_sides_are_read_off_the_structure_constants(monkeypatch):
+    from so32cr import cochains, so32
+
+    calls = []
+
+    def counting(name, f):
+        def counted(*args):
+            calls.append(name)
+            return f(*args)
+        return counted
+
+    monkeypatch.setattr(so32, "bracket_coords",
+                        counting("bracket_coords", so32.bracket_coords))
+    monkeypatch.setattr(linalg, "rref", counting("rref", linalg.rref))
+    for f in (so32.structure_constants, cochains._side_m, cochains._side_h,
+              cochains._coboundary_on, cochains._killing_pairing):
+        f.cache_clear()
+    cochains._side_m(), cochains._side_h()
+    for ell in (1, 2, 3):
+        for k in range(-8, 9):
+            codifferential_matrix(ell, k)
+    assert calls == []
+
+
+def test_killing_pairing_is_checked(monkeypatch):
+    from so32cr import cochains, so32
+
+    assert cochains._killing_pairing() == KAPPA
+    killing = so32.killing
+    # one pair scaled, one off-diagonal entry, and kappa = 0
+    mutants = (lambda i, j: killing(i, j) * (2 if (i, j) == (1, 7) else 1),
+               lambda i, j: killing(i, j) + (1 if (i, j) == (0, 7) else 0),
+               lambda i, j: killing(i, j) * 0)
+    try:
+        for mutant in mutants:
+            monkeypatch.setattr(so32, "killing", mutant)
+            cochains._killing_pairing.cache_clear()
+            with pytest.raises(ArithmeticError, match=(
+                    "the Killing pairing of m_- and h_\\+ is not kappa times "
+                    "the identity")):
+                cochains._killing_pairing()
+    finally:
+        cochains._killing_pairing.cache_clear()
 
 
 def to_qq_i(x: GQ):

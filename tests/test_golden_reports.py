@@ -4,9 +4,16 @@ The catalogue is the benchmark's ``CLI_COMMANDS`` in
 ``perfbench/workloads.py``, executed from its source text so that nothing
 is written under ``perfbench/``.  The goldens under perfbench/goldens/ are
 read, never written here.  The commands run in-process from the repository
-root, because the normalize report embeds its (relative) input path.
+root, because the normalize report embeds its (relative) input path.  The
+same catalogue also runs in one child per fixed hash seed, so that a report
+that came to depend on set or dict-of-str iteration order fails every run,
+not only under some of pytest's random seeds.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +47,32 @@ def test_report_matches_golden(name, args, tmp_path, monkeypatch):
     code, _ = run(["--json", str(out)] + args)
     assert code == 0
     assert out.read_bytes() == (GOLDENS / f"{name}.json").read_bytes()
+
+
+# one interpreter runs the catalogue given as JSON in-process, writes each
+# report under argv[1] and prints the names whose report is not the golden
+_SEEDED_CHILD = """import contextlib, io, json, pathlib, sys
+from so32cr.cli import run
+out, goldens = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+bad = []
+for name, args in json.loads(sys.argv[3]):
+    path = out / (name + ".json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code, _ = run(["--json", str(path)] + args)
+    if code or path.read_bytes() != (goldens / (name + ".json")).read_bytes():
+        bad.append(name)
+print(json.dumps(bad))
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_reports_match_goldens_under_a_fixed_hash_seed(seed, tmp_path):
+    env = dict(os.environ, PYTHONHASHSEED=seed)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-c", _SEEDED_CHILD, str(tmp_path), str(GOLDENS),
+         json.dumps(COMMANDS)],
+        capture_output=True, text=True, cwd=ROOT, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -8,7 +8,7 @@ import pytest
 from oracles import (LEVELS, basis_matrices, complex_basis_matrix,
                      complex_basis_matrix_inv, coordinate_subspace,
                      filtration_steps, from_matrix, grades, iform,
-                     symmetric_signature, to_matrix, trace)
+                     killing_gram, symmetric_signature, to_matrix, trace)
 from so32cr.scalars import GQ, unit_vec, vec
 from so32cr.linalg import Matrix, rank, vec_add, vec_scale
 from so32cr import so32
@@ -20,7 +20,6 @@ from so32cr.so32 import (
     bracket_coords,
     complex_unit,
     from_complex_basis,
-    killing_gram,
     real_unit,
     table1_crosscheck,
     to_complex_basis,
@@ -120,14 +119,34 @@ def test_tables_are_built_without_dense_products(monkeypatch):
         return matmul(self, other)
 
     monkeypatch.setattr(Matrix, "__matmul__", counting)
-    built = (so32.structure_constants, so32.complex_structure_constants,
-             killing_gram)
+    built = (so32.structure_constants, so32.complex_structure_constants)
     for f in built:
         f.cache_clear()
     so32.structure_constants()
     so32.complex_structure_constants()
-    killing_gram()
     assert products == []
+
+
+# the weights of the complexified basis: the eigenvalues of ad E^0(10) and
+# ad E^0(01), in the order of COMPLEX_LABELS
+WEIGHTS = ((-1, -1), (-1, 0), (0, -1), (-1, 1), (1, -1),
+           (0, 0), (0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def test_the_complexified_basis_is_a_weight_basis():
+    table = so32.complex_structure_constants()
+    cartan = [so32.COMPLEX_LABELS.index(x) for x in ("E^0(10)", "E^0(01)")]
+    # ad E^0(10) and ad E^0(01) are diagonal, with these integer eigenvalues
+    for b, weight in enumerate(WEIGHTS):
+        for h, eigenvalue in zip(cartan, weight):
+            assert table[h, b] == vec_scale(eigenvalue, unit_vec(DIM, b)), (
+                h, b)
+    # a bracket adds weights, and a grade is the sum of a weight's entries
+    for (a, b), coords in table.items():
+        for c, x in enumerate(coords):
+            assert not x or WEIGHTS[c] == tuple(
+                p + q for p, q in zip(WEIGHTS[a], WEIGHTS[b])), (a, b, c)
+    assert tuple(map(sum, WEIGHTS)) == GRADES
 
 
 def test_bracket_examples():
