@@ -283,8 +283,6 @@ def coboundary_matrix(ell: int, k: int) -> Matrix:
 
 
 def coboundary(c: Cochain) -> Cochain:
-    if c.ell >= MAX_ELL:
-        raise ValueError("coboundary undefined for 3-cochains")
     return Cochain(c.ell + 1, c.k, coboundary_matrix(c.ell, c.k).apply(c.coords))
 
 

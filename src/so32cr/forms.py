@@ -55,10 +55,9 @@ class Form:
         self.coeffs = {k: v for k, v in merged.items() if v}
 
     def at(self, key) -> GQ:
-        """The coefficient on an index tuple given in any order."""
+        """The coefficient on an index tuple given in any order (0 when an
+        index repeats, since no stored key repeats one)."""
         order, sign = canonical(key)
-        if not sign:
-            return GQ(0)
         c = self.coeffs.get(order, GQ(0))
         return c if sign > 0 else -c
 

@@ -42,7 +42,6 @@ class Report:
         if ok is None:
             ok = expected == actual
         self.checks.append(Check(name, expected, actual, bool(ok), source))
-        return ok
 
     @property
     def status(self) -> str:

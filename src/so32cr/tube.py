@@ -66,9 +66,6 @@ class Field:
     def __add__(self, other):
         return Field([a + b for a, b in zip(self.comps, other.comps)])
 
-    def __sub__(self, other):
-        return Field([a - b for a, b in zip(self.comps, other.comps)])
-
     def scale(self, c) -> "Field":
         return Field([a * c for a in self.comps])
 

@@ -81,6 +81,10 @@ own, or states a law that the engine's results must obey:
   ``intersect``: their intersection, from the kernel of the stacked bases;
   ``coordinate_subspace``: the span of unit vectors, built in canonical
   form with no elimination.
+* ``CARTAN`` and ``weight_multiplicity``: E^0(10) and E^0(01), whose ad
+  actions are diagonal on the complexified basis, and the dimension of a
+  joint eigenspace of linear maps inside a span, from which the tests
+  read the weights of harmonic cochains and of the prolongation steps.
 * ``unflatten``: the inverse of ``Matrix.flatten``, and ``EndoSubspace``: a
   space of endomorphisms of a carrier kept as a subspace of the flattened
   entries, the form of the oracle's spaces below.
@@ -107,8 +111,8 @@ from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_m,
                              coboundary_matrix, cochain_dim, cochain_monomials,
                              codifferential_matrix)
 from so32cr.forms import Form
-from so32cr.linalg import (Matrix, Subspace, kernel, kernel_basis, real_rows,
-                           rref, solution_map, vec_add, vec_scale)
+from so32cr.linalg import (Matrix, Subspace, kernel, kernel_basis, rank,
+                           real_rows, rref, solution_map, vec_add, vec_scale)
 from so32cr.scalars import (GQ, HALF, HALF_I, I, ONE, ZERO, _gq, unit_vec,
                             vec, zero_vec)
 from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, CONJ_PERM, DIM, GRADES,
@@ -139,6 +143,21 @@ def span_sum(*spaces) -> Subspace:
     """The sum of subspaces of one ambient space."""
     (n,) = {s.ambient_dim for s in spaces}
     return Subspace(n, [v for s in spaces for v in s.basis_vectors()])
+
+
+# E^0(10) and E^0(01) in algebra coordinates: their ad actions are diagonal
+# on the complexified basis, with integer eigenvalues (the weights)
+CARTAN = tuple(so32.complex_unit(COMPLEX_LABELS.index(label))
+               for label in ("E^0(10)", "E^0(01)"))
+
+
+def weight_multiplicity(actions, basis, weight) -> int:
+    """dim {v in span(basis) : a(v) = w v for each a, w in zip(actions,
+    weight)}, for linear maps ``actions`` on vectors and independent
+    ``basis`` vectors."""
+    columns = [[x for act, w in zip(actions, weight)
+                for x in vec_add(act(v), vec_scale(-w, v))] for v in basis]
+    return len(basis) - rank(Matrix.from_columns(columns))
 
 
 def intersect(a: Subspace, b: Subspace) -> Subspace:
@@ -486,7 +505,7 @@ def j_image(v: Field) -> Field:
 
 def real_parts(v: Field):
     """The real fields (V + conj V, i(V - conj V))."""
-    return v + v.conj(), (v - v.conj()).scale(I)
+    return v + v.conj(), (v + v.conj().scale(-1)).scale(I)
 
 
 def dtheta(u, v) -> GQ:

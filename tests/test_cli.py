@@ -850,20 +850,20 @@ def test_parse_agrees_with_argparse(argv):
 # most; "-h" loads the front end alone
 STATEMENT_BUDGET = {
     "-h": 170,
-    "verify jacobi": 572,
-    "verify table1": 572,
-    "verify structeq": 736,
-    "cohomology": 1075,
-    "hodge": 1075,
-    "prolong": 1316,
-    "normalize": 1316,
-    "model quadric": 547,
-    "model embed": 547,
-    "model levi": 975,
-    "model cubic": 975,
-    "model freeman": 975,
-    "model identities": 547,
-    "constraints": 1232,
+    "verify jacobi": 571,
+    "verify table1": 571,
+    "verify structeq": 733,
+    "cohomology": 1070,
+    "hodge": 1070,
+    "prolong": 1311,
+    "normalize": 1311,
+    "model quadric": 546,
+    "model embed": 546,
+    "model levi": 972,
+    "model cubic": 972,
+    "model freeman": 972,
+    "model identities": 546,
+    "constraints": 1227,
 }
 
 @lru_cache(maxsize=None)

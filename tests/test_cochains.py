@@ -1,13 +1,15 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import (act_on_cochain, argument_side, codifferential_by_pairing,
-                     evaluate_cochain, intersect, killing_gram,
-                     rotation_action_matrix, span_sum)
+from oracles import (CARTAN, act_on_cochain, argument_side,
+                     codifferential_by_pairing, evaluate_cochain, intersect,
+                     killing_gram, rotation_action_matrix, span_sum,
+                     weight_multiplicity)
 from so32cr import linalg
 from so32cr.scalars import GQ, HALF, over_common_denominator, unit_vec, zero_vec
 from so32cr.linalg import Matrix, kernel, rank, solution_map
@@ -109,7 +111,7 @@ def test_dd_zero_and_dstar_dstar_zero():
 
 
 def test_degree_bounds_raise():
-    with pytest.raises(ValueError, match="coboundary undefined for 3-cochains"):
+    with pytest.raises(ValueError, match="coboundary needs a cochain degree"):
         coboundary(Cochain.zero(3, 2))
     with pytest.raises(ValueError, match="coboundary needs a cochain degree"):
         coboundary_matrix(3, 2)
@@ -147,17 +149,48 @@ def cochain_slices():
             if cochain_dim(ell, k)]
 
 
-# Kostant's theorem for so(3,2) and its contact grading: the nonzero H^ell_k
-KOSTANT_TABLE = {(0, -2): 1, (1, 1): 4, (2, 3): 4, (3, 6): 1}
+def kostant_prediction():
+    """{(ell, k): weights of H^ell_k} by Kostant's theorem for B2 and its
+    contact grading, in the weights of ad E^0(10), ad E^0(01): simple roots
+    alpha1 = (1, -1), the root of g^0, and alpha2 = (0, 1), so rho =
+    (3/2, 1/2); lambda = (1, 1), the highest root.  The Weyl group acts by
+    signed permutations.  Each w whose affine image w.lambda = w(lambda +
+    rho) - rho = (a, b) is g^0-dominant (a >= b) gives the string -(a, b) +
+    j alpha1, j = 0..a-b, in degree ell = length of w, at k = -(a + b)."""
+    rho, lam = (Fraction(3, 2), Fraction(1, 2)), (1, 1)
+    positive = ((1, -1), (0, 1), (1, 0), (1, 1))
+    out = {}
+    for perm in ((0, 1), (1, 0)):
+        for signs in itertools.product((1, -1), repeat=2):
+            def w(v):
+                return tuple(s * v[p] for s, p in zip(signs, perm))
+            a, b = (int(x - r) for x, r in zip(
+                w([x + r for x, r in zip(lam, rho)]), rho))
+            if a < b:
+                continue
+            # the length: the positive roots c1 alpha1 + c2 alpha2 that w
+            # makes negative (c1 = x, c2 = x + y for a root (x, y))
+            length = sum(x < 0 or x + y < 0
+                         for x, y in map(w, positive))
+            out[length, -(a + b)] = sorted(
+                (-a + j, -b - j) for j in range(a - b + 1))
+    return out
 
 
 def test_kostant_table_on_every_slice():
+    predicted = kostant_prediction()
     slices = cochain_slices()
-    assert len(slices) == 22
+    assert len(slices) == 22 and set(predicted) <= set(slices)
     for ell, k in slices:
-        expected = KOSTANT_TABLE.get((ell, k), 0)
-        assert cohomology_dim(ell, k) == expected, (ell, k)
-        assert kostant_pieces(ell, k)[1].dim == expected, (ell, k)
+        weights = predicted.get((ell, k), [])
+        harmonic = kostant_pieces(ell, k)[1]
+        assert cohomology_dim(ell, k) == harmonic.dim == len(weights), (
+            ell, k)
+        actions = [rotation_action_matrix(ell, k, h).apply for h in CARTAN]
+        basis = harmonic.basis_vectors()
+        assert [weight_multiplicity(actions, basis, w)
+                for w in weights] == [weights.count(w) for w in weights], (
+            ell, k)
     # empty slices have trivial cohomology
     assert cochain_dim(3, 1) == 0 and cohomology_dim(3, 1) == 0
 

@@ -7,7 +7,10 @@ read, never written here.  The commands run in-process from the repository
 root, because the normalize report embeds its (relative) input path.  The
 same catalogue also runs in one child per fixed hash seed, so that a report
 that came to depend on set or dict-of-str iteration order fails every run,
-not only under some of pytest's random seeds.
+not only under some of pytest's random seeds.  Each child runs it three
+times, each time in an order shuffled by ``random.Random(seed)``, with the
+caches kept warm in between, so that a report that came to depend on which
+command ran first fails too.
 """
 
 import json
@@ -49,18 +52,23 @@ def test_report_matches_golden(name, args, tmp_path, monkeypatch):
     assert out.read_bytes() == (GOLDENS / f"{name}.json").read_bytes()
 
 
-# one interpreter runs the catalogue given as JSON in-process, writes each
-# report under argv[1] and prints the names whose report is not the golden
-_SEEDED_CHILD = """import contextlib, io, json, pathlib, sys
+# one interpreter runs the catalogue given as JSON in-process, three times
+# in orders shuffled by random.Random(argv[4]), writes each report under
+# argv[1] and prints the names whose report is not the golden
+_SEEDED_CHILD = """import contextlib, io, json, pathlib, random, sys
 from so32cr.cli import run
 out, goldens = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+commands, rng = json.loads(sys.argv[3]), random.Random(int(sys.argv[4]))
 bad = []
-for name, args in json.loads(sys.argv[3]):
-    path = out / (name + ".json")
-    with contextlib.redirect_stdout(io.StringIO()):
-        code, _ = run(["--json", str(path)] + args)
-    if code or path.read_bytes() != (goldens / (name + ".json")).read_bytes():
-        bad.append(name)
+for _ in range(3):
+    rng.shuffle(commands)
+    for name, args in commands:
+        path = out / (name + ".json")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code, _ = run(["--json", str(path)] + args)
+        golden = (goldens / (name + ".json")).read_bytes()
+        if code or path.read_bytes() != golden:
+            bad.append(name)
 print(json.dumps(bad))
 """
 
@@ -72,7 +80,7 @@ def test_reports_match_goldens_under_a_fixed_hash_seed(seed, tmp_path):
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-c", _SEEDED_CHILD, str(tmp_path), str(GOLDENS),
-         json.dumps(COMMANDS)],
+         json.dumps(COMMANDS), seed],
         capture_output=True, text=True, cwd=ROOT, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []

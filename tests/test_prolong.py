@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import (act_on_cochain, add_term, beta_gauge_response,
+from oracles import (CARTAN, act_on_cochain, add_term, beta_gauge_response,
                      degree1_normalization_recipe, endo_of_cochain, gl2_endo,
                      gl_graded_j, intersect, levi_compatibility,
                      reference_apply, restrict_ctorsion,
                      rotation_action_matrix, span_sum, symmetric_signature,
-                     unflatten)
+                     unflatten, weight_multiplicity)
 from so32cr import cochains, linalg, prolong
 from so32cr.scalars import GQ, unit_vec
 from so32cr.linalg import (Matrix, Subspace, kernel, real_rows, solve,
@@ -48,6 +48,24 @@ def prolong_all():
 
 def test_prolongation_dimensions():
     assert [s.dim for s in prolong_all()] == [2, 2, 1, 0]
+
+
+def test_solved_steps_have_the_weights_of_h():
+    # ad E^0(10) and ad E^0(01) act on a step's solved endomorphisms by the
+    # commutator; the weights are those of h^0, h^1 and h^2 (E^0(10) and
+    # E^0(01); E^1(10) and E^1(01); E^2)
+    expected = ([(0, 0), (0, 0)], [(0, 1), (1, 0)], [(1, 1)])
+    for step, weights in zip(prolong_all(), expected):
+        n = step.carrier.dim
+        actions = [
+            lambda v, ad=step.carrier.ad_action(h): (
+                ad @ unflatten(v, n) - unflatten(v, n) @ ad).flatten()
+            for h in CARTAN]
+        basis = step.space.basis_vectors()
+        assert len(basis) == len(weights), step.step
+        assert [weight_multiplicity(actions, basis, w)
+                for w in weights] == [weights.count(w) for w in weights], (
+            step.step)
 
 
 def test_step0_generators():

@@ -1,12 +1,27 @@
-"""``src/so32cr`` holds what the CLI and the benchmark reach.
+"""``src/so32cr`` holds, statement by statement, what the CLI and the
+benchmark run.
 
-One fresh interpreter runs, under ``sys.setprofile``, the README's CLI
-catalogue with ``--json`` (taken from ``perfbench/workloads.py``), a few
-further argument values of the same commands, and the benchmark's set-up
-with one op of each warm kind.  The further commands' stdout and exit
-codes must equal ``tests/extra_commands.txt``.  Every function and method
-that a module of ``src/so32cr`` defines (dunders aside) must have been
-called there, or be on ``ALLOWED`` with the reason it stays.  Reference
+One fresh interpreter runs, under one ``sys.settrace`` hook, the README's
+CLI catalogue with ``--json`` (taken from ``perfbench/workloads.py``), a
+few further command lines, and the benchmark's set-up with one op of each
+warm kind.  The catalogue must pass; the further lines' stdout and exit
+codes must equal ``tests/extra_commands.txt``.  The hook records every
+call, and every line event in ``src/so32cr``.
+
+The statement rule: every statement in the body of a function or method of
+``src/so32cr`` must run there, be covered by ``STATEMENTS_ALLOWED``, or be
+deleted.  Docstrings, ``def`` and ``class`` lines and ``raise`` statements
+are exempt; the raise test below covers the raises.  A statement runs when a
+line event falls on one of its own lines; a compound statement's own lines
+end at the line before its body, so a multi-line ``if`` counts even where an
+interpreter reports it on a later line than its first.  A key of
+``STATEMENTS_ALLOWED`` is ``"module.qualname"`` for a whole function (a
+nested one is ``"outer.inner"``), which the run must never call, or
+``"module.qualname: <first source line of the statement>"``, from the
+statement's first column, for the statements of that function that start
+with that line, none of which may run.  To keep an unreached statement, add
+its key with the reason it stays, such as the test that runs it; an entry
+that names nothing, or names what runs, fails the test.  Reference
 computations that only the tests call live in ``tests/oracles.py``.
 
 The same run checks that no parameter default is an idle option: each
@@ -65,14 +80,72 @@ EXTRA_COMMANDS = (
     ["model", "freeman", "--z", "140/11,-147/11,203/11,-17/9,13/7,5/3"],
     # the help of a command, printed from its row of cli.COMMANDS
     ["model", "quadric", "-h"],
+    # the help of the top level and of a group
+    ["-h"],
+    ["verify", "-h"],
+    # a unique prefix names a flag; the last of a repeated flag wins
+    ["prolong", "--ste", "all"],
+    ["cohomology", "--ell=2", "--k", "2", "--k", "3"],
+    # usage errors (exit 2): a negative non-integer, an unknown flag, a
+    # stray word, a flag another command has (with its value), a flag
+    # followed by a flag, a bare "--" value
+    ["cohomology", "--ell", "2", "--k", "-1.5"],
+    ["cohomology", "--ell", "2", "--k", "2", "--bogus"],
+    ["cohomology", "--ell", "2", "--k", "2", "stray"],
+    ["verify", "jacobi", "--z", "1"],
+    ["cohomology", "--ell", "--k", "2"],
+    ["prolong", "--step=--"],
+    # an input error (exit 2): a point off the light cone
+    ["model", "levi", "--z", "1,2,3,0,0,0"],
 )
 
-# "module.qualname": why it stays although the run above does not call it
-ALLOWED = {
+# why a statement stays although the run above does not reach it, keyed by
+# its whole function or by the statement itself (see the module docstring)
+_SPAN = "span of the benchmark's tracer (SPANS in perfbench/tracing.py)"
+_VALUE = "tests compare, hash, index and print values"
+_NUMBER = ("number protocol: an int operand on either side, or "
+           "NotImplemented for any other type")
+STATEMENTS_ALLOWED = {
     "cli.main": "console entry point; the run calls cli.run directly",
-    "linalg.solve": "span of the benchmark's tracer (perfbench/tracing.py)",
-    "prolong.gauge_image": "span of the benchmark's tracer",
-    "tube.levi_form_at": "span of the benchmark's tracer",
+    "cli.run: os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())":
+        "a reader that went away; "
+        "test_cli.py::test_closed_stdout_exits_with_the_run_code",
+    "cochains.run_hodge: resum_ok = False":
+        "overlapping pieces; test_cli.py::"
+        "test_hodge_reports_overlapping_pieces_without_a_traceback",
+    "linalg.solve": _SPAN,
+    "prolong.gauge_image": _SPAN,
+    "tube.levi_form_at": _SPAN,
+    "carriers.Carrier.__repr__": _VALUE,
+    "cochains.Cochain.__eq__": _VALUE,
+    "cochains.Cochain.__hash__": _VALUE,
+    "forms.Form.__eq__": _VALUE,
+    "forms.Form.__repr__": _VALUE,
+    "linalg.Matrix.__getitem__": _VALUE,
+    "linalg.Matrix.__eq__": _VALUE,
+    "linalg.Matrix.__hash__": _VALUE,
+    "linalg.Matrix.__repr__": _VALUE,
+    "linalg.Subspace.__eq__: return NotImplemented": _VALUE,
+    "linalg.Subspace.__repr__": _VALUE,
+    "linalg.NoSolution.__repr__": _VALUE,
+    "quadric.Poly.__eq__": _VALUE,
+    "quadric.Poly.__hash__": _VALUE,
+    "quadric.Poly.__repr__": _VALUE,
+    "scalars.GQ.__eq__: return NotImplemented": _VALUE,
+    "scalars.GQ.__hash__: return hash((self._a, self._b, self._d))": _VALUE,
+    "scalars.GQ.__repr__": _VALUE,
+    "tube.Field.__repr__": _VALUE,
+    "scalars._operand: return NotImplemented": _NUMBER,
+    "scalars.GQ.__add__: return NotImplemented": _NUMBER,
+    "scalars.GQ.__sub__: other = _operand(other)": _NUMBER,
+    "scalars.GQ.__sub__: if other is NotImplemented:": _NUMBER,
+    "scalars.GQ.__sub__: return NotImplemented": _NUMBER,
+    "scalars.GQ.__rsub__": _NUMBER,
+    "scalars.GQ.__mul__: return NotImplemented": _NUMBER,
+    "scalars.GQ.__truediv__: other = _operand(other)": _NUMBER,
+    "scalars.GQ.__truediv__: if other is NotImplemented:": _NUMBER,
+    "scalars.GQ.__truediv__: return NotImplemented": _NUMBER,
+    "scalars.GQ.__rtruediv__: return NotImplemented": _NUMBER,
 }
 
 # "module.qualname(parameter)": why it keeps a default that the run never
@@ -80,13 +153,16 @@ ALLOWED = {
 DEFAULTS_ALLOWED = {}
 
 # The child process: the workloads module is executed from its source text,
-# so no bytecode cache is written under perfbench/.
+# so no bytecode cache is written under perfbench/.  One sys.settrace hook
+# sees every call; a frame of src/so32cr also gets a line tracer.
 _CHILD = r"""
 import contextlib, importlib, inspect, io, json, os, pkgutil, random, sys
 import tempfile, types
 
-workloads_path, extra = sys.argv[1], json.loads(sys.argv[2])
+package = os.path.join(sys.argv[1], "")
+workloads_path, extra = sys.argv[2], json.loads(sys.argv[3])
 seen = set()
+lines = set()  # (code, line) of every line event in the package
 pending = {}  # code -> {parameter: default} not yet overridden
 
 
@@ -95,15 +171,23 @@ def overridden(value, default):
         type(value) is type(default) and value == default)
 
 
-def profile(frame, event, arg):
-    if event == "call":
-        code = frame.f_code
-        seen.add(code)
-        todo = pending.get(code)
-        if todo:
-            args = frame.f_locals
-            for name in [n for n, d in todo.items() if overridden(args[n], d)]:
-                del todo[name]
+def line(frame, event, arg):
+    if event == "line":
+        lines.add((frame.f_code, frame.f_lineno))
+    return line
+
+
+def trace(frame, event, arg):
+    code = frame.f_code
+    if not code.co_filename.startswith(package):
+        return None
+    seen.add(code)
+    todo = pending.get(code)
+    if todo:
+        args = frame.f_locals
+        for name in [n for n, d in todo.items() if overridden(args[n], d)]:
+            del todo[name]
+    return line
 
 
 def functions(module):
@@ -130,7 +214,7 @@ def defaults(fn):
     return out
 
 
-sys.setprofile(profile)
+sys.settrace(trace)
 workloads = types.ModuleType("perfbench_workloads")
 workloads.__file__ = workloads_path
 with open(workloads_path) as fh:
@@ -147,7 +231,8 @@ codes, stdouts = [], []
 with tempfile.TemporaryDirectory() as tmp:
     out = os.path.join(tmp, "report.json")
     for args in [a for _, a in workloads.CLI_COMMANDS] + extra:
-        with contextlib.redirect_stdout(io.StringIO()) as text:
+        with contextlib.redirect_stdout(io.StringIO()) as text, \
+                contextlib.redirect_stderr(io.StringIO()):
             codes.append(run(["--json", out] + args)[0])
         stdouts.append(text.getvalue())
 for workload in ("normalize-stream", "tube-points"):
@@ -155,38 +240,21 @@ for workload in ("normalize-stream", "tube-points"):
 rng = random.Random(1)
 ops = [workloads.normalize_op(rng)] + workloads.tube_batch(rng)
 checks = [check(thunk()) for thunk, check in ops]
-sys.setprofile(None)
+sys.settrace(None)
+ran = {}
+for code, n in lines:
+    ran.setdefault(code.co_filename, set()).add(n)
 print(json.dumps({
     "codes": codes,
     "stdouts": stdouts,
     "checks": checks,
     "called": sorted({(c.co_filename, c.co_firstlineno) for c in seen}),
+    "lines": {path: sorted(ns) for path, ns in sorted(ran.items())},
     "idle_defaults": sorted((c.co_filename, c.co_firstlineno, name)
                             for c, todo in pending.items() if c in seen
                             for name in todo),
 }))
 """
-
-
-def _defined():
-    """{(file, first line of the code object): "module.qualname"} for every
-    module-level function and method of a module-level class, dunders
-    aside; a decorated function's code starts at its first decorator."""
-    out = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        found = [(node, "") for node in tree.body]
-        found += [(item, f"{node.name}.")
-                  for node in tree.body if isinstance(node, ast.ClassDef)
-                  for item in node.body]
-        for node, owner in found:
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            line = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            out[(str(path), line)] = f"{path.stem}.{owner}{node.name}"
-    return out
 
 
 @lru_cache(maxsize=1)
@@ -195,29 +263,105 @@ def _reach_run():
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(WORKLOADS),
+        [sys.executable, "-c", _CHILD, str(PACKAGE), str(WORKLOADS),
          json.dumps(EXTRA_COMMANDS)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
 
-def test_src_holds_what_the_cli_and_the_benchmark_reach():
+def _functions(body, prefix=""):
+    """(qualname, node) of every function defined in ``body``, methods and
+    nested functions too; a nested one is named "outer.inner"."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{node.name}", node
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def _own_statements(fn):
+    """The statements of a function's body that the reach rule counts:
+    nested definitions, the docstring and raise statements left out."""
+    todo = list(fn.body)
+    if ast.get_docstring(fn) is not None:
+        todo.pop(0)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            continue
+        for field in ("body", "orelse", "finalbody"):
+            todo += getattr(node, field, [])
+        todo += [s for h in getattr(node, "handlers", []) for s in h.body]
+        todo += [s for c in getattr(node, "cases", []) for s in c.body]
+        if not isinstance(node, ast.Raise):
+            yield node
+
+
+def _statement_lines(node):
+    """The lines of a statement on which a line event shows that it ran:
+    all of a simple statement's, a compound statement's up to its body."""
+    body = getattr(node, "body", None)
+    end = max(node.lineno, body[0].lineno - 1) if body else node.end_lineno
+    return range(node.lineno, end + 1)
+
+
+def _statements():
+    """[(function key, statement key, path, lines)] for every counted
+    statement of every function in src/so32cr, and {function key: (path,
+    first line of its code object)}."""
+    out, functions = [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        text = path.read_text()
+        source = text.splitlines()
+        for qualname, fn in _functions(ast.parse(text).body):
+            key = f"{path.stem}.{qualname}"
+            functions[key] = (str(path), min(
+                [fn.lineno] + [d.lineno for d in fn.decorator_list]))
+            for node in _own_statements(fn):
+                first = source[node.lineno - 1][node.col_offset:].rstrip()
+                out.append((key, f"{key}: {first}", str(path),
+                            _statement_lines(node)))
+    return out, functions
+
+
+def test_every_statement_runs_or_is_listed():
     result = _reach_run()
-    assert set(result["codes"]) == {0}
+    # the catalogue passes; tests/extra_commands.txt pins the extra lines'
+    # exit codes
+    assert set(result["codes"][:-len(EXTRA_COMMANDS)]) == {0}
     assert all(result["checks"])
-    defined = _defined()
-    called = {defined[tuple(key)] for key in result["called"]
-              if tuple(key) in defined}
-    assert sorted(set(defined.values()) - called - set(ALLOWED)) == []
-    # the allowlist names only what exists and what the run really misses
-    assert set(ALLOWED) <= set(defined.values())
-    assert sorted(set(ALLOWED) & called) == []
+    ran = {path: set(lines) for path, lines in result["lines"].items()}
+    called = {tuple(key) for key in result["called"]}
+    statements, functions = _statements()
+    unrun, run_keys = [], set()
+    for fn, key, path, lines in statements:
+        if ran.get(path, set()).isdisjoint(lines):
+            unrun.append((fn, key))
+        else:
+            run_keys.add(key)
+
+    def covered(fn, key):
+        return key in STATEMENTS_ALLOWED or any(
+            fn == entry or fn.startswith(entry + ".")
+            for entry in STATEMENTS_ALLOWED)
+
+    assert [key for fn, key in unrun if not covered(fn, key)] == []
+    # the allowlist names only what exists and what the run really misses:
+    # a whole function that is never called, or statements none of which
+    # runs
+    unrun_keys = {key for _, key in unrun}
+    stale = [entry for entry in STATEMENTS_ALLOWED
+             if (functions[entry] in called if entry in functions
+                 else entry not in unrun_keys or entry in run_keys)]
+    assert stale == []
 
 
 def test_every_default_parameter_is_overridden_somewhere():
     result = _reach_run()
-    defined = _defined()
+    defined = {where: key for key, where in _statements()[1].items()}
     idle = {f"{defined[(path, line)]}({name})"
             for path, line, name in result["idle_defaults"]}
     assert sorted(idle - set(DEFAULTS_ALLOWED)) == []

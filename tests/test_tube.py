@@ -186,7 +186,7 @@ def test_rib_is_levi_kernel_and_j_invariant():
 def test_rib_involutivity_shadow():
     _, _, _, r = cone_fields()
     u1 = r + r.conj()
-    u2 = (r - r.conj()).scale(I)
+    u2 = (r + r.conj().scale(-1)).scale(I)
     for p in SAMPLE_POINTS:
         assert rib_span_at(p).contains(u1.bracket(u2).eval(p.powers))
 
@@ -196,7 +196,7 @@ def test_levi_symmetry_at_samples():
     for p in SAMPLE_POINTS[:3]:
         fields = [
             r + r.conj(),
-            (r - r.conj()).scale(I),
+            (r + r.conj().scale(-1)).scale(I),
             l12 + l12.conj(),
             l13 + l13.conj(),
         ]
