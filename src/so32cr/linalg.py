@@ -2,15 +2,18 @@
 
 Everything is built on one primitive, Gauss-Jordan reduction with exact
 scalars (no pivot strategy is needed because nothing rounds) on the nonzero
-entries of each row.  Subspaces are kept in a canonical form -- the reduced
-column echelon basis, equivalently the reduced row echelon form of the row
-span -- so that two subspaces are equal iff their stored bases are
+entries of each row, written out on the ints (a, b, d) of each entry with
+one gcd per result: every entry stays in lowest terms, so this is not
+fraction-free elimination.  Subspaces are kept in a canonical form -- the
+reduced column echelon basis, equivalently the reduced row echelon form of
+the row span -- so that two subspaces are equal iff their stored bases are
 structurally equal.  ``Matrix.apply`` costs one gcd per nonzero output.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from math import gcd
 
 from .scalars import GQ, ONE, ZERO, _gq, over_common_denominator, vec
 
@@ -51,8 +54,8 @@ class Matrix:
             ncols = len(rows[0])
             if any(len(r) != ncols for r in rows):
                 raise ValueError("ragged matrix")
-        _set(self, "rows", tuple(tuple(p for p in enumerate(r) if p[1])
-                                 for r in rows))
+        _set(self, "rows", tuple(tuple(p for p in enumerate(r)
+                                       if p[1]._a or p[1]._b) for r in rows))
         _set(self, "nrows", len(rows))
         _set(self, "ncols", ncols or 0)
 
@@ -189,29 +192,51 @@ def rref(m: Matrix):
     """Reduced row echelon form.
 
     Returns (R, pivot_columns).  Leading entries are 1, pivot columns are
-    cleared above and below, zero rows sink to the bottom.
+    cleared above and below, zero rows sink to the bottom.  The rows are
+    eliminated as {column: (a, b, d)}, the ints of each GQ: the pivot
+    inverse and each update x - f*y are written out on them and reduced by
+    one gcd, so every entry stays in lowest terms (this is not fraction-free
+    elimination), and GQs are built only for R.
     """
-    rows = [dict(r) for r in m.rows]
+    rows = [{j: (x._a, x._b, x._d) for j, x in r} for r in m.rows]
     pivots = []
     for pc in range(m.ncols):
         pr = len(pivots)
         if pr == m.nrows:
             break
-        i = next((i for i in range(pr, m.nrows) if pc in rows[i]), None)
-        if i is None:
+        for i in range(pr, m.nrows):
+            if pc in rows[i]:
+                break
+        else:
             continue
-        rows[pr], rows[i] = rows[i], rows[pr]
-        prow = rows[pr]
-        if (piv := prow[pc]) != 1:
-            inv = piv.inverse()
-            prow = rows[pr] = {j: inv * x for j, x in prow.items()}
+        prow = rows[i]
+        rows[i], rows[pr] = rows[pr], prow
+        a, b, d = prow.pop(pc)
+        if b or a != d:  # times the inverse d (a - b i)/(a^2 + b^2)
+            n = a * a + b * b
+            for j, (xa, xb, xd) in prow.items():
+                xa, xb, xd = (d * (xa * a + xb * b), d * (xb * a - xa * b),
+                              xd * n)
+                g = gcd(xa, xb, xd)
+                prow[j] = xa // g, xb // g, xd // g
+        pitems = list(prow.items())
+        prow[pc] = 1, 0, 1
         for i, r in enumerate(rows):
             if i != pr and (f := r.pop(pc, None)):
-                for j, y in prow.items():  # r -= f * prow, keeping no zero
-                    if j != pc and (x := r.pop(j, ZERO) - f * y):
-                        r[j] = x
+                fa, fb, fd = f
+                for j, (ya, yb, yd) in pitems:  # r -= f * prow, no zero kept
+                    xa, xb, xd = r.pop(j, (0, 0, 1))
+                    yd *= fd
+                    xa, xb = (xa * yd - xd * (fa * ya - fb * yb),
+                              xb * yd - xd * (fa * yb + fb * ya))
+                    if xa or xb:
+                        xd *= yd
+                        g = gcd(xa, xb, xd)
+                        r[j] = xa // g, xb // g, xd // g
         pivots.append(pc)
-    return Matrix._of(tuple(_row(r.items()) for r in rows), m.ncols), tuple(pivots)
+    return Matrix._of(tuple([
+        tuple([(j, _gq(*x)) for j, x in sorted(r.items())]) for r in rows
+    ]), m.ncols), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:

@@ -22,9 +22,11 @@ rho is a quadratic in x = Re z, so d theta = (i/2) sum_j eps_j dzb_j ^ dz_j,
 eps = (1, 1, -1), is constant: on sections of the contact distribution the
 Levi entry -theta_p([V, JW]) is d theta_p(V(p), JW(p)) and the cubic
 theta_p([[E, H], H']) is -d theta_p([E, H](p), H'(p)), [E, H] the kept
-bracket field; both are read off values over a common denominator.  Each
-field is evaluated once per call: conjugates, J images and real parts are
-read off values, and whether x^1 = 0 picks the frame.
+bracket field; both are read off values over a common denominator, and
+a Gram is built as sparse rows straight from its d theta values, so no
+zero entry is stored.  Each field is evaluated once per call: conjugates,
+J images and real parts are read off values, and whether x^1 = 0 picks
+the frame.
 
 Everything stays inside Q[i]; sample points come from Pythagorean triples
 so that all evaluations are exact.
@@ -174,14 +176,14 @@ class ConePoint:
 def _dtheta(u, v) -> GQ:
     """d theta(u, v) = (i/2) sum_j eps_j (u^jb v^j - u^j v^jb) on vectors of
     the frame (d/dz, d/dzb) in integer form (d, re, im), reduced once as
-    i S / (2 d_u d_v), S the Gaussian-integer sum; it needs no point."""
-    (du, ua, ub), (dv, va, vb) = u, v
-    s = t = 0
-    for j, k, eps in ((0, 3, 1), (1, 4, 1), (2, 5, -1)):  # k = j + 3
-        s += eps * (ua[k] * va[j] - ub[k] * vb[j] - ua[j] * va[k]
-                    + ub[j] * vb[k])
-        t += eps * (ua[k] * vb[j] + ub[k] * va[j] - ua[j] * vb[k]
-                    - ub[j] * va[k])
+    i S / (2 d_u d_v), S = s + i t the Gaussian-integer sum; it needs no
+    point."""
+    (du, (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5)), \
+        (dv, (c0, c1, c2, c3, c4, c5), (e0, e1, e2, e3, e4, e5)) = u, v
+    s = (a3 * c0 - b3 * e0 - a0 * c3 + b0 * e3 + a4 * c1 - b4 * e1
+         - a1 * c4 + b1 * e4 - a5 * c2 + b5 * e2 + a2 * c5 - b2 * e5)
+    t = (a3 * e0 + b3 * c0 - a0 * e3 - b0 * c3 + a4 * e1 + b4 * c1
+         - a1 * e4 - b1 * c4 - a5 * e2 - b5 * c2 + a2 * e5 + b2 * c5)
     return _gq(-t, s, 2 * du * dv)
 
 
@@ -215,10 +217,14 @@ def _J(form):
 def _combine(coef, forms):
     """sum_k coef_k V_k(p) for integer forms over one denominator."""
     c, ca, cb = over_common_denominator(coef)
-    terms = list(zip(ca, cb, forms))
-    return tuple(_gq(sum(a * f[1][i] - b * f[2][i] for a, b, f in terms),
-                     sum(a * f[2][i] + b * f[1][i] for a, b, f in terms),
-                     c * forms[0][0]) for i in range(NVARS))
+    re, im = [0] * NVARS, [0] * NVARS
+    for a, b, (_, fa, fb) in zip(ca, cb, forms):
+        if a or b:
+            for i in range(NVARS):
+                re[i] += a * fa[i] - b * fb[i]
+                im[i] += a * fb[i] + b * fa[i]
+    d = c * forms[0][0]
+    return tuple(_gq(x, y, d) for x, y in zip(re, im))
 
 
 def levi_form_at(p: ConePoint, vf: Field, wf: Field) -> GQ:
@@ -266,9 +272,12 @@ def _d10_frame_at(p: ConePoint):
 
 def _levi_gram(rows, cols) -> Matrix:
     """d theta_p(V(p), JW(p)) = -theta_p([V, JW]) for the integer forms of
-    V(p) in rows and W(p) in cols, under ``levi_form_at``'s contract."""
+    V(p) in rows and W(p) in cols, under ``levi_form_at``'s contract, as
+    sparse rows: a zero value is not stored."""
     jcols = [_J(w) for w in cols]
-    return Matrix([[_dtheta(v, w) for w in jcols] for v in rows])
+    return Matrix._of(tuple(
+        tuple((j, x) for j, w in enumerate(jcols) if (x := _dtheta(v, w)))
+        for v in rows), len(cols))
 
 
 def levi_hermitian_rank(p: ConePoint) -> int:

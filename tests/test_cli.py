@@ -853,17 +853,17 @@ STATEMENT_BUDGET = {
     "verify jacobi": 571,
     "verify table1": 571,
     "verify structeq": 733,
-    "cohomology": 1070,
-    "hodge": 1070,
-    "prolong": 1311,
-    "normalize": 1311,
+    "cohomology": 1084,
+    "hodge": 1084,
+    "prolong": 1325,
+    "normalize": 1325,
     "model quadric": 546,
     "model embed": 546,
-    "model levi": 972,
-    "model cubic": 972,
-    "model freeman": 972,
+    "model levi": 990,
+    "model cubic": 990,
+    "model freeman": 990,
     "model identities": 546,
-    "constraints": 1227,
+    "constraints": 1241,
 }
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
 
 from oracles import add_term, restrict_ctorsion
+from test_so32 import WEIGHTS
 from so32cr.scalars import GQ, unit_vec
 from so32cr.cochains import Cochain
 from so32cr import coframe, structeq
@@ -68,6 +70,20 @@ def test_all_structure_equations_vanish():
     assert len(rep) == 10
     for label, residue in rep:
         assert residue == "0", (label, residue)
+
+
+def test_each_structure_equation_is_weight_homogeneous():
+    # w^a is dual to basis element a, so a term w^b ^ w^c of its equation
+    # has the weight of a iff wt(b) + wt(c) = wt(a); this holds for every
+    # written term and every term of d w^a, under test_so32's weights
+    for label, lhs in structure_equation_lhs().items():
+        a = _idx(label)
+        written = lhs - maurer_cartan(label)
+        assert written.coeffs, label
+        for form in (written, maurer_cartan(label)):
+            for b, c in form.coeffs:
+                assert tuple(map(add, WEIGHTS[b], WEIGHTS[c])) == WEIGHTS[a], (
+                    label, COMPLEX_LABELS[b], COMPLEX_LABELS[c])
 
 
 def test_fault_injection_localizes():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from sympy import QQ, QQ_I
@@ -269,6 +270,87 @@ def test_rref_kernel_solve_match_sympy():
             x, solved_ker = res
             assert a.apply(x) == b
             assert solved_ker == ker
+
+
+# the coefficient heights of normalize-stream's ops: small integers, three-
+# digit rationals, and 30-digit numerators over 20-digit denominators
+_HEIGHTS = (
+    lambda rng: Fraction(rng.randint(-3, 3)),
+    lambda rng: Fraction(rng.randint(-10**3, 10**3), rng.randint(1, 10**3)),
+    lambda rng: Fraction(rng.randint(-10**30, 10**30),
+                         rng.randint(1, 10**20)),
+)
+
+
+def _engine_height_matrix(rng) -> Matrix:
+    """Up to 6 x 7 at one height or mixed ones; entries are non-real, so
+    every pivot is, a third of the matrices are products through a smaller
+    inner dimension (deficient ranks), and half have a zero row or
+    column."""
+    m, n = rng.randrange(1, 7), rng.randrange(1, 8)
+    fixed = rng.choice(_HEIGHTS + (None,))
+
+    def entry():
+        q = fixed or rng.choice(_HEIGHTS)
+        return GQ(q(rng), q(rng) or 1)
+
+    if rng.randrange(3):
+        rows = [[entry() if rng.random() < 0.6 else GQ(0) for _ in range(n)]
+                for _ in range(m)]
+    else:
+        inner = rng.randrange(1, min(m, n) + 1)
+        rows = dense_rows(Matrix([[entry() for _ in range(inner)]
+                                  for _ in range(m)])
+                          @ Matrix([[entry() for _ in range(n)]
+                                    for _ in range(inner)]))
+        rows = [list(r) for r in rows]
+    if rng.randrange(2):
+        if rng.randrange(2):
+            rows[rng.randrange(m)] = [GQ(0)] * n
+        else:
+            zero_col = rng.randrange(n)
+            for row in rows:
+                row[zero_col] = GQ(0)
+    return Matrix(rows, ncols=n)
+
+
+def _canonical(x: GQ) -> bool:
+    """d > 0 and gcd(a, b, d) = 1: equal, and hashing equal, to the value
+    its text parses to."""
+    text = GQ.from_str(x.to_str())
+    return (x._d > 0 and gcd(x._a, x._b, x._d) == 1 and x == text
+            and hash(x) == hash(text))
+
+
+def test_rref_and_kernel_at_engine_heights_match_sympy(monkeypatch):
+    # rref keeps every entry in lowest terms while it eliminates: each
+    # triple it hands to _gq for the returned matrix is already reduced
+    unreduced = []
+    original = linalg._gq
+
+    def checked(a, b, d):
+        if d <= 0 or gcd(a, b, d) != 1:
+            unreduced.append((a, b, d))
+        return original(a, b, d)
+
+    monkeypatch.setattr(linalg, "_gq", checked)
+    rng = random.Random(1931)
+    for _ in range(60):
+        a = _engine_height_matrix(rng)
+        sa = _to_sympy(dense_rows(a), a.ncols)
+        r, pivots = rref(a)
+        sr, spivots = sa.rref()
+        assert pivots == tuple(spivots)
+        assert dense_rows(r) == [tuple(_from_sympy(x) for x in row)
+                                 for row in sr.to_list()]
+        ker = kernel(a)
+        null = sa.nullspace()
+        expected = null.rref()[0].to_list() if null.shape[0] else []
+        assert ker.basis_vectors() == [tuple(_from_sympy(x) for x in row)
+                                       for row in expected]
+        assert all(_canonical(x) for _, _, x in r._entries())
+        assert all(_canonical(x) for v in ker.basis_vectors() for x in v)
+    assert unreduced == []
 
 
 def test_apply_matches_sympy():

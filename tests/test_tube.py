@@ -11,7 +11,7 @@ from oracles import (BASE_POINT, DIAG_TO_ANTIDIAG, SAMPLE_POINTS,
                      form_value, iform, isotropy_algebra, j_image,
                      model_levi_cubic, pivot_frame_pair, real_parts)
 from so32cr.scalars import GQ, HALF_I, over_common_denominator, unit_vec
-from so32cr import quadric, tube
+from so32cr import linalg, quadric, tube
 from so32cr.linalg import Matrix, Subspace, kernel_basis, rank
 from so32cr.quadric import (
     Poly,
@@ -584,6 +584,29 @@ def test_the_benchmark_kinds_at_one_point_evaluate_each_frame_field_once(
             assert sum(f is field for f in seen) == 1
 
 
+def test_the_benchmark_kinds_at_one_point_make_8_eliminations_and_41_dtheta(
+        monkeypatch):
+    # one row of the work ledger, in calls, never times: the Hermitian
+    # rank, real Gram, kernel and Freeman kinds build 4, 16, 16 and 4 Gram
+    # entries and the cubic one value; the eliminations are one rank each
+    # for the first two, the kernel's rref with the kernel's and the rib's
+    # Subspace, and Freeman's kernel with its two Subspaces
+    workloads = _workloads()
+    counts = {}
+    for module, name in ((linalg, "rref"), (tube, "_dtheta")):
+        def counting(*args, name=name, original=getattr(module, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    for seed in (1, 2, 3):
+        p = workloads.random_cone_point(random.Random(seed))
+        counts.clear()
+        for kind, check in workloads._tube_kinds():
+            assert check(kind(p))
+        assert counts == {"rref": 8, "_dtheta": 41}, seed
+
+
 def _warm_and_fresh_kinds():
     """The tube-points kinds and ``rib_span_at``, each returning the whole
     value the benchmark checks a rank or a fact of, with that fact."""
@@ -618,17 +641,24 @@ def _seeded_cone_point(rng: random.Random, height: int) -> ConePoint:
     return ConePoint(tuple(GQ(s * x, yi) for x, yi in zip((a, b, c), y)))
 
 
+def _warm_points():
+    """30 seeded points at heights 1, 3 and 20, each with the kinds in a
+    shuffled order."""
+    rng = random.Random(33)
+    kinds = list(_warm_and_fresh_kinds())
+    for i in range(30):
+        p = _seeded_cone_point(rng, (1, 3, 20)[i % 3])
+        rng.shuffle(kinds)
+        yield i, p, kinds
+
+
 def test_warm_point_evaluations_match_fresh_points():
     # the kinds in a shuffled order at one point, each against the same
     # kind at a fresh point of the same z: what the point keeps from one
     # kind is what a fresh point would build for the next.  The kept frame
     # also matches the fields that rref's pivots pick, evaluated on a power
     # table of their own, and the kernel is the rib at the point itself
-    rng = random.Random(33)
-    kinds = list(_warm_and_fresh_kinds())
-    for i in range(30):
-        p = _seeded_cone_point(rng, (1, 3, 20)[i % 3])
-        rng.shuffle(kinds)
+    for i, p, kinds in _warm_points():
         warm = {kind: kind(p) for kind, _ in kinds}
         for kind, fact in kinds:
             assert warm[kind] == kind(ConePoint(p.z)), (i, kind)
@@ -637,6 +667,20 @@ def test_warm_point_evaluations_match_fresh_points():
         at = Powers(p.z)
         assert [form_value(f) for f in p.frame[2]] == [
             f.eval(at) for f in pivot_frame_pair(p)]
+
+
+def test_the_levi_grams_store_no_zero():
+    # the Grams are built as sparse rows: each equals the matrix of its own
+    # dense rows, which keeps no zero; about half of the real Gram's
+    # entries are structural zeros
+    on_axis = 0
+    for _, p, _ in _warm_points():
+        forms = p.frame[2]
+        for gram in (levi_real_gram(p),
+                     _levi_gram(forms, [tube._conj(f) for f in forms])):
+            assert gram == Matrix([gram.row(i) for i in range(gram.nrows)])
+        on_axis += not p.z[0].re_sign()
+    assert on_axis  # the x^1 = 0 frame (L12, L23) is among them
 
 
 # -- compiled evaluation: jet tables, power tables, warm work ---------------
