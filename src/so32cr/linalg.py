@@ -7,26 +7,21 @@ one gcd per result: every entry stays in lowest terms, so this is not
 fraction-free elimination.  Subspaces are kept in a canonical form -- the
 reduced column echelon basis, equivalently the reduced row echelon form of
 the row span -- so that two subspaces are equal iff their stored bases are
-structurally equal.  ``Matrix.apply`` costs one gcd per nonzero output.
+structurally equal.  ``Matrix.apply`` works block by block: a block is a
+connected component of the graph joining each row to its columns, each
+block's part of the vector goes over its own common denominator (an all-zero
+part is skipped), and each nonzero output costs one gcd against the
+denominators of its own block only.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import GQ, ONE, ZERO, _gq, over_common_denominator, vec
 
 Vector = tuple  # tuple of GQ
-
-
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Vector) -> Vector:
-    c = GQ.of(c)
-    return tuple(c * a for a in v)
 
 
 def _row(pairs) -> tuple:
@@ -41,10 +36,11 @@ class Matrix:
     """Immutable sparse matrix over GQ: ``rows[i]`` is row i's sparse row,
     its nonzero entries as (column, value) pairs in ascending column order,
     so equal matrices have equal rows.  The constructor takes dense rows;
-    ``row``, ``col``, ``columns`` and ``flatten`` return dense vectors.
-    ``apply`` keeps an integer form (== and hash ignore it): a common
-    denominator L and, per nonzero row i, (i, real, imag), the (column,
-    numerator over L) pairs of the nonzero parts of the row's entries."""
+    ``row``, ``columns`` and ``flatten`` return dense vectors.  ``apply``
+    keeps an integer form (== and hash ignore it), built on its first call:
+    the matrix's blocks, each with its columns, its own common denominator
+    L and, per row, the numerators over L with the columns indexed within
+    the block (see ``_integer_form``)."""
 
     __slots__ = ("rows", "nrows", "ncols", "_integer")
 
@@ -109,9 +105,6 @@ class Matrix:
             out[j] = x
         return tuple(out)
 
-    def col(self, j: int) -> Vector:
-        return self.transpose().row(j)
-
     def columns(self):
         t = self.transpose()
         return [t.row(j) for j in range(self.ncols)]
@@ -144,33 +137,28 @@ class Matrix:
             for j, b in other.rows[k]))
 
     def apply(self, v: Vector) -> Vector:
-        """M v for v a vector of GQ."""
+        """M v for v a vector of GQ, one block at a time: each block's part
+        of v goes over its own common denominator, and a zero part is
+        skipped, so each output's gcd sees no other block's denominators."""
         if self.ncols != len(v):
             raise ValueError("shape mismatch in apply")
         if getattr(self, "_integer", None) is None:
-            den, re, im = over_common_denominator(
-                [x for r in self.rows for _, x in r])
-            nums, form = iter(zip(re, im)), []
-            for i, r in enumerate(self.rows):
-                if r:
-                    cells = [(j, *next(nums)) for j, _ in r]
-                    form.append((i, [(j, p) for j, p, _ in cells if p],
-                                 [(j, q) for j, _, q in cells if q]))
-            _set(self, "_integer", (den, form))
-        den, rows = self._integer
-        dv, va, vb = over_common_denominator(v)
-        den *= dv
+            _set(self, "_integer", _integer_form(self.rows))
         out = [ZERO] * self.nrows
-        for i, real, imag in rows:
-            s = t = 0
-            for j, p in real:
-                s += p * va[j]
-                t += p * vb[j]
-            for j, q in imag:
-                s -= q * vb[j]
-                t += q * va[j]
-            if s or t:
-                out[i] = _gq(s, t, den)
+        for cols, den, rows in self._integer:
+            if any(part := [v[j] for j in cols]):
+                dv, va, vb = over_common_denominator(part)
+                dv *= den
+                for i, real, imag in rows:
+                    s = t = 0
+                    for j, p in real:
+                        s += p * va[j]
+                        t += p * vb[j]
+                    for j, q in imag:
+                        s -= q * vb[j]
+                        t += q * va[j]
+                    if s or t:
+                        out[i] = _gq(s, t, dv)
         return tuple(out)
 
     def __eq__(self, other):
@@ -186,6 +174,32 @@ class Matrix:
             " ".join(x.to_str() for x in self.row(i)) for i in range(self.nrows)
         )
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
+
+
+def _integer_form(rows) -> list:
+    """``Matrix.apply``'s form of sparse rows: per block, a connected
+    component of the graph that joins each nonzero row to its columns,
+    (columns, L, rows) with the block's columns ascending, L the lcm of its
+    entries' denominators and, per row i, (i, real, imag), the (position in
+    columns, numerator over L) pairs of the nonzero parts of its entries.
+    One pass over the rows: a row's block absorbs every block it meets."""
+    blocks = []  # [column set, row indices]
+    for i, r in enumerate(rows):
+        if r:
+            block = [{j for j, _ in r}, [i]]
+            for b in [b for b in blocks if not block[0].isdisjoint(b[0])]:
+                blocks.remove(b)
+                block = [block[0] | b[0], b[1] + block[1]]
+            blocks.append(block)
+    form = []
+    for cols, members in blocks:
+        at = {j: p for p, j in enumerate(sorted(cols))}
+        den = lcm(*[x._d for i in members for _, x in rows[i]])
+        form.append((list(at), den, [
+            (i, [(at[j], x._a * (den // x._d)) for j, x in rows[i] if x._a],
+             [(at[j], x._b * (den // x._d)) for j, x in rows[i] if x._b])
+            for i in members]))
+    return form
 
 
 def rref(m: Matrix):
@@ -328,8 +342,7 @@ def _null_vectors(r: Matrix, pivots, n: int):
 
 def kernel_basis(m: Matrix):
     """Basis of the null space {x : m x = 0}, via back substitution on rref."""
-    r, pivots = rref(m)
-    return _null_vectors(r, pivots, m.ncols)
+    return _null_vectors(*rref(m), m.ncols)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -362,11 +375,9 @@ def solve(a: Matrix, b):
                                       for row, bi in zip(a.rows, b)), n + 1))
     if n in pivots:
         return NO_SOLUTION
-    x = [ZERO] * n
-    for row, p in zip(r.rows, pivots):
-        if row[-1][0] == n:
-            x[p] = row[-1][1]
-    return tuple(x), Subspace(n, _null_vectors(r, pivots, n))
+    x = {p: row[-1][1] for row, p in zip(r.rows, pivots) if row[-1][0] == n}
+    return (tuple(x.get(j, ZERO) for j in range(n)),
+            Subspace(n, _null_vectors(r, pivots, n)))
 
 
 def solution_map(a: Matrix, why: str = "dependent rows") -> Matrix:

@@ -48,8 +48,6 @@ from .linalg import (
     real_rows,
     rref,
     solution_map,
-    vec_add,
-    vec_scale,
 )
 from . import so32
 from .so32 import M_MINUS, real_unit
@@ -112,14 +110,12 @@ def cubic_conditions(b: Matrix) -> list:
     zl = so32.COMPLEX_LABELS.index
     e10_01, e0_10 = (so32.complex_unit(zl(label))
                      for label in ("e^-1(01)", "e^0(10)"))
-    c = vec_add(
+    return [x + (y + z) + HALF_I * w for x, y, z, w in zip(
         br(br(act(e0_10), e10_01), e10_01),
-        vec_add(
-            br(br(e0_10, act(e10_01)), e10_01),
-            br(br(e0_10, e10_01), act(e10_01)),
-        ),
-    )
-    return list(vec_add(c, vec_scale(HALF_I, act(real_unit("e^-2")))))
+        br(br(e0_10, act(e10_01)), e10_01),
+        br(br(e0_10, e10_01), act(e10_01)),
+        act(real_unit("e^-2")),
+        strict=True)]
 
 
 def prolong_step0() -> ProlongationStep:
@@ -207,7 +203,7 @@ def _kernel_step(k, witnesses, notes, extra=()) -> ProlongationStep:
 
 def prolong_step1() -> ProlongationStep:
     """{B in l1 : dB = 0}; spanned by the projected ad of -E_2^1 and E_1^1."""
-    witnesses = (vec_scale(-1, real_unit("E_2^1")), real_unit("E_1^1"))
+    witnesses = (tuple(-x for x in real_unit("E_2^1")), real_unit("E_1^1"))
     notes = (
         "solved relations: nu = (i/2) conj(lambda), mu = -(i/2) lambda, "
         "antiholomorphic h^0 coefficient 0",
@@ -260,9 +256,8 @@ def step3_component_equations() -> Subspace:
     cols = []
     for lam, mu in params:
         act = partial(carrier.apply_endo, gl3_endo(lam, mu))
-        lhs = act(br(em2, e1))
-        rhs = vec_add(br(act(em2), e1), br(em2, act(e1)))
-        diff = vec_add(lhs, vec_scale(-1, rhs))
+        diff = [a - (b + c) for a, b, c in zip(
+            act(br(em2, e1)), br(act(em2), e1), br(em2, act(e1)), strict=True)]
         cols.append([diff[i] for i in so32.GRADE_INDICES[0]])
     return kernel(real_rows(Matrix.from_columns(cols)))
 
@@ -390,7 +385,7 @@ def run_prolong(rep, which: str):
                 rep.add(
                     f"step {step} {name}",
                     expected,
-                    so32.format_combination(z.col(col)),
+                    so32.format_combination(z.columns()[col]),
                     f"closed gauge directions at degree {step}",
                 )
         if step == 3:

@@ -112,7 +112,7 @@ from so32cr.cochains import (Cochain, _coboundary_on, _Side, _side_m,
                              codifferential_matrix)
 from so32cr.forms import Form
 from so32cr.linalg import (Matrix, Subspace, kernel, kernel_basis, rank,
-                           real_rows, rref, solution_map, vec_add, vec_scale)
+                           real_rows, rref, solution_map)
 from so32cr.scalars import (GQ, HALF, HALF_I, I, ONE, ZERO, _gq, unit_vec,
                             vec, zero_vec)
 from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, CONJ_PERM, DIM, GRADES,
@@ -121,8 +121,17 @@ from so32cr.so32 import (_J_IMAGE, COMPLEX_LABELS, CONJ_PERM, DIM, GRADES,
 from so32cr.tube import _EPS, ConePoint, Field, Poly, cone_fields
 
 # ---------------------------------------------------------------------------
-# a matrix times a vector
+# vector sums and a matrix times a vector
 # ---------------------------------------------------------------------------
+
+
+def vec_add(u, v) -> tuple:
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(c, v) -> tuple:
+    c = GQ.of(c)
+    return tuple(c * a for a in v)
 
 
 def reference_apply(m: Matrix, v) -> tuple:
@@ -137,6 +146,28 @@ def reference_apply(m: Matrix, v) -> tuple:
             total = total + a * v[j]
         out.append(total)
     return tuple(out)
+
+
+def column_blocks(m: Matrix) -> set:
+    """The column sets of the connected components of the graph that joins
+    each row of m to the columns of its nonzero entries, found by a search
+    from each column (``Matrix.apply`` finds them in one pass instead)."""
+    rows_of = {}  # column -> the rows with a nonzero entry in it
+    for i, r in enumerate(m.rows):
+        for j, _ in r:
+            rows_of.setdefault(j, []).append(i)
+    blocks = set()
+    for start in rows_of:
+        if any(start in b for b in blocks):
+            continue
+        block, todo = set(), [start]
+        while todo:
+            j = todo.pop()
+            if j not in block:
+                block.add(j)
+                todo += [c for i in rows_of[j] for c, _ in m.rows[i]]
+        blocks.add(frozenset(block))
+    return blocks
 
 
 def span_sum(*spaces) -> Subspace:

@@ -10,9 +10,10 @@ import sys
 from fractions import Fraction
 
 from oracles import (BASE_POINT, SAMPLE_POINTS, act_on_cochain, grades,
-                     intersect, isotropy_algebra, model_levi_cubic, span_sum)
+                     intersect, isotropy_algebra, model_levi_cubic, span_sum,
+                     vec_add)
 from so32cr.scalars import GQ, unit_vec
-from so32cr.linalg import Subspace, rank, vec_add
+from so32cr.linalg import Subspace, rank
 from so32cr import so32
 from so32cr.so32 import GRADES, GRADE_DIMS, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix

@@ -855,8 +855,8 @@ STATEMENT_BUDGET = {
     "verify structeq": 733,
     "cohomology": 1084,
     "hodge": 1084,
-    "prolong": 1325,
-    "normalize": 1325,
+    "prolong": 1322,
+    "normalize": 1322,
     "model quadric": 546,
     "model embed": 546,
     "model levi": 990,

@@ -6,7 +6,8 @@ import pytest
 from sympy import QQ, QQ_I
 from sympy.polys.matrices import DomainMatrix
 
-from oracles import coordinate_subspace, intersect, span_sum, unflatten
+from oracles import (column_blocks, coordinate_subspace, intersect, span_sum,
+                     unflatten)
 from so32cr import linalg
 from so32cr.scalars import GQ, over_common_denominator, unit_vec, vec
 from so32cr.linalg import (
@@ -390,6 +391,66 @@ def test_apply_matches_sympy():
         assert a == built and hash(a) == h == hash(built)
         with pytest.raises(ValueError, match="shape mismatch in apply"):
             a.apply(v + (GQ(1),))
+
+
+def _block_diagonal(rng, heights):
+    """A permuted block-diagonal matrix with 1-4 blocks (1 x 1 included),
+    each block's entries and its part of a vector at one height, heights
+    mixed across blocks; a third of the time one more row, after the
+    others, joins two blocks, and a quarter of the time one block's part of
+    the vector is zero."""
+    shapes = [(rng.randint(1, 3), rng.randint(1, 3))
+              for _ in range(rng.randint(1, 4))]
+    m, n = sum(h for h, _ in shapes), sum(w for _, w in shapes)
+    rows, v, spans = [[GQ(0)] * n for _ in range(m)], [GQ(0)] * n, []
+    top = left = 0
+    for h, w in shapes:
+        q = rng.choice(heights)
+        for i in range(top, top + h):
+            for j in range(left, left + w):
+                if rng.random() < 0.8:
+                    rows[i][j] = GQ(q(), q() if rng.randrange(2) else 0)
+        for j in range(left, left + w):
+            v[j] = GQ(q(), q())
+        spans.append(range(left, left + w))
+        top, left = top + h, left + w
+    rng.shuffle(rows)
+    if len(spans) > 1 and rng.randrange(3) == 0:
+        a, b = rng.sample(spans, 2)
+        join = [GQ(0)] * n
+        join[rng.choice(a)], join[rng.choice(b)] = GQ(1), GQ(-3, 2)
+        rows.append(join)
+    if rng.randrange(4) == 0:
+        for j in rng.choice(spans):
+            v[j] = GQ(0)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return (Matrix([[r[j] for j in perm] for r in rows], ncols=n),
+            vec([v[j] for j in perm]))
+
+
+def test_apply_matches_sympy_block_by_block():
+    # apply's blocks are the connected components of the row-column graph,
+    # each nonzero row sits in one block, and each block's part of v is put
+    # over its own denominator: the products still equal sympy's
+    rng = random.Random(2039)
+    heights = (
+        lambda: Fraction(rng.randint(-3, 3)),
+        lambda: Fraction(rng.randint(-999, 999), rng.randint(1, 999)),
+        lambda: Fraction(rng.randint(-10**30, 10**30),
+                         rng.randint(10**19, 10**20)),
+    )
+    for _ in range(300):
+        a, v = _block_diagonal(rng, heights)
+        out = a.apply(v)
+        expected = (_to_sympy(dense_rows(a), a.ncols)
+                    * _to_sympy([[x] for x in v], 1)).to_list()
+        assert out == tuple(_from_sympy(x) for (x,) in expected)
+        assert {frozenset(cols) for cols, _, _ in a._integer} == \
+            column_blocks(a)
+        assert all(list(cols) == sorted(cols) for cols, _, _ in a._integer)
+        assert sorted(i for _, _, rows in a._integer for i, _, _ in rows) \
+            == [i for i, r in enumerate(a.rows) if r]
 
 
 def _count_rref(monkeypatch):

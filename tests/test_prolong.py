@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (CARTAN, act_on_cochain, add_term, beta_gauge_response,
-                     degree1_normalization_recipe, endo_of_cochain, gl2_endo,
+                     column_blocks, degree1_normalization_recipe, endo_of_cochain, gl2_endo,
                      gl_graded_j, intersect, levi_compatibility,
                      reference_apply, restrict_ctorsion,
                      rotation_action_matrix, span_sum, symmetric_signature,
-                     unflatten, weight_multiplicity)
+                     unflatten, vec_scale, weight_multiplicity)
 from so32cr import cochains, linalg, prolong
 from so32cr.scalars import GQ, unit_vec
-from so32cr.linalg import (Matrix, Subspace, kernel, real_rows, solve,
-                           vec_scale)
+from so32cr.linalg import Matrix, Subspace, kernel, real_rows, solve
 from so32cr.so32 import DIM, GRADES, bracket_coords, real_unit
 from so32cr.carriers import Carrier, endo_complex_matrix
 from so32cr.cochains import (Cochain, coboundary, coboundary_matrix,
@@ -372,15 +371,32 @@ _HEIGHTS = (
 )
 
 
+# the column blocks of each split map of normalize_ctorsion (the connected
+# components of its row-column graph): apply puts each over its own
+# denominator
+SPLIT_BLOCKS = {
+    1: ({0, 3}, {1, 2}),
+    2: ({0, 3, 4, 6}, {1, 2, 5, 7}),
+    3: ({0, 2, 5, 7, 8}, {1, 3, 4, 6, 9}),
+}
+
+
 @st.composite
 def ctorsions(draw):
-    """A degree-k 2-cochain, k in {1, 2, 3}, with entries of one height:
-    small integers, three-digit or 20- to 30-digit rationals, some zero."""
+    """A degree-k 2-cochain, k in {1, 2, 3}, with entries of one height or
+    of a height drawn per entry (small integers, three-digit or 20- to
+    30-digit rationals), some zero, and sometimes one whole column block of
+    the split map zero."""
     k = draw(st.sampled_from((1, 2, 3)))
-    q = draw(st.sampled_from(_HEIGHTS))
-    entry = st.one_of(st.just(GQ(0)), st.builds(GQ, q, q))
     n = cochain_dim(2, k)
-    return Cochain(2, k, draw(st.lists(entry, min_size=n, max_size=n)))
+    heights = draw(st.one_of(
+        st.sampled_from(_HEIGHTS).map(lambda q: [q] * n),
+        st.lists(st.sampled_from(_HEIGHTS), min_size=n, max_size=n)))
+    coords = [draw(st.one_of(st.just(GQ(0)), st.builds(GQ, q, q)))
+              for q in heights]
+    for j in draw(st.sampled_from(((),) + SPLIT_BLOCKS[k])):
+        coords[j] = GQ(0)
+    return Cochain(2, k, coords)
 
 
 @settings(deadline=None, max_examples=60)
@@ -398,6 +414,44 @@ def test_the_annihilator_kernel_is_the_normalization_space():
         assert kernel(a) == normalization_space(k)
         assert a.nrows == cochain_dim(2, k) - normalization_space(k).dim
     assert prolong._normalize_maps(1)[2] == Matrix.identity(cochain_dim(2, 1))
+
+
+def test_each_split_map_has_two_column_blocks():
+    # the precondition of apply's per-block denominators paying off: every
+    # split map falls into the same two column blocks, and every row of the
+    # annihilator lies inside one of them
+    for k, blocks in SPLIT_BLOCKS.items():
+        _, split, annihilator = prolong._normalize_maps(k)
+        assert column_blocks(split) == set(map(frozenset, blocks))
+        for row in annihilator.rows:
+            assert any({j for j, _ in row} <= b for b in blocks), (k, row)
+
+
+def test_no_output_is_reduced_against_both_block_denominators(monkeypatch):
+    # counts, never times: with the k = 3 input's first block over p and its
+    # second over q, no GQ that the split map or the annihilator builds is
+    # reduced against a multiple of p*q (one denominator for the whole
+    # input gave each of the 14 split outputs one)
+    prolong._normalize_maps(3)
+    p, q = 10**9 + 7, 998244353
+    first, second = SPLIT_BLOCKS[3]
+    c = Cochain(2, 3, [GQ(Fraction(j + 1, p), Fraction(-1, p)) if j in first
+                       else GQ(Fraction(j, q), Fraction(2, q))
+                       for j in range(10)])
+    assert first | second == set(range(10))
+    denominators = []
+    original = linalg._gq
+
+    def recording(a, b, d):
+        denominators.append(d)
+        return original(a, b, d)
+
+    monkeypatch.setattr(linalg, "_gq", recording)
+    b, residual = normalize_ctorsion(c)
+    monkeypatch.undo()
+    assert len(denominators) == 14
+    assert [d for d in denominators if d % (p * q) == 0] == []
+    assert (b.rows, residual.coords) == _reference_split(c)
 
 
 def test_warm_normalize_runs_no_elimination(monkeypatch):
