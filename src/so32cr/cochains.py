@@ -294,7 +294,7 @@ def codifferential_matrix(ell: int, k: int) -> Matrix:
     if ell <= 0:
         raise ValueError("codifferential undefined for 0-cochains")
     return _coboundary_on(_side_h(), ell - 1, -k).transpose().scale(
-        -1 / _killing_pairing())
+        -_killing_pairing().inverse())
 
 
 # -- Kostant decomposition ----------------------------------------------------

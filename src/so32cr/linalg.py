@@ -78,13 +78,14 @@ class Matrix:
     @staticmethod
     def from_entries(nrows: int, ncols: int, entries) -> "Matrix":
         """The matrix whose (i, j) entry is the sum of the values x of the
-        given triples (i, j, x); a triple outside the shape is an error."""
+        given triples (i, j, x), each an int, a rational or a GQ taken
+        through ``GQ.of``; a triple outside the shape is an error."""
         rows = [{} for _ in range(nrows)]
         for i, j, x in entries:
             if not (0 <= i < nrows and 0 <= j < ncols):
                 raise IndexError("entry outside the matrix")
             r = rows[i]
-            r[j] = r[j] + x if j in r else GQ.of(x)
+            r[j] = r[j] + GQ.of(x) if j in r else GQ.of(x)
         return Matrix._of(tuple(_row(r.items()) for r in rows), ncols)
 
     def flatten(self) -> Vector:

@@ -178,7 +178,7 @@ def rho() -> Poly:
 # projective quadric model
 # ---------------------------------------------------------------------------
 
-_DIAG_SIGNS = (1, 1, 1, -1, -1)
+_DIAG_SIGNS = vec((1, 1, 1, -1, -1))
 
 
 def projective_point(coords, chart: str) -> tuple:
@@ -200,7 +200,7 @@ def projective_point(coords, chart: str) -> tuple:
 def ambient_forms(s):
     """((s, s), <s, s>) over diag(+,+,+,-,-) at a diag-chart tuple s, for
     scalars and polynomials alike."""
-    bil = herm = 0
+    bil = herm = ZERO
     for c, sign in zip(s, _DIAG_SIGNS):
         bil = bil + c * c * sign
         herm = herm + c.conj() * c * sign

@@ -251,7 +251,8 @@ def grades(x):
 
 def to_matrix(coords) -> Matrix:
     return Matrix.from_entries(N, N, (
-        (i, j, c * v) for c, entries in zip(vec(coords), so32._BASIS_ENTRIES)
+        (i, j, c * GQ(v))
+        for c, entries in zip(vec(coords), so32._BASIS_ENTRIES)
         for (i, j, v) in entries))
 
 
@@ -305,7 +306,7 @@ def symmetric_signature(gram: Matrix):
     m = Matrix.from_entries(n, n, ())
     for k in range(1, n + 1):
         m = gram @ m + Matrix.identity(n).scale(coeffs[-1])
-        coeffs.append(-trace(gram @ m) / k)
+        coeffs.append(-trace(gram @ m) / GQ(k))
     zero = n - max(k for k, c in enumerate(coeffs) if c)
     signs = [c.re_sign() > 0 for c in coeffs if c]
     pos = sum(s != t for s, t in zip(signs, signs[1:]))

@@ -850,20 +850,20 @@ def test_parse_agrees_with_argparse(argv):
 # most; "-h" loads the front end alone
 STATEMENT_BUDGET = {
     "-h": 170,
-    "verify jacobi": 571,
-    "verify table1": 571,
-    "verify structeq": 733,
-    "cohomology": 1084,
-    "hodge": 1084,
-    "prolong": 1322,
-    "normalize": 1322,
-    "model quadric": 546,
-    "model embed": 546,
-    "model levi": 990,
-    "model cubic": 990,
-    "model freeman": 990,
-    "model identities": 546,
-    "constraints": 1241,
+    "verify jacobi": 550,
+    "verify table1": 550,
+    "verify structeq": 712,
+    "cohomology": 1063,
+    "hodge": 1063,
+    "prolong": 1301,
+    "normalize": 1301,
+    "model quadric": 525,
+    "model embed": 525,
+    "model levi": 969,
+    "model cubic": 969,
+    "model freeman": 969,
+    "model identities": 525,
+    "constraints": 1220,
 }
 
 @lru_cache(maxsize=None)

@@ -222,7 +222,7 @@ def test_codifferential_is_the_killing_pairing_transpose():
 # -- Kostant's Laplacian (Cap and Slovak, Parabolic Geometries I, 3.3) -------
 
 # the eigenvalues of box = d* d + d d* on the cochain slices
-LAPLACIAN_SPECTRUM = tuple(GQ(n) / 6 for n in range(5))
+LAPLACIAN_SPECTRUM = tuple(GQ(Fraction(n, 6)) for n in range(5))
 
 
 def laplacian(ell, k) -> Matrix:
@@ -258,7 +258,7 @@ def test_kostant_laplacian_is_the_g0_casimir_plus_the_degree():
     for ell, k in cochain_slices():
         box, one = laplacian(ell, k), Matrix.identity(cochain_dim(ell, k))
         assert box == ((one - g0_casimir(ell, k)).scale(HALF)
-                       + one.scale(GQ(k) / 6)), (ell, k)
+                       + one.scale(GQ(Fraction(k, 6)))), (ell, k)
         assert kernel(box) == kostant_pieces(ell, k)[1], (ell, k)
         # diagonalizable with its spectrum in LAPLACIAN_SPECTRUM: the product
         # of box - lambda over the five values vanishes
@@ -484,7 +484,7 @@ def test_coboundary_matches_reference_evaluator():
     slices = nonempty_slices()
     assert len(slices) == 42
     for side, ell, k in slices:
-        scale = 1 if side.sign > 0 else 1 / KAPPA
+        scale = 1 if side.sign > 0 else KAPPA.inverse()
         assert _coboundary_on(side, ell, k).scale(scale) == ref_coboundary_matrix(
             argument_side(side.sign), ell, k), (side.sign, ell, k)
 
@@ -519,9 +519,9 @@ def test_killing_pairing_is_checked(monkeypatch):
     assert cochains._killing_pairing() == KAPPA
     killing = so32.killing
     # one pair scaled, one off-diagonal entry, and kappa = 0
-    mutants = (lambda i, j: killing(i, j) * (2 if (i, j) == (1, 7) else 1),
-               lambda i, j: killing(i, j) + (1 if (i, j) == (0, 7) else 0),
-               lambda i, j: killing(i, j) * 0)
+    mutants = (lambda i, j: killing(i, j) * GQ(2 if (i, j) == (1, 7) else 1),
+               lambda i, j: killing(i, j) + GQ(1 if (i, j) == (0, 7) else 0),
+               lambda i, j: killing(i, j) * GQ(0))
     try:
         for mutant in mutants:
             monkeypatch.setattr(so32, "killing", mutant)

@@ -1,12 +1,13 @@
+import operator
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from so32cr.linalg import Matrix
-from so32cr.scalars import GQ, rat_from_str
+from so32cr.scalars import GQ, ZERO, over_common_denominator, rat_from_str
 from so32cr.tube import Poly
 
 
@@ -118,31 +119,31 @@ def _matches(x: GQ, ref: FractionPairGQ):
 @settings(max_examples=200)
 @given(pairs, pairs, any_rationals, st.integers(-10**20, 10**20))
 def test_matches_the_fraction_pair_reference(p, q, r, n):
-    x, y, g = GQ(*p), GQ(*q), GQ(r)
+    x, y, g, m = GQ(*p), GQ(*q), GQ(r), GQ(n)
     rx, ry = FractionPairGQ(*p), FractionPairGQ(*q)
     _matches(x, rx)
     for got, want in ((x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry),
                       (-x, -rx), (x.conj(), rx.conj()),
                       (x + g, rx + r), (g + x, r + rx), (x - g, rx - r),
                       (g - x, r - rx), (x * g, rx * r), (g * x, r * rx),
-                      (x + n, rx + n), (n + x, n + rx), (x - n, rx - n),
-                      (n - x, n - rx), (x * n, rx * n), (n * x, n * rx)):
+                      (x + m, rx + n), (m + x, n + rx), (x - m, rx - n),
+                      (m - x, n - rx), (x * m, rx * n), (m * x, n * rx)):
         _matches(got, want)
     assert x * x.conj() == GQ(rx.abs2())
     assert (x == y) == (rx == ry)
     assert (x == g) == (rx == r) and (x == n) == (rx == n)
-    assert GQ(n) == n and hash(GQ(n)) == hash(n)
+    assert m == n and hash(m) == hash(n)
     if not ry.is_zero():
         _matches(x / y, rx / ry)
         _matches(y.inverse(), ry.inverse())
         _matches(g / y, r / ry)
-        _matches(n / y, n / ry)
+        _matches(m / y, n / ry)
     else:
-        for op in (y.inverse, lambda: x / y, lambda: n / y):
+        for op in (y.inverse, lambda: x / y, lambda: m / y):
             with pytest.raises(ZeroDivisionError, match=r"inverse of 0 in Q\[i\]"):
                 op()
     if n:
-        _matches(x / n, rx / n)
+        _matches(x / m, rx / n)
 
 
 def test_a_fraction_enters_through_the_constructor_only():
@@ -176,17 +177,44 @@ def test_floats_never_enter(bad):
     assert GQ(1) != bad
 
 
-def test_unknown_operands_defer_to_the_other_type():
+def test_arithmetic_takes_gq_operands_only():
+    # ints enter through GQ(), GQ.of and vec: no other operand is converted
+    # on either side of + - * /
+    for other in (3, True, Fraction(1, 2), 0.5, "1/2"):
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for a, b in ((GQ(2), other), (other, GQ(2))):
+                with pytest.raises(TypeError):
+                    op(a, b)
+    # a type that knows GQ decides through its reflected operators
     z = Poly.var(0)
     assert GQ(2) * z == z * GQ(2) == Poly({(1, 0, 0, 0, 0, 0): 2})
     assert GQ(1) + z == z + GQ(1)
     assert GQ.__mul__(GQ(2), z) is NotImplemented
-    assert GQ.__add__(GQ(2), "1/2") is NotImplemented
-    assert GQ.__rsub__(GQ(2), "1/2") is NotImplemented
-    assert GQ.__rtruediv__(GQ(2), "1/2") is NotImplemented
+    # == and hash still take ints: an integral value equals its int
+    assert GQ(Fraction(10, 2)) == 5 and hash(GQ(Fraction(10, 2))) == hash(5)
+    # a sum starts from ZERO, not from the int 0
+    xs = [GQ(1), GQ(Fraction(1, 2)), GQ(0, 1)]
+    assert sum(xs, ZERO) == GQ(Fraction(3, 2), 1)
+    with pytest.raises(TypeError):
+        sum(xs)
     # text enters through from_str only
     with pytest.raises(TypeError, match="GQ takes ints and rationals, not str"):
         GQ("1/2")
+
+
+@settings(max_examples=200)
+@example([])
+@example([(Fraction(3), Fraction(-2)), (Fraction(0), Fraction(5))])
+@example([(Fraction(1, 2), Fraction(1, 3)), (Fraction(5, 7), Fraction(0))])
+@example([(Fraction(10**29 + 7, 3 * 10**29 + 1), Fraction(-1, 10**29 + 9)),
+          (Fraction(0), Fraction(2 * 10**29 + 3, 10**29))])
+@given(st.lists(pairs, max_size=6))
+def test_over_common_denominator_matches_fractions(parts):
+    d, re, im = over_common_denominator([GQ(*p) for p in parts])
+    assert d == lcm(1, *[x.denominator for p in parts for x in p])
+    assert all(type(n) is int for n in re + im)
+    assert [Fraction(a, d) for a in re] == [p[0] for p in parts]
+    assert [Fraction(b, d) for b in im] == [p[1] for p in parts]
 
 
 def test_constructor_normalizes():
@@ -220,7 +248,7 @@ def test_inverse_and_conjugation(a):
 
 
 def test_division_by_zero():
-    for op in (GQ(0).inverse, lambda: GQ(1) / 0, lambda: 1 / GQ(0)):
+    for op in (GQ(0).inverse, lambda: GQ(1) / GQ(0)):
         with pytest.raises(ZeroDivisionError, match=r"inverse of 0 in Q\[i\]"):
             op()
 
